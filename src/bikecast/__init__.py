@@ -22,11 +22,10 @@ from .inventory import PenaltyConfig, UdfCurve, oracle_decision, udf, udf_curve
 from .queueing import (
     ProbabilityTrajectory,
     RateSeries,
-    empty_full_probabilities,
+    adjoint_interval,
     generator_matrix,
     matrix_exponential_oracle,
     monte_carlo_oracle,
-    transient_probabilities,
 )
 
 __version__ = "0.1.0"
@@ -47,10 +46,9 @@ __all__ = [
     "udf_curve",
     "ProbabilityTrajectory",
     "RateSeries",
-    "empty_full_probabilities",
+    "adjoint_interval",
     "generator_matrix",
     "matrix_exponential_oracle",
     "monte_carlo_oracle",
-    "transient_probabilities",
     "__version__",
 ]

@@ -41,7 +41,6 @@ class RunConfig:
     patience: int = 10
     lost_pickup_penalty: float = 1.0
     lost_return_penalty: float = 1.0
-    substeps_per_interval: int = 60
     forecast_samples: int = 100
     eval_is_samples: int = 30
     ma_window_days: int = 30

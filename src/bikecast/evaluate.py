@@ -138,8 +138,7 @@ def cumulative_error(pickup_actual, return_actual, pickup_pred, return_pred) -> 
 
 def benchmark(predictions: dict[str, list[RateSeries]], day_events: list[EventStream],
               day_counts: list[DemandSeries], capacity: int,
-              penalties: PenaltyConfig = PenaltyConfig(),
-              substeps_per_interval: int = 60) -> BenchmarkResult:
+              penalties: PenaltyConfig = PenaltyConfig()) -> BenchmarkResult:
     """Score each model's forecasts by replayed inventory cost and CE.
 
     ``predictions`` maps model name to one RateSeries per test day, aligned
@@ -158,7 +157,7 @@ def benchmark(predictions: dict[str, list[RateSeries]], day_events: list[EventSt
     rows: list[dict] = []
     oracle_costs = np.zeros(n_days)
     for i, (events, counts) in enumerate(zip(day_events, day_counts)):
-        curve = oracle_decision(counts, capacity, penalties, substeps_per_interval)
+        curve = oracle_decision(counts, capacity, penalties)
         report = replay_cost(events, curve.s_star, capacity, penalties,
                              day=counts.start.date())
         oracle_costs[i] = report.cost
@@ -176,7 +175,7 @@ def benchmark(predictions: dict[str, list[RateSeries]], day_events: list[EventSt
         ces = np.zeros(n_days)
         for i, (events, counts) in enumerate(zip(day_events, day_counts)):
             rates = predictions[name][i]
-            curve = udf_curve(rates, capacity, penalties, substeps_per_interval)
+            curve = udf_curve(rates, capacity, penalties)
             report = replay_cost(events, curve.s_star, capacity, penalties,
                                  day=counts.start.date())
             costs[i] = report.cost

@@ -115,8 +115,7 @@ def default_delta_grid(delta_max: float = 25.0, step: float = 0.5) -> np.ndarray
 
 def bias_study(day_counts: DemandSeries, events: EventStream, capacity: int,
                penalties: PenaltyConfig = PenaltyConfig(),
-               delta_grid: np.ndarray | None = None,
-               substeps_per_interval: int = 60) -> BiasStudyResult:
+               delta_grid: np.ndarray | None = None) -> BiasStudyResult:
     """Decision and replay cost under each bias pattern across the delta grid.
 
     The unbiased rates are the day's realized counts-as-rates, so delta=0
@@ -138,7 +137,7 @@ def bias_study(day_counts: DemandSeries, events: EventStream, capacity: int,
         ces = np.zeros(len(delta_grid))
         for i, d in enumerate(delta_grid):
             biased = apply_bias(base, BiasSpec(kind, float(d)))
-            curve = udf_curve(biased, capacity, penalties, substeps_per_interval)
+            curve = udf_curve(biased, capacity, penalties)
             s_stars[i] = curve.s_star
             costs[i] = replay_cost(events, curve.s_star, capacity, penalties).cost
             ces[i] = cumulative_error(day_counts.pickups, day_counts.returns,
@@ -433,11 +432,10 @@ def stage_optimize(config: RunConfig) -> dict[str, dict[str, list[int]]]:
                                                  config.interval_minutes)
                 picks = []
                 for day, rates in zip(days, forecasts):
-                    curve = udf_curve(rates, data[sid].capacity, penalties,
-                                      config.substeps_per_interval)
+                    curve = udf_curve(rates, data[sid].capacity, penalties)
                     picks.append(curve.s_star)
                     lines.append(f"{day.isoformat()},{name},{curve.s_star},"
-                                 f"{curve.values[curve.s_star]:.10g}")
+                                 f"{curve.values[curve.s_star]:.12g}")
                 decisions[sid][name] = picks
             _write(os.path.join(config.out_dir, "decisions", f"{sid}.csv"),
                    "\n".join(lines) + "\n", header)
@@ -475,7 +473,7 @@ def stage_evaluate(config: RunConfig) -> tuple[list[DecisionSummary],
             day_counts = [test.day(i) for i in range(test.n_days)]
             day_events = [streams[sid].slice_day(d) for d in days]
             result = benchmark(predictions, day_events, day_counts, data[sid].capacity,
-                               penalties, config.substeps_per_interval)
+                               penalties)
             per_station[sid] = result
             all_rows.extend(result.rows)
             for summary in result.summaries:
@@ -522,8 +520,7 @@ def stage_bias(config: RunConfig) -> BiasStudyResult:
                                             interval_minutes=config.interval_minutes)
         study = bias_study(day_counts, day_events, config.bias_capacity, penalties,
                            default_delta_grid(config.bias_delta_max,
-                                              config.bias_delta_step),
-                           config.substeps_per_interval)
+                                              config.bias_delta_step))
         _write(os.path.join(config.out_dir, "reports", "bias_curves.csv"),
                study.to_csv(), config.artifact_header())
         return study

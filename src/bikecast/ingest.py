@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta
@@ -194,9 +195,13 @@ class TripColumns:
 
 def _parse_timestamp(raw: str, line_number: int) -> datetime:
     try:
-        return datetime.fromisoformat(raw.strip())
+        stamp = datetime.fromisoformat(raw.strip())
     except ValueError:
         raise RowError(line_number, f"unparseable timestamp {raw!r}") from None
+    if stamp.tzinfo is not None:
+        raise RowError(line_number, f"timestamp {raw!r} carries a UTC offset; "
+                                    f"timestamps must be naive local time")
+    return stamp
 
 
 def _open_text(source):
@@ -333,6 +338,8 @@ class WeatherTable:
             raise DataError(f"weather timestamps must be on the hour, got {ts}")
         if not 0.0 <= rain_probability <= 1.0:
             raise DataError(f"rain_probability {rain_probability} outside [0, 1] at {ts}")
+        if not math.isfinite(temperature_c):
+            raise DataError(f"temperature_c {temperature_c} is not finite at {ts}")
         self.observations[ts] = (float(temperature_c), float(rain_probability))
 
 

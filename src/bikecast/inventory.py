@@ -7,9 +7,17 @@ and lost returns while it is full:
     UDF(s) = integral over [0, T] of
              l_p * mu(t) * p(s, 0, t)  +  l_r * lam(t) * p(s, C, t)  dt
 
-with ``p`` the transient occupancy probabilities from :mod:`.queueing`. The
-optimal starting inventory minimizes UDF over s in {0, ..., C}; evaluation is
-exhaustive, so the argmin is exact given the UDF values.
+with ``p`` the transient occupancy probabilities of :mod:`.queueing`. All
+starts are priced at once by the adjoint recursion, run backward over the
+intervals of the day from ``u_n = 0``:
+
+    u_{i-1} = u_i e^{A_i h} + w_i integral_0^h e^{A_i t} dt,
+    w_i     = l_p mu_i e_0 + l_r lam_i e_C,
+
+so that ``u_0[s] = UDF(s)``. Each step is one call of
+:func:`.queueing.adjoint_interval`, exact up to its bounded truncation error.
+The optimal starting inventory minimizes UDF over s in {0, ..., C};
+evaluation is exhaustive, so the argmin is exact given the UDF values.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import numpy as np
 
 from . import queueing
 from .errors import DomainError
-from .queueing import DEFAULT_SUBSTEPS, RateSeries
+from .queueing import RateSeries
 
 
 @dataclass(frozen=True)
@@ -66,65 +74,38 @@ class UdfCurve:
         )
 
 
-def _interval_trapezoid(
-    grid: np.ndarray,
-    empty: np.ndarray,
-    full: np.ndarray,
-    rates: RateSeries,
-    penalties: PenaltyConfig,
-    substeps: int,
-) -> np.ndarray:
-    """Integrate the dissatisfaction rate over the RK4 grid, one interval at
-    a time so the piecewise-constant rate factors stay exact at breakpoints.
-
-    ``empty``/``full`` have one row per grid point; columns may be a single
-    trajectory or one trajectory per start.
-    """
-    mu_h, lam_h = rates.hourly()
-    h = rates.interval_hours / substeps
-    total = np.zeros(empty.shape[1]) if empty.ndim == 2 else 0.0
-    for i in range(len(rates)):
-        lo = i * substeps
-        hi = (i + 1) * substeps
-        integrand = (
-            penalties.lost_pickup * mu_h[i] * empty[lo : hi + 1]
-            + penalties.lost_return * lam_h[i] * full[lo : hi + 1]
-        )
-        total = total + np.trapezoid(integrand, dx=h, axis=0)
-    return total
-
-
 def udf(
     rates: RateSeries,
     start: int,
     capacity: int,
     penalties: PenaltyConfig = PenaltyConfig(),
-    substeps_per_interval: int = DEFAULT_SUBSTEPS,
 ) -> float:
     """Expected dissatisfied users over the horizon for one starting inventory."""
-    traj = queueing.transient_probabilities(rates, start, capacity, substeps_per_interval)
-    empty = traj.probs[:, 0:1]
-    full = traj.probs[:, capacity : capacity + 1]
-    value = _interval_trapezoid(traj.grid, empty, full, rates, penalties, substeps_per_interval)
-    return float(value[0])
+    queueing._check_start(start, capacity)
+    return float(udf_curve(rates, capacity, penalties).values[start])
 
 
 def udf_curve(
     rates: RateSeries,
     capacity: int,
     penalties: PenaltyConfig = PenaltyConfig(),
-    substeps_per_interval: int = DEFAULT_SUBSTEPS,
 ) -> UdfCurve:
     """Evaluate the UDF for every start in {0, ..., C} and locate the argmin.
 
-    All starts share one matrix-valued integration sweep; ties at the minimum
-    go to the smallest inventory (fewer bikes tied up, deterministic tests).
+    One backward sweep of the adjoint recursion serves every start; ties at
+    the minimum go to the smallest inventory (fewer bikes tied up,
+    deterministic tests).
     """
     if capacity < 1:
         raise DomainError(f"capacity must be >= 1, got {capacity}")
-    grid, empty, full = queueing.empty_full_probabilities(rates, capacity, substeps_per_interval)
-    values = _interval_trapezoid(grid, empty, full, rates, penalties, substeps_per_interval)
-    values = np.maximum(values, 0.0)  # roundoff can leave -1e-18 on zero-rate days
+    mu_h, lam_h = rates.hourly()
+    values = np.zeros(capacity + 1)
+    w = np.zeros(capacity + 1)
+    for i in reversed(range(len(rates))):
+        w[0] = penalties.lost_pickup * mu_h[i]
+        w[capacity] = penalties.lost_return * lam_h[i]
+        values = queueing.adjoint_interval(values, w, mu_h[i], lam_h[i], capacity,
+                                           rates.interval_hours)
     s_star = int(np.argmin(values))  # argmin returns the first (smallest) minimizer
     return UdfCurve(capacity=capacity, values=values, s_star=s_star)
 
@@ -133,7 +114,6 @@ def oracle_decision(
     day_counts,
     capacity: int,
     penalties: PenaltyConfig = PenaltyConfig(),
-    substeps_per_interval: int = DEFAULT_SUBSTEPS,
 ) -> UdfCurve:
     """Decision curve under perfect information about one day's demand.
 
@@ -151,4 +131,4 @@ def oracle_decision(
         pickup_rates=np.asarray(day_counts.pickups, dtype=float),
         return_rates=np.asarray(day_counts.returns, dtype=float),
     )
-    return udf_curve(rates, capacity, penalties, substeps_per_interval)
+    return udf_curve(rates, capacity, penalties)

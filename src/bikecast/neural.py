@@ -21,6 +21,7 @@ so each day is its own sequence (an option flag joins days instead).
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -607,6 +608,7 @@ def save_checkpoint(model: NeuralModel, path: str) -> None:
         "params": [{"name": k, "shape": list(model.params[k].shape)} for k in keys],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))

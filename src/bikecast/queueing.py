@@ -8,11 +8,20 @@ full station are censored: the state does not move and the customer is lost.
 
 The occupancy distribution ``p(s, sigma, t)`` (probability of holding ``sigma``
 bikes at time ``t`` given ``s`` at time 0) solves a linear ODE driven by the
-birth-death generator of the censored chain. Three routes to it live here:
+birth-death generator of the censored chain. Within an interval the generator
+is constant, so the exact interval operators follow from uniformization
+(Jensen 1953; Grassmann 1977):
 
-* :func:`transient_probabilities` -- fixed-step RK4, the production path;
+* :func:`adjoint_interval` -- the transition ``e^{A h}`` and its integral
+  over the interval, applied to row vectors as a sum of powers of a
+  stochastic matrix with non-negative Poisson weights. Its truncation error
+  is bounded by ``TRUNCATION_TOLERANCE`` before the sum is taken.
+  This is the production path behind :mod:`.inventory`.
+
+Two independent routes remain as test oracles:
+
 * :func:`matrix_exponential_oracle` -- per-interval ``expm`` products, exact
-  to machine precision, used to verify the integrator;
+  to machine precision;
 * :func:`monte_carlo_oracle` -- path simulation, a statistical cross-check
   that also yields per-path lost-customer counts.
 
@@ -23,45 +32,20 @@ converted to hourly rates by dividing by the interval length.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from .errors import DomainError
 
-# Renormalize a stored probability vector only when it drifts further than
-# this from summing to one. RK4 conserves the sum to roundoff, so a trigger
-# indicates an integrator problem and is recorded, never silent.
-DRIFT_TOLERANCE = 1e-8
+# Absolute bound, per interval, on the uniformization terms that are dropped.
+TRUNCATION_TOLERANCE = 1e-12
 
-# Entries above this floor are considered roundoff noise and clamped to zero;
-# anything more negative is flagged as an accuracy warning.
-NEGATIVE_FLOOR = -1e-12
-
-DEFAULT_SUBSTEPS = 60
-
-# Fitted against the matrix-exponential oracle on random 24h instances: the
-# worst max-abs error behaves like C_RK4 * (peak_rate / substeps)^4 with a
-# tenfold margin folded into the constant. See substeps_for.
-_C_RK4 = 1e-5
-
-
-def substeps_for(rates: "RateSeries", max_abs_error: float = 1e-6) -> int:
-    """Substeps per interval for RK4 to meet ``max_abs_error`` over a day.
-
-    The fixed-step integrator's error grows like the fourth power of the step
-    times the peak total event rate. The default grid (one substep per minute)
-    is comfortable for realized per-interval counts; pass the tolerance you
-    need when rates run hot, e.g. when cross-checking against the
-    matrix-exponential oracle.
-    """
-    if max_abs_error <= 0:
-        raise DomainError("max_abs_error must be positive")
-    mu_h, lam_h = rates.hourly()
-    peak = float(np.max(mu_h + lam_h)) if len(mu_h) else 0.0
-    needed = int(np.ceil(peak * rates.interval_hours * (_C_RK4 / max_abs_error) ** 0.25))
-    return max(DEFAULT_SUBSTEPS, needed)
+# Most Poisson weights one interval may use. A window this long means about
+# 1e5 expected events in one interval, far beyond any station's demand.
+_MAX_TERMS = 200_000
 
 
 @dataclass(frozen=True)
@@ -124,9 +108,6 @@ class ProbabilityTrajectory:
     start: int
     grid: np.ndarray
     probs: np.ndarray
-    renormalizations: int = 0
-    clamped_negatives: int = 0
-    warnings: list[str] = field(default_factory=list)
 
     def to_csv(self) -> str:
         """Long-format dump (t, sigma, probability) for debugging."""
@@ -146,13 +127,11 @@ def generator_matrix(pickup_per_hour: float, return_per_hour: float, capacity: i
     """
     n = capacity + 1
     a = np.zeros((n, n))
-    for sigma in range(n):
-        if sigma > 0:  # a pickup moves sigma -> sigma - 1
-            a[sigma - 1, sigma] += pickup_per_hour
-            a[sigma, sigma] -= pickup_per_hour
-        if sigma < capacity:  # a return moves sigma -> sigma + 1
-            a[sigma + 1, sigma] += return_per_hour
-            a[sigma, sigma] -= return_per_hour
+    a.flat[1::n + 1] = pickup_per_hour  # a pickup moves sigma -> sigma - 1
+    a.flat[n::n + 1] = return_per_hour  # a return moves sigma -> sigma + 1
+    a.flat[::n + 1] = -(pickup_per_hour + return_per_hour)
+    a[0, 0] = -return_per_hour  # an empty station loses its pickups
+    a[capacity, capacity] = -pickup_per_hour  # a full one loses its returns
     return a
 
 
@@ -163,127 +142,82 @@ def _check_start(start: int, capacity: int) -> None:
         raise DomainError(f"start inventory {start} outside [0, {capacity}]")
 
 
-def transient_probabilities(
-    rates: RateSeries,
-    start: int,
+def adjoint_interval(
+    u: np.ndarray,
+    w: np.ndarray,
+    pickup_per_hour: float,
+    return_per_hour: float,
     capacity: int,
-    substeps_per_interval: int = DEFAULT_SUBSTEPS,
-) -> ProbabilityTrajectory:
-    """Integrate the occupancy distribution with fixed-step RK4.
+    hours: float,
+) -> np.ndarray:
+    """``u @ e^{A h} + w @ integral_0^h e^{A t} dt`` for one constant-rate interval.
 
-    The grid contains every substep endpoint, so every interval boundary is
-    included. Stored vectors are cleaned per policy: entries in
-    ``(NEGATIVE_FLOOR, 0)`` are clamped to zero and counted, and a vector is
-    renormalized only when its sum drifts beyond ``DRIFT_TOLERANCE`` (the
-    event is recorded as a warning). The integration state itself is never
-    touched, so cleaning cannot mask integrator defects.
+    ``u`` and ``w`` are row vectors, or blocks of row vectors of one shape,
+    over the ``capacity + 1`` occupancies. With ``u`` the identity and ``w``
+    zero the result is the transition matrix itself, whose column ``s`` is the
+    distribution after ``hours`` from ``s`` bikes.
+
+    Both operators are sums over the powers of ``P = I + A/q``, ``q`` the
+    total event rate, weighted by N ~ Poisson(q h): ``P(N = k)`` for the
+    exponential and ``P(N > k)/q`` for its integral. ``P`` is non-negative
+    with unit column sums, so ``|x P^k|`` never exceeds ``max |x|``, and the
+    tails fall at least geometrically by ``q h / (k + 2)``. The terms after
+    the k-th therefore add at most
+
+        P(N > k) * (max|u| + max|w| * h / (k + 2 - q h))     for k + 2 > q h.
+
+    The sum stops at the first ``k`` that brings this bound within
+    ``TRUNCATION_TOLERANCE``; it is chosen before any term is formed, and a
+    :class:`DomainError` is raised when no affordable ``k`` meets it.
     """
-    _check_start(start, capacity)
-    if substeps_per_interval < 1:
-        raise DomainError("substeps_per_interval must be >= 1")
+    rate = pickup_per_hour + return_per_hour
+    mean = rate * hours
+    if mean == 0.0:  # A = 0: nothing moves and the integral is h * I
+        return u + hours * w
+    # Poisson weights in log space on a window whose far tail is below 1e-30
+    # for every mean; tails are summed from the top, where they are smallest.
+    top = mean + 12.0 * np.sqrt(mean) + 40.0
+    if not top <= _MAX_TERMS:
+        raise DomainError(f"uniformization needs more than {_MAX_TERMS} terms "
+                          f"for {mean:.6g} expected events in one interval")
+    k = np.arange(int(top) + 1)
+    pmf = np.exp(k * np.log(mean) - mean - gammaln(k + 1.0))
+    beyond = pmf[-1] * mean / (k[-1] + 1.0 - mean)  # bounds P(N > k[-1])
+    tail = np.empty(len(k))  # tail[k] = P(N > k)
+    tail[:-1] = np.cumsum(pmf[:0:-1])[::-1] + beyond
+    tail[-1] = beyond
 
-    mu_h, lam_h = rates.hourly()
-    dt = rates.interval_hours
-    h = dt / substeps_per_interval
+    first = max(int(mean) - 1, 0)  # smallest k with k + 2 > q h
+    bound = tail[first:] * (np.max(np.abs(u))
+                            + np.max(np.abs(w)) * hours / (k[first:] + 2.0 - mean))
+    met = np.flatnonzero(bound <= TRUNCATION_TOLERANCE)
+    if len(met) == 0:
+        raise DomainError(
+            f"uniformization cannot bound its truncation error by "
+            f"{TRUNCATION_TOLERANCE:g} within {len(k)} terms (q h = {mean:.6g})")
+    n_terms = first + int(met[0]) + 1
 
-    n_grid = len(rates) * substeps_per_interval + 1
-    grid = np.empty(n_grid)
-    probs = np.empty((n_grid, capacity + 1))
-
-    p = np.zeros(capacity + 1)
-    p[start] = 1.0
-    grid[0] = 0.0
-    probs[0] = p
-
-    traj = ProbabilityTrajectory(capacity=capacity, start=start, grid=grid, probs=probs)
-
-    k = 1
-    t = 0.0
-    for i in range(len(rates)):
-        a = generator_matrix(mu_h[i], lam_h[i], capacity)
-        for j in range(substeps_per_interval):
-            k1 = a @ p
-            k2 = a @ (p + 0.5 * h * k1)
-            k3 = a @ (p + 0.5 * h * k2)
-            k4 = a @ (p + h * k3)
-            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = i * dt + (j + 1) * h
-            grid[k] = t
-            probs[k] = _clean(p, t, traj)
-            k += 1
-    return traj
-
-
-def _clean(p: np.ndarray, t: float, traj: ProbabilityTrajectory) -> np.ndarray:
-    """Apply the clamping/renormalization policy to a copy of ``p``."""
-    out = p.copy()
-    neg = out < 0
-    if np.any(neg):
-        worst = out.min()
-        traj.clamped_negatives += int(neg.sum())
-        if worst < NEGATIVE_FLOOR:
-            traj.warnings.append(
-                f"t={t:.6g}h: probability entry {worst:.3e} below the roundoff floor"
-            )
-        out[neg] = 0.0
-    drift = abs(out.sum() - 1.0)
-    if drift > DRIFT_TOLERANCE:
-        traj.warnings.append(f"t={t:.6g}h: probability sum drifted by {drift:.3e}; renormalized")
-        traj.renormalizations += 1
-        out /= out.sum()
-    return out
-
-
-def empty_full_probabilities(
-    rates: RateSeries,
-    capacity: int,
-    substeps_per_interval: int = DEFAULT_SUBSTEPS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``p(s, 0, t)`` and ``p(s, C, t)`` for *every* start ``s`` in one sweep.
-
-    Integrates the full (C+1)x(C+1) matrix ODE from the identity, which is
-    step-for-step identical to running :func:`transient_probabilities` for
-    each column, but shares the generator products. Returns
-    ``(grid_hours, empty, full)`` where ``empty[k, s]`` is the probability of
-    the station being empty at ``grid[k]`` when it started at ``s``.
-    """
-    if capacity < 1:
-        raise DomainError(f"capacity must be >= 1, got {capacity}")
-    n = capacity + 1
-    n_grid = len(rates) * substeps_per_interval + 1
-    grid = np.empty(n_grid)
-    empty = np.empty((n_grid, n))
-    full = np.empty((n_grid, n))
-
-    state = np.eye(n)
-    grid[0] = 0.0
-    empty[0] = state[0]
-    full[0] = state[capacity]
-
-    k = 1
-    for t, state in _rk4_sweep_substeps(rates, state, capacity, substeps_per_interval):
-        grid[k] = t
-        empty[k] = state[0]
-        full[k] = state[capacity]
-        k += 1
-    return grid, empty, full
-
-
-def _rk4_sweep_substeps(rates: RateSeries, state: np.ndarray, capacity: int, substeps: int):
-    """Yield (t_hours, state) after every RK4 substep; state columns evolve
-    independently, so a matrix input integrates all starts at once."""
-    mu_h, lam_h = rates.hourly()
-    dt = rates.interval_hours
-    h = dt / substeps
-    for i in range(len(rates)):
-        a = generator_matrix(mu_h[i], lam_h[i], capacity)
-        for j in range(substeps):
-            k1 = a @ state
-            k2 = a @ (state + 0.5 * h * k1)
-            k3 = a @ (state + 0.5 * h * k2)
-            k4 = a @ (state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            yield i * dt + (j + 1) * h, state
+    # Row j of the Krylov block holds [u; w] P^j. It is filled by doubling:
+    # the first 2^i rows times P^(2^i) give the next 2^i, so the loop makes
+    # about 2 log2(n_terms) matrix products instead of n_terms small ones.
+    # For non-negative u and w no product cancels: every factor is non-negative.
+    rows = np.stack([u, w]).reshape(-1, capacity + 1)
+    per_term = rows.shape[0]
+    krylov = np.empty((n_terms * per_term, capacity + 1))
+    krylov[:per_term] = rows
+    power = np.eye(capacity + 1) + generator_matrix(pickup_per_hour, return_per_hour,
+                                                    capacity) / rate
+    filled = 1
+    while True:
+        take = min(filled, n_terms - filled)
+        np.matmul(krylov[:take * per_term], power,
+                  out=krylov[filled * per_term:(filled + take) * per_term])
+        filled += take
+        if filled == n_terms:
+            break
+        power = power @ power
+    weights = np.stack([pmf[:n_terms], tail[:n_terms] / rate], axis=1)
+    return (weights.ravel() @ krylov.reshape(2 * n_terms, -1)).reshape(np.shape(u))
 
 
 def matrix_exponential_oracle(rates: RateSeries, start: int, capacity: int) -> ProbabilityTrajectory:
@@ -291,7 +225,7 @@ def matrix_exponential_oracle(rates: RateSeries, start: int, capacity: int) -> P
 
     Within an interval the generator is constant, so the transition operator
     is a single matrix exponential; chaining them is exact up to machine
-    precision and independent of the RK4 code path.
+    precision and independent of the uniformization path.
     """
     _check_start(start, capacity)
     mu_h, lam_h = rates.hourly()

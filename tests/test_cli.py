@@ -39,7 +39,6 @@ def write_config(path, paths, out_dir, **extra):
         "end_date": "2018-12-31",
         "stations": ["7", "8"],
         "models": ["ha"],
-        "substeps_per_interval": 12,
         "bias_delta_max": 4.0,
         "bias_delta_step": 2.0,
     }
@@ -77,6 +76,14 @@ def test_unknown_config_key(tmp_path, capsys, corpus):
     assert "optimizer" in capsys.readouterr().err
 
 
+def test_retired_substeps_key_is_unknown(tmp_path, capsys, corpus):
+    # the UDF solver is exact, so the old step-count knob no longer exists
+    path = write_config(tmp_path / "run.yaml", corpus, tmp_path / "out",
+                        substeps_per_interval=60)
+    assert main(["pipeline", "--config", path]) == EXIT_USAGE
+    assert "substeps_per_interval" in capsys.readouterr().err
+
+
 def test_bad_interval_in_config(tmp_path, capsys, corpus):
     path = write_config(tmp_path / "run.yaml", corpus, tmp_path / "out",
                         interval_minutes=45)
@@ -91,6 +98,19 @@ def test_missing_trips_file_names_path(tmp_path, capsys, corpus):
     path = write_config(tmp_path / "run.yaml", paths, tmp_path / "out")
     assert main(["ingest", "--config", path]) == EXIT_DATA
     assert "gone.csv" in capsys.readouterr().err
+
+
+def test_offset_aware_trip_timestamp_exits_data(tmp_path, corpus):
+    trips = tmp_path / "aware_trips.csv"
+    trips.write_text("starttime,stoptime,start station id,end station id\n"
+                     "2018-03-01 08:00:00,2018-03-01 08:10:00,7,8\n"
+                     "2018-03-01 09:00:00+00:00,2018-03-01 09:10:00+00:00,7,8\n")
+    path = write_config(tmp_path / "run.yaml", dict(corpus, trips=str(trips)),
+                        tmp_path / "out")
+    proc = run_console_script(["ingest", "--config", path], cwd=tmp_path)
+    assert proc.returncode == EXIT_DATA, proc.stderr
+    assert "line 3" in proc.stderr and "UTC offset" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_train_before_ingest_names_artifact(tmp_path, capsys, corpus):

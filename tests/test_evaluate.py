@@ -187,7 +187,7 @@ def one_day_fixture():
 def test_benchmark_includes_oracle_with_zero_rpd():
     counts, events, flat = one_day_fixture()
     result = evaluate.benchmark({"flat": [flat]}, [events], [counts],
-                                capacity=4, substeps_per_interval=24)
+                                capacity=4)
     by_model = {s.model: s for s in result.summaries}
     assert set(by_model) == {"oracle", "flat"}
     oracle = by_model["oracle"]
@@ -202,7 +202,7 @@ def test_benchmark_includes_oracle_with_zero_rpd():
 def test_benchmark_rows_cover_every_day_and_model():
     counts, events, flat = one_day_fixture()
     result = evaluate.benchmark({"flat": [flat]}, [events], [counts],
-                                capacity=4, substeps_per_interval=24)
+                                capacity=4)
     kinds = {(r["model"], r["metric"]) for r in result.rows}
     assert ("oracle", "s_star") in kinds and ("oracle", "cost") in kinds
     assert ("flat", "s_star") in kinds and ("flat", "ce") in kinds

@@ -83,8 +83,7 @@ def small_day() -> tuple[DemandSeries, EventStream]:
 def test_bias_study_zero_delta_is_the_oracle():
     series, stream = small_day()
     result = bias_study(series, stream, capacity=12,
-                        delta_grid=np.array([0.0, 1.0, 2.0]),
-                        substeps_per_interval=12)
+                        delta_grid=np.array([0.0, 1.0, 2.0]))
     assert set(result.curves) == set(BIAS_KINDS)
     base_s = result.curves["same_side"].s_star[0]
     base_cost = result.curves["same_side"].cost[0]
@@ -98,8 +97,7 @@ def test_bias_study_zero_delta_is_the_oracle():
 def test_bias_study_ce_tracks_the_pattern():
     series, stream = small_day()
     result = bias_study(series, stream, capacity=12,
-                        delta_grid=np.array([0.0, 1.0, 2.0]),
-                        substeps_per_interval=12)
+                        delta_grid=np.array([0.0, 1.0, 2.0]))
     # same-side shifts cancel in the net, so CE stays exactly zero
     assert np.all(result.curves["same_side"].ce == 0.0)
     # opposing shifts move the net by 2*delta per interval (no truncation here)
@@ -110,8 +108,7 @@ def test_bias_study_ce_tracks_the_pattern():
 def test_bias_study_decisions_move_with_the_bias():
     series, stream = small_day()
     result = bias_study(series, stream, capacity=12,
-                        delta_grid=np.array([0.0, 2.0, 4.0]),
-                        substeps_per_interval=12)
+                        delta_grid=np.array([0.0, 2.0, 4.0]))
     s1 = result.curves["opposite_1"].s_star
     s2 = result.curves["opposite_2"].s_star
     assert np.all(np.diff(s1) >= 0)  # inflated pickups ask for more bikes
@@ -131,8 +128,7 @@ def test_bias_study_rejects_multi_day_series():
 def test_bias_result_csv_layout():
     series, stream = small_day()
     result = bias_study(series, stream, capacity=12,
-                        delta_grid=np.array([0.0, 1.0]),
-                        substeps_per_interval=12)
+                        delta_grid=np.array([0.0, 1.0]))
     lines = result.to_csv().splitlines()
     assert lines[0] == "kind,delta,s_star,cost"
     assert len(lines) == 1 + 3 * 2
@@ -159,7 +155,7 @@ def pipeline_run(tmp_path_factory):
         stations_path=paths["stations"], out_dir=str(root / "out"), seed=5,
         start_date="2018-01-01", end_date="2018-12-31",
         stations=["7", "8"], models=["ha", "ma", "lr"],
-        substeps_per_interval=12, bias_delta_max=4.0, bias_delta_step=2.0,
+        bias_delta_max=4.0, bias_delta_step=2.0,
     )
     result = experiments.run_pipeline(config)
     return config, result
@@ -278,3 +274,28 @@ def test_stage_ingest_rejects_unknown_station(tmp_path):
     with pytest.raises(StageError) as err:
         experiments.stage_ingest(config)
     assert "99" in str(err.value)
+
+
+def test_neural_models_run_through_pipeline(tmp_path):
+    """Ingest to evaluate with only the recurrent models, whose checkpoints
+    are the first files written under ``models/``."""
+    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
+                                   base_rate=2.0)
+    config = RunConfig(
+        trips_path=paths["trips"], weather_path=paths["weather"],
+        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
+        start_date="2018-01-01", end_date="2018-12-31", stations=["7"],
+        models=["prnn", "vprnn", "movprnn"], hidden_width=4, max_epochs=1,
+        forecast_samples=4,
+    )
+    experiments.stage_ingest(config)
+    experiments.stage_train(config)
+    for name in ("7_prnn_pickups", "7_prnn_returns", "7_vprnn_pickups",
+                 "7_vprnn_returns", "7_movprnn"):
+        assert os.path.exists(os.path.join(config.out_dir, "models", f"{name}.ckpt")), name
+    experiments.stage_forecast(config)
+    decisions = experiments.stage_optimize(config)
+    assert sorted(decisions["7"]) == ["movprnn", "prnn", "vprnn"]
+    overall, _, _ = experiments.stage_evaluate(config)
+    assert [s.model for s in overall] == ["oracle", "movprnn", "prnn", "vprnn"]
+    assert all(np.isfinite(s.mean_cost) for s in overall)

@@ -59,6 +59,13 @@ def test_parse_trips_bad_timestamp_reports_line():
     assert err.value.line_number == 6
 
 
+def test_parse_trips_rejects_offset_aware_timestamps():
+    aware = TRIPS_CSV + "2018-06-03 10:00:00+00:00,2018-06-03 10:20:00+00:00,A,B\n"
+    with pytest.raises(RowError, match="UTC offset") as err:
+        parse_trips(io.StringIO(aware))
+    assert err.value.line_number == 6
+
+
 def test_parse_trips_rejects_reversed_interval():
     bad = "starttime,stoptime,start station id,end station id\n" \
           "2018-06-01 10:00:00,2018-06-01 09:00:00,A,B\n"
@@ -140,6 +147,18 @@ def test_parse_weather_validates_hours():
     bad_rain = "timestamp,temperature_c,rain_probability\n2018-06-01 00:00:00,15.0,1.4\n"
     with pytest.raises(RowError):
         parse_weather(io.StringIO(bad_rain))
+
+
+@pytest.mark.parametrize("temperature", ["nan", "inf", "-inf"])
+def test_parse_weather_rejects_non_finite_temperature(temperature):
+    text = ("timestamp,temperature_c,rain_probability\n"
+            "2018-06-01 00:00:00,15.0,0.2\n"
+            f"2018-06-01 01:00:00,{temperature},0.2\n")
+    with pytest.raises(RowError, match="not finite") as err:
+        parse_weather(io.StringIO(text))
+    assert err.value.line_number == 3
+    with pytest.raises(DataError):
+        WeatherTable().add(datetime(2018, 6, 1), float(temperature), 0.2)
 
 
 def weather_for_days(first: date, n_days: int, temp=12.0, rain=0.1) -> WeatherTable:

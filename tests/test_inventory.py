@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from bikecast.errors import DomainError
 from bikecast.inventory import PenaltyConfig, UdfCurve, oracle_decision, udf, udf_curve
-from bikecast.queueing import RateSeries, monte_carlo_oracle
+from bikecast.queueing import RateSeries, generator_matrix, monte_carlo_oracle
 
 
 def test_empty_station_pure_pickups_loses_everything():
@@ -58,23 +59,48 @@ def test_one_sided_penalty_isolates_one_boundary():
 
 def test_curve_matches_pointwise_udf():
     rates = RateSeries(60, [4.0, 0.5, 2.0], [1.0, 3.0, 0.5])
-    curve = udf_curve(rates, capacity=6, substeps_per_interval=40)
+    curve = udf_curve(rates, capacity=6)
     for s in range(7):
-        np.testing.assert_allclose(
-            curve.values[s], udf(rates, s, 6, substeps_per_interval=40), atol=1e-12
-        )
+        assert curve.values[s] == udf(rates, s, 6)
 
 
-def test_refinement_converges_second_order():
-    # the trapezoid quadrature dominates the error and halving the substep
-    # shrinks it about fourfold
-    rates = RateSeries(60, [7.0, 2.0, 5.0, 1.0], [1.0, 6.0, 2.0, 4.0])
-    v = {n: udf(rates, 3, 8, substeps_per_interval=n) for n in (60, 120, 240, 960)}
-    err_coarse = abs(v[60] - v[960])
-    err_fine = abs(v[120] - v[960])
-    assert err_coarse < 1e-3
-    assert err_fine < err_coarse / 3.0
-    assert abs(v[240] - v[960]) < err_fine / 3.0
+def van_loan_udf(rates, capacity, penalties=PenaltyConfig()):
+    """UDF of every start from the backward recursion, with each interval's
+    exponential and its integral read off one block ``expm`` (Van Loan 1978)."""
+    n = capacity + 1
+    mu_h, lam_h = rates.hourly()
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, n:] = np.eye(n)
+    u = np.zeros(n)
+    for i in reversed(range(len(rates))):
+        block[:n, :n] = generator_matrix(mu_h[i], lam_h[i], capacity)
+        full = expm(block * rates.interval_hours)
+        w = np.zeros(n)
+        w[0] += penalties.lost_pickup * mu_h[i]
+        w[capacity] += penalties.lost_return * lam_h[i]
+        u = w @ full[:n, n:] + u @ full[:n, :n]
+    return u
+
+
+@pytest.mark.parametrize("interval_minutes", [60, 15])
+@pytest.mark.parametrize("capacity", [1, 20, 60])
+@pytest.mark.parametrize("peak_per_hour", [8.0, 40.0, 90.0])
+def test_udf_curve_matches_van_loan_reference(interval_minutes, capacity, peak_per_hour):
+    rng = np.random.default_rng(capacity * 1000 + int(peak_per_hour) + interval_minutes)
+    n = 1440 // interval_minutes
+    hours = interval_minutes / 60.0
+    pickups = rng.uniform(0.0, peak_per_hour, n) * hours
+    returns = rng.uniform(0.0, peak_per_hour, n) * hours
+    idle = rng.random(n) < 0.2  # whole intervals without any event
+    pickups[idle] = 0.0
+    returns[idle] = 0.0
+    returns[rng.random(n) < 0.1] = 0.0  # and intervals with one kind only
+    rates = RateSeries(interval_minutes, pickups, returns)
+    penalties = PenaltyConfig(1.5, 0.75)
+    curve = udf_curve(rates, capacity, penalties)
+    reference = van_loan_udf(rates, capacity, penalties)
+    np.testing.assert_allclose(curve.values, reference, rtol=0, atol=1e-9)
+    assert curve.s_star == int(np.argmin(reference))
 
 
 def test_udf_matches_monte_carlo_lost_cost():
@@ -143,7 +169,7 @@ def test_udf_is_nonnegative_and_bounded_by_total_demand(seed):
     pickups = rng.uniform(0, 8, 6)
     returns = rng.uniform(0, 8, 6)
     rates = RateSeries(60, pickups, returns)
-    value = udf(rates, start, capacity, substeps_per_interval=20)
+    value = udf(rates, start, capacity)
     assert value >= -1e-12
     # cannot lose more users than arrive in expectation
     assert value <= pickups.sum() + returns.sum() + 1e-9
@@ -155,6 +181,22 @@ def test_curve_minimum_is_argmin(seed):
     rng = np.random.default_rng(seed)
     capacity = int(rng.integers(1, 9))
     rates = RateSeries(60, rng.uniform(0, 6, 5), rng.uniform(0, 6, 5))
-    curve = udf_curve(rates, capacity, substeps_per_interval=20)
+    curve = udf_curve(rates, capacity)
     assert curve.values[curve.s_star] == curve.values.min()
     assert curve.s_star == int(np.argmin(curve.values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       interval_minutes=st.sampled_from([15, 30, 60]))
+def test_udf_is_convex_in_start(seed, interval_minutes):
+    # Raviv & Kolka (2013): the expected dissatisfaction of a finite
+    # double-ended queue is convex in the starting inventory
+    rng = np.random.default_rng(seed)
+    capacity = int(rng.integers(2, 50))
+    n = 1440 // interval_minutes
+    scale = rng.uniform(0.5, 40.0) * interval_minutes / 60.0
+    rates = RateSeries(interval_minutes, rng.uniform(0, scale, n), rng.uniform(0, scale, n))
+    penalties = PenaltyConfig(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0))
+    values = udf_curve(rates, capacity, penalties).values
+    assert np.min(np.diff(values, 2)) >= -1e-9

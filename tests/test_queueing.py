@@ -1,27 +1,24 @@
 """Transient distribution of the censored pickup/return chain.
 
-The RK4 integrator is checked against three independent routes: a
-closed-form two-state solution, per-interval matrix exponentials, and a
-direct event simulation.
+The uniformized interval operators are checked against closed forms, against
+per-interval matrix exponentials (including the Van Loan block form of their
+integral), and against a direct event simulation.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from bikecast.errors import DomainError
+from bikecast.inventory import udf, udf_curve
 from bikecast.queueing import (
-    DEFAULT_SUBSTEPS,
-    DRIFT_TOLERANCE,
-    ProbabilityTrajectory,
     RateSeries,
-    empty_full_probabilities,
+    adjoint_interval,
     generator_matrix,
     matrix_exponential_oracle,
     monte_carlo_oracle,
-    substeps_for,
-    transient_probabilities,
 )
 
 
@@ -34,6 +31,40 @@ def random_instance(rng, max_capacity=20, max_rate=30.0, n_intervals=24):
         rng.uniform(0.0, max_rate, n_intervals),
     )
     return rates, start, capacity
+
+
+def transition(mu, lam, capacity, hours):
+    """e^{A h}: column s is the distribution after ``hours`` from s bikes."""
+    n = capacity + 1
+    return adjoint_interval(np.eye(n), np.zeros((n, n)), mu, lam, capacity, hours)
+
+
+def integral(mu, lam, capacity, hours):
+    """integral_0^h e^{A t} dt."""
+    n = capacity + 1
+    return adjoint_interval(np.zeros((n, n)), np.eye(n), mu, lam, capacity, hours)
+
+
+def boundary_distributions(rates, start, capacity):
+    """Occupancy distribution at every interval boundary, chained forward."""
+    mu_h, lam_h = rates.hourly()
+    p = np.zeros(capacity + 1)
+    p[start] = 1.0
+    out = [p]
+    for mu, lam in zip(mu_h, lam_h):
+        p = transition(mu, lam, capacity, rates.interval_hours) @ p
+        out.append(p)
+    return np.array(out)
+
+
+def van_loan(mu, lam, capacity, hours):
+    """(e^{A h}, integral_0^h e^{A t} dt) from one block matrix exponential."""
+    n = capacity + 1
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = generator_matrix(mu, lam, capacity)
+    block[:n, n:] = np.eye(n)
+    full = expm(block * hours)
+    return full[:n, :n], full[:n, n:]
 
 
 def test_generator_columns_sum_to_zero():
@@ -56,87 +87,85 @@ def test_generator_moves_probability_correctly():
 
 def test_two_state_closed_form():
     # start empty, no pickups, returns at 1/h, capacity 1:
-    # p(full at t=1h) = 1 - exp(-1)
-    rates = RateSeries(60, [0.0], [1.0])
-    traj = transient_probabilities(rates, start=0, capacity=1)
-    np.testing.assert_allclose(traj.probs[-1, 1], 1.0 - np.exp(-1.0), atol=1e-6)
+    # p(full at t=1h) = 1 - exp(-1), and the expected time spent full over
+    # the hour is the integral of that, exp(-1)
+    np.testing.assert_allclose(transition(0.0, 1.0, 1, 1.0)[1, 0], 1.0 - np.exp(-1.0),
+                               atol=1e-14)
+    np.testing.assert_allclose(integral(0.0, 1.0, 1, 1.0)[1, 0], np.exp(-1.0), atol=1e-14)
 
 
 def test_pure_death_closed_form():
     # start full, pickups at 2/h, no returns, capacity 1:
     # p(still full at 30min) = exp(-1)
     rates = RateSeries(30, [1.0], [0.0])
-    traj = transient_probabilities(rates, start=1, capacity=1)
-    np.testing.assert_allclose(traj.probs[-1, 1], np.exp(-1.0), atol=1e-6)
+    probs = boundary_distributions(rates, start=1, capacity=1)
+    np.testing.assert_allclose(probs[-1, 1], np.exp(-1.0), atol=1e-14)
 
 
 def test_initial_condition_is_point_mass():
     rates = RateSeries(60, [4.0, 2.0], [1.0, 5.0])
-    traj = transient_probabilities(rates, start=3, capacity=6)
     expected = np.zeros(7)
     expected[3] = 1.0
-    np.testing.assert_array_equal(traj.probs[0], expected)
-    assert traj.grid[0] == 0.0
+    exact = matrix_exponential_oracle(rates, start=3, capacity=6)
+    mc = monte_carlo_oracle(rates, start=3, capacity=6, n_paths=10, seed=1)
+    for traj in (exact, mc):
+        np.testing.assert_array_equal(traj.probs[0], expected)
+        assert traj.grid[0] == 0.0
 
 
 def test_zero_rates_freeze_the_distribution():
+    u = np.arange(10.0)
+    w = np.ones(10)
+    np.testing.assert_array_equal(adjoint_interval(u, w, 0.0, 0.0, 9, 0.25), u + 0.25 * w)
     rates = RateSeries(60, np.zeros(24), np.zeros(24))
-    traj = transient_probabilities(rates, start=4, capacity=9)
-    assert np.all(traj.probs[:, 4] == pytest.approx(1.0, abs=1e-12))
+    probs = boundary_distributions(rates, start=4, capacity=9)
+    assert np.all(probs[:, 4] == 1.0)
 
 
 def test_conservation_and_nonnegativity():
     rng = np.random.default_rng(7)
     for _ in range(10):
         rates, start, capacity = random_instance(rng)
-        traj = transient_probabilities(rates, start, capacity)
-        sums = traj.probs.sum(axis=1)
-        assert np.max(np.abs(sums - 1.0)) < DRIFT_TOLERANCE
-        assert traj.probs.min() >= 0.0
+        probs = boundary_distributions(rates, start, capacity)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        assert probs.min() >= 0.0
 
 
 def test_matches_matrix_exponential():
     rng = np.random.default_rng(11)
     for _ in range(10):
         rates, start, capacity = random_instance(rng)
-        traj = transient_probabilities(rates, start, capacity, substeps_per_interval=120)
+        probs = boundary_distributions(rates, start, capacity)
         oracle = matrix_exponential_oracle(rates, start, capacity)
-        at_boundaries = traj.probs[::120]
-        assert at_boundaries.shape == oracle.probs.shape
-        assert np.max(np.abs(at_boundaries - oracle.probs)) < 1e-6
+        assert probs.shape == oracle.probs.shape
+        # 24 chained intervals, each truncated within 1e-12
+        np.testing.assert_allclose(probs, oracle.probs, rtol=0, atol=3e-11)
 
 
-def test_rk4_error_scales_as_fourth_order():
-    # substep sizes chosen inside the stability region (|eig| h << 1) so the
-    # asymptotic h^4 law is visible
-    rates = RateSeries(60, [12.0, 3.0, 25.0], [6.0, 18.0, 2.0])
-    oracle = matrix_exponential_oracle(rates, start=2, capacity=8)
-    errors = []
-    for substeps in (20, 40, 80):
-        traj = transient_probabilities(rates, 2, 8, substeps_per_interval=substeps)
-        errors.append(np.max(np.abs(traj.probs[::substeps] - oracle.probs)))
-    slope = np.log2(errors[0] / errors[1]), np.log2(errors[1] / errors[2])
-    assert min(slope) > 3.5
+@pytest.mark.parametrize("capacity", [1, 20, 60])
+@pytest.mark.parametrize("mu,lam,hours", [
+    (0.3, 0.0, 1.0),
+    (12.0, 3.0, 0.25),
+    (45.0, 40.0, 1.0),  # q h = 85, past where 1 - cumsum loses the tails
+    (150.0, 90.0, 1.0),
+])
+def test_interval_operators_match_van_loan(capacity, mu, lam, hours):
+    exp_ref, int_ref = van_loan(mu, lam, capacity, hours)
+    np.testing.assert_allclose(transition(mu, lam, capacity, hours), exp_ref,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(integral(mu, lam, capacity, hours), int_ref,
+                               rtol=0, atol=1e-12)
 
 
-def test_substeps_for_scales_with_peak_rate():
-    slow = RateSeries(60, [4.0] * 24, [4.0] * 24)
-    hot = RateSeries(60, [30.0] * 24, [30.0] * 24)
-    assert substeps_for(slow) == DEFAULT_SUBSTEPS
-    assert substeps_for(hot) > substeps_for(slow)
-    # tightening the tolerance can only refine the grid
-    assert substeps_for(hot, 1e-8) > substeps_for(hot, 1e-6)
-    with pytest.raises(DomainError):
-        substeps_for(hot, 0.0)
-
-
-def test_substeps_for_meets_its_tolerance_on_a_hot_instance():
-    rng = np.random.default_rng(40)
-    rates = RateSeries(60, rng.uniform(20, 30, 24), rng.uniform(20, 30, 24))
-    n = substeps_for(rates, 1e-6)
-    traj = transient_probabilities(rates, 5, 15, n)
-    oracle = matrix_exponential_oracle(rates, 5, 15)
-    assert np.max(np.abs(traj.probs[::n] - oracle.probs)) < 1e-6
+def test_truncation_that_cannot_be_bounded_is_rejected():
+    n = 6
+    # the dropped terms scale with |u|: no affordable number of terms keeps
+    # them within the tolerance at this magnitude
+    with pytest.raises(DomainError, match="truncation"):
+        adjoint_interval(np.full(n, 1e40), np.zeros(n), 50.0, 50.0, n - 1, 1.0)
+    # a day's worth of events per second is beyond the term budget
+    with pytest.raises(DomainError, match="terms"):
+        adjoint_interval(np.zeros(n), np.ones(n), 1e9, 0.0, n - 1, 1.0)
 
 
 def test_mirror_symmetry():
@@ -146,28 +175,37 @@ def test_mirror_symmetry():
     pickups = rng.uniform(0, 10, 24)
     returns = rng.uniform(0, 10, 24)
     capacity = 7
-    fwd = transient_probabilities(RateSeries(60, pickups, returns), 2, capacity)
-    rev = transient_probabilities(RateSeries(60, returns, pickups), capacity - 2, capacity)
-    np.testing.assert_allclose(fwd.probs, rev.probs[:, ::-1], atol=1e-9)
+    fwd = boundary_distributions(RateSeries(60, pickups, returns), 2, capacity)
+    rev = boundary_distributions(RateSeries(60, returns, pickups), capacity - 2, capacity)
+    np.testing.assert_allclose(fwd, rev[:, ::-1], atol=1e-12)
 
 
 def test_empty_full_sweep_matches_per_start_runs():
-    rates = RateSeries(60, [5.0, 1.0, 9.0], [2.0, 7.0, 3.0])
+    # the backward sweep prices every start at once; running each start
+    # forward and integrating its empty and full probabilities interval by
+    # interval must give the same dissatisfaction
+    rates = RateSeries(60, [5.0, 1.0, 9.0, 0.0], [2.0, 7.0, 3.0, 0.0])
     capacity = 5
-    grid, empty, full = empty_full_probabilities(rates, capacity, substeps_per_interval=20)
+    mu_h, lam_h = rates.hourly()
+    sweep = udf_curve(rates, capacity).values
     for s in range(capacity + 1):
-        traj = transient_probabilities(rates, s, capacity, substeps_per_interval=20)
-        np.testing.assert_allclose(grid, traj.grid)
-        np.testing.assert_allclose(empty[:, s], traj.probs[:, 0], atol=1e-12)
-        np.testing.assert_allclose(full[:, s], traj.probs[:, capacity], atol=1e-12)
+        p = np.zeros(capacity + 1)
+        p[s] = 1.0
+        total = 0.0
+        for mu, lam in zip(mu_h, lam_h):
+            occupancy = integral(mu, lam, capacity, 1.0) @ p
+            total += mu * occupancy[0] + lam * occupancy[capacity]
+            p = transition(mu, lam, capacity, 1.0) @ p
+        # the forward route truncates each unit basis row within 1e-12, then
+        # scales by rates up to 9 per hour
+        np.testing.assert_allclose(sweep[s], total, rtol=0, atol=1e-10)
 
 
 def test_monte_carlo_agrees_with_integrator():
     rates = RateSeries(60, [6.0, 2.0, 4.0], [1.0, 5.0, 3.0])
     start, capacity = 3, 6
     mc = monte_carlo_oracle(rates, start, capacity, n_paths=40000, seed=17)
-    traj = transient_probabilities(rates, start, capacity)
-    exact = traj.probs[::60]
+    exact = boundary_distributions(rates, start, capacity)
     # allow 4 standard errors per cell with an exact-tie floor
     tol = 4.0 * np.maximum(mc.stderr, 1e-4)
     assert np.all(np.abs(mc.probs - exact) <= tol)
@@ -186,12 +224,15 @@ def test_monte_carlo_lost_counts_have_expected_magnitude():
 
 def test_rejects_bad_start_and_substeps():
     rates = RateSeries(60, [1.0], [1.0])
-    with pytest.raises(DomainError):
-        transient_probabilities(rates, start=-1, capacity=3)
-    with pytest.raises(DomainError):
-        transient_probabilities(rates, start=4, capacity=3)
-    with pytest.raises(DomainError):
-        transient_probabilities(rates, start=0, capacity=3, substeps_per_interval=0)
+    for start in (-1, 4):
+        with pytest.raises(DomainError):
+            udf(rates, start=start, capacity=3)
+        with pytest.raises(DomainError):
+            matrix_exponential_oracle(rates, start=start, capacity=3)
+    # the solver is exact: there is no step count to choose
+    # (test_cli checks that a config setting one is refused)
+    with pytest.raises(TypeError):
+        udf(rates, start=0, capacity=3, substeps_per_interval=12)
 
 
 def test_rejects_negative_rates():
@@ -200,12 +241,14 @@ def test_rejects_negative_rates():
 
 
 def test_trajectory_csv_roundtrip_values():
-    rates = RateSeries(60, [2.0], [1.0])
-    traj = transient_probabilities(rates, 1, 2, substeps_per_interval=2)
+    rates = RateSeries(60, [2.0, 1.0], [1.0, 0.5])
+    traj = matrix_exponential_oracle(rates, 1, 2)
     text = traj.to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "t_hours,sigma,probability"
     assert len(lines) == 1 + 3 * 3  # three grid points, three states
+    values = np.array([float(line.split(",")[2]) for line in lines[1:]]).reshape(3, 3)
+    np.testing.assert_allclose(values, traj.probs, rtol=1e-11)
 
 
 @settings(max_examples=25, deadline=None)
@@ -215,9 +258,11 @@ def test_trajectory_csv_roundtrip_values():
 )
 def test_conservation_property(capacity, seed):
     rng = np.random.default_rng(seed)
-    start = int(rng.integers(0, capacity + 1))
-    rates = RateSeries(30, rng.uniform(0, 20, 8), rng.uniform(0, 20, 8))
-    traj = transient_probabilities(rates, start, capacity, substeps_per_interval=12)
-    assert isinstance(traj, ProbabilityTrajectory)
-    np.testing.assert_allclose(traj.probs.sum(axis=1), 1.0, atol=1e-8)
-    assert traj.probs.min() >= 0.0
+    mu, lam, hours = rng.uniform(0, 40), rng.uniform(0, 40), rng.choice([0.25, 0.5, 1.0])
+    forward = transition(mu, lam, capacity, hours)
+    occupancy = integral(mu, lam, capacity, hours)
+    # each start's distribution keeps unit mass, and its expected time over
+    # all occupancies is the interval length
+    np.testing.assert_allclose(forward.sum(axis=0), 1.0, atol=1e-12)
+    np.testing.assert_allclose(occupancy.sum(axis=0), hours, atol=1e-12)
+    assert forward.min() >= 0.0 and occupancy.min() >= 0.0
