@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 Just enough machinery to express and optimize the recurrent count models:
-affine maps, the elementwise nonlinearities they use, gather/concat plumbing,
-reductions, and reparameterized Gaussian sampling (a composition of multiply
+affine maps, the elementwise nonlinearities they use, gather plumbing,
+sums, and reparameterized Gaussian sampling (a composition of multiply
 and add with a constant noise draw). Values are float64 throughout.
 
 Gradients are accumulated in a dict keyed by node identity during a single
@@ -163,17 +163,6 @@ def gather(x: Var, key) -> Var:
     return Var(x.value[key], parents=(x,), vjp=vjp)
 
 
-def concat(parts: list[Var], axis: int = -1) -> Var:
-    values = [p.value for p in parts]
-    sizes = [v.shape[axis] for v in values]
-    splits = np.cumsum(sizes)[:-1]
-    return Var(
-        np.concatenate(values, axis=axis),
-        parents=tuple(parts),
-        vjp=lambda g: tuple(np.split(g, splits, axis=axis)),
-    )
-
-
 def sum_(x: Var, axis=None) -> Var:
     def vjp(g):
         if axis is None:
@@ -182,11 +171,6 @@ def sum_(x: Var, axis=None) -> Var:
         return (np.broadcast_to(expanded, x.value.shape).copy(),)
 
     return Var(x.value.sum(axis=axis), parents=(x,), vjp=vjp)
-
-
-def mean(x: Var, axis=None) -> Var:
-    n = x.value.size if axis is None else x.value.shape[axis]
-    return mul(sum_(x, axis=axis), Var(1.0 / n))
 
 
 def gaussian_sample(mean_: Var, scale: Var, eps: np.ndarray) -> Var:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date, datetime, time, timedelta
 
 import numpy as np
 
@@ -70,17 +70,15 @@ class LinearModel:
 
 def _cell_means(series: DemandSeries, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slots = series.intervals_per_day
+    # The series starts at local midnight, so row i is slot i % slots of day i // slots.
+    day, slot = np.divmod(rows, slots)
+    cell = ((series.start.weekday() + day) % 7, slot)
     sums_p = np.zeros((7, slots))
     sums_r = np.zeros((7, slots))
     counts = np.zeros((7, slots))
-    times = series.times()
-    for i in rows:
-        t = times[i]
-        slot = (t.hour * 60 + t.minute) // series.interval_minutes
-        d = t.weekday()
-        sums_p[d, slot] += series.pickups[i]
-        sums_r[d, slot] += series.returns[i]
-        counts[d, slot] += 1
+    np.add.at(sums_p, cell, series.pickups[rows])
+    np.add.at(sums_r, cell, series.returns[rows])
+    np.add.at(counts, cell, 1.0)
     seen = counts > 0
     pickup_table = np.zeros((7, slots))
     return_table = np.zeros((7, slots))
@@ -99,12 +97,14 @@ def fit_ha(train: DemandSeries) -> SeasonalProfile:
 
 def fit_ma(history: DemandSeries, as_of: date, window_days: int = 30) -> SeasonalProfile:
     """Same cell means as :func:`fit_ha` over the trailing window before as_of."""
-    from datetime import datetime, time
-
-    lo = datetime.combine(as_of, time.min) - timedelta(days=window_days)
     hi = datetime.combine(as_of, time.min)
-    times = history.times()
-    rows = np.array([i for i, t in enumerate(times) if lo <= t < hi], dtype=int)
+    lo = hi - timedelta(days=window_days)
+    # Whole days from the series' midnight start to as_of, so the window's rows
+    # follow by index arithmetic.
+    slots = history.intervals_per_day
+    end_day = (hi - history.start).days
+    rows = np.arange(max(0, (end_day - window_days) * slots),
+                     min(len(history), max(0, end_day * slots)))
     if len(rows) == 0:
         raise DataError(f"no history in [{lo}, {hi}) to average")
     pickup_table, return_table = _cell_means(history, rows)

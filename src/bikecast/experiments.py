@@ -364,39 +364,38 @@ def stage_forecast(config: RunConfig) -> dict[str, dict[str, list[RateSeries]]]:
         for sid in sorted(data):
             series = data[sid].series
             test, days = _test_days(series)
-            predictions[sid] = {name: [] for name in sorted(config.models)}
-            for i, day in enumerate(days):
-                day_cov = test.day(i).covariates
-                for name in sorted(config.models):
-                    model = fitted[sid][name]
-                    if name == "ha":
-                        rates = model.predict_day(day)
-                    elif name == "ma":
-                        profile = classical.fit_ma(series, day,
-                                                   window_days=config.ma_window_days)
-                        rates = profile.predict_day(day)
-                    elif name == "lr":
-                        rates = model.predict_day(day_cov, config.interval_minutes)
-                    elif name == "movprnn":
-                        fc = neural.predict_rates(
-                            model, day_cov.values, n_samples=config.forecast_samples,
-                            seed=derive_seed(config.seed, f"forecast:{sid}:{name}:{day}"))
-                        rates = fc.to_rate_series(config.interval_minutes)
-                    else:
-                        fcs = {
-                            target: neural.predict_rates(
-                                model[target], day_cov.values,
-                                n_samples=config.forecast_samples,
-                                seed=derive_seed(
-                                    config.seed, f"forecast:{sid}:{name}:{target}:{day}"))
-                            for target in ("pickups", "returns")
-                        }
-                        rates = neural.combine_forecasts(fcs["pickups"], fcs["returns"],
-                                                         config.interval_minutes)
-                    predictions[sid][name].append(rates)
+            covariates = test.covariates.values.reshape(len(days), test.intervals_per_day, -1)
+
+            def neural_forecast(net, label):
+                # one call for the whole test split, one seed per day
+                return neural.predict_rates(
+                    net, covariates, n_samples=config.forecast_samples,
+                    seed=[derive_seed(config.seed, f"forecast:{sid}:{label}:{day}")
+                          for day in days])
+
+            predictions[sid] = {}
             for name in sorted(config.models):
-                _write(_forecast_path(config, sid, name),
-                       _rate_series_csv(days, predictions[sid][name]), header)
+                model = fitted[sid][name]
+                if name == "ha":
+                    rates = [model.predict_day(day) for day in days]
+                elif name == "ma":
+                    rates = [classical.fit_ma(series, day, window_days=config.ma_window_days)
+                             .predict_day(day) for day in days]
+                elif name == "lr":
+                    rates = [model.predict_day(test.day(i).covariates, config.interval_minutes)
+                             for i in range(len(days))]
+                elif name == "movprnn":
+                    fc = neural_forecast(model, name)
+                    rates = [fc.day(i).to_rate_series(config.interval_minutes)
+                             for i in range(len(days))]
+                else:
+                    fcs = {target: neural_forecast(model[target], f"{name}:{target}")
+                           for target in ("pickups", "returns")}
+                    rates = [neural.combine_forecasts(fcs["pickups"].day(i), fcs["returns"].day(i),
+                                                      config.interval_minutes)
+                             for i in range(len(days))]
+                predictions[sid][name] = rates
+                _write(_forecast_path(config, sid, name), _rate_series_csv(days, rates), header)
         return predictions
 
 

@@ -15,7 +15,12 @@ Three model kinds share one codebase:
 The latent Gaussian draw passes through softplus before entering the Poisson
 likelihood so the rate is always positive while the KL stays closed form.
 Hidden state resets at day boundaries: forecasts are consumed once per day,
-so each day is its own sequence (an option flag joins days instead).
+so each day is its own sequence.
+
+Forecasting reads the prior network only, which sees covariates and no
+counts. :func:`predict_rates` therefore steps it once over a stack of days,
+one row per day, and draws the sample fan of the latent-rate models only at
+its output.
 """
 
 from __future__ import annotations
@@ -256,7 +261,6 @@ class TrainConfig:
     max_epochs: int = 200
     patience: int = 10
     n_samples: int = 1
-    carry_state: bool = False
     min_epochs: int = 5
 
 
@@ -295,6 +299,14 @@ class Forecast:
             interval_minutes=interval_minutes,
             pickup_rates=self.rates[:, 0].copy(),
             return_rates=self.rates[:, 1].copy(),
+        )
+
+    def day(self, index: int) -> "Forecast":
+        """One day of a multi-day forecast, whose arrays are (days, steps, processes)."""
+        return Forecast(
+            rates=self.rates[index],
+            lower=None if self.lower is None else self.lower[index],
+            upper=None if self.upper is None else self.upper[index],
         )
 
 
@@ -410,15 +422,6 @@ def train(kind: str, split: DataSplit, hyper: TrainConfig, seed: int,
     cond_tr = _normalize(counts_tr.astype(float), cnt_mean, cnt_std)
     cond_va = _normalize(counts_va.astype(float), cnt_mean, cnt_std)
 
-    if hyper.carry_state:
-        # one long sequence instead of independent day chunks
-        counts_tr = counts_tr.reshape(1, -1, processes)
-        cov_tr_n = cov_tr_n.reshape(1, -1, cov_tr.shape[-1])
-        cond_tr = cond_tr.reshape(1, -1, processes)
-        counts_va = counts_va.reshape(1, -1, processes)
-        cov_va_n = cov_va_n.reshape(1, -1, cov_va.shape[-1])
-        cond_va = cond_va.reshape(1, -1, processes)
-
     ss = np.random.SeedSequence(seed)
     init_ss, shuffle_ss, elbo_ss, val_ss = ss.spawn(4)
     params = init_params(kind, cov_tr.shape[-1], hyper.hidden_width, processes,
@@ -483,44 +486,55 @@ def train(kind: str, split: DataSplit, hyper: TrainConfig, seed: int,
 
 
 def predict_rates(model: NeuralModel, covariates: np.ndarray, n_samples: int = 100,
-                  seed: int = 0) -> Forecast:
-    """Forecast one day from covariates alone.
+                  seed: int | list[int] = 0) -> Forecast:
+    """Forecast days from covariates alone.
 
-    The prior recurrent state never sees counts, so day-of forecasts cannot
-    leak the day's observations. For latent-rate models the forecast is the
-    mean transformed prior draw per step with a 2.5%-97.5% sample band;
-    the deterministic model returns its transformed output directly.
+    ``covariates`` holds one day, ``(steps, width)``, with an integer ``seed``,
+    or a stack of days, ``(days, steps, width)``, with one seed per day; the
+    forecast's arrays then gain the same leading day axis. The prior recurrent
+    state never sees counts, so day-of forecasts cannot leak the day's
+    observations, and it is the same for every draw: the prior network steps
+    once over all days, one row per day. The deterministic model returns its
+    transformed output directly. For latent-rate models the sample fan is
+    drawn only at the output, day d's noise being
+    ``default_rng(seed_d).standard_normal((steps, n_samples, processes))``,
+    and the forecast is the mean transformed prior draw per step with a
+    2.5%-97.5% sample band.
     """
-    if covariates.ndim != 2 or covariates.shape[1] != model.input_width:
-        raise DataError(f"covariates must be (steps, {model.input_width})")
-    n_steps = covariates.shape[0]
+    covariates = np.asarray(covariates, dtype=float)
+    single_day = covariates.ndim == 2
+    if single_day:
+        covariates = covariates[None]
+    if covariates.ndim != 3 or covariates.shape[2] != model.input_width:
+        raise DataError(f"covariates must be (steps, {model.input_width}) "
+                        f"or (days, steps, {model.input_width})")
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    n_days, n_steps, _ = covariates.shape
+    if len(seeds) != n_days:
+        raise DataError(f"need one seed per day: {len(seeds)} seeds for {n_days} days")
     cov_n = model.normalize_covariates(covariates)
     p = _as_vars(model.params)
 
-    if model.kind == "prnn":
-        h = p["prior_rnn/h0"]
-        rates = np.zeros((n_steps, model.processes))
-        for t in range(n_steps):
-            h = gru_step(p, "prior_rnn", h, ad.const(cov_n[t:t + 1]))
-            rates[t] = positive_rate(head(p, "prior_head", h)).value[0]
-        return Forecast(rates=rates)
-
-    rng = np.random.default_rng(seed)
-    # run the sample fan as a batch: rows are identical covariates
-    h = _broadcast_rows(p["prior_rnn/h0"], n_samples)
-    rates = np.zeros((n_steps, model.processes))
-    lower = np.zeros((n_steps, model.processes))
-    upper = np.zeros((n_steps, model.processes))
+    h = _broadcast_rows(p["prior_rnn/h0"], n_days)
+    outputs = []
     for t in range(n_steps):
-        x = np.repeat(cov_n[t:t + 1], n_samples, axis=0)
-        h = gru_step(p, "prior_rnn", h, ad.const(x))
-        mu0, sigma0 = _split_head(head(p, "prior_head", h), model.processes)
-        eps = rng.standard_normal((n_samples, model.processes))
-        draws = positive_rate(ad.gaussian_sample(mu0, sigma0, eps)).value
-        rates[t] = draws.mean(axis=0)
-        lower[t] = np.quantile(draws, 0.025, axis=0)
-        upper[t] = np.quantile(draws, 0.975, axis=0)
-    return Forecast(rates=rates, lower=lower, upper=upper)
+        h = gru_step(p, "prior_rnn", h, ad.const(cov_n[:, t, :]))
+        outputs.append(head(p, "prior_head", h))
+
+    if model.kind == "prnn":
+        rates = np.stack([positive_rate(out).value for out in outputs], axis=1)
+        forecast = Forecast(rates=rates)
+    else:
+        prior = [_split_head(out, model.processes) for out in outputs]
+        mu0 = np.stack([m.value for m, _ in prior], axis=1)[:, :, None, :]
+        sigma0 = np.stack([s.value for _, s in prior], axis=1)[:, :, None, :]
+        eps = np.stack([
+            np.random.default_rng(s).standard_normal((n_steps, n_samples, model.processes))
+            for s in seeds])
+        draws = positive_rate(ad.gaussian_sample(ad.const(mu0), ad.const(sigma0), eps)).value
+        lower, upper = np.quantile(draws, [0.025, 0.975], axis=2)
+        forecast = Forecast(rates=draws.mean(axis=2), lower=lower, upper=upper)
+    return forecast.day(0) if single_day else forecast
 
 
 def predict_day(model: NeuralModel, series: DemandSeries, day_index: int,

@@ -1,6 +1,6 @@
 """Baseline forecasters: cell-mean profiles and OLS regression."""
 
-from datetime import date, datetime
+from datetime import date, datetime, time, timedelta
 
 import numpy as np
 import pytest
@@ -140,8 +140,51 @@ def test_ma_as_of_shift_changes_window():
 
 def test_ma_empty_window_raises():
     series = make_series(date(2018, 6, 1), np.ones(24), np.ones(24))
-    with pytest.raises(DataError):
-        classical.fit_ma(series, date(2018, 6, 1))
+    # as_of at the series start, long before it, and long after its end
+    for as_of in (date(2018, 6, 1), date(2018, 5, 1), date(2018, 7, 20)):
+        with pytest.raises(DataError):
+            classical.fit_ma(series, as_of)
+
+
+def brute_force_ma(series: DemandSeries, as_of: date, window_days: int):
+    """Cell means over the window, walking every timestamp of the series."""
+    hi = datetime.combine(as_of, time.min)
+    lo = hi - timedelta(days=window_days)
+    shape = (7, series.intervals_per_day)
+    sums_p, sums_r, counts = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    for i, t in enumerate(series.times()):
+        if lo <= t < hi:
+            cell = (t.weekday(), (t.hour * 60 + t.minute) // series.interval_minutes)
+            sums_p[cell] += series.pickups[i]
+            sums_r[cell] += series.returns[i]
+            counts[cell] += 1
+    seen = counts > 0
+    pickup_table, return_table = np.zeros(shape), np.zeros(shape)
+    pickup_table[seen] = sums_p[seen] / counts[seen]
+    return_table[seen] = sums_r[seen] / counts[seen]
+    return pickup_table, return_table
+
+
+@pytest.mark.parametrize("interval", [15, 60])
+@pytest.mark.parametrize("as_of_day,window_days", [
+    (10, 30),  # window starts before the series
+    (40, 30),  # window ends at the last row
+    (25, 7),
+    (44, 30),  # window runs past the end of the series
+    (1, 1),
+])
+def test_ma_matches_timestamp_walk(interval, as_of_day, window_days):
+    rng = np.random.default_rng(as_of_day * interval + window_days)
+    n = 40 * 1440 // interval
+    start = date(2018, 1, 3)  # a Wednesday
+    series = DemandSeries(
+        station="S", interval_minutes=interval, start=datetime.combine(start, time.min),
+        pickups=rng.poisson(5, n), returns=rng.poisson(3, n))
+    as_of = start + timedelta(days=as_of_day)
+    profile = classical.fit_ma(series, as_of, window_days=window_days)
+    pickup_table, return_table = brute_force_ma(series, as_of, window_days)
+    np.testing.assert_array_equal(profile.pickup_table, pickup_table)
+    np.testing.assert_array_equal(profile.return_table, return_table)
 
 
 # -- linear regression -------------------------------------------------------

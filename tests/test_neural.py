@@ -343,3 +343,81 @@ def test_all_kinds_roundtrip_headers(kind, tmp_path):
     path = str(tmp_path / f"{kind}.ckpt")
     neural.save_checkpoint(model, path)
     assert neural.load_checkpoint(path).kind == kind
+
+
+# -- multi-day forecasts ----------------------------------------------------
+
+FORECAST_KINDS = [("prnn", 1), ("vprnn", 1), ("movprnn", 2)]
+
+
+def assert_forecasts_close(a, b):
+    np.testing.assert_allclose(a.rates, b.rates, rtol=1e-12, atol=0.0)
+    for band_a, band_b in ((a.lower, b.lower), (a.upper, b.upper)):
+        if band_b is None:
+            assert band_a is None
+        else:
+            np.testing.assert_allclose(band_a, band_b, rtol=1e-12, atol=0.0)
+
+
+def forecast_inputs():
+    rng = np.random.default_rng(5)
+    return rng.normal(size=(4, 6, 3)), [101, 202, 303, 404]
+
+
+@pytest.mark.parametrize("kind,processes", FORECAST_KINDS)
+def test_multi_day_forecast_matches_single_day_calls(kind, processes):
+    model = tiny_model(kind, processes=processes, seed=3)
+    cov, seeds = forecast_inputs()
+    batch = neural.predict_rates(model, cov, n_samples=30, seed=seeds)
+    assert batch.rates.shape == (4, 6, processes)
+    for d in range(4):
+        single = neural.predict_rates(model, cov[d], n_samples=30, seed=seeds[d])
+        assert single.rates.shape == (6, processes)
+        assert_forecasts_close(batch.day(d), single)
+
+
+@pytest.mark.parametrize("kind,processes", FORECAST_KINDS)
+def test_day_forecast_does_not_depend_on_other_days_in_the_call(kind, processes):
+    model = tiny_model(kind, processes=processes, seed=3)
+    cov, seeds = forecast_inputs()
+    full = neural.predict_rates(model, cov, n_samples=30, seed=seeds)
+    subset = neural.predict_rates(model, cov[[2, 0]], n_samples=30, seed=[seeds[2], seeds[0]])
+    assert_forecasts_close(subset.day(0), full.day(2))
+    assert_forecasts_close(subset.day(1), full.day(0))
+
+
+@pytest.mark.parametrize("kind,processes", FORECAST_KINDS)
+def test_forecast_rejects_seed_count_and_covariate_width(kind, processes):
+    model = tiny_model(kind, processes=processes, seed=3)
+    cov, seeds = forecast_inputs()
+    with pytest.raises(DataError):
+        neural.predict_rates(model, cov, seed=seeds[:3])
+    with pytest.raises(DataError):
+        neural.predict_rates(model, cov, seed=seeds + [505])
+    with pytest.raises(DataError):
+        neural.predict_rates(model, cov[:, :, :2], seed=seeds)
+    with pytest.raises(DataError):
+        neural.predict_rates(model, cov[0, :, :2], seed=seeds[0])
+
+
+def test_latent_forecast_draws_per_step_noise_from_the_day_seed():
+    # Reference: step the prior one row at a time and draw each step's fan
+    # from one generator, in step order.
+    model = tiny_model("movprnn", processes=2, seed=4)
+    cov = np.random.default_rng(6).normal(size=(6, 3))
+    n_samples = 25
+    forecast = neural.predict_rates(model, cov, n_samples=n_samples, seed=8)
+    p = {k: ad.Var(v) for k, v in model.params.items() if not k.startswith("norm/")}
+    rng = np.random.default_rng(8)
+    h = p["prior_rnn/h0"]
+    for t in range(len(cov)):
+        h = gru_step(p, "prior_rnn", h, ad.const(cov[t:t + 1]))  # identity normalization
+        out = head(p, "prior_head", h).value[0]
+        mean_, scale = out[:2], np.logaddexp(0.0, out[2:]) + neural.SCALE_FLOOR
+        eps = rng.standard_normal((n_samples, 2))
+        draws = np.logaddexp(0.0, mean_ + scale * eps) + neural.RATE_FLOOR
+        np.testing.assert_allclose(forecast.rates[t], draws.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(forecast.lower[t], np.quantile(draws, 0.025, axis=0),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(forecast.upper[t], np.quantile(draws, 0.975, axis=0),
+                                   rtol=1e-12)
