@@ -52,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--interval", type=int, choices=(15, 30, 60), default=None,
                          help="override interval_minutes")
         cmd.add_argument("--out", default=None, help="override the output directory")
-        cmd.add_argument("--jobs", type=int, default=None,
-                         help="cap worker fan-out (default from config)")
     return parser
 
 
@@ -87,7 +85,6 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "interval_minutes": args.interval,
         "out_dir": args.out,
-        "jobs": args.jobs,
     }
     try:
         config = load_config(args.config, overrides)

@@ -42,13 +42,11 @@ class RunConfig:
     lost_pickup_penalty: float = 1.0
     lost_return_penalty: float = 1.0
     forecast_samples: int = 100
-    eval_is_samples: int = 30
     ma_window_days: int = 30
     bias_delta_max: float = 25.0
     bias_delta_step: float = 0.5
     bias_capacity: int = 40
     bias_seed: int = 3
-    jobs: int = 1
 
     def __post_init__(self):
         if self.interval_minutes not in VALID_INTERVALS:
@@ -71,8 +69,6 @@ class RunConfig:
             raise ConfigError("penalties must be non-negative")
         if self.bias_delta_step <= 0 or self.bias_delta_max < 0:
             raise ConfigError("bias grid must have positive step and non-negative max")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
 
     def canonical_json(self) -> str:
         payload = asdict(self)

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DataError
 from .ingest import PICKUP, DemandSeries, EventStream
 from .inventory import PenaltyConfig, oracle_decision, udf_curve
-from .neural import is_log_likelihood  # noqa: F401  (re-exported: it is an evaluation op)
 from .queueing import RateSeries
 
 

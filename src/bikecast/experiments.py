@@ -41,6 +41,8 @@ from .ingest import (
     build_covariates,
     demand_from_csv,
     demand_to_csv,
+    events_from_csv,
+    events_to_csv,
     parse_stations,
     parse_trips,
     parse_weather,
@@ -206,7 +208,11 @@ def _read_commented(path: str) -> str:
 
 
 def stage_ingest(config: RunConfig) -> dict[str, StationData]:
-    """Parse inputs, select stations, and write per-station demand files."""
+    """Parse inputs, select stations, and write per-station demand and event files.
+
+    The trip file is parsed here and nowhere else: each selected station's
+    event stream is kept in ``demand/events_<sid>.csv`` for evaluate to replay.
+    """
     with _stage("ingest"):
         capacities = parse_stations(_require_input(config.stations_path))
         trips = parse_trips(_require_input(config.trips_path))
@@ -228,6 +234,7 @@ def stage_ingest(config: RunConfig) -> dict[str, StationData]:
                 aggregate(streams[sid], config.interval_minutes, day_range), covariates)
             data[sid] = StationData(station=sid, capacity=capacities[sid], series=series)
             _write(_demand_path(config, sid), demand_to_csv(series), header)
+            _write(_events_path(config, sid), events_to_csv(streams[sid]), header)
             lines.append(f"{sid},{capacities[sid]}")
         _write(_selected_path(config), "\n".join(lines) + "\n", header)
         return data
@@ -243,6 +250,10 @@ def _demand_path(config: RunConfig, sid: str) -> str:
     return os.path.join(config.out_dir, "demand", f"station_{sid}.csv")
 
 
+def _events_path(config: RunConfig, sid: str) -> str:
+    return os.path.join(config.out_dir, "demand", f"events_{sid}.csv")
+
+
 def _selected_path(config: RunConfig) -> str:
     return os.path.join(config.out_dir, "demand", "stations_selected.csv")
 
@@ -256,15 +267,23 @@ def _forecast_path(config: RunConfig, sid: str, name: str) -> str:
     return os.path.join(config.out_dir, "forecasts", f"{sid}_{name}.csv")
 
 
-def load_ingested(config: RunConfig) -> dict[str, StationData]:
-    """Read back what stage_ingest wrote."""
+def _load_capacities(config: RunConfig) -> dict[str, int]:
+    """The selected stations and their capacities, as stage_ingest wrote them."""
     path = _require(_selected_path(config), "ingest")
-    data: dict[str, StationData] = {}
+    capacities: dict[str, int] = {}
     for line in _read_commented(path).splitlines()[1:]:
         sid, cap = line.split(",")
+        capacities[sid] = int(cap)
+    return capacities
+
+
+def load_ingested(config: RunConfig) -> dict[str, StationData]:
+    """Read back what stage_ingest wrote."""
+    data: dict[str, StationData] = {}
+    for sid, capacity in _load_capacities(config).items():
         series = demand_from_csv(
             _require(_demand_path(config, sid), "ingest"), sid, config.interval_minutes)
-        data[sid] = StationData(station=sid, capacity=int(cap), series=series)
+        data[sid] = StationData(station=sid, capacity=capacity, series=series)
     return data
 
 
@@ -419,11 +438,11 @@ def load_forecasts(config: RunConfig, sid: str, name: str,
 def stage_optimize(config: RunConfig) -> dict[str, dict[str, list[int]]]:
     """Turn every forecast into a starting-inventory decision."""
     with _stage("optimize"):
-        data = load_ingested(config)
+        capacities = _load_capacities(config)
         penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
         header = config.artifact_header()
         decisions: dict[str, dict[str, list[int]]] = {}
-        for sid in sorted(data):
+        for sid in sorted(capacities):
             decisions[sid] = {}
             lines = ["date,model,s_star,expected_cost"]
             for name in sorted(config.models):
@@ -431,7 +450,7 @@ def stage_optimize(config: RunConfig) -> dict[str, dict[str, list[int]]]:
                                                  config.interval_minutes)
                 picks = []
                 for day, rates in zip(days, forecasts):
-                    curve = udf_curve(rates, data[sid].capacity, penalties)
+                    curve = udf_curve(rates, capacities[sid], penalties)
                     picks.append(curve.s_star)
                     lines.append(f"{day.isoformat()},{name},{curve.s_star},"
                                  f"{curve.values[curve.s_star]:.12g}")
@@ -443,13 +462,14 @@ def stage_optimize(config: RunConfig) -> dict[str, dict[str, list[int]]]:
 
 def stage_evaluate(config: RunConfig) -> tuple[list[DecisionSummary],
                                                dict[str, BenchmarkResult], list[dict]]:
-    """Benchmark every model's forecasts against replayed reality."""
+    """Benchmark every model's forecasts against replayed reality.
+
+    The replayed events are the ones stage_ingest kept per station; the trip
+    file itself is not read again.
+    """
     with _stage("evaluate"):
         data = load_ingested(config)
         penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
-        trips = parse_trips(_require_input(config.trips_path),
-                            station_filter=set(data))
-        streams = to_event_streams(trips)
         header = config.artifact_header()
 
         all_rows: list[dict] = []
@@ -470,7 +490,8 @@ def stage_evaluate(config: RunConfig) -> tuple[list[DecisionSummary],
                                     f"test split")
                 predictions[name] = forecasts
             day_counts = [test.day(i) for i in range(test.n_days)]
-            day_events = [streams[sid].slice_day(d) for d in days]
+            events = events_from_csv(_require(_events_path(config, sid), "ingest"), sid)
+            day_events = [events.slice_day(d) for d in days]
             result = benchmark(predictions, day_events, day_counts, data[sid].capacity,
                                penalties)
             per_station[sid] = result

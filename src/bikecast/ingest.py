@@ -4,6 +4,13 @@ Everything downstream consumes per-interval pickup/return counts aligned with
 an exogenous covariate matrix (weather + calendar encodings). This module
 turns raw trip and weather files into that shape.
 
+A trip file is read once, in one pass, into a columnar :class:`TripTable`
+(start time, end time, start station, end station). The table becomes one
+sorted :class:`EventStream` per station; the stream feeds the interval counts
+and, written with :func:`events_to_csv` as ``demand/events_<sid>.csv``, the
+replay that scores each day's decision, so the trip file is never parsed
+again after ingest.
+
 Conventions fixed here and relied on elsewhere:
 
 * interval boundaries are left-closed, right-open;
@@ -18,8 +25,12 @@ import csv
 import io
 import math
 import os
+from bisect import bisect_left
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,22 +41,18 @@ RETURN = "return"
 
 VALID_INTERVALS = (15, 30, 60)
 
-# Tie-break rank for events at identical timestamps.
-_KIND_ORDER = {PICKUP: 0, RETURN: 1}
 
+@dataclass
+class TripTable:
+    """Parsed trips as four parallel columns, one entry per kept row."""
 
-@dataclass(frozen=True)
-class TripRecord:
-    start_time: datetime
-    end_time: datetime
-    start_station: str
-    end_station: str
+    start_times: list[datetime]
+    end_times: list[datetime]
+    start_stations: list[str]
+    end_stations: list[str]
 
-    def __post_init__(self):
-        if self.end_time < self.start_time:
-            raise DataError(f"trip ends before it starts: {self.start_time} -> {self.end_time}")
-        if not self.start_station or not self.end_station:
-            raise DataError("station ids must be non-empty")
+    def __len__(self) -> int:
+        return len(self.start_times)
 
 
 @dataclass
@@ -56,15 +63,17 @@ class EventStream:
     events: list[tuple[datetime, str]]
 
     def sort(self) -> None:
-        self.events.sort(key=lambda e: (e[0], _KIND_ORDER[e[1]]))
+        # PICKUP < RETURN as strings, so plain tuple order puts pickups first
+        # at equal times and the comparison never leaves C
+        self.events.sort()
 
     def slice_day(self, day: date) -> "EventStream":
+        """The events of one day; relies on the stream being sorted."""
         lo = datetime.combine(day, time.min)
         hi = lo + timedelta(days=1)
-        return EventStream(
-            station=self.station,
-            events=[e for e in self.events if lo <= e[0] < hi],
-        )
+        first = bisect_left(self.events, lo, key=itemgetter(0))
+        last = bisect_left(self.events, hi, lo=first, key=itemgetter(0))
+        return EventStream(station=self.station, events=self.events[first:last])
 
 
 @dataclass
@@ -204,63 +213,82 @@ def _parse_timestamp(raw: str, line_number: int) -> datetime:
     return stamp
 
 
+@contextmanager
 def _open_text(source):
+    """A text stream over ``source``, closed on exit only if opened here.
+
+    A path is opened and closed. A binary stream that the caller owns is
+    wrapped, and the wrapper is detached on exit, so the caller's stream stays
+    open. Text streams pass through untouched.
+    """
     if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.IOBase) and not isinstance(source, io.TextIOBase):
-        return io.TextIOWrapper(source, encoding="utf-8")
-    return source
+        with open(source, "r", newline="") as fh:
+            yield fh
+    elif isinstance(source, bytes):
+        yield io.StringIO(source.decode("utf-8"))
+    elif isinstance(source, io.IOBase) and not isinstance(source, io.TextIOBase):
+        wrapper = io.TextIOWrapper(source, encoding="utf-8")
+        try:
+            yield wrapper
+        finally:
+            wrapper.detach()
+    else:
+        yield source
 
 
 def parse_trips(
     source,
     station_filter: set[str] | None = None,
     columns: TripColumns = TripColumns(),
-) -> list[TripRecord]:
-    """Read a trip CSV into records, keeping rows touching the station filter.
+) -> TripTable:
+    """Read a trip CSV into a :class:`TripTable`, keeping rows touching the filter.
 
-    ``source`` may be a path, raw bytes or an open stream. Rows whose start or
-    end station falls outside ``station_filter`` (when given) are skipped;
-    malformed rows are never skipped silently but raise :class:`RowError`
-    with the offending line number.
+    ``source`` may be a path, raw bytes or an open stream. Rows are read by
+    column index in one pass; no per-row object is built beyond the kept
+    values. Rows whose start or end station falls outside ``station_filter``
+    (when given) are skipped; malformed rows are never skipped silently but
+    raise :class:`RowError` with the offending line number.
     """
-    stream = _open_text(source)
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise FormatError("trip file is empty (no header row)")
-    for col in columns.required():
-        if col not in reader.fieldnames:
-            raise FormatError(f"trip file is missing required column {col!r}")
+    with _open_text(source) as stream:
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        if header is None:
+            raise FormatError("trip file is empty (no header row)")
+        for col in columns.required():
+            if col not in header:
+                raise FormatError(f"trip file is missing required column {col!r}")
+        # the last column of a repeated name wins, as with csv.DictReader
+        index = {name: i for i, name in enumerate(header)}
+        i_t0, i_t1, i_s0, i_s1 = (index[col] for col in columns.required())
+        width = max(i_t0, i_t1, i_s0, i_s1) + 1
 
-    records = []
-    for row in reader:
-        line = reader.line_num
-        start_station = (row[columns.start_station] or "").strip()
-        end_station = (row[columns.end_station] or "").strip()
-        if not start_station or not end_station:
-            raise RowError(line, "empty station id")
-        if station_filter is not None and not (
-            start_station in station_filter or end_station in station_filter
-        ):
-            continue
-        start_time = _parse_timestamp(row[columns.start_time] or "", line)
-        end_time = _parse_timestamp(row[columns.stop_time] or "", line)
-        if end_time < start_time:
-            raise RowError(line, f"trip ends before it starts: {start_time} -> {end_time}")
-        records.append(
-            TripRecord(
-                start_time=start_time,
-                end_time=end_time,
-                start_station=start_station,
-                end_station=end_station,
-            )
-        )
-    return records
+        start_times, end_times, start_stations, end_stations = [], [], [], []
+        for row in reader:
+            if not row:
+                continue  # blank line
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            line = reader.line_num
+            start_station = row[i_s0].strip()
+            end_station = row[i_s1].strip()
+            if not start_station or not end_station:
+                raise RowError(line, "empty station id")
+            if station_filter is not None and not (
+                start_station in station_filter or end_station in station_filter
+            ):
+                continue
+            start_time = _parse_timestamp(row[i_t0], line)
+            end_time = _parse_timestamp(row[i_t1], line)
+            if end_time < start_time:
+                raise RowError(line, f"trip ends before it starts: {start_time} -> {end_time}")
+            start_times.append(start_time)
+            end_times.append(end_time)
+            start_stations.append(start_station)
+            end_stations.append(end_station)
+    return TripTable(start_times, end_times, start_stations, end_stations)
 
 
-def to_event_streams(trips: list[TripRecord]) -> dict[str, EventStream]:
+def to_event_streams(trips: TripTable) -> dict[str, EventStream]:
     """Explode trips into per-station pickup/return event streams.
 
     Each trip contributes a pickup at its start station and a return at its
@@ -268,9 +296,10 @@ def to_event_streams(trips: list[TripRecord]) -> dict[str, EventStream]:
     returns at identical timestamps, keyed by station id in sorted order.
     """
     events: dict[str, list[tuple[datetime, str]]] = {}
-    for trip in trips:
-        events.setdefault(trip.start_station, []).append((trip.start_time, PICKUP))
-        events.setdefault(trip.end_station, []).append((trip.end_time, RETURN))
+    for kind, times, stations in ((PICKUP, trips.start_times, trips.start_stations),
+                                  (RETURN, trips.end_times, trips.end_stations)):
+        for ts, station in zip(times, stations):
+            events.setdefault(station, []).append((ts, kind))
     streams = {}
     for station in sorted(events):
         stream = EventStream(station=station, events=events[station])
@@ -279,13 +308,37 @@ def to_event_streams(trips: list[TripRecord]) -> dict[str, EventStream]:
     return streams
 
 
-def top_stations(trips: list[TripRecord], n: int = 30) -> list[str]:
+def top_stations(trips: TripTable, n: int = 30) -> list[str]:
     """The ``n`` most active stations by total pickup count, busiest first."""
-    counts: dict[str, int] = {}
-    for trip in trips:
-        counts[trip.start_station] = counts.get(trip.start_station, 0) + 1
+    counts = Counter(trips.start_stations)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [station for station, _ in ranked[:n]]
+
+
+def events_to_csv(stream: EventStream) -> str:
+    """Serialize a stream as ``time,kind`` rows; the times round-trip exactly."""
+    lines = ["time,kind\n"]
+    lines.extend(f"{ts.isoformat(sep=' ')},{kind}\n" for ts, kind in stream.events)
+    return "".join(lines)
+
+
+def events_from_csv(source, station: str) -> EventStream:
+    """Inverse of :func:`events_to_csv`; comment lines starting with # are skipped."""
+    # each event refers to the module's kind string, not a copy per row
+    kinds = {PICKUP: PICKUP, RETURN: RETURN}
+    with _open_text(source) as text:
+        lines = (ln for ln in text if not ln.startswith("#"))
+        if next(lines, "").rstrip("\r\n") != "time,kind":
+            raise FormatError("event CSV must start with a time,kind header")
+        events = []
+        for line in lines:
+            stamp, _, kind = line.rstrip("\r\n").partition(",")
+            if kind not in kinds:
+                raise FormatError(f"unknown event kind {kind!r} in event CSV")
+            events.append((datetime.fromisoformat(stamp), kinds[kind]))
+    stream = EventStream(station=station, events=events)
+    stream.sort()  # slice_day relies on the order; a sorted file costs one pass
+    return stream
 
 
 def aggregate(
@@ -345,51 +398,51 @@ class WeatherTable:
 
 def parse_weather(source) -> WeatherTable:
     """Read an hourly weather CSV (timestamp, temperature_c, rain_probability)."""
-    stream = _open_text(source)
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise FormatError("weather file is empty (no header row)")
-    for col in ("timestamp", "temperature_c", "rain_probability"):
-        if col not in reader.fieldnames:
-            raise FormatError(f"weather file is missing required column {col!r}")
-    table = WeatherTable()
-    for row in reader:
-        line = reader.line_num
-        ts = _parse_timestamp(row["timestamp"] or "", line)
-        try:
-            temp = float(row["temperature_c"])
-            rain = float(row["rain_probability"])
-        except (TypeError, ValueError):
-            raise RowError(line, "unparseable weather values") from None
-        try:
-            table.add(ts, temp, rain)
-        except DataError as exc:
-            raise RowError(line, str(exc)) from None
+    with _open_text(source) as stream:
+        reader = csv.DictReader(stream)
+        if reader.fieldnames is None:
+            raise FormatError("weather file is empty (no header row)")
+        for col in ("timestamp", "temperature_c", "rain_probability"):
+            if col not in reader.fieldnames:
+                raise FormatError(f"weather file is missing required column {col!r}")
+        table = WeatherTable()
+        for row in reader:
+            line = reader.line_num
+            ts = _parse_timestamp(row["timestamp"] or "", line)
+            try:
+                temp = float(row["temperature_c"])
+                rain = float(row["rain_probability"])
+            except (TypeError, ValueError):
+                raise RowError(line, "unparseable weather values") from None
+            try:
+                table.add(ts, temp, rain)
+            except DataError as exc:
+                raise RowError(line, str(exc)) from None
     return table
 
 
 def parse_stations(source) -> dict[str, int]:
     """Read station metadata (station_id, capacity); capacities must be positive."""
-    stream = _open_text(source)
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise FormatError("station file is empty (no header row)")
-    for col in ("station_id", "capacity"):
-        if col not in reader.fieldnames:
-            raise FormatError(f"station file is missing required column {col!r}")
-    capacities = {}
-    for row in reader:
-        line = reader.line_num
-        sid = (row["station_id"] or "").strip()
-        if not sid:
-            raise RowError(line, "empty station id")
-        try:
-            cap = int(row["capacity"])
-        except (TypeError, ValueError):
-            raise RowError(line, f"unparseable capacity {row['capacity']!r}") from None
-        if cap <= 0:
-            raise RowError(line, f"capacity must be positive, got {cap}")
-        capacities[sid] = cap
+    with _open_text(source) as stream:
+        reader = csv.DictReader(stream)
+        if reader.fieldnames is None:
+            raise FormatError("station file is empty (no header row)")
+        for col in ("station_id", "capacity"):
+            if col not in reader.fieldnames:
+                raise FormatError(f"station file is missing required column {col!r}")
+        capacities = {}
+        for row in reader:
+            line = reader.line_num
+            sid = (row["station_id"] or "").strip()
+            if not sid:
+                raise RowError(line, "empty station id")
+            try:
+                cap = int(row["capacity"])
+            except (TypeError, ValueError):
+                raise RowError(line, f"unparseable capacity {row['capacity']!r}") from None
+            if cap <= 0:
+                raise RowError(line, f"capacity must be positive, got {cap}")
+            capacities[sid] = cap
     return capacities
 
 
@@ -493,8 +546,8 @@ def demand_to_csv(series: DemandSeries) -> str:
 
 def demand_from_csv(source, station: str, interval_minutes: int) -> DemandSeries:
     """Inverse of :func:`demand_to_csv`; comment lines starting with # are skipped."""
-    stream = _open_text(source)
-    lines = [ln for ln in stream if not ln.startswith("#")]
+    with _open_text(source) as stream:
+        lines = [ln for ln in stream if not ln.startswith("#")]
     reader = csv.reader(io.StringIO("".join(lines)))
     header = next(reader, None)
     if header is None or header[:3] != ["interval_start", "pickups", "returns"]:

@@ -84,6 +84,20 @@ def test_retired_substeps_key_is_unknown(tmp_path, capsys, corpus):
     assert "substeps_per_interval" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["jobs", "eval_is_samples"])
+def test_retired_knob_keys_are_unknown(tmp_path, capsys, corpus, key):
+    # nothing read these knobs, so they were deleted
+    path = write_config(tmp_path / "run.yaml", corpus, tmp_path / "out", **{key: 2})
+    assert main(["pipeline", "--config", path]) == EXIT_USAGE
+    assert key in capsys.readouterr().err
+
+
+def test_jobs_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ingest", "--config", "x.yaml", "--jobs", "2"])
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_bad_interval_in_config(tmp_path, capsys, corpus):
     path = write_config(tmp_path / "run.yaml", corpus, tmp_path / "out",
                         interval_minutes=45)

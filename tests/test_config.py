@@ -38,8 +38,6 @@ def test_validation_rejects_bad_values():
     with pytest.raises(ConfigError):
         make(bias_delta_step=0.0)
     with pytest.raises(ConfigError):
-        make(jobs=0)
-    with pytest.raises(ConfigError):
         make(seed=None)
 
 

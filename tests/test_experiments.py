@@ -167,6 +167,8 @@ def test_pipeline_writes_expected_artifacts(pipeline_run):
     for expected in (
         "decisions/7.csv",
         "decisions/8.csv",
+        "demand/events_7.csv",
+        "demand/events_8.csv",
         "demand/station_7.csv",
         "demand/stations_selected.csv",
         "forecasts/7_ha.csv",
@@ -299,3 +301,47 @@ def test_neural_models_run_through_pipeline(tmp_path):
     overall, _, _ = experiments.stage_evaluate(config)
     assert [s.model for s in overall] == ["oracle", "movprnn", "prnn", "vprnn"]
     assert all(np.isfinite(s.mean_cost) for s in overall)
+
+
+def staged_run(tmp_path) -> tuple[RunConfig, dict]:
+    """A one-station, ha-only run taken through ingest, train, forecast, optimize."""
+    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
+                                   base_rate=2.0)
+    config = RunConfig(
+        trips_path=paths["trips"], weather_path=paths["weather"],
+        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
+        start_date="2018-01-01", end_date="2018-12-31", stations=["7"], models=["ha"],
+    )
+    for stage in (experiments.stage_ingest, experiments.stage_train,
+                  experiments.stage_forecast, experiments.stage_optimize):
+        stage(config)
+    return config, paths
+
+
+def _reports(config: RunConfig) -> dict[str, bytes]:
+    reports = os.path.join(config.out_dir, "reports")
+    blobs = {}
+    for name in sorted(os.listdir(reports)):
+        with open(os.path.join(reports, name), "rb") as fh:
+            blobs[name] = fh.read()
+    return blobs
+
+
+def test_evaluate_does_not_read_the_trip_file(tmp_path):
+    config, paths = staged_run(tmp_path)
+    experiments.stage_evaluate(config)
+    kept = _reports(config)
+    assert sorted(kept) == ["metrics.csv", "summary.csv"]
+    os.remove(paths["trips"])
+    experiments.stage_evaluate(config)
+    assert _reports(config) == kept
+
+
+def test_evaluate_without_kept_events_names_ingest(tmp_path):
+    config, _ = staged_run(tmp_path)
+    os.remove(os.path.join(config.out_dir, "demand", "events_7.csv"))
+    with pytest.raises(StageError) as err:
+        experiments.stage_evaluate(config)
+    assert isinstance(err.value.__cause__, DataError)
+    assert "events_7.csv" in str(err.value)
+    assert "run the ingest stage first" in str(err.value)

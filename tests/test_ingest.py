@@ -1,15 +1,21 @@
 """Trip parsing, interval aggregation, covariates, and the chronological split."""
 
+import gc
 import io
-from datetime import date, datetime
+import warnings
+from datetime import date, datetime, time, timedelta
 
 import numpy as np
 import pytest
 
+from bikecast import synthetic
 from bikecast.errors import ConfigError, DataError, FormatError, RowError
 from bikecast.ingest import (
+    PICKUP,
+    RETURN,
     CovariateMatrix,
     DemandSeries,
+    EventStream,
     TripColumns,
     WeatherTable,
     aggregate,
@@ -18,6 +24,8 @@ from bikecast.ingest import (
     covariate_columns,
     demand_from_csv,
     demand_to_csv,
+    events_from_csv,
+    events_to_csv,
     parse_stations,
     parse_trips,
     parse_weather,
@@ -37,8 +45,10 @@ TRIPS_CSV = """starttime,stoptime,start station id,end station id
 def test_parse_trips_basic():
     trips = parse_trips(io.StringIO(TRIPS_CSV))
     assert len(trips) == 4
-    assert trips[0].start_station == "A"
-    assert trips[0].end_time == datetime(2018, 6, 1, 8, 14, 2)
+    assert trips.start_stations == ["A", "A", "B", "C"]
+    assert trips.end_stations == ["B", "C", "A", "A"]
+    assert trips.start_times[0] == datetime(2018, 6, 1, 7, 58, 30)
+    assert trips.end_times[0] == datetime(2018, 6, 1, 8, 14, 2)
 
 
 def test_parse_trips_filter_keeps_touching_rows():
@@ -77,7 +87,167 @@ def test_parse_trips_custom_columns():
     csv_text = "t0,t1,from,to\n2018-06-01 07:00:00,2018-06-01 07:30:00,X,Y\n"
     cols = TripColumns(start_time="t0", stop_time="t1", start_station="from", end_station="to")
     trips = parse_trips(io.StringIO(csv_text), columns=cols)
-    assert trips[0].end_station == "Y"
+    assert trips.end_stations == ["Y"]
+
+
+@pytest.mark.parametrize("row, message", [
+    pytest.param("2018-06-03 10:00:00,2018-06-03 10:20:00, ,B", "empty station id",
+                 id="blank-start-station"),
+    pytest.param("2018-06-03 10:00:00,2018-06-03 10:20:00,A,", "empty station id",
+                 id="empty-end-station"),
+    pytest.param("2018-06-03 10:00:00,2018-06-03 10:20:00,A", "empty station id",
+                 id="short-row"),
+    pytest.param("not-a-date,2018-06-03 10:20:00,A,B", "unparseable timestamp",
+                 id="bad-start-time"),
+    pytest.param("2018-06-03 10:00:00,2018-06-03 25:00:00,A,B", "unparseable timestamp",
+                 id="bad-end-time"),
+    pytest.param("2018-06-03 10:00:00+00:00,2018-06-03 10:20:00,A,B", "UTC offset",
+                 id="aware-start-time"),
+    pytest.param("2018-06-03 10:00:00,2018-06-03 10:20:00-05:00,A,B", "UTC offset",
+                 id="aware-end-time"),
+    pytest.param("2018-06-03 10:20:00,2018-06-03 10:00:00,A,B", "ends before it starts",
+                 id="reversed"),
+])
+def test_parse_trips_row_errors_carry_their_line(row, message):
+    # the blank line before the bad row counts: line numbers are physical lines
+    text = TRIPS_CSV + "\n" + row + "\n" + "2018-06-04 10:00:00,2018-06-04 10:20:00,A,B\n"
+    with pytest.raises(RowError, match=message) as err:
+        parse_trips(io.StringIO(text))
+    assert err.value.line_number == 7
+
+
+def quoted_citi_bike_file(text: str) -> str:
+    """``text`` in the public Citi Bike layout: extra columns, every field quoted."""
+    out = ['"tripduration","starttime","stoptime","start station id","start station name",'
+           '"end station id","end station name","bikeid"']
+    for line in text.splitlines()[1:]:
+        t0, t1, a, b = line.split(",")
+        fields = ["600", t0, t1, a, f"{a} St, north side", b, f"{b} Ave", "31956"]
+        out.append(",".join(f'"{f}"' for f in fields))
+    return "\n".join(out) + "\n"
+
+
+def test_parse_trips_reads_a_fully_quoted_file():
+    quoted = quoted_citi_bike_file(TRIPS_CSV)
+    assert quoted.startswith('"tripduration","starttime","stoptime"')
+    assert parse_trips(io.StringIO(quoted)) == parse_trips(io.StringIO(TRIPS_CSV))
+
+
+def reference_event_streams(trips) -> dict[str, list]:
+    """One pickup and one return per trip, sorted by (time, pickups first)."""
+    events: dict[str, list] = {}
+    for t0, t1, a, b in zip(trips.start_times, trips.end_times,
+                            trips.start_stations, trips.end_stations):
+        events.setdefault(a, []).append((t0, PICKUP))
+        events.setdefault(b, []).append((t1, RETURN))
+    return {station: sorted(ev, key=lambda e: (e[0], 0 if e[1] == PICKUP else 1))
+            for station, ev in sorted(events.items())}
+
+
+def test_event_streams_match_the_per_trip_reference_on_a_corpus(tmp_path):
+    stations = (synthetic.StationSpec("7", 20, "residential"),
+                synthetic.StationSpec("8", 24, "business"))
+    paths = synthetic.write_corpus(str(tmp_path), seed=11, stations=stations, base_rate=2.0)
+    trips = parse_trips(paths["trips"])
+    streams = to_event_streams(trips)
+    reference = reference_event_streams(trips)
+    assert list(streams) == list(reference)
+    for station, stream in streams.items():
+        assert stream.station == station
+        assert stream.events == reference[station]
+
+
+def test_event_streams_put_pickups_first_at_equal_times():
+    text = ("starttime,stoptime,start station id,end station id\n"
+            "2018-06-01 09:00:00,2018-06-01 09:30:00,B,A\n"
+            "2018-06-01 09:30:00,2018-06-01 09:45:00,A,C\n"
+            "2018-06-01 09:30:00,2018-06-01 09:30:00,A,A\n")
+    trips = parse_trips(io.StringIO(text))
+    streams = to_event_streams(trips)
+    assert {s: st.events for s, st in streams.items()} == reference_event_streams(trips)
+    at = datetime(2018, 6, 1, 9, 30)
+    assert streams["A"].events == [(at, PICKUP), (at, PICKUP), (at, RETURN), (at, RETURN)]
+    stream = EventStream(station="A", events=[(at, RETURN), (at, PICKUP)])
+    stream.sort()
+    assert stream.events == [(at, PICKUP), (at, RETURN)]
+
+
+def test_slice_day_matches_the_linear_filter():
+    midnight, next_midnight = datetime(2018, 6, 2), datetime(2018, 6, 3)
+    tick = timedelta(microseconds=1)
+    times = [midnight - tick, midnight, midnight, midnight + timedelta(hours=5),
+             next_midnight - tick, next_midnight, next_midnight + timedelta(hours=1)]
+    stream = EventStream(station="S", events=[(t, k) for t in times for k in (RETURN, PICKUP)])
+    stream.sort()
+    for day in (date(2018, 5, 1), date(2018, 6, 1), date(2018, 6, 2), date(2018, 6, 3),
+                date(2018, 6, 4)):
+        lo = datetime.combine(day, time.min)
+        expected = [e for e in stream.events if lo <= e[0] < lo + timedelta(days=1)]
+        sliced = stream.slice_day(day)
+        assert sliced.station == "S"
+        assert sliced.events == expected, day
+    assert stream.slice_day(date(2018, 6, 2)).events[:2] == [(midnight, PICKUP)] * 2
+    assert stream.slice_day(date(2018, 6, 3)).events[0] == (next_midnight, PICKUP)
+
+
+@pytest.mark.parametrize("microsecond", [0, 143447])
+def test_events_csv_roundtrip_is_exact(microsecond):
+    base = datetime(2018, 6, 1, 7, 58, 30, microsecond)
+    stream = EventStream(station="A", events=[
+        (base, PICKUP), (base, RETURN), (base + timedelta(minutes=3), RETURN),
+        (base + timedelta(days=40, microseconds=1), PICKUP)])
+    text = events_to_csv(stream)
+    lines = text.splitlines()
+    assert lines[0] == "time,kind"
+    assert lines[1] == f"{base.isoformat(sep=' ')},pickup"
+    back = events_from_csv(io.StringIO("# config: abc seed: 1\n" + text), "A")
+    assert back == stream
+
+
+def test_events_csv_rejects_malformed_files():
+    with pytest.raises(FormatError):
+        events_from_csv(io.StringIO("# config: abc seed: 1\n"), "A")
+    with pytest.raises(FormatError):
+        events_from_csv(io.StringIO("time,kind\n2018-06-01 07:00:00,dock\n"), "A")
+
+
+def _demand_text() -> str:
+    series = DemandSeries(station="A", interval_minutes=60, start=datetime(2018, 6, 1),
+                          pickups=np.ones(24, dtype=np.int64),
+                          returns=np.zeros(24, dtype=np.int64))
+    return demand_to_csv(series)
+
+
+READERS = {
+    "trips": (TRIPS_CSV, parse_trips),
+    "weather": ("timestamp,temperature_c,rain_probability\n2018-06-01 00:00:00,15.0,0.2\n",
+                parse_weather),
+    "stations": ("station_id,capacity\nA,20\n", parse_stations),
+    "demand": (_demand_text(), lambda src: demand_from_csv(src, "A", 60)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_readers_close_only_the_files_they_open(tmp_path, kind):
+    text, read = READERS[kind]
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        read(str(path))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    with open(path, "rb") as owned:
+        read(owned)
+        gc.collect()
+        assert not owned.closed
+
+
+def test_parse_trips_repeated_column_reads_the_last():
+    # the csv.DictReader rule: a later column of the same name wins
+    text = ("starttime,stoptime,start station id,end station id,end station id\n"
+            "2018-06-01 07:00:00,2018-06-01 07:30:00,X,old,Y\n")
+    assert parse_trips(io.StringIO(text)).end_stations == ["Y"]
 
 
 def test_event_streams_order_and_kinds():

@@ -47,15 +47,14 @@ def test_corpus_roundtrips_through_parsers(tmp_path):
     assert capacities == {"7": 20, "8": 24}
 
     trips = parse_trips(paths["trips"])
-    assert all(t.end_time >= t.start_time for t in trips)
-    assert all(t.start_time.year == 2018 for t in trips)
-    starts = [t.start_time for t in trips]
-    assert starts == sorted(starts)
+    assert all(t1 >= t0 for t0, t1 in zip(trips.start_times, trips.end_times))
+    assert all(t0.year == 2018 for t0 in trips.start_times)
+    assert trips.start_times == sorted(trips.start_times)
 
     streams = to_event_streams(trips)
     series = aggregate(streams["7"], 60, (date(2018, 1, 1), date(2018, 12, 31)))
     assert series.n_days == 365
-    assert series.pickups.sum() == sum(1 for t in trips if t.start_station == "7")
+    assert series.pickups.sum() == trips.start_stations.count("7")
 
     weather = parse_weather(paths["weather"])
     assert len(weather.observations) == 365 * 24
