@@ -141,21 +141,6 @@ def fit_lr(train: DemandSeries) -> LinearModel:
     return LinearModel(columns=kept, pickup_coef=pickup_coef, return_coef=return_coef)
 
 
-def predict(model, day: date, covariates: CovariateMatrix | None, interval_minutes: int) -> RateSeries:
-    """One-day-ahead rates from either model family.
-
-    Profiles only need the calendar day; the linear model needs that day's
-    covariate rows.
-    """
-    if isinstance(model, SeasonalProfile):
-        return model.predict_day(day)
-    if isinstance(model, LinearModel):
-        if covariates is None:
-            raise DataError("linear model prediction needs the day's covariates")
-        return model.predict_day(covariates, interval_minutes)
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
 def model_to_json(model) -> str:
     if isinstance(model, SeasonalProfile):
         payload = {

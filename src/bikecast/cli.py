@@ -73,8 +73,6 @@ def _exit_code_for(error: Exception) -> int:
         return EXIT_NUMERIC
     if isinstance(error, ConfigError):
         return EXIT_USAGE
-    if isinstance(error, (DataError, OSError, ValueError)):
-        return EXIT_DATA
     return EXIT_DATA
 
 

@@ -1,16 +1,18 @@
 """Predictive metrics and prescriptive cost evaluation.
 
-The prescriptive side scores a forecaster by what its forecasts cost: convert
-rates to a starting inventory, replay the day's actual events against that
-inventory, and count shortages. The oracle benchmark uses the realized counts
-of the day as if they were the true rates (perfect information).
+The prescriptive side scores a forecaster by what its forecasts cost: replay
+the day's actual events against the starting inventory that the optimize
+stage chose from the forecast, and count shortages. Evaluation replays those
+decisions; it does not make them again. The oracle benchmark uses the
+realized counts of the day as if they were the true rates (perfect
+information); it is solved here, because only evaluation reads the realized
+counts.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from datetime import date
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import PICKUP, DemandSeries, EventStream
-from .inventory import PenaltyConfig, oracle_decision, udf_curve
+from .inventory import PenaltyConfig, oracle_decision
 from .queueing import RateSeries
 
 
@@ -77,20 +79,18 @@ def point_metrics(actual: np.ndarray, predicted: np.ndarray,
 
 def replay_cost(events: EventStream, s: int, capacity: int,
                 penalties: PenaltyConfig = PenaltyConfig(),
-                pickup_first: bool = True, day: date | None = None) -> LostSalesReport:
+                day: date | None = None) -> LostSalesReport:
     """Replay one day's events against a starting inventory and count shortages.
 
     A pickup at an empty station is lost; a return at a full station is lost;
-    either leaves the inventory unchanged. ``pickup_first`` controls which of
-    two simultaneous events is processed first.
+    either leaves the inventory unchanged. Events are replayed in time order,
+    a pickup before a return at the same instant (``"pickup" < "return"``).
     """
     if not 0 <= s <= capacity:
         raise DataError(f"starting inventory {s} outside [0, {capacity}]")
-    rank = (lambda e: (e[0], 0 if e[1] == PICKUP else 1)) if pickup_first else \
-           (lambda e: (e[0], 0 if e[1] != PICKUP else 1))
     inventory = s
     lost_p = lost_r = 0
-    for _, kind in sorted(events.events, key=rank):
+    for _, kind in sorted(events.events):
         if kind == PICKUP:
             if inventory == 0:
                 lost_p += 1
@@ -135,21 +135,24 @@ def cumulative_error(pickup_actual, return_actual, pickup_pred, return_pred) -> 
     return float(np.abs(np.sum((mu - lam) - (mu_hat - lam_hat))))
 
 
-def benchmark(predictions: dict[str, list[RateSeries]], day_events: list[EventStream],
-              day_counts: list[DemandSeries], capacity: int,
+def benchmark(predictions: dict[str, list[RateSeries]], decisions: dict[str, list[int]],
+              day_events: list[EventStream], day_counts: list[DemandSeries], capacity: int,
               penalties: PenaltyConfig = PenaltyConfig()) -> BenchmarkResult:
-    """Score each model's forecasts by replayed inventory cost and CE.
+    """Score each model's decisions by replayed inventory cost, and its forecasts by CE.
 
-    ``predictions`` maps model name to one RateSeries per test day, aligned
-    with ``day_events`` and ``day_counts`` (realized per-interval counts,
-    used both for the perfect-information oracle and for CE). An ``oracle``
-    row is always included; its RPD is 0 by construction.
+    ``predictions`` maps model name to one RateSeries per test day and
+    ``decisions`` maps it to the starting inventory chosen from each of them,
+    both aligned with ``day_events`` and ``day_counts`` (realized per-interval
+    counts, used both for the perfect-information oracle and for CE). An
+    ``oracle`` row is always included; its RPD is 0 by construction.
     """
     n_days = len(day_events)
     for name, series_list in predictions.items():
         if len(series_list) != n_days:
             raise DataError(f"model {name!r} supplied {len(series_list)} forecasts "
                             f"for {n_days} days")
+        if len(decisions.get(name, ())) != n_days:
+            raise DataError(f"model {name!r} needs one decision for each of {n_days} days")
     if len(day_counts) != n_days:
         raise DataError("day_counts and day_events must align")
 
@@ -174,15 +177,15 @@ def benchmark(predictions: dict[str, list[RateSeries]], day_events: list[EventSt
         ces = np.zeros(n_days)
         for i, (events, counts) in enumerate(zip(day_events, day_counts)):
             rates = predictions[name][i]
-            curve = udf_curve(rates, capacity, penalties)
-            report = replay_cost(events, curve.s_star, capacity, penalties,
+            s_star = decisions[name][i]
+            report = replay_cost(events, s_star, capacity, penalties,
                                  day=counts.start.date())
             costs[i] = report.cost
             ces[i] = cumulative_error(counts.pickups, counts.returns,
                                       rates.pickup_rates, rates.return_rates)
             day_iso = counts.start.date().isoformat()
             rows.append({"station": counts.station, "date": day_iso, "model": name,
-                         "metric": "s_star", "value": curve.s_star})
+                         "metric": "s_star", "value": s_star})
             rows.append({"station": counts.station, "date": day_iso, "model": name,
                          "metric": "cost", "value": report.cost})
             rows.append({"station": counts.station, "date": day_iso, "model": name,
@@ -206,14 +209,6 @@ def rows_to_csv(rows: list[dict]) -> str:
         text = f"{value:.10g}" if isinstance(value, float) else str(value)
         writer.writerow([row["station"], row["date"], row["model"], row["metric"], text])
     return out.getvalue()
-
-
-def summaries_to_json(summaries: list[DecisionSummary]) -> str:
-    payload = [
-        {"model": s.model, "mean_cost": s.mean_cost, "rpd": s.rpd, "mean_ce": s.mean_ce}
-        for s in summaries
-    ]
-    return json.dumps(payload, indent=2)
 
 
 def summaries_to_csv(summaries: list[DecisionSummary]) -> str:

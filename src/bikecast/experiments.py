@@ -259,12 +259,19 @@ def _selected_path(config: RunConfig) -> str:
 
 
 def _model_path(config: RunConfig, sid: str, name: str) -> str:
-    ext = "json" if name in ("ha", "lr") else "ckpt"
-    return os.path.join(config.out_dir, "models", f"{sid}_{name}.{ext}")
+    return os.path.join(config.out_dir, "models", f"{sid}_{name}.json")
+
+
+def _checkpoint_path(config: RunConfig, sid: str, label: str) -> str:
+    return os.path.join(config.out_dir, "models", f"{sid}_{label.replace(':', '_')}.ckpt")
 
 
 def _forecast_path(config: RunConfig, sid: str, name: str) -> str:
     return os.path.join(config.out_dir, "forecasts", f"{sid}_{name}.csv")
+
+
+def _decisions_path(config: RunConfig, sid: str) -> str:
+    return os.path.join(config.out_dir, "decisions", f"{sid}.csv")
 
 
 def _load_capacities(config: RunConfig) -> dict[str, int]:
@@ -297,6 +304,16 @@ def _train_config(config: RunConfig) -> neural.TrainConfig:
     )
 
 
+# Each neural model is a list of nets, (label, targets). movprnn models both
+# processes jointly; prnn and vprnn fit one net per process. The label names
+# the net's checkpoint and its train and forecast seeds.
+NEURAL_NETS = {
+    "movprnn": [("movprnn", ("pickups", "returns"))],
+    "prnn": [("prnn:pickups", ("pickups",)), ("prnn:returns", ("returns",))],
+    "vprnn": [("vprnn:pickups", ("pickups",)), ("vprnn:returns", ("returns",))],
+}
+
+
 def stage_train(config: RunConfig) -> dict[str, dict]:
     """Fit every configured model per station and write model artifacts."""
     with _stage("train"):
@@ -308,54 +325,40 @@ def stage_train(config: RunConfig) -> dict[str, dict]:
             fitted[sid] = {}
             parts = split(data[sid].series)
             for name in sorted(config.models):
-                if name == "ha":
-                    model = classical.fit_ha(parts.train)
-                    _write(_model_path(config, sid, name),
-                           header + classical.model_to_json(model) + "\n")
-                elif name == "lr":
-                    model = classical.fit_lr(parts.train)
-                    _write(_model_path(config, sid, name),
-                           header + classical.model_to_json(model) + "\n")
-                elif name == "ma":
+                if name == "ma":
                     continue  # fitted per forecast day from the rolling window
-                elif name == "movprnn":
-                    model = neural.train(name, parts, train_cfg,
-                                         derive_seed(config.seed, f"train:{sid}:{name}"),
-                                         targets=("pickups", "returns"))
-                    neural.save_checkpoint(model, _model_path(config, sid, name))
+                if name in NEURAL_NETS:
+                    model = []
+                    for label, targets in NEURAL_NETS[name]:
+                        net = neural.train(name, parts, train_cfg,
+                                           derive_seed(config.seed, f"train:{sid}:{label}"),
+                                           targets=targets)
+                        neural.save_checkpoint(net, _checkpoint_path(config, sid, label))
+                        model.append(net)
                 else:
-                    model = {}
-                    for target in ("pickups", "returns"):
-                        m = neural.train(name, parts, train_cfg,
-                                         derive_seed(config.seed,
-                                                     f"train:{sid}:{name}:{target}"),
-                                         targets=(target,))
-                        neural.save_checkpoint(
-                            m, _model_path(config, sid, f"{name}_{target}"))
-                        model[target] = m
+                    model = getattr(classical, f"fit_{name}")(parts.train)
+                    _write(_model_path(config, sid, name),
+                           header + classical.model_to_json(model) + "\n")
                 fitted[sid][name] = model
         return fitted
 
 
 def load_models(config: RunConfig, stations: list[str]) -> dict[str, dict]:
+    """Read back what stage_train wrote; a neural model is the list of its nets."""
     fitted: dict[str, dict] = {}
     for sid in stations:
         fitted[sid] = {}
         for name in sorted(config.models):
             if name == "ma":
                 fitted[sid][name] = None
-            elif name in ("ha", "lr"):
+            elif name in NEURAL_NETS:
+                fitted[sid][name] = [
+                    neural.load_checkpoint(
+                        _require(_checkpoint_path(config, sid, label), "train"))
+                    for label, _ in NEURAL_NETS[name]]
+            else:
                 path = _require(_model_path(config, sid, name), "train")
                 fitted[sid][name] = classical.model_from_json(_read_commented(path))
-            elif name == "movprnn":
-                path = _require(_model_path(config, sid, name), "train")
-                fitted[sid][name] = neural.load_checkpoint(path)
-            else:
-                fitted[sid][name] = {
-                    target: neural.load_checkpoint(
-                        _require(_model_path(config, sid, f"{name}_{target}"), "train"))
-                    for target in ("pickups", "returns")
-                }
     return fitted
 
 
@@ -384,14 +387,6 @@ def stage_forecast(config: RunConfig) -> dict[str, dict[str, list[RateSeries]]]:
             series = data[sid].series
             test, days = _test_days(series)
             covariates = test.covariates.values.reshape(len(days), test.intervals_per_day, -1)
-
-            def neural_forecast(net, label):
-                # one call for the whole test split, one seed per day
-                return neural.predict_rates(
-                    net, covariates, n_samples=config.forecast_samples,
-                    seed=[derive_seed(config.seed, f"forecast:{sid}:{label}:{day}")
-                          for day in days])
-
             predictions[sid] = {}
             for name in sorted(config.models):
                 model = fitted[sid][name]
@@ -403,16 +398,19 @@ def stage_forecast(config: RunConfig) -> dict[str, dict[str, list[RateSeries]]]:
                 elif name == "lr":
                     rates = [model.predict_day(test.day(i).covariates, config.interval_minutes)
                              for i in range(len(days))]
-                elif name == "movprnn":
-                    fc = neural_forecast(model, name)
-                    rates = [fc.day(i).to_rate_series(config.interval_minutes)
-                             for i in range(len(days))]
                 else:
-                    fcs = {target: neural_forecast(model[target], f"{name}:{target}")
-                           for target in ("pickups", "returns")}
-                    rates = [neural.combine_forecasts(fcs["pickups"].day(i), fcs["returns"].day(i),
-                                                      config.interval_minutes)
-                             for i in range(len(days))]
+                    # one call per net for the whole test split, one seed per day;
+                    # the nets' process columns side by side give (days, steps, 2)
+                    stacked = np.concatenate([
+                        neural.predict_rates(
+                            net, covariates, n_samples=config.forecast_samples,
+                            seed=[derive_seed(config.seed, f"forecast:{sid}:{label}:{day}")
+                                  for day in days])
+                        for (label, _), net in zip(NEURAL_NETS[name], model)], axis=2)
+                    rates = [RateSeries(interval_minutes=config.interval_minutes,
+                                        pickup_rates=day_rates[:, 0],
+                                        return_rates=day_rates[:, 1])
+                             for day_rates in stacked]
                 predictions[sid][name] = rates
                 _write(_forecast_path(config, sid, name), _rate_series_csv(days, rates), header)
         return predictions
@@ -455,15 +453,34 @@ def stage_optimize(config: RunConfig) -> dict[str, dict[str, list[int]]]:
                     lines.append(f"{day.isoformat()},{name},{curve.s_star},"
                                  f"{curve.values[curve.s_star]:.12g}")
                 decisions[sid][name] = picks
-            _write(os.path.join(config.out_dir, "decisions", f"{sid}.csv"),
-                   "\n".join(lines) + "\n", header)
+            _write(_decisions_path(config, sid), "\n".join(lines) + "\n", header)
         return decisions
+
+
+def _load_decisions(config: RunConfig, sid: str, names: list[str],
+                    days: list[date]) -> dict[str, list[int]]:
+    """Each model's s* per day, as stage_optimize wrote them."""
+    path = _require(_decisions_path(config, sid), "optimize")
+    s_star: dict[tuple[str, str], int] = {}
+    for line in _read_commented(path).splitlines()[1:]:
+        day, name, s, _cost = line.split(",")
+        s_star[day, name] = int(s)
+    decisions: dict[str, list[int]] = {}
+    for name in names:
+        missing = [d for d in days if (d.isoformat(), name) not in s_star]
+        if missing:
+            raise DataError(f"{path} has no decision for {name} on {missing[0]}; "
+                            f"run the optimize stage again")
+        decisions[name] = [s_star[d.isoformat(), name] for d in days]
+    return decisions
 
 
 def stage_evaluate(config: RunConfig) -> tuple[list[DecisionSummary],
                                                dict[str, BenchmarkResult], list[dict]]:
-    """Benchmark every model's forecasts against replayed reality.
+    """Score every model's decisions and forecasts against replayed reality.
 
+    The decisions are the s* that stage_optimize wrote per station; they are
+    replayed, not solved again. The forecasts give CE and the point metrics.
     The replayed events are the ones stage_ingest kept per station; the trip
     file itself is not read again.
     """
@@ -489,11 +506,12 @@ def stage_evaluate(config: RunConfig) -> tuple[list[DecisionSummary],
                     raise DataError(f"forecast days for {sid}/{name} do not match the "
                                     f"test split")
                 predictions[name] = forecasts
+            decisions = _load_decisions(config, sid, sorted(predictions), days)
             day_counts = [test.day(i) for i in range(test.n_days)]
             events = events_from_csv(_require(_events_path(config, sid), "ingest"), sid)
             day_events = [events.slice_day(d) for d in days]
-            result = benchmark(predictions, day_events, day_counts, data[sid].capacity,
-                               penalties)
+            result = benchmark(predictions, decisions, day_events, day_counts,
+                               data[sid].capacity, penalties)
             per_station[sid] = result
             all_rows.extend(result.rows)
             for summary in result.summaries:

@@ -174,13 +174,6 @@ class DemandSeries:
             raise DataError(f"day index {day_index} outside [0, {self.n_days})")
         return self.rows(day_index * n, (day_index + 1) * n)
 
-    def day_starting(self, d: date) -> "DemandSeries":
-        offset = datetime.combine(d, time.min) - self.start
-        idx, rem = divmod(int(offset.total_seconds() // 60), 1440)
-        if rem != 0 or offset.total_seconds() < 0:
-            raise DataError(f"{d} is not a day boundary of this series")
-        return self.day(idx)
-
 
 @dataclass
 class DataSplit:

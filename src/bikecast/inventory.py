@@ -23,7 +23,6 @@ evaluation is exhaustive, so the argmin is exact given the UDF values.
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,16 +61,6 @@ class UdfCurve:
         for s, v in enumerate(self.values):
             out.write(f"{s},{v:.12g}\n")
         return out.getvalue()
-
-    def to_json(self, station: str | None = None, date: str | None = None) -> str:
-        return json.dumps(
-            {
-                "station": station,
-                "date": date,
-                "s_star": int(self.s_star),
-                "values": [float(v) for v in self.values],
-            }
-        )
 
 
 def udf(

@@ -37,7 +37,6 @@ from . import autodiff as ad
 from .autodiff import Var
 from .errors import ConfigError, DataError, FormatError, TrainingError
 from .ingest import DataSplit, DemandSeries
-from .queueing import RateSeries
 
 RATE_FLOOR = 1e-6
 SCALE_FLOOR = 1e-6
@@ -284,43 +283,6 @@ class NeuralModel:
                           self.params["norm/count_std"])
 
 
-@dataclass
-class Forecast:
-    """Per-interval expected counts with an optional predictive band."""
-
-    rates: np.ndarray
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-
-    def to_rate_series(self, interval_minutes: int) -> RateSeries:
-        if self.rates.shape[1] != 2:
-            raise DataError("need a 2-process forecast to form a RateSeries")
-        return RateSeries(
-            interval_minutes=interval_minutes,
-            pickup_rates=self.rates[:, 0].copy(),
-            return_rates=self.rates[:, 1].copy(),
-        )
-
-    def day(self, index: int) -> "Forecast":
-        """One day of a multi-day forecast, whose arrays are (days, steps, processes)."""
-        return Forecast(
-            rates=self.rates[index],
-            lower=None if self.lower is None else self.lower[index],
-            upper=None if self.upper is None else self.upper[index],
-        )
-
-
-def combine_forecasts(pickups: Forecast, returns: Forecast, interval_minutes: int) -> RateSeries:
-    """Pair two single-process forecasts into one RateSeries."""
-    if pickups.rates.shape[1] != 1 or returns.rates.shape[1] != 1:
-        raise DataError("combine_forecasts expects single-process forecasts")
-    return RateSeries(
-        interval_minutes=interval_minutes,
-        pickup_rates=pickups.rates[:, 0].copy(),
-        return_rates=returns.rates[:, 0].copy(),
-    )
-
-
 def day_arrays(series: DemandSeries, targets: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Reshape a series into (days, steps, processes) counts and (days, steps, width) covariates."""
     if series.covariates is None:
@@ -486,20 +448,19 @@ def train(kind: str, split: DataSplit, hyper: TrainConfig, seed: int,
 
 
 def predict_rates(model: NeuralModel, covariates: np.ndarray, n_samples: int = 100,
-                  seed: int | list[int] = 0) -> Forecast:
-    """Forecast days from covariates alone.
+                  seed: int | list[int] = 0) -> np.ndarray:
+    """Forecast per-interval expected counts from covariates alone.
 
     ``covariates`` holds one day, ``(steps, width)``, with an integer ``seed``,
-    or a stack of days, ``(days, steps, width)``, with one seed per day; the
-    forecast's arrays then gain the same leading day axis. The prior recurrent
-    state never sees counts, so day-of forecasts cannot leak the day's
-    observations, and it is the same for every draw: the prior network steps
-    once over all days, one row per day. The deterministic model returns its
-    transformed output directly. For latent-rate models the sample fan is
-    drawn only at the output, day d's noise being
-    ``default_rng(seed_d).standard_normal((steps, n_samples, processes))``,
-    and the forecast is the mean transformed prior draw per step with a
-    2.5%-97.5% sample band.
+    and the result is ``(steps, processes)``; or a stack of days,
+    ``(days, steps, width)``, with one seed per day, and the result is
+    ``(days, steps, processes)``. The prior recurrent state never sees counts,
+    so day-of forecasts cannot leak the day's observations, and it is the same
+    for every draw: the prior network steps once over all days, one row per
+    day. The deterministic model returns its transformed output directly. For
+    latent-rate models the sample fan is drawn only at the output, day d's
+    noise being ``default_rng(seed_d).standard_normal((steps, n_samples,
+    processes))``, and the forecast is the mean transformed prior draw per step.
     """
     covariates = np.asarray(covariates, dtype=float)
     single_day = covariates.ndim == 2
@@ -523,7 +484,6 @@ def predict_rates(model: NeuralModel, covariates: np.ndarray, n_samples: int = 1
 
     if model.kind == "prnn":
         rates = np.stack([positive_rate(out).value for out in outputs], axis=1)
-        forecast = Forecast(rates=rates)
     else:
         prior = [_split_head(out, model.processes) for out in outputs]
         mu0 = np.stack([m.value for m, _ in prior], axis=1)[:, :, None, :]
@@ -532,17 +492,8 @@ def predict_rates(model: NeuralModel, covariates: np.ndarray, n_samples: int = 1
             np.random.default_rng(s).standard_normal((n_steps, n_samples, model.processes))
             for s in seeds])
         draws = positive_rate(ad.gaussian_sample(ad.const(mu0), ad.const(sigma0), eps)).value
-        lower, upper = np.quantile(draws, [0.025, 0.975], axis=2)
-        forecast = Forecast(rates=draws.mean(axis=2), lower=lower, upper=upper)
-    return forecast.day(0) if single_day else forecast
-
-
-def predict_day(model: NeuralModel, series: DemandSeries, day_index: int,
-                n_samples: int = 100, seed: int = 0) -> Forecast:
-    day = series.day(day_index)
-    if day.covariates is None:
-        raise DataError("series has no covariates attached")
-    return predict_rates(model, day.covariates.values, n_samples=n_samples, seed=seed)
+        rates = draws.mean(axis=2)
+    return rates[0] if single_day else rates
 
 
 # -- marginal likelihood ----------------------------------------------------

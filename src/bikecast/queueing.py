@@ -6,6 +6,12 @@ non-homogeneous Poisson processes with piecewise-constant rates, one constant
 value per aggregation interval. Pickups at an empty station and returns at a
 full station are censored: the state does not move and the customer is lost.
 
+Piecewise-constant rates are an intended deviation from the paper, which
+models both rates as piecewise linear. Every forecaster here yields expected
+counts per interval, which carry no within-interval shape to interpolate,
+and with constant rates the interval operators are exact up to
+``TRUNCATION_TOLERANCE`` rather than up to a step size.
+
 The occupancy distribution ``p(s, sigma, t)`` (probability of holding ``sigma``
 bikes at time ``t`` given ``s`` at time 0) solves a linear ODE driven by the
 birth-death generator of the censored chain. Within an interval the generator

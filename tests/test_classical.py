@@ -278,20 +278,7 @@ def test_one_hot_blocks_drop_their_first_column():
     assert "temperature_c" in kept and "rain_probability" in kept
 
 
-# -- dispatch and serialization ----------------------------------------------
-
-
-def test_predict_dispatches_by_model_type():
-    profile = classical.SeasonalProfile(60, np.full((7, 24), 2.0), np.full((7, 24), 1.0))
-    rates = classical.predict(profile, date(2018, 5, 7), None, 60)
-    assert np.all(rates.pickup_rates == 2.0)
-
-    series = lr_fixture(lambda t, r: 1 + 0 * t)
-    model = classical.fit_lr(series)
-    with pytest.raises(DataError):
-        classical.predict(model, date(2018, 5, 7), None, 60)
-    with pytest.raises(TypeError):
-        classical.predict(object(), date(2018, 5, 7), None, 60)
+# -- serialization ----------------------------------------------
 
 
 def test_model_json_roundtrip():

@@ -134,6 +134,15 @@ def test_train_before_ingest_names_artifact(tmp_path, capsys, corpus):
     assert "stations_selected" in err and "ingest" in err
 
 
+def test_evaluate_before_optimize_names_stage(tmp_path, capsys, corpus):
+    path = write_config(tmp_path / "run.yaml", corpus, tmp_path / "out", stations=["7"])
+    for command in ("ingest", "train", "forecast"):
+        assert main([command, "--config", path]) == EXIT_OK
+    assert main(["evaluate", "--config", path]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "decisions" in err and "optimize" in err
+
+
 # -- numeric problems --------------------------------------------------------------
 
 

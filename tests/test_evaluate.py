@@ -1,6 +1,5 @@
 """Point metrics, event replay, RPD, cumulative error, benchmark assembly."""
 
-import json
 from datetime import date, datetime
 
 import numpy as np
@@ -74,13 +73,11 @@ def test_replay_empty_station_loses_first_pickup():
 
 
 def test_replay_pickup_first_tie_break():
-    # Simultaneous pickup+return at s=0: pickup-first loses the pickup,
-    # return-first serves both.
+    # Simultaneous pickup+return at s=0, listed return first: the pickup is
+    # replayed first and lost.
     ev = stream((8, 0, RETURN), (8, 0, PICKUP))
-    lost = evaluate.replay_cost(ev, s=0, capacity=5, pickup_first=True)
-    served = evaluate.replay_cost(ev, s=0, capacity=5, pickup_first=False)
+    lost = evaluate.replay_cost(ev, s=0, capacity=5)
     assert lost.lost_pickups == 1
-    assert served.lost_pickups == 0 and served.lost_returns == 0
 
 
 def test_replay_penalty_weights():
@@ -186,7 +183,7 @@ def one_day_fixture():
 
 def test_benchmark_includes_oracle_with_zero_rpd():
     counts, events, flat = one_day_fixture()
-    result = evaluate.benchmark({"flat": [flat]}, [events], [counts],
+    result = evaluate.benchmark({"flat": [flat]}, {"flat": [2]}, [events], [counts],
                                 capacity=4)
     by_model = {s.model: s for s in result.summaries}
     assert set(by_model) == {"oracle", "flat"}
@@ -201,20 +198,30 @@ def test_benchmark_includes_oracle_with_zero_rpd():
 
 def test_benchmark_rows_cover_every_day_and_model():
     counts, events, flat = one_day_fixture()
-    result = evaluate.benchmark({"flat": [flat]}, [events], [counts],
+    result = evaluate.benchmark({"flat": [flat]}, {"flat": [2]}, [events], [counts],
                                 capacity=4)
     kinds = {(r["model"], r["metric"]) for r in result.rows}
     assert ("oracle", "s_star") in kinds and ("oracle", "cost") in kinds
     assert ("flat", "s_star") in kinds and ("flat", "ce") in kinds
     assert all(r["date"] == DAY.isoformat() for r in result.rows)
+    # the decision is replayed as given, not solved again from the forecast
+    flat_rows = {r["metric"]: r["value"] for r in result.rows if r["model"] == "flat"}
+    assert flat_rows["s_star"] == 2
+    assert flat_rows["cost"] == evaluate.replay_cost(events, 2, 4).cost
 
 
 def test_benchmark_validates_alignment():
     counts, events, flat = one_day_fixture()
     with pytest.raises(DataError):
-        evaluate.benchmark({"flat": [flat, flat]}, [events], [counts], capacity=4)
+        evaluate.benchmark({"flat": [flat, flat]}, {"flat": [2, 2]}, [events], [counts],
+                           capacity=4)
     with pytest.raises(DataError):
-        evaluate.benchmark({"flat": [flat]}, [events], [], capacity=4)
+        evaluate.benchmark({"flat": [flat]}, {"flat": [2]}, [events], [], capacity=4)
+    with pytest.raises(DataError):
+        evaluate.benchmark({"flat": [flat]}, {}, [events], [counts], capacity=4)
+    with pytest.raises(DataError):
+        evaluate.benchmark({"flat": [flat]}, {"flat": [2, 2]}, [events], [counts],
+                           capacity=4)
 
 
 def test_rows_to_csv_layout():
@@ -228,8 +235,3 @@ def test_rows_to_csv_layout():
     assert lines[1] == "S,2018-11-05,m,cost,1.5"
     assert lines[2] == "S,2018-11-05,m,s_star,3"
 
-
-def test_summaries_to_json_roundtrip():
-    summaries = [evaluate.DecisionSummary(model="m", mean_cost=2.5, rpd=0.25, mean_ce=1.0)]
-    payload = json.loads(evaluate.summaries_to_json(summaries))
-    assert payload == [{"model": "m", "mean_cost": 2.5, "rpd": 0.25, "mean_ce": 1.0}]

@@ -2,15 +2,17 @@
 
 import os
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bikecast import experiments, synthetic
-from bikecast.config import RunConfig
+from bikecast import experiments, neural, synthetic
+from bikecast.config import RunConfig, derive_seed
 from bikecast.errors import DataError, StageError
+from bikecast.evaluate import replay_cost
 from bikecast.experiments import BIAS_KINDS, BiasSpec, apply_bias, bias_study
-from bikecast.ingest import PICKUP, RETURN, DemandSeries, EventStream
+from bikecast.ingest import PICKUP, RETURN, DemandSeries, EventStream, events_from_csv, split
 from bikecast.queueing import RateSeries
 
 
@@ -296,6 +298,22 @@ def test_neural_models_run_through_pipeline(tmp_path):
                  "7_vprnn_returns", "7_movprnn"):
         assert os.path.exists(os.path.join(config.out_dir, "models", f"{name}.ckpt")), name
     experiments.stage_forecast(config)
+    # each written column is its net's forecast under the seeds of the net's label
+    test = split(experiments.load_ingested(config)["7"].series).test
+    for name, checkpoint, label, columns in (
+            ("prnn", "7_prnn_pickups", "prnn:pickups", [0]),
+            ("vprnn", "7_vprnn_returns", "vprnn:returns", [1]),
+            ("movprnn", "7_movprnn", "movprnn", [0, 1])):
+        days, forecasts = experiments.load_forecasts(config, "7", name, 60)
+        net = neural.load_checkpoint(
+            os.path.join(config.out_dir, "models", f"{checkpoint}.ckpt"))
+        expected = neural.predict_rates(
+            net, test.covariates.values.reshape(len(days), test.intervals_per_day, -1),
+            n_samples=config.forecast_samples,
+            seed=[derive_seed(config.seed, f"forecast:7:{label}:{day}") for day in days])
+        written = np.array([np.stack([r.pickup_rates, r.return_rates], axis=1)
+                            for r in forecasts])
+        np.testing.assert_allclose(written[:, :, columns], expected, rtol=1e-9, atol=0.0)
     decisions = experiments.stage_optimize(config)
     assert sorted(decisions["7"]) == ["movprnn", "prnn", "vprnn"]
     overall, _, _ = experiments.stage_evaluate(config)
@@ -345,3 +363,43 @@ def test_evaluate_without_kept_events_names_ingest(tmp_path):
     assert isinstance(err.value.__cause__, DataError)
     assert "events_7.csv" in str(err.value)
     assert "run the ingest stage first" in str(err.value)
+
+
+def test_evaluate_replays_the_decisions_that_optimize_wrote(tmp_path):
+    config, _ = staged_run(tmp_path)
+    day = "2018-11-07"
+    path = Path(config.out_dir, "decisions", "7.csv")
+    lines = path.read_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(f"{day},ha,"))
+    _, _, s_star, cost = lines[i].split(",")
+    edited = 0 if int(s_star) > 0 else 20
+    lines[i] = f"{day},ha,{edited},{cost}"
+    path.write_text("\n".join(lines) + "\n")
+    experiments.stage_evaluate(config)
+    with open(os.path.join(config.out_dir, "reports", "metrics.csv")) as fh:
+        rows = [ln.split(",") for ln in fh.read().splitlines() if not ln.startswith("#")]
+    reported = {r[3]: r[4] for r in rows if r[1] == day and r[2] == "ha"}
+    assert reported["s_star"] == str(edited)
+    events = events_from_csv(os.path.join(config.out_dir, "demand", "events_7.csv"), "7")
+    cost = replay_cost(events.slice_day(date.fromisoformat(day)), edited, 20).cost
+    assert float(reported["cost"]) == cost
+
+
+def test_evaluate_without_decisions_names_optimize(tmp_path):
+    config, _ = staged_run(tmp_path)
+    os.remove(os.path.join(config.out_dir, "decisions", "7.csv"))
+    with pytest.raises(StageError) as err:
+        experiments.stage_evaluate(config)
+    assert isinstance(err.value.__cause__, DataError)
+    assert "run the optimize stage first" in str(err.value)
+
+
+def test_evaluate_rejects_decisions_missing_a_test_day(tmp_path):
+    config, _ = staged_run(tmp_path)
+    path = Path(config.out_dir, "decisions", "7.csv")
+    kept = [ln for ln in path.read_text().splitlines() if not ln.startswith("2018-12-31,")]
+    path.write_text("\n".join(kept) + "\n")
+    with pytest.raises(StageError) as err:
+        experiments.stage_evaluate(config)
+    assert isinstance(err.value.__cause__, DataError)
+    assert "2018-12-31" in str(err.value) and "ha" in str(err.value)

@@ -42,6 +42,10 @@ def tiny_model(kind="vprnn", hidden=4, input_width=3, processes=1, seed=0):
     )
 
 
+def first_day_covariates(split):
+    return split.test.day(0).covariates.values
+
+
 def test_init_params_layout():
     params = init_params("vprnn", input_width=5, hidden_width=8, processes=2, seed=1)
     assert params["prior_rnn/Wxz"].shape == (5, 8)
@@ -222,31 +226,18 @@ def test_movprnn_trains_both_processes():
     hyper = TrainConfig(hidden_width=5, max_epochs=4, patience=2, batch_days=8)
     model = neural.train("movprnn", split, hyper, seed=1, targets=("pickups", "returns"))
     assert model.processes == 2
-    forecast = neural.predict_day(model, split.test, 0, n_samples=20, seed=0)
-    assert forecast.rates.shape[1] == 2
-    series = forecast.to_rate_series(60)
-    assert len(series) == split.test.intervals_per_day
+    rates = neural.predict_rates(model, first_day_covariates(split), n_samples=20, seed=0)
+    assert rates.shape == (split.test.intervals_per_day, 2)
 
 
-def test_predictions_are_deterministic_and_banded():
+def test_predictions_are_deterministic():
     split, _, _ = sinusoidal_split(n_days=16, seed=4, mean_rate=4.0, amplitude=1.0)
     hyper = TrainConfig(hidden_width=5, max_epochs=3, patience=2, batch_days=8)
     model = neural.train("vprnn", split, hyper, seed=2, targets=("pickups",))
-    f1 = neural.predict_day(model, split.test, 0, n_samples=40, seed=9)
-    f2 = neural.predict_day(model, split.test, 0, n_samples=40, seed=9)
-    np.testing.assert_array_equal(f1.rates, f2.rates)
-    assert np.all(f1.lower <= f1.rates + 1e-12)
-    assert np.all(f1.rates <= f1.upper + 1e-12)
-    assert np.all(f1.lower >= 0.0)
-
-
-def test_prnn_forecast_has_no_band():
-    split, _, _ = sinusoidal_split(n_days=16, seed=5, mean_rate=4.0, amplitude=1.0)
-    hyper = TrainConfig(hidden_width=5, max_epochs=3, patience=2, batch_days=8)
-    model = neural.train("prnn", split, hyper, seed=2, targets=("pickups",))
-    f = neural.predict_day(model, split.test, 0)
-    assert f.lower is None and f.upper is None
-    assert np.all(f.rates > 0.0)
+    f1 = neural.predict_rates(model, first_day_covariates(split), n_samples=40, seed=9)
+    f2 = neural.predict_rates(model, first_day_covariates(split), n_samples=40, seed=9)
+    np.testing.assert_array_equal(f1, f2)
+    assert np.all(f1 > 0.0)
 
 
 def test_is_log_likelihood_rejects_point_models():
@@ -291,18 +282,6 @@ def test_day_arrays_shapes_and_target_validation():
         day_arrays(split.train, ("dropoffs",))
 
 
-def test_combine_forecasts_requires_single_process_inputs():
-    one = neural.Forecast(rates=np.ones((4, 1)))
-    two = neural.Forecast(rates=np.ones((4, 2)))
-    series = neural.combine_forecasts(one, neural.Forecast(rates=np.full((4, 1), 2.0)), 60)
-    np.testing.assert_allclose(series.pickup_rates, 1.0)
-    np.testing.assert_allclose(series.return_rates, 2.0)
-    with pytest.raises(DataError):
-        neural.combine_forecasts(two, one, 60)
-    with pytest.raises(DataError):
-        one.to_rate_series(60)
-
-
 def test_checkpoint_roundtrip(tmp_path):
     split, _, _ = sinusoidal_split(n_days=12, seed=7, mean_rate=3.0, amplitude=1.0)
     hyper = TrainConfig(hidden_width=5, max_epochs=2, patience=2, batch_days=8)
@@ -316,9 +295,9 @@ def test_checkpoint_roundtrip(tmp_path):
     assert sorted(loaded.params) == sorted(model.params)
     for key in model.params:
         np.testing.assert_array_equal(loaded.params[key], model.params[key])
-    f_orig = neural.predict_day(model, split.test, 0, n_samples=10, seed=1)
-    f_load = neural.predict_day(loaded, split.test, 0, n_samples=10, seed=1)
-    np.testing.assert_array_equal(f_orig.rates, f_load.rates)
+    f_orig = neural.predict_rates(model, first_day_covariates(split), n_samples=10, seed=1)
+    f_load = neural.predict_rates(loaded, first_day_covariates(split), n_samples=10, seed=1)
+    np.testing.assert_array_equal(f_orig, f_load)
 
 
 def test_checkpoint_rejects_corrupt_files(tmp_path):
@@ -350,15 +329,6 @@ def test_all_kinds_roundtrip_headers(kind, tmp_path):
 FORECAST_KINDS = [("prnn", 1), ("vprnn", 1), ("movprnn", 2)]
 
 
-def assert_forecasts_close(a, b):
-    np.testing.assert_allclose(a.rates, b.rates, rtol=1e-12, atol=0.0)
-    for band_a, band_b in ((a.lower, b.lower), (a.upper, b.upper)):
-        if band_b is None:
-            assert band_a is None
-        else:
-            np.testing.assert_allclose(band_a, band_b, rtol=1e-12, atol=0.0)
-
-
 def forecast_inputs():
     rng = np.random.default_rng(5)
     return rng.normal(size=(4, 6, 3)), [101, 202, 303, 404]
@@ -369,11 +339,11 @@ def test_multi_day_forecast_matches_single_day_calls(kind, processes):
     model = tiny_model(kind, processes=processes, seed=3)
     cov, seeds = forecast_inputs()
     batch = neural.predict_rates(model, cov, n_samples=30, seed=seeds)
-    assert batch.rates.shape == (4, 6, processes)
+    assert batch.shape == (4, 6, processes)
     for d in range(4):
         single = neural.predict_rates(model, cov[d], n_samples=30, seed=seeds[d])
-        assert single.rates.shape == (6, processes)
-        assert_forecasts_close(batch.day(d), single)
+        assert single.shape == (6, processes)
+        np.testing.assert_allclose(batch[d], single, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kind,processes", FORECAST_KINDS)
@@ -382,8 +352,8 @@ def test_day_forecast_does_not_depend_on_other_days_in_the_call(kind, processes)
     cov, seeds = forecast_inputs()
     full = neural.predict_rates(model, cov, n_samples=30, seed=seeds)
     subset = neural.predict_rates(model, cov[[2, 0]], n_samples=30, seed=[seeds[2], seeds[0]])
-    assert_forecasts_close(subset.day(0), full.day(2))
-    assert_forecasts_close(subset.day(1), full.day(0))
+    np.testing.assert_allclose(subset[0], full[2], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(subset[1], full[0], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kind,processes", FORECAST_KINDS)
@@ -416,8 +386,4 @@ def test_latent_forecast_draws_per_step_noise_from_the_day_seed():
         mean_, scale = out[:2], np.logaddexp(0.0, out[2:]) + neural.SCALE_FLOOR
         eps = rng.standard_normal((n_samples, 2))
         draws = np.logaddexp(0.0, mean_ + scale * eps) + neural.RATE_FLOOR
-        np.testing.assert_allclose(forecast.rates[t], draws.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(forecast.lower[t], np.quantile(draws, 0.025, axis=0),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(forecast.upper[t], np.quantile(draws, 0.975, axis=0),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(forecast[t], draws.mean(axis=0), rtol=1e-12)
