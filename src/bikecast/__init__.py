@@ -6,6 +6,9 @@ side (a finite-capacity double-ended queue whose transient solution prices a
 day's lost pickups and returns as a function of the starting inventory),
 joined by evaluation tools that measure how forecast quality translates into
 decision quality.
+
+The runtime needs only numpy and PyYAML. scipy, in the ``dev`` extra, serves
+the test oracles, such as :func:`.queueing.matrix_exponential_oracle`.
 """
 
 from .errors import (
@@ -19,14 +22,7 @@ from .errors import (
     TrainingError,
 )
 from .inventory import PenaltyConfig, UdfCurve, oracle_decision, udf, udf_curve
-from .queueing import (
-    ProbabilityTrajectory,
-    RateSeries,
-    adjoint_interval,
-    generator_matrix,
-    matrix_exponential_oracle,
-    monte_carlo_oracle,
-)
+from .queueing import RateSeries, adjoint_interval, generator_matrix
 
 __version__ = "0.1.0"
 
@@ -44,11 +40,8 @@ __all__ = [
     "oracle_decision",
     "udf",
     "udf_curve",
-    "ProbabilityTrajectory",
     "RateSeries",
     "adjoint_interval",
     "generator_matrix",
-    "matrix_exponential_oracle",
-    "monte_carlo_oracle",
     "__version__",
 ]

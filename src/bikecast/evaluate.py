@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
@@ -29,14 +28,11 @@ class PredictionReport:
     rmse: float
     mae: float
     r_squared: float | None
-    log_likelihood: float | None = None
 
 
 @dataclass
 class LostSalesReport:
     station: str
-    day: date | None
-    starting_inventory: int
     lost_pickups: int
     lost_returns: int
     cost: float
@@ -56,8 +52,7 @@ class BenchmarkResult:
     rows: list[dict]
 
 
-def point_metrics(actual: np.ndarray, predicted: np.ndarray,
-                  log_likelihood: float | None = None) -> PredictionReport:
+def point_metrics(actual: np.ndarray, predicted: np.ndarray) -> PredictionReport:
     """RMSE, MAE and coefficient of determination of a point forecast.
 
     R² uses total variation about the actuals' own mean; a constant actual
@@ -74,12 +69,11 @@ def point_metrics(actual: np.ndarray, predicted: np.ndarray,
     mae = float(np.mean(np.abs(err)))
     sst = float(np.sum((actual - actual.mean()) ** 2))
     r2 = None if sst == 0 else 1.0 - float(np.sum(err ** 2)) / sst
-    return PredictionReport(rmse=rmse, mae=mae, r_squared=r2, log_likelihood=log_likelihood)
+    return PredictionReport(rmse=rmse, mae=mae, r_squared=r2)
 
 
 def replay_cost(events: EventStream, s: int, capacity: int,
-                penalties: PenaltyConfig = PenaltyConfig(),
-                day: date | None = None) -> LostSalesReport:
+                penalties: PenaltyConfig = PenaltyConfig()) -> LostSalesReport:
     """Replay one day's events against a starting inventory and count shortages.
 
     A pickup at an empty station is lost; a return at a full station is lost;
@@ -103,8 +97,6 @@ def replay_cost(events: EventStream, s: int, capacity: int,
                 inventory += 1
     return LostSalesReport(
         station=events.station,
-        day=day,
-        starting_inventory=s,
         lost_pickups=lost_p,
         lost_returns=lost_r,
         cost=penalties.lost_pickup * lost_p + penalties.lost_return * lost_r,
@@ -160,8 +152,7 @@ def benchmark(predictions: dict[str, list[RateSeries]], decisions: dict[str, lis
     oracle_costs = np.zeros(n_days)
     for i, (events, counts) in enumerate(zip(day_events, day_counts)):
         curve = oracle_decision(counts, capacity, penalties)
-        report = replay_cost(events, curve.s_star, capacity, penalties,
-                             day=counts.start.date())
+        report = replay_cost(events, curve.s_star, capacity, penalties)
         oracle_costs[i] = report.cost
         rows.append({"station": counts.station, "date": counts.start.date().isoformat(),
                      "model": "oracle", "metric": "s_star", "value": curve.s_star})
@@ -178,8 +169,7 @@ def benchmark(predictions: dict[str, list[RateSeries]], decisions: dict[str, lis
         for i, (events, counts) in enumerate(zip(day_events, day_counts)):
             rates = predictions[name][i]
             s_star = decisions[name][i]
-            report = replay_cost(events, s_star, capacity, penalties,
-                                 day=counts.start.date())
+            report = replay_cost(events, s_star, capacity, penalties)
             costs[i] = report.cost
             ces[i] = cumulative_error(counts.pickups, counts.returns,
                                       rates.pickup_rates, rates.return_rates)

@@ -220,7 +220,7 @@ def stage_ingest(config: RunConfig) -> dict[str, StationData]:
         missing = [s for s in selected if s not in capacities]
         if missing:
             raise DataError(f"stations without metadata: {missing}")
-        streams = to_event_streams(trips)
+        streams = to_event_streams(trips, selected)
         weather = parse_weather(_require_input(config.weather_path))
         day_range = (config.start_date, config.end_date)
         covariates = build_covariates(weather, day_range, config.interval_minutes)

@@ -6,10 +6,10 @@ turns raw trip and weather files into that shape.
 
 A trip file is read once, in one pass, into a columnar :class:`TripTable`
 (start time, end time, start station, end station). The table becomes one
-sorted :class:`EventStream` per station; the stream feeds the interval counts
-and, written with :func:`events_to_csv` as ``demand/events_<sid>.csv``, the
-replay that scores each day's decision, so the trip file is never parsed
-again after ingest.
+sorted :class:`EventStream` per selected station; the stream feeds the
+interval counts and, written with :func:`events_to_csv` as
+``demand/events_<sid>.csv``, the replay that scores each day's decision, so
+the trip file is never parsed again after ingest.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -27,6 +27,7 @@ import math
 import os
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta
@@ -229,18 +230,13 @@ def _open_text(source):
         yield source
 
 
-def parse_trips(
-    source,
-    station_filter: set[str] | None = None,
-    columns: TripColumns = TripColumns(),
-) -> TripTable:
-    """Read a trip CSV into a :class:`TripTable`, keeping rows touching the filter.
+def parse_trips(source, columns: TripColumns = TripColumns()) -> TripTable:
+    """Read a trip CSV into a :class:`TripTable`.
 
     ``source`` may be a path, raw bytes or an open stream. Rows are read by
     column index in one pass; no per-row object is built beyond the kept
-    values. Rows whose start or end station falls outside ``station_filter``
-    (when given) are skipped; malformed rows are never skipped silently but
-    raise :class:`RowError` with the offending line number.
+    values. Malformed rows are never skipped silently but raise
+    :class:`RowError` with the offending line number.
     """
     with _open_text(source) as stream:
         reader = csv.reader(stream)
@@ -266,10 +262,6 @@ def parse_trips(
             end_station = row[i_s1].strip()
             if not start_station or not end_station:
                 raise RowError(line, "empty station id")
-            if station_filter is not None and not (
-                start_station in station_filter or end_station in station_filter
-            ):
-                continue
             start_time = _parse_timestamp(row[i_t0], line)
             end_time = _parse_timestamp(row[i_t1], line)
             if end_time < start_time:
@@ -281,23 +273,27 @@ def parse_trips(
     return TripTable(start_times, end_times, start_stations, end_stations)
 
 
-def to_event_streams(trips: TripTable) -> dict[str, EventStream]:
-    """Explode trips into per-station pickup/return event streams.
+def to_event_streams(trips: TripTable, stations: Iterable[str]) -> dict[str, EventStream]:
+    """Explode trips into pickup/return event streams for the given stations.
 
     Each trip contributes a pickup at its start station and a return at its
-    end station. Streams come back time-sorted with pickups ordered before
-    returns at identical timestamps, keyed by station id in sorted order.
+    end station; events at other stations are never built. Streams come back
+    time-sorted with pickups ordered before returns at identical timestamps,
+    keyed by station id in sorted order. A station with no events gets no
+    stream.
     """
-    events: dict[str, list[tuple[datetime, str]]] = {}
-    for kind, times, stations in ((PICKUP, trips.start_times, trips.start_stations),
-                                  (RETURN, trips.end_times, trips.end_stations)):
-        for ts, station in zip(times, stations):
-            events.setdefault(station, []).append((ts, kind))
+    events: dict[str, list[tuple[datetime, str]]] = {sid: [] for sid in sorted(set(stations))}
+    for kind, times, where in ((PICKUP, trips.start_times, trips.start_stations),
+                               (RETURN, trips.end_times, trips.end_stations)):
+        for ts, station in zip(times, where):
+            if station in events:
+                events[station].append((ts, kind))
     streams = {}
-    for station in sorted(events):
-        stream = EventStream(station=station, events=events[station])
-        stream.sort()
-        streams[station] = stream
+    for station, found in events.items():
+        if found:
+            stream = EventStream(station=station, events=found)
+            stream.sort()
+            streams[station] = stream
     return streams
 
 

@@ -22,7 +22,6 @@ evaluation is exhaustive, so the argmin is exact given the UDF values.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +53,6 @@ class UdfCurve:
     capacity: int
     values: np.ndarray
     s_star: int
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("s,udf_value\n")
-        for s, v in enumerate(self.values):
-            out.write(f"{s},{v:.12g}\n")
-        return out.getvalue()
 
 
 def udf(

@@ -31,12 +31,12 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import autodiff as ad
 from .autodiff import Var
 from .errors import ConfigError, DataError, FormatError, TrainingError
 from .ingest import DataSplit, DemandSeries
+from .queueing import log_factorial
 
 RATE_FLOOR = 1e-6
 SCALE_FLOOR = 1e-6
@@ -150,7 +150,7 @@ def poisson_nll(rate: Var, counts: np.ndarray) -> Var:
     """-log Pois(counts | rate), summed over all entries; log-factorial included."""
     x = np.asarray(counts, dtype=float)
     ll = ad.sub(ad.mul(ad.const(x), ad.log(rate)), rate)
-    return ad.sub(ad.const(gammaln(x + 1.0).sum()), ll.sum())
+    return ad.sub(ad.const(log_factorial(x).sum()), ll.sum())
 
 
 def gaussian_kl(mean_q: Var, scale_q: Var, mean_p: Var, scale_p: Var) -> Var:
@@ -167,15 +167,6 @@ def gaussian_kl(mean_q: Var, scale_q: Var, mean_p: Var, scale_p: Var) -> Var:
 
 def _reciprocal(x: Var) -> Var:
     return ad.exp(ad.mul(ad.const(-1.0), ad.log(x)))
-
-
-def _gaussian_logpdf(x: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    z = (x - mean) / scale
-    return -0.5 * z * z - np.log(scale) - 0.5 * np.log(2.0 * np.pi)
-
-
-def _poisson_logpmf(x: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    return x * np.log(rate) - rate - gammaln(x + 1.0)
 
 
 # -- losses ---------------------------------------------------------------
@@ -277,10 +268,6 @@ class NeuralModel:
 
     def normalize_covariates(self, raw: np.ndarray) -> np.ndarray:
         return _normalize(raw, self.params["norm/cov_mean"], self.params["norm/cov_std"])
-
-    def normalize_counts(self, raw: np.ndarray) -> np.ndarray:
-        return _normalize(raw.astype(float), self.params["norm/count_mean"],
-                          self.params["norm/count_std"])
 
 
 def day_arrays(series: DemandSeries, targets: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -494,66 +481,6 @@ def predict_rates(model: NeuralModel, covariates: np.ndarray, n_samples: int = 1
         draws = positive_rate(ad.gaussian_sample(ad.const(mu0), ad.const(sigma0), eps)).value
         rates = draws.mean(axis=2)
     return rates[0] if single_day else rates
-
-
-# -- marginal likelihood ----------------------------------------------------
-
-
-def is_log_likelihood(model: NeuralModel, counts: np.ndarray, covariates: np.ndarray,
-                      n_samples: int = 30, seed: int = 0) -> float:
-    """Importance-sampled marginal log-likelihood of one (T, P) count sequence.
-
-    Per step: draw posterior rates, weight by prior x likelihood / posterior,
-    log-mean-exp the weights, and sum over steps. Stabilized by subtracting
-    the max log-weight before exponentiation.
-    """
-    if model.kind == "prnn":
-        raise ConfigError("importance sampling applies to latent-rate models")
-    counts = np.asarray(counts, dtype=float)
-    if counts.ndim != 2:
-        raise DataError("counts must be (steps, processes)")
-    n_steps, processes = counts.shape
-    cov_n = model.normalize_covariates(covariates)
-    cond = model.normalize_counts(counts)
-    rng = np.random.default_rng(seed)
-    p = _as_vars(model.params)
-
-    h_p = p["prior_rnn/h0"]
-    h_q, c_q = p["inf_rnn/h0"], p["inf_rnn/c0"]
-    total = 0.0
-    for t in range(n_steps):
-        u = ad.const(cov_n[t:t + 1])
-        h_p = gru_step(p, "prior_rnn", h_p, u)
-        mu0, sigma0 = _split_head(head(p, "prior_head", h_p), processes)
-        h_q, c_q = lstm_step(p, "inf_rnn", h_q, c_q,
-                             ad.const(np.concatenate([cov_n[t:t + 1], cond[t:t + 1]], axis=1)))
-        mu_q, sigma_q = _split_head(head(p, "inf_head", h_q), processes)
-
-        m0, s0 = mu0.value[0], sigma0.value[0]
-        mq, sq = mu_q.value[0], sigma_q.value[0]
-        lam = mq + sq * rng.standard_normal((n_samples, processes))
-        rate = np.logaddexp(0.0, lam) + RATE_FLOOR
-        log_w = (
-            _poisson_logpmf(counts[t], rate).sum(axis=1)
-            + _gaussian_logpdf(lam, m0, s0).sum(axis=1)
-            - _gaussian_logpdf(lam, mq, sq).sum(axis=1)
-        )
-        m = log_w.max()
-        total += m + np.log(np.mean(np.exp(log_w - m)))
-    return float(total)
-
-
-def elbo_value(model: NeuralModel, counts: np.ndarray, covariates: np.ndarray,
-               n_samples: int = 1, seed: int = 0) -> float:
-    """Monte Carlo ELBO of one (T, P) sequence, for bound comparisons."""
-    counts = np.asarray(counts)
-    cov_n = model.normalize_covariates(covariates)
-    cond = model.normalize_counts(counts)
-    rng = np.random.default_rng(seed)
-    p = _as_vars(model.params)
-    value = vprnn_elbo(p, counts[None, :, :], cov_n[None, :, :], n_samples, rng,
-                       cond[None, :, :])
-    return float(value.value)
 
 
 # -- serialization -----------------------------------------------------------

@@ -27,7 +27,8 @@ is constant, so the exact interval operators follow from uniformization
 Two independent routes remain as test oracles:
 
 * :func:`matrix_exponential_oracle` -- per-interval ``expm`` products, exact
-  to machine precision;
+  to machine precision. It imports ``scipy.linalg`` when called, so it needs
+  scipy from the ``dev`` extra; nothing else in the package does;
 * :func:`monte_carlo_oracle` -- path simulation, a statistical cross-check
   that also yields per-path lost-customer counts.
 
@@ -37,12 +38,10 @@ converted to hourly rates by dividing by the interval length.
 
 from __future__ import annotations
 
-import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -52,6 +51,30 @@ TRUNCATION_TOLERANCE = 1e-12
 # Most Poisson weights one interval may use. A window this long means about
 # 1e5 expected events in one interval, far beyond any station's demand.
 _MAX_TERMS = 200_000
+
+# _LOG_FACTORIALS[k] = log k!, grown on demand by log_factorial.
+_LOG_FACTORIALS = np.zeros(1)
+
+
+def log_factorial(k):
+    """``log k!`` for a non-negative integer ``k``, or an array of them.
+
+    Values are read from a cached table whose entries are each
+    ``math.lgamma(i + 1)``, so the error of one entry does not depend on the
+    others, as it would in a running sum of ``log i``. The table grows, at
+    least doubling, when a larger ``k`` is asked for.
+    """
+    global _LOG_FACTORIALS
+    n = np.asarray(k)
+    if not np.all(np.isfinite(n) & (n >= 0) & (n == np.floor(n))):
+        raise DomainError("log_factorial needs non-negative integers")
+    index = n.astype(np.intp)
+    have = len(_LOG_FACTORIALS)
+    top = int(index.max(initial=0))
+    if top >= have:
+        grown = [math.lgamma(i + 1.0) for i in range(have, max(top + 1, 2 * have))]
+        _LOG_FACTORIALS = np.concatenate([_LOG_FACTORIALS, grown])
+    return _LOG_FACTORIALS[index]
 
 
 @dataclass(frozen=True)
@@ -92,11 +115,6 @@ class RateSeries:
     def interval_hours(self) -> float:
         return self.interval_minutes / 60.0
 
-    @property
-    def horizon_hours(self) -> float:
-        """End of the observation period in hours."""
-        return len(self) * self.interval_hours
-
     def hourly(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-hour (pickup, return) rates for each interval."""
         return self.pickup_rates / self.interval_hours, self.return_rates / self.interval_hours
@@ -114,15 +132,6 @@ class ProbabilityTrajectory:
     start: int
     grid: np.ndarray
     probs: np.ndarray
-
-    def to_csv(self) -> str:
-        """Long-format dump (t, sigma, probability) for debugging."""
-        out = io.StringIO()
-        out.write("t_hours,sigma,probability\n")
-        for k, t in enumerate(self.grid):
-            for sigma in range(self.capacity + 1):
-                out.write(f"{t:.10g},{sigma},{self.probs[k, sigma]:.12g}\n")
-        return out.getvalue()
 
 
 def generator_matrix(pickup_per_hour: float, return_per_hour: float, capacity: int) -> np.ndarray:
@@ -187,7 +196,7 @@ def adjoint_interval(
         raise DomainError(f"uniformization needs more than {_MAX_TERMS} terms "
                           f"for {mean:.6g} expected events in one interval")
     k = np.arange(int(top) + 1)
-    pmf = np.exp(k * np.log(mean) - mean - gammaln(k + 1.0))
+    pmf = np.exp(k * np.log(mean) - mean - log_factorial(k))
     beyond = pmf[-1] * mean / (k[-1] + 1.0 - mean)  # bounds P(N > k[-1])
     tail = np.empty(len(k))  # tail[k] = P(N > k)
     tail[:-1] = np.cumsum(pmf[:0:-1])[::-1] + beyond
@@ -234,6 +243,8 @@ def matrix_exponential_oracle(rates: RateSeries, start: int, capacity: int) -> P
     precision and independent of the uniformization path.
     """
     _check_start(start, capacity)
+    from scipy.linalg import expm  # a test oracle: scipy is a dev dependency
+
     mu_h, lam_h = rates.hourly()
     dt = rates.interval_hours
 

@@ -214,10 +214,15 @@ def run_console_script(args, cwd):
         target = tomllib.load(fh)["project"]["scripts"]["bikecast"]
     module, func = target.split(":")
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
+    return run_python(wrapper, args, cwd)
+
+
+def run_python(code, args, cwd):
+    """Run ``python -c code`` in a fresh process, with this checkout's ``src`` first."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", wrapper, *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
                           capture_output=True, text=True)
 
 
@@ -232,3 +237,12 @@ def test_installed_entry_point_runs(tmp_path, corpus):
     proc = run_console_script(["ingest", "--config", missing], cwd=tmp_path)
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert missing in proc.stderr
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # the runtime needs only numpy and PyYAML; scipy serves the test oracles
+    probe = ("import sys, bikecast.cli; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = run_python(probe, [], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

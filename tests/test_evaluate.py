@@ -43,7 +43,6 @@ def test_point_metrics_perfect_prediction():
 def test_point_metrics_constant_actuals_have_no_r_squared():
     report = evaluate.point_metrics([3.0, 3.0, 3.0], [2.0, 3.0, 4.0])
     assert report.r_squared is None
-    assert report.log_likelihood is None
 
 
 def test_point_metrics_validates_shapes():

@@ -51,10 +51,13 @@ def test_parse_trips_basic():
     assert trips.end_times[0] == datetime(2018, 6, 1, 8, 14, 2)
 
 
-def test_parse_trips_filter_keeps_touching_rows():
-    trips = parse_trips(io.StringIO(TRIPS_CSV), station_filter={"B"})
-    # rows where B is either endpoint
-    assert len(trips) == 2
+def test_event_streams_are_built_only_for_the_given_stations():
+    trips = parse_trips(io.StringIO(TRIPS_CSV))
+    streams = to_event_streams(trips, ["B", "Z"])
+    # B is the end of the first trip and the start of the third; Z has no events
+    assert list(streams) == ["B"]
+    assert streams["B"].events == [(datetime(2018, 6, 1, 8, 14, 2), RETURN),
+                                   (datetime(2018, 6, 1, 9, 0), PICKUP)]
 
 
 def test_parse_trips_missing_column():
@@ -144,12 +147,16 @@ def reference_event_streams(trips) -> dict[str, list]:
             for station, ev in sorted(events.items())}
 
 
+def every_station(trips) -> set[str]:
+    return set(trips.start_stations) | set(trips.end_stations)
+
+
 def test_event_streams_match_the_per_trip_reference_on_a_corpus(tmp_path):
     stations = (synthetic.StationSpec("7", 20, "residential"),
                 synthetic.StationSpec("8", 24, "business"))
     paths = synthetic.write_corpus(str(tmp_path), seed=11, stations=stations, base_rate=2.0)
     trips = parse_trips(paths["trips"])
-    streams = to_event_streams(trips)
+    streams = to_event_streams(trips, every_station(trips))
     reference = reference_event_streams(trips)
     assert list(streams) == list(reference)
     for station, stream in streams.items():
@@ -163,7 +170,7 @@ def test_event_streams_put_pickups_first_at_equal_times():
             "2018-06-01 09:30:00,2018-06-01 09:45:00,A,C\n"
             "2018-06-01 09:30:00,2018-06-01 09:30:00,A,A\n")
     trips = parse_trips(io.StringIO(text))
-    streams = to_event_streams(trips)
+    streams = to_event_streams(trips, every_station(trips))
     assert {s: st.events for s, st in streams.items()} == reference_event_streams(trips)
     at = datetime(2018, 6, 1, 9, 30)
     assert streams["A"].events == [(at, PICKUP), (at, PICKUP), (at, RETURN), (at, RETURN)]
@@ -252,7 +259,7 @@ def test_parse_trips_repeated_column_reads_the_last():
 
 def test_event_streams_order_and_kinds():
     trips = parse_trips(io.StringIO(TRIPS_CSV))
-    streams = to_event_streams(trips)
+    streams = to_event_streams(trips, ["A", "B", "C"])
     assert set(streams) == {"A", "B", "C"}
     a = streams["A"].events
     assert all(a[i][0] <= a[i + 1][0] for i in range(len(a) - 1))
@@ -271,7 +278,7 @@ def test_top_stations_orders_by_pickups_then_id():
 
 def test_aggregate_boundaries_left_closed():
     trips = parse_trips(io.StringIO(TRIPS_CSV))
-    streams = to_event_streams(trips)
+    streams = to_event_streams(trips, ["A"])
     series = aggregate(streams["A"], 60, (date(2018, 6, 1), date(2018, 6, 2)))
     assert series.n_days == 2
     by_hour = series.pickups.reshape(2, 24)
@@ -284,7 +291,7 @@ def test_aggregate_boundaries_left_closed():
 
 def test_aggregate_ignores_out_of_range_events():
     trips = parse_trips(io.StringIO(TRIPS_CSV))
-    streams = to_event_streams(trips)
+    streams = to_event_streams(trips, ["A"])
     series = aggregate(streams["A"], 60, (date(2018, 6, 2), date(2018, 6, 2)))
     assert series.pickups.sum() == 0
     assert series.returns.sum() == 1
@@ -292,7 +299,7 @@ def test_aggregate_ignores_out_of_range_events():
 
 def test_aggregate_rejects_bad_interval():
     trips = parse_trips(io.StringIO(TRIPS_CSV))
-    streams = to_event_streams(trips)
+    streams = to_event_streams(trips, ["A"])
     with pytest.raises(ConfigError):
         aggregate(streams["A"], 45, (date(2018, 6, 1), date(2018, 6, 1)))
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from bikecast.errors import DomainError
 from bikecast.inventory import PenaltyConfig, UdfCurve, oracle_decision, udf, udf_curve
@@ -67,6 +66,8 @@ def test_curve_matches_pointwise_udf():
 def van_loan_udf(rates, capacity, penalties=PenaltyConfig()):
     """UDF of every start from the backward recursion, with each interval's
     exponential and its integral read off one block ``expm`` (Van Loan 1978)."""
+    from scipy.linalg import expm  # scipy is a dev dependency: only the oracles need it
+
     n = capacity + 1
     mu_h, lam_h = rates.hourly()
     block = np.zeros((2 * n, 2 * n))
@@ -150,14 +151,6 @@ def test_rejects_invalid_capacity():
 def test_rejects_negative_penalties():
     with pytest.raises(DomainError):
         PenaltyConfig(-1.0, 1.0)
-
-
-def test_curve_csv_layout():
-    rates = RateSeries(60, [1.0], [1.0])
-    curve = udf_curve(rates, capacity=2)
-    lines = curve.to_csv().strip().splitlines()
-    assert lines[0] == "s,udf_value"
-    assert len(lines) == 4
 
 
 @settings(max_examples=20, deadline=None)

@@ -240,39 +240,6 @@ def test_predictions_are_deterministic():
     assert np.all(f1 > 0.0)
 
 
-def test_is_log_likelihood_rejects_point_models():
-    model = tiny_model(kind="prnn")
-    with pytest.raises(ConfigError):
-        neural.is_log_likelihood(model, np.ones((4, 1)), np.zeros((4, 3)))
-
-
-def test_single_sample_importance_estimate_is_unbiased_for_the_elbo():
-    # E[IS_1] equals the ELBO for any parameters; check by averaging
-    model = tiny_model(kind="vprnn", hidden=4, input_width=2, processes=1, seed=8)
-    rng = np.random.default_rng(0)
-    counts = rng.poisson(2.0, size=(4, 1))
-    covs = rng.normal(size=(4, 2))
-    is_draws = np.array([
-        neural.is_log_likelihood(model, counts, covs, n_samples=1, seed=s)
-        for s in range(1000)
-    ])
-    elbo_draws = np.array([
-        neural.elbo_value(model, counts, covs, n_samples=1, seed=10_000 + s)
-        for s in range(1000)
-    ])
-    se = np.sqrt(is_draws.var() / 1000 + elbo_draws.var() / 1000)
-    assert abs(is_draws.mean() - elbo_draws.mean()) < 3 * se
-
-
-def test_importance_estimate_is_deterministic_given_seed():
-    model = tiny_model(kind="vprnn")
-    counts = np.ones((3, 1))
-    covs = np.zeros((3, 3))
-    a = neural.is_log_likelihood(model, counts, covs, n_samples=10, seed=4)
-    b = neural.is_log_likelihood(model, counts, covs, n_samples=10, seed=4)
-    assert a == b
-
-
 def test_day_arrays_shapes_and_target_validation():
     split, _, _ = sinusoidal_split(n_days=10, seed=6)
     counts, covs = day_arrays(split.train, ("pickups", "returns"))

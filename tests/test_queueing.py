@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
+from bikecast import queueing
 from bikecast.errors import DomainError
 from bikecast.inventory import udf, udf_curve
 from bikecast.queueing import (
     RateSeries,
     adjoint_interval,
     generator_matrix,
+    log_factorial,
     matrix_exponential_oracle,
     monte_carlo_oracle,
 )
@@ -59,6 +60,8 @@ def boundary_distributions(rates, start, capacity):
 
 def van_loan(mu, lam, capacity, hours):
     """(e^{A h}, integral_0^h e^{A t} dt) from one block matrix exponential."""
+    from scipy.linalg import expm  # scipy is a dev dependency: only the oracles need it
+
     n = capacity + 1
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = generator_matrix(mu, lam, capacity)
@@ -240,15 +243,31 @@ def test_rejects_negative_rates():
         RateSeries(60, [-0.5], [1.0])
 
 
-def test_trajectory_csv_roundtrip_values():
-    rates = RateSeries(60, [2.0, 1.0], [1.0, 0.5])
-    traj = matrix_exponential_oracle(rates, 1, 2)
-    text = traj.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "t_hours,sigma,probability"
-    assert len(lines) == 1 + 3 * 3  # three grid points, three states
-    values = np.array([float(line.split(",")[2]) for line in lines[1:]]).reshape(3, 3)
-    np.testing.assert_allclose(values, traj.probs, rtol=1e-11)
+def test_log_factorial_is_within_4_ulp_of_gammaln():
+    from scipy.special import gammaln
+
+    k = np.arange(queueing._MAX_TERMS + 1)  # every k the Poisson weights may use
+    expected = gammaln(k + 1.0)
+    assert np.all(np.abs(log_factorial(k) - expected) <= 4 * np.spacing(expected))
+    assert log_factorial(np.array([[0.0, 2.0], [3.0, 4.0]])).shape == (2, 2)
+
+
+def test_log_factorial_table_grows_and_keeps_its_values(monkeypatch):
+    from scipy.special import gammaln
+
+    monkeypatch.setattr(queueing, "_LOG_FACTORIALS", np.zeros(1))
+    small = log_factorial(np.arange(8))
+    np.testing.assert_allclose(small, gammaln(np.arange(8) + 1.0), rtol=1e-15, atol=0)
+    size = len(queueing._LOG_FACTORIALS)
+    np.testing.assert_allclose(log_factorial(5000), gammaln(5001.0), rtol=1e-15)
+    assert len(queueing._LOG_FACTORIALS) > max(size, 5000)
+    np.testing.assert_array_equal(log_factorial(np.arange(8)), small)
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, [1.0, np.nan]])
+def test_log_factorial_rejects_non_integers(bad):
+    with pytest.raises(DomainError):
+        log_factorial(bad)
 
 
 @settings(max_examples=25, deadline=None)

@@ -51,7 +51,7 @@ def test_corpus_roundtrips_through_parsers(tmp_path):
     assert all(t0.year == 2018 for t0 in trips.start_times)
     assert trips.start_times == sorted(trips.start_times)
 
-    streams = to_event_streams(trips)
+    streams = to_event_streams(trips, ["7"])
     series = aggregate(streams["7"], 60, (date(2018, 1, 1), date(2018, 12, 31)))
     assert series.n_days == 365
     assert series.pickups.sum() == trips.start_stations.count("7")
