@@ -1,11 +1,11 @@
 """Station-level bike-share demand forecasting and starting-inventory optimization.
 
 The package splits into a forecasting side (classical baselines and recurrent
-count models built on a small reverse-mode autodiff core) and a prescriptive
-side (a finite-capacity double-ended queue whose transient solution prices a
-day's lost pickups and returns as a function of the starting inventory),
-joined by evaluation tools that measure how forecast quality translates into
-decision quality.
+count models trained through hand-written whole-sequence kernels) and a
+prescriptive side (a finite-capacity double-ended queue whose transient
+solution prices a day's lost pickups and returns as a function of the
+starting inventory), joined by evaluation tools that measure how forecast
+quality translates into decision quality.
 
 The runtime needs only numpy and PyYAML. scipy, in the ``dev`` extra, serves
 the test oracles, such as :func:`.queueing.matrix_exponential_oracle`.

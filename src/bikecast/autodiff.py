@@ -1,9 +1,12 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
-Just enough machinery to express and optimize the recurrent count models:
-affine maps, the elementwise nonlinearities they use, gather plumbing,
-sums, and reparameterized Gaussian sampling (a composition of multiply
-and add with a constant noise draw). Values are float64 throughout.
+Training chains the whole-sequence kernels of :mod:`.neural` on this tape,
+one node per kernel, each node carrying the kernel's hand-written
+vector-Jacobian product. The primitives below (affine maps, the elementwise
+nonlinearities, gather plumbing, sums, and reparameterized Gaussian
+sampling) let a model be written one operation per node instead; the tests
+build such a model as the gradient oracle for the kernels. Values are
+float64 throughout.
 
 Gradients are accumulated in a dict keyed by node identity during a single
 backward sweep, so tapes are single-use and parameters never hold stale state.

@@ -17,6 +17,15 @@ likelihood so the rate is always positive while the KL stays closed form.
 Hidden state resets at day boundaries: forecasts are consumed once per day,
 so each day is its own sequence.
 
+Training is backpropagation through time over whole day-batches. Each
+piece of the model is one numpy kernel that returns its value and its
+hand-written vector-Jacobian product: the GRU and LSTM over all steps, a
+head over all rows, the softplus Poisson likelihood and the negative ELBO
+with its reparameterized draw and closed-form KL. ``_loss_and_grads`` makes
+each kernel one :class:`~.autodiff.Var` node, so the tape that chains them
+holds about five nodes per batch. Validation and forecasting call the same
+forward kernels and build no tape.
+
 Forecasting reads the prior network only, which sees covariates and no
 counts. :func:`predict_rates` therefore steps it once over a stack of days,
 one row per day, and draws the sample fan of the latent-rate models only at
@@ -97,150 +106,268 @@ def trainable_keys(params: dict) -> list[str]:
     return sorted(k for k in params if not k.startswith("norm/"))
 
 
-# -- cells and heads (autodiff) ------------------------------------------
+# -- whole-sequence kernels ------------------------------------------------
+#
+# Each kernel runs a whole batch of day sequences at once and returns
+# ``(value, vjp)``: ``vjp(g)`` maps the gradient of a scalar with respect to
+# ``value`` to its gradients with respect to the kernel's leading array
+# arguments, in order; the trailing ones (inputs, counts, noise) take none.
+# Sequences are time-major, ``(steps, days, width)``. A cell's gates sit side
+# by side in one ``(Wx, Wh, b)`` stack, so the inputs of all steps are
+# projected in one matmul and ``dWx`` comes from one more.
 
 
-def _check_width(x_width: int, w: np.ndarray, where: str) -> None:
-    if x_width != w.shape[0]:
-        raise ConfigError(f"{where}: input width {x_width} does not match weights {w.shape}")
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, computed as ``0.5 * (1 + tanh(x / 2))``.
+
+    One tanh replaces the three exps of the two-branch stable form
+    ``exp(min(x, 0)) / (1 + exp(-|x|))``. On [-36, 36] the two agree to
+    2.2e-16 (one machine epsilon). Below about -38 this form rounds to
+    exactly 0, where the two-branch form gives 3e-17 at -38 and falls
+    smoothly from there.
+    """
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def gru_step(p: dict[str, Var], prefix: str, h: Var, x: Var) -> Var:
-    """One gated recurrent update; candidate state bounded in (-1, 1) by tanh."""
-    _check_width(x.value.shape[1], p[f"{prefix}/Wxz"].value, prefix)
-    z = ad.sigmoid(ad.affine(x, p[f"{prefix}/Wxz"], p[f"{prefix}/bz"]) + h @ p[f"{prefix}/Whz"])
-    r = ad.sigmoid(ad.affine(x, p[f"{prefix}/Wxr"], p[f"{prefix}/br"]) + h @ p[f"{prefix}/Whr"])
-    c = ad.tanh(ad.affine(x, p[f"{prefix}/Wxc"], p[f"{prefix}/bc"]) + ad.mul(r, h) @ p[f"{prefix}/Whc"])
-    one = ad.const(1.0)
-    return ad.add(ad.mul(ad.sub(one, z), h), ad.mul(z, c))
+def softplus(x: np.ndarray) -> np.ndarray:
+    return np.logaddexp(0.0, x)
 
 
-def lstm_step(p: dict[str, Var], prefix: str, h: Var, c: Var, x: Var) -> tuple[Var, Var]:
-    _check_width(x.value.shape[1], p[f"{prefix}/Wxi"].value, prefix)
-    i = ad.sigmoid(ad.affine(x, p[f"{prefix}/Wxi"], p[f"{prefix}/bi"]) + h @ p[f"{prefix}/Whi"])
-    f = ad.sigmoid(ad.affine(x, p[f"{prefix}/Wxf"], p[f"{prefix}/bf"]) + h @ p[f"{prefix}/Whf"])
-    o = ad.sigmoid(ad.affine(x, p[f"{prefix}/Wxo"], p[f"{prefix}/bo"]) + h @ p[f"{prefix}/Who"])
-    g = ad.tanh(ad.affine(x, p[f"{prefix}/Wxg"], p[f"{prefix}/bg"]) + h @ p[f"{prefix}/Whg"])
-    c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_next = ad.mul(o, ad.tanh(c_next))
-    return h_next, c_next
+def positive_rate(x: np.ndarray) -> np.ndarray:
+    return softplus(x) + RATE_FLOOR
 
 
-def head(p: dict[str, Var], prefix: str, x: Var) -> Var:
-    hidden = ad.tanh(ad.affine(x, p[f"{prefix}/W1"], p[f"{prefix}/b1"]))
-    return ad.affine(hidden, p[f"{prefix}/W2"], p[f"{prefix}/b2"])
+def positive_scale(x: np.ndarray) -> np.ndarray:
+    return softplus(x) + SCALE_FLOOR
 
 
-def _broadcast_rows(v: Var, n: int) -> Var:
-    return ad.mul(ad.const(np.ones((n, 1))), v)
+def _check_width(x: np.ndarray, wx: np.ndarray) -> None:
+    if x.shape[2] != wx.shape[0]:
+        raise ConfigError(f"input width {x.shape[2]} does not match weights {wx.shape}")
 
 
-def positive_rate(x: Var) -> Var:
-    return ad.add(ad.softplus(x), ad.const(RATE_FLOOR))
+def gru(wx, wh, b, h0, x):
+    """Gated recurrent unit over ``(T, B, U)`` inputs, gates stacked as (z, r, c).
+
+    The value is the ``(T, B, H)`` state after each step. Each update is
+    ``(1 - z) * h + z * c`` with the candidate ``c`` bounded by tanh.
+    """
+    _check_width(x, wx)
+    n_steps, n_rows, width = x.shape
+    n = wh.shape[0]
+    xa = (x.reshape(-1, width) @ wx + b).reshape(n_steps, n_rows, 3 * n)
+    wh_zr, wh_c = np.ascontiguousarray(wh[:, :2 * n]), np.ascontiguousarray(wh[:, 2 * n:])
+    hs = np.empty((n_steps + 1, n_rows, n))
+    hs[0] = h0
+    zr = np.empty((n_steps, n_rows, 2 * n))
+    cs = np.empty((n_steps, n_rows, n))
+    rh = np.empty((n_steps, n_rows, n))
+    for t in range(n_steps):
+        h = hs[t]
+        zr[t] = sigmoid(xa[t, :, :2 * n] + h @ wh_zr)
+        z = zr[t, :, :n]
+        np.multiply(zr[t, :, n:], h, out=rh[t])
+        cs[t] = np.tanh(xa[t, :, 2 * n:] + rh[t] @ wh_c)
+        hs[t + 1] = (1.0 - z) * h + z * cs[t]
+
+    def vjp(dhs):
+        dxa = np.empty((n_steps, n_rows, 3 * n))
+        dh = np.zeros((n_rows, n))
+        for t in range(n_steps - 1, -1, -1):
+            dh = dh + dhs[t]
+            h, z, r, c = hs[t], zr[t, :, :n], zr[t, :, n:], cs[t]
+            da = dxa[t]
+            np.multiply(dh * z, 1.0 - c * c, out=da[:, 2 * n:])
+            drh = da[:, 2 * n:] @ wh_c.T
+            np.multiply(dh, c - h, out=da[:, :n])
+            np.multiply(drh, h, out=da[:, n:2 * n])
+            da[:, :2 * n] *= zr[t] * (1.0 - zr[t])
+            dh = dh * (1.0 - z) + drh * r + da[:, :2 * n] @ wh_zr.T
+        flat = dxa.reshape(-1, 3 * n)
+        dwh = np.concatenate([hs[:-1].reshape(-1, n).T @ flat[:, :2 * n],
+                              rh.reshape(-1, n).T @ flat[:, 2 * n:]], axis=1)
+        return (x.reshape(-1, width).T @ flat, dwh, flat.sum(axis=0),
+                dh.sum(axis=0, keepdims=True))
+
+    return hs[1:], vjp
 
 
-def positive_scale(x: Var) -> Var:
-    return ad.add(ad.softplus(x), ad.const(SCALE_FLOOR))
+def lstm(wx, wh, b, h0, c0, x):
+    """Long short-term memory over ``(T, B, U)`` inputs, gates stacked as (i, f, o, g).
+
+    The value is the ``(T, B, H)`` output state after each step.
+    """
+    _check_width(x, wx)
+    n_steps, n_rows, width = x.shape
+    n = wh.shape[0]
+    xa = (x.reshape(-1, width) @ wx + b).reshape(n_steps, n_rows, 4 * n)
+    hs = np.empty((n_steps + 1, n_rows, n))
+    cs = np.empty((n_steps + 1, n_rows, n))
+    hs[0], cs[0] = h0, c0
+    gates = np.empty((n_steps, n_rows, 4 * n))
+    tcs = np.empty((n_steps, n_rows, n))
+    for t in range(n_steps):
+        a = xa[t] + hs[t] @ wh
+        gates[t, :, :3 * n] = sigmoid(a[:, :3 * n])
+        gates[t, :, 3 * n:] = np.tanh(a[:, 3 * n:])
+        i, f, o, g = (gates[t, :, k * n:(k + 1) * n] for k in range(4))
+        cs[t + 1] = f * cs[t] + i * g
+        tcs[t] = np.tanh(cs[t + 1])
+        hs[t + 1] = o * tcs[t]
+
+    def vjp(dhs):
+        dxa = np.empty((n_steps, n_rows, 4 * n))
+        dh = np.zeros((n_rows, n))
+        dc = np.zeros((n_rows, n))
+        for t in range(n_steps - 1, -1, -1):
+            dh = dh + dhs[t]
+            i, f, o, g = (gates[t, :, k * n:(k + 1) * n] for k in range(4))
+            tc = tcs[t]
+            dc = dc + dh * o * (1.0 - tc * tc)
+            da = dxa[t]
+            np.multiply(dc, g, out=da[:, :n])
+            np.multiply(dc, cs[t], out=da[:, n:2 * n])
+            np.multiply(dh, tc, out=da[:, 2 * n:3 * n])
+            da[:, :3 * n] *= gates[t, :, :3 * n] * (1.0 - gates[t, :, :3 * n])
+            np.multiply(dc * i, 1.0 - g * g, out=da[:, 3 * n:])
+            dc = dc * f
+            dh = da @ wh.T
+        flat = dxa.reshape(-1, 4 * n)
+        return (x.reshape(-1, width).T @ flat, hs[:-1].reshape(-1, n).T @ flat,
+                flat.sum(axis=0), dh.sum(axis=0, keepdims=True), dc.sum(axis=0, keepdims=True))
+
+    return hs[1:], vjp
 
 
-# -- probabilistic building blocks ---------------------------------------
+def head(w1, b1, w2, b2, h):
+    """Two-layer map ``tanh(h @ w1 + b1) @ w2 + b2`` over all rows of ``(..., H)`` states."""
+    rows = h.reshape(-1, h.shape[-1])
+    a = np.tanh(rows @ w1 + b1)
+    out = a @ w2 + b2
+
+    def vjp(g):
+        g = g.reshape(out.shape)
+        da = (g @ w2.T) * (1.0 - a * a)
+        return rows.T @ da, da.sum(axis=0), a.T @ g, g.sum(axis=0), (da @ w1.T).reshape(h.shape)
+
+    return out.reshape(*h.shape[:-1], out.shape[1]), vjp
 
 
-def poisson_nll(rate: Var, counts: np.ndarray) -> Var:
+def poisson_nll(rate: np.ndarray, counts: np.ndarray) -> float:
     """-log Pois(counts | rate), summed over all entries; log-factorial included."""
-    x = np.asarray(counts, dtype=float)
-    ll = ad.sub(ad.mul(ad.const(x), ad.log(rate)), rate)
-    return ad.sub(ad.const(log_factorial(x).sum()), ll.sum())
+    return float(log_factorial(counts).sum() - (counts * np.log(rate) - rate).sum())
 
 
-def gaussian_kl(mean_q: Var, scale_q: Var, mean_p: Var, scale_p: Var) -> Var:
+def gaussian_kl(mean_q, scale_q, mean_p, scale_p) -> np.ndarray:
     """Elementwise KL(N(mean_q, scale_q^2) || N(mean_p, scale_p^2))."""
-    var_ratio = ad.mul(scale_q, scale_q)
-    diff = ad.sub(mean_q, mean_p)
-    quad = ad.add(var_ratio, ad.mul(diff, diff))
-    inv_2var_p = ad.mul(ad.const(0.5), ad.mul(_reciprocal(scale_p), _reciprocal(scale_p)))
-    return ad.sub(
-        ad.add(ad.sub(ad.log(scale_p), ad.log(scale_q)), ad.mul(quad, inv_2var_p)),
-        ad.const(0.5),
-    )
+    diff = mean_q - mean_p
+    return (np.log(scale_p) - np.log(scale_q)
+            + (scale_q * scale_q + diff * diff) / (2.0 * scale_p * scale_p) - 0.5)
 
 
-def _reciprocal(x: Var) -> Var:
-    return ad.exp(ad.mul(ad.const(-1.0), ad.log(x)))
+def rate_nll(out, counts):
+    """Poisson NLL per day of ``(T, B, P)`` counts at rates ``positive_rate(out)``."""
+    rate = positive_rate(out)
+    per_day = 1.0 / counts.shape[1]
+
+    def vjp(g):
+        return (g * per_day * (1.0 - counts / rate) * sigmoid(out),)
+
+    return poisson_nll(rate, counts) * per_day, vjp
 
 
-# -- losses ---------------------------------------------------------------
+def negative_elbo(out_p, out_q, counts, eps):
+    """Negative step-wise ELBO per day of ``(T, B, P)`` counts.
+
+    ``out_p`` and ``out_q`` are the prior and posterior head outputs, means
+    then pre-softplus scales. The reconstruction term takes the one
+    reparameterized draw ``mu_q + sigma_q * eps`` per step; the Gaussian KL
+    between posterior and prior is closed form.
+    """
+    p = counts.shape[2]
+    mu0, sigma0 = out_p[..., :p], positive_scale(out_p[..., p:])
+    mu_q, sigma_q = out_q[..., :p], positive_scale(out_q[..., p:])
+    lam = mu_q + sigma_q * eps
+    rate = positive_rate(lam)
+    per_day = 1.0 / counts.shape[1]
+    value = (poisson_nll(rate, counts) + gaussian_kl(mu_q, sigma_q, mu0, sigma0).sum()) * per_day
+
+    def vjp(g):
+        w = g * per_day
+        dlam = w * (1.0 - counts / rate) * sigmoid(lam)
+        inv_var_p = 1.0 / (sigma0 * sigma0)
+        dmu = w * (mu_q - mu0) * inv_var_p
+        dsigma_q = dlam * eps + w * (sigma_q * inv_var_p - 1.0 / sigma_q)
+        dsigma0 = w * (1.0 - (sigma_q * sigma_q + (mu_q - mu0) ** 2) * inv_var_p) / sigma0
+        return (np.concatenate([-dmu, dsigma0 * sigmoid(out_p[..., p:])], axis=-1),
+                np.concatenate([dlam + dmu, dsigma_q * sigmoid(out_q[..., p:])], axis=-1))
+
+    return value, vjp
 
 
-def _as_vars(params: dict[str, np.ndarray]) -> dict[str, Var]:
-    return {k: Var(v) for k, v in params.items() if not k.startswith("norm/")}
+# -- wiring the kernels ------------------------------------------------------
+
+GRU_GATES = "zrc"
+LSTM_GATES = "ifog"
+
+
+def _cell_keys(prefix: str, gates: str) -> list[str]:
+    return [f"{prefix}/{w}{g}" for w in ("Wx", "Wh", "b") for g in gates]
+
+
+def _cell_weights(params: dict, prefix: str, gates: str) -> tuple[np.ndarray, ...]:
+    """The cell's ``(wx, wh, b)`` with its gates side by side, in ``gates`` order."""
+    return tuple(np.concatenate([params[f"{prefix}/{w}{g}"] for g in gates], axis=-1)
+                 for w in ("Wx", "Wh", "b"))
+
+
+def _head_keys(prefix: str) -> list[str]:
+    return [f"{prefix}/{k}" for k in ("W1", "b1", "W2", "b2")]
+
+
+def _time_major(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1), dtype=float)
+
+
+def _prior_out(params: dict, x: np.ndarray) -> np.ndarray:
+    hs, _ = gru(*_cell_weights(params, "prior_rnn", GRU_GATES), params["prior_rnn/h0"], x)
+    return head(*(params[k] for k in _head_keys("prior_head")), hs)[0]
+
+
+def _posterior_out(params: dict, x: np.ndarray) -> np.ndarray:
+    hs, _ = lstm(*_cell_weights(params, "inf_rnn", LSTM_GATES),
+                 params["inf_rnn/h0"], params["inf_rnn/c0"], x)
+    return head(*(params[k] for k in _head_keys("inf_head")), hs)[0]
+
+
+def _cell_node(kernel, p: dict[str, Var], prefix: str, gates: str, states, x) -> Var:
+    """One tape node for a whole cell; its vjp splits the stacked gradients per key."""
+    keys = _cell_keys(prefix, gates) + [f"{prefix}/{s}" for s in states]
+    value, vjp = kernel(*_cell_weights({k: p[k].value for k in keys}, prefix, gates),
+                        *(p[f"{prefix}/{s}"].value for s in states), x)
+    n = len(gates)
+
+    def split_vjp(g):
+        dwx, dwh, db, *dstates = vjp(g)
+        return (*np.split(dwx, n, axis=1), *np.split(dwh, n, axis=1), *np.split(db, n), *dstates)
+
+    return Var(value, [p[k] for k in keys], split_vjp)
+
+
+def _node(kernel, parents: list[Var], *consts) -> Var:
+    value, vjp = kernel(*(v.value for v in parents), *consts)
+    return Var(value, parents, vjp)
+
+
+def _head_node(p: dict[str, Var], prefix: str, h: Var) -> Var:
+    return _node(head, [p[k] for k in _head_keys(prefix)] + [h])
+
+
+# -- model container -------------------------------------------------------
 
 
 def _normalize(raw: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     return (raw - mean) / std
-
-
-def prnn_nll(p: dict[str, Var], counts: np.ndarray, covariates: np.ndarray) -> Var:
-    """Negative Poisson log-likelihood of (B, T, P) counts given (B, T, U) covariates."""
-    n_batch, n_steps, _ = covariates.shape
-    h = _broadcast_rows(p["prior_rnn/h0"], n_batch)
-    total = ad.const(0.0)
-    for t in range(n_steps):
-        h = gru_step(p, "prior_rnn", h, ad.const(covariates[:, t, :]))
-        rate = positive_rate(head(p, "prior_head", h))
-        total = ad.add(total, poisson_nll(rate, counts[:, t, :]))
-    return total
-
-
-def _split_head(out: Var, processes: int) -> tuple[Var, Var]:
-    mean_ = out[:, :processes]
-    scale = positive_scale(out[:, processes:])
-    return mean_, scale
-
-
-def vprnn_elbo(
-    p: dict[str, Var],
-    counts: np.ndarray,
-    covariates: np.ndarray,
-    n_samples: int,
-    rng: np.random.Generator,
-    counts_normalized: np.ndarray | None = None,
-) -> Var:
-    """Step-wise evidence lower bound, summed over batch and steps.
-
-    The reconstruction expectation uses ``n_samples`` reparameterized draws;
-    the KL between the diagonal-Gaussian posterior and prior is closed form.
-    The deterministic prior-state transition contributes no parameters and is
-    omitted. ``counts_normalized`` is what the inference net conditions on
-    (raw counts when absent); the likelihood always uses raw counts.
-    """
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
-    n_batch, n_steps, processes = counts.shape
-    cond = counts_normalized if counts_normalized is not None else counts.astype(float)
-    h_p = _broadcast_rows(p["prior_rnn/h0"], n_batch)
-    h_q = _broadcast_rows(p["inf_rnn/h0"], n_batch)
-    c_q = _broadcast_rows(p["inf_rnn/c0"], n_batch)
-    elbo = ad.const(0.0)
-    inv_n = ad.const(1.0 / n_samples)
-    for t in range(n_steps):
-        u_t = ad.const(covariates[:, t, :])
-        h_p = gru_step(p, "prior_rnn", h_p, u_t)
-        mu0, sigma0 = _split_head(head(p, "prior_head", h_p), processes)
-        h_q, c_q = lstm_step(p, "inf_rnn", h_q, c_q,
-                             ad.const(np.concatenate([covariates[:, t, :], cond[:, t, :]], axis=1)))
-        mu_q, sigma_q = _split_head(head(p, "inf_head", h_q), processes)
-
-        recon = ad.const(0.0)
-        for _ in range(n_samples):
-            lam = ad.gaussian_sample(mu_q, sigma_q, rng.standard_normal((n_batch, processes)))
-            recon = ad.sub(recon, poisson_nll(positive_rate(lam), counts[:, t, :]))
-        kl = gaussian_kl(mu_q, sigma_q, mu0, sigma0).sum()
-        elbo = ad.add(elbo, ad.sub(ad.mul(recon, inv_n), kl))
-    return elbo
-
-
-# -- model container -------------------------------------------------------
 
 
 @dataclass
@@ -250,7 +377,6 @@ class TrainConfig:
     batch_days: int = 32
     max_epochs: int = 200
     patience: int = 10
-    n_samples: int = 1
     min_epochs: int = 5
 
 
@@ -318,27 +444,35 @@ class _Adam:
             params[k] = params[k] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _loss_and_grads(kind: str, params: dict, counts, covariates, cond, n_samples, rng):
-    keys = trainable_keys(params)
-    p = _as_vars(params)
+def _loss_and_grads(kind: str, params: dict, counts, covariates, cond, rng):
+    """Per-day training loss and its gradient per trainable key.
+
+    The tape holds one node per kernel: about five per batch. The latent
+    models draw the batch's noise as one ``(steps, days, processes)`` call on
+    ``rng``, the same stream as one ``(days, processes)`` call per step.
+    """
+    p = {k: Var(params[k]) for k in trainable_keys(params)}
+    x, n = _time_major(covariates), _time_major(counts)
+    out_p = _head_node(p, "prior_head", _cell_node(gru, p, "prior_rnn", GRU_GATES, ("h0",), x))
     if kind == "prnn":
-        loss = prnn_nll(p, counts, covariates)
+        loss = _node(rate_nll, [out_p], n)
     else:
-        loss = ad.mul(vprnn_elbo(p, counts, covariates, n_samples, rng, cond), ad.const(-1.0))
-    per_day = ad.mul(loss, ad.const(1.0 / counts.shape[0]))
-    grads = ad.grad(per_day, [p[k] for k in keys])
-    return float(per_day.value), dict(zip(keys, grads))
+        h_q = _cell_node(lstm, p, "inf_rnn", LSTM_GATES, ("h0", "c0"),
+                         np.concatenate([x, _time_major(cond)], axis=2))
+        loss = _node(negative_elbo, [out_p, _head_node(p, "inf_head", h_q)], n,
+                     rng.standard_normal(n.shape))
+    grads = ad.grad(loss, list(p.values()))
+    return float(loss.value), dict(zip(p, grads))
 
 
-def _validation_loss(kind: str, params: dict, counts, covariates, cond, n_samples, seed) -> float:
-    p = _as_vars(params)
+def _validation_loss(kind: str, params: dict, counts, covariates, cond, seed) -> float:
+    x, n = _time_major(covariates), _time_major(counts)
+    out_p = _prior_out(params, x)
     if kind == "prnn":
-        loss = prnn_nll(p, counts, covariates)
-    else:
-        # fixed draws so successive evaluations are comparable
-        rng = np.random.default_rng(seed)
-        loss = ad.mul(vprnn_elbo(p, counts, covariates, n_samples, rng, cond), ad.const(-1.0))
-    return float(loss.value) / counts.shape[0]
+        return rate_nll(out_p, n)[0]
+    # fixed draws so successive evaluations are comparable
+    out_q = _posterior_out(params, np.concatenate([x, _time_major(cond)], axis=2))
+    return negative_elbo(out_p, out_q, n, np.random.default_rng(seed).standard_normal(n.shape))[0]
 
 
 def train(kind: str, split: DataSplit, hyper: TrainConfig, seed: int,
@@ -397,15 +531,13 @@ def train(kind: str, split: DataSplit, hyper: TrainConfig, seed: int,
         for lo in range(0, n_days, batch):
             rows = order[lo:lo + batch]
             loss, grads = _loss_and_grads(
-                kind, params, counts_tr[rows], cov_tr_n[rows], cond_tr[rows],
-                hyper.n_samples, elbo_rng)
+                kind, params, counts_tr[rows], cov_tr_n[rows], cond_tr[rows], elbo_rng)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"{kind} diverged at epoch {epoch}: loss {loss}; "
                     f"last validation loss {history[-1] if history else 'n/a'}")
             optimizer.step(params, grads)
-        val = _validation_loss(kind, params, counts_va, cov_va_n, cond_va,
-                               hyper.n_samples, val_seed)
+        val = _validation_loss(kind, params, counts_va, cov_va_n, cond_va, val_seed)
         if not np.isfinite(val):
             raise TrainingError(f"{kind} validation loss became {val} at epoch {epoch}")
         history.append(val)
@@ -460,26 +592,17 @@ def predict_rates(model: NeuralModel, covariates: np.ndarray, n_samples: int = 1
     n_days, n_steps, _ = covariates.shape
     if len(seeds) != n_days:
         raise DataError(f"need one seed per day: {len(seeds)} seeds for {n_days} days")
-    cov_n = model.normalize_covariates(covariates)
-    p = _as_vars(model.params)
-
-    h = _broadcast_rows(p["prior_rnn/h0"], n_days)
-    outputs = []
-    for t in range(n_steps):
-        h = gru_step(p, "prior_rnn", h, ad.const(cov_n[:, t, :]))
-        outputs.append(head(p, "prior_head", h))
-
+    x = _time_major(model.normalize_covariates(covariates))
+    out = np.swapaxes(_prior_out(model.params, x), 0, 1)
     if model.kind == "prnn":
-        rates = np.stack([positive_rate(out).value for out in outputs], axis=1)
+        rates = positive_rate(out)
     else:
-        prior = [_split_head(out, model.processes) for out in outputs]
-        mu0 = np.stack([m.value for m, _ in prior], axis=1)[:, :, None, :]
-        sigma0 = np.stack([s.value for _, s in prior], axis=1)[:, :, None, :]
+        mu0 = out[:, :, None, :model.processes]
+        sigma0 = positive_scale(out[:, :, None, model.processes:])
         eps = np.stack([
             np.random.default_rng(s).standard_normal((n_steps, n_samples, model.processes))
             for s in seeds])
-        draws = positive_rate(ad.gaussian_sample(ad.const(mu0), ad.const(sigma0), eps)).value
-        rates = draws.mean(axis=2)
+        rates = positive_rate(mu0 + sigma0 * eps).mean(axis=2)
     return rates[0] if single_day else rates
 
 

@@ -1,25 +1,28 @@
-"""Recurrent rate models: cells, losses, training loop, and serialization."""
+"""Recurrent rate models: kernels, losses, training loop, and serialization.
+
+The whole-sequence kernels in ``neural`` are checked against the
+tape-built model in ``tape_model`` (the gradient oracle) and against
+finite differences.
+"""
 
 import numpy as np
 import pytest
+import tape_model as tm
 
 from bikecast import autodiff as ad
 from bikecast import neural
 from bikecast.errors import ConfigError, DataError, FormatError
 from bikecast.neural import (
+    GRU_GATES,
+    LSTM_GATES,
     MODEL_KINDS,
     NeuralModel,
     TrainConfig,
     day_arrays,
     gaussian_kl,
-    gru_step,
-    head,
     init_params,
-    lstm_step,
     poisson_nll,
-    prnn_nll,
     trainable_keys,
-    vprnn_elbo,
 )
 from bikecast.synthetic import sinusoidal_split
 
@@ -70,89 +73,114 @@ def test_trainable_keys_exclude_normalization():
     assert keys == sorted(keys)
 
 
+# -- kernels ------------------------------------------------------------------
+
+
+def run_gru(params, x):
+    return neural.gru(*neural._cell_weights(params, "prior_rnn", GRU_GATES),
+                      params["prior_rnn/h0"], x)[0]
+
+
 def test_gru_zero_state_zero_input_stays_zero():
-    params = {k: ad.Var(np.zeros_like(v)) for k, v in init_params("prnn", 3, 4, 1, 0).items()}
-    h = ad.Var(np.zeros((2, 4)))
-    x = ad.Var(np.zeros((2, 3)))
-    out = gru_step(params, "prior_rnn", h, x)
-    np.testing.assert_allclose(out.value, 0.0)
+    params = {k: np.zeros_like(v) for k, v in init_params("prnn", 3, 4, 1, 0).items()}
+    out = run_gru(params, np.zeros((5, 2, 3)))
+    assert out.shape == (5, 2, 4)
+    np.testing.assert_allclose(out, 0.0)
 
 
 def test_gru_output_is_bounded():
-    params = {k: ad.Var(v * 5.0) for k, v in init_params("prnn", 3, 4, 1, 2).items()}
-    h = ad.Var(np.zeros((1, 4)))
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        h = gru_step(params, "prior_rnn", h, ad.Var(rng.normal(size=(1, 3))))
-    assert np.all(np.abs(h.value) <= 1.0 + 1e-9)
+    params = {k: v * 5.0 for k, v in init_params("prnn", 3, 4, 1, 2).items()}
+    out = run_gru(params, np.random.default_rng(0).normal(size=(50, 1, 3)))
+    assert np.all(np.abs(out) <= 1.0 + 1e-9)
 
 
 def test_lstm_shapes_and_width_check():
-    params = {k: ad.Var(v) for k, v in init_params("vprnn", 3, 4, 1, 0).items()}
-    h = ad.Var(np.zeros((2, 4)))
-    c = ad.Var(np.zeros((2, 4)))
-    x = ad.Var(np.zeros((2, 4)))  # covariates + 1 count column
-    h2, c2 = lstm_step(params, "inf_rnn", h, c, x)
-    assert h2.value.shape == (2, 4)
-    assert c2.value.shape == (2, 4)
+    params = init_params("vprnn", 3, 4, 1, 0)
+    weights = neural._cell_weights(params, "inf_rnn", LSTM_GATES)
+    h0, c0 = params["inf_rnn/h0"], params["inf_rnn/c0"]
+    out, _ = neural.lstm(*weights, h0, c0, np.zeros((3, 2, 4)))  # covariates + 1 count column
+    assert out.shape == (3, 2, 4)
     with pytest.raises(ConfigError):
-        lstm_step(params, "inf_rnn", h, c, ad.Var(np.zeros((2, 9))))
+        neural.lstm(*weights, h0, c0, np.zeros((3, 2, 9)))
+    with pytest.raises(ConfigError):
+        run_gru(params, np.zeros((3, 2, 4)))
+
+
+def stable_sigmoid(x):
+    return ad.sigmoid(ad.Var(x)).value  # the two-branch form, three exps
+
+
+def test_sigmoid_tanh_form_matches_stable_form_and_underflows_below_minus_38():
+    x = np.linspace(-36.0, 36.0, 200_001)
+    assert np.abs(neural.sigmoid(x) - stable_sigmoid(x)).max() <= np.finfo(float).eps
+    tail = np.linspace(-700.0, -38.0, 1001)
+    assert np.all(neural.sigmoid(tail) == 0.0)
+    assert np.all(stable_sigmoid(tail) > 0.0)
+    assert stable_sigmoid(np.array(-38.0)) == pytest.approx(3.1e-17, rel=0.05)
+    assert neural.sigmoid(np.array(-37.5)) > 0.0
 
 
 def test_poisson_nll_reference_value():
     # -log pmf of observing 2 at rate 2: 2 - 2 log 2 + log 2!
-    rate = ad.Var(np.array([[2.0]]))
-    value = poisson_nll(rate, np.array([[2.0]])).value
+    value = poisson_nll(np.array([[2.0]]), np.array([[2.0]]))
     np.testing.assert_allclose(value, 2.0 - 2.0 * np.log(2.0) + np.log(2.0), atol=1e-12)
 
 
 def test_poisson_nll_zero_counts():
-    rate = ad.Var(np.array([[3.0]]))
-    np.testing.assert_allclose(poisson_nll(rate, np.array([[0.0]])).value, 3.0, atol=1e-12)
+    np.testing.assert_allclose(poisson_nll(np.array([[3.0]]), np.array([[0.0]])), 3.0, atol=1e-12)
 
 
 def test_gaussian_kl_reference_and_identity():
-    one = ad.Var(np.array([[1.0]]))
-    zero = ad.Var(np.array([[0.0]]))
-    kl = gaussian_kl(one, one, zero, one).sum().value
-    np.testing.assert_allclose(kl, 0.5, atol=1e-12)
-    same = gaussian_kl(one, one, one, one).sum().value
-    np.testing.assert_allclose(same, 0.0, atol=1e-12)
+    one, zero = np.array([[1.0]]), np.array([[0.0]])
+    np.testing.assert_allclose(gaussian_kl(one, one, zero, one).sum(), 0.5, atol=1e-12)
+    np.testing.assert_allclose(gaussian_kl(one, one, one, one).sum(), 0.0, atol=1e-12)
 
 
 def test_gaussian_kl_nonnegative_property():
     rng = np.random.default_rng(9)
-    for _ in range(200):
-        mq, mp = rng.normal(size=2)
-        sq, sp = rng.uniform(0.1, 3.0, size=2)
-        kl = gaussian_kl(
-            ad.Var(np.array([[mq]])), ad.Var(np.array([[sq]])),
-            ad.Var(np.array([[mp]])), ad.Var(np.array([[sp]])),
-        ).sum().value
-        assert kl >= -1e-12
+    mq, mp = rng.normal(size=(2, 200))
+    sq, sp = rng.uniform(0.1, 3.0, size=(2, 200))
+    assert np.all(gaussian_kl(mq, sq, mp, sp) >= -1e-12)
 
 
-def relative_gradient_error(build, params, keys, eps=1e-5):
-    p_vars = {k: ad.Var(v.copy()) for k, v in params.items()}
-    loss = build(p_vars)
-    grads = ad.grad(loss, [p_vars[k] for k in keys])
+def test_batch_noise_is_the_per_step_stream():
+    # one (T, B, P) draw equals T successive (B, P) draws, which the tape made
+    whole = np.random.default_rng(17).standard_normal((6, 4, 2))
+    rng = np.random.default_rng(17)
+    steps = np.stack([rng.standard_normal((4, 2)) for _ in range(6)])
+    np.testing.assert_array_equal(whole, steps)
+
+
+# -- gradients ------------------------------------------------------------------
+
+
+def relative_gradient_error(loss, grads, params, keys, eps=1e-5):
+    """Worst relative gap between ``grads`` and central differences of ``loss(params)``."""
     worst = 0.0
     rng = np.random.default_rng(0)
-    for key, g in zip(keys, grads):
+    for key in keys:
         flat = params[key].reshape(-1)
         # probe a few coordinates per tensor
         idx = rng.choice(flat.size, size=min(3, flat.size), replace=False)
         for i in idx:
             keep = flat[i]
             flat[i] = keep + eps
-            hi = float(build({k: ad.Var(v) for k, v in params.items()}).value)
+            hi = loss(params)
             flat[i] = keep - eps
-            lo = float(build({k: ad.Var(v) for k, v in params.items()}).value)
+            lo = loss(params)
             flat[i] = keep
             fd = (hi - lo) / (2 * eps)
-            denom = max(abs(fd), abs(g.reshape(-1)[i]), 1e-8)
-            worst = max(worst, abs(g.reshape(-1)[i] - fd) / denom)
+            g = grads[key].reshape(-1)[i]
+            worst = max(worst, abs(g - fd) / max(abs(fd), abs(g), 1e-8))
     return worst
+
+
+def tape_gradient_error(build, params):
+    keys = sorted(params)
+    p_vars = {k: ad.Var(v.copy()) for k, v in params.items()}
+    grads = dict(zip(keys, ad.grad(build(p_vars), [p_vars[k] for k in keys])))
+    return relative_gradient_error(lambda prm: float(build(tm.as_vars(prm)).value),
+                                   grads, params, keys)
 
 
 def test_prnn_loss_gradient_matches_finite_differences():
@@ -160,9 +188,7 @@ def test_prnn_loss_gradient_matches_finite_differences():
     params = init_params("prnn", 3, 8, 1, 3)
     counts = rng.poisson(2.0, size=(2, 6, 1)).astype(float)
     covs = rng.normal(size=(2, 6, 3))
-    err = relative_gradient_error(lambda p: prnn_nll(p, counts, covs), params,
-                                  sorted(params))
-    assert err < 1e-4
+    assert tape_gradient_error(lambda p: tm.prnn_nll(p, counts, covs), params) < 1e-4
 
 
 def test_vprnn_elbo_gradient_matches_finite_differences():
@@ -173,10 +199,90 @@ def test_vprnn_elbo_gradient_matches_finite_differences():
 
     def build(p):
         noise = np.random.default_rng(11)  # same draws on every call
-        return ad.mul(vprnn_elbo(p, counts, covs, 2, noise), ad.const(-1.0))
+        return ad.mul(tm.vprnn_elbo(p, counts, covs, noise), ad.const(-1.0))
 
-    err = relative_gradient_error(build, params, sorted(params))
-    assert err < 1e-4
+    assert tape_gradient_error(build, params) < 1e-4
+
+
+KERNEL_KINDS = [("prnn", 1), ("vprnn", 1), ("movprnn", 2)]
+
+
+def batch_problem(kind, processes, days=5, steps=7, width=3, hidden=6, seed=0):
+    """Parameters with nonzero biases and start states, and one batch of days."""
+    rng = np.random.default_rng(seed)
+    params = init_params(kind, width, hidden, processes, seed)
+    for key in params:
+        if key.rsplit("/", 1)[1].startswith(("b", "h0", "c0")):
+            params[key] = rng.normal(scale=0.5, size=params[key].shape)
+    counts = rng.poisson(2.0, size=(days, steps, processes)).astype(float)
+    covariates = rng.normal(size=(days, steps, width))
+    return params, counts, covariates, (counts - 2.0) / 1.5
+
+
+@pytest.mark.parametrize("kind,processes", KERNEL_KINDS)
+def test_kernel_gradients_match_finite_differences(kind, processes):
+    params, counts, covs, cond = batch_problem(kind, processes, days=2, steps=4)
+
+    def loss(prm):
+        return neural._loss_and_grads(kind, prm, counts, covs, cond, np.random.default_rng(11))
+
+    _, grads = loss(params)
+    assert relative_gradient_error(lambda prm: loss(prm)[0], grads, params, sorted(params)) < 1e-4
+
+
+@pytest.mark.parametrize("kind,processes", KERNEL_KINDS)
+def test_kernel_gradients_match_tape(kind, processes):
+    params, counts, covs, cond = batch_problem(kind, processes)
+    loss, grads = neural._loss_and_grads(kind, params, counts, covs, cond,
+                                         np.random.default_rng(7))
+    ref_loss, ref_grads = tm.loss_and_grads(kind, params, counts, covs, cond,
+                                            np.random.default_rng(7))
+    assert sorted(grads) == sorted(ref_grads) == trainable_keys(params)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for key, ref in ref_grads.items():
+        assert grads[key].shape == ref.shape, key
+        assert np.abs(grads[key] - ref).max() <= 1e-12 * np.abs(ref).max(), key
+    assert np.abs(ref_grads["prior_rnn/h0"]).max() > 0.0
+    if kind != "prnn":
+        assert np.abs(ref_grads["inf_rnn/c0"]).max() > 0.0
+
+
+@pytest.mark.parametrize("kind,processes", KERNEL_KINDS)
+def test_training_tape_holds_one_node_per_kernel(kind, processes, monkeypatch):
+    params, counts, covs, cond = batch_problem(kind, processes)
+    roots = []
+    grad = ad.grad
+    monkeypatch.setattr(ad, "grad", lambda loss, wrt: roots.append(loss) or grad(loss, wrt))
+    neural._loss_and_grads(kind, params, counts, covs, cond, np.random.default_rng(7))
+    kernel_nodes = [v for v in ad._topological(roots[0]) if v.vjp is not None]
+    assert len(kernel_nodes) == (3 if kind == "prnn" else 5)
+
+
+@pytest.mark.parametrize("kind,processes", KERNEL_KINDS)
+def test_forward_passes_match_tape(kind, processes):
+    params, counts, covs, cond = batch_problem(kind, processes)
+    val = neural._validation_loss(kind, params, counts, covs, cond, 21)
+    ref = tm.validation_loss(kind, params, counts, covs, cond, 21)
+    assert abs(val - ref) <= 1e-12 * abs(ref)
+    model = tiny_model(kind, hidden=6, processes=processes)
+    model.params.update(params)
+    seeds = [31, 32, 33, 34, 35]
+    rates = neural.predict_rates(model, covs, n_samples=15, seed=seeds)
+    expected = tm.predict_rates(model, covs, 15, seeds)
+    assert np.abs(rates - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("kind,processes", KERNEL_KINDS)
+def test_training_history_matches_tape(kind, processes, monkeypatch):
+    split, _, _ = sinusoidal_split(n_days=16, seed=8, mean_rate=4.0, amplitude=1.5)
+    hyper = TrainConfig(hidden_width=5, max_epochs=4, patience=10, batch_days=4)
+    targets = ("pickups", "returns")[:processes]
+    kernels = neural.train(kind, split, hyper, seed=5, targets=targets)
+    monkeypatch.setattr(neural, "_loss_and_grads", tm.loss_and_grads)
+    monkeypatch.setattr(neural, "_validation_loss", tm.validation_loss)
+    tape = neural.train(kind, split, hyper, seed=5, targets=targets)
+    assert len(kernels.train_history) == len(tape.train_history) == 4
+    np.testing.assert_allclose(kernels.train_history, tape.train_history, rtol=1e-9, atol=0.0)
 
 
 def test_elbo_reduces_to_likelihood_when_posterior_equals_prior():
@@ -188,8 +294,6 @@ def test_elbo_reduces_to_likelihood_when_posterior_equals_prior():
             params[key] = np.zeros_like(params[key])
     counts = np.ones((1, 3, 1))
     covs = np.zeros((1, 3, 2))
-    p_vars = {k: ad.Var(v) for k, v in params.items()}
-    elbo = float(vprnn_elbo(p_vars, counts, covs, 1, np.random.default_rng(0)).value)
 
     # both heads emit mean 0 and scale softplus(0) + floor at every step
     scale = np.log(2.0) + neural.SCALE_FLOOR
@@ -199,7 +303,12 @@ def test_elbo_reduces_to_likelihood_when_posterior_equals_prior():
         lam = scale * float(noise.standard_normal((1, 1))[0, 0])
         rate = np.logaddexp(0.0, lam) + neural.RATE_FLOOR
         recon -= rate - np.log(rate)  # -log pmf at count 1
-    np.testing.assert_allclose(elbo, recon, atol=1e-10)
+
+    kernel_elbo = -neural._validation_loss("vprnn", params, counts, covs, counts, 0)
+    np.testing.assert_allclose(kernel_elbo, recon, atol=1e-10)
+    tape_elbo = float(tm.vprnn_elbo(tm.as_vars(params), counts, covs,
+                                    np.random.default_rng(0)).value)
+    np.testing.assert_allclose(tape_elbo, recon, atol=1e-10)
 
 
 def test_training_runs_and_is_deterministic():
@@ -344,12 +453,12 @@ def test_latent_forecast_draws_per_step_noise_from_the_day_seed():
     cov = np.random.default_rng(6).normal(size=(6, 3))
     n_samples = 25
     forecast = neural.predict_rates(model, cov, n_samples=n_samples, seed=8)
-    p = {k: ad.Var(v) for k, v in model.params.items() if not k.startswith("norm/")}
+    p = tm.as_vars(model.params)
     rng = np.random.default_rng(8)
     h = p["prior_rnn/h0"]
     for t in range(len(cov)):
-        h = gru_step(p, "prior_rnn", h, ad.const(cov[t:t + 1]))  # identity normalization
-        out = head(p, "prior_head", h).value[0]
+        h = tm.gru_step(p, "prior_rnn", h, ad.const(cov[t:t + 1]))  # identity normalization
+        out = tm.head(p, "prior_head", h).value[0]
         mean_, scale = out[:2], np.logaddexp(0.0, out[2:]) + neural.SCALE_FLOOR
         eps = rng.standard_normal((n_samples, 2))
         draws = np.logaddexp(0.0, mean_ + scale * eps) + neural.RATE_FLOOR
