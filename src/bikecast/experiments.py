@@ -13,8 +13,9 @@ starts with a comment carrying the config hash and seed.
 
 from __future__ import annotations
 
+import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 
 import numpy as np
@@ -37,7 +38,6 @@ from .ingest import (
     DemandSeries,
     EventStream,
     aggregate,
-    attach_covariates,
     build_covariates,
     demand_from_csv,
     demand_to_csv,
@@ -49,6 +49,7 @@ from .ingest import (
     split,
     to_event_streams,
     top_stations,
+    weather_to_csv,
 )
 from .inventory import PenaltyConfig, udf_curve
 from .queueing import RateSeries
@@ -208,10 +209,11 @@ def _read_commented(path: str) -> str:
 
 
 def stage_ingest(config: RunConfig) -> dict[str, StationData]:
-    """Parse inputs, select stations, and write per-station demand and event files.
+    """Parse the inputs, here and nowhere else, and write the ``demand/`` files.
 
-    The trip file is parsed here and nowhere else: each selected station's
-    event stream is kept in ``demand/events_<sid>.csv`` for evaluate to replay.
+    Each selected station gets ``station_<sid>.csv`` (interval counts) and
+    ``events_<sid>.csv`` (for evaluate to replay); the run gets ``weather.csv``.
+    Covariates check the weather and go only into the returned series.
     """
     with _stage("ingest"):
         capacities = parse_stations(_require_input(config.stations_path))
@@ -230,12 +232,13 @@ def stage_ingest(config: RunConfig) -> dict[str, StationData]:
         for sid in selected:
             if sid not in streams:
                 raise DataError(f"station {sid} has no events in the trip file")
-            series = attach_covariates(
-                aggregate(streams[sid], config.interval_minutes, day_range), covariates)
-            data[sid] = StationData(station=sid, capacity=capacities[sid], series=series)
+            series = aggregate(streams[sid], config.interval_minutes, day_range)
             _write(_demand_path(config, sid), demand_to_csv(series), header)
             _write(_events_path(config, sid), events_to_csv(streams[sid]), header)
+            data[sid] = StationData(station=sid, capacity=capacities[sid],
+                                    series=replace(series, covariates=covariates))
             lines.append(f"{sid},{capacities[sid]}")
+        _write(_weather_path(config), weather_to_csv(weather), header)
         _write(_selected_path(config), "\n".join(lines) + "\n", header)
         return data
 
@@ -252,6 +255,10 @@ def _demand_path(config: RunConfig, sid: str) -> str:
 
 def _events_path(config: RunConfig, sid: str) -> str:
     return os.path.join(config.out_dir, "demand", f"events_{sid}.csv")
+
+
+def _weather_path(config: RunConfig) -> str:
+    return os.path.join(config.out_dir, "demand", "weather.csv")
 
 
 def _selected_path(config: RunConfig) -> str:
@@ -285,12 +292,18 @@ def _load_capacities(config: RunConfig) -> dict[str, int]:
 
 
 def load_ingested(config: RunConfig) -> dict[str, StationData]:
-    """Read back what stage_ingest wrote."""
+    """Read back the ``demand/`` files of stage_ingest; the covariates are not
+    stored but rebuilt from ``demand/weather.csv``, once for all stations."""
+    capacities = _load_capacities(config)
+    weather = io.StringIO(_read_commented(_require(_weather_path(config), "ingest")))
+    covariates = build_covariates(parse_weather(weather), (config.start_date, config.end_date),
+                                  config.interval_minutes)
     data: dict[str, StationData] = {}
-    for sid, capacity in _load_capacities(config).items():
+    for sid, capacity in capacities.items():
         series = demand_from_csv(
             _require(_demand_path(config, sid), "ingest"), sid, config.interval_minutes)
-        data[sid] = StationData(station=sid, capacity=capacity, series=series)
+        data[sid] = StationData(station=sid, capacity=capacity,
+                                series=replace(series, covariates=covariates))
     return data
 
 

@@ -11,6 +11,11 @@ interval counts and, written with :func:`events_to_csv` as
 ``demand/events_<sid>.csv``, the replay that scores each day's decision, so
 the trip file is never parsed again after ingest.
 
+Under ``demand/`` ingest also writes each station's counts
+(``station_<sid>.csv``) and, once, the weather it parsed (``weather.csv``).
+Covariates are not stored: :func:`build_covariates`, the one place that
+knows their encoding, rebuilds them from the weather.
+
 Conventions fixed here and relied on elsewhere:
 
 * interval boundaries are left-closed, right-open;
@@ -29,7 +34,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from operator import itemgetter
 
@@ -183,17 +188,8 @@ class DataSplit:
     test: DemandSeries
 
 
-@dataclass(frozen=True)
-class TripColumns:
-    """Column names in a trip CSV; defaults match the public Citi Bike schema."""
-
-    start_time: str = "starttime"
-    stop_time: str = "stoptime"
-    start_station: str = "start station id"
-    end_station: str = "end station id"
-
-    def required(self) -> tuple[str, ...]:
-        return (self.start_time, self.stop_time, self.start_station, self.end_station)
+# start time, stop time, start station and end station in the Citi Bike schema
+TRIP_COLUMNS = ("starttime", "stoptime", "start station id", "end station id")
 
 
 def _parse_timestamp(raw: str, line_number: int) -> datetime:
@@ -218,8 +214,6 @@ def _open_text(source):
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", newline="") as fh:
             yield fh
-    elif isinstance(source, bytes):
-        yield io.StringIO(source.decode("utf-8"))
     elif isinstance(source, io.IOBase) and not isinstance(source, io.TextIOBase):
         wrapper = io.TextIOWrapper(source, encoding="utf-8")
         try:
@@ -230,25 +224,25 @@ def _open_text(source):
         yield source
 
 
-def parse_trips(source, columns: TripColumns = TripColumns()) -> TripTable:
-    """Read a trip CSV into a :class:`TripTable`.
+def parse_trips(source) -> TripTable:
+    """Read a trip CSV with the :data:`TRIP_COLUMNS` into a :class:`TripTable`.
 
-    ``source`` may be a path, raw bytes or an open stream. Rows are read by
-    column index in one pass; no per-row object is built beyond the kept
-    values. Malformed rows are never skipped silently but raise
-    :class:`RowError` with the offending line number.
+    ``source`` may be a path or an open stream. Rows are read by column index
+    in one pass; no per-row object is built beyond the kept values. Malformed
+    rows are never skipped silently but raise :class:`RowError` with the
+    offending line number.
     """
     with _open_text(source) as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None:
             raise FormatError("trip file is empty (no header row)")
-        for col in columns.required():
+        for col in TRIP_COLUMNS:
             if col not in header:
                 raise FormatError(f"trip file is missing required column {col!r}")
         # the last column of a repeated name wins, as with csv.DictReader
         index = {name: i for i, name in enumerate(header)}
-        i_t0, i_t1, i_s0, i_s1 = (index[col] for col in columns.required())
+        i_t0, i_t1, i_s0, i_s1 = (index[col] for col in TRIP_COLUMNS)
         width = max(i_t0, i_t1, i_s0, i_s1) + 1
 
         start_times, end_times, start_stations, end_stations = [], [], [], []
@@ -485,10 +479,6 @@ def build_covariates(
     return CovariateMatrix(values=values, columns=columns)
 
 
-def attach_covariates(series: DemandSeries, covariates: CovariateMatrix) -> DemandSeries:
-    return replace(series, covariates=covariates)
-
-
 def _add_months(d: date, months: int) -> date:
     month_index = d.month - 1 + months
     year = d.year + month_index // 12
@@ -519,46 +509,48 @@ def split(series: DemandSeries) -> DataSplit:
 
 
 def demand_to_csv(series: DemandSeries) -> str:
-    """Serialize as interval_start, pickups, returns, then covariate columns."""
-    out = io.StringIO()
-    cov_cols = series.covariates.columns if series.covariates is not None else []
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["interval_start", "pickups", "returns", *cov_cols])
-    times = series.times()
-    for i in range(len(series)):
-        row = [times[i].isoformat(sep=" "), int(series.pickups[i]), int(series.returns[i])]
-        if series.covariates is not None:
-            row.extend(f"{v:.10g}" for v in series.covariates.values[i])
-        writer.writerow(row)
-    return out.getvalue()
+    """Serialize the counts as ``interval_start,pickups,returns`` rows, no covariates."""
+    lines = ["interval_start,pickups,returns\n"]
+    lines.extend(f"{ts.isoformat(sep=' ')},{p},{r}\n" for ts, p, r in
+                 zip(series.times(), series.pickups.tolist(), series.returns.tolist()))
+    return "".join(lines)
 
 
 def demand_from_csv(source, station: str, interval_minutes: int) -> DemandSeries:
-    """Inverse of :func:`demand_to_csv`; comment lines starting with # are skipped."""
-    with _open_text(source) as stream:
-        lines = [ln for ln in stream if not ln.startswith("#")]
-    reader = csv.reader(io.StringIO("".join(lines)))
-    header = next(reader, None)
-    if header is None or header[:3] != ["interval_start", "pickups", "returns"]:
-        raise FormatError("demand CSV must start with interval_start, pickups, returns")
-    cov_cols = header[3:]
-    times, pickups, returns, cov_rows = [], [], [], []
-    for row in reader:
-        times.append(datetime.fromisoformat(row[0]))
-        pickups.append(int(row[1]))
-        returns.append(int(row[2]))
-        if cov_cols:
-            cov_rows.append([float(v) for v in row[3:]])
+    """Inverse of :func:`demand_to_csv`; comment lines starting with # are skipped.
+
+    A short, blank or unparseable row raises :class:`RowError` with its line number.
+    """
+    with _open_text(source) as text:
+        lines = ((n, ln.rstrip("\r\n")) for n, ln in enumerate(text, 1)
+                 if not ln.startswith("#"))
+        if next(lines, (0, ""))[1] != "interval_start,pickups,returns":
+            raise FormatError("demand CSV must start with an interval_start,pickups,returns header")
+        times, pickups, returns = [], [], []
+        for n, line in lines:
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise RowError(n, f"expected interval_start,pickups,returns, got {line!r}")
+            times.append(_parse_timestamp(fields[0], n))
+            try:
+                pickups.append(int(fields[1]))
+                returns.append(int(fields[2]))
+            except ValueError:
+                raise RowError(n, f"unparseable counts in {line!r}") from None
     if not times:
         raise FormatError("demand CSV has no data rows")
-    covariates = (
-        CovariateMatrix(values=np.array(cov_rows), columns=cov_cols) if cov_cols else None
-    )
     return DemandSeries(
         station=station,
         interval_minutes=interval_minutes,
         start=times[0],
         pickups=np.array(pickups),
         returns=np.array(returns),
-        covariates=covariates,
     )
+
+
+def weather_to_csv(weather: WeatherTable) -> str:
+    """Serialize for :func:`parse_weather`; ``repr`` values parse back to the same floats."""
+    lines = ["timestamp,temperature_c,rain_probability\n"]
+    lines.extend(f"{ts.isoformat(sep=' ')},{temp!r},{rain!r}\n"
+                 for ts, (temp, rain) in sorted(weather.observations.items()))
+    return "".join(lines)

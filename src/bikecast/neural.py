@@ -49,6 +49,7 @@ from .queueing import log_factorial
 
 RATE_FLOOR = 1e-6
 SCALE_FLOOR = 1e-6
+MIN_EPOCHS = 5  # early stopping never ends training before this many epochs
 
 MODEL_KINDS = ("prnn", "vprnn", "movprnn")
 
@@ -377,7 +378,6 @@ class TrainConfig:
     batch_days: int = 32
     max_epochs: int = 200
     patience: int = 10
-    min_epochs: int = 5
 
 
 @dataclass
@@ -547,7 +547,7 @@ def train(kind: str, split: DataSplit, hyper: TrainConfig, seed: int,
             stale = 0
         else:
             stale += 1
-            if epoch + 1 >= hyper.min_epochs and stale > hyper.patience:
+            if epoch + 1 >= MIN_EPOCHS and stale > hyper.patience:
                 break
 
     return NeuralModel(

@@ -24,11 +24,11 @@ import numpy as np
 from .ingest import (
     PICKUP,
     RETURN,
-    CovariateMatrix,
     DataSplit,
     DemandSeries,
     EventStream,
-    covariate_columns,
+    WeatherTable,
+    build_covariates,
 )
 
 
@@ -248,22 +248,17 @@ def sinusoidal_split(
     returns = rng.poisson(level_draw() * np.tile(return_rate, n_days))
 
     start = datetime(2018, 1, 1)
-    columns = covariate_columns(interval_minutes)
-    values = np.zeros((n_days * slots, len(columns)))
-    temps = 15.0 + rng.normal(0, 0.5, size=n_days * slots)
-    for i in range(n_days * slots):
-        t = start + timedelta(minutes=i * interval_minutes)
-        values[i, 0] = temps[i]
-        values[i, 1] = 0.0
-        values[i, 2 + t.weekday()] = 1.0
-        values[i, 9 + (t.hour * 60 + t.minute) // interval_minutes] = 1.0
+    temps = 15.0 + rng.normal(0, 0.5, size=n_days * 24)
+    weather = WeatherTable({start + timedelta(hours=h): (float(t), 0.0)
+                            for h, t in enumerate(temps)})
     series = DemandSeries(
         station="synthetic",
         interval_minutes=interval_minutes,
         start=start,
         pickups=pickups,
         returns=returns,
-        covariates=CovariateMatrix(values=values, columns=columns),
+        covariates=build_covariates(
+            weather, (start.date(), start.date() + timedelta(days=n_days - 1)), interval_minutes),
     )
     train_days = int(n_days * train_fraction)
     val_days = int(n_days * val_fraction)

@@ -143,6 +143,27 @@ def test_evaluate_before_optimize_names_stage(tmp_path, capsys, corpus):
     assert "decisions" in err and "optimize" in err
 
 
+@pytest.mark.parametrize("damage", ["short-row", "trailing-blank-line"])
+def test_damaged_demand_file_exits_data_with_its_line(tmp_path, capsys, corpus, damage):
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "run.yaml", corpus, out, stations=["7"])
+    assert main(["ingest", "--config", path]) == EXIT_OK
+    demand = out / "demand" / "station_7.csv"
+    lines = demand.read_text().splitlines()
+    if damage == "short-row":
+        line = 10
+        lines[line - 1] = ",".join(lines[line - 1].split(",")[:2])
+    else:
+        lines.append("")
+        line = len(lines)
+    demand.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", path]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"line {line}:" in err
+    assert "Traceback" not in err
+
+
 # -- numeric problems --------------------------------------------------------------
 
 

@@ -12,7 +12,16 @@ from bikecast.config import RunConfig, derive_seed
 from bikecast.errors import DataError, StageError
 from bikecast.evaluate import replay_cost
 from bikecast.experiments import BIAS_KINDS, BiasSpec, apply_bias, bias_study
-from bikecast.ingest import PICKUP, RETURN, DemandSeries, EventStream, events_from_csv, split
+from bikecast.ingest import (
+    PICKUP,
+    RETURN,
+    DemandSeries,
+    EventStream,
+    build_covariates,
+    events_from_csv,
+    parse_weather,
+    split,
+)
 from bikecast.queueing import RateSeries
 
 
@@ -173,6 +182,7 @@ def test_pipeline_writes_expected_artifacts(pipeline_run):
         "demand/events_8.csv",
         "demand/station_7.csv",
         "demand/stations_selected.csv",
+        "demand/weather.csv",
         "forecasts/7_ha.csv",
         "forecasts/8_lr.csv",
         "models/7_ha.json",
@@ -353,6 +363,74 @@ def test_evaluate_does_not_read_the_trip_file(tmp_path):
     os.remove(paths["trips"])
     experiments.stage_evaluate(config)
     assert _reports(config) == kept
+
+
+def _train_and_forecast(config: RunConfig) -> dict[str, bytes]:
+    experiments.stage_train(config)
+    experiments.stage_forecast(config)
+    forecasts = os.path.join(config.out_dir, "forecasts")
+    blobs = {}
+    for name in sorted(os.listdir(forecasts)):
+        with open(os.path.join(forecasts, name), "rb") as fh:
+            blobs[name] = fh.read()
+    return blobs
+
+
+def test_quarter_hour_run_rebuilds_the_covariates_from_the_kept_weather(tmp_path):
+    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
+                                   base_rate=2.0)
+    config = RunConfig(
+        trips_path=paths["trips"], weather_path=paths["weather"],
+        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
+        start_date="2018-01-01", end_date="2018-12-31", stations=["7"],
+        models=["ha", "lr"], interval_minutes=15,
+    )
+    experiments.stage_ingest(config)
+    with open(os.path.join(config.out_dir, "demand", "station_7.csv")) as fh:
+        assert fh.readline() == config.artifact_header()
+        assert fh.readline() == "interval_start,pickups,returns\n"
+    series = experiments.load_ingested(config)["7"].series
+    expected = build_covariates(parse_weather(paths["weather"]),
+                                (date(2018, 1, 1), date(2018, 12, 31)), 15)
+    assert series.covariates.values.shape == (365 * 96, 105)
+    np.testing.assert_array_equal(series.covariates.values, expected.values)
+    assert series.covariates.columns == expected.columns
+    forecasts = _train_and_forecast(config)
+    assert sorted(forecasts) == ["7_ha.csv", "7_lr.csv"]
+    days, rates = experiments.load_forecasts(config, "7", "lr", 15)
+    assert len(days) == 61 and all(len(r) == 96 for r in rates)
+
+
+def test_train_and_forecast_do_not_read_the_weather_input(tmp_path):
+    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
+                                   base_rate=2.0)
+    config = RunConfig(
+        trips_path=paths["trips"], weather_path=paths["weather"],
+        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
+        start_date="2018-01-01", end_date="2018-12-31", stations=["7"],
+        models=["ha", "lr"],
+    )
+    experiments.stage_ingest(config)
+    kept = _train_and_forecast(config)
+    os.remove(paths["weather"])
+    assert _train_and_forecast(config) == kept
+
+
+def test_train_without_kept_weather_names_ingest(tmp_path):
+    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
+                                   base_rate=2.0)
+    config = RunConfig(
+        trips_path=paths["trips"], weather_path=paths["weather"],
+        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
+        start_date="2018-01-01", end_date="2018-12-31", stations=["7"], models=["lr"],
+    )
+    experiments.stage_ingest(config)
+    os.remove(os.path.join(config.out_dir, "demand", "weather.csv"))
+    with pytest.raises(StageError) as err:
+        experiments.stage_train(config)
+    assert isinstance(err.value.__cause__, DataError)
+    assert "weather.csv" in str(err.value)
+    assert "run the ingest stage first" in str(err.value)
 
 
 def test_evaluate_without_kept_events_names_ingest(tmp_path):

@@ -1,5 +1,6 @@
 """Trip parsing, interval aggregation, covariates, and the chronological split."""
 
+import dataclasses
 import gc
 import io
 import warnings
@@ -16,10 +17,8 @@ from bikecast.ingest import (
     CovariateMatrix,
     DemandSeries,
     EventStream,
-    TripColumns,
     WeatherTable,
     aggregate,
-    attach_covariates,
     build_covariates,
     covariate_columns,
     demand_from_csv,
@@ -32,6 +31,7 @@ from bikecast.ingest import (
     split,
     to_event_streams,
     top_stations,
+    weather_to_csv,
 )
 
 TRIPS_CSV = """starttime,stoptime,start station id,end station id
@@ -84,13 +84,6 @@ def test_parse_trips_rejects_reversed_interval():
           "2018-06-01 10:00:00,2018-06-01 09:00:00,A,B\n"
     with pytest.raises(RowError):
         parse_trips(io.StringIO(bad))
-
-
-def test_parse_trips_custom_columns():
-    csv_text = "t0,t1,from,to\n2018-06-01 07:00:00,2018-06-01 07:30:00,X,Y\n"
-    cols = TripColumns(start_time="t0", stop_time="t1", start_station="from", end_station="to")
-    trips = parse_trips(io.StringIO(csv_text), columns=cols)
-    assert trips.end_stations == ["Y"]
 
 
 @pytest.mark.parametrize("row, message", [
@@ -395,7 +388,7 @@ def test_attach_covariates_validates_length():
     table = weather_for_days(date(2018, 6, 1), 2)
     cov = build_covariates(table, (date(2018, 6, 1), date(2018, 6, 2)), 60)
     with pytest.raises(DataError):
-        attach_covariates(series, cov)
+        dataclasses.replace(series, covariates=cov)
 
 
 def test_split_needs_month_aligned_year():
@@ -439,7 +432,7 @@ def test_demand_series_validates_whole_days():
         )
 
 
-def test_demand_csv_roundtrip_with_covariates():
+def test_demand_csv_roundtrip_keeps_only_counts():
     table = weather_for_days(date(2018, 6, 1), 1, temp=21.0, rain=0.3)
     cov = build_covariates(table, (date(2018, 6, 1), date(2018, 6, 1)), 60)
     rng = np.random.default_rng(0)
@@ -450,25 +443,64 @@ def test_demand_csv_roundtrip_with_covariates():
         covariates=cov,
     )
     text = demand_to_csv(series)
+    lines = text.splitlines()
+    assert lines[0] == "interval_start,pickups,returns"
+    assert lines[1] == f"2018-06-01 00:00:00,{series.pickups[0]},{series.returns[0]}"
     back = demand_from_csv(io.StringIO(text), station="A", interval_minutes=60)
     np.testing.assert_array_equal(back.pickups, series.pickups)
     np.testing.assert_array_equal(back.returns, series.returns)
     assert back.start == series.start
-    np.testing.assert_allclose(back.covariates.values, cov.values)
-    assert back.covariates.columns == cov.columns
+    assert back.covariates is None
 
 
 def test_demand_csv_skips_comment_lines():
-    table = weather_for_days(date(2018, 6, 1), 1)
-    cov = build_covariates(table, (date(2018, 6, 1), date(2018, 6, 1)), 60)
     series = DemandSeries(
         station="A", interval_minutes=60, start=datetime(2018, 6, 1),
         pickups=np.ones(24, dtype=np.int64), returns=np.zeros(24, dtype=np.int64),
-        covariates=cov,
     )
     text = "# config: abc seed: 1\n" + demand_to_csv(series)
     back = demand_from_csv(io.StringIO(text), station="A", interval_minutes=60)
     assert back.pickups.sum() == 24
+
+
+@pytest.mark.parametrize("row, message", [
+    pytest.param("2018-06-01 03:00:00,1", "expected interval_start", id="short-row"),
+    pytest.param("", "expected interval_start", id="blank-line"),
+    pytest.param("2018-06-01 03:00:00,1,x", "unparseable counts", id="non-integer"),
+    pytest.param("2018-06-01 03:00:00,1.5,0", "unparseable counts", id="fractional"),
+    pytest.param("yesterday,1,0", "unparseable timestamp", id="bad-time"),
+])
+def test_demand_csv_row_errors_carry_their_line(row, message):
+    # the comment line counts: line numbers are physical lines
+    series = DemandSeries(
+        station="A", interval_minutes=60, start=datetime(2018, 6, 1),
+        pickups=np.ones(24, dtype=np.int64), returns=np.zeros(24, dtype=np.int64),
+    )
+    lines = ("# config: abc seed: 1\n" + demand_to_csv(series)).splitlines()
+    lines[5] = row
+    with pytest.raises(RowError, match=message) as err:
+        demand_from_csv(io.StringIO("\n".join(lines) + "\n"), station="A", interval_minutes=60)
+    assert err.value.line_number == 6
+
+
+def test_demand_csv_rejects_a_covariate_header():
+    text = "interval_start,pickups,returns,temperature_c\n2018-06-01 00:00:00,1,0,12.0\n"
+    with pytest.raises(FormatError):
+        demand_from_csv(io.StringIO(text), station="A", interval_minutes=60)
+
+
+@pytest.mark.parametrize("temperature, rain", [
+    (0.1 + 0.2, 0.1 + 0.2), (-0.0, 0.0), (1 / 3, 1.0), (-12.345678901234567, 5e-324)])
+def test_weather_csv_roundtrip_is_exact(temperature, rain):
+    table = WeatherTable()
+    table.add(datetime(2018, 6, 1, 1), 10.0, 0.5)
+    table.add(datetime(2018, 6, 1, 0), temperature, rain)
+    text = weather_to_csv(table)
+    assert text.splitlines()[0] == "timestamp,temperature_c,rain_probability"
+    back = parse_weather(io.StringIO(text))
+    assert back.observations == table.observations
+    assert list(back.observations) == sorted(table.observations)
+    assert str(back.observations[datetime(2018, 6, 1, 0)][0]) == str(temperature)
 
 
 def test_covariate_matrix_rejects_bad_one_hots():
