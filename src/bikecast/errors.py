@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from __future__ import annotations
+
 
 class BikecastError(Exception):
     """Base class for all errors raised by this package."""
@@ -18,11 +20,18 @@ class FormatError(DataError):
 
 
 class RowError(DataError):
-    """A single data row could not be parsed; carries the 1-based line number."""
+    """A single data row could not be parsed.
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    Carries the 1-based physical line number, the message without its
+    location (``reason``) and, when the reader was given a path, the file.
+    """
+
+    def __init__(self, line_number: int, message: str, path: str | None = None):
+        where = f"{path}: line {line_number}" if path else f"line {line_number}"
+        super().__init__(f"{where}: {message}")
         self.line_number = line_number
+        self.reason = message
+        self.path = path
 
 
 class DomainError(BikecastError):

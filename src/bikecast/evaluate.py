@@ -77,14 +77,15 @@ def replay_cost(events: EventStream, s: int, capacity: int,
     """Replay one day's events against a starting inventory and count shortages.
 
     A pickup at an empty station is lost; a return at a full station is lost;
-    either leaves the inventory unchanged. Events are replayed in time order,
-    a pickup before a return at the same instant (``"pickup" < "return"``).
+    either leaves the inventory unchanged. Events are replayed in the order
+    the stream keeps them: by time, a pickup before a return at the same
+    instant.
     """
     if not 0 <= s <= capacity:
         raise DataError(f"starting inventory {s} outside [0, {capacity}]")
     inventory = s
     lost_p = lost_r = 0
-    for _, kind in sorted(events.events):
+    for kind in events.kinds.tolist():
         if kind == PICKUP:
             if inventory == 0:
                 lost_p += 1

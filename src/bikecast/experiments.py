@@ -13,7 +13,6 @@ starts with a comment carrying the config hash and seed.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass, field, replace
 from datetime import date
@@ -49,9 +48,10 @@ from .ingest import (
     split,
     to_event_streams,
     top_stations,
+    weather_from_csv,
     weather_to_csv,
 )
-from .inventory import PenaltyConfig, udf_curve
+from .inventory import PenaltyConfig, UdfCurve, udf_curve
 from .queueing import RateSeries
 from .synthetic import peaked_day
 
@@ -295,8 +295,8 @@ def load_ingested(config: RunConfig) -> dict[str, StationData]:
     """Read back the ``demand/`` files of stage_ingest; the covariates are not
     stored but rebuilt from ``demand/weather.csv``, once for all stations."""
     capacities = _load_capacities(config)
-    weather = io.StringIO(_read_commented(_require(_weather_path(config), "ingest")))
-    covariates = build_covariates(parse_weather(weather), (config.start_date, config.end_date),
+    weather = weather_from_csv(_require(_weather_path(config), "ingest"))
+    covariates = build_covariates(weather, (config.start_date, config.end_date),
                                   config.interval_minutes)
     data: dict[str, StationData] = {}
     for sid, capacity in capacities.items():
@@ -447,12 +447,17 @@ def load_forecasts(config: RunConfig, sid: str, name: str,
 
 
 def stage_optimize(config: RunConfig) -> dict[str, dict[str, list[int]]]:
-    """Turn every forecast into a starting-inventory decision."""
+    """Turn every forecast into a starting-inventory decision.
+
+    A forecast that repeats one already solved in this call, with the same
+    capacity and penalties, reuses its curve: HA repeats by weekday.
+    """
     with _stage("optimize"):
         capacities = _load_capacities(config)
         penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
         header = config.artifact_header()
         decisions: dict[str, dict[str, list[int]]] = {}
+        solved: dict[tuple, UdfCurve] = {}
         for sid in sorted(capacities):
             decisions[sid] = {}
             lines = ["date,model,s_star,expected_cost"]
@@ -461,7 +466,11 @@ def stage_optimize(config: RunConfig) -> dict[str, dict[str, list[int]]]:
                                                  config.interval_minutes)
                 picks = []
                 for day, rates in zip(days, forecasts):
-                    curve = udf_curve(rates, capacities[sid], penalties)
+                    key = (rates.pickup_rates.tobytes(), rates.return_rates.tobytes(),
+                           rates.interval_minutes, capacities[sid], penalties)
+                    if key not in solved:
+                        solved[key] = udf_curve(rates, capacities[sid], penalties)
+                    curve = solved[key]
                     picks.append(curve.s_star)
                     lines.append(f"{day.isoformat()},{name},{curve.s_star},"
                                  f"{curve.values[curve.s_star]:.12g}")

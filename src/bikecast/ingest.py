@@ -4,17 +4,31 @@ Everything downstream consumes per-interval pickup/return counts aligned with
 an exogenous covariate matrix (weather + calendar encodings). This module
 turns raw trip and weather files into that shape.
 
-A trip file is read once, in one pass, into a columnar :class:`TripTable`
-(start time, end time, start station, end station). The table becomes one
-sorted :class:`EventStream` per selected station; the stream feeds the
-interval counts and, written with :func:`events_to_csv` as
-``demand/events_<sid>.csv``, the replay that scores each day's decision, so
-the trip file is never parsed again after ingest.
+Times travel as numpy ``datetime64[us]`` columns from parse to replay, never
+as one ``datetime`` object per row:
+
+* a trip file is read once, in chunks of rows, into a columnar
+  :class:`TripTable` (start and end times, start and end stations);
+* each selected station's trips become one :class:`EventStream`, a sorted
+  time column beside a pickup/return kind column, which feeds the interval
+  counts (:func:`aggregate`) and, written with :func:`events_to_csv` as
+  ``demand/events_<sid>.csv``, the replay that scores each day's decision,
+  so the trip file is never parsed again after ingest;
+* the hourly weather is a :class:`WeatherTable` of three columns, from which
+  :func:`build_covariates`, the one place that knows their encoding, builds
+  the covariates. They are not stored.
 
 Under ``demand/`` ingest also writes each station's counts
 (``station_<sid>.csv``) and, once, the weather it parsed (``weather.csv``).
-Covariates are not stored: :func:`build_covariates`, the one place that
-knows their encoding, rebuilds them from the weather.
+
+Timestamps are read as :func:`datetime.fromisoformat` reads them, with
+surrounding blanks stripped and UTC offsets refused. The common layout
+``YYYY-MM-DD HH:MM:SS`` (any one character may separate date and time), with
+an optional fraction of 1 to 6 digits, is decoded for a whole column at once
+from the bytes of its strings; any other spelling is parsed one string at a
+time.
+A bad row anywhere raises :class:`RowError` with its physical line number,
+and with the file's path when the reader was given one.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -30,56 +44,76 @@ import csv
 import io
 import math
 import os
-from bisect import bisect_left
-from collections import Counter
+from collections import deque
 from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
+from itertools import compress, islice, repeat, tee
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, RowError
 
-PICKUP = "pickup"
-RETURN = "return"
+# event kinds; pickups sort before returns at equal times
+PICKUP, RETURN = 0, 1
+KIND_NAMES = ("pickup", "return")
 
 VALID_INTERVALS = (15, 30, 60)
 
+_NAT = np.datetime64("NaT", "us")
 
-@dataclass
+
+@dataclass(eq=False)
 class TripTable:
-    """Parsed trips as four parallel columns, one entry per kept row."""
+    """Parsed trips as four parallel columns, one entry per kept row.
 
-    start_times: list[datetime]
-    end_times: list[datetime]
-    start_stations: list[str]
-    end_stations: list[str]
+    ``start_times`` and ``end_times`` are ``datetime64[us]`` arrays;
+    ``start_stations`` and ``end_stations`` are string arrays of the stripped
+    station ids.
+    """
+
+    start_times: np.ndarray
+    end_times: np.ndarray
+    start_stations: np.ndarray
+    end_stations: np.ndarray
 
     def __len__(self) -> int:
         return len(self.start_times)
 
 
-@dataclass
+@dataclass(eq=False)
 class EventStream:
-    """Chronological pickup/return events at one station."""
+    """Pickup/return events at one station as two columns, in replay order.
+
+    ``times`` is a ``datetime64[us]`` array and ``kinds`` an ``int8`` array of
+    :data:`PICKUP` or :data:`RETURN`, one entry per event. The constructor
+    sorts both by time, pickups before returns at equal times, so a stream is
+    always in the order a replay walks it.
+    """
 
     station: str
-    events: list[tuple[datetime, str]]
+    times: np.ndarray
+    kinds: np.ndarray
 
-    def sort(self) -> None:
-        # PICKUP < RETURN as strings, so plain tuple order puts pickups first
-        # at equal times and the comparison never leaves C
-        self.events.sort()
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype="datetime64[us]")
+        kinds = np.asarray(self.kinds, dtype=np.int8)
+        if times.ndim != 1 or times.shape != kinds.shape:
+            raise DataError("event times and kinds must be 1-D and equal length")
+        if not np.all((kinds == PICKUP) | (kinds == RETURN)):
+            raise DataError(f"event kinds must be {PICKUP} (pickup) or {RETURN} (return)")
+        order = np.lexsort((kinds, times))
+        self.times = times[order]
+        self.kinds = kinds[order]
 
     def slice_day(self, day: date) -> "EventStream":
-        """The events of one day; relies on the stream being sorted."""
-        lo = datetime.combine(day, time.min)
-        hi = lo + timedelta(days=1)
-        first = bisect_left(self.events, lo, key=itemgetter(0))
-        last = bisect_left(self.events, hi, lo=first, key=itemgetter(0))
-        return EventStream(station=self.station, events=self.events[first:last])
+        """The events of one day, found by binary search in the sorted times."""
+        lo = np.datetime64(day, "us")
+        first, last = np.searchsorted(self.times, [lo, lo + np.timedelta64(1, "D")])
+        return EventStream(station=self.station, times=self.times[first:last],
+                           kinds=self.kinds[first:last])
 
 
 @dataclass
@@ -190,6 +224,13 @@ class DataSplit:
 
 # start time, stop time, start station and end station in the Citi Bike schema
 TRIP_COLUMNS = ("starttime", "stoptime", "start station id", "end station id")
+WEATHER_COLUMNS = ("timestamp", "temperature_c", "rain_probability")
+
+# rows turned into columns at a time: the row objects of a chunk this size
+# stay in cache, and 8 times larger chunks parsed a trip file 30% slower
+_CHUNK_ROWS = 2048
+
+_KIND_CODES = {name: kind for kind, name in enumerate(KIND_NAMES)}
 
 
 def _parse_timestamp(raw: str, line_number: int) -> datetime:
@@ -203,17 +244,113 @@ def _parse_timestamp(raw: str, line_number: int) -> datetime:
     return stamp
 
 
+def _layout(fraction_digits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Byte bounds and digit weights of ``YYYY-MM-DD HH:MM:SS`` plus a fraction.
+
+    Per byte of a string padded with NULs to 32: the lowest byte allowed there
+    and how far above it the highest lies; per byte and field (year, month,
+    day, hour, minute, second, microsecond), the weight of a digit there; and
+    per field, the weighted sum of ``"0"`` bytes to subtract.
+    """
+    text = "dddd-dd-dd dd:dd:dd" + ("." + "d" * fraction_digits if fraction_digits else "")
+    lo = np.zeros(32, dtype=np.uint8)
+    lo[:len(text)] = [ord("0") if c == "d" else ord(c) for c in text]
+    span = np.zeros(32, dtype=np.uint8)
+    span[:len(text)] = [9 if c == "d" else 0 for c in text]
+    span[10] = 255  # fromisoformat takes any character between date and time
+    # float32 is exact here: every partial sum stays an integer below 2**24
+    weights = np.zeros((32, 7), dtype=np.float32)
+    fields = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2), (20, fraction_digits))
+    for column, (first, width) in enumerate(fields):
+        weights[first:first + width, column] = 10.0 ** np.arange(width - 1, -1, -1)
+    weights[20:, 6] *= 10.0 ** (6 - fraction_digits)
+    return lo, span, weights, ord("0") * weights.sum(axis=0)
+
+
+# by string length: 19 without a fraction, 21 to 26 with 1 to 6 fraction digits
+_LAYOUTS = {19 + (k > 0) + k: _layout(k) for k in range(7)}
+# the last day of each two-digit month in a leap year; none outside 1..12
+_MAX_DAY = np.zeros(100, dtype=np.int64)
+_MAX_DAY[1:13] = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+
+def _decode(chars: np.ndarray, lo: np.ndarray, span: np.ndarray, weights: np.ndarray,
+            zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows of an ``(n, 32)`` byte matrix are valid timestamps of one layout, and their values."""
+    bad = ((chars - lo) > span).view(np.uint64)  # eight bytes per word
+    ok = (bad[:, 0] | bad[:, 1] | bad[:, 2] | bad[:, 3]) == 0
+    year, month, day, hour, minute, second, micro = (
+        weights.T @ chars.T.astype(np.float32) - zeros[:, None]).astype(np.int64)
+    # a month outside 1..12 allows no day at all
+    ok &= ((year >= 1) & (day >= 1) & (day <= _MAX_DAY.take(month, mode="clip"))
+           & (hour <= 23) & (minute <= 59) & (second <= 59))
+    feb29 = np.flatnonzero((month == 2) & (day == 29))
+    leap = year[feb29]
+    ok[feb29] &= (leap % 4 == 0) & ((leap % 100 != 0) | (leap % 400 == 0))
+    first = ((year - 1970) * 12 + month - 1).astype("datetime64[M]").astype("datetime64[us]")
+    micros = ((day - 1) * 86400 + hour * 3600 + minute * 60 + second) * 1_000_000 + micro
+    return ok, first + micros.astype("timedelta64[us]")
+
+
+def _timestamps(strings: list[str]) -> np.ndarray:
+    """Each string as :func:`_parse_timestamp` reads it, as ``datetime64[us]``; NaT where it refuses.
+
+    The strings of the column's most common length, when that is the length
+    of a layout in ``_LAYOUTS``, are decoded together from their bytes; the
+    others, and those that break the layout, are parsed one by one.
+    """
+    n = len(strings)
+    lengths = np.fromiter(map(len, strings), np.intp, n)
+    width = int(np.bincount(lengths).argmax()) if n else 0
+    out = np.full(n, _NAT)
+    if width in _LAYOUTS:
+        picked = lengths == width
+        common = strings if picked.all() else compress(strings, picked.tolist())
+        raw = "".join(common).encode("ascii", "replace")
+        chars = np.zeros((np.count_nonzero(picked), 32), dtype=np.uint8)
+        chars[:, :width] = np.frombuffer(raw, np.uint8).reshape(-1, width)
+        ok, values = _decode(chars, *_LAYOUTS[width])
+        if len(values) == n and ok.all():
+            return values
+        out[np.flatnonzero(picked)[ok]] = values[ok]
+    for i in np.flatnonzero(np.isnat(out)):
+        try:
+            out[i] = _parse_timestamp(strings[i], 0)
+        except RowError:
+            pass  # refused: stays NaT, and the caller names the line
+    return out
+
+
+def _iso_strings(times: np.ndarray) -> list[str]:
+    """Each time spelled as ``datetime.isoformat(sep=" ")``: a fraction only when nonzero."""
+    if not len(times):
+        return []
+    text = np.datetime_as_string(times, unit="us")  # 2018-06-01T07:58:30.143447
+    chars = text.view(np.uint32).reshape(len(text), -1)
+    chars[:, 10] = ord(" ")
+    chars[times == times.astype("datetime64[s]"), 19:] = 0
+    return text.tolist()
+
+
 @contextmanager
 def _open_text(source):
     """A text stream over ``source``, closed on exit only if opened here.
 
-    A path is opened and closed. A binary stream that the caller owns is
-    wrapped, and the wrapper is detached on exit, so the caller's stream stays
-    open. Text streams pass through untouched.
+    A path is opened and closed, and a :class:`RowError` or
+    :class:`FormatError` raised while reading it names the path. A binary
+    stream that the caller owns is wrapped, and the wrapper is detached on
+    exit, so the caller's stream stays open. Text streams and other
+    iterables of lines pass through untouched.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", newline="") as fh:
-            yield fh
+        path = os.fspath(source)
+        with open(path, "r", newline="") as fh:
+            try:
+                yield fh
+            except RowError as exc:
+                raise RowError(exc.line_number, exc.reason, path) from None
+            except FormatError as exc:
+                raise FormatError(f"{path}: {exc}") from None
     elif isinstance(source, io.IOBase) and not isinstance(source, io.TextIOBase):
         wrapper = io.TextIOWrapper(source, encoding="utf-8")
         try:
@@ -224,104 +361,185 @@ def _open_text(source):
         yield source
 
 
+def _header_index(reader, what: str, required: tuple[str, ...]) -> tuple[int, ...]:
+    """Column index of each required name; the last column of a repeated name wins."""
+    header = next(reader, None)
+    if header is None:
+        raise FormatError(f"{what} file is empty (no header row)")
+    for col in required:
+        if col not in header:
+            raise FormatError(f"{what} file is missing required column {col!r}")
+    index = {name: i for i, name in enumerate(header)}
+    return tuple(index[col] for col in required)
+
+
+def _column_chunks(stream, what: str, names: tuple[str, ...]):
+    """The named columns of a CSV with a header, a chunk of rows at a time.
+
+    Yields one list of strings per name and the rows' physical line numbers.
+    ``csv.reader`` splits the rows; blank lines are dropped and short rows
+    padded with empty fields, as a row-by-row reader treats them. The fields
+    of a chunk are picked straight from the reader, one line per row. A chunk
+    that a blank line, a short row or a quoted line break breaks is split
+    again from its lines, which are kept until the chunk is done.
+    """
+    lines, kept = tee(stream)
+    reader = csv.reader(lines)
+    columns = _header_index(reader, what, names)
+    pick = itemgetter(*columns)
+    done = reader.line_num
+    deque(islice(kept, done), maxlen=0)
+    while True:
+        rows: list | None = []
+        try:
+            rows.extend(islice(map(pick, reader), _CHUNK_ROWS))
+        except IndexError:  # a blank line or a short row
+            rows = None
+        chunk = list(islice(kept, reader.line_num - done))
+        if not chunk:
+            return
+        if rows is not None and len(rows) == len(chunk):
+            numbers = list(range(done + 1, reader.line_num + 1))
+        else:
+            rows, numbers = _split_rows(chunk, done, pick, max(columns) + 1)
+        done = reader.line_num
+        if rows:
+            yield [list(map(itemgetter(k), rows)) for k in range(len(names))], numbers
+
+
+def _split_rows(lines: list[str], offset: int, pick, width: int) -> tuple[list, list[int]]:
+    """The picked fields of each row of ``lines``, blank rows dropped and short
+    ones padded, with line numbers counted on from ``offset``."""
+    reader = csv.reader(lines)
+    rows, numbers = [], []
+    for row in reader:
+        if row:
+            rows.append(pick(row + [""] * (width - len(row))))
+            numbers.append(offset + reader.line_num)
+    return rows, numbers
+
+
+def _string_array(values: list[str]) -> np.ndarray:
+    """``values`` as a string array; given the width, numpy skips a slow search for it."""
+    width = np.fromiter(map(len, values), np.intp, len(values)).max(initial=1)
+    return np.array(values, dtype=f"<U{width}")
+
+
+def _check_trip(line: int, start_raw: str, end_raw: str, origin: str, dest: str) -> None:
+    """The rules of one trip row, in order; raises :class:`RowError` for a bad row."""
+    if not origin or not dest:
+        raise RowError(line, "empty station id")
+    start_time = _parse_timestamp(start_raw, line)
+    end_time = _parse_timestamp(end_raw, line)
+    if end_time < start_time:
+        raise RowError(line, f"trip ends before it starts: {start_time} -> {end_time}")
+
+
 def parse_trips(source) -> TripTable:
     """Read a trip CSV with the :data:`TRIP_COLUMNS` into a :class:`TripTable`.
 
-    ``source`` may be a path or an open stream. Rows are read by column index
-    in one pass; no per-row object is built beyond the kept values. Malformed
-    rows are never skipped silently but raise :class:`RowError` with the
-    offending line number.
+    ``source`` may be a path or an open stream. ``csv.reader`` splits the
+    rows, so quoted fields, blank lines and short rows read as a row-by-row
+    reader reads them. Each chunk of rows becomes columns: each time column
+    is parsed in one :func:`_timestamps` call and each station column is
+    stripped into one array. Malformed rows are never skipped silently but
+    raise :class:`RowError` with the offending line number; the first bad row
+    of a chunk is checked again on its own, so the message is the one its
+    first broken rule gives.
     """
     with _open_text(source) as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None:
-            raise FormatError("trip file is empty (no header row)")
-        for col in TRIP_COLUMNS:
-            if col not in header:
-                raise FormatError(f"trip file is missing required column {col!r}")
-        # the last column of a repeated name wins, as with csv.DictReader
-        index = {name: i for i, name in enumerate(header)}
-        i_t0, i_t1, i_s0, i_s1 = (index[col] for col in TRIP_COLUMNS)
-        width = max(i_t0, i_t1, i_s0, i_s1) + 1
-
-        start_times, end_times, start_stations, end_stations = [], [], [], []
-        for row in reader:
-            if not row:
-                continue  # blank line
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            line = reader.line_num
-            start_station = row[i_s0].strip()
-            end_station = row[i_s1].strip()
-            if not start_station or not end_station:
-                raise RowError(line, "empty station id")
-            start_time = _parse_timestamp(row[i_t0], line)
-            end_time = _parse_timestamp(row[i_t1], line)
-            if end_time < start_time:
-                raise RowError(line, f"trip ends before it starts: {start_time} -> {end_time}")
-            start_times.append(start_time)
-            end_times.append(end_time)
-            start_stations.append(start_station)
-            end_stations.append(end_station)
-    return TripTable(start_times, end_times, start_stations, end_stations)
+        parts = []
+        for (starts, ends, origins, dests), numbers in _column_chunks(
+                stream, "trip", TRIP_COLUMNS):
+            n = len(starts)
+            times = _timestamps(starts + ends)
+            start_times, end_times = times[:n], times[n:]
+            ids = _string_array(list(map(str.strip, origins + dests)))
+            origin_ids, dest_ids = ids[:n], ids[n:]
+            bad = ((origin_ids == "") | (dest_ids == "") | np.isnat(start_times)
+                   | np.isnat(end_times) | (end_times < start_times))
+            if bad.any():
+                i = int(np.argmax(bad))
+                _check_trip(numbers[i], starts[i], ends[i], origin_ids[i], dest_ids[i])
+            parts.append((start_times, end_times, origin_ids, dest_ids))
+    if not parts:
+        no_times, no_ids = np.empty(0, "datetime64[us]"), np.empty(0, str)
+        return TripTable(no_times, no_times, no_ids, no_ids)
+    return TripTable(*(np.concatenate(column) for column in zip(*parts)))
 
 
 def to_event_streams(trips: TripTable, stations: Iterable[str]) -> dict[str, EventStream]:
     """Explode trips into pickup/return event streams for the given stations.
 
     Each trip contributes a pickup at its start station and a return at its
-    end station; events at other stations are never built. Streams come back
-    time-sorted with pickups ordered before returns at identical timestamps,
-    keyed by station id in sorted order. A station with no events gets no
-    stream.
+    end station; a station's events are masked out of the trip columns, and
+    events at other stations are never built. Streams come back sorted by
+    :class:`EventStream`, keyed by station id in sorted order. A station with
+    no events gets no stream.
     """
-    events: dict[str, list[tuple[datetime, str]]] = {sid: [] for sid in sorted(set(stations))}
-    for kind, times, where in ((PICKUP, trips.start_times, trips.start_stations),
-                               (RETURN, trips.end_times, trips.end_stations)):
-        for ts, station in zip(times, where):
-            if station in events:
-                events[station].append((ts, kind))
     streams = {}
-    for station, found in events.items():
-        if found:
-            stream = EventStream(station=station, events=found)
-            stream.sort()
-            streams[station] = stream
+    for station in sorted(set(stations)):
+        picked = trips.start_stations == station
+        returned = trips.end_stations == station
+        counts = [np.count_nonzero(picked), np.count_nonzero(returned)]
+        if sum(counts):
+            streams[station] = EventStream(
+                station=station,
+                times=np.concatenate((trips.start_times[picked], trips.end_times[returned])),
+                kinds=np.repeat(np.array([PICKUP, RETURN], dtype=np.int8), counts))
     return streams
 
 
 def top_stations(trips: TripTable, n: int = 30) -> list[str]:
     """The ``n`` most active stations by total pickup count, busiest first."""
-    counts = Counter(trips.start_stations)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [station for station, _ in ranked[:n]]
+    stations, counts = np.unique(trips.start_stations, return_counts=True)
+    # unique sorts the ids, so a stable sort on the counts breaks ties by id
+    return stations[np.argsort(-counts, kind="stable")[:n]].tolist()
 
 
 def events_to_csv(stream: EventStream) -> str:
     """Serialize a stream as ``time,kind`` rows; the times round-trip exactly."""
-    lines = ["time,kind\n"]
-    lines.extend(f"{ts.isoformat(sep=' ')},{kind}\n" for ts, kind in stream.events)
-    return "".join(lines)
+    names = np.array(KIND_NAMES)[stream.kinds].tolist()
+    return "time,kind\n" + "".join(map("{},{}\n".format, _iso_strings(stream.times), names))
+
+
+def _kept_lines(stream, header: str, message: str) -> tuple[list[int], list[str]]:
+    """Physical line numbers and texts of the rows after a kept CSV's header.
+
+    Lines end in LF or CR LF, and the ends are stripped. Comment lines
+    (starting with #) are skipped. A first line other than ``header`` raises
+    :class:`FormatError` with ``message``.
+    """
+    lines = stream.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the text ends with a line break
+    kept = ~np.fromiter(map(str.startswith, lines, repeat("#")), bool, len(lines))
+    rows = list(map(str.rstrip, compress(lines, kept.tolist()), repeat("\r")))
+    if not rows or rows[0] != header:
+        raise FormatError(message)
+    return (np.flatnonzero(kept)[1:] + 1).tolist(), rows[1:]
 
 
 def events_from_csv(source, station: str) -> EventStream:
-    """Inverse of :func:`events_to_csv`; comment lines starting with # are skipped."""
-    # each event refers to the module's kind string, not a copy per row
-    kinds = {PICKUP: PICKUP, RETURN: RETURN}
+    """Inverse of :func:`events_to_csv`; comment lines starting with # are skipped.
+
+    An unknown kind raises :class:`FormatError`, and a bad time
+    :class:`RowError` with its line number.
+    """
     with _open_text(source) as text:
-        lines = (ln for ln in text if not ln.startswith("#"))
-        if next(lines, "").rstrip("\r\n") != "time,kind":
-            raise FormatError("event CSV must start with a time,kind header")
-        events = []
-        for line in lines:
-            stamp, _, kind = line.rstrip("\r\n").partition(",")
-            if kind not in kinds:
-                raise FormatError(f"unknown event kind {kind!r} in event CSV")
-            events.append((datetime.fromisoformat(stamp), kinds[kind]))
-    stream = EventStream(station=station, events=events)
-    stream.sort()  # slice_day relies on the order; a sorted file costs one pass
-    return stream
+        numbers, lines = _kept_lines(text, "time,kind",
+                                     "event CSV must start with a time,kind header")
+        fields = list(map(str.partition, lines, repeat(",")))
+        stamps, names = list(map(itemgetter(0), fields)), list(map(itemgetter(2), fields))
+        kinds = np.fromiter(map(_KIND_CODES.get, names, repeat(-1)), np.int8, len(names))
+        times = _timestamps(stamps)
+        bad = (kinds < 0) | np.isnat(times)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if kinds[i] < 0:
+                raise FormatError(f"unknown event kind {names[i]!r} in event CSV")
+            _parse_timestamp(stamps[i], numbers[i])
+    return EventStream(station=station, times=times, kinds=kinds)
 
 
 def aggregate(
@@ -343,17 +561,11 @@ def aggregate(
     n_days = (last - first).days + 1
     n = n_days * (1440 // interval_minutes)
 
-    pickups = np.zeros(n, dtype=np.int64)
-    returns = np.zeros(n, dtype=np.int64)
-    for ts, kind in events.events:
-        offset_min = (ts - start).total_seconds() / 60.0
-        idx = int(offset_min // interval_minutes)
-        if offset_min < 0 or idx >= n:
-            continue
-        if kind == PICKUP:
-            pickups[idx] += 1
-        else:
-            returns[idx] += 1
+    slot = ((events.times - np.datetime64(start, "us"))
+            // np.timedelta64(interval_minutes, "m"))
+    inside = (slot >= 0) & (slot < n)
+    pickups, returns = (np.bincount(slot[inside & (events.kinds == kind)], minlength=n)
+                        for kind in (PICKUP, RETURN))
     return DemandSeries(
         station=events.station,
         interval_minutes=interval_minutes,
@@ -363,45 +575,95 @@ def aggregate(
     )
 
 
-@dataclass
+def _check_observation(ts: datetime, temperature_c: float, rain_probability: float) -> None:
+    """The rules of one weather observation, in order; raises :class:`DataError`."""
+    if ts.minute or ts.second or ts.microsecond:
+        raise DataError(f"weather timestamps must be on the hour, got {ts}")
+    if not 0.0 <= rain_probability <= 1.0:
+        raise DataError(f"rain_probability {rain_probability} outside [0, 1] at {ts}")
+    if not math.isfinite(temperature_c):
+        raise DataError(f"temperature_c {temperature_c} is not finite at {ts}")
+
+
+def _bad_observations(hours: np.ndarray, temperature_c: np.ndarray,
+                      rain_probability: np.ndarray) -> np.ndarray:
+    """Where :func:`_check_observation` would refuse, as a mask."""
+    return ((hours != hours.astype("datetime64[h]"))
+            | ~((rain_probability >= 0.0) & (rain_probability <= 1.0))
+            | ~np.isfinite(temperature_c))
+
+
+@dataclass(eq=False)
 class WeatherTable:
-    """Hourly weather observations keyed by (naive, local) hour timestamps."""
+    """Hourly weather as three parallel columns, one row per hour, sorted by hour.
 
-    observations: dict[datetime, tuple[float, float]] = field(default_factory=dict)
+    ``hours`` is a ``datetime64[us]`` array of naive local hours;
+    ``temperature_c`` and ``rain_probability`` are float arrays. The
+    constructor checks every observation (on the hour, rain in [0, 1], a
+    finite temperature) and sorts by hour; of repeated hours the last given
+    wins.
+    """
 
-    def add(self, ts: datetime, temperature_c: float, rain_probability: float) -> None:
-        if ts.minute or ts.second or ts.microsecond:
-            raise DataError(f"weather timestamps must be on the hour, got {ts}")
-        if not 0.0 <= rain_probability <= 1.0:
-            raise DataError(f"rain_probability {rain_probability} outside [0, 1] at {ts}")
-        if not math.isfinite(temperature_c):
-            raise DataError(f"temperature_c {temperature_c} is not finite at {ts}")
-        self.observations[ts] = (float(temperature_c), float(rain_probability))
+    hours: np.ndarray
+    temperature_c: np.ndarray
+    rain_probability: np.ndarray
+
+    def __post_init__(self):
+        hours = np.asarray(self.hours, dtype="datetime64[us]")
+        temps = np.asarray(self.temperature_c, dtype=float)
+        rains = np.asarray(self.rain_probability, dtype=float)
+        if hours.ndim != 1 or not hours.shape == temps.shape == rains.shape:
+            raise DataError("weather hours, temperatures and rain must be 1-D and equal length")
+        bad = _bad_observations(hours, temps, rains)
+        if bad.any():
+            i = int(np.argmax(bad))
+            _check_observation(hours[i].item(), float(temps[i]), float(rains[i]))
+        order = np.argsort(hours, kind="stable")
+        hours = hours[order]
+        last = np.append(hours[1:] != hours[:-1], True)
+        self.hours = hours[last]
+        self.temperature_c = temps[order[last]]
+        self.rain_probability = rains[order[last]]
+
+
+def _weather_table(numbers: list[int], stamps: list[str], temps: list[str],
+                   rains: list[str]) -> WeatherTable:
+    """The table of parsed weather columns; the first bad row raises :class:`RowError`.
+
+    The bad row is checked again on its own, so the message is the one its
+    first broken rule gives.
+    """
+    hours = _timestamps(stamps)
+    try:
+        values = [np.fromiter(map(float, col), float, len(col)) for col in (temps, rains)]
+    except ValueError:
+        values = None
+    if values is None or np.isnat(hours).any() or _bad_observations(hours, *values).any():
+        for line, stamp, temp, rain in zip(numbers, stamps, temps, rains):
+            ts = _parse_timestamp(stamp, line)
+            try:
+                _check_observation(ts, float(temp), float(rain))
+            except ValueError:
+                raise RowError(line, "unparseable weather values") from None
+            except DataError as exc:
+                raise RowError(line, str(exc)) from None
+    return WeatherTable(hours, *values)
 
 
 def parse_weather(source) -> WeatherTable:
-    """Read an hourly weather CSV (timestamp, temperature_c, rain_probability)."""
+    """Read an hourly weather CSV (timestamp, temperature_c, rain_probability).
+
+    Blank lines are skipped. A bad row raises :class:`RowError` with its
+    line number.
+    """
     with _open_text(source) as stream:
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            raise FormatError("weather file is empty (no header row)")
-        for col in ("timestamp", "temperature_c", "rain_probability"):
-            if col not in reader.fieldnames:
-                raise FormatError(f"weather file is missing required column {col!r}")
-        table = WeatherTable()
-        for row in reader:
-            line = reader.line_num
-            ts = _parse_timestamp(row["timestamp"] or "", line)
-            try:
-                temp = float(row["temperature_c"])
-                rain = float(row["rain_probability"])
-            except (TypeError, ValueError):
-                raise RowError(line, "unparseable weather values") from None
-            try:
-                table.add(ts, temp, rain)
-            except DataError as exc:
-                raise RowError(line, str(exc)) from None
-    return table
+        columns: list[list[str]] = [[], [], []]
+        numbers: list[int] = []
+        for chunk, chunk_numbers in _column_chunks(stream, "weather", WEATHER_COLUMNS):
+            for column, part in zip(columns, chunk):
+                column += part
+            numbers += chunk_numbers
+        return _weather_table(numbers, *columns)
 
 
 def parse_stations(source) -> dict[str, int]:
@@ -455,27 +717,18 @@ def build_covariates(
     n_days = (last - first).days + 1
     n_slots = 1440 // interval_minutes
     columns = covariate_columns(interval_minutes)
-    values = np.zeros((n_days * n_slots, len(columns)))
+    rows = np.arange(max(n_days, 0) * n_slots)
+    hours = (np.datetime64(first, "h") + rows * interval_minutes // 60).astype("datetime64[us]")
+    # the latest observation at or before each interval's hour
+    observed = np.searchsorted(weather.hours, hours, side="right") - 1
+    if len(rows) and (observed[0] < 0 or weather.hours[observed[0]] != hours[0]):
+        raise DataError(f"no weather observation at or before {hours[0].item()}")
 
-    start = datetime.combine(first, time.min)
-    step = timedelta(minutes=interval_minutes)
-    last_obs: tuple[float, float] | None = None
-    last_hour_checked: datetime | None = None
-    for i in range(n_days * n_slots):
-        t = start + i * step
-        hour = t.replace(minute=0)
-        if hour != last_hour_checked:
-            if hour in weather.observations:
-                last_obs = weather.observations[hour]
-            elif last_obs is None:
-                raise DataError(f"no weather observation at or before {hour}")
-            last_hour_checked = hour
-        temp, rain = last_obs
-        values[i, 0] = temp
-        values[i, 1] = rain
-        values[i, 2 + t.weekday()] = 1.0
-        slot = (t.hour * 60 + t.minute) // interval_minutes
-        values[i, 9 + slot] = 1.0
+    values = np.zeros((len(rows), len(columns)))
+    values[:, 0] = weather.temperature_c[observed]
+    values[:, 1] = weather.rain_probability[observed]
+    values[rows, 2 + (first.weekday() + rows // n_slots) % 7] = 1.0
+    values[rows, 9 + rows % n_slots] = 1.0
     return CovariateMatrix(values=values, columns=columns)
 
 
@@ -510,47 +763,87 @@ def split(series: DemandSeries) -> DataSplit:
 
 def demand_to_csv(series: DemandSeries) -> str:
     """Serialize the counts as ``interval_start,pickups,returns`` rows, no covariates."""
-    lines = ["interval_start,pickups,returns\n"]
-    lines.extend(f"{ts.isoformat(sep=' ')},{p},{r}\n" for ts, p, r in
-                 zip(series.times(), series.pickups.tolist(), series.returns.tolist()))
-    return "".join(lines)
+    starts = (np.datetime64(series.start, "us")
+              + np.arange(len(series)) * np.timedelta64(series.interval_minutes, "m"))
+    return "interval_start,pickups,returns\n" + "".join(map(
+        "{},{},{}\n".format, _iso_strings(starts), series.pickups.tolist(),
+        series.returns.tolist()))
+
+
+def _check_demand_rows(numbers: list[int], lines: list[str], interval_minutes: int) -> None:
+    """The rules of each demand row, row by row; raises :class:`RowError` at the first bad one."""
+    step = timedelta(minutes=interval_minutes)
+    start = None
+    for i, (n, line) in enumerate(zip(numbers, lines)):
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise RowError(n, f"expected interval_start,pickups,returns, got {line!r}")
+        stamp = _parse_timestamp(fields[0], n)
+        try:
+            int(fields[1]), int(fields[2])
+        except ValueError:
+            raise RowError(n, f"unparseable counts in {line!r}") from None
+        if start is None:
+            start = stamp
+        if stamp != start + i * step:
+            raise RowError(n, f"interval_start {stamp} out of sequence: expected "
+                              f"{start + i * step}, {interval_minutes} minutes per row")
 
 
 def demand_from_csv(source, station: str, interval_minutes: int) -> DemandSeries:
     """Inverse of :func:`demand_to_csv`; comment lines starting with # are skipped.
 
-    A short, blank or unparseable row raises :class:`RowError` with its line number.
+    Row i must start ``i`` intervals after the first row, so a row out of
+    order, repeated or missing is an error. A short, blank, unparseable or
+    out-of-sequence row raises :class:`RowError` with its line number.
     """
     with _open_text(source) as text:
-        lines = ((n, ln.rstrip("\r\n")) for n, ln in enumerate(text, 1)
-                 if not ln.startswith("#"))
-        if next(lines, (0, ""))[1] != "interval_start,pickups,returns":
-            raise FormatError("demand CSV must start with an interval_start,pickups,returns header")
-        times, pickups, returns = [], [], []
-        for n, line in lines:
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise RowError(n, f"expected interval_start,pickups,returns, got {line!r}")
-            times.append(_parse_timestamp(fields[0], n))
+        numbers, lines = _kept_lines(
+            text, "interval_start,pickups,returns",
+            "demand CSV must start with an interval_start,pickups,returns header")
+        if not lines:
+            raise FormatError("demand CSV has no data rows")
+        rows = list(map(str.split, lines, repeat(",")))
+        counts = None
+        if all(len(row) == 3 for row in rows):
+            stamps, pickups, returns = (list(map(itemgetter(i), rows)) for i in range(3))
+            starts = _timestamps(stamps)
             try:
-                pickups.append(int(fields[1]))
-                returns.append(int(fields[2]))
+                counts = [np.fromiter(map(int, col), np.int64, len(col))
+                          for col in (pickups, returns)]
             except ValueError:
-                raise RowError(n, f"unparseable counts in {line!r}") from None
-    if not times:
-        raise FormatError("demand CSV has no data rows")
+                pass
+        step = np.timedelta64(interval_minutes, "m")
+        if counts is None or not np.array_equal(
+                starts, starts[0] + np.arange(len(starts)) * step):
+            _check_demand_rows(numbers, lines, interval_minutes)
     return DemandSeries(
         station=station,
         interval_minutes=interval_minutes,
-        start=times[0],
-        pickups=np.array(pickups),
-        returns=np.array(returns),
+        start=starts[0].item(),
+        pickups=counts[0],
+        returns=counts[1],
     )
 
 
 def weather_to_csv(weather: WeatherTable) -> str:
-    """Serialize for :func:`parse_weather`; ``repr`` values parse back to the same floats."""
-    lines = ["timestamp,temperature_c,rain_probability\n"]
-    lines.extend(f"{ts.isoformat(sep=' ')},{temp!r},{rain!r}\n"
-                 for ts, (temp, rain) in sorted(weather.observations.items()))
-    return "".join(lines)
+    """Serialize for :func:`weather_from_csv`; ``repr`` values parse back to the same floats."""
+    return "timestamp,temperature_c,rain_probability\n" + "".join(map(
+        "{},{!r},{!r}\n".format, _iso_strings(weather.hours), weather.temperature_c.tolist(),
+        weather.rain_probability.tolist()))
+
+
+def weather_from_csv(source) -> WeatherTable:
+    """Inverse of :func:`weather_to_csv`; comment lines starting with # are skipped.
+
+    A row without exactly three fields, or with a bad value, raises
+    :class:`RowError` with its line number.
+    """
+    with _open_text(source) as text:
+        header = ",".join(WEATHER_COLUMNS)
+        numbers, lines = _kept_lines(text, header, f"weather CSV must start with a {header} header")
+        rows = list(map(str.split, lines, repeat(",")))
+        for n, line, row in zip(numbers, lines, rows):
+            if len(row) != 3:
+                raise RowError(n, f"expected {header}, got {line!r}")
+        return _weather_table(numbers, *(list(map(itemgetter(k), rows)) for k in range(3)))

@@ -249,8 +249,8 @@ def sinusoidal_split(
 
     start = datetime(2018, 1, 1)
     temps = 15.0 + rng.normal(0, 0.5, size=n_days * 24)
-    weather = WeatherTable({start + timedelta(hours=h): (float(t), 0.0)
-                            for h, t in enumerate(temps)})
+    weather = WeatherTable(hours=np.datetime64(start, "h") + np.arange(n_days * 24),
+                           temperature_c=temps, rain_probability=np.zeros(n_days * 24))
     series = DemandSeries(
         station="synthetic",
         interval_minutes=interval_minutes,
@@ -308,15 +308,15 @@ def peaked_day(seed: int = 3, interval_minutes: int = 60,
     returns = rng.poisson(return_rate * hours_per)
 
     start = datetime.combine(day, time.min)
-    events: list[tuple[datetime, str]] = []
+    times: list[datetime] = []
+    kinds: list[int] = []
     for i in range(len(pickups)):
         base = start + timedelta(minutes=i * interval_minutes)
-        for off in sorted(rng.uniform(0, interval_minutes, size=pickups[i])):
-            events.append((base + timedelta(minutes=float(off)), PICKUP))
-        for off in sorted(rng.uniform(0, interval_minutes, size=returns[i])):
-            events.append((base + timedelta(minutes=float(off)), RETURN))
-    stream = EventStream(station="peaked", events=events)
-    stream.sort()
+        for kind, n in ((PICKUP, pickups[i]), (RETURN, returns[i])):
+            for off in sorted(rng.uniform(0, interval_minutes, size=n)):
+                times.append(base + timedelta(minutes=float(off)))
+                kinds.append(kind)
+    stream = EventStream(station="peaked", times=times, kinds=kinds)
     series = DemandSeries(
         station="peaked",
         interval_minutes=interval_minutes,

@@ -161,6 +161,24 @@ def test_damaged_demand_file_exits_data_with_its_line(tmp_path, capsys, corpus, 
     assert main(["train", "--config", path]) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"line {line}:" in err
+    assert f"{demand}: line {line}:" in err
+    assert "Traceback" not in err
+
+
+def test_demand_rows_out_of_order_exit_data_with_their_line(tmp_path, capsys, corpus):
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "run.yaml", corpus, out, stations=["7"])
+    assert main(["ingest", "--config", path]) == EXIT_OK
+    demand = out / "demand" / "station_7.csv"
+    lines = demand.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("2018-01-01 08:00:00,"))
+    assert lines[at + 1].startswith("2018-01-01 09:00:00,")
+    lines[at], lines[at + 1] = lines[at + 1], lines[at]
+    demand.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", path]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{demand}: line {at + 1}: interval_start 2018-01-01 09:00:00 out of sequence" in err
     assert "Traceback" not in err
 
 

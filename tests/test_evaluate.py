@@ -20,7 +20,8 @@ def stream(*events) -> EventStream:
     base = datetime.combine(DAY, datetime.min.time())
     return EventStream(
         station="S",
-        events=[(base.replace(hour=h, minute=m), kind) for h, m, kind in events],
+        times=[base.replace(hour=h, minute=m) for h, m, _ in events],
+        kinds=[kind for _, _, kind in events],
     )
 
 

@@ -11,6 +11,7 @@ from bikecast import experiments, neural, synthetic
 from bikecast.config import RunConfig, derive_seed
 from bikecast.errors import DataError, StageError
 from bikecast.evaluate import replay_cost
+from bikecast.inventory import udf_curve
 from bikecast.experiments import BIAS_KINDS, BiasSpec, apply_bias, bias_study
 from bikecast.ingest import (
     PICKUP,
@@ -79,13 +80,13 @@ def small_day() -> tuple[DemandSeries, EventStream]:
     start = datetime(2018, 6, 5)
     pickups = np.full(24, 3)
     returns = np.full(24, 2)
-    events = []
+    times, kinds = [], []
     for h in range(24):
         base = start + timedelta(hours=h)
-        events += [(base + timedelta(minutes=10 * (j + 1)), PICKUP) for j in range(3)]
-        events += [(base + timedelta(minutes=15 * (j + 1) + 1), RETURN) for j in range(2)]
-    stream = EventStream(station="S", events=events)
-    stream.sort()
+        times += [base + timedelta(minutes=10 * (j + 1)) for j in range(3)]
+        times += [base + timedelta(minutes=15 * (j + 1) + 1) for j in range(2)]
+        kinds += [PICKUP] * 3 + [RETURN] * 2
+    stream = EventStream(station="S", times=times, kinds=kinds)
     series = DemandSeries(station="S", interval_minutes=60, start=start,
                           pickups=pickups, returns=returns)
     return series, stream
@@ -481,3 +482,23 @@ def test_evaluate_rejects_decisions_missing_a_test_day(tmp_path):
         experiments.stage_evaluate(config)
     assert isinstance(err.value.__cause__, DataError)
     assert "2018-12-31" in str(err.value) and "ha" in str(err.value)
+
+
+def test_optimize_solves_each_distinct_forecast_once(tmp_path, monkeypatch):
+    config, _ = staged_run(tmp_path)
+    path = Path(config.out_dir, "decisions", "7.csv")
+    before = path.read_bytes()
+    solved = []
+
+    def counting_udf_curve(rates, capacity, penalties):
+        solved.append((rates.pickup_rates.tobytes(), rates.return_rates.tobytes()))
+        return udf_curve(rates, capacity, penalties)
+
+    monkeypatch.setattr(experiments, "udf_curve", counting_udf_curve)
+    experiments.stage_optimize(config)
+    assert path.read_bytes() == before
+    _, forecasts = experiments.load_forecasts(config, "7", "ha", 60)
+    distinct = {(r.pickup_rates.tobytes(), r.return_rates.tobytes()) for r in forecasts}
+    # ha repeats by weekday: 61 test days, 7 forecasts
+    assert len(forecasts) == 61 and len(distinct) == 7
+    assert len(solved) == len(set(solved)) == len(distinct)

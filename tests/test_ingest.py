@@ -1,5 +1,6 @@
 """Trip parsing, interval aggregation, covariates, and the chronological split."""
 
+import csv
 import dataclasses
 import gc
 import io
@@ -11,13 +12,18 @@ import pytest
 
 from bikecast import synthetic
 from bikecast.errors import ConfigError, DataError, FormatError, RowError
+from bikecast import ingest
 from bikecast.ingest import (
+    KIND_NAMES,
     PICKUP,
     RETURN,
+    VALID_INTERVALS,
     CovariateMatrix,
     DemandSeries,
     EventStream,
     WeatherTable,
+    _parse_timestamp,
+    _timestamps,
     aggregate,
     build_covariates,
     covariate_columns,
@@ -31,6 +37,7 @@ from bikecast.ingest import (
     split,
     to_event_streams,
     top_stations,
+    weather_from_csv,
     weather_to_csv,
 )
 
@@ -42,13 +49,25 @@ TRIPS_CSV = """starttime,stoptime,start station id,end station id
 """
 
 
+def pairs(stream: EventStream) -> list[tuple[datetime, int]]:
+    """The stream's events as (time, kind) pairs, in its order."""
+    return list(zip(stream.times.tolist(), stream.kinds.tolist()))
+
+
+def columns(trips) -> tuple[list, ...]:
+    """The trip table's four columns as lists of Python values."""
+    return (trips.start_times.tolist(), trips.end_times.tolist(),
+            trips.start_stations.tolist(), trips.end_stations.tolist())
+
+
 def test_parse_trips_basic():
     trips = parse_trips(io.StringIO(TRIPS_CSV))
     assert len(trips) == 4
-    assert trips.start_stations == ["A", "A", "B", "C"]
-    assert trips.end_stations == ["B", "C", "A", "A"]
-    assert trips.start_times[0] == datetime(2018, 6, 1, 7, 58, 30)
-    assert trips.end_times[0] == datetime(2018, 6, 1, 8, 14, 2)
+    assert trips.start_times.dtype == trips.end_times.dtype == np.dtype("datetime64[us]")
+    assert trips.start_stations.tolist() == ["A", "A", "B", "C"]
+    assert trips.end_stations.tolist() == ["B", "C", "A", "A"]
+    assert trips.start_times[0].item() == datetime(2018, 6, 1, 7, 58, 30)
+    assert trips.end_times[0].item() == datetime(2018, 6, 1, 8, 14, 2)
 
 
 def test_event_streams_are_built_only_for_the_given_stations():
@@ -56,7 +75,7 @@ def test_event_streams_are_built_only_for_the_given_stations():
     streams = to_event_streams(trips, ["B", "Z"])
     # B is the end of the first trip and the start of the third; Z has no events
     assert list(streams) == ["B"]
-    assert streams["B"].events == [(datetime(2018, 6, 1, 8, 14, 2), RETURN),
+    assert pairs(streams["B"]) == [(datetime(2018, 6, 1, 8, 14, 2), RETURN),
                                    (datetime(2018, 6, 1, 9, 0), PICKUP)]
 
 
@@ -126,14 +145,13 @@ def quoted_citi_bike_file(text: str) -> str:
 def test_parse_trips_reads_a_fully_quoted_file():
     quoted = quoted_citi_bike_file(TRIPS_CSV)
     assert quoted.startswith('"tripduration","starttime","stoptime"')
-    assert parse_trips(io.StringIO(quoted)) == parse_trips(io.StringIO(TRIPS_CSV))
+    assert columns(parse_trips(io.StringIO(quoted))) == columns(parse_trips(io.StringIO(TRIPS_CSV)))
 
 
 def reference_event_streams(trips) -> dict[str, list]:
     """One pickup and one return per trip, sorted by (time, pickups first)."""
     events: dict[str, list] = {}
-    for t0, t1, a, b in zip(trips.start_times, trips.end_times,
-                            trips.start_stations, trips.end_stations):
+    for t0, t1, a, b in zip(*columns(trips)):
         events.setdefault(a, []).append((t0, PICKUP))
         events.setdefault(b, []).append((t1, RETURN))
     return {station: sorted(ev, key=lambda e: (e[0], 0 if e[1] == PICKUP else 1))
@@ -141,7 +159,7 @@ def reference_event_streams(trips) -> dict[str, list]:
 
 
 def every_station(trips) -> set[str]:
-    return set(trips.start_stations) | set(trips.end_stations)
+    return set(trips.start_stations.tolist()) | set(trips.end_stations.tolist())
 
 
 def test_event_streams_match_the_per_trip_reference_on_a_corpus(tmp_path):
@@ -154,7 +172,7 @@ def test_event_streams_match_the_per_trip_reference_on_a_corpus(tmp_path):
     assert list(streams) == list(reference)
     for station, stream in streams.items():
         assert stream.station == station
-        assert stream.events == reference[station]
+        assert pairs(stream) == reference[station]
 
 
 def test_event_streams_put_pickups_first_at_equal_times():
@@ -164,12 +182,11 @@ def test_event_streams_put_pickups_first_at_equal_times():
             "2018-06-01 09:30:00,2018-06-01 09:30:00,A,A\n")
     trips = parse_trips(io.StringIO(text))
     streams = to_event_streams(trips, every_station(trips))
-    assert {s: st.events for s, st in streams.items()} == reference_event_streams(trips)
+    assert {s: pairs(st) for s, st in streams.items()} == reference_event_streams(trips)
     at = datetime(2018, 6, 1, 9, 30)
-    assert streams["A"].events == [(at, PICKUP), (at, PICKUP), (at, RETURN), (at, RETURN)]
-    stream = EventStream(station="A", events=[(at, RETURN), (at, PICKUP)])
-    stream.sort()
-    assert stream.events == [(at, PICKUP), (at, RETURN)]
+    assert pairs(streams["A"]) == [(at, PICKUP), (at, PICKUP), (at, RETURN), (at, RETURN)]
+    stream = EventStream(station="A", times=[at, at], kinds=[RETURN, PICKUP])
+    assert pairs(stream) == [(at, PICKUP), (at, RETURN)]
 
 
 def test_slice_day_matches_the_linear_filter():
@@ -177,31 +194,34 @@ def test_slice_day_matches_the_linear_filter():
     tick = timedelta(microseconds=1)
     times = [midnight - tick, midnight, midnight, midnight + timedelta(hours=5),
              next_midnight - tick, next_midnight, next_midnight + timedelta(hours=1)]
-    stream = EventStream(station="S", events=[(t, k) for t in times for k in (RETURN, PICKUP)])
-    stream.sort()
+    stream = EventStream(station="S", times=[t for t in times for _ in (RETURN, PICKUP)],
+                         kinds=[k for _ in times for k in (RETURN, PICKUP)])
     for day in (date(2018, 5, 1), date(2018, 6, 1), date(2018, 6, 2), date(2018, 6, 3),
                 date(2018, 6, 4)):
         lo = datetime.combine(day, time.min)
-        expected = [e for e in stream.events if lo <= e[0] < lo + timedelta(days=1)]
+        expected = [e for e in pairs(stream) if lo <= e[0] < lo + timedelta(days=1)]
         sliced = stream.slice_day(day)
         assert sliced.station == "S"
-        assert sliced.events == expected, day
-    assert stream.slice_day(date(2018, 6, 2)).events[:2] == [(midnight, PICKUP)] * 2
-    assert stream.slice_day(date(2018, 6, 3)).events[0] == (next_midnight, PICKUP)
+        assert pairs(sliced) == expected, day
+    assert pairs(stream.slice_day(date(2018, 6, 2)))[:2] == [(midnight, PICKUP)] * 2
+    assert pairs(stream.slice_day(date(2018, 6, 3)))[0] == (next_midnight, PICKUP)
 
 
 @pytest.mark.parametrize("microsecond", [0, 143447])
 def test_events_csv_roundtrip_is_exact(microsecond):
     base = datetime(2018, 6, 1, 7, 58, 30, microsecond)
-    stream = EventStream(station="A", events=[
-        (base, PICKUP), (base, RETURN), (base + timedelta(minutes=3), RETURN),
-        (base + timedelta(days=40, microseconds=1), PICKUP)])
+    stream = EventStream(
+        station="A",
+        times=[base, base, base + timedelta(minutes=3), base + timedelta(days=40, microseconds=1)],
+        kinds=[PICKUP, RETURN, RETURN, PICKUP])
     text = events_to_csv(stream)
     lines = text.splitlines()
     assert lines[0] == "time,kind"
     assert lines[1] == f"{base.isoformat(sep=' ')},pickup"
+    assert lines[1:] == [f"{t.isoformat(sep=' ')},{KIND_NAMES[k]}" for t, k in pairs(stream)]
     back = events_from_csv(io.StringIO("# config: abc seed: 1\n" + text), "A")
-    assert back == stream
+    assert back.station == stream.station
+    assert pairs(back) == pairs(stream)
 
 
 def test_events_csv_rejects_malformed_files():
@@ -247,19 +267,19 @@ def test_parse_trips_repeated_column_reads_the_last():
     # the csv.DictReader rule: a later column of the same name wins
     text = ("starttime,stoptime,start station id,end station id,end station id\n"
             "2018-06-01 07:00:00,2018-06-01 07:30:00,X,old,Y\n")
-    assert parse_trips(io.StringIO(text)).end_stations == ["Y"]
+    assert parse_trips(io.StringIO(text)).end_stations.tolist() == ["Y"]
 
 
 def test_event_streams_order_and_kinds():
     trips = parse_trips(io.StringIO(TRIPS_CSV))
     streams = to_event_streams(trips, ["A", "B", "C"])
     assert set(streams) == {"A", "B", "C"}
-    a = streams["A"].events
+    a = pairs(streams["A"])
     assert all(a[i][0] <= a[i + 1][0] for i in range(len(a) - 1))
     # A: two pickups, two returns
     kinds = [k for _, k in a]
-    assert kinds.count("pickup") == 2
-    assert kinds.count("return") == 2
+    assert kinds.count(PICKUP) == 2
+    assert kinds.count(RETURN) == 2
 
 
 def test_top_stations_orders_by_pickups_then_id():
@@ -310,7 +330,7 @@ def test_parse_stations_and_errors():
 def test_parse_weather_validates_hours():
     good = "timestamp,temperature_c,rain_probability\n2018-06-01 00:00:00,15.0,0.2\n"
     table = parse_weather(io.StringIO(good))
-    assert table.observations[datetime(2018, 6, 1, 0)] == (15.0, 0.2)
+    assert observations(table)[datetime(2018, 6, 1, 0)] == (15.0, 0.2)
     off_hour = "timestamp,temperature_c,rain_probability\n2018-06-01 00:30:00,15.0,0.2\n"
     with pytest.raises(RowError):
         parse_weather(io.StringIO(off_hour))
@@ -328,17 +348,27 @@ def test_parse_weather_rejects_non_finite_temperature(temperature):
         parse_weather(io.StringIO(text))
     assert err.value.line_number == 3
     with pytest.raises(DataError):
-        WeatherTable().add(datetime(2018, 6, 1), float(temperature), 0.2)
+        WeatherTable([datetime(2018, 6, 1)], [float(temperature)], [0.2])
+
+
+def observations(table: WeatherTable) -> dict[datetime, tuple[float, float]]:
+    """The table as {hour: (temperature, rain)}, in its order."""
+    return {ts: (t, r) for ts, t, r in zip(table.hours.tolist(), table.temperature_c.tolist(),
+                                          table.rain_probability.tolist())}
+
+
+def weather_table(obs: dict[datetime, tuple[float, float]]) -> WeatherTable:
+    return WeatherTable(list(obs), [t for t, _ in obs.values()], [r for _, r in obs.values()])
+
+
+def hourly_observations(first: date, n_days: int, temp=12.0,
+                        rain=0.1) -> dict[datetime, tuple[float, float]]:
+    start = datetime.combine(first, datetime.min.time())
+    return {start + timedelta(hours=h): (temp, rain) for h in range(n_days * 24)}
 
 
 def weather_for_days(first: date, n_days: int, temp=12.0, rain=0.1) -> WeatherTable:
-    obs = {}
-    start = datetime.combine(first, datetime.min.time())
-    for h in range(n_days * 24):
-        from datetime import timedelta
-
-        obs[start + timedelta(hours=h)] = (temp, rain)
-    return WeatherTable(observations=obs)
+    return weather_table(hourly_observations(first, n_days, temp, rain))
 
 
 def test_covariate_columns_layout():
@@ -361,17 +391,17 @@ def test_build_covariates_one_hots_sum_to_one():
 
 
 def test_build_covariates_forward_fills_gaps():
-    table = weather_for_days(date(2018, 6, 1), 1, temp=20.0)
-    del table.observations[datetime(2018, 6, 1, 5)]
-    cov = build_covariates(table, (date(2018, 6, 1), date(2018, 6, 1)), 60)
+    obs = hourly_observations(date(2018, 6, 1), 1, temp=20.0)
+    del obs[datetime(2018, 6, 1, 5)]
+    cov = build_covariates(weather_table(obs), (date(2018, 6, 1), date(2018, 6, 1)), 60)
     assert cov.values[5, 0] == 20.0  # filled from hour 4
 
 
 def test_build_covariates_leading_gap_is_an_error():
-    table = weather_for_days(date(2018, 6, 1), 1)
-    del table.observations[datetime(2018, 6, 1, 0)]
+    obs = hourly_observations(date(2018, 6, 1), 1)
+    del obs[datetime(2018, 6, 1, 0)]
     with pytest.raises(DataError):
-        build_covariates(table, (date(2018, 6, 1), date(2018, 6, 1)), 60)
+        build_covariates(weather_table(obs), (date(2018, 6, 1), date(2018, 6, 1)), 60)
 
 
 def test_sub_hourly_intervals_replicate_hourly_weather():
@@ -492,15 +522,15 @@ def test_demand_csv_rejects_a_covariate_header():
 @pytest.mark.parametrize("temperature, rain", [
     (0.1 + 0.2, 0.1 + 0.2), (-0.0, 0.0), (1 / 3, 1.0), (-12.345678901234567, 5e-324)])
 def test_weather_csv_roundtrip_is_exact(temperature, rain):
-    table = WeatherTable()
-    table.add(datetime(2018, 6, 1, 1), 10.0, 0.5)
-    table.add(datetime(2018, 6, 1, 0), temperature, rain)
+    table = WeatherTable([datetime(2018, 6, 1, 1), datetime(2018, 6, 1, 0)],
+                         [10.0, temperature], [0.5, rain])
+    assert table.hours.tolist() == [datetime(2018, 6, 1, 0), datetime(2018, 6, 1, 1)]
     text = weather_to_csv(table)
     assert text.splitlines()[0] == "timestamp,temperature_c,rain_probability"
     back = parse_weather(io.StringIO(text))
-    assert back.observations == table.observations
-    assert list(back.observations) == sorted(table.observations)
-    assert str(back.observations[datetime(2018, 6, 1, 0)][0]) == str(temperature)
+    assert observations(back) == observations(table)
+    assert list(observations(back)) == sorted(observations(table))
+    assert str(observations(back)[datetime(2018, 6, 1, 0)][0]) == str(temperature)
 
 
 def test_covariate_matrix_rejects_bad_one_hots():
@@ -512,3 +542,323 @@ def test_covariate_matrix_rejects_bad_one_hots():
     # tod block left all-zero -> invalid
     with pytest.raises(DataError):
         CovariateMatrix(values=values, columns=cols)
+
+
+# -- the column parsers against the row-by-row rules ----------------------------------
+
+# numpy's datetime64 parser would take "20180101" as year -279291, accept "2018",
+# "2018-01", "" and "NaT", and shift "...Z" and "...+01:00" to UTC; fromisoformat
+# has its own spellings. Every string here must come out of the column parsers
+# exactly as _parse_timestamp reads it, or be refused with its message.
+TIMESTAMP_SPELLINGS = [
+    "2018-06-01 07:00:00", "2018-06-01 07:58:30", "2018-06-01T07:58:30",
+    "2018-06-01T07:00:00", "2018-06-01t07:58:30", "2018-06-01_07:58:30",
+    "2018-06-01/07:00:00", "2018-06-01507:00:00", "2018-06-01é07:00:00",
+    "2018-06-01\x0007:00:00",
+    "2018-06-01 07:58", "2018-06-01 07:00", "2018-06-01 07", "2018-06-01",
+    "2018-06-01 07:58:30.1", "2018-06-01 07:58:30.12", "2018-06-01 07:58:30.123",
+    "2018-06-01 07:58:30.1234", "2018-06-01 07:00:00.0000", "2018-06-01 07:58:30.12345",
+    "2018-06-01 07:58:30.123456", "2018-06-01 07:58:30.1234567",
+    "2018-06-01 07:58:30.", "2018-06-01 07:58:30,123",
+    "20180101", "2018", "2018-01", "", "NaT", "nat",
+    "2018-06-01 07:58:30Z", "2018-06-01 07:58:30+01:00", "2018-06-01 07:00:00-05:00",
+    "2018-06-01 07:58:30.123456+00:00",
+    " 2018-06-01 07:00:00", "2018-06-01 07:00:00 ", "\t2018-06-01 07:00:00",
+    "2018-02-29 00:00:00", "2020-02-29 00:00:00", "1900-02-29 00:00:00",
+    "2000-02-29 00:00:00", "2018-04-31 00:00:00", "2018-13-01 00:00:00",
+    "2018-00-01 00:00:00", "2018-06-00 00:00:00", "2018-06-01 24:00:00",
+    "2018-06-01 23:60:00", "2018-06-01 23:59:60", "0000-01-01 00:00:00",
+    "0001-01-01 00:00:00", "9999-12-31 23:59:59.999999", "1969-12-31 23:59:59.999999",
+    "+2018-06-01 07:58:30", "2018-06-01 7:58:30", "2018-6-01 07:58:30",
+    "2018-06-01 07:58:3a", "2018/06/01 07:58:30", "2018-06-01 07-58-30",
+    "2018-06-01 07:58:30.12a", "٢٠١٨-06-01 07:00:00", "2018-06-01 07:58:30é",
+    "2018-a1-01 00:00:00", "2018-1:-01 00:00:00", "2018-06-01 ~7:00:00",
+    "2018-W22", "2018-152",
+]
+
+
+def row_by_row(raw: str, line: int):
+    """What _parse_timestamp makes of ``raw``: ("ok", datetime) or ("refused", message)."""
+    try:
+        return "ok", _parse_timestamp(raw, line)
+    except RowError as exc:
+        return "refused", str(exc)
+
+
+def csv_text(header: list[str], rows: list[list[str]]) -> str:
+    """A CSV file of ``rows``, fields quoted only where they must be."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def trip_file(*rows: tuple[str, str]) -> str:
+    return csv_text(["starttime", "stoptime", "start station id", "end station id"],
+                    [[t0, t1, "A", "B"] for t0, t1 in rows])
+
+
+@pytest.mark.parametrize("raw", TIMESTAMP_SPELLINGS)
+@pytest.mark.parametrize("copies", [1, 3], ids=["among-others", "whole-column"])
+def test_parse_trips_reads_each_spelling_as_parse_timestamp(raw, copies):
+    # with copies=3 the spelling is the column's most common length, so the
+    # column decoder sees it; alone among canonical rows it is parsed one by one
+    plain = ("2018-06-01 06:00:00.500000", "2018-06-01 06:10:00.250000")
+    text = trip_file(plain, *[(raw, raw)] * copies, plain, plain, plain, plain)
+    kind, expected = row_by_row(raw, 3)
+    if kind == "ok":
+        trips = parse_trips(io.StringIO(text))
+        assert trips.start_times[1:1 + copies].tolist() == [expected] * copies
+        assert trips.end_times[1:1 + copies].tolist() == [expected] * copies
+    else:
+        with pytest.raises(RowError) as err:
+            parse_trips(io.StringIO(text))
+        assert err.value.line_number == 3
+        assert str(err.value) == expected
+
+
+def weather_row_by_row(raw: str, line: int):
+    """What the row-by-row weather rules make of a row stamped ``raw``."""
+    kind, value = row_by_row(raw, line)
+    if kind == "ok" and (value.minute or value.second or value.microsecond):
+        return "refused", f"line {line}: weather timestamps must be on the hour, got {value}"
+    return kind, value
+
+
+@pytest.mark.parametrize("raw", TIMESTAMP_SPELLINGS)
+@pytest.mark.parametrize("copies", [1, 3], ids=["among-others", "whole-column"])
+def test_parse_weather_reads_each_spelling_as_parse_timestamp(raw, copies):
+    rows = ["2018-05-01 00:00:00"] + [raw] * copies + ["2018-05-01 01:00:00", "2018-05-01 02:00:00"]
+    text = csv_text(["timestamp", "temperature_c", "rain_probability"],
+                    [[stamp, f"{i}.5", "0.25"] for i, stamp in enumerate(rows)])
+    kind, expected = weather_row_by_row(raw, 3)
+    if kind == "ok":
+        table = parse_weather(io.StringIO(text))
+        # repeated hours keep the last row's values
+        assert observations(table)[expected] == (copies + 0.5, 0.25)
+    else:
+        with pytest.raises(RowError) as err:
+            parse_weather(io.StringIO(text))
+        assert err.value.line_number == 3
+        assert str(err.value) == expected
+
+
+def test_timestamp_column_matches_parse_timestamp_on_random_spellings():
+    rng = np.random.default_rng(5)
+    base = np.datetime64("2018-01-01T00:00:00", "us")
+    stamps = (base + rng.integers(0, 366 * 86_400_000_000, 4000)).tolist()
+    spelled = []
+    for ts in stamps:
+        text = ts.isoformat(sep=" T"[int(rng.integers(2))])
+        digits = int(rng.integers(0, 7))
+        if "." in text:
+            text = text[:20 + digits] if digits else text[:19]
+        spelled.append(text)
+    got = _timestamps(spelled)
+    assert got.tolist() == [_parse_timestamp(s, 0) for s in spelled]
+
+
+def test_trip_row_errors_keep_the_order_of_the_row_rules():
+    # the first bad row wins, and within it the first broken rule
+    late = trip_file(("2018-06-01 07:00:00", "2018-06-01 08:00:00")) + "2018-06-01 09:00:00,x,A,\n"
+    early_time = ("starttime,stoptime,start station id,end station id\n"
+                  "2018-06-01 07:00:00,2018-06-01 08:00:00,A,B\n"
+                  "yesterday,2018-06-01 08:00:00,A,B\n"
+                  "2018-06-01 07:00:00,2018-06-01 08:00:00,,B\n")
+    with pytest.raises(RowError, match="line 3: empty station id"):
+        parse_trips(io.StringIO(late))
+    with pytest.raises(RowError, match="line 3: unparseable timestamp 'yesterday'"):
+        parse_trips(io.StringIO(early_time))
+
+
+def test_parse_trips_numbers_lines_across_chunks_and_quoted_line_breaks(monkeypatch):
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 4)
+    rows = [f"2018-06-01 07:{m:02d}:00,2018-06-01 08:{m:02d}:00,A,B" for m in range(10)]
+    rows[2] = '2018-06-01 07:02:00,2018-06-01 08:02:00,"A",B'
+    rows[5] = '2018-06-01 07:05:00,2018-06-01 08:05:00,"A\nnorth",B'  # spans two lines
+    rows[7] = ""
+    rows[8] = "2018-06-01 07:08:00,2018-06-01 06:00:00,A,B"
+    text = "starttime,stoptime,start station id,end station id\n" + "\n".join(rows) + "\n"
+    with pytest.raises(RowError, match="ends before it starts") as err:
+        parse_trips(io.StringIO(text))
+    # header, 5 rows, a row of two lines, a row, a blank line: row 8 is on line 11
+    assert err.value.line_number == 11
+    trips = parse_trips(io.StringIO(text.replace("08:08:00", "07:08:00").replace(
+        "2018-06-01 06:00:00", "2018-06-01 08:08:00")))
+    assert len(trips) == 9
+    assert trips.start_stations.tolist()[5] == "A\nnorth"
+    assert trips.start_times.tolist() == [datetime(2018, 6, 1, 7, m) for m in range(10) if m != 7]
+
+
+# -- the array operations against the per-event and per-interval loops -----------------
+
+
+def reference_aggregate(events: EventStream, interval_minutes: int,
+                        day_range: tuple[date, date]) -> tuple[np.ndarray, np.ndarray]:
+    """The per-event loop: each event's offset in minutes, floored to its interval."""
+    first, last = day_range
+    start = datetime.combine(first, time.min)
+    n = ((last - first).days + 1) * (1440 // interval_minutes)
+    pickups = np.zeros(n, dtype=np.int64)
+    returns = np.zeros(n, dtype=np.int64)
+    for ts, kind in pairs(events):
+        offset_min = (ts - start).total_seconds() / 60.0
+        idx = int(offset_min // interval_minutes)
+        if offset_min < 0 or idx >= n:
+            continue
+        if kind == PICKUP:
+            pickups[idx] += 1
+        else:
+            returns[idx] += 1
+    return pickups, returns
+
+
+@pytest.mark.parametrize("interval", VALID_INTERVALS)
+def test_aggregate_matches_the_per_event_loop(interval):
+    rng = np.random.default_rng(interval)
+    first = datetime(2018, 3, 10)
+    tick = np.timedelta64(1, "us")
+    # events spread over the range and a day either side, plus ones on and
+    # one tick either side of every interval boundary of the first day
+    spread = np.datetime64(first, "us") + rng.integers(
+        -86_400_000_000, 5 * 86_400_000_000, 3000) * tick
+    bounds = np.datetime64(first, "us") + np.arange(0, 1441, interval) * np.timedelta64(1, "m")
+    times = np.concatenate([spread, bounds, bounds - tick, bounds + tick])
+    stream = EventStream("S", times, rng.integers(0, 2, len(times)))
+    day_range = (date(2018, 3, 10), date(2018, 3, 13))
+    series = aggregate(stream, interval, day_range)
+    pickups, returns = reference_aggregate(stream, interval, day_range)
+    np.testing.assert_array_equal(series.pickups, pickups)
+    np.testing.assert_array_equal(series.returns, returns)
+    assert 0 < series.pickups.sum() + series.returns.sum() < len(times)
+
+
+def reference_covariates(obs: dict[datetime, tuple[float, float]], day_range: tuple[date, date],
+                         interval_minutes: int) -> np.ndarray:
+    """The per-interval loop: forward-fill within the range, then the one-hots."""
+    first, last = day_range
+    n_slots = 1440 // interval_minutes
+    n = ((last - first).days + 1) * n_slots
+    values = np.zeros((n, 9 + n_slots))
+    start = datetime.combine(first, time.min)
+    last_obs = None
+    for i in range(n):
+        t = start + i * timedelta(minutes=interval_minutes)
+        hour = t.replace(minute=0)
+        if hour in obs:
+            last_obs = obs[hour]
+        elif last_obs is None:
+            raise DataError(f"no weather observation at or before {hour}")
+        values[i, 0], values[i, 1] = last_obs
+        values[i, 2 + t.weekday()] = 1.0
+        values[i, 9 + (t.hour * 60 + t.minute) // interval_minutes] = 1.0
+    return values
+
+
+@pytest.mark.parametrize("interval", VALID_INTERVALS)
+def test_build_covariates_matches_the_per_interval_loop(interval):
+    rng = np.random.default_rng(interval)
+    obs = {ts: (float(rng.normal(10, 5)), float(rng.uniform()))
+           for ts in hourly_observations(date(2018, 3, 9), 6)}
+    # gaps to forward-fill, one of them across midnight; an observation the
+    # day before the range, which must not fill anything
+    for hour in (3, 4, 5, 23, 24, 25, 70):
+        del obs[datetime(2018, 3, 10) + timedelta(hours=hour)]
+    day_range = (date(2018, 3, 10), date(2018, 3, 13))
+    cov = build_covariates(weather_table(obs), day_range, interval)
+    assert cov.columns == covariate_columns(interval)
+    np.testing.assert_array_equal(cov.values, reference_covariates(obs, day_range, interval))
+
+    del obs[datetime(2018, 3, 10)]
+    with pytest.raises(DataError, match="2018-03-10 00:00:00") as err:
+        build_covariates(weather_table(obs), day_range, interval)
+    with pytest.raises(DataError) as ref:
+        reference_covariates(obs, day_range, interval)
+    assert str(err.value) == str(ref.value)
+
+
+def test_weather_table_keeps_the_last_of_repeated_hours_and_checks_in_order():
+    at = datetime(2018, 6, 1, 5)
+    table = WeatherTable([at, at - timedelta(hours=1), at], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
+    assert observations(table) == {at - timedelta(hours=1): (2.0, 0.2), at: (3.0, 0.3)}
+    # the first bad row wins, and within it the first broken rule
+    with pytest.raises(DataError, match="temperature_c nan is not finite"):
+        WeatherTable([at, at + timedelta(minutes=1)], [float("nan"), 1.0], [0.5, 0.5])
+    with pytest.raises(DataError, match="on the hour"):
+        WeatherTable([at + timedelta(minutes=1)], [float("nan")], [float("nan")])
+    with pytest.raises(DataError, match="rain_probability nan outside"):
+        WeatherTable([at], [float("nan")], [float("nan")])
+
+
+# -- the kept artifacts ----------------------------------------------------------------------
+
+
+def kept_demand_lines() -> list[str]:
+    series = DemandSeries(station="A", interval_minutes=60, start=datetime(2018, 6, 1),
+                          pickups=np.arange(24), returns=np.zeros(24, dtype=np.int64))
+    return ("# config: abc seed: 1\n" + demand_to_csv(series)).splitlines()
+
+
+@pytest.mark.parametrize("damage, line, message", [
+    ("swap", 11, "interval_start 2018-06-01 09:00:00 out of sequence: expected "
+                 "2018-06-01 08:00:00"),
+    ("repeat", 12, "interval_start 2018-06-01 08:00:00 out of sequence: expected "
+                   "2018-06-01 09:00:00"),
+    ("drop", 11, "interval_start 2018-06-01 09:00:00 out of sequence: expected "
+                 "2018-06-01 08:00:00"),
+])
+def test_demand_csv_rejects_rows_out_of_sequence(tmp_path, damage, line, message):
+    lines = kept_demand_lines()
+    # after the comment and the header, line 11 holds 08:00 and line 12 09:00
+    assert lines[10].startswith("2018-06-01 08:00:00,")
+    if damage == "swap":
+        lines[10], lines[11] = lines[11], lines[10]
+    elif damage == "repeat":
+        lines[11] = lines[10]
+    else:
+        del lines[10]
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(RowError) as err:
+        demand_from_csv(io.StringIO(text), station="A", interval_minutes=60)
+    assert err.value.line_number == line
+    assert err.value.reason.startswith(message)
+    path = tmp_path / "station_A.csv"
+    path.write_text(text)
+    with pytest.raises(RowError) as err:
+        demand_from_csv(str(path), station="A", interval_minutes=60)
+    assert err.value.path == str(path)
+    assert str(err.value).startswith(f"{path}: line {line}: {message}")
+
+
+def test_demand_csv_reads_the_counts_of_its_rows():
+    back = demand_from_csv(io.StringIO("\n".join(kept_demand_lines()) + "\n"), "A", 60)
+    np.testing.assert_array_equal(back.pickups, np.arange(24))
+    assert back.start == datetime(2018, 6, 1)
+
+
+def test_events_csv_bad_time_names_its_line_and_file(tmp_path):
+    text = "# config: abc seed: 1\ntime,kind\n2018-06-01 07:00:00,pickup\n2018-06-31 07:00:00,return\n"
+    path = tmp_path / "events_A.csv"
+    path.write_text(text)
+    with pytest.raises(RowError) as err:
+        events_from_csv(str(path), "A")
+    assert err.value.line_number == 4
+    assert str(err.value) == f"{path}: line 4: unparseable timestamp '2018-06-31 07:00:00'"
+    with pytest.raises(FormatError, match=f"{path}: unknown event kind 'dock'"):
+        path.write_text(text.replace("return", "dock"))
+        events_from_csv(str(path), "A")
+
+
+def test_weather_csv_skips_comments_and_names_the_file(tmp_path):
+    table = weather_for_days(date(2018, 6, 1), 1, temp=7.25, rain=0.5)
+    path = tmp_path / "weather.csv"
+    path.write_text("# config: abc seed: 1\n" + weather_to_csv(table))
+    assert observations(weather_from_csv(str(path))) == observations(table)
+    lines = path.read_text().splitlines()
+    lines[6] = lines[6].replace(",0.5", ",1.5")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RowError) as err:
+        weather_from_csv(str(path))
+    assert err.value.line_number == 7
+    assert str(err.value).startswith(f"{path}: line 7: rain_probability 1.5 outside [0, 1]")

@@ -47,23 +47,23 @@ def test_corpus_roundtrips_through_parsers(tmp_path):
     assert capacities == {"7": 20, "8": 24}
 
     trips = parse_trips(paths["trips"])
-    assert all(t1 >= t0 for t0, t1 in zip(trips.start_times, trips.end_times))
-    assert all(t0.year == 2018 for t0 in trips.start_times)
-    assert trips.start_times == sorted(trips.start_times)
+    starts, ends = trips.start_times.tolist(), trips.end_times.tolist()
+    assert all(t1 >= t0 for t0, t1 in zip(starts, ends))
+    assert all(t0.year == 2018 for t0 in starts)
+    assert starts == sorted(starts)
 
     streams = to_event_streams(trips, ["7"])
     series = aggregate(streams["7"], 60, (date(2018, 1, 1), date(2018, 12, 31)))
     assert series.n_days == 365
-    assert series.pickups.sum() == trips.start_stations.count("7")
+    assert series.pickups.sum() == trips.start_stations.tolist().count("7")
 
     weather = parse_weather(paths["weather"])
-    assert len(weather.observations) == 365 * 24
-    temps = np.array([t for t, _ in weather.observations.values()])
-    rains = np.array([r for _, r in weather.observations.values()])
+    assert len(weather.hours) == 365 * 24
+    temps, rains = weather.temperature_c, weather.rain_probability
     assert rains.min() >= 0.0 and rains.max() <= 1.0
     # seasonal swing: winter mean well below summer mean
-    jan = [t for ts, (t, _) in weather.observations.items() if ts.month == 1]
-    jul = [t for ts, (t, _) in weather.observations.items() if ts.month == 7]
+    months = np.array([ts.month for ts in weather.hours.tolist()])
+    jan, jul = temps[months == 1], temps[months == 7]
     assert np.mean(jul) - np.mean(jan) > 15.0
     assert temps.min() > -20.0 and temps.max() < 45.0
 
@@ -162,11 +162,11 @@ def test_peaked_day_counts_match_stream():
     series, stream = synthetic.peaked_day(seed=3)
     assert series.pickups.sum() == 25
     assert series.returns.sum() == 26
-    kinds = [k for _, k in stream.events]
+    kinds = stream.kinds.tolist()
     assert kinds.count(PICKUP) == 25
     assert kinds.count(RETURN) == 26
 
-    times = [ts for ts, _ in stream.events]
+    times = stream.times.tolist()
     assert times == sorted(times)
     day_start = datetime(2018, 6, 5)
     assert all(day_start <= ts < day_start + timedelta(days=1) for ts in times)
@@ -175,7 +175,7 @@ def test_peaked_day_counts_match_stream():
     for i in range(len(series)):
         lo = day_start + timedelta(hours=i)
         hi = lo + timedelta(hours=1)
-        inside = [k for ts, k in stream.events if lo <= ts < hi]
+        inside = [k for ts, k in zip(times, kinds) if lo <= ts < hi]
         assert inside.count(PICKUP) == series.pickups[i]
         assert inside.count(RETURN) == series.returns[i]
 
@@ -184,4 +184,5 @@ def test_peaked_day_is_deterministic():
     a, sa = synthetic.peaked_day(seed=3)
     b, sb = synthetic.peaked_day(seed=3)
     assert np.array_equal(a.pickups, b.pickups)
-    assert sa.events == sb.events
+    assert np.array_equal(sa.times, sb.times)
+    assert np.array_equal(sa.kinds, sb.kinds)
