@@ -36,6 +36,7 @@ from .evaluate import (
 from .ingest import (
     DemandSeries,
     EventStream,
+    _open_text,
     aggregate,
     build_covariates,
     demand_from_csv,
@@ -48,7 +49,6 @@ from .ingest import (
     split,
     to_event_streams,
     top_stations,
-    weather_from_csv,
     weather_to_csv,
 )
 from .inventory import PenaltyConfig, UdfCurve, udf_curve
@@ -208,6 +208,12 @@ def _read_commented(path: str) -> str:
         return "".join(ln for ln in fh if not ln.startswith("#"))
 
 
+def _blank_comments(lines):
+    """``lines`` with each comment line (starting with #) made blank, so a
+    reader that skips blank lines still numbers the others as in the file."""
+    return ("\n" if line.startswith("#") else line for line in lines)
+
+
 def stage_ingest(config: RunConfig) -> dict[str, StationData]:
     """Parse the inputs, here and nowhere else, and write the ``demand/`` files.
 
@@ -295,7 +301,8 @@ def load_ingested(config: RunConfig) -> dict[str, StationData]:
     """Read back the ``demand/`` files of stage_ingest; the covariates are not
     stored but rebuilt from ``demand/weather.csv``, once for all stations."""
     capacities = _load_capacities(config)
-    weather = weather_from_csv(_require(_weather_path(config), "ingest"))
+    with _open_text(_require(_weather_path(config), "ingest")) as stream:
+        weather = parse_weather(_blank_comments(stream))
     covariates = build_covariates(weather, (config.start_date, config.end_date),
                                   config.interval_minutes)
     data: dict[str, StationData] = {}

@@ -21,12 +21,8 @@ as one ``datetime`` object per row:
 Under ``demand/`` ingest also writes each station's counts
 (``station_<sid>.csv``) and, once, the weather it parsed (``weather.csv``).
 
-Timestamps are read as :func:`datetime.fromisoformat` reads them, with
-surrounding blanks stripped and UTC offsets refused. The common layout
-``YYYY-MM-DD HH:MM:SS`` (any one character may separate date and time), with
-an optional fraction of 1 to 6 digits, is decoded for a whole column at once
-from the bytes of its strings; any other spelling is parsed one string at a
-time.
+Timestamps are read as :func:`datetime.fromisoformat` reads them, one string
+at a time, with surrounding blanks stripped and UTC offsets refused.
 A bad row anywhere raises :class:`RowError` with its physical line number,
 and with the file's path when the reader was given one.
 
@@ -44,13 +40,12 @@ import csv
 import io
 import math
 import os
-from collections import deque
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
-from itertools import compress, islice, repeat, tee
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import attrgetter, is_, itemgetter
 
 import numpy as np
 
@@ -227,7 +222,7 @@ TRIP_COLUMNS = ("starttime", "stoptime", "start station id", "end station id")
 WEATHER_COLUMNS = ("timestamp", "temperature_c", "rain_probability")
 
 # rows turned into columns at a time: the row objects of a chunk this size
-# stay in cache, and 8 times larger chunks parsed a trip file 30% slower
+# stay in cache, and 8 times larger chunks parsed a trip file 20-30% slower
 _CHUNK_ROWS = 2048
 
 _KIND_CODES = {name: kind for kind, name in enumerate(KIND_NAMES)}
@@ -244,81 +239,41 @@ def _parse_timestamp(raw: str, line_number: int) -> datetime:
     return stamp
 
 
-def _layout(fraction_digits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Byte bounds and digit weights of ``YYYY-MM-DD HH:MM:SS`` plus a fraction.
-
-    Per byte of a string padded with NULs to 32: the lowest byte allowed there
-    and how far above it the highest lies; per byte and field (year, month,
-    day, hour, minute, second, microsecond), the weight of a digit there; and
-    per field, the weighted sum of ``"0"`` bytes to subtract.
-    """
-    text = "dddd-dd-dd dd:dd:dd" + ("." + "d" * fraction_digits if fraction_digits else "")
-    lo = np.zeros(32, dtype=np.uint8)
-    lo[:len(text)] = [ord("0") if c == "d" else ord(c) for c in text]
-    span = np.zeros(32, dtype=np.uint8)
-    span[:len(text)] = [9 if c == "d" else 0 for c in text]
-    span[10] = 255  # fromisoformat takes any character between date and time
-    # float32 is exact here: every partial sum stays an integer below 2**24
-    weights = np.zeros((32, 7), dtype=np.float32)
-    fields = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2), (20, fraction_digits))
-    for column, (first, width) in enumerate(fields):
-        weights[first:first + width, column] = 10.0 ** np.arange(width - 1, -1, -1)
-    weights[20:, 6] *= 10.0 ** (6 - fraction_digits)
-    return lo, span, weights, ord("0") * weights.sum(axis=0)
+_EPOCH_DAY = date(1970, 1, 1).toordinal()
 
 
-# by string length: 19 without a fraction, 21 to 26 with 1 to 6 fraction digits
-_LAYOUTS = {19 + (k > 0) + k: _layout(k) for k in range(7)}
-# the last day of each two-digit month in a leap year; none outside 1..12
-_MAX_DAY = np.zeros(100, dtype=np.int64)
-_MAX_DAY[1:13] = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+def _timestamp_or_none(raw: str) -> datetime | None:
+    try:
+        return _parse_timestamp(raw, 0)
+    except RowError:
+        return None
 
 
-def _decode(chars: np.ndarray, lo: np.ndarray, span: np.ndarray, weights: np.ndarray,
-            zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which rows of an ``(n, 32)`` byte matrix are valid timestamps of one layout, and their values."""
-    bad = ((chars - lo) > span).view(np.uint64)  # eight bytes per word
-    ok = (bad[:, 0] | bad[:, 1] | bad[:, 2] | bad[:, 3]) == 0
-    year, month, day, hour, minute, second, micro = (
-        weights.T @ chars.T.astype(np.float32) - zeros[:, None]).astype(np.int64)
-    # a month outside 1..12 allows no day at all
-    ok &= ((year >= 1) & (day >= 1) & (day <= _MAX_DAY.take(month, mode="clip"))
-           & (hour <= 23) & (minute <= 59) & (second <= 59))
-    feb29 = np.flatnonzero((month == 2) & (day == 29))
-    leap = year[feb29]
-    ok[feb29] &= (leap % 4 == 0) & ((leap % 100 != 0) | (leap % 400 == 0))
-    first = ((year - 1970) * 12 + month - 1).astype("datetime64[M]").astype("datetime64[us]")
-    micros = ((day - 1) * 86400 + hour * 3600 + minute * 60 + second) * 1_000_000 + micro
-    return ok, first + micros.astype("timedelta64[us]")
-
-
-def _timestamps(strings: list[str]) -> np.ndarray:
+def _timestamps(strings) -> np.ndarray:
     """Each string as :func:`_parse_timestamp` reads it, as ``datetime64[us]``; NaT where it refuses.
 
-    The strings of the column's most common length, when that is the length
-    of a layout in ``_LAYOUTS``, are decoded together from their bytes; the
-    others, and those that break the layout, are parsed one by one.
+    The strings go through :func:`datetime.fromisoformat` one at a time; a
+    column with a string it refuses, or with a UTC offset, goes through
+    :func:`_parse_timestamp` instead. The datetimes become microseconds since
+    the epoch from their fields, several times faster than numpy converts
+    ``datetime`` objects.
     """
-    n = len(strings)
-    lengths = np.fromiter(map(len, strings), np.intp, n)
-    width = int(np.bincount(lengths).argmax()) if n else 0
-    out = np.full(n, _NAT)
-    if width in _LAYOUTS:
-        picked = lengths == width
-        common = strings if picked.all() else compress(strings, picked.tolist())
-        raw = "".join(common).encode("ascii", "replace")
-        chars = np.zeros((np.count_nonzero(picked), 32), dtype=np.uint8)
-        chars[:, :width] = np.frombuffer(raw, np.uint8).reshape(-1, width)
-        ok, values = _decode(chars, *_LAYOUTS[width])
-        if len(values) == n and ok.all():
-            return values
-        out[np.flatnonzero(picked)[ok]] = values[ok]
-    for i in np.flatnonzero(np.isnat(out)):
-        try:
-            out[i] = _parse_timestamp(strings[i], 0)
-        except RowError:
-            pass  # refused: stays NaT, and the caller names the line
-    return out
+    try:
+        stamps = list(map(datetime.fromisoformat, map(str.strip, strings)))
+    except ValueError:
+        stamps = None
+    if stamps is None or any(map(attrgetter("tzinfo"), stamps)):
+        stamps = list(map(_timestamp_or_none, strings))
+    n = len(stamps)
+    refused = np.fromiter(map(is_, stamps, repeat(None)), bool, n)
+    if refused.any():
+        stamps = [datetime.min if stamp is None else stamp for stamp in stamps]
+    micros = np.fromiter(map(datetime.toordinal, stamps), np.int64, n) - _EPOCH_DAY
+    for field, scale in (("hour", 24), ("minute", 60), ("second", 60), ("microsecond", 1_000_000)):
+        micros = micros * scale + np.fromiter(map(attrgetter(field), stamps), np.int64, n)
+    times = micros.view("datetime64[us]")
+    times[refused] = _NAT
+    return times
 
 
 def _iso_strings(times: np.ndarray) -> list[str]:
@@ -362,8 +317,11 @@ def _open_text(source):
 
 
 def _header_index(reader, what: str, required: tuple[str, ...]) -> tuple[int, ...]:
-    """Column index of each required name; the last column of a repeated name wins."""
-    header = next(reader, None)
+    """Column index of each required name; the last column of a repeated name wins.
+
+    Blank lines before the header are skipped, as they are between rows.
+    """
+    header = next(filter(None, reader), None)
     if header is None:
         raise FormatError(f"{what} file is empty (no header row)")
     for col in required:
@@ -378,45 +336,25 @@ def _column_chunks(stream, what: str, names: tuple[str, ...]):
 
     Yields one list of strings per name and the rows' physical line numbers.
     ``csv.reader`` splits the rows; blank lines are dropped and short rows
-    padded with empty fields, as a row-by-row reader treats them. The fields
-    of a chunk are picked straight from the reader, one line per row. A chunk
-    that a blank line, a short row or a quoted line break breaks is split
-    again from its lines, which are kept until the chunk is done.
+    padded with empty fields, as a row-by-row reader treats them.
     """
-    lines, kept = tee(stream)
-    reader = csv.reader(lines)
+    reader = csv.reader(stream)
     columns = _header_index(reader, what, names)
-    pick = itemgetter(*columns)
-    done = reader.line_num
-    deque(islice(kept, done), maxlen=0)
-    while True:
-        rows: list | None = []
-        try:
-            rows.extend(islice(map(pick, reader), _CHUNK_ROWS))
-        except IndexError:  # a blank line or a short row
-            rows = None
-        chunk = list(islice(kept, reader.line_num - done))
-        if not chunk:
-            return
-        if rows is not None and len(rows) == len(chunk):
-            numbers = list(range(done + 1, reader.line_num + 1))
-        else:
-            rows, numbers = _split_rows(chunk, done, pick, max(columns) + 1)
-        done = reader.line_num
-        if rows:
-            yield [list(map(itemgetter(k), rows)) for k in range(len(names))], numbers
-
-
-def _split_rows(lines: list[str], offset: int, pick, width: int) -> tuple[list, list[int]]:
-    """The picked fields of each row of ``lines``, blank rows dropped and short
-    ones padded, with line numbers counted on from ``offset``."""
-    reader = csv.reader(lines)
-    rows, numbers = [], []
+    pick, width = itemgetter(*columns), max(columns) + 1
+    rows: list[tuple[str, ...]] = []
+    numbers: list[int] = []
     for row in reader:
-        if row:
-            rows.append(pick(row + [""] * (width - len(row))))
-            numbers.append(offset + reader.line_num)
-    return rows, numbers
+        if len(row) < width:
+            if not row:
+                continue
+            row += [""] * (width - len(row))
+        rows.append(pick(row))
+        numbers.append(reader.line_num)
+        if len(rows) == _CHUNK_ROWS:
+            yield list(map(list, zip(*rows))), numbers
+            rows, numbers = [], []
+    if rows:
+        yield list(map(list, zip(*rows))), numbers
 
 
 def _string_array(values: list[str]) -> np.ndarray:
@@ -620,7 +558,7 @@ class WeatherTable:
             _check_observation(hours[i].item(), float(temps[i]), float(rains[i]))
         order = np.argsort(hours, kind="stable")
         hours = hours[order]
-        last = np.append(hours[1:] != hours[:-1], True)
+        last = np.append(hours[1:] != hours[:-1], True)[:len(hours)]
         self.hours = hours[last]
         self.temperature_c = temps[order[last]]
         self.rain_probability = rains[order[last]]
@@ -827,23 +765,8 @@ def demand_from_csv(source, station: str, interval_minutes: int) -> DemandSeries
 
 
 def weather_to_csv(weather: WeatherTable) -> str:
-    """Serialize for :func:`weather_from_csv`; ``repr`` values parse back to the same floats."""
+    """Serialize for :func:`parse_weather`; ``repr`` values parse back to the same floats."""
     return "timestamp,temperature_c,rain_probability\n" + "".join(map(
         "{},{!r},{!r}\n".format, _iso_strings(weather.hours), weather.temperature_c.tolist(),
         weather.rain_probability.tolist()))
 
-
-def weather_from_csv(source) -> WeatherTable:
-    """Inverse of :func:`weather_to_csv`; comment lines starting with # are skipped.
-
-    A row without exactly three fields, or with a bad value, raises
-    :class:`RowError` with its line number.
-    """
-    with _open_text(source) as text:
-        header = ",".join(WEATHER_COLUMNS)
-        numbers, lines = _kept_lines(text, header, f"weather CSV must start with a {header} header")
-        rows = list(map(str.split, lines, repeat(",")))
-        for n, line, row in zip(numbers, lines, rows):
-            if len(row) != 3:
-                raise RowError(n, f"expected {header}, got {line!r}")
-        return _weather_table(numbers, *(list(map(itemgetter(k), rows)) for k in range(3)))

@@ -182,6 +182,18 @@ def test_demand_rows_out_of_order_exit_data_with_their_line(tmp_path, capsys, co
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("body", ["", "\n\n"])
+def test_weather_without_rows_exits_data(tmp_path, capsys, corpus, body):
+    weather = tmp_path / "weather.csv"
+    weather.write_text("timestamp,temperature_c,rain_probability\n" + body)
+    path = write_config(tmp_path / "run.yaml", {**corpus, "weather": str(weather)},
+                        tmp_path / "out", stations=["7"])
+    assert main(["ingest", "--config", path]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "no weather observation at or before 2018-01-01 00:00:00" in err
+    assert "Traceback" not in err
+
+
 # -- numeric problems --------------------------------------------------------------
 
 

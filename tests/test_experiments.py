@@ -9,7 +9,7 @@ import pytest
 
 from bikecast import experiments, neural, synthetic
 from bikecast.config import RunConfig, derive_seed
-from bikecast.errors import DataError, StageError
+from bikecast.errors import DataError, RowError, StageError
 from bikecast.evaluate import replay_cost
 from bikecast.inventory import udf_curve
 from bikecast.experiments import BIAS_KINDS, BiasSpec, apply_bias, bias_study
@@ -432,6 +432,26 @@ def test_train_without_kept_weather_names_ingest(tmp_path):
     assert isinstance(err.value.__cause__, DataError)
     assert "weather.csv" in str(err.value)
     assert "run the ingest stage first" in str(err.value)
+
+
+def test_load_ingested_names_the_line_and_path_of_a_bad_kept_weather_row(tmp_path):
+    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
+                                   base_rate=2.0)
+    config = RunConfig(
+        trips_path=paths["trips"], weather_path=paths["weather"],
+        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
+        start_date="2018-01-01", end_date="2018-12-31", stations=["7"], models=["lr"],
+    )
+    experiments.stage_ingest(config)
+    weather = Path(config.out_dir) / "demand" / "weather.csv"
+    lines = weather.read_text().splitlines()
+    assert lines[0].startswith("# ") and lines[1] == "timestamp,temperature_c,rain_probability"
+    lines[6] = ",".join(lines[6].split(",")[:2] + ["1.5"])
+    weather.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RowError) as err:
+        experiments.load_ingested(config)
+    assert err.value.line_number == 7
+    assert str(err.value).startswith(f"{weather}: line 7: rain_probability 1.5 outside [0, 1]")
 
 
 def test_evaluate_without_kept_events_names_ingest(tmp_path):

@@ -37,7 +37,6 @@ from bikecast.ingest import (
     split,
     to_event_streams,
     top_stations,
-    weather_from_csv,
     weather_to_csv,
 )
 
@@ -600,10 +599,9 @@ def trip_file(*rows: tuple[str, str]) -> str:
 
 
 @pytest.mark.parametrize("raw", TIMESTAMP_SPELLINGS)
-@pytest.mark.parametrize("copies", [1, 3], ids=["among-others", "whole-column"])
+@pytest.mark.parametrize("copies", [1, 3], ids=["once", "three-times"])
 def test_parse_trips_reads_each_spelling_as_parse_timestamp(raw, copies):
-    # with copies=3 the spelling is the column's most common length, so the
-    # column decoder sees it; alone among canonical rows it is parsed one by one
+    # once or three times among canonical rows, in both time columns
     plain = ("2018-06-01 06:00:00.500000", "2018-06-01 06:10:00.250000")
     text = trip_file(plain, *[(raw, raw)] * copies, plain, plain, plain, plain)
     kind, expected = row_by_row(raw, 3)
@@ -627,7 +625,7 @@ def weather_row_by_row(raw: str, line: int):
 
 
 @pytest.mark.parametrize("raw", TIMESTAMP_SPELLINGS)
-@pytest.mark.parametrize("copies", [1, 3], ids=["among-others", "whole-column"])
+@pytest.mark.parametrize("copies", [1, 3], ids=["once", "three-times"])
 def test_parse_weather_reads_each_spelling_as_parse_timestamp(raw, copies):
     rows = ["2018-05-01 00:00:00"] + [raw] * copies + ["2018-05-01 01:00:00", "2018-05-01 02:00:00"]
     text = csv_text(["timestamp", "temperature_c", "rain_probability"],
@@ -850,15 +848,22 @@ def test_events_csv_bad_time_names_its_line_and_file(tmp_path):
         events_from_csv(str(path), "A")
 
 
-def test_weather_csv_skips_comments_and_names_the_file(tmp_path):
-    table = weather_for_days(date(2018, 6, 1), 1, temp=7.25, rain=0.5)
-    path = tmp_path / "weather.csv"
-    path.write_text("# config: abc seed: 1\n" + weather_to_csv(table))
-    assert observations(weather_from_csv(str(path))) == observations(table)
-    lines = path.read_text().splitlines()
-    lines[6] = lines[6].replace(",0.5", ",1.5")
-    path.write_text("\n".join(lines) + "\n")
+def test_weather_without_rows_is_an_empty_table_that_covers_nothing():
+    for text in ("timestamp,temperature_c,rain_probability\n",
+                 "timestamp,temperature_c,rain_probability\n\n\n"):
+        table = parse_weather(io.StringIO(text))
+        assert len(table.hours) == len(table.temperature_c) == len(table.rain_probability) == 0
+        with pytest.raises(DataError, match="no weather observation at or before"):
+            build_covariates(table, (date(2018, 6, 1), date(2018, 6, 1)), 60)
+    assert len(WeatherTable([], [], []).hours) == 0
+
+
+def test_blank_lines_before_the_header_are_skipped():
+    text = "\n\ntimestamp,temperature_c,rain_probability\n2018-06-01 00:00:00,7.5,0.5\n"
+    assert observations(parse_weather(io.StringIO(text))) == {datetime(2018, 6, 1): (7.5, 0.5)}
+    bad = text.replace(",0.5", ",1.5")
     with pytest.raises(RowError) as err:
-        weather_from_csv(str(path))
-    assert err.value.line_number == 7
-    assert str(err.value).startswith(f"{path}: line 7: rain_probability 1.5 outside [0, 1]")
+        parse_weather(io.StringIO(bad))
+    assert err.value.line_number == 4
+    with pytest.raises(FormatError, match="weather file is empty"):
+        parse_weather(io.StringIO("\n\n"))
