@@ -9,7 +9,17 @@ quality translates into decision quality.
 
 The runtime needs only numpy and PyYAML. scipy, in the ``dev`` extra, serves
 the test oracles, such as :func:`.queueing.matrix_exponential_oracle`.
+
+Importing the package pins BLAS to one thread, whatever the environment asks,
+here and in every worker it spawns; it holds where numpy loads after it. A
+second thread saves no time at these matrix sizes, and the bits a net trains
+to would depend on the thread count, so checkpoints would vary by host.
 """
+
+import os
+
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from .errors import (
     BikecastError,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import classical, neural
 from .config import RunConfig, derive_seed
-from .errors import BikecastError, DataError, StageError
+from .errors import BikecastError, DataError, StageError, TrainingError
 from .evaluate import (
     BenchmarkResult,
     DecisionSummary,
@@ -334,29 +334,93 @@ NEURAL_NETS = {
 }
 
 
+# kinds by their time per epoch, longest first: the lanes start the long nets first
+_TRAIN_ORDER = ("movprnn", "vprnn", "prnn")
+
+
+def _cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker as soon as the process that spawned
+    it is gone, killed or not, so that no worker outlives its command."""
+    import multiprocessing
+    import threading
+
+    parent = multiprocessing.parent_process()
+    threading.Thread(target=lambda: (parent.join(), os._exit(1)), daemon=True).start()
+
+
+def _in_lanes(fn, jobs: list[tuple]) -> list:
+    """``fn(*job)`` for every job, in job order, over ``min(cores, len(jobs))``
+    lanes: this process and the spawned workers of one pool.
+
+    Every job is submitted; this process then takes back, from the end of the
+    list, each job that no worker has started and runs it itself. On any
+    failure the pending jobs are cancelled and every worker is reaped before
+    the error is raised; a worker that dies raises :class:`TrainingError`.
+    With one lane nothing is spawned and ``multiprocessing`` is not imported.
+    """
+    lanes = min(_cores(), len(jobs))
+    if lanes < 2:
+        return [fn(*job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(lanes - 1, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_exit_with_parent)
+    try:
+        futures = [pool.submit(fn, *job) for job in jobs]
+        results = [None] * len(jobs)
+        queued = len(jobs)
+        while queued and futures[queued - 1].cancel():
+            queued -= 1
+            results[queued] = fn(*jobs[queued])
+        results[:queued] = [future.result() for future in futures[:queued]]
+        return results
+    except BrokenProcessPool as e:
+        raise TrainingError(f"a training worker ended unexpectedly: {e}") from e
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def stage_train(config: RunConfig) -> dict[str, dict]:
-    """Fit every configured model per station and write model artifacts."""
+    """Fit every configured model per station and write model artifacts.
+
+    One job is one net of one station. The jobs train over the lanes of
+    :func:`_in_lanes`, longest kinds first; each net has its own seed, so its
+    bits do not depend on its lane. This process then writes every checkpoint,
+    in job order, and fits the classical models.
+    """
     with _stage("train"):
         data = load_ingested(config)
         train_cfg = _train_config(config)
         header = config.artifact_header()
+        parts = {sid: split(data[sid].series) for sid in sorted(data)}
+        jobs = sorted(((sid, name, label, targets) for sid in parts
+                       for name in sorted(config.models) if name in NEURAL_NETS
+                       for label, targets in NEURAL_NETS[name]),
+                      key=lambda job: _TRAIN_ORDER.index(job[1]))
+        trained = _in_lanes(neural.train, [
+            (name, parts[sid], train_cfg, derive_seed(config.seed, f"train:{sid}:{label}"),
+             targets) for sid, name, label, targets in jobs])
+        nets = {(sid, label): net for (sid, _, label, _), net in zip(jobs, trained)}
         fitted: dict[str, dict] = {}
-        for sid in sorted(data):
+        for sid in parts:
             fitted[sid] = {}
-            parts = split(data[sid].series)
             for name in sorted(config.models):
                 if name == "ma":
                     continue  # fitted per forecast day from the rolling window
                 if name in NEURAL_NETS:
-                    model = []
-                    for label, targets in NEURAL_NETS[name]:
-                        net = neural.train(name, parts, train_cfg,
-                                           derive_seed(config.seed, f"train:{sid}:{label}"),
-                                           targets=targets)
+                    model = [nets[sid, label] for label, _ in NEURAL_NETS[name]]
+                    for (label, _), net in zip(NEURAL_NETS[name], model):
                         neural.save_checkpoint(net, _checkpoint_path(config, sid, label))
-                        model.append(net)
                 else:
-                    model = getattr(classical, f"fit_{name}")(parts.train)
+                    model = getattr(classical, f"fit_{name}")(parts[sid].train)
                     _write(_model_path(config, sid, name),
                            header + classical.model_to_json(model) + "\n")
                 fitted[sid][name] = model

@@ -188,10 +188,6 @@ class DemandSeries:
     def n_days(self) -> int:
         return len(self) // self.intervals_per_day
 
-    def times(self) -> list[datetime]:
-        step = timedelta(minutes=self.interval_minutes)
-        return [self.start + i * step for i in range(len(self))]
-
     def rows(self, lo: int, hi: int) -> "DemandSeries":
         cov = self.covariates.rows(lo, hi) if self.covariates is not None else None
         return DemandSeries(

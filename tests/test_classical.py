@@ -152,7 +152,9 @@ def brute_force_ma(series: DemandSeries, as_of: date, window_days: int):
     lo = hi - timedelta(days=window_days)
     shape = (7, series.intervals_per_day)
     sums_p, sums_r, counts = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-    for i, t in enumerate(series.times()):
+    step = timedelta(minutes=series.interval_minutes)
+    for i in range(len(series)):
+        t = series.start + i * step
         if lo <= t < hi:
             cell = (t.weekday(), (t.hour * 60 + t.minute) // series.interval_minutes)
             sums_p[cell] += series.pickups[i]

@@ -268,13 +268,14 @@ def run_console_script(args, cwd):
     return run_python(wrapper, args, cwd)
 
 
-def run_python(code, args, cwd):
-    """Run ``python -c code`` in a fresh process, with this checkout's ``src`` first."""
-    env = dict(os.environ)
+def run_python(code, args, cwd, env=None, preexec_fn=None):
+    """Run ``python -c code`` in a fresh process, with this checkout's ``src``
+    first; ``env`` adds to this process's environment."""
+    env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True)
+                          preexec_fn=preexec_fn, capture_output=True, text=True)
 
 
 def test_installed_entry_point_runs(tmp_path, corpus):
@@ -291,9 +292,35 @@ def test_installed_entry_point_runs(tmp_path, corpus):
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # the runtime needs only numpy and PyYAML; scipy serves the test oracles
+    # the runtime needs only numpy and PyYAML; scipy serves the test oracles,
+    # and train imports its process pool only when it has more than one core
     probe = ("import sys, bikecast.cli; "
-             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+             "or m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))")
     proc = run_python(probe, [], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity and two CPUs")
+def test_checkpoints_do_not_depend_on_the_host(tmp_path, corpus):
+    """Two BLAS threads asked for and a lane per CPU, then one CPU and so one
+    lane: every checkpoint must come out with the same bytes."""
+    one_cpu = min(os.sched_getaffinity(0))
+    hosts = {"wide": ({"OPENBLAS_NUM_THREADS": "2"}, None),
+             "narrow": ({}, lambda: os.sched_setaffinity(0, {one_cpu}))}
+    checkpoints = {}
+    for host, (env, preexec_fn) in hosts.items():
+        out = tmp_path / host
+        path = write_config(tmp_path / f"{host}.yaml", corpus, out, stations=["7"],
+                            models=["prnn", "movprnn"], hidden_width=32, max_epochs=2)
+        for command in ("ingest", "train"):
+            proc = run_python("import sys; from bikecast.cli import main; sys.exit(main())",
+                              [command, "--config", path], cwd=tmp_path, env=env,
+                              preexec_fn=preexec_fn)
+            assert proc.returncode == EXIT_OK, proc.stderr
+        checkpoints[host] = {p.name: p.read_bytes() for p in (out / "models").glob("*.ckpt")}
+    assert sorted(checkpoints["wide"]) == ["7_movprnn.ckpt", "7_prnn_pickups.ckpt",
+                                           "7_prnn_returns.ckpt"]
+    assert checkpoints["wide"] == checkpoints["narrow"]

@@ -1,15 +1,21 @@
 """Bias-sensitivity machinery and the staged file pipeline."""
 
 import os
+import signal
+import subprocess
+import sys
+import time
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
+import lane_jobs
 import numpy as np
 import pytest
 
 from bikecast import experiments, neural, synthetic
+from bikecast.cli import EXIT_NUMERIC, _exit_code_for
 from bikecast.config import RunConfig, derive_seed
-from bikecast.errors import DataError, RowError, StageError
+from bikecast.errors import DataError, RowError, StageError, TrainingError
 from bikecast.evaluate import replay_cost
 from bikecast.inventory import udf_curve
 from bikecast.experiments import BIAS_KINDS, BiasSpec, apply_bias, bias_study
@@ -522,3 +528,137 @@ def test_optimize_solves_each_distinct_forecast_once(tmp_path, monkeypatch):
     # ha repeats by weekday: 61 test days, 7 forecasts
     assert len(forecasts) == 61 and len(distinct) == 7
     assert len(solved) == len(set(solved)) == len(distinct)
+
+
+# -- training lanes ------------------------------------------------------------
+
+
+@pytest.fixture
+def two_lanes(monkeypatch):
+    # this process decides the lane count, so the patch reaches it
+    monkeypatch.setattr(experiments, "_cores", lambda: 2)
+
+
+def _reaped(pid: int) -> bool:
+    """True once ``pid`` is no process at all; an unreaped child is a zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _pid(path) -> int:
+    return int(Path(path).read_text())
+
+
+def test_lanes_return_results_in_job_order_from_both_lanes(two_lanes):
+    results = experiments._in_lanes(lane_jobs.tagged, [(i, 0.3) for i in range(4)])
+    assert [tag for tag, _ in results] == [0, 1, 2, 3]
+    pids = {pid for _, pid in results}
+    # this process takes back from the end the jobs that no worker started
+    assert results[-1][1] == os.getpid() and len(pids) == 2
+    assert all(_reaped(pid) for pid in pids - {os.getpid()})
+
+
+def test_training_error_in_a_worker_reads_as_in_process(two_lanes, tmp_path):
+    # job 0 fails in the worker while this process sleeps through job 1
+    paths = [tmp_path / "0", tmp_path / "1"]
+    with pytest.raises(StageError) as in_worker:
+        with experiments._stage("train"):
+            experiments._in_lanes(lane_jobs.in_worker,
+                                  [(lane_jobs.fail, p, os.getpid()) for p in paths])
+    with pytest.raises(StageError) as here:
+        with experiments._stage("train"):
+            lane_jobs.fail(tmp_path / "here")
+    assert str(in_worker.value) == str(here.value)
+    assert isinstance(in_worker.value.__cause__, TrainingError)
+    assert _exit_code_for(in_worker.value) == _exit_code_for(here.value) == EXIT_NUMERIC
+    assert _pid(paths[0]) != os.getpid() and _reaped(_pid(paths[0]))
+
+
+def test_a_worker_that_dies_fails_the_train_stage_numeric(two_lanes, tmp_path):
+    paths = [tmp_path / "0", tmp_path / "1"]
+    with pytest.raises(StageError) as err:
+        with experiments._stage("train"):
+            experiments._in_lanes(lane_jobs.in_worker,
+                                  [(lane_jobs.die, p, os.getpid()) for p in paths])
+    assert err.value.stage == "train" and "worker" in str(err.value)
+    assert _exit_code_for(err.value) == EXIT_NUMERIC
+    assert _reaped(_pid(paths[0]))
+
+
+def test_a_failure_cancels_pending_jobs_and_reaps_the_workers(two_lanes, tmp_path):
+    # this process fails at once on the last job; the worker holds at most
+    # two started jobs, so job 2 is still pending and must never run
+    paths = [tmp_path / str(i) for i in range(4)]
+    with pytest.raises(TrainingError):
+        experiments._in_lanes(lane_jobs.fail, [(p,) for p in paths])
+    assert _pid(paths[3]) == os.getpid()
+    assert not paths[2].exists()
+    workers = {_pid(p) for p in paths[:2] if p.exists()}
+    assert all(_reaped(pid) for pid in workers)
+
+
+def _env() -> dict:
+    """This environment with the checkout's ``src`` and ``tests`` first on the path."""
+    tests = Path(__file__).resolve().parent
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")])))
+
+
+def _children(pid: int) -> list[int]:
+    children = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _running(pid: int) -> bool:
+    """False once ``pid`` has exited, reaped or left a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_no_worker_outlives_a_killed_parent(tmp_path):
+    paths = [tmp_path / "0", tmp_path / "1"]
+    code = ("import sys, lane_jobs; from bikecast import experiments; "
+            "experiments._cores = lambda: 2; "
+            "experiments._in_lanes(lane_jobs.hang, [(p,) for p in sys.argv[1:]])")
+    parent = subprocess.Popen([sys.executable, "-c", code, *map(str, paths)], env=_env())
+    try:
+        deadline = time.monotonic() + 60
+        while not all(p.exists() and p.read_text() for p in paths):
+            assert parent.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        # the worker and multiprocessing's resource tracker
+        spawned = _children(parent.pid)
+        assert _pid(paths[0]) in spawned and _pid(paths[1]) == parent.pid
+    finally:
+        parent.send_signal(signal.SIGKILL)
+        parent.wait()
+    deadline = time.monotonic() + 5
+    while any(_running(pid) for pid in spawned) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not [pid for pid in spawned if _running(pid)]
+
+
+def test_one_lane_spawns_nothing_and_loads_no_multiprocessing(tmp_path):
+    code = ("import sys; from bikecast import experiments; "
+            "experiments._cores = lambda: 1; "
+            "print(experiments._in_lanes(abs, [(-1,), (-2,)]), "
+            "[m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))])")
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(), cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[1, 2] []"
