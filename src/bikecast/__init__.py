@@ -11,9 +11,9 @@ The runtime needs only numpy and PyYAML. scipy, in the ``dev`` extra, serves
 the test oracles, such as :func:`.queueing.matrix_exponential_oracle`.
 
 Importing the package pins BLAS to one thread, whatever the environment asks,
-here and in every worker it spawns; it holds where numpy loads after it. A
-second thread saves no time at these matrix sizes, and the bits a net trains
-to would depend on the thread count, so checkpoints would vary by host.
+here and in every worker it forks or spawns; it holds where numpy loads after
+it. A second thread saves no time at these matrix sizes, and the bits a net
+trains to would depend on the thread count, so checkpoints would vary by host.
 """
 
 import os

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every error survives pickling with its message and attributes, so that one
+raised in a worker process reads as one raised in the caller's.
+"""
 
 from __future__ import annotations
 
@@ -33,6 +37,9 @@ class RowError(DataError):
         self.reason = message
         self.path = path
 
+    def __reduce__(self):
+        return type(self), (self.line_number, self.reason, self.path)
+
 
 class DomainError(BikecastError):
     """Argument outside its mathematical domain (inventory level, rate sign)."""
@@ -43,8 +50,13 @@ class TrainingError(BikecastError):
 
 
 class StageError(BikecastError):
-    """A pipeline stage failed; carries the stage name for diagnostics."""
+    """A pipeline stage failed; carries the stage name and, as ``reason``, the
+    message without it."""
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
+        self.reason = message
+
+    def __reduce__(self):
+        return type(self), (self.stage, self.reason)

@@ -13,7 +13,9 @@ starts with a comment carrying the config hash and seed.
 
 from __future__ import annotations
 
+import io
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from datetime import date
 
@@ -34,8 +36,10 @@ from .evaluate import (
     summaries_to_csv,
 )
 from .ingest import (
+    TRIP_COLUMNS,
     DemandSeries,
     EventStream,
+    TripTable,
     _open_text,
     aggregate,
     build_covariates,
@@ -217,13 +221,15 @@ def _blank_comments(lines):
 def stage_ingest(config: RunConfig) -> dict[str, StationData]:
     """Parse the inputs, here and nowhere else, and write the ``demand/`` files.
 
+    The trip file is parsed in byte ranges over the lanes of :func:`_in_lanes`
+    (:func:`_read_trips`), into the table one :func:`parse_trips` call reads.
     Each selected station gets ``station_<sid>.csv`` (interval counts) and
     ``events_<sid>.csv`` (for evaluate to replay); the run gets ``weather.csv``.
     Covariates check the weather and go only into the returned series.
     """
     with _stage("ingest"):
         capacities = parse_stations(_require_input(config.stations_path))
-        trips = parse_trips(_require_input(config.trips_path))
+        trips = _read_trips(_require_input(config.trips_path))
         selected = list(config.stations) or top_stations(trips, config.top_n)
         missing = [s for s in selected if s not in capacities]
         if missing:
@@ -247,6 +253,83 @@ def stage_ingest(config: RunConfig) -> dict[str, StationData]:
         _write(_weather_path(config), weather_to_csv(weather), header)
         _write(_selected_path(config), "\n".join(lines) + "\n", header)
         return data
+
+
+# bytes of the trip file per lane job: the header copy and the sentinel row
+# of a range are negligible at this size, and a file of a few ranges spreads
+_RANGE_BYTES = 1 << 20
+
+# the fields of the sentinel row that closes every range, in TRIP_COLUMNS order
+_SENTINEL = ("0001-01-01", "0001-01-01", "~", "~")
+
+
+def _trip_ranges(path: str) -> tuple[bytes, bytes, list[int]]:
+    """The header line of a trip file, a sentinel row for its columns, and
+    the offsets of the rows' start, of cuts at line breaks about every
+    :data:`_RANGE_BYTES` and of the end.
+
+    No offsets come back unless the header is one line of unquoted names
+    that holds every trip column, so that it surely ends where a row starts.
+    """
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        line = head.removesuffix(b"\n").removesuffix(b"\r")
+        index = {name: i for i, name in enumerate(line.decode("latin-1").split(","))}
+        if not (head.endswith(b"\n") and b'"' not in line and b"\r" not in line
+                and index.keys() >= set(TRIP_COLUMNS)):
+            return head, b"", []
+        row = [""] * len(index)
+        for name, value in zip(TRIP_COLUMNS, _SENTINEL):
+            row[index[name]] = value
+        size = os.fstat(fh.fileno()).st_size
+        cuts = [len(head)]
+        while cuts[-1] + _RANGE_BYTES < size:
+            fh.seek(cuts[-1] + _RANGE_BYTES - 1)
+            fh.readline()
+            cuts.append(fh.tell())
+    if cuts[-1] < size:
+        cuts.append(size)
+    return head, ("\n" + ",".join(row)).encode(), cuts
+
+
+def _parse_trip_range(path: str, head: bytes, sentinel: bytes, start: int,
+                      stop: int) -> TripTable | None:
+    """:func:`parse_trips` over ``head``, bytes ``start:stop`` of ``path`` and
+    ``sentinel``, without the sentinel row; None if the sentinel does not come
+    back as the last row, as after a cut inside a quoted field."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        body = fh.read(stop - start)
+    with io.TextIOWrapper(io.BytesIO(head + body + sentinel), newline="") as stream:
+        columns = list(vars(parse_trips(stream)).values())
+    if not all(np.array_equal(column[-1:], np.array([value], column.dtype))
+               for column, value in zip(columns, _SENTINEL)):
+        return None
+    return TripTable(*(column[:-1] for column in columns))
+
+
+def _read_trips(path: str) -> TripTable:
+    """:func:`parse_trips` of ``path``, one byte range per job over the lanes
+    of :func:`_in_lanes`, the tables concatenated in file order.
+
+    Each range is parsed after a copy of the header line and ends with a
+    sentinel row. The whole file is parsed at once when it has one range or
+    the host one core, when a sentinel does not come back, or when a range
+    raises: a cut inside a quoted field can break the rows on both sides of
+    it, and the serial parse then raises the serial error, line number and
+    path included, or reads the file right.
+    """
+    head, sentinel, cuts = _trip_ranges(path) if _cores() > 1 else (b"", b"", [])
+    if len(cuts) < 3:
+        return parse_trips(path)
+    try:
+        tables = _in_lanes(_parse_trip_range, [(path, head, sentinel, start, stop)
+                                               for start, stop in zip(cuts, cuts[1:])])
+    except Exception:
+        return parse_trips(path)
+    if any(table is None for table in tables):
+        return parse_trips(path)
+    return TripTable(*map(np.concatenate, zip(*(vars(table).values() for table in tables))))
 
 
 def _require_input(path: str) -> str:
@@ -344,25 +427,55 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _exit_with_parent() -> None:
-    """Pool initializer: end this worker as soon as the process that spawned
-    it is gone, killed or not, so that no worker outlives its command."""
+_lane_counter = None  # a worker's job counter, kept by its pool initializer
+
+
+def _lane_start(counter) -> None:
+    """Pool initializer: keep the job counter, and end this worker as soon as
+    the process that started it is gone, killed or not, so that no worker
+    outlives its command."""
     import multiprocessing
     import threading
 
+    global _lane_counter
+    _lane_counter = counter
     parent = multiprocessing.parent_process()
     threading.Thread(target=lambda: (parent.join(), os._exit(1)), daemon=True).start()
 
 
+def _claim_jobs(fn, jobs: list[tuple], counter=None) -> tuple[dict, tuple | None]:
+    """``{i: fn(*jobs[i])}`` for each index ``i`` claimed in turn from the
+    shared ``counter`` (a worker's own by default) until none is left, and the
+    failure ``(i, error)`` that ended the loop, or None.
+
+    A failure moves the counter to the end, so that no lane starts another job.
+    """
+    counter = _lane_counter if counter is None else counter
+    done = {}
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(jobs):
+            return done, None
+        try:
+            done[i] = fn(*jobs[i])
+        except Exception as error:
+            counter.value = len(jobs)
+            return done, (i, error)
+
+
 def _in_lanes(fn, jobs: list[tuple]) -> list:
     """``fn(*job)`` for every job, in job order, over ``min(cores, len(jobs))``
-    lanes: this process and the spawned workers of one pool.
+    lanes: this process and the workers of one pool, forked on Linux and
+    spawned elsewhere.
 
-    Every job is submitted; this process then takes back, from the end of the
-    list, each job that no worker has started and runs it itself. On any
-    failure the pending jobs are cancelled and every worker is reaped before
-    the error is raised; a worker that dies raises :class:`TrainingError`.
-    With one lane nothing is spawned and ``multiprocessing`` is not imported.
+    Every lane claims the next job from one shared counter, in job order,
+    until none is left (:func:`_claim_jobs`); each worker runs that loop as
+    one pool task. After a failure no lane starts another job: the running
+    ones finish, every worker is reaped, and then the error of the lowest job
+    index is raised. A worker that dies raises :class:`TrainingError`. With
+    one lane nothing is started and ``multiprocessing`` is not imported.
     """
     lanes = min(_cores(), len(jobs))
     if lanes < 2:
@@ -371,21 +484,23 @@ def _in_lanes(fn, jobs: list[tuple]) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(lanes - 1, mp_context=multiprocessing.get_context("spawn"),
-                               initializer=_exit_with_parent)
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
+    counter = context.Value("i", 0)
+    pool = ProcessPoolExecutor(lanes - 1, mp_context=context, initializer=_lane_start,
+                               initargs=(counter,))
     try:
-        futures = [pool.submit(fn, *job) for job in jobs]
-        results = [None] * len(jobs)
-        queued = len(jobs)
-        while queued and futures[queued - 1].cancel():
-            queued -= 1
-            results[queued] = fn(*jobs[queued])
-        results[:queued] = [future.result() for future in futures[:queued]]
-        return results
+        futures = [pool.submit(_claim_jobs, fn, jobs) for _ in range(lanes - 1)]
+        loops = [_claim_jobs(fn, jobs, counter)] + [future.result() for future in futures]
     except BrokenProcessPool as e:
-        raise TrainingError(f"a training worker ended unexpectedly: {e}") from e
+        raise TrainingError(f"a worker lane ended unexpectedly: {e}") from e
     finally:
-        pool.shutdown(cancel_futures=True)
+        counter.value = len(jobs)
+        pool.shutdown()
+    failures = [failure for _, failure in loops if failure]
+    if failures:
+        raise min(failures)[1]  # each index is claimed once, so no two tie
+    done = {i: result for results, _ in loops for i, result in results.items()}
+    return [done[i] for i in range(len(jobs))]
 
 
 def stage_train(config: RunConfig) -> dict[str, dict]:

@@ -8,7 +8,9 @@ Times travel as numpy ``datetime64[us]`` columns from parse to replay, never
 as one ``datetime`` object per row:
 
 * a trip file is read once, in chunks of rows, into a columnar
-  :class:`TripTable` (start and end times, start and end stations);
+  :class:`TripTable` (start and end times, start and end stations); ingest
+  reads a large one in byte ranges, one :func:`parse_trips` call per range
+  over the lanes of its worker processes, and concatenates the tables;
 * each selected station's trips become one :class:`EventStream`, a sorted
   time column beside a pickup/return kind column, which feeds the interval
   counts (:func:`aggregate`) and, written with :func:`events_to_csv` as

@@ -1,12 +1,15 @@
 """Module-level jobs for the tests of ``experiments._in_lanes``.
 
-A spawned worker imports a job function by its module and name, so it runs
-the code in this file and never a test's monkeypatch. Each job that ends or
-hangs first writes the pid of the process that runs it to ``path``.
+A job function reaches a worker by its module and name, so it must live at
+module level, here. A forked worker (Linux) sees a test's monkeypatches; a
+spawned one (elsewhere) does not. Every lane claims jobs in job order, and
+which lane claims which job is a race, so each job that ends or hangs first
+writes the pid of the process that runs it to ``path``.
 """
 
 import os
 import time
+from pathlib import Path
 
 from bikecast.errors import TrainingError
 
@@ -22,9 +25,11 @@ def tagged(tag, seconds):
     return tag, os.getpid()
 
 
-def fail(path):
+def fail(path, seconds=0.0):
+    """Raise, after ``seconds``, a TrainingError that names the file of ``path``."""
+    time.sleep(seconds)
     _note_pid(path)
-    raise TrainingError("prnn diverged at epoch 3: loss nan")
+    raise TrainingError(f"net {Path(path).name}: prnn diverged at epoch 3: loss nan")
 
 
 def die(path):
@@ -38,8 +43,8 @@ def hang(path):
 
 
 def in_worker(action, path, parent):
-    """``action(path)`` in a worker. In ``parent``, which takes back the last
-    jobs, sleep a second instead, so that the worker has started the others."""
+    """``action(path)`` in a worker. In ``parent`` sleep a second instead, so
+    that the worker claims the other job meanwhile."""
     if os.getpid() == parent:
         time.sleep(1.0)
     else:

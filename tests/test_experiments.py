@@ -1,6 +1,7 @@
 """Bias-sensitivity machinery and the staged file pipeline."""
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -11,9 +12,10 @@ from pathlib import Path
 import lane_jobs
 import numpy as np
 import pytest
+import yaml
 
 from bikecast import experiments, neural, synthetic
-from bikecast.cli import EXIT_NUMERIC, _exit_code_for
+from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, _exit_code_for, main
 from bikecast.config import RunConfig, derive_seed
 from bikecast.errors import DataError, RowError, StageError, TrainingError
 from bikecast.evaluate import replay_cost
@@ -26,6 +28,7 @@ from bikecast.ingest import (
     EventStream,
     build_covariates,
     events_from_csv,
+    parse_trips,
     parse_weather,
     split,
 )
@@ -556,25 +559,27 @@ def test_lanes_return_results_in_job_order_from_both_lanes(two_lanes):
     results = experiments._in_lanes(lane_jobs.tagged, [(i, 0.3) for i in range(4)])
     assert [tag for tag, _ in results] == [0, 1, 2, 3]
     pids = {pid for _, pid in results}
-    # this process takes back from the end the jobs that no worker started
-    assert results[-1][1] == os.getpid() and len(pids) == 2
+    # this process and the worker both claim jobs
+    assert os.getpid() in pids and len(pids) == 2
     assert all(_reaped(pid) for pid in pids - {os.getpid()})
 
 
 def test_training_error_in_a_worker_reads_as_in_process(two_lanes, tmp_path):
-    # job 0 fails in the worker while this process sleeps through job 1
+    # one job fails in the worker while this process sleeps through the other
     paths = [tmp_path / "0", tmp_path / "1"]
     with pytest.raises(StageError) as in_worker:
         with experiments._stage("train"):
             experiments._in_lanes(lane_jobs.in_worker,
                                   [(lane_jobs.fail, p, os.getpid()) for p in paths])
+    [failed] = [p for p in paths if p.exists()]
+    worker = _pid(failed)
     with pytest.raises(StageError) as here:
         with experiments._stage("train"):
-            lane_jobs.fail(tmp_path / "here")
+            lane_jobs.fail(failed)
     assert str(in_worker.value) == str(here.value)
     assert isinstance(in_worker.value.__cause__, TrainingError)
     assert _exit_code_for(in_worker.value) == _exit_code_for(here.value) == EXIT_NUMERIC
-    assert _pid(paths[0]) != os.getpid() and _reaped(_pid(paths[0]))
+    assert worker != os.getpid() and _reaped(worker)
 
 
 def test_a_worker_that_dies_fails_the_train_stage_numeric(two_lanes, tmp_path):
@@ -585,18 +590,20 @@ def test_a_worker_that_dies_fails_the_train_stage_numeric(two_lanes, tmp_path):
                                   [(lane_jobs.die, p, os.getpid()) for p in paths])
     assert err.value.stage == "train" and "worker" in str(err.value)
     assert _exit_code_for(err.value) == EXIT_NUMERIC
-    assert _reaped(_pid(paths[0]))
+    [died] = [p for p in paths if p.exists()]
+    assert _reaped(_pid(died))
 
 
-def test_a_failure_cancels_pending_jobs_and_reaps_the_workers(two_lanes, tmp_path):
-    # this process fails at once on the last job; the worker holds at most
-    # two started jobs, so job 2 is still pending and must never run
+def test_after_a_failure_no_job_starts_and_the_lowest_index_error_wins(two_lanes, tmp_path):
+    # job 0 fails after half a second and job 1 at once. A lane claims its
+    # next job only after its last one ended, so jobs 2 and 3 never start;
+    # the error raised is job 0's, once its lane has finished it
     paths = [tmp_path / str(i) for i in range(4)]
-    with pytest.raises(TrainingError):
-        experiments._in_lanes(lane_jobs.fail, [(p,) for p in paths])
-    assert _pid(paths[3]) == os.getpid()
-    assert not paths[2].exists()
-    workers = {_pid(p) for p in paths[:2] if p.exists()}
+    with pytest.raises(TrainingError, match="^net 0: "):
+        experiments._in_lanes(lane_jobs.fail, [(paths[0], 0.5)] + [(p,) for p in paths[1:]])
+    assert paths[0].exists()
+    assert not paths[2].exists() and not paths[3].exists()
+    workers = {_pid(p) for p in paths[:2] if p.exists()} - {os.getpid()}
     assert all(_reaped(pid) for pid in workers)
 
 
@@ -641,16 +648,17 @@ def test_no_worker_outlives_a_killed_parent(tmp_path):
         while not all(p.exists() and p.read_text() for p in paths):
             assert parent.poll() is None and time.monotonic() < deadline
             time.sleep(0.05)
-        # the worker and multiprocessing's resource tracker
-        spawned = _children(parent.pid)
-        assert _pid(paths[0]) in spawned and _pid(paths[1]) == parent.pid
+        children = _children(parent.pid)
+        # one job hangs in the parent and the other in its worker
+        pids = {_pid(p) for p in paths}
+        assert parent.pid in pids and len(pids) == 2 and pids - {parent.pid} <= set(children)
     finally:
         parent.send_signal(signal.SIGKILL)
         parent.wait()
     deadline = time.monotonic() + 5
-    while any(_running(pid) for pid in spawned) and time.monotonic() < deadline:
+    while any(_running(pid) for pid in children) and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert not [pid for pid in spawned if _running(pid)]
+    assert not [pid for pid in children if _running(pid)]
 
 
 def test_one_lane_spawns_nothing_and_loads_no_multiprocessing(tmp_path):
@@ -662,3 +670,179 @@ def test_one_lane_spawns_nothing_and_loads_no_multiprocessing(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[1, 2] []"
+
+
+@pytest.mark.parametrize("error", [RowError(3, "bad", "p.csv"), RowError(4, "bad"),
+                                   StageError("train", "x")], ids=repr)
+def test_errors_survive_pickling(error):
+    # an error raised in a worker lane comes back pickled
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error) and str(copy) == str(error)
+    assert vars(copy) == vars(error)
+
+
+# -- the trip file in ranges ------------------------------------------------------
+
+
+@pytest.fixture
+def small_ranges(monkeypatch):
+    """Two lanes and ranges of 64 bytes. Lists, for each parse_trips call in
+    this process, whether it read a path: the whole file at once."""
+    monkeypatch.setattr(experiments, "_cores", lambda: 2)
+    monkeypatch.setattr(experiments, "_RANGE_BYTES", 64)
+    whole = []
+    parse = experiments.parse_trips
+    monkeypatch.setattr(experiments, "parse_trips",
+                        lambda source: whole.append(isinstance(source, str)) or parse(source))
+    return whole
+
+
+def trip_lines(n: int, stations=lambda i: (str(100 + i % 7), str(100 + i % 5))) -> list[str]:
+    lines = ["starttime,stoptime,start station id,end station id"]
+    for i in range(n):
+        day, hour = 1 + i // 24, i % 24
+        origin, dest = stations(i)
+        lines.append(f"2018-06-{day:02d} {hour:02d}:00:00,2018-06-{day:02d} {hour:02d}:30:00,"
+                     f"{origin},{dest}")
+    return lines
+
+
+def _mixed_endings(lines: list[str]) -> str:
+    return "".join(line + ("\r" if i % 3 else "\n") for i, line in enumerate(lines))
+
+
+def _reordered(lines: list[str]) -> list[str]:
+    out = ["bikeid,end station id,stoptime,usertype,start station id,starttime"]
+    for i, line in enumerate(lines[1:]):
+        start, stop, origin, dest = line.split(",")
+        out.append(f"{i},{dest},{stop},Subscriber,{origin},{start}")
+    return out
+
+
+# a quoted station id of many lines, with doubled quotes, that a cut must fall in
+_LONG_FIELD = '"' + "\n".join(f'dock ""{k}"", north, {k}' for k in range(12)) + '"'
+
+RANGE_FILES = {
+    "crlf": "\r\n".join(trip_lines(40)) + "\r\n",
+    "bare-cr": "\r".join(trip_lines(40)) + "\r",
+    "mixed-endings": _mixed_endings(trip_lines(40)),
+    "blank-lines": "\n\n".join(trip_lines(40)) + "\n\n\n",
+    "short-rows": "\n".join([trip_lines(0)[0] + ",bikeid,usertype"] + [
+        line + ",7" * (i % 3) for i, line in enumerate(trip_lines(40)[1:])]) + "\n",
+    "quoted-commas": "\n".join(trip_lines(
+        40, lambda i: (f'"{i % 4}, east"', f'"{i % 3}, west"'))) + "\n",
+    "reordered-columns": "\n".join(_reordered(trip_lines(40))) + "\n",
+    "no-final-newline": "\n".join(trip_lines(40)),
+    "header-only": trip_lines(0)[0] + "\n",
+    "straddling-quoted-field": "\n".join(trip_lines(
+        40, lambda i: (_LONG_FIELD if i == 20 else str(i), "101"))) + "\n",
+}
+
+
+def assert_same_table(got, want):
+    for name in ("start_times", "end_times", "start_stations", "end_stations"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_FILES))
+def test_trip_ranges_read_as_the_serial_parse(small_ranges, tmp_path, name):
+    path = tmp_path / "trips.csv"
+    path.write_bytes(RANGE_FILES[name].encode())
+    _head, _sentinel, cuts = experiments._trip_ranges(str(path))
+    got = experiments._read_trips(str(path))
+    assert_same_table(got, parse_trips(str(path)))
+    # a file without a line feed after its header has no cut; a cut inside
+    # the quoted field sends the file to one serial parse
+    assert (len(cuts) > 3) == (name not in ("bare-cr", "header-only"))
+    assert (True in small_ranges) == (name in ("bare-cr", "header-only",
+                                               "straddling-quoted-field"))
+
+
+def test_trip_ranges_keep_the_quoted_line_breaks_they_do_not_cut(small_ranges, tmp_path):
+    # ranges of 4 KiB hold the long field whole, so it reads back from a range
+    experiments._RANGE_BYTES = 4096
+    text = RANGE_FILES["straddling-quoted-field"] * 1 + "\n".join(trip_lines(400)[1:]) + "\n"
+    path = tmp_path / "trips.csv"
+    path.write_text(text)
+    got = experiments._read_trips(str(path))
+    assert True not in small_ranges
+    assert_same_table(got, parse_trips(str(path)))
+    assert got.start_stations[20] == _LONG_FIELD[1:-1].replace('""', '"')
+
+
+def ingest_config(tmp_path, paths) -> str:
+    """A config file for an ingest of station 7 from the corpus at ``paths``."""
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump({
+        "trips_path": paths["trips"], "weather_path": paths["weather"],
+        "stations_path": paths["stations"], "out_dir": str(tmp_path / "out"), "seed": 5,
+        "start_date": "2018-01-01", "end_date": "2018-12-31", "stations": ["7"]}))
+    return str(config)
+
+
+@pytest.fixture
+def corpus_with_two_bad_rows(tmp_path):
+    """A small corpus whose trip file breaks a row early and a row late, and
+    the config of an ingest over it."""
+    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
+                                   base_rate=2.0)
+    with open(paths["trips"]) as fh:
+        lines = fh.read().split("\n")
+    start, stop, origin, _dest = lines[100].split(",")
+    lines[100] = f"{start},{stop},{origin}"  # short: the end station pads as empty
+    start, stop, origin, dest = lines[-400].split(",")
+    lines[-400] = f"{stop},{start},{origin},{dest}"
+    with open(paths["trips"], "w") as fh:
+        fh.write("\n".join(lines))
+    return paths["trips"], ingest_config(tmp_path, paths)
+
+
+def test_a_bad_row_in_a_range_raises_the_serial_error(small_ranges, corpus_with_two_bad_rows,
+                                                      capsys):
+    experiments._RANGE_BYTES = 4096
+    trips, config = corpus_with_two_bad_rows
+    with pytest.raises(RowError) as serial:
+        parse_trips(trips)
+    with pytest.raises(RowError) as ranged:
+        experiments._read_trips(trips)
+    assert serial.value.line_number == 101 and "empty station id" in str(serial.value)
+    assert str(ranged.value) == str(serial.value)
+    assert vars(ranged.value) == vars(serial.value)
+    assert False in small_ranges  # this process parsed ranges before the serial parse
+    capsys.readouterr()
+    assert main(["ingest", "--config", config]) == EXIT_DATA
+    assert capsys.readouterr().err == f"bikecast: stage ingest: {serial.value}\n"
+
+
+def test_ingest_in_ranges_warns_of_nothing_in_dev_mode(tmp_path):
+    # -X dev shows a range file left open (ResourceWarning) and, from Python
+    # 3.12, a fork while a thread runs (DeprecationWarning); -W error fails on them
+    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
+                                   base_rate=2.0)
+    config = ingest_config(tmp_path, paths)
+    code = ("import sys; from bikecast import cli, experiments; "
+            "experiments._cores = lambda: 2; experiments._RANGE_BYTES = 1 << 14; "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    assert os.path.getsize(paths["trips"]) > 8 << 14
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code,
+                           "ingest", "--config", config],
+                          env=_env(), cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("cores, range_bytes, pool", [(2, 1 << 20, False), (1, 64, False),
+                                                      (2, 64, True)])
+def test_a_trip_file_of_one_range_or_one_core_starts_no_pool(tmp_path, cores, range_bytes,
+                                                              pool):
+    path = tmp_path / "trips.csv"
+    path.write_text(RANGE_FILES["crlf"])
+    code = ("import sys; from bikecast import experiments; "
+            f"experiments._cores = lambda: {cores}; experiments._RANGE_BYTES = {range_bytes}; "
+            "print(len(experiments._read_trips(sys.argv[1])), "
+            "any(m.startswith(('multiprocessing', 'concurrent')) for m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=_env(), cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["40", str(pool)]
