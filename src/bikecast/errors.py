@@ -1,8 +1,5 @@
-"""Exception hierarchy shared across the package.
-
-Every error survives pickling with its message and attributes, so that one
-raised in a worker process reads as one raised in the caller's.
-"""
+"""Exception hierarchy shared across the package. Every error pickles whole,
+so one raised in a worker process reads as one raised in its parent."""
 
 from __future__ import annotations
 
@@ -50,8 +47,7 @@ class TrainingError(BikecastError):
 
 
 class StageError(BikecastError):
-    """A pipeline stage failed; carries the stage name and, as ``reason``, the
-    message without it."""
+    """A pipeline stage failed; carries the stage name and the bare ``reason``."""
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")

@@ -1,10 +1,10 @@
 """Module-level jobs for the tests of ``experiments._in_lanes``.
 
-A job function reaches a worker by its module and name, so it must live at
-module level, here. A forked worker (Linux) sees a test's monkeypatches; a
-spawned one (elsewhere) does not. Every lane claims jobs in job order, and
-which lane claims which job is a race, so each job that ends or hangs first
-writes the pid of the process that runs it to ``path``.
+A spawned worker (not on Linux) imports a job function by its module and
+name, so jobs live at module level, here; a forked one (Linux) also sees a
+test's monkeypatches. Every lane claims jobs in job order, and which lane
+claims which job is a race, so each job that ends or hangs first writes the
+pid of the process that runs it to ``path``.
 """
 
 import os
@@ -23,6 +23,13 @@ def tagged(tag, seconds):
     """``(tag, pid)`` after ``seconds``."""
     time.sleep(seconds)
     return tag, os.getpid()
+
+
+def once(path):
+    """Create ``path``, which must not exist yet, and return this pid."""
+    with open(path, "x") as fh:
+        fh.write(str(os.getpid()))
+    return os.getpid()
 
 
 def fail(path, seconds=0.0):

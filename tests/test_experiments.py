@@ -607,6 +607,16 @@ def test_after_a_failure_no_job_starts_and_the_lowest_index_error_wins(two_lanes
     assert all(_reaped(pid) for pid in workers)
 
 
+def test_more_lanes_than_cores_run_every_job_once(monkeypatch, tmp_path):
+    # a lost update of the shared counter would run a job twice, which fails
+    # to create its file again, or skip one, which leaves no result
+    monkeypatch.setattr(experiments, "_cores", lambda: 4)
+    paths = [tmp_path / str(i) for i in range(300)]
+    pids = experiments._in_lanes(lane_jobs.once, [(p,) for p in paths])
+    assert pids == [_pid(p) for p in paths]
+    assert len(set(pids)) > 1
+
+
 def _env() -> dict:
     """This environment with the checkout's ``src`` and ``tests`` first on the path."""
     tests = Path(__file__).resolve().parent
@@ -700,10 +710,9 @@ def small_ranges(monkeypatch):
 def trip_lines(n: int, stations=lambda i: (str(100 + i % 7), str(100 + i % 5))) -> list[str]:
     lines = ["starttime,stoptime,start station id,end station id"]
     for i in range(n):
-        day, hour = 1 + i // 24, i % 24
+        start = datetime(2018, 6, 1) + timedelta(hours=i)
         origin, dest = stations(i)
-        lines.append(f"2018-06-{day:02d} {hour:02d}:00:00,2018-06-{day:02d} {hour:02d}:30:00,"
-                     f"{origin},{dest}")
+        lines.append(f"{start},{start + timedelta(minutes=30)},{origin},{dest}")
     return lines
 
 
@@ -749,12 +758,10 @@ def assert_same_table(got, want):
 def test_trip_ranges_read_as_the_serial_parse(small_ranges, tmp_path, name):
     path = tmp_path / "trips.csv"
     path.write_bytes(RANGE_FILES[name].encode())
-    _head, _sentinel, cuts = experiments._trip_ranges(str(path))
     got = experiments._read_trips(str(path))
     assert_same_table(got, parse_trips(str(path)))
-    # a file without a line feed after its header has no cut; a cut inside
-    # the quoted field sends the file to one serial parse
-    assert (len(cuts) > 3) == (name not in ("bare-cr", "header-only"))
+    # a file without a line feed after its header has one range, and a cut
+    # inside the quoted field sends the file to one serial parse
     assert (True in small_ranges) == (name in ("bare-cr", "header-only",
                                                "straddling-quoted-field"))
 
@@ -846,3 +853,24 @@ def test_a_trip_file_of_one_range_or_one_core_starts_no_pool(tmp_path, cores, ra
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["40", str(pool)]
+
+
+def test_a_cut_that_opens_a_field_past_the_csv_limit_falls_back(small_ranges, tmp_path):
+    # a quoted end station of blank lines straddles the first cut. The range
+    # before the cut reads well but for its sentinel; the range after it reads
+    # the field's closing quote as an opening one, which swallows the rest of
+    # that range into one field past csv's limit of 128 KiB
+    experiments._RANGE_BYTES = 1 << 18
+    lines = trip_lines(12000)
+    first, offset = 0, 0
+    while offset <= (1 << 18) - 2000:  # the first row to start past this offset
+        offset += len(lines[first]) + 1
+        first += 1
+    start, stop, origin, dest = lines[first].split(",")
+    lines[first] = f'{start},{stop},{origin},"{dest}' + "\n" * 4000 + '"'
+    path = tmp_path / "trips.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got = experiments._read_trips(str(path))
+    assert True in small_ranges
+    assert_same_table(got, parse_trips(str(path)))
+    assert len(got) == 12000 and got.end_stations[first - 1] == dest  # ids are stripped
