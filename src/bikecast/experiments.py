@@ -14,7 +14,6 @@ starts with a comment carrying the config hash and seed.
 from __future__ import annotations
 
 import contextlib
-import csv
 import io
 import os
 import sys
@@ -309,7 +308,7 @@ def _read_trips(path: str) -> TripTable:
     try:
         tables = _in_lanes(_parse_trip_range, [(path, head, sentinel, start, stop)
                                                for start, stop in zip(cuts, cuts[1:] + [size])])
-    except (BikecastError, ValueError, csv.Error):
+    except (BikecastError, ValueError):
         return parse_trips(path)
     return TripTable(*map(np.concatenate, zip(*(vars(table).values() for table in tables))))
 

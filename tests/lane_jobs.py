@@ -32,11 +32,13 @@ def once(path):
     return os.getpid()
 
 
-def fail(path, seconds=0.0):
-    """Raise, after ``seconds``, a TrainingError that names the file of ``path``."""
+def fail(path, seconds=0.0, fails=True):
+    """After ``seconds``, note this pid and, if ``fails``, raise a
+    TrainingError that names the file of ``path``."""
     time.sleep(seconds)
     _note_pid(path)
-    raise TrainingError(f"net {Path(path).name}: prnn diverged at epoch 3: loss nan")
+    if fails:
+        raise TrainingError(f"net {Path(path).name}: prnn diverged at epoch 3: loss nan")
 
 
 def die(path):

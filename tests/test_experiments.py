@@ -594,24 +594,33 @@ def test_a_worker_that_dies_fails_the_train_stage_numeric(two_lanes, tmp_path):
     assert _reaped(_pid(died))
 
 
-def test_after_a_failure_no_job_starts_and_the_lowest_index_error_wins(two_lanes, tmp_path):
-    # job 0 fails after half a second and job 1 at once. A lane claims its
-    # next job only after its last one ended, so jobs 2 and 3 never start;
-    # the error raised is job 0's, once its lane has finished it
+def test_after_a_failure_no_lane_starts_another_job(two_lanes, tmp_path):
+    # job 0 ends well after half a second and job 1 fails at once: the lane of
+    # job 0 finishes it and claims no other, so jobs 2 and 3 never start
     paths = [tmp_path / str(i) for i in range(4)]
-    with pytest.raises(TrainingError, match="^net 0: "):
-        experiments._in_lanes(lane_jobs.fail, [(paths[0], 0.5)] + [(p,) for p in paths[1:]])
+    with pytest.raises(TrainingError, match="^net 1: "):
+        experiments._in_lanes(lane_jobs.fail, [(paths[0], 0.5, False), (paths[1],)]
+                              + [(p, 0.0, False) for p in paths[2:]])
     assert paths[0].exists()
     assert not paths[2].exists() and not paths[3].exists()
-    workers = {_pid(p) for p in paths[:2] if p.exists()} - {os.getpid()}
+    workers = {_pid(p) for p in paths[:2]} - {os.getpid()}
     assert all(_reaped(pid) for pid in workers)
+
+
+def test_the_error_of_the_lowest_job_index_wins(two_lanes, tmp_path):
+    # job 0 fails after half a second and job 1 at once; job 0's error is
+    # raised, once its lane has finished it
+    paths = [tmp_path / "0", tmp_path / "1"]
+    with pytest.raises(TrainingError, match="^net 0: "):
+        experiments._in_lanes(lane_jobs.fail, [(paths[0], 0.5), (paths[1],)])
+    assert paths[0].exists()
 
 
 def test_more_lanes_than_cores_run_every_job_once(monkeypatch, tmp_path):
     # a lost update of the shared counter would run a job twice, which fails
     # to create its file again, or skip one, which leaves no result
     monkeypatch.setattr(experiments, "_cores", lambda: 4)
-    paths = [tmp_path / str(i) for i in range(300)]
+    paths = [tmp_path / str(i) for i in range(3000)]
     pids = experiments._in_lanes(lane_jobs.once, [(p,) for p in paths])
     assert pids == [_pid(p) for p in paths]
     assert len(set(pids)) > 1
@@ -745,6 +754,11 @@ RANGE_FILES = {
     "header-only": trip_lines(0)[0] + "\n",
     "straddling-quoted-field": "\n".join(trip_lines(
         40, lambda i: (_LONG_FIELD if i == 20 else str(i), "101"))) + "\n",
+    # a quoted end station whose lines read as trip rows on their own: both
+    # ranges at a cut inside it parse cleanly, and only the sentinel tells
+    "straddling-rows-in-a-quoted-field": "\n".join(trip_lines(
+        40, lambda i: ("101", '"' + "\n".join(trip_lines(9)[1:]) + '""x"' if i == 20
+                       else "102"))) + "\n",
 }
 
 
@@ -762,8 +776,7 @@ def test_trip_ranges_read_as_the_serial_parse(small_ranges, tmp_path, name):
     assert_same_table(got, parse_trips(str(path)))
     # a file without a line feed after its header has one range, and a cut
     # inside the quoted field sends the file to one serial parse
-    assert (True in small_ranges) == (name in ("bare-cr", "header-only",
-                                               "straddling-quoted-field"))
+    assert (True in small_ranges) == (name in ("bare-cr", "header-only") or "straddling" in name)
 
 
 def test_trip_ranges_keep_the_quoted_line_breaks_they_do_not_cut(small_ranges, tmp_path):
@@ -857,9 +870,10 @@ def test_a_trip_file_of_one_range_or_one_core_starts_no_pool(tmp_path, cores, ra
 
 def test_a_cut_that_opens_a_field_past_the_csv_limit_falls_back(small_ranges, tmp_path):
     # a quoted end station of blank lines straddles the first cut. The range
-    # before the cut reads well but for its sentinel; the range after it reads
-    # the field's closing quote as an opening one, which swallows the rest of
-    # that range into one field past csv's limit of 128 KiB
+    # after the cut reads the field's closing quote as an opening one, which
+    # swallows the rest of that range into one field past csv's limit of
+    # 128 KiB; the range before it fails its sentinel, and that failure of the
+    # lower index sends the file to the serial parse
     experiments._RANGE_BYTES = 1 << 18
     lines = trip_lines(12000)
     first, offset = 0, 0
@@ -874,3 +888,17 @@ def test_a_cut_that_opens_a_field_past_the_csv_limit_falls_back(small_ranges, tm
     assert True in small_ranges
     assert_same_table(got, parse_trips(str(path)))
     assert len(got) == 12000 and got.end_stations[first - 1] == dest  # ids are stripped
+
+
+def test_a_bad_byte_in_a_range_raises_the_serial_decode_error(small_ranges, tmp_path):
+    # a range decodes alone, so its error would give the byte's position in
+    # the range; the serial parse gives it in the file
+    lines = trip_lines(40)
+    lines[30] = lines[30].replace("10", "1\xff", 1)
+    path = tmp_path / "trips.csv"
+    path.write_bytes("\n".join(lines).encode("latin-1"))
+    with pytest.raises(UnicodeDecodeError) as serial:
+        parse_trips(str(path))
+    with pytest.raises(UnicodeDecodeError) as ranged:
+        experiments._read_trips(str(path))
+    assert str(ranged.value) == str(serial.value)
