@@ -782,7 +782,7 @@ def test_trip_ranges_read_as_the_serial_parse(small_ranges, tmp_path, name):
 def test_trip_ranges_keep_the_quoted_line_breaks_they_do_not_cut(small_ranges, tmp_path):
     # ranges of 4 KiB hold the long field whole, so it reads back from a range
     experiments._RANGE_BYTES = 4096
-    text = RANGE_FILES["straddling-quoted-field"] * 1 + "\n".join(trip_lines(400)[1:]) + "\n"
+    text = RANGE_FILES["straddling-quoted-field"] + "\n".join(trip_lines(400)[1:]) + "\n"
     path = tmp_path / "trips.csv"
     path.write_text(text)
     got = experiments._read_trips(str(path))
