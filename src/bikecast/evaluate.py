@@ -5,8 +5,9 @@ the day's actual events against the starting inventory that the optimize
 stage chose from the forecast, and count shortages. Evaluation replays those
 decisions; it does not make them again. The oracle benchmark uses the
 realized counts of the day as if they were the true rates (perfect
-information); it is solved here, because only evaluation reads the realized
-counts.
+information); the evaluate stage solves it, because only evaluation reads the
+realized counts, and this module replays its decision as it replays a
+model's. Nothing here solves a UDF.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import PICKUP, DemandSeries, EventStream
-from .inventory import PenaltyConfig, oracle_decision
+from .inventory import PenaltyConfig
 from .queueing import RateSeries
 
 
@@ -136,14 +137,17 @@ def benchmark(predictions: dict[str, list[RateSeries]], decisions: dict[str, lis
     ``predictions`` maps model name to one RateSeries per test day and
     ``decisions`` maps it to the starting inventory chosen from each of them,
     both aligned with ``day_events`` and ``day_counts`` (realized per-interval
-    counts, used both for the perfect-information oracle and for CE). An
-    ``oracle`` row is always included; its RPD is 0 by construction.
+    counts, used for CE). ``decisions["oracle"]`` holds each day's
+    perfect-information s* (:func:`.inventory.oracle_decision`), which is
+    replayed as a model's is. An ``oracle`` row is always included; its RPD is
+    0 by construction.
     """
     n_days = len(day_events)
     for name, series_list in predictions.items():
         if len(series_list) != n_days:
             raise DataError(f"model {name!r} supplied {len(series_list)} forecasts "
                             f"for {n_days} days")
+    for name in ("oracle", *predictions):
         if len(decisions.get(name, ())) != n_days:
             raise DataError(f"model {name!r} needs one decision for each of {n_days} days")
     if len(day_counts) != n_days:
@@ -152,11 +156,11 @@ def benchmark(predictions: dict[str, list[RateSeries]], decisions: dict[str, lis
     rows: list[dict] = []
     oracle_costs = np.zeros(n_days)
     for i, (events, counts) in enumerate(zip(day_events, day_counts)):
-        curve = oracle_decision(counts, capacity, penalties)
-        report = replay_cost(events, curve.s_star, capacity, penalties)
+        s_star = decisions["oracle"][i]
+        report = replay_cost(events, s_star, capacity, penalties)
         oracle_costs[i] = report.cost
         rows.append({"station": counts.station, "date": counts.start.date().isoformat(),
-                     "model": "oracle", "metric": "s_star", "value": curve.s_star})
+                     "model": "oracle", "metric": "s_star", "value": s_star})
         rows.append({"station": counts.station, "date": counts.start.date().isoformat(),
                      "model": "oracle", "metric": "cost", "value": report.cost})
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import classical, neural
 from .config import RunConfig, derive_seed
-from .errors import BikecastError, DataError, StageError, TrainingError
+from .errors import BikecastError, DataError, RowError, StageError, TrainingError
 from .evaluate import (
     BenchmarkResult,
     DecisionSummary,
@@ -55,7 +55,7 @@ from .ingest import (
     top_stations,
     weather_to_csv,
 )
-from .inventory import PenaltyConfig, UdfCurve, udf_curve
+from .inventory import PenaltyConfig, UdfCurve, oracle_decision, udf_curve
 from .queueing import RateSeries
 from .synthetic import peaked_day
 
@@ -127,6 +127,9 @@ def bias_study(day_counts: DemandSeries, events: EventStream, capacity: int,
 
     The unbiased rates are the day's realized counts-as-rates, so delta=0
     reproduces the perfect-information oracle decision for every pattern.
+    The grid's curves are solved in one batch over the lanes of
+    :func:`_in_lanes`, each distinct biased series once (:func:`_solve`):
+    delta=0 is the same series for every pattern.
     """
     if day_counts.n_days != 1:
         raise DataError("bias study expects exactly one day of counts")
@@ -137,18 +140,18 @@ def bias_study(day_counts: DemandSeries, events: EventStream, capacity: int,
         pickup_rates=day_counts.pickups.astype(float),
         return_rates=day_counts.returns.astype(float),
     )
+    biased = {kind: [apply_bias(base, BiasSpec(kind, float(d))) for d in delta_grid]
+              for kind in BIAS_KINDS}
+    solved = iter(_solve([(rates, capacity, penalties)
+                          for kind in BIAS_KINDS for rates in biased[kind]]))
     curves = {}
     for kind in BIAS_KINDS:
-        s_stars = np.zeros(len(delta_grid), dtype=int)
-        costs = np.zeros(len(delta_grid))
-        ces = np.zeros(len(delta_grid))
-        for i, d in enumerate(delta_grid):
-            biased = apply_bias(base, BiasSpec(kind, float(d)))
-            curve = udf_curve(biased, capacity, penalties)
-            s_stars[i] = curve.s_star
-            costs[i] = replay_cost(events, curve.s_star, capacity, penalties).cost
-            ces[i] = cumulative_error(day_counts.pickups, day_counts.returns,
-                                      biased.pickup_rates, biased.return_rates)
+        s_stars = np.array([next(solved).s_star for _ in delta_grid], dtype=int)
+        costs = np.array([replay_cost(events, s, capacity, penalties).cost
+                          for s in s_stars.tolist()], dtype=float)
+        ces = np.array([cumulative_error(day_counts.pickups, day_counts.returns,
+                                         rates.pickup_rates, rates.return_rates)
+                        for rates in biased[kind]], dtype=float)
         curves[kind] = BiasCurve(kind=kind, deltas=delta_grid.astype(float),
                                  s_star=s_stars, cost=costs, ce=ces)
     oracle_s = int(curves["same_side"].s_star[0])
@@ -223,8 +226,10 @@ def stage_ingest(config: RunConfig) -> dict[str, StationData]:
 
     The trip file is parsed in byte ranges over the lanes of :func:`_in_lanes`
     (:func:`_read_trips`), into the table one :func:`parse_trips` call reads.
-    Each selected station gets ``station_<sid>.csv`` (interval counts) and
-    ``events_<sid>.csv`` (for evaluate to replay); the run gets ``weather.csv``.
+    Each selected station gets ``station_<sid>.csv`` (interval counts of the
+    whole range) and ``events_<sid>.csv``: the events of the days of
+    ``split(series).test``, the only ones evaluate replays. A day range that
+    :func:`split` refuses fails here. The run gets ``weather.csv``.
     Covariates check the weather and go only into the returned series.
     """
     with _stage("ingest"):
@@ -245,8 +250,10 @@ def stage_ingest(config: RunConfig) -> dict[str, StationData]:
             if sid not in streams:
                 raise DataError(f"station {sid} has no events in the trip file")
             series = aggregate(streams[sid], config.interval_minutes, day_range)
+            test = split(series).test
             _write(_demand_path(config, sid), demand_to_csv(series), header)
-            _write(_events_path(config, sid), events_to_csv(streams[sid]), header)
+            _write(_events_path(config, sid), events_to_csv(
+                streams[sid].slice_day(test.start.date(), test.n_days)), header)
             data[sid] = StationData(station=sid, capacity=capacities[sid],
                                     series=replace(series, covariates=covariates))
             lines.append(f"{sid},{capacities[sid]}")
@@ -445,7 +452,10 @@ def _lane(fn, jobs: list[tuple], counter, writer) -> None:
 def _in_lanes(fn, jobs: list[tuple]) -> list:
     """``fn(*job)`` for every job, in job order, over ``min(cores, len(jobs))``
     lanes: this process and worker processes, forked on Linux and spawned
-    elsewhere.
+    elsewhere. The callers are :func:`_read_trips` (byte ranges of the trip
+    file), :func:`stage_train` (nets), :func:`_solve` (the decision curves of
+    :func:`stage_optimize` and :func:`bias_study`) and :func:`stage_evaluate`
+    (the oracle curves), each with one batch.
 
     Every lane claims the next job from one shared counter until none is left
     (:func:`_claim_jobs`). After a failure no lane starts another job; the
@@ -487,6 +497,21 @@ def _in_lanes(fn, jobs: list[tuple]) -> list:
         raise min(failures)[1]  # each index is claimed once, so no two tie
     results = {i: result for i, result, _ in outcomes}
     return [results[i] for i in range(len(jobs))]
+
+
+def _solve(problems: list[tuple[RateSeries, int, PenaltyConfig]]) -> list[UdfCurve]:
+    """``udf_curve(*problem)`` for every problem, over the lanes of
+    :func:`_in_lanes`. A problem that repeats one before it, with the same
+    rates, capacity and penalties, is not solved again but shares its curve."""
+    keys = [(rates.pickup_rates.tobytes(), rates.return_rates.tobytes(),
+             rates.interval_minutes, capacity, penalties)
+            for rates, capacity, penalties in problems]
+    first: dict[tuple, int] = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    curves = _in_lanes(udf_curve, [problems[i] for i in first.values()])
+    solved = dict(zip(first, curves))
+    return [solved[key] for key in keys]
 
 
 def stage_train(config: RunConfig) -> dict[str, dict]:
@@ -603,16 +628,44 @@ def stage_forecast(config: RunConfig) -> dict[str, dict[str, list[RateSeries]]]:
 
 def load_forecasts(config: RunConfig, sid: str, name: str,
                    interval_minutes: int) -> tuple[list[date], list[RateSeries]]:
+    """Each day's forecast, as stage_forecast wrote it, in date order.
+
+    The rows of each day must number its slots 0 to n - 1 in order, n being
+    the intervals of ``interval_minutes`` in a day. A row that breaks this or
+    does not parse raises :class:`RowError` with the path and its line; a day
+    that ends early, at its last row.
+    """
     path = _require(_forecast_path(config, sid, name), "forecast")
-    by_day: dict[str, list[tuple[float, float]]] = {}
-    for line in _read_commented(path).splitlines()[1:]:
-        day, _slot, p, r = line.split(",")
-        by_day.setdefault(day, []).append((float(p), float(r)))
-    days = [date.fromisoformat(d) for d in sorted(by_day)]
+    slots = 1440 // interval_minutes
+    by_day: dict[date, list[tuple[float, float]]] = {}
+    last_line: dict[date, int] = {}
+    with open(path) as fh:
+        rows = [(n, line.rstrip("\r\n")) for n, line in enumerate(fh, 1)
+                if not line.startswith("#")][1:]
+    for n, line in rows:
+        try:
+            day, slot, p, r = line.split(",")
+            day, slot, rates = date.fromisoformat(day), int(slot), (float(p), float(r))
+        except ValueError:
+            raise RowError(n, f"expected date,slot,pickup_rate,return_rate, got {line!r}",
+                           path) from None
+        day_rows = by_day.setdefault(day, [])
+        if slot != len(day_rows) or slot >= slots:
+            raise RowError(n, f"slot {slot} of {day} out of order: expected slot "
+                              f"{len(day_rows)} of 0 to {slots - 1} "
+                              f"({interval_minutes} minutes)", path)
+        day_rows.append(rates)
+        last_line[day] = n
+    short = [day for day in by_day if len(by_day[day]) < slots]
+    if short:
+        day = min(short, key=last_line.get)
+        raise RowError(last_line[day], f"{day} ends at slot {len(by_day[day]) - 1} of 0 to "
+                                       f"{slots - 1} ({interval_minutes} minutes)", path)
+    days = sorted(by_day)
     series_list = [
         RateSeries(interval_minutes=interval_minutes,
-                   pickup_rates=np.array([p for p, _ in by_day[d.isoformat()]]),
-                   return_rates=np.array([r for _, r in by_day[d.isoformat()]]))
+                   pickup_rates=np.array([p for p, _ in by_day[d]]),
+                   return_rates=np.array([r for _, r in by_day[d]]))
         for d in days
     ]
     return days, series_list
@@ -621,28 +674,28 @@ def load_forecasts(config: RunConfig, sid: str, name: str,
 def stage_optimize(config: RunConfig) -> dict[str, dict[str, list[int]]]:
     """Turn every forecast into a starting-inventory decision.
 
-    A forecast that repeats one already solved in this call, with the same
-    capacity and penalties, reuses its curve: HA repeats by weekday.
+    The curves are solved in one batch over the lanes (:func:`_solve`). A
+    forecast that repeats another, with the same capacity and penalties,
+    shares its curve: HA repeats by weekday.
     """
     with _stage("optimize"):
         capacities = _load_capacities(config)
         penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
         header = config.artifact_header()
+        forecasts = {(sid, name): load_forecasts(config, sid, name, config.interval_minutes)
+                     for sid in sorted(capacities) for name in sorted(config.models)}
+        curves = iter(_solve([(rates, capacities[sid], penalties)
+                              for (sid, _), (_, series_list) in forecasts.items()
+                              for rates in series_list]))
         decisions: dict[str, dict[str, list[int]]] = {}
-        solved: dict[tuple, UdfCurve] = {}
         for sid in sorted(capacities):
             decisions[sid] = {}
             lines = ["date,model,s_star,expected_cost"]
             for name in sorted(config.models):
-                days, forecasts = load_forecasts(config, sid, name,
-                                                 config.interval_minutes)
+                days, _ = forecasts[sid, name]
                 picks = []
-                for day, rates in zip(days, forecasts):
-                    key = (rates.pickup_rates.tobytes(), rates.return_rates.tobytes(),
-                           rates.interval_minutes, capacities[sid], penalties)
-                    if key not in solved:
-                        solved[key] = udf_curve(rates, capacities[sid], penalties)
-                    curve = solved[key]
+                for day in days:
+                    curve = next(curves)
                     picks.append(curve.s_star)
                     lines.append(f"{day.isoformat()},{name},{curve.s_star},"
                                  f"{curve.values[curve.s_star]:.12g}")
@@ -674,24 +727,20 @@ def stage_evaluate(config: RunConfig) -> tuple[list[DecisionSummary],
     """Score every model's decisions and forecasts against replayed reality.
 
     The decisions are the s* that stage_optimize wrote per station; they are
-    replayed, not solved again. The forecasts give CE and the point metrics.
-    The replayed events are the ones stage_ingest kept per station; the trip
-    file itself is not read again.
+    replayed, not solved again. The perfect-information oracle's s* of every
+    station-day is solved here, in one batch over the lanes of
+    :func:`_in_lanes`, and replayed likewise. The forecasts give CE and the
+    point metrics. The replayed events are the test days' that stage_ingest
+    kept per station; the trip file itself is not read again.
     """
     with _stage("evaluate"):
         data = load_ingested(config)
         penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
         header = config.artifact_header()
 
-        all_rows: list[dict] = []
-        metrics_rows: list[dict] = []
-        per_station: dict[str, BenchmarkResult] = {}
-        cost_acc: dict[str, list[float]] = {}
-        ce_acc: dict[str, list[float]] = {}
-        oracle_acc: list[float] = []
+        inputs, oracle_jobs = {}, []
         for sid in sorted(data):
-            series = data[sid].series
-            test, days = _test_days(series)
+            test, days = _test_days(data[sid].series)
             predictions = {}
             for name in sorted(config.models):
                 fdays, forecasts = load_forecasts(config, sid, name,
@@ -703,7 +752,19 @@ def stage_evaluate(config: RunConfig) -> tuple[list[DecisionSummary],
             decisions = _load_decisions(config, sid, sorted(predictions), days)
             day_counts = [test.day(i) for i in range(test.n_days)]
             events = events_from_csv(_require(_events_path(config, sid), "ingest"), sid)
-            day_events = [events.slice_day(d) for d in days]
+            inputs[sid] = (test, predictions, decisions, day_counts,
+                           [events.slice_day(d) for d in days])
+            oracle_jobs += [(counts, data[sid].capacity, penalties) for counts in day_counts]
+        oracle = iter(_in_lanes(oracle_decision, oracle_jobs))
+
+        all_rows: list[dict] = []
+        metrics_rows: list[dict] = []
+        per_station: dict[str, BenchmarkResult] = {}
+        cost_acc: dict[str, list[float]] = {}
+        ce_acc: dict[str, list[float]] = {}
+        oracle_acc: list[float] = []
+        for sid, (test, predictions, decisions, day_counts, day_events) in inputs.items():
+            decisions["oracle"] = [next(oracle).s_star for _ in day_counts]
             result = benchmark(predictions, decisions, day_events, day_counts,
                                data[sid].capacity, penalties)
             per_station[sid] = result

@@ -13,9 +13,10 @@ as one ``datetime`` object per row:
   over the lanes of its worker processes, and concatenates the tables;
 * each selected station's trips become one :class:`EventStream`, a sorted
   time column beside a pickup/return kind column, which feeds the interval
-  counts (:func:`aggregate`) and, written with :func:`events_to_csv` as
-  ``demand/events_<sid>.csv``, the replay that scores each day's decision,
-  so the trip file is never parsed again after ingest;
+  counts (:func:`aggregate`). Cut to the days of the test split and written
+  with :func:`events_to_csv` as ``demand/events_<sid>.csv``, it is the replay
+  that scores each test day's decision, so the trip file is never parsed
+  again after ingest;
 * the hourly weather is a :class:`WeatherTable` of three columns, from which
   :func:`build_covariates`, the one place that knows their encoding, builds
   the covariates. They are not stored.
@@ -105,10 +106,11 @@ class EventStream:
         self.times = times[order]
         self.kinds = kinds[order]
 
-    def slice_day(self, day: date) -> "EventStream":
-        """The events of one day, found by binary search in the sorted times."""
+    def slice_day(self, day: date, n_days: int = 1) -> "EventStream":
+        """The events of ``n_days`` days from ``day``, found by binary search in
+        the sorted times."""
         lo = np.datetime64(day, "us")
-        first, last = np.searchsorted(self.times, [lo, lo + np.timedelta64(1, "D")])
+        first, last = np.searchsorted(self.times, [lo, lo + np.timedelta64(n_days, "D")])
         return EventStream(station=self.station, times=self.times[first:last],
                            kinds=self.kinds[first:last])
 

@@ -104,6 +104,20 @@ def test_bad_interval_in_config(tmp_path, capsys, corpus):
     assert main(["ingest", "--config", path]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("start, end, message", [
+    ("2018-01-01", "2018-11-30",
+     "split requires exactly 12 calendar months (365 days), got 334 days"),
+    ("2018-01-02", "2018-12-31", "split requires the series to start on the first of a month"),
+])
+def test_ingest_refuses_a_range_that_split_refuses(tmp_path, capsys, corpus, start, end,
+                                                    message):
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "run.yaml", corpus, out, start_date=start, end_date=end)
+    assert main(["ingest", "--config", path]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"bikecast: stage ingest: {message}\n"
+    assert not out.exists()
+
+
 # -- data problems -----------------------------------------------------------------
 
 
@@ -179,6 +193,46 @@ def test_demand_rows_out_of_order_exit_data_with_their_line(tmp_path, capsys, co
     assert main(["train", "--config", path]) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{demand}: line {at + 1}: interval_start 2018-01-01 09:00:00 out of sequence" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage", ["missing", "repeated", "reordered", "short-last-day",
+                                    "read-at-15-minutes", "garbled"])
+def test_forecast_slots_out_of_order_exit_data_with_their_line(tmp_path, capsys, corpus,
+                                                                damage):
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "run.yaml", corpus, out, stations=["7"])
+    for command in ("ingest", "train", "forecast"):
+        assert main([command, "--config", path]) == EXIT_OK
+    forecast = out / "forecasts" / "7_ha.csv"
+    lines = forecast.read_text().splitlines()
+    assert lines[1:3] == ["date,slot,pickup_rate,return_rate", lines[2]]
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("2018-11-07,5,"))
+    args = []
+    if damage == "missing":
+        del lines[at]  # slot 6 comes where slot 5 was
+        line, reason = at + 1, "slot 6 of 2018-11-07 out of order: expected slot 5 of 0 to 23"
+    elif damage == "repeated":
+        lines.insert(at, lines[at])
+        line, reason = at + 2, "slot 5 of 2018-11-07 out of order: expected slot 6 of 0 to 23"
+    elif damage == "reordered":
+        lines[at], lines[at + 1] = lines[at + 1], lines[at]
+        line, reason = at + 1, "slot 6 of 2018-11-07 out of order: expected slot 5 of 0 to 23"
+    elif damage == "garbled":
+        lines[at] = "2018-11-07,5,abc,1"
+        line = at + 1
+        reason = "expected date,slot,pickup_rate,return_rate, got '2018-11-07,5,abc,1'"
+    elif damage == "short-last-day":
+        lines.pop()
+        line, reason = len(lines), "2018-12-31 ends at slot 22 of 0 to 23"
+    else:
+        args = ["--interval", "15"]  # each day ends at slot 23 of 95
+        line, reason = 26, "2018-11-01 ends at slot 23 of 0 to 95 (15 minutes)"
+    forecast.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["optimize", "--config", path, *args]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"bikecast: stage optimize: {forecast}: line {line}: {reason}")
     assert "Traceback" not in err
 
 

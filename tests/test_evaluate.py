@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bikecast import evaluate
 from bikecast.errors import DataError
 from bikecast.ingest import PICKUP, RETURN, DemandSeries, EventStream
-from bikecast.inventory import PenaltyConfig
+from bikecast.inventory import PenaltyConfig, oracle_decision
 from bikecast.queueing import RateSeries
 
 DAY = date(2018, 11, 5)
@@ -181,10 +181,14 @@ def one_day_fixture():
     return counts, events, flat
 
 
+def oracle_s(counts) -> list[int]:
+    return [oracle_decision(counts, 4).s_star]
+
+
 def test_benchmark_includes_oracle_with_zero_rpd():
     counts, events, flat = one_day_fixture()
-    result = evaluate.benchmark({"flat": [flat]}, {"flat": [2]}, [events], [counts],
-                                capacity=4)
+    result = evaluate.benchmark({"flat": [flat]}, {"flat": [2], "oracle": oracle_s(counts)},
+                                [events], [counts], capacity=4)
     by_model = {s.model: s for s in result.summaries}
     assert set(by_model) == {"oracle", "flat"}
     oracle = by_model["oracle"]
@@ -198,8 +202,8 @@ def test_benchmark_includes_oracle_with_zero_rpd():
 
 def test_benchmark_rows_cover_every_day_and_model():
     counts, events, flat = one_day_fixture()
-    result = evaluate.benchmark({"flat": [flat]}, {"flat": [2]}, [events], [counts],
-                                capacity=4)
+    result = evaluate.benchmark({"flat": [flat]}, {"flat": [2], "oracle": oracle_s(counts)},
+                                [events], [counts], capacity=4)
     kinds = {(r["model"], r["metric"]) for r in result.rows}
     assert ("oracle", "s_star") in kinds and ("oracle", "cost") in kinds
     assert ("flat", "s_star") in kinds and ("flat", "ce") in kinds
@@ -210,18 +214,33 @@ def test_benchmark_rows_cover_every_day_and_model():
     assert flat_rows["cost"] == evaluate.replay_cost(events, 2, 4).cost
 
 
+def test_benchmark_replays_the_oracle_decision_it_is_given():
+    # the oracle's s* is solved by the caller; any s* given is replayed as is
+    counts, events, flat = one_day_fixture()
+    result = evaluate.benchmark({"flat": [flat]}, {"flat": [2], "oracle": [0]},
+                                [events], [counts], capacity=4)
+    oracle_rows = {r["metric"]: r["value"] for r in result.rows if r["model"] == "oracle"}
+    assert oracle_rows["s_star"] == 0
+    assert oracle_rows["cost"] == evaluate.replay_cost(events, 0, 4).cost == 2.0
+
+
 def test_benchmark_validates_alignment():
     counts, events, flat = one_day_fixture()
+    oracle = oracle_s(counts)
     with pytest.raises(DataError):
-        evaluate.benchmark({"flat": [flat, flat]}, {"flat": [2, 2]}, [events], [counts],
+        evaluate.benchmark({"flat": [flat, flat]}, {"flat": [2, 2], "oracle": oracle},
+                           [events], [counts], capacity=4)
+    with pytest.raises(DataError):
+        evaluate.benchmark({"flat": [flat]}, {"flat": [2], "oracle": oracle}, [events], [],
                            capacity=4)
     with pytest.raises(DataError):
-        evaluate.benchmark({"flat": [flat]}, {"flat": [2]}, [events], [], capacity=4)
-    with pytest.raises(DataError):
-        evaluate.benchmark({"flat": [flat]}, {}, [events], [counts], capacity=4)
-    with pytest.raises(DataError):
-        evaluate.benchmark({"flat": [flat]}, {"flat": [2, 2]}, [events], [counts],
+        evaluate.benchmark({"flat": [flat]}, {"oracle": oracle}, [events], [counts],
                            capacity=4)
+    with pytest.raises(DataError):
+        evaluate.benchmark({"flat": [flat]}, {"flat": [2, 2], "oracle": oracle}, [events],
+                           [counts], capacity=4)
+    with pytest.raises(DataError, match="'oracle'"):
+        evaluate.benchmark({"flat": [flat]}, {"flat": [2]}, [events], [counts], capacity=4)
 
 
 def test_rows_to_csv_layout():

@@ -1,5 +1,6 @@
 """Bias-sensitivity machinery and the staged file pipeline."""
 
+import functools
 import os
 import pickle
 import signal
@@ -17,7 +18,7 @@ import yaml
 from bikecast import experiments, neural, synthetic
 from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, _exit_code_for, main
 from bikecast.config import RunConfig, derive_seed
-from bikecast.errors import DataError, RowError, StageError, TrainingError
+from bikecast.errors import DataError, DomainError, RowError, StageError, TrainingError
 from bikecast.evaluate import replay_cost
 from bikecast.inventory import udf_curve
 from bikecast.experiments import BIAS_KINDS, BiasSpec, apply_bias, bias_study
@@ -28,9 +29,11 @@ from bikecast.ingest import (
     EventStream,
     build_covariates,
     events_from_csv,
+    events_to_csv,
     parse_trips,
     parse_weather,
     split,
+    to_event_streams,
 )
 from bikecast.queueing import RateSeries
 
@@ -375,6 +378,32 @@ def test_evaluate_does_not_read_the_trip_file(tmp_path):
     assert _reports(config) == kept
 
 
+def _full_stream_csv(paths) -> str:
+    """``events_to_csv`` of station 7's whole event stream in the trip file."""
+    return events_to_csv(to_event_streams(parse_trips(paths["trips"]), ["7"])["7"])
+
+
+def test_ingest_keeps_the_events_of_the_test_days_alone(tmp_path):
+    config, paths = staged_run(tmp_path)
+    test = split(experiments.load_ingested(config)["7"].series).test
+    assert (test.start, test.n_days) == (datetime(2018, 11, 1), 61)
+    header, *rows = _full_stream_csv(paths).splitlines(keepends=True)
+    cut = [row for row in rows if row.startswith(("2018-11-", "2018-12-"))]
+    assert 0 < len(cut) < len(rows) // 4
+    kept = Path(config.out_dir, "demand", "events_7.csv").read_text()
+    assert kept == config.artifact_header() + header + "".join(cut)
+
+
+def test_evaluate_scores_the_cut_events_as_the_full_stream(tmp_path):
+    config, paths = staged_run(tmp_path)
+    experiments.stage_evaluate(config)
+    kept = _reports(config)
+    events = Path(config.out_dir, "demand", "events_7.csv")
+    events.write_text(config.artifact_header() + _full_stream_csv(paths))
+    experiments.stage_evaluate(config)
+    assert _reports(config) == kept
+
+
 def _train_and_forecast(config: RunConfig) -> dict[str, bytes]:
     experiments.stage_train(config)
     experiments.stage_forecast(config)
@@ -524,6 +553,8 @@ def test_optimize_solves_each_distinct_forecast_once(tmp_path, monkeypatch):
         return udf_curve(rates, capacity, penalties)
 
     monkeypatch.setattr(experiments, "udf_curve", counting_udf_curve)
+    # one lane: a worker's calls would append to its own copy of ``solved``
+    monkeypatch.setattr(experiments, "_cores", lambda: 1)
     experiments.stage_optimize(config)
     assert path.read_bytes() == before
     _, forecasts = experiments.load_forecasts(config, "7", "ha", 60)
@@ -531,6 +562,26 @@ def test_optimize_solves_each_distinct_forecast_once(tmp_path, monkeypatch):
     # ha repeats by weekday: 61 test days, 7 forecasts
     assert len(forecasts) == 61 and len(distinct) == 7
     assert len(solved) == len(set(solved)) == len(distinct)
+
+
+def test_bias_study_solves_each_distinct_series_once(monkeypatch):
+    series, stream = small_day()
+    solved = []
+
+    def counting_udf_curve(rates, capacity, penalties):
+        solved.append((rates.pickup_rates.tobytes(), rates.return_rates.tobytes()))
+        return udf_curve(rates, capacity, penalties)
+
+    monkeypatch.setattr(experiments, "udf_curve", counting_udf_curve)
+    # one lane: a worker's calls would append to its own copy of ``solved``
+    monkeypatch.setattr(experiments, "_cores", lambda: 1)
+    result = bias_study(series, stream, capacity=12, delta_grid=np.array([0.0, 1.0, 2.0]))
+    # delta 0 is one series for the three kinds
+    assert len(solved) == len(set(solved)) == 1 + 3 * 2
+    for kind in BIAS_KINDS:
+        for delta, s_star in zip((0.0, 1.0, 2.0), result.curves[kind].s_star):
+            rates = apply_bias(flat_rates(3.0, 2.0), BiasSpec(kind, delta))
+            assert s_star == udf_curve(rates, 12).s_star
 
 
 # -- training lanes ------------------------------------------------------------
@@ -624,6 +675,65 @@ def test_more_lanes_than_cores_run_every_job_once(monkeypatch, tmp_path):
     pids = experiments._in_lanes(lane_jobs.once, [(p,) for p in paths])
     assert pids == [_pid(p) for p in paths]
     assert len(set(pids)) > 1
+
+
+# -- decision curves over the lanes ------------------------------------------------
+
+
+def _run_files(out_dir) -> dict[str, bytes]:
+    return {str(p.relative_to(out_dir)): p.read_bytes()
+            for p in sorted(Path(out_dir).rglob("*")) if p.is_file()}
+
+
+def test_pipeline_artifacts_do_not_depend_on_the_lane_count(tmp_path, monkeypatch):
+    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
+                                   base_rate=2.0)
+    config = RunConfig(
+        trips_path=paths["trips"], weather_path=paths["weather"],
+        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
+        start_date="2018-01-01", end_date="2018-12-31", stations=["7", "8"],
+        models=["ha", "lr"], bias_delta_max=4.0, bias_delta_step=1.0,
+    )
+    runs = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(experiments, "_cores", lambda: cores)
+        experiments.run_pipeline(config)
+        runs[cores] = _run_files(config.out_dir)
+        os.rename(config.out_dir, tmp_path / f"out{cores}")
+    for name in ("decisions/7.csv", "decisions/8.csv", "reports/metrics.csv",
+                 "reports/summary.csv", "reports/bias_curves.csv"):
+        assert name in runs[1], name
+    assert runs[1] == runs[2]
+
+
+def test_a_solve_error_in_a_worker_reads_as_in_process(two_lanes):
+    # the worker solves a day too busy for the solver while this process
+    # sleeps through the other job
+    busy = flat_rates(1e7, 1e7)
+    solve = functools.partial(udf_curve, capacity=20)
+    with pytest.raises(StageError) as in_worker:
+        with experiments._stage("optimize"):
+            experiments._in_lanes(lane_jobs.in_worker, [(solve, busy, os.getpid())] * 2)
+    with pytest.raises(StageError) as here:
+        with experiments._stage("optimize"):
+            solve(busy)
+    assert str(in_worker.value) == str(here.value)
+    assert "terms" in str(here.value)
+    assert type(in_worker.value.__cause__) is type(here.value.__cause__) is DomainError
+    assert _exit_code_for(in_worker.value) == _exit_code_for(here.value) == EXIT_NUMERIC
+
+
+def test_a_bias_grid_beyond_the_solver_exits_numeric_on_any_lane_count(tmp_path, monkeypatch,
+                                                                       capsys):
+    config = ingest_config(tmp_path, {"trips": "t", "weather": "w", "stations": "s"},
+                           bias_delta_max=2e6, bias_delta_step=1e6)
+    errors = []
+    for cores in (1, 2):
+        monkeypatch.setattr(experiments, "_cores", lambda: cores)
+        assert main(["bias-study", "--config", config]) == EXIT_NUMERIC
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("bikecast: stage bias: uniformization needs more than")
 
 
 def _env() -> dict:
@@ -791,13 +901,14 @@ def test_trip_ranges_keep_the_quoted_line_breaks_they_do_not_cut(small_ranges, t
     assert got.start_stations[20] == _LONG_FIELD[1:-1].replace('""', '"')
 
 
-def ingest_config(tmp_path, paths) -> str:
-    """A config file for an ingest of station 7 from the corpus at ``paths``."""
+def ingest_config(tmp_path, paths, **extra) -> str:
+    """A config file for an ingest of station 7 from the corpus at ``paths``,
+    with the fields of ``extra`` added."""
     config = tmp_path / "run.yaml"
     config.write_text(yaml.safe_dump({
         "trips_path": paths["trips"], "weather_path": paths["weather"],
         "stations_path": paths["stations"], "out_dir": str(tmp_path / "out"), "seed": 5,
-        "start_date": "2018-01-01", "end_date": "2018-12-31", "stations": ["7"]}))
+        "start_date": "2018-01-01", "end_date": "2018-12-31", "stations": ["7"], **extra}))
     return str(config)
 
 
@@ -835,21 +946,26 @@ def test_a_bad_row_in_a_range_raises_the_serial_error(small_ranges, corpus_with_
     assert capsys.readouterr().err == f"bikecast: stage ingest: {serial.value}\n"
 
 
-def test_ingest_in_ranges_warns_of_nothing_in_dev_mode(tmp_path):
-    # -X dev shows a range file left open (ResourceWarning) and, from Python
-    # 3.12, a fork while a thread runs (DeprecationWarning); -W error fails on them
+def test_a_two_lane_pipeline_warns_of_nothing_in_dev_mode(tmp_path):
+    # -X dev shows a file left open (ResourceWarning) and, from Python 3.12, a
+    # fork while a thread runs (DeprecationWarning); -W error fails on them.
+    # The pipeline runs every lane call: the trip file in ranges, the nets,
+    # and the curves of optimize, evaluate and bias
     paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
                                    base_rate=2.0)
-    config = ingest_config(tmp_path, paths)
+    config = ingest_config(tmp_path, paths, models=["ha", "prnn"], hidden_width=4,
+                           max_epochs=1, forecast_samples=2, bias_delta_max=4.0,
+                           bias_delta_step=2.0)
     code = ("import sys; from bikecast import cli, experiments; "
             "experiments._cores = lambda: 2; experiments._RANGE_BYTES = 1 << 14; "
             "sys.exit(cli.main(sys.argv[1:]))")
     assert os.path.getsize(paths["trips"]) > 8 << 14
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code,
-                           "ingest", "--config", config],
+                           "pipeline", "--config", config],
                           env=_env(), cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    assert (tmp_path / "out" / "reports" / "bias_curves.csv").exists()
 
 
 @pytest.mark.parametrize("cores, range_bytes, pool", [(2, 1 << 20, False), (1, 64, False),
