@@ -84,8 +84,17 @@ class RunConfig:
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    """The config of the YAML file ``path``, with the overrides that are not
+    None. A file that cannot be read or parsed, or a value of the wrong type
+    or form, raises :class:`ConfigError` naming ``path``; a missing file
+    raises :class:`FileNotFoundError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, yaml.YAMLError) as e:  # ValueError: bad UTF-8, bad date
+        raise ConfigError(f"config file {path} cannot be read: {_one_line(e)}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
     if overrides:
@@ -98,7 +107,14 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
                "start_date", "end_date"} - set(raw)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    return RunConfig(**raw)
+    try:
+        return RunConfig(**raw)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"config file {path} holds a bad value: {_one_line(e)}") from None
+
+
+def _one_line(error: Exception) -> str:
+    return " ".join(str(error).split())
 
 
 def save_config(config: RunConfig, path: str) -> None:

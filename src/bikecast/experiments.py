@@ -7,8 +7,10 @@ and tracks how the inventory decision and its replayed cost move.
 The pipeline is a chain of stages (ingest, train, forecast, optimize,
 evaluate, bias) that communicate through files under the run's output
 directory. Each stage can run on its own provided its upstream artifacts
-exist; ``run_pipeline`` simply runs them all in order. Every text artifact
-starts with a comment carrying the config hash and seed.
+exist, and then reads them itself. ``run_pipeline`` runs them all in order
+and reads the ``demand/`` files once, after ingest writes them, for the
+three stages that need them. Every text artifact starts with a comment
+carrying the config hash and seed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import io
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 
@@ -215,6 +217,14 @@ def _read_commented(path: str) -> str:
         return "".join(ln for ln in fh if not ln.startswith("#"))
 
 
+def _data_rows(path: str) -> list[tuple[int, str]]:
+    """``(physical line number, line)`` of each row of ``path`` after the
+    comment lines and the column header, without its line break."""
+    with open(path) as fh:
+        return [(n, line.rstrip("\r\n")) for n, line in enumerate(fh, 1)
+                if not line.startswith("#")][1:]
+
+
 def _blank_comments(lines):
     """``lines`` with each comment line (starting with #) made blank, so a
     reader that skips blank lines still numbers the others as in the file."""
@@ -359,12 +369,20 @@ def _decisions_path(config: RunConfig, sid: str) -> str:
 
 
 def _load_capacities(config: RunConfig) -> dict[str, int]:
-    """The selected stations and their capacities, as stage_ingest wrote them."""
+    """The selected stations and their capacities, as stage_ingest wrote them.
+    A row that does not parse or names a station again raises
+    :class:`RowError` with the path and its line."""
     path = _require(_selected_path(config), "ingest")
     capacities: dict[str, int] = {}
-    for line in _read_commented(path).splitlines()[1:]:
-        sid, cap = line.split(",")
-        capacities[sid] = int(cap)
+    for n, line in _data_rows(path):
+        try:
+            sid, cap = line.split(",")
+            cap = int(cap)
+        except ValueError:
+            raise RowError(n, f"expected station_id,capacity, got {line!r}", path) from None
+        if sid in capacities:
+            raise RowError(n, f"station {sid} is listed twice", path)
+        capacities[sid] = cap
     return capacities
 
 
@@ -514,16 +532,19 @@ def _solve(problems: list[tuple[RateSeries, int, PenaltyConfig]]) -> list[UdfCur
     return [solved[key] for key in keys]
 
 
-def stage_train(config: RunConfig) -> dict[str, dict]:
+def stage_train(config: RunConfig,
+                data: dict[str, StationData] | None = None) -> dict[str, dict]:
     """Fit every configured model per station and write model artifacts.
 
     One job is one net of one station. The jobs train over the lanes of
     :func:`_in_lanes`, longest kinds first; each net has its own seed, so its
     bits do not depend on its lane. This process then writes every checkpoint,
-    in job order, and fits the classical models.
+    in job order, and fits the classical models. ``data`` is what
+    :func:`load_ingested` returns, read here when not given; the stage does
+    not write to it.
     """
     with _stage("train"):
-        data = load_ingested(config)
+        data = load_ingested(config) if data is None else data
         train_cfg = _train_config(config)
         header = config.artifact_header()
         parts = {sid: split(data[sid].series) for sid in sorted(data)}
@@ -574,7 +595,8 @@ def load_models(config: RunConfig, stations: list[str]) -> dict[str, dict]:
 
 def _test_days(series: DemandSeries) -> tuple[DemandSeries, list[date]]:
     test = split(series).test
-    return test, [test.day(i).start.date() for i in range(test.n_days)]
+    first = test.start.date()
+    return test, [first + timedelta(days=i) for i in range(test.n_days)]
 
 
 def _rate_series_csv(days: list[date], series_list: list[RateSeries]) -> str:
@@ -586,10 +608,14 @@ def _rate_series_csv(days: list[date], series_list: list[RateSeries]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def stage_forecast(config: RunConfig) -> dict[str, dict[str, list[RateSeries]]]:
-    """Predict every test day with every model; one CSV per station and model."""
+def stage_forecast(config: RunConfig, data: dict[str, StationData] | None = None
+                   ) -> dict[str, dict[str, list[RateSeries]]]:
+    """Predict every test day with every model; one CSV per station and model.
+
+    ``data`` is what :func:`load_ingested` returns, read here when not given;
+    the stage does not write to it."""
     with _stage("forecast"):
-        data = load_ingested(config)
+        data = load_ingested(config) if data is None else data
         fitted = load_models(config, sorted(data))
         header = config.artifact_header()
         predictions: dict[str, dict[str, list[RateSeries]]] = {}
@@ -639,10 +665,7 @@ def load_forecasts(config: RunConfig, sid: str, name: str,
     slots = 1440 // interval_minutes
     by_day: dict[date, list[tuple[float, float]]] = {}
     last_line: dict[date, int] = {}
-    with open(path) as fh:
-        rows = [(n, line.rstrip("\r\n")) for n, line in enumerate(fh, 1)
-                if not line.startswith("#")][1:]
-    for n, line in rows:
+    for n, line in _data_rows(path):
         try:
             day, slot, p, r = line.split(",")
             day, slot, rates = date.fromisoformat(day), int(slot), (float(p), float(r))
@@ -706,24 +729,34 @@ def stage_optimize(config: RunConfig) -> dict[str, dict[str, list[int]]]:
 
 def _load_decisions(config: RunConfig, sid: str, names: list[str],
                     days: list[date]) -> dict[str, list[int]]:
-    """Each model's s* per day, as stage_optimize wrote them."""
+    """Each model's s* per day, as stage_optimize wrote them. A row that does
+    not parse or repeats a (date, model) raises :class:`RowError` with the
+    path and its line."""
     path = _require(_decisions_path(config, sid), "optimize")
-    s_star: dict[tuple[str, str], int] = {}
-    for line in _read_commented(path).splitlines()[1:]:
-        day, name, s, _cost = line.split(",")
-        s_star[day, name] = int(s)
+    s_star: dict[tuple[date, str], int] = {}
+    for n, line in _data_rows(path):
+        try:
+            day, name, s, cost = line.split(",")
+            key, s = (date.fromisoformat(day), name), int(s)
+            float(cost)
+        except ValueError:
+            raise RowError(n, f"expected date,model,s_star,expected_cost, got {line!r}",
+                           path) from None
+        if key in s_star:
+            raise RowError(n, f"a second decision for {name} on {day}", path)
+        s_star[key] = s
     decisions: dict[str, list[int]] = {}
     for name in names:
-        missing = [d for d in days if (d.isoformat(), name) not in s_star]
+        missing = [d for d in days if (d, name) not in s_star]
         if missing:
             raise DataError(f"{path} has no decision for {name} on {missing[0]}; "
                             f"run the optimize stage again")
-        decisions[name] = [s_star[d.isoformat(), name] for d in days]
+        decisions[name] = [s_star[d, name] for d in days]
     return decisions
 
 
-def stage_evaluate(config: RunConfig) -> tuple[list[DecisionSummary],
-                                               dict[str, BenchmarkResult], list[dict]]:
+def stage_evaluate(config: RunConfig, data: dict[str, StationData] | None = None
+                   ) -> tuple[list[DecisionSummary], dict[str, BenchmarkResult], list[dict]]:
     """Score every model's decisions and forecasts against replayed reality.
 
     The decisions are the s* that stage_optimize wrote per station; they are
@@ -731,10 +764,12 @@ def stage_evaluate(config: RunConfig) -> tuple[list[DecisionSummary],
     station-day is solved here, in one batch over the lanes of
     :func:`_in_lanes`, and replayed likewise. The forecasts give CE and the
     point metrics. The replayed events are the test days' that stage_ingest
-    kept per station; the trip file itself is not read again.
+    kept per station; the trip file itself is not read again. ``data`` is
+    what :func:`load_ingested` returns, read here when not given; the stage
+    does not write to it.
     """
     with _stage("evaluate"):
-        data = load_ingested(config)
+        data = load_ingested(config) if data is None else data
         penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
         header = config.artifact_header()
 
@@ -820,12 +855,20 @@ def stage_bias(config: RunConfig) -> BiasStudyResult:
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
-    """Run every stage in order; deterministic given config and seed."""
+    """Run every stage in order; deterministic given config and seed.
+
+    The ``demand/`` files are read once, after stage_ingest writes them, and
+    the result goes to train, forecast and evaluate. It is what each of them
+    reads when run alone, not what ingest returns, so the run scores what the
+    files hold.
+    """
     stage_ingest(config)
-    stage_train(config)
-    stage_forecast(config)
+    with _stage("train"):  # a failed read fails as train, its first reader, would
+        data = load_ingested(config)
+    stage_train(config, data)
+    stage_forecast(config, data)
     stage_optimize(config)
-    overall, per_station, metrics_rows = stage_evaluate(config)
+    overall, per_station, metrics_rows = stage_evaluate(config, data)
     study = stage_bias(config)
     artifacts = []
     for root, _dirs, files in os.walk(config.out_dir):

@@ -75,18 +75,20 @@ def udf_curve(
 
     One backward sweep of the adjoint recursion serves every start; ties at
     the minimum go to the smallest inventory (fewer bikes tied up,
-    deterministic tests).
+    deterministic tests). The hourly rates are read as Python floats once,
+    before the sweep, and each interval is one
+    :func:`.queueing.adjoint_interval` call.
     """
     if capacity < 1:
         raise DomainError(f"capacity must be >= 1, got {capacity}")
-    mu_h, lam_h = rates.hourly()
+    mu_h, lam_h = (hourly.tolist() for hourly in rates.hourly())
+    hours = rates.interval_hours
     values = np.zeros(capacity + 1)
     w = np.zeros(capacity + 1)
     for i in reversed(range(len(rates))):
         w[0] = penalties.lost_pickup * mu_h[i]
         w[capacity] = penalties.lost_return * lam_h[i]
-        values = queueing.adjoint_interval(values, w, mu_h[i], lam_h[i], capacity,
-                                           rates.interval_hours)
+        values = queueing.adjoint_interval(values, w, mu_h[i], lam_h[i], capacity, hours)
     s_star = int(np.argmin(values))  # argmin returns the first (smallest) minimizer
     return UdfCurve(capacity=capacity, values=values, s_star=s_star)
 

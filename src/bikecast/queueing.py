@@ -184,6 +184,14 @@ def adjoint_interval(
     The sum stops at the first ``k`` that brings this bound within
     ``TRUNCATION_TOLERANCE``; it is chosen before any term is formed, and a
     :class:`DomainError` is raised when no affordable ``k`` meets it.
+
+    A day's sweep calls this once per interval, so the set-up is kept to few
+    numpy calls: the Poisson weights read the ``log k!`` table directly, which
+    :func:`log_factorial` grows only when the window outgrows it; ``u``, ``w``
+    and the weights are written straight into their blocks; and ``P`` is
+    built in place. Each entry still takes the floating-point operations of
+    ``I + generator_matrix(...) / q``, in that order, so the result does not
+    depend on how the set-up is written.
     """
     rate = pickup_per_hour + return_per_hour
     mean = rate * hours
@@ -191,37 +199,52 @@ def adjoint_interval(
         return u + hours * w
     # Poisson weights in log space on a window whose far tail is below 1e-30
     # for every mean; tails are summed from the top, where they are smallest.
-    top = mean + 12.0 * np.sqrt(mean) + 40.0
+    top = mean + 12.0 * math.sqrt(mean) + 40.0
     if not top <= _MAX_TERMS:
         raise DomainError(f"uniformization needs more than {_MAX_TERMS} terms "
                           f"for {mean:.6g} expected events in one interval")
-    k = np.arange(int(top) + 1)
-    pmf = np.exp(k * np.log(mean) - mean - log_factorial(k))
-    beyond = pmf[-1] * mean / (k[-1] + 1.0 - mean)  # bounds P(N > k[-1])
-    tail = np.empty(len(k))  # tail[k] = P(N > k)
-    tail[:-1] = np.cumsum(pmf[:0:-1])[::-1] + beyond
+    size = int(top) + 1
+    if len(_LOG_FACTORIALS) < size:
+        log_factorial(size - 1)
+    k = np.arange(size)
+    pmf = k * np.log(mean)
+    pmf -= mean
+    pmf -= _LOG_FACTORIALS[:size]
+    np.exp(pmf, out=pmf)
+    beyond = float(pmf[-1]) * mean / (size - mean)  # bounds P(N > size - 1)
+    tail = np.empty(size)  # tail[k] = P(N > k)
+    np.add.accumulate(pmf[:0:-1], out=tail[-2::-1])
+    tail[:-1] += beyond
     tail[-1] = beyond
 
     first = max(int(mean) - 1, 0)  # smallest k with k + 2 > q h
-    bound = tail[first:] * (np.max(np.abs(u))
-                            + np.max(np.abs(w)) * hours / (k[first:] + 2.0 - mean))
-    met = np.flatnonzero(bound <= TRUNCATION_TOLERANCE)
-    if len(met) == 0:
+    bound = tail[first:] * (np.abs(u).max()
+                            + np.abs(w).max() * hours / (k[first:] + 2.0 - mean))
+    met = bound <= TRUNCATION_TOLERANCE
+    stop = int(met.argmax())  # the first k that meets it, if any does
+    if not met[stop]:
         raise DomainError(
             f"uniformization cannot bound its truncation error by "
-            f"{TRUNCATION_TOLERANCE:g} within {len(k)} terms (q h = {mean:.6g})")
-    n_terms = first + int(met[0]) + 1
+            f"{TRUNCATION_TOLERANCE:g} within {size} terms (q h = {mean:.6g})")
+    n_terms = first + stop + 1
 
     # Row j of the Krylov block holds [u; w] P^j. It is filled by doubling:
     # the first 2^i rows times P^(2^i) give the next 2^i, so the loop makes
     # about 2 log2(n_terms) matrix products instead of n_terms small ones.
     # For non-negative u and w no product cancels: every factor is non-negative.
-    rows = np.stack([u, w]).reshape(-1, capacity + 1)
-    per_term = rows.shape[0]
-    krylov = np.empty((n_terms * per_term, capacity + 1))
-    krylov[:per_term] = rows
-    power = np.eye(capacity + 1) + generator_matrix(pickup_per_hour, return_per_hour,
-                                                    capacity) / rate
+    n = capacity + 1
+    half = np.size(u) // n
+    per_term = 2 * half
+    krylov = np.empty((n_terms * per_term, n))
+    krylov[:half] = np.reshape(u, (half, n))
+    krylov[half:per_term] = np.reshape(w, (half, n))
+    # P = I + A/q, entry by entry as generator_matrix(...) / q + eye(n) forms
+    # it; the inner diagonal, 1 + -q/q, is exactly 0
+    power = np.zeros((n, n))
+    power.flat[1::n + 1] = pickup_per_hour / rate
+    power.flat[n::n + 1] = return_per_hour / rate
+    power[0, 0] = 1.0 + -return_per_hour / rate
+    power[capacity, capacity] = 1.0 + -pickup_per_hour / rate
     filled = 1
     while True:
         take = min(filled, n_terms - filled)
@@ -231,8 +254,10 @@ def adjoint_interval(
         if filled == n_terms:
             break
         power = power @ power
-    weights = np.stack([pmf[:n_terms], tail[:n_terms] / rate], axis=1)
-    return (weights.ravel() @ krylov.reshape(2 * n_terms, -1)).reshape(np.shape(u))
+    weights = np.empty(2 * n_terms)  # pmf and tail / q, interleaved
+    weights[0::2] = pmf[:n_terms]
+    np.divide(tail[:n_terms], rate, out=weights[1::2])
+    return (weights @ krylov.reshape(2 * n_terms, -1)).reshape(np.shape(u))
 
 
 def matrix_exponential_oracle(rates: RateSeries, start: int, capacity: int) -> ProbabilityTrajectory:

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import shutil
 import subprocess
 import sys
 from datetime import datetime, timedelta
@@ -102,6 +103,27 @@ def test_bad_interval_in_config(tmp_path, capsys, corpus):
     path = write_config(tmp_path / "run.yaml", corpus, tmp_path / "out",
                         interval_minutes=45)
     assert main(["ingest", "--config", path]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("damage", ["directory", "yaml", "encoding", "date", "type"])
+def test_a_malformed_config_exits_usage_naming_its_path(tmp_path, corpus, damage):
+    path = tmp_path / "run.yaml"
+    if damage == "directory":
+        path.mkdir()
+    elif damage == "yaml":
+        path.write_text("seed: [1\n")
+    elif damage == "encoding":
+        path.write_bytes(b"seed: \xff\xfe\n")
+    elif damage == "date":
+        write_config(path, corpus, tmp_path / "out", start_date="2018-13-01")
+    else:
+        write_config(path, corpus, tmp_path / "out", seed=[1])
+    proc = run_console_script(["ingest", "--config", str(path)], cwd=tmp_path)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith(f"bikecast: config file {path} ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("start, end, message", [
@@ -234,6 +256,76 @@ def test_forecast_slots_out_of_order_exit_data_with_their_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"bikecast: stage optimize: {forecast}: line {line}: {reason}")
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def optimized_run(tmp_path_factory, corpus):
+    """The config of a run of station 7 taken through optimize, and its output."""
+    root = tmp_path_factory.mktemp("optimized")
+    path = write_config(root / "run.yaml", corpus, root / "out", stations=["7"])
+    for command in ("ingest", "train", "forecast", "optimize"):
+        assert main([command, "--config", path]) == EXIT_OK
+    return path, root / "out"
+
+
+@pytest.mark.parametrize("file, damage", [
+    ("decisions", "short-row"), ("decisions", "bad-s-star"), ("decisions", "repeated"),
+    ("stations", "bad-capacity"), ("stations", "repeated"),
+])
+def test_damaged_decision_and_station_rows_exit_data_with_their_line(
+        tmp_path, capsys, optimized_run, file, damage):
+    path, run = optimized_run
+    out = tmp_path / "out"
+    shutil.copytree(run, out)
+    target = out / ("decisions/7.csv" if file == "decisions" else "demand/stations_selected.csv")
+    lines = target.read_text().splitlines()
+    if file == "decisions":
+        command = "evaluate"
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("2018-11-08,ha,"))
+        day, name, s_star, cost = lines[at].split(",")
+        if damage == "short-row":
+            lines[at] = "2018-11-08,ha"
+            reason = "expected date,model,s_star,expected_cost, got '2018-11-08,ha'"
+        elif damage == "bad-s-star":
+            lines[at] = f"2018-11-08,ha,x,{cost}"
+            reason = f"expected date,model,s_star,expected_cost, got '2018-11-08,ha,x,{cost}'"
+        else:
+            lines.insert(at + 1, f"{day},{name},{int(s_star) + 9},{cost}")
+            at += 1
+            reason = "a second decision for ha on 2018-11-08"
+    else:
+        command = "optimize"
+        if damage == "bad-capacity":
+            at = lines.index("7,20")
+            lines[at] = "7,abc"
+            reason = "expected station_id,capacity, got '7,abc'"
+        else:
+            lines.append("7,20")
+            at = len(lines) - 1
+            reason = "station 7 is listed twice"
+    target.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, "--config", path, "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"bikecast: stage {command}: {target}: line {at + 1}: {reason}\n"
+
+
+def _tree(root) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def test_pipeline_writes_what_the_six_commands_write(tmp_path, corpus):
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "run.yaml", corpus, out, models=["ha", "ma", "lr"])
+    for command in ("ingest", "train", "forecast", "optimize", "evaluate", "bias-study"):
+        proc = run_console_script([command, "--config", path], cwd=tmp_path)
+        assert proc.returncode == EXIT_OK, proc.stderr
+    separate = _tree(out)
+    assert "reports/summary.csv" in separate and "reports/bias_curves.csv" in separate
+    shutil.rmtree(out)
+    assert main(["pipeline", "--config", path]) == EXIT_OK
+    assert _tree(out) == separate
 
 
 @pytest.mark.parametrize("body", ["", "\n\n"])

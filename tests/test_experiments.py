@@ -542,6 +542,35 @@ def test_evaluate_rejects_decisions_missing_a_test_day(tmp_path):
     assert "2018-12-31" in str(err.value) and "ha" in str(err.value)
 
 
+def _read_only(data: dict) -> dict:
+    """``data``, as :func:`experiments.load_ingested` returns it, with every
+    array in it made read-only, so that a stage that writes to one fails."""
+    for station in data.values():
+        series = station.series
+        for array in (series.pickups, series.returns, series.covariates.values):
+            array.flags.writeable = False
+    return data
+
+
+def test_pipeline_reads_the_demand_files_once_and_writes_nothing_to_them(tmp_path,
+                                                                         monkeypatch):
+    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
+                                   base_rate=2.0)
+    config = RunConfig(
+        trips_path=paths["trips"], weather_path=paths["weather"],
+        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
+        start_date="2018-01-01", end_date="2018-12-31", stations=["7", "8"],
+        models=["ha", "ma", "lr", "prnn"], hidden_width=4, max_epochs=1, patience=1,
+        bias_delta_max=4.0, bias_delta_step=2.0,
+    )
+    load, calls = experiments.load_ingested, []
+    monkeypatch.setattr(experiments, "load_ingested",
+                        lambda config: calls.append(config) or _read_only(load(config)))
+    result = experiments.run_pipeline(config)
+    assert calls == [config]
+    assert [s.model for s in result.overall] == ["oracle", "ha", "lr", "ma", "prnn"]
+
+
 def test_optimize_solves_each_distinct_forecast_once(tmp_path, monkeypatch):
     config, _ = staged_run(tmp_path)
     path = Path(config.out_dir, "decisions", "7.csv")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import udf_sweep
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,10 +84,8 @@ def van_loan_udf(rates, capacity, penalties=PenaltyConfig()):
     return u
 
 
-@pytest.mark.parametrize("interval_minutes", [60, 15])
-@pytest.mark.parametrize("capacity", [1, 20, 60])
-@pytest.mark.parametrize("peak_per_hour", [8.0, 40.0, 90.0])
-def test_udf_curve_matches_van_loan_reference(interval_minutes, capacity, peak_per_hour):
+def van_loan_day(interval_minutes, capacity, peak_per_hour):
+    """A day of rates up to ``peak_per_hour``, with idle and one-sided intervals."""
     rng = np.random.default_rng(capacity * 1000 + int(peak_per_hour) + interval_minutes)
     n = 1440 // interval_minutes
     hours = interval_minutes / 60.0
@@ -96,12 +95,46 @@ def test_udf_curve_matches_van_loan_reference(interval_minutes, capacity, peak_p
     pickups[idle] = 0.0
     returns[idle] = 0.0
     returns[rng.random(n) < 0.1] = 0.0  # and intervals with one kind only
-    rates = RateSeries(interval_minutes, pickups, returns)
+    return RateSeries(interval_minutes, pickups, returns)
+
+
+VAN_LOAN_DAYS = pytest.mark.parametrize("interval_minutes, capacity, peak_per_hour", [
+    (interval, capacity, peak) for interval in (60, 15) for capacity in (1, 20, 60)
+    for peak in (8.0, 40.0, 90.0)])
+
+
+@VAN_LOAN_DAYS
+def test_udf_curve_matches_van_loan_reference(interval_minutes, capacity, peak_per_hour):
+    rates = van_loan_day(interval_minutes, capacity, peak_per_hour)
     penalties = PenaltyConfig(1.5, 0.75)
     curve = udf_curve(rates, capacity, penalties)
     reference = van_loan_udf(rates, capacity, penalties)
     np.testing.assert_allclose(curve.values, reference, rtol=0, atol=1e-9)
     assert curve.s_star == int(np.argmin(reference))
+
+
+@VAN_LOAN_DAYS
+def test_udf_curve_is_the_first_sweep_bit_for_bit(interval_minutes, capacity, peak_per_hour):
+    rates = van_loan_day(interval_minutes, capacity, peak_per_hour)
+    penalties = PenaltyConfig(1.5, 0.75)
+    assert np.array_equal(udf_curve(rates, capacity, penalties).values,
+                          udf_sweep.sweep(rates, capacity, penalties))
+
+
+# an interval's expected count: often none, so that idle and one-sided ones come up
+_COUNTS = st.one_of(st.just(0.0), st.floats(0.0, 30.0), st.floats(0.0, 1e-3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(interval_minutes=st.sampled_from([15, 30, 60]), capacity=st.integers(1, 40),
+       counts=st.lists(st.tuples(_COUNTS, _COUNTS), min_size=1, max_size=24),
+       penalties=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)))
+def test_udf_curve_sweeps_any_day_as_the_first_sweep(interval_minutes, capacity, counts,
+                                                     penalties):
+    rates = RateSeries(interval_minutes, [p for p, _ in counts], [r for _, r in counts])
+    penalties = PenaltyConfig(*penalties)
+    assert np.array_equal(udf_curve(rates, capacity, penalties).values,
+                          udf_sweep.sweep(rates, capacity, penalties))
 
 
 def test_udf_matches_monte_carlo_lost_cost():

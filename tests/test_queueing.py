@@ -7,6 +7,7 @@ integral), and against a direct event simulation.
 
 import numpy as np
 import pytest
+import udf_sweep
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,6 +159,23 @@ def test_interval_operators_match_van_loan(capacity, mu, lam, hours):
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(integral(mu, lam, capacity, hours), int_ref,
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("capacity", [1, 20, 60])
+@pytest.mark.parametrize("mu,lam,hours", [
+    (0.3, 0.0, 1.0),
+    (0.0, 7.5, 0.5),
+    (12.0, 3.0, 0.25),
+    (45.0, 40.0, 1.0),
+    (150.0, 90.0, 1.0),
+])
+def test_interval_block_forms_are_the_first_sweep_bit_for_bit(capacity, mu, lam, hours):
+    n = capacity + 1
+    rng = np.random.default_rng(capacity)
+    for u, w in ((np.eye(n), np.zeros((n, n))), (np.zeros((n, n)), np.eye(n)),
+                 (rng.random((3, n)), rng.random((3, n))), (rng.random(n), rng.random(n))):
+        assert np.array_equal(adjoint_interval(u, w, mu, lam, capacity, hours),
+                              udf_sweep.interval(u, w, mu, lam, capacity, hours))
 
 
 def test_truncation_that_cannot_be_bounded_is_rejected():
