@@ -5,8 +5,9 @@ one node per kernel, each node carrying the kernel's hand-written
 vector-Jacobian product. The primitives below (affine maps, the elementwise
 nonlinearities, gather plumbing, sums, and reparameterized Gaussian
 sampling) let a model be written one operation per node instead; the tests
-build such a model as the gradient oracle for the kernels. Values are
-float64 throughout.
+build such a model as the gradient oracle for the kernels. A node keeps
+the floating dtype of its value, so float32 kernels chain in float32; any
+other value (a Python number, an integer array) becomes float64.
 
 Gradients are accumulated in a dict keyed by node identity during a single
 backward sweep, so tapes are single-use and parameters never hold stale state.
@@ -33,7 +34,8 @@ class Var:
     __slots__ = ("value", "parents", "vjp")
 
     def __init__(self, value, parents=(), vjp=None):
-        self.value = np.asarray(value, dtype=float)
+        value = np.asarray(value)
+        self.value = value if value.dtype.kind == "f" else value.astype(float)
         self.parents = tuple(parents)
         self.vjp = vjp
 
@@ -221,4 +223,4 @@ def grad(loss: Var, params: list[Var]) -> list[np.ndarray]:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-    return [grads.get(id(p), np.zeros_like(p.value)) for p in params]
+    return [grads[id(p)] if id(p) in grads else np.zeros_like(p.value) for p in params]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from datetime import date
 
@@ -19,6 +20,9 @@ from .errors import ConfigError
 from .ingest import VALID_INTERVALS
 
 DEFAULT_MODELS = ("ha", "ma", "lr", "prnn", "vprnn", "movprnn")
+# fields that count something, with their least value
+_COUNT_FLOORS = {"hidden_width": 1, "batch_days": 1, "max_epochs": 1, "patience": 0,
+                 "forecast_samples": 1, "top_n": 1, "ma_window_days": 1, "bias_capacity": 1}
 
 
 @dataclass
@@ -69,6 +73,11 @@ class RunConfig:
             raise ConfigError("penalties must be non-negative")
         if self.bias_delta_step <= 0 or self.bias_delta_max < 0:
             raise ConfigError("bias grid must have positive step and non-negative max")
+        for name, floor in _COUNT_FLOORS.items():
+            if getattr(self, name) < floor:
+                raise ConfigError(f"{name} must be at least {floor}, got {getattr(self, name)}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
     def canonical_json(self) -> str:
         payload = asdict(self)
@@ -85,9 +94,9 @@ class RunConfig:
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     """The config of the YAML file ``path``, with the overrides that are not
-    None. A file that cannot be read or parsed, or a value of the wrong type
-    or form, raises :class:`ConfigError` naming ``path``; a missing file
-    raises :class:`FileNotFoundError`."""
+    None. A file that cannot be read or parsed, an unknown or missing key, or
+    a value of the wrong type, form or range raises :class:`ConfigError`
+    naming ``path``; a missing file raises :class:`FileNotFoundError`."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -102,14 +111,14 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     known = set(RunConfig.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"config file {path} has unknown config keys: {sorted(unknown)}")
     missing = {"trips_path", "weather_path", "stations_path", "out_dir", "seed",
                "start_date", "end_date"} - set(raw)
     if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
+        raise ConfigError(f"config file {path} is missing config keys: {sorted(missing)}")
     try:
         return RunConfig(**raw)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, ConfigError) as e:
         raise ConfigError(f"config file {path} holds a bad value: {_one_line(e)}") from None
 
 

@@ -131,12 +131,24 @@ def test_grad_accumulates_through_reuse():
     np.testing.assert_allclose(g, [5.0])
 
 
-def test_unused_parameter_gets_zero_gradient():
-    a, b = ad.Var(np.ones(3)), ad.Var(np.ones(2))
+def test_unused_parameter_gets_zero_gradient(monkeypatch):
+    a, b = ad.Var(np.ones(3)), ad.Var(np.ones(2, dtype=np.float32))
     loss = a.sum()
+    built = []
+    zeros_like = np.zeros_like
+    monkeypatch.setattr(np, "zeros_like", lambda x: built.append(x) or zeros_like(x))
     ga, gb = ad.grad(loss, [a, b])
     np.testing.assert_allclose(ga, np.ones(3))
     np.testing.assert_allclose(gb, np.zeros(2))
+    assert gb.dtype == np.float32
+    assert [x is b.value for x in built] == [True]  # a zero only where one is missing
+
+
+def test_nodes_keep_float_dtypes_and_make_the_rest_float64():
+    assert ad.Var(np.ones(2, dtype=np.float32)).value.dtype == np.float32
+    assert ad.Var(np.ones(2)).value.dtype == np.float64
+    assert ad.Var(np.arange(3)).value.dtype == np.float64
+    assert ad.Var(2).value.dtype == ad.Var(2.5).value.dtype == np.float64
 
 
 def test_deep_chain_does_not_recurse():

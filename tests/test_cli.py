@@ -126,6 +126,32 @@ def test_a_malformed_config_exits_usage_naming_its_path(tmp_path, corpus, damage
     assert not (tmp_path / "out").exists()
 
 
+OUT_OF_RANGE = [
+    ("hidden_width", 0, "hidden_width must be at least 1, got 0"),
+    ("batch_days", 0, "batch_days must be at least 1, got 0"),
+    ("max_epochs", 0, "max_epochs must be at least 1, got 0"),
+    ("patience", -1, "patience must be at least 0, got -1"),
+    ("forecast_samples", 0, "forecast_samples must be at least 1, got 0"),
+    ("top_n", 0, "top_n must be at least 1, got 0"),
+    ("ma_window_days", 0, "ma_window_days must be at least 1, got 0"),
+    ("bias_capacity", 0, "bias_capacity must be at least 1, got 0"),
+    ("learning_rate", 0.0, "learning_rate must be finite and positive, got 0.0"),
+    ("learning_rate", float("nan"), "learning_rate must be finite and positive, got nan"),
+    ("end_date", "2017-12-31", "end_date precedes start_date"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", OUT_OF_RANGE,
+                         ids=[f"{key}={value}" for key, value, _ in OUT_OF_RANGE])
+def test_a_config_value_out_of_range_exits_usage_naming_its_path(tmp_path, corpus, key, value,
+                                                                  message):
+    path = write_config(tmp_path / "run.yaml", corpus, tmp_path / "out", **{key: value})
+    proc = run_console_script(["ingest", "--config", path], cwd=tmp_path)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == f"bikecast: config file {path} holds a bad value: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("start, end, message", [
     ("2018-01-01", "2018-11-30",
      "split requires exactly 12 calendar months (365 days), got 334 days"),

@@ -39,6 +39,17 @@ def test_validation_rejects_bad_values():
         make(bias_delta_step=0.0)
     with pytest.raises(ConfigError):
         make(seed=None)
+    for name in ("hidden_width", "batch_days", "max_epochs", "forecast_samples", "top_n",
+                 "ma_window_days", "bias_capacity"):
+        with pytest.raises(ConfigError, match=f"{name} must be at least 1, got 0"):
+            make(**{name: 0})
+        make(**{name: 1})
+    with pytest.raises(ConfigError, match="patience must be at least 0, got -1"):
+        make(patience=-1)
+    make(patience=0)
+    for rate in (0.0, -0.01, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="learning_rate must be finite and positive"):
+            make(learning_rate=rate)
 
 
 def test_hash_is_stable_and_sensitive():
@@ -83,7 +94,7 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     write_yaml(path, {**REQUIRED, "hidden_layers": 2})
     with pytest.raises(ConfigError) as err:
         load_config(str(path))
-    assert "hidden_layers" in str(err.value)
+    assert str(err.value) == f"config file {path} has unknown config keys: ['hidden_layers']"
 
 
 def test_load_config_rejects_missing_keys(tmp_path):
@@ -93,7 +104,7 @@ def test_load_config_rejects_missing_keys(tmp_path):
     write_yaml(path, payload)
     with pytest.raises(ConfigError) as err:
         load_config(str(path))
-    assert "out_dir" in str(err.value) and "seed" in str(err.value)
+    assert str(err.value) == f"config file {path} is missing config keys: ['out_dir', 'seed']"
 
 
 def test_load_config_rejects_non_mapping(tmp_path):

@@ -5,6 +5,9 @@ tape-built model in ``tape_model`` (the gradient oracle) and against
 finite differences.
 """
 
+import json
+import struct
+
 import numpy as np
 import pytest
 import tape_model as tm
@@ -274,6 +277,7 @@ def test_forward_passes_match_tape(kind, processes):
 
 @pytest.mark.parametrize("kind,processes", KERNEL_KINDS)
 def test_training_history_matches_tape(kind, processes, monkeypatch):
+    monkeypatch.setattr(neural, "TRAIN_DTYPE", np.float64)
     split, _, _ = sinusoidal_split(n_days=16, seed=8, mean_rate=4.0, amplitude=1.5)
     hyper = TrainConfig(hidden_width=5, max_epochs=4, patience=10, batch_days=4)
     targets = ("pickups", "returns")[:processes]
@@ -283,6 +287,67 @@ def test_training_history_matches_tape(kind, processes, monkeypatch):
     tape = neural.train(kind, split, hyper, seed=5, targets=targets)
     assert len(kernels.train_history) == len(tape.train_history) == 4
     np.testing.assert_allclose(kernels.train_history, tape.train_history, rtol=1e-9, atol=0.0)
+
+
+# -- mixed precision -------------------------------------------------------------
+#
+# Training runs the kernels in float32. Their error is bounded from the dtype:
+# 100 float32 epsilons (1.2e-5) relative to a tensor's largest entry for one
+# batch, and 1e-4 relative for validation losses after a few epochs of Adam.
+
+F32_RTOL = 100 * np.finfo(np.float32).eps
+
+
+@pytest.mark.parametrize("kind,processes", KERNEL_KINDS)
+def test_a_float32_training_batch_stays_float32(kind, processes, monkeypatch):
+    # catches NumPy 2 promotion: one float64 scalar in a vjp turns every
+    # gradient below it float64
+    assert neural.TRAIN_DTYPE == np.float32
+    split, _, _ = sinusoidal_split(n_days=16, seed=8, mean_rate=4.0, amplitude=1.5)
+    batches = []
+    grad = ad.grad
+
+    def spy(loss, wrt):
+        grads = grad(loss, wrt)
+        batches.append((loss, grads))
+        return grads
+
+    monkeypatch.setattr(ad, "grad", spy)
+    neural.train(kind, split, TrainConfig(hidden_width=5, max_epochs=1, batch_days=4), seed=5,
+                 targets=("pickups", "returns")[:processes])
+    loss, grads = batches[0]
+    kernel_values = [v.value for v in ad._topological(loss) if v.vjp is not None and v is not loss]
+    assert len(kernel_values) == (2 if kind == "prnn" else 4)
+    assert {v.dtype for v in kernel_values} == {np.dtype(np.float32)}
+    assert {g.dtype for g in grads} == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("kind,processes", KERNEL_KINDS)
+def test_float32_kernels_match_float64(kind, processes):
+    params, counts, covs, cond = batch_problem(kind, processes, days=8, steps=24, hidden=16)
+    loss, grads = neural._loss_and_grads(kind, params, counts, covs, cond,
+                                         np.random.default_rng(7))
+    low = {k: v.astype(np.float32) for k, v in params.items()}
+    loss32, grads32 = neural._loss_and_grads(
+        kind, low, *(a.astype(np.float32) for a in (counts, covs, cond)),
+        np.random.default_rng(7))
+    assert abs(loss32 - loss) <= F32_RTOL * abs(loss)
+    for key, ref in grads.items():
+        assert grads32[key].dtype == np.float32
+        assert np.abs(grads32[key] - ref).max() <= F32_RTOL * np.abs(ref).max(), key
+
+
+@pytest.mark.parametrize("kind,processes", KERNEL_KINDS)
+def test_float32_training_history_matches_float64(kind, processes, monkeypatch):
+    split, _, _ = sinusoidal_split(n_days=30, seed=9, mean_rate=4.0, amplitude=1.5)
+    hyper = TrainConfig(hidden_width=8, max_epochs=6, patience=10, batch_days=8)
+    targets = ("pickups", "returns")[:processes]
+    low = neural.train(kind, split, hyper, seed=5, targets=targets)
+    monkeypatch.setattr(neural, "TRAIN_DTYPE", np.float64)
+    high = neural.train(kind, split, hyper, seed=5, targets=targets)
+    assert len(low.train_history) == len(high.train_history) == 6
+    np.testing.assert_allclose(low.train_history, high.train_history, rtol=1e-4, atol=0.0)
+    assert all(v.dtype == np.float64 for v in low.params.values())
 
 
 def test_elbo_reduces_to_likelihood_when_posterior_equals_prior():
@@ -368,12 +433,32 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.kind == model.kind
     assert loaded.targets == model.targets
     assert loaded.interval_minutes == model.interval_minutes
+    assert len(model.train_history) == 2
+    assert loaded.train_history == model.train_history
     assert sorted(loaded.params) == sorted(model.params)
     for key in model.params:
         np.testing.assert_array_equal(loaded.params[key], model.params[key])
     f_orig = neural.predict_rates(model, first_day_covariates(split), n_samples=10, seed=1)
     f_load = neural.predict_rates(loaded, first_day_covariates(split), n_samples=10, seed=1)
     np.testing.assert_array_equal(f_orig, f_load)
+
+
+def test_checkpoint_without_history_loads_with_an_empty_one(tmp_path):
+    # a file written before the header held the history
+    model = tiny_model()
+    model.train_history = [3.5, 2.25]
+    path = tmp_path / "model.ckpt"
+    neural.save_checkpoint(model, str(path))
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + length])
+    assert header.pop("train_history") == [3.5, 2.25]
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length:])
+    loaded = neural.load_checkpoint(str(path))
+    assert loaded.train_history == []
+    for key in model.params:
+        np.testing.assert_array_equal(loaded.params[key], model.params[key])
 
 
 def test_checkpoint_rejects_corrupt_files(tmp_path):
