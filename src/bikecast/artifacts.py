@@ -1,0 +1,199 @@
+"""The files of a run under its output directory: where each kind lives, which
+stage writes it, and how it is written and read back.
+
+:func:`write` puts the ``# config:`` header line first in every text
+artifact. :func:`read` reads every artifact back through the parser of its
+kind, and names the file in every error it raises.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass, replace
+from datetime import date
+
+import numpy as np
+
+from . import classical, neural
+from .config import RunConfig
+from .errors import DataError, FormatError, RowError
+from .ingest import (DemandSeries, _kept_lines, build_covariates, demand_from_csv,
+                     parse_weather)
+from .queueing import RateSeries
+
+# each kind of artifact: the stage that writes it, and its path under out_dir
+# for station ``sid`` and model, net label or report ``name``; evaluate and
+# bias write the reports, which no stage reads
+KINDS = {
+    "demand": ("ingest", "demand/station_{sid}.csv"),
+    "events": ("ingest", "demand/events_{sid}.csv"),
+    "weather": ("ingest", "demand/weather.csv"),
+    "stations": ("ingest", "demand/stations_selected.csv"),
+    "model": ("train", "models/{sid}_{name}.json"),
+    "checkpoint": ("train", "models/{sid}_{name}.ckpt"),
+    "forecast": ("forecast", "forecasts/{sid}_{name}.csv"),
+    "decisions": ("optimize", "decisions/{sid}.csv"),
+    "report": (None, "reports/{name}"),
+}
+
+
+@dataclass
+class StationData:
+    station: str
+    capacity: int
+    series: DemandSeries
+
+
+def path(config: RunConfig, kind: str, sid: str = "", name: str = "") -> str:
+    """Where the artifact lives; a net label's colon (prnn:pickups) becomes _."""
+    parts = KINDS[kind][1].format(sid=sid, name=name.replace(":", "_")).split("/")
+    return os.path.join(config.out_dir, *parts)
+
+
+def write(config: RunConfig, kind: str, text: str, sid: str = "", name: str = "") -> None:
+    """Write ``text`` as the artifact, after the config header line."""
+    file = path(config, kind, sid, name)
+    os.makedirs(os.path.dirname(file), exist_ok=True)
+    with open(file, "w", newline="") as fh:
+        fh.write(config.artifact_header())
+        fh.write(text)
+
+
+def read(config: RunConfig, kind: str, parse, *args, sid: str = "", name: str = ""):
+    """``parse(file, *args)`` of the artifact's file.
+
+    A missing file raises :class:`DataError` naming the stage to run. What
+    ``parse`` raises names the file: a :class:`RowError` gets it if it has no
+    path, and any other :class:`DataError`, ``ValueError`` or ``KeyError``
+    that does not start with it becomes a :class:`FormatError` that does.
+    """
+    file = path(config, kind, sid, name)
+    if not os.path.exists(file):
+        raise DataError(f"missing artifact {file}; run the {KINDS[kind][0]} stage first")
+    try:
+        return parse(file, *args)
+    except RowError as e:
+        if e.path is not None:
+            raise
+        raise RowError(e.line_number, e.reason, file) from None
+    except (DataError, ValueError, KeyError) as e:
+        if isinstance(e, DataError) and str(e).startswith(file):
+            raise
+        raise FormatError(f"{file}: {e}") from None
+
+
+def _rows(file: str, header: str, *types):
+    """``(physical line number, fields)`` of each row after the column header,
+    field i converted by ``types[i]``; a row that does not convert raises
+    :class:`RowError`."""
+    with open(file, newline="") as fh:
+        numbers, lines = _kept_lines(fh, header, f"the first row is not {header}")
+    for n, line in zip(numbers, lines):
+        try:
+            yield n, [convert(field) for convert, field in zip(types, line.split(","), strict=True)]
+        except ValueError:
+            raise RowError(n, f"expected {header}, got {line!r}") from None
+
+
+def parse_capacities(file: str) -> dict[str, int]:
+    """The selected stations and their capacities; a station listed twice
+    raises :class:`RowError`."""
+    capacities: dict[str, int] = {}
+    for n, (sid, capacity) in _rows(file, "station_id,capacity", str, int):
+        if sid in capacities:
+            raise RowError(n, f"station {sid} is listed twice")
+        capacities[sid] = capacity
+    return capacities
+
+
+def _weather(file: str):
+    with open(file, newline="") as fh:
+        # comment lines made blank, which parse_weather skips: rows keep their numbers
+        return parse_weather("\n" if line.startswith("#") else line for line in fh)
+
+
+def load_ingested(config: RunConfig) -> dict[str, StationData]:
+    """Read back the ``demand/`` files of stage_ingest; the covariates are not
+    stored but rebuilt from ``demand/weather.csv``, once for all stations."""
+    capacities = read(config, "stations", parse_capacities)
+    covariates = build_covariates(read(config, "weather", _weather),
+                                  (config.start_date, config.end_date), config.interval_minutes)
+    data: dict[str, StationData] = {}
+    for sid, capacity in capacities.items():
+        series = read(config, "demand", demand_from_csv, sid, config.interval_minutes, sid=sid)
+        data[sid] = StationData(station=sid, capacity=capacity,
+                                series=replace(series, covariates=covariates))
+    return data
+
+
+def parse_model(file: str, model_type: type):
+    """The classical model of a JSON model file, refused unless a ``model_type``."""
+    with open(file) as fh:
+        model = classical.model_from_json("".join(ln for ln in fh if not ln.startswith("#")))
+    if not isinstance(model, model_type):
+        raise DataError(f"{file} holds a {type(model).__name__}, not a {model_type.__name__}; "
+                        f"run the train stage again")
+    return model
+
+
+def parse_checkpoint(file: str, kind: str, targets: tuple[str, ...]) -> neural.NeuralModel:
+    """The net of a checkpoint, refused unless a ``kind`` net of ``targets``."""
+    model = neural.load_checkpoint(file)
+    if (model.kind, model.targets) != (kind, targets):
+        raise DataError(f"{file} holds a {model.kind} net of {'+'.join(model.targets)}, not "
+                        f"a {kind} net of {'+'.join(targets)}; run the train stage again")
+    return model
+
+
+def _forecasts(file: str, interval_minutes: int) -> tuple[list[date], list[RateSeries]]:
+    slots = 1440 // interval_minutes
+    by_day: dict[date, list[tuple[float, float]]] = {}
+    last_line: dict[date, int] = {}
+    for n, (day, slot, p, r) in _rows(file, "date,slot,pickup_rate,return_rate",
+                                      date.fromisoformat, int, float, float):
+        day_rows = by_day.setdefault(day, [])
+        if slot != len(day_rows) or slot >= slots:
+            raise RowError(n, f"slot {slot} of {day} out of order: expected slot "
+                              f"{len(day_rows)} of 0 to {slots - 1} "
+                              f"({interval_minutes} minutes)")
+        day_rows.append((p, r))
+        last_line[day] = n
+    short = [day for day in by_day if len(by_day[day]) < slots]
+    if short:
+        day = min(short, key=last_line.get)
+        raise RowError(last_line[day], f"{day} ends at slot {len(by_day[day]) - 1} of 0 to "
+                                       f"{slots - 1} ({interval_minutes} minutes)")
+    days = sorted(by_day)
+    return days, [RateSeries(interval_minutes=interval_minutes,
+                             pickup_rates=np.array([p for p, _ in by_day[d]]),
+                             return_rates=np.array([r for _, r in by_day[d]]))
+                  for d in days]
+
+
+def load_forecasts(config: RunConfig, sid: str, name: str,
+                   interval_minutes: int) -> tuple[list[date], list[RateSeries]]:
+    """Each day's forecast, as stage_forecast wrote it, in date order.
+
+    The rows of each day must number its slots 0 to n - 1 in order, n being
+    the intervals of ``interval_minutes`` in a day. A row that breaks this or
+    does not parse raises :class:`RowError` with the path and its line; a day
+    that ends early, at its last row.
+    """
+    return read(config, "forecast", _forecasts, interval_minutes, sid=sid, name=name)
+
+
+def parse_decisions(file: str, names: list[str], days: list[date]) -> dict[str, list[int]]:
+    """Each of the models ``names``' s* per day of ``days``; a repeated (date,
+    model) raises :class:`RowError`, and a missing one :class:`DataError`."""
+    s_star: dict[tuple[date, str], int] = {}
+    for n, (day, name, s, _) in _rows(file, "date,model,s_star,expected_cost",
+                                      date.fromisoformat, str, int, float):
+        if (day, name) in s_star:
+            raise RowError(n, f"a second decision for {name} on {day}")
+        s_star[day, name] = s
+    for name in names:
+        missing = [d for d in days if (d, name) not in s_star]
+        if missing:
+            raise DataError(f"{file} has no decision for {name} on {missing[0]}; "
+                            f"run the optimize stage again")
+    return {name: [s_star[d, name] for d in days] for name in names}

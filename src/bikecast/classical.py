@@ -8,7 +8,7 @@ inventory optimizer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime, time, timedelta
 
 import numpy as np
@@ -28,6 +28,8 @@ class SeasonalProfile:
 
     def __post_init__(self):
         slots = 1440 // self.interval_minutes
+        self.pickup_table, self.return_table = (
+            np.asarray(table, dtype=float) for table in (self.pickup_table, self.return_table))
         for table in (self.pickup_table, self.return_table):
             if table.shape != (7, slots):
                 raise DataError(f"profile table must be 7 x {slots}, got {table.shape}")
@@ -52,6 +54,8 @@ class LinearModel:
     return_coef: np.ndarray
 
     def __post_init__(self):
+        self.pickup_coef, self.return_coef = (
+            np.asarray(coef, dtype=float) for coef in (self.pickup_coef, self.return_coef))
         width = len(self.columns) + 1
         if len(self.pickup_coef) != width or len(self.return_coef) != width:
             raise DataError("coefficient length must be covariate width + 1")
@@ -141,39 +145,22 @@ def fit_lr(train: DemandSeries) -> LinearModel:
     return LinearModel(columns=kept, pickup_coef=pickup_coef, return_coef=return_coef)
 
 
+# each model type by the kind its JSON names
+_JSON_KINDS = {"seasonal_profile": SeasonalProfile, "linear": LinearModel}
+
+
 def model_to_json(model) -> str:
-    if isinstance(model, SeasonalProfile):
-        payload = {
-            "kind": "seasonal_profile",
-            "interval_minutes": model.interval_minutes,
-            "pickup_table": model.pickup_table.tolist(),
-            "return_table": model.return_table.tolist(),
-        }
-    elif isinstance(model, LinearModel):
-        payload = {
-            "kind": "linear",
-            "columns": model.columns,
-            "pickup_coef": model.pickup_coef.tolist(),
-            "return_coef": model.return_coef.tolist(),
-        }
-    else:
+    """The model's kind, then its fields in order, arrays as lists."""
+    kind = next((k for k, cls in _JSON_KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
         raise TypeError(f"unknown model type {type(model).__name__}")
-    return json.dumps(payload, indent=2)
+    payload = {"kind": kind, **{f.name: getattr(model, f.name) for f in fields(model)}}
+    return json.dumps(payload, indent=2, default=np.ndarray.tolist)
 
 
 def model_from_json(text: str):
     payload = json.loads(text)
-    kind = payload.get("kind")
-    if kind == "seasonal_profile":
-        return SeasonalProfile(
-            interval_minutes=payload["interval_minutes"],
-            pickup_table=np.array(payload["pickup_table"], dtype=float),
-            return_table=np.array(payload["return_table"], dtype=float),
-        )
-    if kind == "linear":
-        return LinearModel(
-            columns=list(payload["columns"]),
-            pickup_coef=np.array(payload["pickup_coef"], dtype=float),
-            return_coef=np.array(payload["return_coef"], dtype=float),
-        )
-    raise FormatError(f"unknown model kind {kind!r}")
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind not in _JSON_KINDS:
+        raise FormatError(f"unknown model kind {kind!r}")
+    return _JSON_KINDS[kind](**{f.name: payload[f.name] for f in fields(_JSON_KINDS[kind])})

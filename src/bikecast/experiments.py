@@ -1,16 +1,18 @@
-"""Bias-sensitivity study and the staged pipeline runner.
+"""Bias-sensitivity study, the forecaster registry and the staged pipeline runner.
 
 The bias study perturbs a day's realized counts-as-rates by a growing margin
 delta, in the same direction for both processes or in opposing directions,
 and tracks how the inventory decision and its replayed cost move.
 
+:data:`FORECASTERS` holds the paper's six forecasters by name: how each is
+fitted, kept and read back, and how it forecasts. The stages loop over it.
+
 The pipeline is a chain of stages (ingest, train, forecast, optimize,
 evaluate, bias) that communicate through files under the run's output
-directory. Each stage can run on its own provided its upstream artifacts
-exist, and then reads them itself. ``run_pipeline`` runs them all in order
-and reads the ``demand/`` files once, after ingest writes them, for the
-three stages that need them. Every text artifact starts with a comment
-carrying the config hash and seed.
+directory, written and read through :mod:`.artifacts`. Each stage can run on
+its own provided its upstream artifacts exist, and then reads them itself.
+``run_pipeline`` runs them all in order and reads the ``demand/`` files
+once, after ingest writes them, for the three stages that need them.
 """
 
 from __future__ import annotations
@@ -18,14 +20,28 @@ from __future__ import annotations
 import io
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 from datetime import date, timedelta
 
 import numpy as np
 
 from . import classical, neural
+from .artifacts import (
+    StationData,
+    load_forecasts,
+    load_ingested,
+    parse_capacities,
+    parse_checkpoint,
+    parse_decisions,
+    parse_model,
+    path,
+    read,
+    write,
+)
 from .config import RunConfig, derive_seed
-from .errors import BikecastError, DataError, RowError, StageError, TrainingError
+from .errors import BikecastError, DataError, StageError, TrainingError
 from .evaluate import (
     BenchmarkResult,
     DecisionSummary,
@@ -42,10 +58,8 @@ from .ingest import (
     DemandSeries,
     EventStream,
     TripTable,
-    _open_text,
     aggregate,
     build_covariates,
-    demand_from_csv,
     demand_to_csv,
     events_from_csv,
     events_to_csv,
@@ -165,13 +179,6 @@ def bias_study(day_counts: DemandSeries, events: EventStream, capacity: int,
 
 
 @dataclass
-class StationData:
-    station: str
-    capacity: int
-    series: DemandSeries
-
-
-@dataclass
 class PipelineResult:
     out_dir: str
     overall: list[DecisionSummary]
@@ -181,54 +188,15 @@ class PipelineResult:
     artifacts: list[str] = field(default_factory=list)
 
 
-class _stage:
+@contextmanager
+def _stage(name: str):
     """Re-raise stage failures with the stage name attached."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and not isinstance(exc, StageError) and isinstance(
-                exc, (BikecastError, OSError, ValueError, KeyError)):
-            raise StageError(self.name, str(exc)) from exc
-        return False
-
-
-def _write(path: str, text: str, header: str = "") -> str:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        if header:
-            fh.write(header)
-        fh.write(text)
-    return path
-
-
-def _require(path: str, produced_by: str) -> str:
-    if not os.path.exists(path):
-        raise DataError(f"missing artifact {path}; run the {produced_by} stage first")
-    return path
-
-
-def _read_commented(path: str) -> str:
-    with open(path) as fh:
-        return "".join(ln for ln in fh if not ln.startswith("#"))
-
-
-def _data_rows(path: str) -> list[tuple[int, str]]:
-    """``(physical line number, line)`` of each row of ``path`` after the
-    comment lines and the column header, without its line break."""
-    with open(path) as fh:
-        return [(n, line.rstrip("\r\n")) for n, line in enumerate(fh, 1)
-                if not line.startswith("#")][1:]
-
-
-def _blank_comments(lines):
-    """``lines`` with each comment line (starting with #) made blank, so a
-    reader that skips blank lines still numbers the others as in the file."""
-    return ("\n" if line.startswith("#") else line for line in lines)
+    try:
+        yield
+    except StageError:
+        raise
+    except (BikecastError, OSError, ValueError, KeyError) as exc:
+        raise StageError(name, str(exc)) from exc
 
 
 def stage_ingest(config: RunConfig) -> dict[str, StationData]:
@@ -253,7 +221,6 @@ def stage_ingest(config: RunConfig) -> dict[str, StationData]:
         weather = parse_weather(_require_input(config.weather_path))
         day_range = (config.start_date, config.end_date)
         covariates = build_covariates(weather, day_range, config.interval_minutes)
-        header = config.artifact_header()
         data: dict[str, StationData] = {}
         lines = ["station_id,capacity"]
         for sid in selected:
@@ -261,14 +228,14 @@ def stage_ingest(config: RunConfig) -> dict[str, StationData]:
                 raise DataError(f"station {sid} has no events in the trip file")
             series = aggregate(streams[sid], config.interval_minutes, day_range)
             test = split(series).test
-            _write(_demand_path(config, sid), demand_to_csv(series), header)
-            _write(_events_path(config, sid), events_to_csv(
-                streams[sid].slice_day(test.start.date(), test.n_days)), header)
+            write(config, "demand", demand_to_csv(series), sid)
+            write(config, "events", events_to_csv(
+                streams[sid].slice_day(test.start.date(), test.n_days)), sid)
             data[sid] = StationData(station=sid, capacity=capacities[sid],
                                     series=replace(series, covariates=covariates))
             lines.append(f"{sid},{capacities[sid]}")
-        _write(_weather_path(config), weather_to_csv(weather), header)
-        _write(_selected_path(config), "\n".join(lines) + "\n", header)
+        write(config, "weather", weather_to_csv(weather))
+        write(config, "stations", "\n".join(lines) + "\n")
         return data
 
 
@@ -336,95 +303,74 @@ def _require_input(path: str) -> str:
     return path
 
 
-def _demand_path(config: RunConfig, sid: str) -> str:
-    return os.path.join(config.out_dir, "demand", f"station_{sid}.csv")
+# -- the forecasters ----------------------------------------------------------
 
 
-def _events_path(config: RunConfig, sid: str) -> str:
-    return os.path.join(config.out_dir, "demand", f"events_{sid}.csv")
+def _from_nets(model, config, station, test, days) -> list[RateSeries]:
+    """One :func:`neural.predict_rates` call per net over all test days, one
+    seed per day; the nets' process columns side by side give (days, steps, 2)."""
+    covariates = test.covariates.values.reshape(len(days), test.intervals_per_day, -1)
+    stacked = np.concatenate([
+        neural.predict_rates(net, covariates, n_samples=config.forecast_samples,
+                             seed=[derive_seed(config.seed, f"forecast:{station.station}:"
+                                                            f"{label}:{day}") for day in days])
+        for label, net in model.items()], axis=2)
+    return [RateSeries(interval_minutes=config.interval_minutes,
+                       pickup_rates=day_rates[:, 0], return_rates=day_rates[:, 1])
+            for day_rates in stacked]
 
 
-def _weather_path(config: RunConfig) -> str:
-    return os.path.join(config.out_dir, "demand", "weather.csv")
+@dataclass(frozen=True)
+class Forecaster:
+    """What sets one forecaster apart: how it is fitted, kept and forecasts.
+
+    ``forecast(model, config=, station=, test=, days=)`` gives each test
+    day's :class:`RateSeries`. With ``nets``, the model is one net per
+    ``(label, targets)``, by label: trained in a lane, seeded by its label and
+    kept in a checkpoint; nets of a lower ``train_order`` start first. With a
+    ``fitted`` type, ``classical.fit_<name>`` fits it on the train split, and
+    its JSON file must hold that type. With neither, it is fitted per
+    forecast day, keeps no file, and its model is None.
+    """
+
+    forecast: Callable
+    fitted: type | None = None
+    nets: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    train_order: int = 0
+
+    def save(self, model, config: RunConfig, sid: str, name: str) -> None:
+        if self.nets:
+            for label, net in model.items():
+                neural.save_checkpoint(net, path(config, "checkpoint", sid, label))
+        elif self.fitted:
+            write(config, "model", classical.model_to_json(model) + "\n", sid, name)
+
+    def load(self, config: RunConfig, sid: str, name: str):
+        if self.nets:
+            return {label: read(config, "checkpoint", parse_checkpoint, name, targets,
+                                sid=sid, name=label) for label, targets in self.nets}
+        if self.fitted:
+            return read(config, "model", parse_model, self.fitted, sid=sid, name=name)
+        return None
 
 
-def _selected_path(config: RunConfig) -> str:
-    return os.path.join(config.out_dir, "demand", "stations_selected.csv")
-
-
-def _model_path(config: RunConfig, sid: str, name: str) -> str:
-    return os.path.join(config.out_dir, "models", f"{sid}_{name}.json")
-
-
-def _checkpoint_path(config: RunConfig, sid: str, label: str) -> str:
-    return os.path.join(config.out_dir, "models", f"{sid}_{label.replace(':', '_')}.ckpt")
-
-
-def _forecast_path(config: RunConfig, sid: str, name: str) -> str:
-    return os.path.join(config.out_dir, "forecasts", f"{sid}_{name}.csv")
-
-
-def _decisions_path(config: RunConfig, sid: str) -> str:
-    return os.path.join(config.out_dir, "decisions", f"{sid}.csv")
-
-
-def _load_capacities(config: RunConfig) -> dict[str, int]:
-    """The selected stations and their capacities, as stage_ingest wrote them.
-    A row that does not parse or names a station again raises
-    :class:`RowError` with the path and its line."""
-    path = _require(_selected_path(config), "ingest")
-    capacities: dict[str, int] = {}
-    for n, line in _data_rows(path):
-        try:
-            sid, cap = line.split(",")
-            cap = int(cap)
-        except ValueError:
-            raise RowError(n, f"expected station_id,capacity, got {line!r}", path) from None
-        if sid in capacities:
-            raise RowError(n, f"station {sid} is listed twice", path)
-        capacities[sid] = cap
-    return capacities
-
-
-def load_ingested(config: RunConfig) -> dict[str, StationData]:
-    """Read back the ``demand/`` files of stage_ingest; the covariates are not
-    stored but rebuilt from ``demand/weather.csv``, once for all stations."""
-    capacities = _load_capacities(config)
-    with _open_text(_require(_weather_path(config), "ingest")) as stream:
-        weather = parse_weather(_blank_comments(stream))
-    covariates = build_covariates(weather, (config.start_date, config.end_date),
-                                  config.interval_minutes)
-    data: dict[str, StationData] = {}
-    for sid, capacity in capacities.items():
-        series = demand_from_csv(
-            _require(_demand_path(config, sid), "ingest"), sid, config.interval_minutes)
-        data[sid] = StationData(station=sid, capacity=capacity,
-                                series=replace(series, covariates=covariates))
-    return data
-
-
-def _train_config(config: RunConfig) -> neural.TrainConfig:
-    return neural.TrainConfig(
-        hidden_width=config.hidden_width,
-        learning_rate=config.learning_rate,
-        batch_days=config.batch_days,
-        max_epochs=config.max_epochs,
-        patience=config.patience,
-    )
-
-
-# Each neural model is a list of nets, (label, targets). movprnn models both
-# processes jointly; prnn and vprnn fit one net per process. The label names
-# the net's checkpoint and its train and forecast seeds.
-NEURAL_NETS = {
-    "movprnn": [("movprnn", ("pickups", "returns"))],
-    "prnn": [("prnn:pickups", ("pickups",)), ("prnn:returns", ("returns",))],
-    "vprnn": [("vprnn:pickups", ("pickups",)), ("vprnn:returns", ("returns",))],
+# The paper's forecasters by name. The nets start by their time per epoch,
+# longest first: movprnn, vprnn, prnn.
+FORECASTERS = {
+    "ha": Forecaster(lambda model, days, **_: [model.predict_day(day) for day in days],
+                     fitted=classical.SeasonalProfile),
+    "ma": Forecaster(lambda model, config, station, days, **_: [
+        classical.fit_ma(station.series, day, window_days=config.ma_window_days)
+        .predict_day(day) for day in days]),
+    "lr": Forecaster(lambda model, config, test, days, **_: [
+        model.predict_day(test.day(i).covariates, config.interval_minutes)
+        for i in range(len(days))], fitted=classical.LinearModel),
+    "prnn": Forecaster(_from_nets, nets=(("prnn:pickups", ("pickups",)),
+                                         ("prnn:returns", ("returns",))), train_order=2),
+    "vprnn": Forecaster(_from_nets, nets=(("vprnn:pickups", ("pickups",)),
+                                          ("vprnn:returns", ("returns",))), train_order=1),
+    "movprnn": Forecaster(_from_nets, nets=(("movprnn", ("pickups", "returns")),)),
 }
-
-
-# kinds by their time per epoch, longest first: the lanes start the long nets first
-_TRAIN_ORDER = ("movprnn", "vprnn", "prnn")
 
 
 def _cores() -> int:
@@ -537,21 +483,21 @@ def stage_train(config: RunConfig,
     """Fit every configured model per station and write model artifacts.
 
     One job is one net of one station. The jobs train over the lanes of
-    :func:`_in_lanes`, longest kinds first; each net has its own seed, so its
-    bits do not depend on its lane. This process then writes every checkpoint,
-    in job order, and fits the classical models. ``data`` is what
+    :func:`_in_lanes`, by ``train_order``; each net has its own seed, so its
+    bits do not depend on its lane. This process then fits the classical
+    models and writes every model's files. ``data`` is what
     :func:`load_ingested` returns, read here when not given; the stage does
     not write to it.
     """
     with _stage("train"):
         data = load_ingested(config) if data is None else data
-        train_cfg = _train_config(config)
-        header = config.artifact_header()
+        train_cfg = neural.TrainConfig(**{f.name: getattr(config, f.name)
+                                          for f in fields(neural.TrainConfig)})
         parts = {sid: split(data[sid].series) for sid in sorted(data)}
         jobs = sorted(((sid, name, label, targets) for sid in parts
-                       for name in sorted(config.models) if name in NEURAL_NETS
-                       for label, targets in NEURAL_NETS[name]),
-                      key=lambda job: _TRAIN_ORDER.index(job[1]))
+                       for name in sorted(config.models)
+                       for label, targets in FORECASTERS[name].nets),
+                      key=lambda job: FORECASTERS[job[1]].train_order)
         trained = _in_lanes(neural.train, [
             (name, parts[sid], train_cfg, derive_seed(config.seed, f"train:{sid}:{label}"),
              targets) for sid, name, label, targets in jobs])
@@ -560,37 +506,23 @@ def stage_train(config: RunConfig,
         for sid in parts:
             fitted[sid] = {}
             for name in sorted(config.models):
-                if name == "ma":
-                    continue  # fitted per forecast day from the rolling window
-                if name in NEURAL_NETS:
-                    model = [nets[sid, label] for label, _ in NEURAL_NETS[name]]
-                    for (label, _), net in zip(NEURAL_NETS[name], model):
-                        neural.save_checkpoint(net, _checkpoint_path(config, sid, label))
-                else:
+                entry = FORECASTERS[name]
+                if entry.nets:
+                    model = {label: nets[sid, label] for label, _ in entry.nets}
+                elif entry.fitted:
                     model = getattr(classical, f"fit_{name}")(parts[sid].train)
-                    _write(_model_path(config, sid, name),
-                           header + classical.model_to_json(model) + "\n")
+                else:
+                    continue
+                entry.save(model, config, sid, name)
                 fitted[sid][name] = model
         return fitted
 
 
 def load_models(config: RunConfig, stations: list[str]) -> dict[str, dict]:
-    """Read back what stage_train wrote; a neural model is the list of its nets."""
-    fitted: dict[str, dict] = {}
-    for sid in stations:
-        fitted[sid] = {}
-        for name in sorted(config.models):
-            if name == "ma":
-                fitted[sid][name] = None
-            elif name in NEURAL_NETS:
-                fitted[sid][name] = [
-                    neural.load_checkpoint(
-                        _require(_checkpoint_path(config, sid, label), "train"))
-                    for label, _ in NEURAL_NETS[name]]
-            else:
-                path = _require(_model_path(config, sid, name), "train")
-                fitted[sid][name] = classical.model_from_json(_read_commented(path))
-    return fitted
+    """Read back what stage_train wrote, each model as it returned it; a model
+    fitted per forecast day is None."""
+    return {sid: {name: FORECASTERS[name].load(config, sid, name)
+                  for name in sorted(config.models)} for sid in stations}
 
 
 def _test_days(series: DemandSeries) -> tuple[DemandSeries, list[date]]:
@@ -617,81 +549,16 @@ def stage_forecast(config: RunConfig, data: dict[str, StationData] | None = None
     with _stage("forecast"):
         data = load_ingested(config) if data is None else data
         fitted = load_models(config, sorted(data))
-        header = config.artifact_header()
         predictions: dict[str, dict[str, list[RateSeries]]] = {}
         for sid in sorted(data):
-            series = data[sid].series
-            test, days = _test_days(series)
-            covariates = test.covariates.values.reshape(len(days), test.intervals_per_day, -1)
+            test, days = _test_days(data[sid].series)
             predictions[sid] = {}
             for name in sorted(config.models):
-                model = fitted[sid][name]
-                if name == "ha":
-                    rates = [model.predict_day(day) for day in days]
-                elif name == "ma":
-                    rates = [classical.fit_ma(series, day, window_days=config.ma_window_days)
-                             .predict_day(day) for day in days]
-                elif name == "lr":
-                    rates = [model.predict_day(test.day(i).covariates, config.interval_minutes)
-                             for i in range(len(days))]
-                else:
-                    # one call per net for the whole test split, one seed per day;
-                    # the nets' process columns side by side give (days, steps, 2)
-                    stacked = np.concatenate([
-                        neural.predict_rates(
-                            net, covariates, n_samples=config.forecast_samples,
-                            seed=[derive_seed(config.seed, f"forecast:{sid}:{label}:{day}")
-                                  for day in days])
-                        for (label, _), net in zip(NEURAL_NETS[name], model)], axis=2)
-                    rates = [RateSeries(interval_minutes=config.interval_minutes,
-                                        pickup_rates=day_rates[:, 0],
-                                        return_rates=day_rates[:, 1])
-                             for day_rates in stacked]
+                rates = FORECASTERS[name].forecast(fitted[sid][name], config=config,
+                                                   station=data[sid], test=test, days=days)
                 predictions[sid][name] = rates
-                _write(_forecast_path(config, sid, name), _rate_series_csv(days, rates), header)
+                write(config, "forecast", _rate_series_csv(days, rates), sid, name)
         return predictions
-
-
-def load_forecasts(config: RunConfig, sid: str, name: str,
-                   interval_minutes: int) -> tuple[list[date], list[RateSeries]]:
-    """Each day's forecast, as stage_forecast wrote it, in date order.
-
-    The rows of each day must number its slots 0 to n - 1 in order, n being
-    the intervals of ``interval_minutes`` in a day. A row that breaks this or
-    does not parse raises :class:`RowError` with the path and its line; a day
-    that ends early, at its last row.
-    """
-    path = _require(_forecast_path(config, sid, name), "forecast")
-    slots = 1440 // interval_minutes
-    by_day: dict[date, list[tuple[float, float]]] = {}
-    last_line: dict[date, int] = {}
-    for n, line in _data_rows(path):
-        try:
-            day, slot, p, r = line.split(",")
-            day, slot, rates = date.fromisoformat(day), int(slot), (float(p), float(r))
-        except ValueError:
-            raise RowError(n, f"expected date,slot,pickup_rate,return_rate, got {line!r}",
-                           path) from None
-        day_rows = by_day.setdefault(day, [])
-        if slot != len(day_rows) or slot >= slots:
-            raise RowError(n, f"slot {slot} of {day} out of order: expected slot "
-                              f"{len(day_rows)} of 0 to {slots - 1} "
-                              f"({interval_minutes} minutes)", path)
-        day_rows.append(rates)
-        last_line[day] = n
-    short = [day for day in by_day if len(by_day[day]) < slots]
-    if short:
-        day = min(short, key=last_line.get)
-        raise RowError(last_line[day], f"{day} ends at slot {len(by_day[day]) - 1} of 0 to "
-                                       f"{slots - 1} ({interval_minutes} minutes)", path)
-    days = sorted(by_day)
-    series_list = [
-        RateSeries(interval_minutes=interval_minutes,
-                   pickup_rates=np.array([p for p, _ in by_day[d]]),
-                   return_rates=np.array([r for _, r in by_day[d]]))
-        for d in days
-    ]
-    return days, series_list
 
 
 def stage_optimize(config: RunConfig) -> dict[str, dict[str, list[int]]]:
@@ -702,9 +569,8 @@ def stage_optimize(config: RunConfig) -> dict[str, dict[str, list[int]]]:
     shares its curve: HA repeats by weekday.
     """
     with _stage("optimize"):
-        capacities = _load_capacities(config)
+        capacities = read(config, "stations", parse_capacities)
         penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
-        header = config.artifact_header()
         forecasts = {(sid, name): load_forecasts(config, sid, name, config.interval_minutes)
                      for sid in sorted(capacities) for name in sorted(config.models)}
         curves = iter(_solve([(rates, capacities[sid], penalties)
@@ -723,36 +589,8 @@ def stage_optimize(config: RunConfig) -> dict[str, dict[str, list[int]]]:
                     lines.append(f"{day.isoformat()},{name},{curve.s_star},"
                                  f"{curve.values[curve.s_star]:.12g}")
                 decisions[sid][name] = picks
-            _write(_decisions_path(config, sid), "\n".join(lines) + "\n", header)
+            write(config, "decisions", "\n".join(lines) + "\n", sid)
         return decisions
-
-
-def _load_decisions(config: RunConfig, sid: str, names: list[str],
-                    days: list[date]) -> dict[str, list[int]]:
-    """Each model's s* per day, as stage_optimize wrote them. A row that does
-    not parse or repeats a (date, model) raises :class:`RowError` with the
-    path and its line."""
-    path = _require(_decisions_path(config, sid), "optimize")
-    s_star: dict[tuple[date, str], int] = {}
-    for n, line in _data_rows(path):
-        try:
-            day, name, s, cost = line.split(",")
-            key, s = (date.fromisoformat(day), name), int(s)
-            float(cost)
-        except ValueError:
-            raise RowError(n, f"expected date,model,s_star,expected_cost, got {line!r}",
-                           path) from None
-        if key in s_star:
-            raise RowError(n, f"a second decision for {name} on {day}", path)
-        s_star[key] = s
-    decisions: dict[str, list[int]] = {}
-    for name in names:
-        missing = [d for d in days if (d, name) not in s_star]
-        if missing:
-            raise DataError(f"{path} has no decision for {name} on {missing[0]}; "
-                            f"run the optimize stage again")
-        decisions[name] = [s_star[d, name] for d in days]
-    return decisions
 
 
 def stage_evaluate(config: RunConfig, data: dict[str, StationData] | None = None
@@ -771,7 +609,6 @@ def stage_evaluate(config: RunConfig, data: dict[str, StationData] | None = None
     with _stage("evaluate"):
         data = load_ingested(config) if data is None else data
         penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
-        header = config.artifact_header()
 
         inputs, oracle_jobs = {}, []
         for sid in sorted(data):
@@ -784,59 +621,46 @@ def stage_evaluate(config: RunConfig, data: dict[str, StationData] | None = None
                     raise DataError(f"forecast days for {sid}/{name} do not match the "
                                     f"test split")
                 predictions[name] = forecasts
-            decisions = _load_decisions(config, sid, sorted(predictions), days)
+            decisions = read(config, "decisions", parse_decisions, sorted(predictions), days,
+                             sid=sid)
             day_counts = [test.day(i) for i in range(test.n_days)]
-            events = events_from_csv(_require(_events_path(config, sid), "ingest"), sid)
+            events = read(config, "events", events_from_csv, sid, sid=sid)
             inputs[sid] = (test, predictions, decisions, day_counts,
                            [events.slice_day(d) for d in days])
             oracle_jobs += [(counts, data[sid].capacity, penalties) for counts in day_counts]
         oracle = iter(_in_lanes(oracle_decision, oracle_jobs))
 
-        all_rows: list[dict] = []
         metrics_rows: list[dict] = []
         per_station: dict[str, BenchmarkResult] = {}
-        cost_acc: dict[str, list[float]] = {}
-        ce_acc: dict[str, list[float]] = {}
-        oracle_acc: list[float] = []
+        by_model: dict[str, list[DecisionSummary]] = {}
         for sid, (test, predictions, decisions, day_counts, day_events) in inputs.items():
             decisions["oracle"] = [next(oracle).s_star for _ in day_counts]
-            result = benchmark(predictions, decisions, day_events, day_counts,
-                               data[sid].capacity, penalties)
-            per_station[sid] = result
-            all_rows.extend(result.rows)
-            for summary in result.summaries:
-                if summary.model == "oracle":
-                    oracle_acc.append(summary.mean_cost)
-                else:
-                    cost_acc.setdefault(summary.model, []).append(summary.mean_cost)
-                    ce_acc.setdefault(summary.model, []).append(summary.mean_ce)
+            per_station[sid] = benchmark(predictions, decisions, day_events, day_counts,
+                                         data[sid].capacity, penalties)
+            for summary in per_station[sid].summaries:
+                by_model.setdefault(summary.model, []).append(summary)
             for name in sorted(config.models):
-                pred_p = np.concatenate([r.pickup_rates for r in predictions[name]])
-                pred_r = np.concatenate([r.return_rates for r in predictions[name]])
-                for proc, actual, pred in (("pickups", test.pickups, pred_p),
-                                           ("returns", test.returns, pred_r)):
-                    rep = point_metrics(actual, pred)
-                    for metric in ("rmse", "mae", "r_squared"):
-                        value = getattr(rep, metric)
-                        if value is None:
-                            continue
-                        metrics_rows.append({"station": sid, "date": "test",
-                                             "model": name,
-                                             "metric": f"{metric}_{proc}",
-                                             "value": float(value)})
+                for proc, column in (("pickups", "pickup_rates"), ("returns", "return_rates")):
+                    rep = point_metrics(getattr(test, proc), np.concatenate(
+                        [getattr(rates, column) for rates in predictions[name]]))
+                    metrics_rows += [{"station": sid, "date": "test", "model": name,
+                                      "metric": f"{metric}_{proc}",
+                                      "value": float(getattr(rep, metric))}
+                                     for metric in ("rmse", "mae", "r_squared")
+                                     if getattr(rep, metric) is not None]
 
-        mean_oracle = float(np.mean(oracle_acc)) if oracle_acc else 0.0
+        oracle_costs = [summary.mean_cost for summary in by_model.pop("oracle", [])]
+        mean_oracle = float(np.mean(oracle_costs)) if oracle_costs else 0.0
         overall = [DecisionSummary(model="oracle", mean_cost=mean_oracle,
                                    rpd=rpd(mean_oracle, mean_oracle), mean_ce=0.0)]
-        for name in sorted(cost_acc):
-            mean_cost = float(np.mean(cost_acc[name]))
+        for name in sorted(by_model):
+            mean_cost = float(np.mean([summary.mean_cost for summary in by_model[name]]))
             overall.append(DecisionSummary(
                 model=name, mean_cost=mean_cost, rpd=rpd(mean_cost, mean_oracle),
-                mean_ce=float(np.mean(ce_acc[name]))))
-        _write(os.path.join(config.out_dir, "reports", "metrics.csv"),
-               rows_to_csv(metrics_rows + all_rows), header)
-        _write(os.path.join(config.out_dir, "reports", "summary.csv"),
-               summaries_to_csv(overall), header)
+                mean_ce=float(np.mean([summary.mean_ce for summary in by_model[name]]))))
+        all_rows = [row for result in per_station.values() for row in result.rows]
+        write(config, "report", rows_to_csv(metrics_rows + all_rows), name="metrics.csv")
+        write(config, "report", summaries_to_csv(overall), name="summary.csv")
         return overall, per_station, metrics_rows
 
 
@@ -849,8 +673,7 @@ def stage_bias(config: RunConfig) -> BiasStudyResult:
         study = bias_study(day_counts, day_events, config.bias_capacity, penalties,
                            default_delta_grid(config.bias_delta_max,
                                               config.bias_delta_step))
-        _write(os.path.join(config.out_dir, "reports", "bias_curves.csv"),
-               study.to_csv(), config.artifact_header())
+        write(config, "report", study.to_csv(), name="bias_curves.csv")
         return study
 
 
@@ -870,10 +693,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     stage_optimize(config)
     overall, per_station, metrics_rows = stage_evaluate(config, data)
     study = stage_bias(config)
-    artifacts = []
-    for root, _dirs, files in os.walk(config.out_dir):
-        for name in sorted(files):
-            artifacts.append(os.path.join(root, name))
+    artifacts = sorted(os.path.join(root, name)
+                       for root, _dirs, files in os.walk(config.out_dir) for name in files)
     return PipelineResult(out_dir=config.out_dir, overall=overall,
                           per_station=per_station, metrics_rows=metrics_rows,
-                          bias=study, artifacts=sorted(artifacts))
+                          bias=study, artifacts=artifacts)

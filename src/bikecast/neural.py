@@ -418,19 +418,12 @@ def day_arrays(series: DemandSeries, targets: tuple[str, ...]) -> tuple[np.ndarr
     """Reshape a series into (days, steps, processes) counts and (days, steps, width) covariates."""
     if series.covariates is None:
         raise DataError("series has no covariates attached")
-    t = series.intervals_per_day
-    d = series.n_days
-    cols = []
-    for name in targets:
-        if name == "pickups":
-            cols.append(series.pickups)
-        elif name == "returns":
-            cols.append(series.returns)
-        else:
-            raise ConfigError(f"unknown target {name!r}")
-    counts = np.stack(cols, axis=1).reshape(d, t, len(targets))
-    covariates = series.covariates.values.reshape(d, t, -1)
-    return counts, covariates
+    unknown = [name for name in targets if name not in ("pickups", "returns")]
+    if unknown:
+        raise ConfigError(f"unknown target {unknown[0]!r}")
+    shape = (series.n_days, series.intervals_per_day)
+    counts = np.stack([getattr(series, name) for name in targets], axis=1)
+    return counts.reshape(*shape, len(targets)), series.covariates.values.reshape(*shape, -1)
 
 
 # -- optimization ----------------------------------------------------------
@@ -667,29 +660,29 @@ def save_checkpoint(model: NeuralModel, path: str) -> None:
 
 def load_checkpoint(path: str) -> NeuralModel:
     """The model :func:`save_checkpoint` wrote; a file written before the header
-    held ``train_history`` loads with an empty one."""
+    held ``train_history`` loads with an empty one. A file that is not a whole
+    checkpoint raises :class:`FormatError` naming ``path``."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_CHECKPOINT_MAGIC))
         if magic != _CHECKPOINT_MAGIC:
-            raise FormatError(f"not a checkpoint file (magic {magic!r})")
-        (length,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(length).decode("utf-8"))
-        params = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(n * 8)
-            if len(raw) != n * 8:
-                raise FormatError("checkpoint truncated")
-            params[entry["name"]] = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
-    return NeuralModel(
-        kind=header["kind"],
-        hidden_width=header["hidden_width"],
-        input_width=header["input_width"],
-        processes=header["processes"],
-        interval_minutes=header["interval_minutes"],
-        targets=tuple(header["targets"]),
-        seed=header["seed"],
-        params=params,
-        train_history=header.get("train_history", []),
-    )
+            raise FormatError(f"{path}: not a checkpoint file (magic {magic!r})")
+        try:
+            (length,) = struct.unpack("<Q", fh.read(8))
+            header = json.loads(fh.read(length).decode("utf-8"))
+            params = {}
+            for entry in header["params"]:
+                shape = tuple(entry["shape"])
+                n = int(np.prod(shape)) if shape else 1
+                raw = fh.read(n * 8)
+                if len(raw) != n * 8:
+                    raise FormatError(f"{path}: checkpoint truncated")
+                params[entry["name"]] = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
+            return NeuralModel(
+                **{key: header[key] for key in ("kind", "hidden_width", "input_width",
+                                                "processes", "interval_minutes", "seed")},
+                targets=tuple(header["targets"]), params=params,
+                train_history=header.get("train_history", []))
+        except KeyError as e:
+            raise FormatError(f"{path}: the checkpoint header lacks {e}") from None
+        except (struct.error, ValueError, TypeError) as e:
+            raise FormatError(f"{path}: damaged checkpoint: {e}") from None

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, overrides, stage smoke runs."""
 
 import csv
+import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from datetime import datetime, timedelta
@@ -334,6 +336,76 @@ def test_damaged_decision_and_station_rows_exit_data_with_their_line(
     assert main([command, "--config", path, "--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err == f"bikecast: stage {command}: {target}: line {at + 1}: {reason}\n"
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory, corpus):
+    """The config of a run of station 7 with two classical models and two
+    neural ones, taken through train, and its output."""
+    root = tmp_path_factory.mktemp("trained")
+    path = write_config(root / "run.yaml", corpus, root / "out", stations=["7"],
+                        models=["ha", "lr", "prnn", "movprnn"], hidden_width=4, max_epochs=1,
+                        forecast_samples=2)
+    for command in ("ingest", "train"):
+        assert main([command, "--config", path]) == EXIT_OK
+    return path, root / "out"
+
+
+def _checkpoint_without_kind(blob: bytes) -> bytes:
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + length])
+    del header["kind"]
+    text = json.dumps(header).encode()
+    return blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + length:]
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("7_prnn_pickups.ckpt", lambda models: models["7_prnn_pickups.ckpt"][:12]),
+    ("7_prnn_pickups.ckpt", lambda models: _checkpoint_without_kind(
+        models["7_prnn_pickups.ckpt"])),
+    ("7_prnn_pickups.ckpt", lambda models: models["7_movprnn.ckpt"]),
+    ("7_ha.json", lambda models: models["7_lr.json"]),
+    ("7_ha.json", lambda models: b'{"kind": "ha"}\n'),
+    ("7_ha.json", lambda models: models["7_ha.json"][:len(models["7_ha.json"]) // 2]),
+], ids=["checkpoint-cut-in-its-length", "checkpoint-without-kind", "checkpoint-of-another-net",
+        "lr-model-as-ha", "unknown-kind", "truncated-json"])
+def test_damaged_model_files_exit_data_naming_the_file(tmp_path, capsys, trained_run, name,
+                                                       damage):
+    path, run = trained_run
+    out = tmp_path / "out"
+    shutil.copytree(run, out)
+    models = {p.name: p.read_bytes() for p in (out / "models").iterdir()}
+    target = out / "models" / name
+    target.write_bytes(damage(models))
+    capsys.readouterr()
+    assert main(["forecast", "--config", path, "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("bikecast: stage forecast: ") and err.count("\n") == 1, err
+    assert str(target) in err
+    assert "Traceback" not in err
+
+
+def test_the_bench_tracer_records_every_model_layer(tmp_path, corpus):
+    """Train and forecast run under ``bench/tracer.py``, which wraps functions
+    by replacing module attributes: every fit, net and checkpoint function
+    that the stages reach must record a span."""
+    path = write_config(tmp_path / "run.yaml", corpus, tmp_path / "out", stations=["7"],
+                        models=["ha", "ma", "lr", "movprnn"], hidden_width=4, max_epochs=1,
+                        forecast_samples=2)
+    assert main(["ingest", "--config", path]) == EXIT_OK
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    names = set()
+    for command in ("train", "forecast"):
+        spans = tmp_path / f"{command}.json"
+        proc = subprocess.run([sys.executable, str(REPO_ROOT / "bench" / "tracer.py"),
+                               str(spans), command, "--config", path],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        names |= {span["name"] for span in json.loads(spans.read_text())}
+    assert names >= {"classical.fit_ha", "classical.fit_lr", "classical.fit_ma",
+                     "experiments.load_models", "neural.train", "neural.save_checkpoint",
+                     "neural.load_checkpoint", "neural.predict_rates"}
 
 
 def _tree(root) -> dict[str, bytes]:

@@ -17,7 +17,7 @@ import yaml
 
 from bikecast import experiments, neural, synthetic
 from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, _exit_code_for, main
-from bikecast.config import RunConfig, derive_seed
+from bikecast.config import DEFAULT_MODELS, RunConfig, derive_seed
 from bikecast.errors import DataError, DomainError, RowError, StageError, TrainingError
 from bikecast.evaluate import replay_cost
 from bikecast.inventory import udf_curve
@@ -183,6 +183,10 @@ def pipeline_run(tmp_path_factory):
     )
     result = experiments.run_pipeline(config)
     return config, result
+
+
+def test_the_registry_holds_each_default_model_once():
+    assert tuple(experiments.FORECASTERS) == DEFAULT_MODELS
 
 
 def test_pipeline_writes_expected_artifacts(pipeline_run):

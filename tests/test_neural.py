@@ -6,6 +6,7 @@ finite differences.
 """
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -474,6 +475,19 @@ def test_checkpoint_rejects_corrupt_files(tmp_path):
     bad2.write_bytes(truncated)
     with pytest.raises(FormatError):
         neural.load_checkpoint(str(bad2))
+    # cut inside the 8-byte header length, and a header without its kind
+    blob = good.read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + length])
+    del header["kind"]
+    text = json.dumps(header).encode()
+    for name, damaged in (("cut.ckpt", blob[:12]),
+                          ("kindless.ckpt", blob[:8] + struct.pack("<Q", len(text)) + text
+                           + blob[16 + length:])):
+        bad = tmp_path / name
+        bad.write_bytes(damaged)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: "):
+            neural.load_checkpoint(str(bad))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
