@@ -126,22 +126,27 @@ def load_ingested(config: RunConfig) -> dict[str, StationData]:
     return data
 
 
-def parse_model(file: str, model_type: type):
-    """The classical model of a JSON model file, refused unless a ``model_type``."""
+def parse_model(file: str, model_type: type, interval_minutes: int):
+    """The classical model of a JSON model file, refused unless a ``model_type``
+    fitted at ``interval_minutes``."""
     with open(file) as fh:
         model = classical.model_from_json("".join(ln for ln in fh if not ln.startswith("#")))
-    if not isinstance(model, model_type):
-        raise DataError(f"{file} holds a {type(model).__name__}, not a {model_type.__name__}; "
-                        f"run the train stage again")
+    if (type(model), model.interval_minutes) != (model_type, interval_minutes):
+        raise DataError(f"{file} holds a {type(model).__name__} fitted at "
+                        f"{model.interval_minutes} minutes, not a {model_type.__name__} at "
+                        f"{interval_minutes}; run the train stage again")
     return model
 
 
-def parse_checkpoint(file: str, kind: str, targets: tuple[str, ...]) -> neural.NeuralModel:
-    """The net of a checkpoint, refused unless a ``kind`` net of ``targets``."""
+def parse_checkpoint(file: str, kind: str, targets: tuple[str, ...],
+                     interval_minutes: int) -> neural.NeuralModel:
+    """The net of a checkpoint, refused unless a ``kind`` net of ``targets``
+    fitted at ``interval_minutes``."""
     model = neural.load_checkpoint(file)
-    if (model.kind, model.targets) != (kind, targets):
-        raise DataError(f"{file} holds a {model.kind} net of {'+'.join(model.targets)}, not "
-                        f"a {kind} net of {'+'.join(targets)}; run the train stage again")
+    if (model.kind, model.targets, model.interval_minutes) != (kind, targets, interval_minutes):
+        raise DataError(f"{file} holds a {model.kind} net of {'+'.join(model.targets)} fitted "
+                        f"at {model.interval_minutes} minutes, not a {kind} net of "
+                        f"{'+'.join(targets)} at {interval_minutes}; run the train stage again")
     return model
 
 

@@ -60,6 +60,11 @@ class LinearModel:
         if len(self.pickup_coef) != width or len(self.return_coef) != width:
             raise DataError("coefficient length must be covariate width + 1")
 
+    @property
+    def interval_minutes(self) -> int:
+        """The fit's interval: a ``tod_*`` column per slot of a day but the first."""
+        return 1440 // (1 + sum(name.startswith("tod_") for name in self.columns))
+
     def predict_day(self, covariates: CovariateMatrix, interval_minutes: int) -> RateSeries:
         x = _design(covariates, self.columns)
         pickups = x @ self.pickup_coef

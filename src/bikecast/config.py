@@ -69,6 +69,9 @@ class RunConfig:
         unknown = set(self.models) - set(DEFAULT_MODELS)
         if unknown:
             raise ConfigError(f"unknown models: {sorted(unknown)}")
+        repeated = sorted({name for name in self.models if self.models.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"models listed more than once: {repeated}")
         if self.lost_pickup_penalty < 0 or self.lost_return_penalty < 0:
             raise ConfigError("penalties must be non-negative")
         if self.bias_delta_step <= 0 or self.bias_delta_max < 0:

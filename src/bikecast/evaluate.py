@@ -138,9 +138,9 @@ def benchmark(predictions: dict[str, list[RateSeries]], decisions: dict[str, lis
     ``decisions`` maps it to the starting inventory chosen from each of them,
     both aligned with ``day_events`` and ``day_counts`` (realized per-interval
     counts, used for CE). ``decisions["oracle"]`` holds each day's
-    perfect-information s* (:func:`.inventory.oracle_decision`), which is
-    replayed as a model's is. An ``oracle`` row is always included; its RPD is
-    0 by construction.
+    perfect-information s* (:func:`.inventory.oracle_decision`). One loop
+    replays the oracle's and then each model's decisions, in name order, and
+    also scores each model's forecasts by CE. The oracle's summary comes first.
     """
     n_days = len(day_events)
     for name, series_list in predictions.items():
@@ -153,45 +153,33 @@ def benchmark(predictions: dict[str, list[RateSeries]], decisions: dict[str, lis
     if len(day_counts) != n_days:
         raise DataError("day_counts and day_events must align")
 
+    costs: dict[str, list[float]] = {name: [] for name in ("oracle", *sorted(predictions))}
+    ces: dict[str, list[float]] = {name: [] for name in predictions}
     rows: list[dict] = []
-    oracle_costs = np.zeros(n_days)
-    for i, (events, counts) in enumerate(zip(day_events, day_counts)):
-        s_star = decisions["oracle"][i]
-        report = replay_cost(events, s_star, capacity, penalties)
-        oracle_costs[i] = report.cost
-        rows.append({"station": counts.station, "date": counts.start.date().isoformat(),
-                     "model": "oracle", "metric": "s_star", "value": s_star})
-        rows.append({"station": counts.station, "date": counts.start.date().isoformat(),
-                     "model": "oracle", "metric": "cost", "value": report.cost})
-
-    mean_oracle = float(oracle_costs.mean()) if n_days else 0.0
-    summaries = [DecisionSummary(model="oracle", mean_cost=mean_oracle,
-                                 rpd=rpd(mean_oracle, mean_oracle), mean_ce=0.0)]
-
-    for name in sorted(predictions):
-        costs = np.zeros(n_days)
-        ces = np.zeros(n_days)
+    for name in costs:
         for i, (events, counts) in enumerate(zip(day_events, day_counts)):
-            rates = predictions[name][i]
             s_star = decisions[name][i]
-            report = replay_cost(events, s_star, capacity, penalties)
-            costs[i] = report.cost
-            ces[i] = cumulative_error(counts.pickups, counts.returns,
-                                      rates.pickup_rates, rates.return_rates)
-            day_iso = counts.start.date().isoformat()
-            rows.append({"station": counts.station, "date": day_iso, "model": name,
-                         "metric": "s_star", "value": s_star})
-            rows.append({"station": counts.station, "date": day_iso, "model": name,
-                         "metric": "cost", "value": report.cost})
-            rows.append({"station": counts.station, "date": day_iso, "model": name,
-                         "metric": "ce", "value": ces[i]})
-        summaries.append(DecisionSummary(
-            model=name,
-            mean_cost=float(costs.mean()) if n_days else 0.0,
-            rpd=rpd(float(costs.mean()), mean_oracle) if n_days else None,
-            mean_ce=float(ces.mean()) if n_days else 0.0,
-        ))
-    return BenchmarkResult(summaries=summaries, rows=rows)
+            costs[name].append(replay_cost(events, s_star, capacity, penalties).cost)
+            metrics = {"s_star": s_star, "cost": costs[name][-1]}
+            if name in ces:
+                rates = predictions[name][i]
+                ces[name].append(cumulative_error(counts.pickups, counts.returns,
+                                                  rates.pickup_rates, rates.return_rates))
+                metrics["ce"] = ces[name][-1]
+            rows += [{"station": counts.station, "date": counts.start.date().isoformat(),
+                      "model": name, "metric": metric, "value": value}
+                     for metric, value in metrics.items()]
+    return BenchmarkResult(summaries=summarize(costs, ces), rows=rows)
+
+
+def summarize(costs: dict[str, list], ces: dict[str, list]) -> list[DecisionSummary]:
+    """One summary per model of ``costs``, in its order: the mean cost, its RPD
+    against the oracle's mean, and the mean CE (0 without any). An empty list
+    has mean 0. The evaluate stage passes each station's means."""
+    mean = {name: float(np.mean(values)) if values else 0.0 for name, values in costs.items()}
+    return [DecisionSummary(model=name, mean_cost=mean[name], rpd=rpd(mean[name], mean["oracle"]),
+                            mean_ce=float(np.mean(ces[name])) if ces.get(name) else 0.0)
+            for name in costs]
 
 
 def rows_to_csv(rows: list[dict]) -> str:

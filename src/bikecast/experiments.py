@@ -50,8 +50,8 @@ from .evaluate import (
     point_metrics,
     replay_cost,
     rows_to_csv,
-    rpd,
     summaries_to_csv,
+    summarize,
 )
 from .ingest import (
     TRIP_COLUMNS,
@@ -348,9 +348,11 @@ class Forecaster:
     def load(self, config: RunConfig, sid: str, name: str):
         if self.nets:
             return {label: read(config, "checkpoint", parse_checkpoint, name, targets,
-                                sid=sid, name=label) for label, targets in self.nets}
+                                config.interval_minutes, sid=sid, name=label)
+                    for label, targets in self.nets}
         if self.fitted:
-            return read(config, "model", parse_model, self.fitted, sid=sid, name=name)
+            return read(config, "model", parse_model, self.fitted, config.interval_minutes,
+                        sid=sid, name=name)
         return None
 
 
@@ -615,12 +617,11 @@ def stage_evaluate(config: RunConfig, data: dict[str, StationData] | None = None
             test, days = _test_days(data[sid].series)
             predictions = {}
             for name in sorted(config.models):
-                fdays, forecasts = load_forecasts(config, sid, name,
-                                                  config.interval_minutes)
+                fdays, predictions[name] = load_forecasts(config, sid, name,
+                                                          config.interval_minutes)
                 if fdays != days:
                     raise DataError(f"forecast days for {sid}/{name} do not match the "
                                     f"test split")
-                predictions[name] = forecasts
             decisions = read(config, "decisions", parse_decisions, sorted(predictions), days,
                              sid=sid)
             day_counts = [test.day(i) for i in range(test.n_days)]
@@ -632,13 +633,15 @@ def stage_evaluate(config: RunConfig, data: dict[str, StationData] | None = None
 
         metrics_rows: list[dict] = []
         per_station: dict[str, BenchmarkResult] = {}
-        by_model: dict[str, list[DecisionSummary]] = {}
+        costs: dict[str, list[float]] = {"oracle": []}
+        ces: dict[str, list[float]] = {}
         for sid, (test, predictions, decisions, day_counts, day_events) in inputs.items():
             decisions["oracle"] = [next(oracle).s_star for _ in day_counts]
             per_station[sid] = benchmark(predictions, decisions, day_events, day_counts,
                                          data[sid].capacity, penalties)
             for summary in per_station[sid].summaries:
-                by_model.setdefault(summary.model, []).append(summary)
+                costs.setdefault(summary.model, []).append(summary.mean_cost)
+                ces.setdefault(summary.model, []).append(summary.mean_ce)
             for name in sorted(config.models):
                 for proc, column in (("pickups", "pickup_rates"), ("returns", "return_rates")):
                     rep = point_metrics(getattr(test, proc), np.concatenate(
@@ -649,15 +652,7 @@ def stage_evaluate(config: RunConfig, data: dict[str, StationData] | None = None
                                      for metric in ("rmse", "mae", "r_squared")
                                      if getattr(rep, metric) is not None]
 
-        oracle_costs = [summary.mean_cost for summary in by_model.pop("oracle", [])]
-        mean_oracle = float(np.mean(oracle_costs)) if oracle_costs else 0.0
-        overall = [DecisionSummary(model="oracle", mean_cost=mean_oracle,
-                                   rpd=rpd(mean_oracle, mean_oracle), mean_ce=0.0)]
-        for name in sorted(by_model):
-            mean_cost = float(np.mean([summary.mean_cost for summary in by_model[name]]))
-            overall.append(DecisionSummary(
-                model=name, mean_cost=mean_cost, rpd=rpd(mean_cost, mean_oracle),
-                mean_ce=float(np.mean([summary.mean_ce for summary in by_model[name]]))))
+        overall = summarize(costs, ces)
         all_rows = [row for result in per_station.values() for row in result.rows]
         write(config, "report", rows_to_csv(metrics_rows + all_rows), name="metrics.csv")
         write(config, "report", summaries_to_csv(overall), name="summary.csv")

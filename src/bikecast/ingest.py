@@ -606,26 +606,20 @@ def parse_weather(source) -> WeatherTable:
 
 def parse_stations(source) -> dict[str, int]:
     """Read station metadata (station_id, capacity); capacities must be positive."""
+    capacities = {}
     with _open_text(source) as stream:
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            raise FormatError("station file is empty (no header row)")
-        for col in ("station_id", "capacity"):
-            if col not in reader.fieldnames:
-                raise FormatError(f"station file is missing required column {col!r}")
-        capacities = {}
-        for row in reader:
-            line = reader.line_num
-            sid = (row["station_id"] or "").strip()
-            if not sid:
-                raise RowError(line, "empty station id")
-            try:
-                cap = int(row["capacity"])
-            except (TypeError, ValueError):
-                raise RowError(line, f"unparseable capacity {row['capacity']!r}") from None
-            if cap <= 0:
-                raise RowError(line, f"capacity must be positive, got {cap}")
-            capacities[sid] = cap
+        for (sids, caps), numbers in _column_chunks(stream, "station", ("station_id", "capacity")):
+            for line, raw_sid, raw_cap in zip(numbers, sids, caps):
+                sid = raw_sid.strip()
+                if not sid:
+                    raise RowError(line, "empty station id")
+                try:
+                    cap = int(raw_cap)
+                except ValueError:
+                    raise RowError(line, f"unparseable capacity {raw_cap!r}") from None
+                if cap <= 0:
+                    raise RowError(line, f"capacity must be positive, got {cap}")
+                capacities[sid] = cap
     return capacities
 
 

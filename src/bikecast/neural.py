@@ -21,10 +21,10 @@ Training is backpropagation through time over whole day-batches. Each
 piece of the model is one numpy kernel that returns its value and its
 hand-written vector-Jacobian product: the GRU and LSTM over all steps, a
 head over all rows, the softplus Poisson likelihood and the negative ELBO
-with its reparameterized draw and closed-form KL. ``_loss_and_grads`` makes
-each kernel one :class:`~.autodiff.Var` node, so the tape that chains them
-holds about five nodes per batch. Validation and forecasting call the same
-forward kernels and build no tape.
+with its reparameterized draw and closed-form KL. ``_loss`` makes each
+kernel one :class:`~.autodiff.Var` node, so the tape that chains them holds
+about five nodes per batch. Validation and forecasting build the same nodes,
+through ``_loss`` and ``_prior``, and never call :func:`~.autodiff.grad`.
 
 The kernels compute in the dtype of their inputs. :func:`train` runs them in
 float32 (``TRAIN_DTYPE``) over float64 master weights, as in mixed-precision
@@ -328,18 +328,10 @@ GRU_GATES = "zrc"
 LSTM_GATES = "ifog"
 
 
-def _cell_keys(prefix: str, gates: str) -> list[str]:
-    return [f"{prefix}/{w}{g}" for w in ("Wx", "Wh", "b") for g in gates]
-
-
 def _cell_weights(params: dict, prefix: str, gates: str) -> tuple[np.ndarray, ...]:
     """The cell's ``(wx, wh, b)`` with its gates side by side, in ``gates`` order."""
     return tuple(np.concatenate([params[f"{prefix}/{w}{g}"] for g in gates], axis=-1)
                  for w in ("Wx", "Wh", "b"))
-
-
-def _head_keys(prefix: str) -> list[str]:
-    return [f"{prefix}/{k}" for k in ("W1", "b1", "W2", "b2")]
 
 
 def _time_major(a: np.ndarray) -> np.ndarray:
@@ -348,20 +340,10 @@ def _time_major(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(a, 0, 1), dtype=np.result_type(a, 0.0))
 
 
-def _prior_out(params: dict, x: np.ndarray) -> np.ndarray:
-    hs, _ = gru(*_cell_weights(params, "prior_rnn", GRU_GATES), params["prior_rnn/h0"], x)
-    return head(*(params[k] for k in _head_keys("prior_head")), hs)[0]
-
-
-def _posterior_out(params: dict, x: np.ndarray) -> np.ndarray:
-    hs, _ = lstm(*_cell_weights(params, "inf_rnn", LSTM_GATES),
-                 params["inf_rnn/h0"], params["inf_rnn/c0"], x)
-    return head(*(params[k] for k in _head_keys("inf_head")), hs)[0]
-
-
 def _cell_node(kernel, p: dict[str, Var], prefix: str, gates: str, states, x) -> Var:
     """One tape node for a whole cell; its vjp splits the stacked gradients per key."""
-    keys = _cell_keys(prefix, gates) + [f"{prefix}/{s}" for s in states]
+    keys = [f"{prefix}/{w}{g}" for w in ("Wx", "Wh", "b") for g in gates]
+    keys += [f"{prefix}/{s}" for s in states]
     value, vjp = kernel(*_cell_weights({k: p[k].value for k in keys}, prefix, gates),
                         *(p[f"{prefix}/{s}"].value for s in states), x)
     n = len(gates)
@@ -379,7 +361,30 @@ def _node(kernel, parents: list[Var], *consts) -> Var:
 
 
 def _head_node(p: dict[str, Var], prefix: str, h: Var) -> Var:
-    return _node(head, [p[k] for k in _head_keys(prefix)] + [h])
+    return _node(head, [p[f"{prefix}/{k}"] for k in ("W1", "b1", "W2", "b2")] + [h])
+
+
+def _prior(p: dict[str, Var], x: np.ndarray) -> Var:
+    """The prior head's output node over ``(steps, days, width)`` covariates."""
+    return _head_node(p, "prior_head", _cell_node(gru, p, "prior_rnn", GRU_GATES, ("h0",), x))
+
+
+def _loss(kind: str, params: dict, counts, covariates, cond, rng) -> tuple[Var, dict[str, Var]]:
+    """Per-day loss node of a batch, one node per kernel, and its leaf per trainable key.
+
+    The latent models draw the batch's noise as one ``(steps, days,
+    processes)`` call on ``rng``, the same stream as one ``(days,
+    processes)`` call per step.
+    """
+    p = {k: Var(params[k]) for k in trainable_keys(params)}
+    x, n = _time_major(covariates), _time_major(counts)
+    out_p = _prior(p, x)
+    if kind == "prnn":
+        return _node(rate_nll, [out_p], n), p
+    h_q = _cell_node(lstm, p, "inf_rnn", LSTM_GATES, ("h0", "c0"),
+                     np.concatenate([x, _time_major(cond)], axis=2))
+    return _node(negative_elbo, [out_p, _head_node(p, "inf_head", h_q)], n,
+                 rng.standard_normal(n.shape).astype(n.dtype, copy=False)), p
 
 
 # -- model container -------------------------------------------------------
@@ -456,35 +461,15 @@ class _Adam:
 
 
 def _loss_and_grads(kind: str, params: dict, counts, covariates, cond, rng):
-    """Per-day training loss and its gradient per trainable key.
-
-    The tape holds one node per kernel: about five per batch. The latent
-    models draw the batch's noise as one ``(steps, days, processes)`` call on
-    ``rng``, the same stream as one ``(days, processes)`` call per step.
-    """
-    p = {k: Var(params[k]) for k in trainable_keys(params)}
-    x, n = _time_major(covariates), _time_major(counts)
-    out_p = _head_node(p, "prior_head", _cell_node(gru, p, "prior_rnn", GRU_GATES, ("h0",), x))
-    if kind == "prnn":
-        loss = _node(rate_nll, [out_p], n)
-    else:
-        h_q = _cell_node(lstm, p, "inf_rnn", LSTM_GATES, ("h0", "c0"),
-                         np.concatenate([x, _time_major(cond)], axis=2))
-        loss = _node(negative_elbo, [out_p, _head_node(p, "inf_head", h_q)], n,
-                     rng.standard_normal(n.shape).astype(n.dtype, copy=False))
-    grads = ad.grad(loss, list(p.values()))
-    return float(loss.value), dict(zip(p, grads))
+    """Per-day training loss of :func:`_loss` and its gradient per trainable key."""
+    loss, p = _loss(kind, params, counts, covariates, cond, rng)
+    return float(loss.value), dict(zip(p, ad.grad(loss, list(p.values()))))
 
 
 def _validation_loss(kind: str, params: dict, counts, covariates, cond, seed) -> float:
-    x, n = _time_major(covariates), _time_major(counts)
-    out_p = _prior_out(params, x)
-    if kind == "prnn":
-        return rate_nll(out_p, n)[0]
     # fixed draws so successive evaluations are comparable
-    out_q = _posterior_out(params, np.concatenate([x, _time_major(cond)], axis=2))
-    eps = np.random.default_rng(seed).standard_normal(n.shape).astype(n.dtype, copy=False)
-    return negative_elbo(out_p, out_q, n, eps)[0]
+    return float(_loss(kind, params, counts, covariates, cond,
+                       np.random.default_rng(seed))[0].value)
 
 
 def train(kind: str, split: DataSplit, hyper: TrainConfig, seed: int,
@@ -509,7 +494,8 @@ def train(kind: str, split: DataSplit, hyper: TrainConfig, seed: int,
     counts_tr, cov_tr = day_arrays(split.train, targets)
     counts_va, cov_va = day_arrays(split.validation, targets)
 
-    # standardization statistics from the training split only
+    # standardization from the training split only; forecasting reads no counts,
+    # so the checkpoint keeps only the covariates' statistics
     cov_flat = cov_tr.reshape(-1, cov_tr.shape[-1])
     cov_mean = cov_flat.mean(axis=0)
     cov_std = np.maximum(cov_flat.std(axis=0), 1e-8)
@@ -532,8 +518,6 @@ def train(kind: str, split: DataSplit, hyper: TrainConfig, seed: int,
                          int(init_ss.generate_state(1)[0]))
     params["norm/cov_mean"] = cov_mean
     params["norm/cov_std"] = cov_std
-    params["norm/count_mean"] = cnt_mean
-    params["norm/count_std"] = cnt_std
 
     shuffle_rng = np.random.default_rng(shuffle_ss)
     elbo_rng = np.random.default_rng(elbo_ss)
@@ -617,7 +601,7 @@ def predict_rates(model: NeuralModel, covariates: np.ndarray, n_samples: int = 1
     if len(seeds) != n_days:
         raise DataError(f"need one seed per day: {len(seeds)} seeds for {n_days} days")
     x = _time_major(model.normalize_covariates(covariates))
-    out = np.swapaxes(_prior_out(model.params, x), 0, 1)
+    out = np.swapaxes(_prior({k: Var(v) for k, v in model.params.items()}, x).value, 0, 1)
     if model.kind == "prnn":
         rates = positive_rate(out)
     else:

@@ -140,6 +140,7 @@ OUT_OF_RANGE = [
     ("learning_rate", 0.0, "learning_rate must be finite and positive, got 0.0"),
     ("learning_rate", float("nan"), "learning_rate must be finite and positive, got nan"),
     ("end_date", "2017-12-31", "end_date precedes start_date"),
+    ("models", ["ha", "lr", "ha"], "models listed more than once: ['ha']"),
 ]
 
 
@@ -385,6 +386,29 @@ def test_damaged_model_files_exit_data_naming_the_file(tmp_path, capsys, trained
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("model, name, holds", [
+    ("ha", "7_ha.json", "a SeasonalProfile fitted at 60 minutes, not a SeasonalProfile at 15"),
+    ("lr", "7_lr.json", "a LinearModel fitted at 60 minutes, not a LinearModel at 15"),
+    ("prnn", "7_prnn_pickups.ckpt",
+     "a prnn net of pickups fitted at 60 minutes, not a prnn net of pickups at 15"),
+])
+def test_a_model_fitted_at_another_interval_exits_data_naming_the_file(tmp_path, capsys, corpus,
+                                                                       trained_run, model, name,
+                                                                       holds):
+    # trained hourly, then ingested and forecast at 15 minutes
+    _, run = trained_run
+    out = tmp_path / "out"
+    shutil.copytree(run, out)
+    path = write_config(tmp_path / "run.yaml", corpus, out, stations=["7"], models=[model],
+                        hidden_width=4, max_epochs=1, forecast_samples=2, interval_minutes=15)
+    assert main(["ingest", "--config", path]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["forecast", "--config", path]) == EXIT_DATA
+    assert capsys.readouterr().err == (f"bikecast: stage forecast: {out / 'models' / name} "
+                                       f"holds {holds}; run the train stage again\n")
+    assert not (out / "forecasts").exists()
+
+
 def test_the_bench_tracer_records_every_model_layer(tmp_path, corpus):
     """Train and forecast run under ``bench/tracer.py``, which wraps functions
     by replacing module attributes: every fit, net and checkpoint function
@@ -542,6 +566,22 @@ def test_cli_import_loads_no_scipy(tmp_path):
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
              "or m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))")
     proc = run_python(probe, [], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_every_function_the_bench_tracer_wraps_exists(tmp_path):
+    # bench/tracer.py wraps functions by name after importing bikecast.cli, so
+    # a refactor that renames or inlines a traced layer must fail here, and not
+    # only in a traced bench run; the bench files are read, never changed
+    probe = ("import importlib.util, sys, bikecast.cli; "
+             "spec = importlib.util.spec_from_file_location('tracer', sys.argv[1]); "
+             "tracer = importlib.util.module_from_spec(spec); spec.loader.exec_module(tracer); "
+             "print([f'{short}.{name}' for short, names in tracer.TRACED.items() "
+             "for name in names if not callable(getattr(sys.modules.get('bikecast.' + short), "
+             "name, None))])")
+    proc = run_python(probe, [str(REPO_ROOT / "bench" / "tracer.py")], cwd=tmp_path,
+                      env={"PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -33,6 +33,8 @@ def test_validation_rejects_bad_values():
         make(end_date="2017-12-31")
     with pytest.raises(ConfigError):
         make(models=["ha", "lstm"])
+    with pytest.raises(ConfigError, match=r"models listed more than once: \['ha'\]"):
+        make(models=["ha", "lr", "ha"])
     with pytest.raises(ConfigError):
         make(lost_pickup_penalty=-1.0)
     with pytest.raises(ConfigError):

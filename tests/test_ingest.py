@@ -867,3 +867,10 @@ def test_blank_lines_before_the_header_are_skipped():
     assert err.value.line_number == 4
     with pytest.raises(FormatError, match="weather file is empty"):
         parse_weather(io.StringIO("\n\n"))
+    stations = "\n\nstation_id,capacity\nA,20\n"
+    assert parse_stations(io.StringIO(stations)) == {"A": 20}
+    with pytest.raises(RowError) as err:
+        parse_stations(io.StringIO(stations.replace("20", "-3")))
+    assert err.value.line_number == 4
+    with pytest.raises(FormatError, match="station file is empty"):
+        parse_stations(io.StringIO("\n\n"))

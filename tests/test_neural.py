@@ -35,8 +35,6 @@ def tiny_model(kind="vprnn", hidden=4, input_width=3, processes=1, seed=0):
     params = init_params(kind, input_width, hidden, processes, seed)
     params["norm/cov_mean"] = np.zeros(input_width)
     params["norm/cov_std"] = np.ones(input_width)
-    params["norm/count_mean"] = np.zeros(processes)
-    params["norm/count_std"] = np.ones(processes)
     return NeuralModel(
         kind=kind,
         hidden_width=hidden,
@@ -442,6 +440,24 @@ def test_checkpoint_roundtrip(tmp_path):
     f_orig = neural.predict_rates(model, first_day_covariates(split), n_samples=10, seed=1)
     f_load = neural.predict_rates(loaded, first_day_covariates(split), n_samples=10, seed=1)
     np.testing.assert_array_equal(f_orig, f_load)
+
+
+def test_a_checkpoint_with_count_statistics_forecasts_the_same(tmp_path):
+    # training keeps only the covariates' statistics; a file written when it
+    # kept the counts' too must load and forecast as before
+    split, _, _ = sinusoidal_split(n_days=12, seed=7, mean_rate=3.0, amplitude=1.0)
+    hyper = TrainConfig(hidden_width=5, max_epochs=2, patience=2, batch_days=8)
+    model = neural.train("vprnn", split, hyper, seed=6, targets=("pickups",))
+    assert [k for k in model.params if k.startswith("norm/")] == ["norm/cov_mean", "norm/cov_std"]
+    paths = {name: str(tmp_path / f"{name}.ckpt") for name in ("new", "old")}
+    neural.save_checkpoint(model, paths["new"])
+    model.params.update({"norm/count_mean": np.array([2.5]), "norm/count_std": np.array([1.5])})
+    neural.save_checkpoint(model, paths["old"])
+    new, old = (neural.load_checkpoint(paths[name]) for name in ("new", "old"))
+    np.testing.assert_array_equal(old.params["norm/count_std"], [1.5])
+    covs = first_day_covariates(split)
+    np.testing.assert_array_equal(neural.predict_rates(old, covs, n_samples=10, seed=1),
+                                  neural.predict_rates(new, covs, n_samples=10, seed=1))
 
 
 def test_checkpoint_without_history_loads_with_an_empty_one(tmp_path):
