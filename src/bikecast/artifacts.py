@@ -141,12 +141,23 @@ def parse_model(file: str, model_type: type, interval_minutes: int):
 def parse_checkpoint(file: str, kind: str, targets: tuple[str, ...],
                      interval_minutes: int) -> neural.NeuralModel:
     """The net of a checkpoint, refused unless a ``kind`` net of ``targets``
-    fitted at ``interval_minutes``."""
+    fitted at ``interval_minutes`` that holds every tensor of its kind and
+    widths in its shape; a tensor it holds beyond those is ignored."""
     model = neural.load_checkpoint(file)
     if (model.kind, model.targets, model.interval_minutes) != (kind, targets, interval_minutes):
         raise DataError(f"{file} holds a {model.kind} net of {'+'.join(model.targets)} fitted "
                         f"at {model.interval_minutes} minutes, not a {kind} net of "
                         f"{'+'.join(targets)} at {interval_minutes}; run the train stage again")
+    width = model.input_width
+    expected = {"norm/cov_mean": (width,), "norm/cov_std": (width,)} | {
+        name: value.shape for name, value in neural.init_params(
+            kind, width, model.hidden_width, model.processes, 0).items()}
+    for name, shape in sorted(expected.items()):
+        if name not in model.params:
+            raise DataError(f"{file} lacks the tensor {name}; run the train stage again")
+        if model.params[name].shape != shape:
+            raise DataError(f"{file} holds {name} of shape {model.params[name].shape}, not "
+                            f"{shape}; run the train stage again")
     return model
 
 

@@ -605,7 +605,8 @@ def parse_weather(source) -> WeatherTable:
 
 
 def parse_stations(source) -> dict[str, int]:
-    """Read station metadata (station_id, capacity); capacities must be positive."""
+    """Read station metadata (station_id, capacity); capacities must be positive,
+    and a station listed twice raises :class:`RowError`."""
     capacities = {}
     with _open_text(source) as stream:
         for (sids, caps), numbers in _column_chunks(stream, "station", ("station_id", "capacity")):
@@ -619,6 +620,8 @@ def parse_stations(source) -> dict[str, int]:
                     raise RowError(line, f"unparseable capacity {raw_cap!r}") from None
                 if cap <= 0:
                     raise RowError(line, f"capacity must be positive, got {cap}")
+                if sid in capacities:
+                    raise RowError(line, f"station {sid} is listed twice")
                 capacities[sid] = cap
     return capacities
 

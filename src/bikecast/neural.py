@@ -21,10 +21,13 @@ Training is backpropagation through time over whole day-batches. Each
 piece of the model is one numpy kernel that returns its value and its
 hand-written vector-Jacobian product: the GRU and LSTM over all steps, a
 head over all rows, the softplus Poisson likelihood and the negative ELBO
-with its reparameterized draw and closed-form KL. ``_loss`` makes each
-kernel one :class:`~.autodiff.Var` node, so the tape that chains them holds
-about five nodes per batch. Validation and forecasting build the same nodes,
-through ``_loss`` and ``_prior``, and never call :func:`~.autodiff.grad`.
+with its reparameterized draw and closed-form KL. ``_loss`` records each
+kernel call as one ``(name, parents, vjp)`` entry in a plain list, three per
+batch for prnn and five for the latent models, and :func:`~.autodiff.grad`
+walks that list backward. A cell's weights are kept as the kernels take them,
+its gates side by side in one ``Wx``, ``Wh`` and ``b``, from initialization
+through Adam to the checkpoint. Validation and forecasting call the same
+kernels, through ``_loss`` and ``_prior``, and never sweep back.
 
 The kernels compute in the dtype of their inputs. :func:`train` runs them in
 float32 (``TRAIN_DTYPE``) over float64 master weights, as in mixed-precision
@@ -49,7 +52,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var
 from .errors import ConfigError, DataError, FormatError, TrainingError
 from .ingest import DataSplit, DemandSeries
 from .queueing import log_factorial
@@ -61,6 +63,8 @@ MIN_EPOCHS = 5  # early stopping never ends training before this many epochs
 TRAIN_DTYPE = np.float32
 
 MODEL_KINDS = ("prnn", "vprnn", "movprnn")
+GRU_GATES = "zrc"
+LSTM_GATES = "ifog"
 
 _CHECKPOINT_MAGIC = b"BKCKPT01"
 
@@ -73,21 +77,17 @@ def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
-def _init_gru(rng, prefix: str, input_width: int, hidden: int, params: dict) -> None:
-    for gate in ("z", "r", "c"):
-        params[f"{prefix}/Wx{gate}"] = _glorot(rng, input_width, hidden)
-        params[f"{prefix}/Wh{gate}"] = _glorot(rng, hidden, hidden)
-        params[f"{prefix}/b{gate}"] = np.zeros(hidden)
-    params[f"{prefix}/h0"] = np.zeros((1, hidden))
-
-
-def _init_lstm(rng, prefix: str, input_width: int, hidden: int, params: dict) -> None:
-    for gate in ("i", "f", "o", "g"):
-        params[f"{prefix}/Wx{gate}"] = _glorot(rng, input_width, hidden)
-        params[f"{prefix}/Wh{gate}"] = _glorot(rng, hidden, hidden)
-        params[f"{prefix}/b{gate}"] = np.zeros(hidden)
-    params[f"{prefix}/h0"] = np.zeros((1, hidden))
-    params[f"{prefix}/c0"] = np.zeros((1, hidden))
+def _init_cell(rng, prefix: str, gates: str, states: tuple[str, ...], input_width: int,
+               hidden: int, params: dict) -> None:
+    """A cell's ``Wx``, ``Wh`` and ``b`` with its gates side by side; each gate's
+    ``Wx`` and then its ``Wh`` are drawn in ``gates`` order, each with its own
+    Glorot bound."""
+    draws = [(_glorot(rng, input_width, hidden), _glorot(rng, hidden, hidden)) for _ in gates]
+    params[f"{prefix}/Wx"] = np.concatenate([wx for wx, _ in draws], axis=1)
+    params[f"{prefix}/Wh"] = np.concatenate([wh for _, wh in draws], axis=1)
+    params[f"{prefix}/b"] = np.zeros(len(gates) * hidden)
+    for state in states:
+        params[f"{prefix}/{state}"] = np.zeros((1, hidden))
 
 
 def _init_head(rng, prefix: str, hidden: int, out: int, params: dict) -> None:
@@ -102,12 +102,13 @@ def init_params(kind: str, input_width: int, hidden_width: int, processes: int, 
         raise ConfigError(f"unknown model kind {kind!r}")
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
-    _init_gru(rng, "prior_rnn", input_width, hidden_width, params)
+    _init_cell(rng, "prior_rnn", GRU_GATES, ("h0",), input_width, hidden_width, params)
     if kind == "prnn":
         _init_head(rng, "prior_head", hidden_width, processes, params)
     else:
         _init_head(rng, "prior_head", hidden_width, 2 * processes, params)
-        _init_lstm(rng, "inf_rnn", input_width + processes, hidden_width, params)
+        _init_cell(rng, "inf_rnn", LSTM_GATES, ("h0", "c0"), input_width + processes,
+                   hidden_width, params)
         _init_head(rng, "inf_head", hidden_width, 2 * processes, params)
     return params
 
@@ -128,9 +129,9 @@ def trainable_keys(params: dict) -> list[str]:
 #
 # Every buffer takes the dtype of the kernel's inputs, so a float64 call
 # computes what it always did and a float32 call stays float32 through its
-# vjp. A loss vjp takes its scalar gradient ``g`` as a Python float: the
-# 0-d float64 array that :func:`~.autodiff.grad` seeds the backward pass
-# with is strongly typed in NumPy 2 and would promote everything below it.
+# vjp. A loss vjp takes its scalar gradient ``g`` as a Python float, which
+# is what :func:`~.autodiff.grad` seeds the sweep with: a 0-d float64 array
+# is strongly typed in NumPy 2 and would promote everything below it.
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -323,15 +324,15 @@ def negative_elbo(out_p, out_q, counts, eps):
 
 
 # -- wiring the kernels ------------------------------------------------------
+#
+# ``values`` maps each name to its array: the parameters, and the output of
+# each kernel call, which appends its ``(name, parents, vjp)`` entry to
+# ``tape``.
 
-GRU_GATES = "zrc"
-LSTM_GATES = "ifog"
-
-
-def _cell_weights(params: dict, prefix: str, gates: str) -> tuple[np.ndarray, ...]:
-    """The cell's ``(wx, wh, b)`` with its gates side by side, in ``gates`` order."""
-    return tuple(np.concatenate([params[f"{prefix}/{w}{g}"] for g in gates], axis=-1)
-                 for w in ("Wx", "Wh", "b"))
+PRIOR_RNN = ("prior_rnn/Wx", "prior_rnn/Wh", "prior_rnn/b", "prior_rnn/h0")
+PRIOR_HEAD = ("prior_head/W1", "prior_head/b1", "prior_head/W2", "prior_head/b2", "h_p")
+INF_RNN = ("inf_rnn/Wx", "inf_rnn/Wh", "inf_rnn/b", "inf_rnn/h0", "inf_rnn/c0")
+INF_HEAD = ("inf_head/W1", "inf_head/b1", "inf_head/W2", "inf_head/b2", "h_q")
 
 
 def _time_major(a: np.ndarray) -> np.ndarray:
@@ -340,51 +341,37 @@ def _time_major(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(a, 0, 1), dtype=np.result_type(a, 0.0))
 
 
-def _cell_node(kernel, p: dict[str, Var], prefix: str, gates: str, states, x) -> Var:
-    """One tape node for a whole cell; its vjp splits the stacked gradients per key."""
-    keys = [f"{prefix}/{w}{g}" for w in ("Wx", "Wh", "b") for g in gates]
-    keys += [f"{prefix}/{s}" for s in states]
-    value, vjp = kernel(*_cell_weights({k: p[k].value for k in keys}, prefix, gates),
-                        *(p[f"{prefix}/{s}"].value for s in states), x)
-    n = len(gates)
-
-    def split_vjp(g):
-        dwx, dwh, db, *dstates = vjp(g)
-        return (*np.split(dwx, n, axis=1), *np.split(dwh, n, axis=1), *np.split(db, n), *dstates)
-
-    return Var(value, [p[k] for k in keys], split_vjp)
+def _call(values: dict, tape: list, name: str, kernel, parents: tuple[str, ...], *consts):
+    """``kernel`` on the named ``parents``, then ``consts``; its value is ``values[name]``."""
+    values[name], vjp = kernel(*(values[k] for k in parents), *consts)
+    tape.append((name, parents, vjp))
+    return values[name]
 
 
-def _node(kernel, parents: list[Var], *consts) -> Var:
-    value, vjp = kernel(*(v.value for v in parents), *consts)
-    return Var(value, parents, vjp)
+def _prior(values: dict, tape: list, x: np.ndarray) -> np.ndarray:
+    """The prior head's output over ``(steps, days, width)`` covariates."""
+    _call(values, tape, "h_p", gru, PRIOR_RNN, x)
+    return _call(values, tape, "out_p", head, PRIOR_HEAD)
 
 
-def _head_node(p: dict[str, Var], prefix: str, h: Var) -> Var:
-    return _node(head, [p[f"{prefix}/{k}"] for k in ("W1", "b1", "W2", "b2")] + [h])
-
-
-def _prior(p: dict[str, Var], x: np.ndarray) -> Var:
-    """The prior head's output node over ``(steps, days, width)`` covariates."""
-    return _head_node(p, "prior_head", _cell_node(gru, p, "prior_rnn", GRU_GATES, ("h0",), x))
-
-
-def _loss(kind: str, params: dict, counts, covariates, cond, rng) -> tuple[Var, dict[str, Var]]:
-    """Per-day loss node of a batch, one node per kernel, and its leaf per trainable key.
+def _loss(kind: str, params: dict, counts, covariates, cond, rng) -> tuple[dict, list]:
+    """The named values and the kernel tape of a batch's per-day ``loss``.
 
     The latent models draw the batch's noise as one ``(steps, days,
     processes)`` call on ``rng``, the same stream as one ``(days,
     processes)`` call per step.
     """
-    p = {k: Var(params[k]) for k in trainable_keys(params)}
+    values, tape = dict(params), []
     x, n = _time_major(covariates), _time_major(counts)
-    out_p = _prior(p, x)
+    _prior(values, tape, x)
     if kind == "prnn":
-        return _node(rate_nll, [out_p], n), p
-    h_q = _cell_node(lstm, p, "inf_rnn", LSTM_GATES, ("h0", "c0"),
-                     np.concatenate([x, _time_major(cond)], axis=2))
-    return _node(negative_elbo, [out_p, _head_node(p, "inf_head", h_q)], n,
-                 rng.standard_normal(n.shape).astype(n.dtype, copy=False)), p
+        _call(values, tape, "loss", rate_nll, ("out_p",), n)
+        return values, tape
+    _call(values, tape, "h_q", lstm, INF_RNN, np.concatenate([x, _time_major(cond)], axis=2))
+    _call(values, tape, "out_q", head, INF_HEAD)
+    _call(values, tape, "loss", negative_elbo, ("out_p", "out_q"), n,
+          rng.standard_normal(n.shape).astype(n.dtype, copy=False))
+    return values, tape
 
 
 # -- model container -------------------------------------------------------
@@ -462,14 +449,14 @@ class _Adam:
 
 def _loss_and_grads(kind: str, params: dict, counts, covariates, cond, rng):
     """Per-day training loss of :func:`_loss` and its gradient per trainable key."""
-    loss, p = _loss(kind, params, counts, covariates, cond, rng)
-    return float(loss.value), dict(zip(p, ad.grad(loss, list(p.values()))))
+    values, tape = _loss(kind, params, counts, covariates, cond, rng)
+    return float(values["loss"]), ad.grad(tape)
 
 
 def _validation_loss(kind: str, params: dict, counts, covariates, cond, seed) -> float:
     # fixed draws so successive evaluations are comparable
     return float(_loss(kind, params, counts, covariates, cond,
-                       np.random.default_rng(seed))[0].value)
+                       np.random.default_rng(seed))[0]["loss"])
 
 
 def train(kind: str, split: DataSplit, hyper: TrainConfig, seed: int,
@@ -601,7 +588,7 @@ def predict_rates(model: NeuralModel, covariates: np.ndarray, n_samples: int = 1
     if len(seeds) != n_days:
         raise DataError(f"need one seed per day: {len(seeds)} seeds for {n_days} days")
     x = _time_major(model.normalize_covariates(covariates))
-    out = np.swapaxes(_prior({k: Var(v) for k, v in model.params.items()}, x).value, 0, 1)
+    out = np.swapaxes(_prior(dict(model.params), [], x), 0, 1)
     if model.kind == "prnn":
         rates = positive_rate(out)
     else:

@@ -2,10 +2,12 @@
 
 This is the gradient oracle for the whole-sequence kernels in
 :mod:`bikecast.neural`. Every elementwise operation of every step is one
-:class:`bikecast.autodiff.Var` node, so ``ad.grad`` differentiates the
-model mechanically, with no hand-written backward pass to get wrong. The
-parity tests check the kernels' losses, gradients, validation curves and
-forecasts against the functions here.
+:class:`tape.Var` node, so ``ad.grad`` differentiates the model
+mechanically, with no hand-written backward pass to get wrong. Each gate
+reads its weights and bias as a column slice of the cell's stacked tensor,
+which is how the kernels keep them. The parity tests check the kernels'
+losses, gradients, validation curves and forecasts against the functions
+here.
 
 The oracle keeps the two-branch stable sigmoid of :func:`ad.sigmoid` and the
 step-by-step loop, so it shares no arithmetic shortcut with the kernels.
@@ -14,10 +16,17 @@ step-by-step loop, so it shares no arithmetic shortcut with the kernels.
 from __future__ import annotations
 
 import numpy as np
+import tape as ad
+from tape import Var
 
-from bikecast import autodiff as ad
-from bikecast.autodiff import Var
-from bikecast.neural import RATE_FLOOR, SCALE_FLOOR, NeuralModel, trainable_keys
+from bikecast.neural import (
+    GRU_GATES,
+    LSTM_GATES,
+    RATE_FLOOR,
+    SCALE_FLOOR,
+    NeuralModel,
+    trainable_keys,
+)
 from bikecast.queueing import log_factorial
 
 # -- cells and heads -------------------------------------------------------
@@ -89,7 +98,19 @@ def _reciprocal(x: Var) -> Var:
 
 
 def as_vars(params: dict[str, np.ndarray]) -> dict[str, Var]:
-    return {k: Var(v) for k, v in params.items() if not k.startswith("norm/")}
+    """A leaf per trainable tensor, and each cell gate's weights and bias under
+    the gate's own name (``prior_rnn/Wxz``), sliced from the stacked leaf."""
+    p = {k: Var(v) for k, v in params.items() if not k.startswith("norm/")}
+    for prefix, gates in (("prior_rnn", GRU_GATES), ("inf_rnn", LSTM_GATES)):
+        if f"{prefix}/Wh" not in p:
+            continue
+        n = p[f"{prefix}/Wh"].shape[0]
+        for k, gate in enumerate(gates):
+            cols = slice(k * n, (k + 1) * n)
+            p[f"{prefix}/Wx{gate}"] = p[f"{prefix}/Wx"][:, cols]
+            p[f"{prefix}/Wh{gate}"] = p[f"{prefix}/Wh"][:, cols]
+            p[f"{prefix}/b{gate}"] = p[f"{prefix}/b"][cols]
+    return p
 
 
 def prnn_nll(p: dict[str, Var], counts: np.ndarray, covariates: np.ndarray) -> Var:

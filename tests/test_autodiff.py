@@ -1,9 +1,37 @@
-"""Reverse-mode gradients versus central finite differences."""
+"""The backward sweep of :mod:`bikecast.autodiff`, and the one-op tape of
+``tests/tape.py`` against central finite differences."""
 
 import numpy as np
 import pytest
+import tape as ad
 
-from bikecast import autodiff as ad
+from bikecast import autodiff
+
+
+def test_sweep_sums_the_gradients_of_a_name_read_twice():
+    # loss = sum(y * w) with y = 3 * w, so w feeds both entries: d loss / dw = 6 w
+    w = np.array([1.0, -2.0])
+    y = 3.0 * w
+    tape = [("y", ("w",), lambda g: (3.0 * g,)),
+            ("loss", ("y", "w"), lambda g: (g * w, g * y))]
+    grads = autodiff.grad(tape)
+    assert sorted(grads) == ["w"]  # only the names that no entry writes
+    np.testing.assert_array_equal(grads["w"], 6.0 * w)
+
+
+def test_sweep_seeds_a_python_float_and_keeps_float32():
+    # a 0-d float64 seed would promote every float32 gradient below the loss
+    w = np.array([0.5, 2.0, -1.0], dtype=np.float32)
+    seeds = []
+
+    def loss_vjp(g):
+        seeds.append(g)
+        return (g * w,)
+
+    grads = autodiff.grad([("h", ("w",), lambda g: (g * w,)), ("loss", ("h",), loss_vjp)])
+    assert type(seeds[0]) is float and seeds[0] == 1.0
+    assert grads["w"].dtype == np.float32
+    np.testing.assert_array_equal(grads["w"], w * w)
 
 
 def central_difference(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

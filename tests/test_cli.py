@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import shutil
 import struct
@@ -10,6 +11,7 @@ import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -360,16 +362,52 @@ def _checkpoint_without_kind(blob: bytes) -> bytes:
     return blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + length:]
 
 
+def _with_tensors(blob: bytes, edit) -> bytes:
+    """The checkpoint ``blob`` with its tensors, name to array, passed through ``edit``."""
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + length])
+    tensors, at = {}, 16 + length
+    for entry in header["params"]:
+        size = 8 * math.prod(entry["shape"])
+        tensors[entry["name"]] = np.frombuffer(blob[at:at + size]).reshape(entry["shape"])
+        at += size
+    tensors = edit(tensors)
+    header["params"] = [{"name": k, "shape": list(v.shape)} for k, v in tensors.items()]
+    text = json.dumps(header).encode()
+    return (blob[:8] + struct.pack("<Q", len(text)) + text
+            + b"".join(v.tobytes() for v in tensors.values()))
+
+
+def _per_gate(tensors: dict) -> dict:
+    """The older layout, one tensor per cell gate: prior_rnn/Wxz, prior_rnn/Wxr, ..."""
+    split = {}
+    for name, value in tensors.items():
+        prefix, key = name.split("/")
+        gates = {"prior_rnn": "zrc", "inf_rnn": "ifog"}.get(prefix, "")
+        if gates and key in ("Wx", "Wh", "b"):
+            split.update(zip((name + g for g in gates), np.split(value, len(gates), axis=-1)))
+        else:
+            split[name] = value
+    return split
+
+
 @pytest.mark.parametrize("name, damage", [
     ("7_prnn_pickups.ckpt", lambda models: models["7_prnn_pickups.ckpt"][:12]),
     ("7_prnn_pickups.ckpt", lambda models: _checkpoint_without_kind(
         models["7_prnn_pickups.ckpt"])),
     ("7_prnn_pickups.ckpt", lambda models: models["7_movprnn.ckpt"]),
+    ("7_prnn_pickups.ckpt", lambda models: _with_tensors(
+        models["7_prnn_pickups.ckpt"],
+        lambda t: {k: v for k, v in t.items() if k != "prior_head/b2"})),
+    ("7_prnn_pickups.ckpt", lambda models: _with_tensors(
+        models["7_prnn_pickups.ckpt"], lambda t: t | {"prior_rnn/Wx": t["prior_rnn/Wx"][:, :-1]})),
+    ("7_movprnn.ckpt", lambda models: _with_tensors(models["7_movprnn.ckpt"], _per_gate)),
     ("7_ha.json", lambda models: models["7_lr.json"]),
     ("7_ha.json", lambda models: b'{"kind": "ha"}\n'),
     ("7_ha.json", lambda models: models["7_ha.json"][:len(models["7_ha.json"]) // 2]),
 ], ids=["checkpoint-cut-in-its-length", "checkpoint-without-kind", "checkpoint-of-another-net",
-        "lr-model-as-ha", "unknown-kind", "truncated-json"])
+        "checkpoint-without-a-tensor", "checkpoint-with-a-misshaped-tensor",
+        "checkpoint-in-per-gate-layout", "lr-model-as-ha", "unknown-kind", "truncated-json"])
 def test_damaged_model_files_exit_data_naming_the_file(tmp_path, capsys, trained_run, name,
                                                        damage):
     path, run = trained_run
@@ -429,7 +467,7 @@ def test_the_bench_tracer_records_every_model_layer(tmp_path, corpus):
         names |= {span["name"] for span in json.loads(spans.read_text())}
     assert names >= {"classical.fit_ha", "classical.fit_lr", "classical.fit_ma",
                      "experiments.load_models", "neural.train", "neural.save_checkpoint",
-                     "neural.load_checkpoint", "neural.predict_rates"}
+                     "neural.load_checkpoint", "neural.predict_rates", "autodiff.grad"}
 
 
 def _tree(root) -> dict[str, bytes]:

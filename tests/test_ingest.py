@@ -322,6 +322,8 @@ def test_parse_stations_and_errors():
     assert caps == {"A": 20, "B": 31}
     with pytest.raises(RowError):
         parse_stations(io.StringIO("station_id,capacity\nA,-3\n"))
+    with pytest.raises(RowError, match="^line 3: station A is listed twice$"):
+        parse_stations(io.StringIO("station_id,capacity\nA,20\nA,30\n"))
     with pytest.raises(FormatError):
         parse_stations(io.StringIO("station_id\nA\n"))
 

@@ -11,14 +11,12 @@ import struct
 
 import numpy as np
 import pytest
+import tape
 import tape_model as tm
 
-from bikecast import autodiff as ad
-from bikecast import neural
+from bikecast import autodiff, neural
 from bikecast.errors import ConfigError, DataError, FormatError
 from bikecast.neural import (
-    GRU_GATES,
-    LSTM_GATES,
     MODEL_KINDS,
     NeuralModel,
     TrainConfig,
@@ -53,13 +51,38 @@ def first_day_covariates(split):
 
 def test_init_params_layout():
     params = init_params("vprnn", input_width=5, hidden_width=8, processes=2, seed=1)
-    assert params["prior_rnn/Wxz"].shape == (5, 8)
+    # a cell's gates sit side by side: 3 for the GRU, 4 for the LSTM
+    assert params["prior_rnn/Wx"].shape == (5, 3 * 8)
+    assert params["prior_rnn/Wh"].shape == (8, 3 * 8)
+    assert params["prior_rnn/b"].shape == (3 * 8,)
     assert params["prior_head/W2"].shape[1] == 4  # mean and scale per process
-    assert params["inf_rnn/Wxi"].shape == (7, 8)  # covariates + counts
+    assert params["inf_rnn/Wx"].shape == (7, 4 * 8)  # covariates + counts
+    assert params["inf_rnn/Wh"].shape == (8, 4 * 8)
+    assert params["inf_rnn/c0"].shape == (1, 8)
     assert params["inf_head/W2"].shape[1] == 4
     only_prior = init_params("prnn", 5, 8, 2, 1)
-    assert "inf_rnn/Wxi" not in only_prior
+    assert "inf_rnn/Wx" not in only_prior
     assert only_prior["prior_head/W2"].shape[1] == 2
+
+
+def test_init_params_draws_each_gate_in_turn():
+    # each gate's Wx and then its Wh, in gate order and each with its own
+    # Glorot bound: the stream of the per-gate layout, so a seed keeps its nets
+    params = init_params("vprnn", input_width=3, hidden_width=4, processes=1, seed=7)
+    rng = np.random.default_rng(7)
+
+    def draw(fan_in, fan_out):
+        a = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-a, a, size=(fan_in, fan_out))
+
+    prior = [(draw(3, 4), draw(4, 4)) for _ in "zrc"]
+    draw(4, 4), draw(4, 2)  # the prior head's W1 and W2
+    inference = [(draw(4, 4), draw(4, 4)) for _ in "ifog"]  # covariates + counts
+    for prefix, gates in (("prior_rnn", prior), ("inf_rnn", inference)):
+        np.testing.assert_array_equal(params[f"{prefix}/Wx"],
+                                      np.concatenate([wx for wx, _ in gates], axis=1))
+        np.testing.assert_array_equal(params[f"{prefix}/Wh"],
+                                      np.concatenate([wh for _, wh in gates], axis=1))
 
 
 def test_init_rejects_unknown_kind():
@@ -79,8 +102,7 @@ def test_trainable_keys_exclude_normalization():
 
 
 def run_gru(params, x):
-    return neural.gru(*neural._cell_weights(params, "prior_rnn", GRU_GATES),
-                      params["prior_rnn/h0"], x)[0]
+    return neural.gru(*(params[k] for k in neural.PRIOR_RNN), x)[0]
 
 
 def test_gru_zero_state_zero_input_stays_zero():
@@ -98,18 +120,17 @@ def test_gru_output_is_bounded():
 
 def test_lstm_shapes_and_width_check():
     params = init_params("vprnn", 3, 4, 1, 0)
-    weights = neural._cell_weights(params, "inf_rnn", LSTM_GATES)
-    h0, c0 = params["inf_rnn/h0"], params["inf_rnn/c0"]
-    out, _ = neural.lstm(*weights, h0, c0, np.zeros((3, 2, 4)))  # covariates + 1 count column
+    cell = [params[k] for k in neural.INF_RNN]
+    out, _ = neural.lstm(*cell, np.zeros((3, 2, 4)))  # covariates + 1 count column
     assert out.shape == (3, 2, 4)
     with pytest.raises(ConfigError):
-        neural.lstm(*weights, h0, c0, np.zeros((3, 2, 9)))
+        neural.lstm(*cell, np.zeros((3, 2, 9)))
     with pytest.raises(ConfigError):
         run_gru(params, np.zeros((3, 2, 4)))
 
 
 def stable_sigmoid(x):
-    return ad.sigmoid(ad.Var(x)).value  # the two-branch form, three exps
+    return tape.sigmoid(tape.Var(x)).value  # the two-branch form, three exps
 
 
 def test_sigmoid_tanh_form_matches_stable_form_and_underflows_below_minus_38():
@@ -179,8 +200,8 @@ def relative_gradient_error(loss, grads, params, keys, eps=1e-5):
 
 def tape_gradient_error(build, params):
     keys = sorted(params)
-    p_vars = {k: ad.Var(v.copy()) for k, v in params.items()}
-    grads = dict(zip(keys, ad.grad(build(p_vars), [p_vars[k] for k in keys])))
+    p_vars = tm.as_vars({k: v.copy() for k, v in params.items()})
+    grads = dict(zip(keys, tape.grad(build(p_vars), [p_vars[k] for k in keys])))
     return relative_gradient_error(lambda prm: float(build(tm.as_vars(prm)).value),
                                    grads, params, keys)
 
@@ -201,7 +222,7 @@ def test_vprnn_elbo_gradient_matches_finite_differences():
 
     def build(p):
         noise = np.random.default_rng(11)  # same draws on every call
-        return ad.mul(tm.vprnn_elbo(p, counts, covs, noise), ad.const(-1.0))
+        return tape.mul(tm.vprnn_elbo(p, counts, covs, noise), tape.const(-1.0))
 
     assert tape_gradient_error(build, params) < 1e-4
 
@@ -252,12 +273,12 @@ def test_kernel_gradients_match_tape(kind, processes):
 @pytest.mark.parametrize("kind,processes", KERNEL_KINDS)
 def test_training_tape_holds_one_node_per_kernel(kind, processes, monkeypatch):
     params, counts, covs, cond = batch_problem(kind, processes)
-    roots = []
-    grad = ad.grad
-    monkeypatch.setattr(ad, "grad", lambda loss, wrt: roots.append(loss) or grad(loss, wrt))
+    tapes = []
+    grad = autodiff.grad
+    monkeypatch.setattr(autodiff, "grad", lambda entries: tapes.append(entries) or grad(entries))
     neural._loss_and_grads(kind, params, counts, covs, cond, np.random.default_rng(7))
-    kernel_nodes = [v for v in ad._topological(roots[0]) if v.vjp is not None]
-    assert len(kernel_nodes) == (3 if kind == "prnn" else 5)
+    assert len(tapes) == 1
+    assert len(tapes[0]) == (3 if kind == "prnn" else 5)
 
 
 @pytest.mark.parametrize("kind,processes", KERNEL_KINDS)
@@ -303,22 +324,17 @@ def test_a_float32_training_batch_stays_float32(kind, processes, monkeypatch):
     # gradient below it float64
     assert neural.TRAIN_DTYPE == np.float32
     split, _, _ = sinusoidal_split(n_days=16, seed=8, mean_rate=4.0, amplitude=1.5)
-    batches = []
-    grad = ad.grad
-
-    def spy(loss, wrt):
-        grads = grad(loss, wrt)
-        batches.append((loss, grads))
-        return grads
-
-    monkeypatch.setattr(ad, "grad", spy)
+    batches, swept = [], []
+    loss, grad = neural._loss, autodiff.grad
+    monkeypatch.setattr(neural, "_loss", lambda *args: batches.append(loss(*args)) or batches[-1])
+    monkeypatch.setattr(autodiff, "grad", lambda entries: swept.append(grad(entries)) or swept[-1])
     neural.train(kind, split, TrainConfig(hidden_width=5, max_epochs=1, batch_days=4), seed=5,
                  targets=("pickups", "returns")[:processes])
-    loss, grads = batches[0]
-    kernel_values = [v.value for v in ad._topological(loss) if v.vjp is not None and v is not loss]
+    values, entries = batches[0]
+    kernel_values = [values[name] for name, _, _ in entries[:-1]]  # the loss is a Python float
     assert len(kernel_values) == (2 if kind == "prnn" else 4)
     assert {v.dtype for v in kernel_values} == {np.dtype(np.float32)}
-    assert {g.dtype for g in grads} == {np.dtype(np.float32)}
+    assert {g.dtype for g in swept[0].values()} == {np.dtype(np.float32)}
 
 
 @pytest.mark.parametrize("kind,processes", KERNEL_KINDS)
@@ -572,7 +588,7 @@ def test_latent_forecast_draws_per_step_noise_from_the_day_seed():
     rng = np.random.default_rng(8)
     h = p["prior_rnn/h0"]
     for t in range(len(cov)):
-        h = tm.gru_step(p, "prior_rnn", h, ad.const(cov[t:t + 1]))  # identity normalization
+        h = tm.gru_step(p, "prior_rnn", h, tape.const(cov[t:t + 1]))  # identity normalization
         out = tm.head(p, "prior_head", h).value[0]
         mean_, scale = out[:2], np.logaddexp(0.0, out[2:]) + neural.SCALE_FLOOR
         eps = rng.standard_normal((n_samples, 2))
