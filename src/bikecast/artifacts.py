@@ -114,7 +114,8 @@ def _weather(file: str):
 
 def load_ingested(config: RunConfig) -> dict[str, StationData]:
     """Read back the ``demand/`` files of stage_ingest; the covariates are not
-    stored but rebuilt from ``demand/weather.csv``, once for all stations."""
+    stored but rebuilt from ``demand/weather.csv``, once, into the one array
+    that every station's series shares."""
     capacities = read(config, "stations", parse_capacities)
     covariates = build_covariates(read(config, "weather", _weather),
                                   (config.start_date, config.end_date), config.interval_minutes)

@@ -14,7 +14,7 @@ from datetime import date, datetime, time, timedelta
 import numpy as np
 
 from .errors import DataError, FormatError, TrainingError
-from .ingest import CovariateMatrix, DemandSeries
+from .ingest import DemandSeries, covariate_columns
 from .queueing import RateSeries
 
 
@@ -47,7 +47,8 @@ class SeasonalProfile:
 
 @dataclass
 class LinearModel:
-    """OLS coefficients on the covariates, one set per process, intercept first."""
+    """OLS coefficients, one set per process, intercept first, on the covariates
+    named in ``columns``: names of :func:`covariate_columns`, not positions."""
 
     columns: list[str]
     pickup_coef: np.ndarray
@@ -65,8 +66,8 @@ class LinearModel:
         """The fit's interval: a ``tod_*`` column per slot of a day but the first."""
         return 1440 // (1 + sum(name.startswith("tod_") for name in self.columns))
 
-    def predict_day(self, covariates: CovariateMatrix, interval_minutes: int) -> RateSeries:
-        x = _design(covariates, self.columns)
+    def predict_day(self, covariates: np.ndarray, interval_minutes: int) -> RateSeries:
+        x = _design(covariates, interval_minutes, self.columns)
         pickups = x @ self.pickup_coef
         returns = x @ self.return_coef
         # Negative affine outputs are clamped: rates feed a Poisson model.
@@ -131,18 +132,19 @@ def _kept_columns(columns: list[str]) -> list[str]:
     return [c for c in columns if c not in drop]
 
 
-def _design(covariates: CovariateMatrix, kept: list[str]) -> np.ndarray:
-    cols = [np.ones(len(covariates))]
-    cols.extend(covariates.column(name) for name in kept)
-    return np.column_stack(cols)
+def _design(covariates: np.ndarray, interval_minutes: int, kept: list[str]) -> np.ndarray:
+    # views of single columns, stacked once: no copy of the kept block first
+    column = covariate_columns(interval_minutes).index
+    return np.column_stack([np.ones(len(covariates)),
+                            *(covariates[:, column(name)] for name in kept)])
 
 
 def fit_lr(train: DemandSeries) -> LinearModel:
     """Ordinary least squares of counts on covariates, per process."""
     if train.covariates is None:
         raise DataError("linear regression needs covariates")
-    kept = _kept_columns(train.covariates.columns)
-    x = _design(train.covariates, kept)
+    kept = _kept_columns(covariate_columns(train.interval_minutes))
+    x = _design(train.covariates, train.interval_minutes, kept)
     if np.linalg.matrix_rank(x) < x.shape[1]:
         raise TrainingError("design matrix is rank deficient after dropping redundant columns")
     pickup_coef, *_ = np.linalg.lstsq(x, train.pickups.astype(float), rcond=None)

@@ -129,14 +129,6 @@ def _one_line(error: Exception) -> str:
     return " ".join(str(error).split())
 
 
-def save_config(config: RunConfig, path: str) -> None:
-    payload = asdict(config)
-    payload["start_date"] = config.start_date.isoformat()
-    payload["end_date"] = config.end_date.isoformat()
-    with open(path, "w") as fh:
-        yaml.safe_dump(payload, fh, sort_keys=True)
-
-
 def derive_seed(seed: int, label: str) -> int:
     """Stage seed = hash of the run seed and a stable label; order-independent."""
     digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()

@@ -17,12 +17,13 @@ once, after ingest writes them, for the three stages that need them.
 
 from __future__ import annotations
 
+import csv
 import io
 import os
 import sys
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 
 import numpy as np
@@ -199,7 +200,7 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
-def stage_ingest(config: RunConfig) -> dict[str, StationData]:
+def stage_ingest(config: RunConfig) -> None:
     """Parse the inputs, here and nowhere else, and write the ``demand/`` files.
 
     The trip file is parsed in byte ranges over the lanes of :func:`_in_lanes`
@@ -208,7 +209,7 @@ def stage_ingest(config: RunConfig) -> dict[str, StationData]:
     whole range) and ``events_<sid>.csv``: the events of the days of
     ``split(series).test``, the only ones evaluate replays. A day range that
     :func:`split` refuses fails here. The run gets ``weather.csv``.
-    Covariates check the weather and go only into the returned series.
+    Covariates are built only to refuse weather that does not cover the range.
     """
     with _stage("ingest"):
         capacities = parse_stations(_require_input(config.stations_path))
@@ -220,8 +221,7 @@ def stage_ingest(config: RunConfig) -> dict[str, StationData]:
         streams = to_event_streams(trips, selected)
         weather = parse_weather(_require_input(config.weather_path))
         day_range = (config.start_date, config.end_date)
-        covariates = build_covariates(weather, day_range, config.interval_minutes)
-        data: dict[str, StationData] = {}
+        build_covariates(weather, day_range, config.interval_minutes)
         lines = ["station_id,capacity"]
         for sid in selected:
             if sid not in streams:
@@ -231,12 +231,9 @@ def stage_ingest(config: RunConfig) -> dict[str, StationData]:
             write(config, "demand", demand_to_csv(series), sid)
             write(config, "events", events_to_csv(
                 streams[sid].slice_day(test.start.date(), test.n_days)), sid)
-            data[sid] = StationData(station=sid, capacity=capacities[sid],
-                                    series=replace(series, covariates=covariates))
             lines.append(f"{sid},{capacities[sid]}")
         write(config, "weather", weather_to_csv(weather))
         write(config, "stations", "\n".join(lines) + "\n")
-        return data
 
 
 # bytes of the trip file per lane job
@@ -268,8 +265,9 @@ def _read_trips(path: str) -> TripTable:
     after a copy of the header line and before a sentinel row.
 
     The file is parsed whole when it has one range or the host one core, when
-    its header is not one unquoted line that names every trip column, or when
-    a range fails or its worker dies: a cut inside a quoted field can break
+    its header line, split by ``csv.reader`` as :func:`parse_trips` splits it,
+    ends inside a quoted field, holds a CR or lacks a trip column, or when a
+    range fails or its worker dies: a cut inside a quoted field can break
     the rows on both sides of it, and the serial parse reads them right or
     raises the serial error.
     """
@@ -282,10 +280,12 @@ def _read_trips(path: str) -> TripTable:
             fh.readline()
             cuts.append(fh.tell())
     line = head.removesuffix(b"\n").removesuffix(b"\r")
-    index = {name: i for i, name in enumerate(line.decode("latin-1").split(","))}
-    if len(cuts) < 2 or b'"' in line or b"\r" in line or not index.keys() >= set(TRIP_COLUMNS):
+    # split as parse_trips splits it: a quote left open keeps the line feed
+    names = [] if b"\r" in line else next(csv.reader([line.decode("latin-1") + "\n"]), [])
+    if len(cuts) < 2 or "\n" in "".join(names) or not set(names) >= set(TRIP_COLUMNS):
         return parse_trips(path)
-    row = [""] * len(index)
+    index = {name: i for i, name in enumerate(names)}
+    row = [""] * len(names)
     for name, value in zip(TRIP_COLUMNS, _SENTINEL):
         row[index[name]] = value
     sentinel = ("\n" + ",".join(row)).encode()
@@ -309,7 +309,7 @@ def _require_input(path: str) -> str:
 def _from_nets(model, config, station, test, days) -> list[RateSeries]:
     """One :func:`neural.predict_rates` call per net over all test days, one
     seed per day; the nets' process columns side by side give (days, steps, 2)."""
-    covariates = test.covariates.values.reshape(len(days), test.intervals_per_day, -1)
+    covariates = test.covariates.reshape(len(days), test.intervals_per_day, -1)
     stacked = np.concatenate([
         neural.predict_rates(net, covariates, n_samples=config.forecast_samples,
                              seed=[derive_seed(config.seed, f"forecast:{station.station}:"
@@ -677,8 +677,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     The ``demand/`` files are read once, after stage_ingest writes them, and
     the result goes to train, forecast and evaluate. It is what each of them
-    reads when run alone, not what ingest returns, so the run scores what the
-    files hold.
+    reads when run alone, so the run scores what the files hold.
     """
     stage_ingest(config)
     with _stage("train"):  # a failed read fails as train, its first reader, would

@@ -1,7 +1,7 @@
 """Trip ingestion: parsing, event streams, interval counts, covariates, splits.
 
 Everything downstream consumes per-interval pickup/return counts aligned with
-an exogenous covariate matrix (weather + calendar encodings). This module
+an exogenous covariate array (weather + calendar encodings). This module
 turns raw trip and weather files into that shape.
 
 Times travel as numpy ``datetime64[us]`` columns from parse to replay, never
@@ -19,7 +19,8 @@ as one ``datetime`` object per row:
   again after ingest;
 * the hourly weather is a :class:`WeatherTable` of three columns, from which
   :func:`build_covariates`, the one place that knows their encoding, builds
-  the covariates. They are not stored.
+  the covariates: one array per run, shared by every station's series and
+  never copied. They are not stored.
 
 Under ``demand/`` ingest also writes each station's counts
 (``station_<sid>.csv``) and, once, the weather it parsed (``weather.csv``).
@@ -116,54 +117,20 @@ class EventStream:
 
 
 @dataclass
-class CovariateMatrix:
-    """Per-interval exogenous features.
-
-    Columns: temperature_c, rain_probability, a 7-wide day-of-week one-hot
-    block (Monday first) and a time-of-day one-hot block with one slot per
-    interval of the day.
-    """
-
-    values: np.ndarray
-    columns: list[str]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.columns):
-            raise DataError("covariate values and column labels disagree in shape")
-        rain = self.column("rain_probability")
-        if np.any((rain < 0) | (rain > 1)):
-            raise DataError("rain_probability outside [0, 1]")
-        for prefix in ("dow_", "tod_"):
-            block = self.block(prefix)
-            sums = block.sum(axis=1)
-            if not np.allclose(sums, 1.0, atol=0, rtol=0):
-                raise DataError(f"one-hot block {prefix}* does not sum to 1 on every row")
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.columns.index(name)]
-
-    def block(self, prefix: str) -> np.ndarray:
-        idx = [i for i, c in enumerate(self.columns) if c.startswith(prefix)]
-        return self.values[:, idx]
-
-    def rows(self, lo: int, hi: int) -> "CovariateMatrix":
-        return CovariateMatrix(values=self.values[lo:hi].copy(), columns=list(self.columns))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass
 class DemandSeries:
-    """Aligned per-interval pickup counts, return counts and covariates."""
+    """Aligned per-interval pickup counts, return counts and covariates.
+
+    ``covariates`` is the array of :func:`build_covariates`, which every
+    station of a run shares. :meth:`rows`, :meth:`day` and :func:`split`
+    return views of the counts and the covariates; they copy no array.
+    """
 
     station: str
     interval_minutes: int
     start: datetime
     pickups: np.ndarray
     returns: np.ndarray
-    covariates: CovariateMatrix | None = None
+    covariates: np.ndarray | None = None
 
     def __post_init__(self):
         self.pickups = np.asarray(self.pickups, dtype=np.int64)
@@ -193,14 +160,13 @@ class DemandSeries:
         return len(self) // self.intervals_per_day
 
     def rows(self, lo: int, hi: int) -> "DemandSeries":
-        cov = self.covariates.rows(lo, hi) if self.covariates is not None else None
         return DemandSeries(
             station=self.station,
             interval_minutes=self.interval_minutes,
             start=self.start + timedelta(minutes=lo * self.interval_minutes),
-            pickups=self.pickups[lo:hi].copy(),
-            returns=self.returns[lo:hi].copy(),
-            covariates=cov,
+            pickups=self.pickups[lo:hi],
+            returns=self.returns[lo:hi],
+            covariates=None if self.covariates is None else self.covariates[lo:hi],
         )
 
     def day(self, day_index: int) -> "DemandSeries":
@@ -639,8 +605,9 @@ def build_covariates(
     weather: WeatherTable,
     day_range: tuple[date, date],
     interval_minutes: int,
-) -> CovariateMatrix:
-    """Expand hourly weather plus calendar one-hots to the interval grid.
+) -> np.ndarray:
+    """Expand hourly weather plus calendar one-hots to the interval grid: one
+    float row per interval, in the column order of :func:`covariate_columns`.
 
     Sub-hourly intervals replicate their hour's measurement. Missing hours are
     forward-filled from the most recent observation; a gap at the very start
@@ -651,7 +618,6 @@ def build_covariates(
     first, last = day_range
     n_days = (last - first).days + 1
     n_slots = 1440 // interval_minutes
-    columns = covariate_columns(interval_minutes)
     rows = np.arange(max(n_days, 0) * n_slots)
     hours = (np.datetime64(first, "h") + rows * interval_minutes // 60).astype("datetime64[us]")
     # the latest observation at or before each interval's hour
@@ -659,12 +625,12 @@ def build_covariates(
     if len(rows) and (observed[0] < 0 or weather.hours[observed[0]] != hours[0]):
         raise DataError(f"no weather observation at or before {hours[0].item()}")
 
-    values = np.zeros((len(rows), len(columns)))
+    values = np.zeros((len(rows), 9 + n_slots))
     values[:, 0] = weather.temperature_c[observed]
     values[:, 1] = weather.rain_probability[observed]
     values[rows, 2 + (first.weekday() + rows // n_slots) % 7] = 1.0
     values[rows, 9 + rows % n_slots] = 1.0
-    return CovariateMatrix(values=values, columns=columns)
+    return values
 
 
 def _add_months(d: date, months: int) -> date:

@@ -415,7 +415,7 @@ def day_arrays(series: DemandSeries, targets: tuple[str, ...]) -> tuple[np.ndarr
         raise ConfigError(f"unknown target {unknown[0]!r}")
     shape = (series.n_days, series.intervals_per_day)
     counts = np.stack([getattr(series, name) for name in targets], axis=1)
-    return counts.reshape(*shape, len(targets)), series.covariates.values.reshape(*shape, -1)
+    return counts.reshape(*shape, len(targets)), series.covariates.reshape(*shape, -1)
 
 
 # -- optimization ----------------------------------------------------------
@@ -630,9 +630,9 @@ def save_checkpoint(model: NeuralModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> NeuralModel:
-    """The model :func:`save_checkpoint` wrote; a file written before the header
-    held ``train_history`` loads with an empty one. A file that is not a whole
-    checkpoint raises :class:`FormatError` naming ``path``."""
+    """The model :func:`save_checkpoint` wrote. A file that is not a whole
+    checkpoint, its header's ``train_history`` included, raises
+    :class:`FormatError` naming ``path``."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_CHECKPOINT_MAGIC))
         if magic != _CHECKPOINT_MAGIC:
@@ -652,7 +652,7 @@ def load_checkpoint(path: str) -> NeuralModel:
                 **{key: header[key] for key in ("kind", "hidden_width", "input_width",
                                                 "processes", "interval_minutes", "seed")},
                 targets=tuple(header["targets"]), params=params,
-                train_history=header.get("train_history", []))
+                train_history=header["train_history"])
         except KeyError as e:
             raise FormatError(f"{path}: the checkpoint header lacks {e}") from None
         except (struct.error, ValueError, TypeError) as e:

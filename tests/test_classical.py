@@ -7,11 +7,12 @@ import pytest
 
 from bikecast import classical
 from bikecast.errors import DataError, FormatError, TrainingError
-from bikecast.ingest import CovariateMatrix, DemandSeries, covariate_columns
+from bikecast.ingest import DemandSeries, covariate_columns
 
 
-def grid_covariates(start: date, n_days: int, temps, rains) -> CovariateMatrix:
-    """Hourly covariate rows with correct calendar one-hots."""
+def grid_covariates(start: date, n_days: int, temps, rains) -> np.ndarray:
+    """Hourly covariate rows with correct calendar one-hots, in the column
+    order of ``covariate_columns(60)``."""
     cols = covariate_columns(60)
     n = n_days * 24
     values = np.zeros((n, len(cols)))
@@ -22,7 +23,7 @@ def grid_covariates(start: date, n_days: int, temps, rains) -> CovariateMatrix:
         t = base + np.timedelta64(i, "h").astype("timedelta64[s]").item()
         values[i, 2 + t.weekday()] = 1.0
         values[i, 9 + t.hour] = 1.0
-    return CovariateMatrix(values=values, columns=cols)
+    return values
 
 
 def make_series(start: date, pickups, returns, covariates=None) -> DemandSeries:
@@ -227,8 +228,7 @@ def test_lr_permutation_invariance():
     shuffled = DemandSeries(
         station="S", interval_minutes=60, start=series.start,
         pickups=series.pickups[perm], returns=series.returns[perm],
-        covariates=CovariateMatrix(values=series.covariates.values[perm],
-                                   columns=list(series.covariates.columns)),
+        covariates=series.covariates[perm],
     )
     again = classical.fit_lr(shuffled)
     np.testing.assert_allclose(again.pickup_coef, model.pickup_coef, atol=1e-10)
@@ -239,7 +239,7 @@ def test_lr_residuals_orthogonal_to_design():
     rng = np.random.default_rng(7)
     series = lr_fixture(lambda t, r: rng.poisson(5, len(t)), seed=7)
     model = classical.fit_lr(series)
-    x = classical._design(series.covariates, model.columns)
+    x = classical._design(series.covariates, 60, model.columns)
     resid = series.pickups - x @ model.pickup_coef
     np.testing.assert_allclose(x.T @ resid, 0.0, atol=1e-8)
 

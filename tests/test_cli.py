@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, overrides, stage smoke runs."""
 
+import ast
 import csv
 import json
 import math
@@ -620,6 +621,67 @@ def test_every_function_the_bench_tracer_wraps_exists(tmp_path):
              "name, None))])")
     proc = run_python(probe, [str(REPO_ROOT / "bench" / "tracer.py")], cwd=tmp_path,
                       env={"PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def bench_names() -> set[str]:
+    """Every dotted ``bikecast`` name that a file of ``bench/`` reads: each name
+    it imports from a bikecast module, and each attribute chain it reads from
+    a name that an import bound to one."""
+    names = set()
+    for path in sorted((REPO_ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    top = alias.name.split(".")[0]
+                    if top == "bikecast":  # import bikecast.cli binds bikecast
+                        bound[alias.asname or top] = alias.name if alias.asname else top
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bikecast"):
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                    names.add(f"{node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in bound:
+                names.add(".".join([bound[node.id], *chain]))
+    return names
+
+
+def test_every_bikecast_name_the_bench_reads_exists(tmp_path):
+    # a refactor that drops a name the bench reads would otherwise show only
+    # as a failed bench run; each dotted name is followed through modules, and
+    # counts as found once it reaches an object that is not a module
+    names = bench_names()
+    assert {"bikecast.experiments.apply_bias", "bikecast.experiments.BiasSpec",
+            "bikecast.neural.load_checkpoint", "bikecast.synthetic.peaked_day",
+            "bikecast.synthetic.write_corpus", "bikecast.queueing.generator_matrix",
+            "bikecast.queueing.matrix_exponential_oracle", "bikecast.inventory.udf_curve",
+            "bikecast.synthetic.peaked_day_rates", "bikecast.cli._COMMANDS"} <= names
+    probe = """if True:
+        import importlib, sys, types
+        missing = []
+        for name in sys.argv[1:]:
+            parts = name.split(".")
+            found = importlib.import_module(parts[0])
+            for i, part in enumerate(parts[1:], 2):
+                if not isinstance(found, types.ModuleType):
+                    break
+                if not hasattr(found, part):
+                    try:
+                        importlib.import_module(".".join(parts[:i]))
+                    except ImportError:
+                        missing.append(name)
+                        break
+                found = getattr(found, part)
+        print(missing)
+    """
+    proc = run_python(probe, sorted(names), cwd=tmp_path, env={"PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -6,7 +6,7 @@ from datetime import date
 import pytest
 import yaml
 
-from bikecast.config import RunConfig, derive_seed, load_config, save_config
+from bikecast.config import RunConfig, derive_seed, load_config
 from bikecast.errors import ConfigError
 
 REQUIRED = dict(
@@ -122,15 +122,6 @@ def test_overrides_replace_only_given_values(tmp_path):
     config = load_config(str(path), {"seed": 9, "out_dir": None})
     assert config.seed == 9
     assert config.out_dir == "out"
-
-
-def test_save_then_load_preserves_config(tmp_path):
-    original = make(stations=[101], models=["ha", "ma"], learning_rate=0.02)
-    path = tmp_path / "saved.yaml"
-    save_config(original, str(path))
-    loaded = load_config(str(path))
-    assert loaded == original
-    assert loaded.hash() == original.hash()
 
 
 # -- seed derivation ---------------------------------------------------------------

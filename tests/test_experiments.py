@@ -14,6 +14,7 @@ import lane_jobs
 import numpy as np
 import pytest
 import yaml
+from test_ingest import quoted_citi_bike_file
 
 from bikecast import experiments, neural, synthetic
 from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, _exit_code_for, main
@@ -28,6 +29,7 @@ from bikecast.ingest import (
     DemandSeries,
     EventStream,
     build_covariates,
+    covariate_columns,
     events_from_csv,
     events_to_csv,
     parse_trips,
@@ -335,7 +337,7 @@ def test_neural_models_run_through_pipeline(tmp_path):
         net = neural.load_checkpoint(
             os.path.join(config.out_dir, "models", f"{checkpoint}.ckpt"))
         expected = neural.predict_rates(
-            net, test.covariates.values.reshape(len(days), test.intervals_per_day, -1),
+            net, test.covariates.reshape(len(days), test.intervals_per_day, -1),
             n_samples=config.forecast_samples,
             seed=[derive_seed(config.seed, f"forecast:7:{label}:{day}") for day in days])
         written = np.array([np.stack([r.pickup_rates, r.return_rates], axis=1)
@@ -435,9 +437,8 @@ def test_quarter_hour_run_rebuilds_the_covariates_from_the_kept_weather(tmp_path
     series = experiments.load_ingested(config)["7"].series
     expected = build_covariates(parse_weather(paths["weather"]),
                                 (date(2018, 1, 1), date(2018, 12, 31)), 15)
-    assert series.covariates.values.shape == (365 * 96, 105)
-    np.testing.assert_array_equal(series.covariates.values, expected.values)
-    assert series.covariates.columns == expected.columns
+    assert series.covariates.shape == (365 * 96, len(covariate_columns(15))) == (35040, 105)
+    np.testing.assert_array_equal(series.covariates, expected)
     forecasts = _train_and_forecast(config)
     assert sorted(forecasts) == ["7_ha.csv", "7_lr.csv"]
     days, rates = experiments.load_forecasts(config, "7", "lr", 15)
@@ -551,7 +552,7 @@ def _read_only(data: dict) -> dict:
     array in it made read-only, so that a stage that writes to one fails."""
     for station in data.values():
         series = station.series
-        for array in (series.pickups, series.returns, series.covariates.values):
+        for array in (series.pickups, series.returns, series.covariates):
             array.flags.writeable = False
     return data
 
@@ -893,8 +894,18 @@ RANGE_FILES = {
     "quoted-commas": "\n".join(trip_lines(
         40, lambda i: (f'"{i % 4}, east"', f'"{i % 3}, west"'))) + "\n",
     "reordered-columns": "\n".join(_reordered(trip_lines(40))) + "\n",
+    # the layout Citi Bike publishes: every field quoted, the header included
+    "fully-quoted": quoted_citi_bike_file("\n".join(trip_lines(40))),
+    # of a repeated column the last is read, and the sentinel must fill every field
+    "repeated-column": "\n".join([trip_lines(0)[0] + ",start station id"] + [
+        f"{line},{900 + i % 3}" for i, line in enumerate(trip_lines(40)[1:])]) + "\n",
     "no-final-newline": "\n".join(trip_lines(40)),
     "header-only": trip_lines(0)[0] + "\n",
+    # a header whose quoted last name holds a line break: its first line alone
+    # does not balance its quotes
+    "header-with-a-quoted-line-break": "\n".join(
+        [trip_lines(0)[0] + ',"bike\nid"'] + [f"{line},{i}" for i, line in
+                                               enumerate(trip_lines(40)[1:])]) + "\n",
     "straddling-quoted-field": "\n".join(trip_lines(
         40, lambda i: (_LONG_FIELD if i == 20 else str(i), "101"))) + "\n",
     # a quoted end station whose lines read as trip rows on their own: both
@@ -919,7 +930,9 @@ def test_trip_ranges_read_as_the_serial_parse(small_ranges, tmp_path, name):
     assert_same_table(got, parse_trips(str(path)))
     # a file without a line feed after its header has one range, and a cut
     # inside the quoted field sends the file to one serial parse
-    assert (True in small_ranges) == (name in ("bare-cr", "header-only") or "straddling" in name)
+    assert (True in small_ranges) == (name in ("bare-cr", "header-only",
+                                               "header-with-a-quoted-line-break")
+                                      or "straddling" in name)
 
 
 def test_trip_ranges_keep_the_quoted_line_breaks_they_do_not_cut(small_ranges, tmp_path):

@@ -18,7 +18,6 @@ from bikecast.ingest import (
     PICKUP,
     RETURN,
     VALID_INTERVALS,
-    CovariateMatrix,
     DemandSeries,
     EventStream,
     WeatherTable,
@@ -382,8 +381,7 @@ def test_covariate_columns_layout():
 
 def test_build_covariates_one_hots_sum_to_one():
     table = weather_for_days(date(2018, 6, 1), 2)
-    cov = build_covariates(table, (date(2018, 6, 1), date(2018, 6, 2)), 30)
-    values = cov.values
+    values = build_covariates(table, (date(2018, 6, 1), date(2018, 6, 2)), 30)
     assert values.shape == (2 * 48, 2 + 7 + 48)
     np.testing.assert_allclose(values[:, 2:9].sum(axis=1), 1.0)
     np.testing.assert_allclose(values[:, 9:].sum(axis=1), 1.0)
@@ -395,7 +393,7 @@ def test_build_covariates_forward_fills_gaps():
     obs = hourly_observations(date(2018, 6, 1), 1, temp=20.0)
     del obs[datetime(2018, 6, 1, 5)]
     cov = build_covariates(weather_table(obs), (date(2018, 6, 1), date(2018, 6, 1)), 60)
-    assert cov.values[5, 0] == 20.0  # filled from hour 4
+    assert cov[5, 0] == 20.0  # filled from hour 4
 
 
 def test_build_covariates_leading_gap_is_an_error():
@@ -408,7 +406,7 @@ def test_build_covariates_leading_gap_is_an_error():
 def test_sub_hourly_intervals_replicate_hourly_weather():
     table = weather_for_days(date(2018, 6, 1), 1, temp=17.5)
     cov = build_covariates(table, (date(2018, 6, 1), date(2018, 6, 1)), 15)
-    assert np.all(cov.values[0:4, 0] == 17.5)
+    assert np.all(cov[0:4, 0] == 17.5)
 
 
 def test_attach_covariates_validates_length():
@@ -443,6 +441,24 @@ def test_split_needs_month_aligned_year():
     )
     with pytest.raises(ConfigError):
         split(short)
+
+
+def test_split_and_day_slice_the_series_without_copying():
+    # every station of a run shares one covariate array, so a slice that
+    # copied it would cost a matrix per station and split
+    first = date(2018, 1, 1)
+    series = DemandSeries(
+        station="A", interval_minutes=60, start=datetime(2018, 1, 1),
+        pickups=np.arange(365 * 24, dtype=np.int64), returns=np.ones(365 * 24, dtype=np.int64),
+        covariates=build_covariates(weather_for_days(first, 365), (first, date(2018, 12, 31)), 60),
+    )
+    parts = split(series)
+    for part in (parts.train, parts.validation, parts.test, series.day(0), series.day(364),
+                 parts.test.day(3)):
+        for name in ("pickups", "returns", "covariates"):
+            assert np.shares_memory(getattr(part, name), getattr(series, name)), name
+    np.testing.assert_array_equal(series.day(31).covariates, series.covariates[31 * 24:32 * 24])
+    np.testing.assert_array_equal(parts.test.day(3).pickups, series.pickups[(304 + 3) * 24:][:24])
 
 
 def test_split_rejects_mid_month_start():
@@ -532,17 +548,6 @@ def test_weather_csv_roundtrip_is_exact(temperature, rain):
     assert observations(back) == observations(table)
     assert list(observations(back)) == sorted(observations(table))
     assert str(observations(back)[datetime(2018, 6, 1, 0)][0]) == str(temperature)
-
-
-def test_covariate_matrix_rejects_bad_one_hots():
-    cols = covariate_columns(60)
-    values = np.zeros((24, len(cols)))
-    values[:, 0] = 10.0
-    values[:, 1] = 0.0
-    values[:, 2] = 1.0  # dow block ok
-    # tod block left all-zero -> invalid
-    with pytest.raises(DataError):
-        CovariateMatrix(values=values, columns=cols)
 
 
 # -- the column parsers against the row-by-row rules ----------------------------------
@@ -767,8 +772,8 @@ def test_build_covariates_matches_the_per_interval_loop(interval):
         del obs[datetime(2018, 3, 10) + timedelta(hours=hour)]
     day_range = (date(2018, 3, 10), date(2018, 3, 13))
     cov = build_covariates(weather_table(obs), day_range, interval)
-    assert cov.columns == covariate_columns(interval)
-    np.testing.assert_array_equal(cov.values, reference_covariates(obs, day_range, interval))
+    assert isinstance(cov, np.ndarray) and cov.shape[1] == len(covariate_columns(interval))
+    np.testing.assert_array_equal(cov, reference_covariates(obs, day_range, interval))
 
     del obs[datetime(2018, 3, 10)]
     with pytest.raises(DataError, match="2018-03-10 00:00:00") as err:

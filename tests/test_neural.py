@@ -46,7 +46,7 @@ def tiny_model(kind="vprnn", hidden=4, input_width=3, processes=1, seed=0):
 
 
 def first_day_covariates(split):
-    return split.test.day(0).covariates.values
+    return split.test.day(0).covariates
 
 
 def test_init_params_layout():
@@ -476,24 +476,6 @@ def test_a_checkpoint_with_count_statistics_forecasts_the_same(tmp_path):
                                   neural.predict_rates(new, covs, n_samples=10, seed=1))
 
 
-def test_checkpoint_without_history_loads_with_an_empty_one(tmp_path):
-    # a file written before the header held the history
-    model = tiny_model()
-    model.train_history = [3.5, 2.25]
-    path = tmp_path / "model.ckpt"
-    neural.save_checkpoint(model, str(path))
-    raw = path.read_bytes()
-    (length,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16:16 + length])
-    assert header.pop("train_history") == [3.5, 2.25]
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length:])
-    loaded = neural.load_checkpoint(str(path))
-    assert loaded.train_history == []
-    for key in model.params:
-        np.testing.assert_array_equal(loaded.params[key], model.params[key])
-
-
 def test_checkpoint_rejects_corrupt_files(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
@@ -507,15 +489,19 @@ def test_checkpoint_rejects_corrupt_files(tmp_path):
     bad2.write_bytes(truncated)
     with pytest.raises(FormatError):
         neural.load_checkpoint(str(bad2))
-    # cut inside the 8-byte header length, and a header without its kind
+    # cut inside the 8-byte header length, a header without its kind, and one
+    # without the training history that every checkpoint's header holds
     blob = good.read_bytes()
     (length,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16:16 + length])
-    del header["kind"]
-    text = json.dumps(header).encode()
-    for name, damaged in (("cut.ckpt", blob[:12]),
-                          ("kindless.ckpt", blob[:8] + struct.pack("<Q", len(text)) + text
-                           + blob[16 + length:])):
+
+    def without(key: str) -> bytes:
+        header = json.loads(blob[16:16 + length])
+        del header[key]
+        text = json.dumps(header).encode()
+        return blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + length:]
+
+    for name, damaged in (("cut.ckpt", blob[:12]), ("kindless.ckpt", without("kind")),
+                          ("historyless.ckpt", without("train_history"))):
         bad = tmp_path / name
         bad.write_bytes(damaged)
         with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: "):

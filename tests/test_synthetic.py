@@ -128,7 +128,7 @@ def test_sinusoidal_covariates_follow_calendar():
     cov = split.train.covariates
     assert cov is not None
     # 2018-01-01 is a Monday; day 3 rows carry dow_3
-    row = cov.values[3 * 24 + 5]
+    row = cov[3 * 24 + 5]
     assert row[2 + 3] == 1.0
     assert row[9 + 5] == 1.0
     assert row[1] == 0.0  # dry benchmark
