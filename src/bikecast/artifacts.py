@@ -9,7 +9,7 @@ kind, and names the file in every error it raises.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -35,13 +35,6 @@ KINDS = {
     "decisions": ("optimize", "decisions/{sid}.csv"),
     "report": (None, "reports/{name}"),
 }
-
-
-@dataclass
-class StationData:
-    station: str
-    capacity: int
-    series: DemandSeries
 
 
 def path(config: RunConfig, kind: str, sid: str = "", name: str = "") -> str:
@@ -96,10 +89,12 @@ def _rows(file: str, header: str, *types):
 
 
 def parse_capacities(file: str) -> dict[str, int]:
-    """The selected stations and their capacities; a station listed twice
-    raises :class:`RowError`."""
+    """The selected stations and their capacities; a capacity below 1 or a
+    station listed twice raises :class:`RowError`."""
     capacities: dict[str, int] = {}
     for n, (sid, capacity) in _rows(file, "station_id,capacity", str, int):
+        if capacity <= 0:
+            raise RowError(n, f"capacity must be positive, got {capacity}")
         if sid in capacities:
             raise RowError(n, f"station {sid} is listed twice")
         capacities[sid] = capacity
@@ -112,19 +107,16 @@ def _weather(file: str):
         return parse_weather("\n" if line.startswith("#") else line for line in fh)
 
 
-def load_ingested(config: RunConfig) -> dict[str, StationData]:
-    """Read back the ``demand/`` files of stage_ingest; the covariates are not
-    stored but rebuilt from ``demand/weather.csv``, once, into the one array
-    that every station's series shares."""
-    capacities = read(config, "stations", parse_capacities)
+def load_ingested(config: RunConfig) -> dict[str, DemandSeries]:
+    """Each selected station's series, read back from the ``demand/`` files of
+    stage_ingest; the covariates are not stored but rebuilt from
+    ``demand/weather.csv``, once, into the one array that every series shares."""
+    stations = read(config, "stations", parse_capacities)
     covariates = build_covariates(read(config, "weather", _weather),
                                   (config.start_date, config.end_date), config.interval_minutes)
-    data: dict[str, StationData] = {}
-    for sid, capacity in capacities.items():
-        series = read(config, "demand", demand_from_csv, sid, config.interval_minutes, sid=sid)
-        data[sid] = StationData(station=sid, capacity=capacity,
-                                series=replace(series, covariates=covariates))
-    return data
+    return {sid: replace(read(config, "demand", demand_from_csv, sid, config.interval_minutes,
+                              sid=sid), covariates=covariates)
+            for sid in stations}
 
 
 def parse_model(file: str, model_type: type, interval_minutes: int):
@@ -173,6 +165,9 @@ def _forecasts(file: str, interval_minutes: int) -> tuple[list[date], list[RateS
             raise RowError(n, f"slot {slot} of {day} out of order: expected slot "
                               f"{len(day_rows)} of 0 to {slots - 1} "
                               f"({interval_minutes} minutes)")
+        for column, rate in (("pickup_rate", p), ("return_rate", r)):
+            if not 0 <= rate < np.inf:
+                raise RowError(n, f"{column} {rate:g} outside [0, inf)")
         day_rows.append((p, r))
         last_line[day] = n
     short = [day for day in by_day if len(by_day[day]) < slots]
@@ -187,24 +182,28 @@ def _forecasts(file: str, interval_minutes: int) -> tuple[list[date], list[RateS
                   for d in days]
 
 
-def load_forecasts(config: RunConfig, sid: str, name: str,
-                   interval_minutes: int) -> tuple[list[date], list[RateSeries]]:
+def load_forecasts(config: RunConfig, sid: str, name: str) -> tuple[list[date], list[RateSeries]]:
     """Each day's forecast, as stage_forecast wrote it, in date order.
 
     The rows of each day must number its slots 0 to n - 1 in order, n being
-    the intervals of ``interval_minutes`` in a day. A row that breaks this or
-    does not parse raises :class:`RowError` with the path and its line; a day
-    that ends early, at its last row.
+    the intervals of the config's ``interval_minutes`` in a day, and hold
+    finite rates >= 0. A row that breaks this or does not parse raises
+    :class:`RowError` with the path and its line; a day that ends early, at
+    its last row.
     """
-    return read(config, "forecast", _forecasts, interval_minutes, sid=sid, name=name)
+    return read(config, "forecast", _forecasts, config.interval_minutes, sid=sid, name=name)
 
 
-def parse_decisions(file: str, names: list[str], days: list[date]) -> dict[str, list[int]]:
-    """Each of the models ``names``' s* per day of ``days``; a repeated (date,
-    model) raises :class:`RowError`, and a missing one :class:`DataError`."""
+def parse_decisions(file: str, names: list[str], days: list[date],
+                    capacity: int) -> dict[str, list[int]]:
+    """Each of the models ``names``' s* per day of ``days``; an s* outside
+    [0, ``capacity``] or a repeated (date, model) raises :class:`RowError`,
+    and a missing one :class:`DataError`."""
     s_star: dict[tuple[date, str], int] = {}
     for n, (day, name, s, _) in _rows(file, "date,model,s_star,expected_cost",
                                       date.fromisoformat, str, int, float):
+        if not 0 <= s <= capacity:
+            raise RowError(n, f"s_star {s} outside [0, {capacity}]")
         if (day, name) in s_star:
             raise RowError(n, f"a second decision for {name} on {day}")
         s_star[day, name] = s

@@ -8,11 +8,12 @@ and tracks how the inventory decision and its replayed cost move.
 fitted, kept and read back, and how it forecasts. The stages loop over it.
 
 The pipeline is a chain of stages (ingest, train, forecast, optimize,
-evaluate, bias) that communicate through files under the run's output
-directory, written and read through :mod:`.artifacts`. Each stage can run on
-its own provided its upstream artifacts exist, and then reads them itself.
-``run_pipeline`` runs them all in order and reads the ``demand/`` files
-once, after ingest writes them, for the three stages that need them.
+evaluate, bias) that return nothing: their files under the run's output
+directory, written and read through :mod:`.artifacts`, are their only output.
+Each stage can run on its own provided its upstream artifacts exist, and then
+reads them itself. ``run_pipeline`` runs them all in order and reads the
+``demand/`` files once, after ingest writes them, for the three stages that
+need them.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ import os
 import sys
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
 
 import numpy as np
 
 from . import classical, neural
 from .artifacts import (
-    StationData,
     load_forecasts,
     load_ingested,
     parse_capacities,
@@ -44,8 +44,6 @@ from .artifacts import (
 from .config import RunConfig, derive_seed
 from .errors import BikecastError, DataError, StageError, TrainingError
 from .evaluate import (
-    BenchmarkResult,
-    DecisionSummary,
     benchmark,
     cumulative_error,
     point_metrics,
@@ -133,7 +131,8 @@ def apply_bias(rates: RateSeries, spec: BiasSpec) -> RateSeries:
 
 
 def default_delta_grid(delta_max: float = 25.0, step: float = 0.5) -> np.ndarray:
-    n = int(round(delta_max / step))
+    """The multiples of ``step`` from 0 to ``delta_max``, up to rounding error."""
+    n = int(np.floor(delta_max / step + 1e-9))
     return np.arange(n + 1) * step
 
 
@@ -177,16 +176,6 @@ def bias_study(day_counts: DemandSeries, events: EventStream, capacity: int,
 
 
 # -- pipeline stages ----------------------------------------------------------
-
-
-@dataclass
-class PipelineResult:
-    out_dir: str
-    overall: list[DecisionSummary]
-    per_station: dict[str, BenchmarkResult]
-    metrics_rows: list[dict]
-    bias: BiasStudyResult
-    artifacts: list[str] = field(default_factory=list)
 
 
 @contextmanager
@@ -306,13 +295,13 @@ def _require_input(path: str) -> str:
 # -- the forecasters ----------------------------------------------------------
 
 
-def _from_nets(model, config, station, test, days) -> list[RateSeries]:
+def _from_nets(model, config, series, test, days) -> list[RateSeries]:
     """One :func:`neural.predict_rates` call per net over all test days, one
     seed per day; the nets' process columns side by side give (days, steps, 2)."""
     covariates = test.covariates.reshape(len(days), test.intervals_per_day, -1)
     stacked = np.concatenate([
         neural.predict_rates(net, covariates, n_samples=config.forecast_samples,
-                             seed=[derive_seed(config.seed, f"forecast:{station.station}:"
+                             seed=[derive_seed(config.seed, f"forecast:{series.station}:"
                                                             f"{label}:{day}") for day in days])
         for label, net in model.items()], axis=2)
     return [RateSeries(interval_minutes=config.interval_minutes,
@@ -324,13 +313,13 @@ def _from_nets(model, config, station, test, days) -> list[RateSeries]:
 class Forecaster:
     """What sets one forecaster apart: how it is fitted, kept and forecasts.
 
-    ``forecast(model, config=, station=, test=, days=)`` gives each test
-    day's :class:`RateSeries`. With ``nets``, the model is one net per
-    ``(label, targets)``, by label: trained in a lane, seeded by its label and
-    kept in a checkpoint; nets of a lower ``train_order`` start first. With a
-    ``fitted`` type, ``classical.fit_<name>`` fits it on the train split, and
-    its JSON file must hold that type. With neither, it is fitted per
-    forecast day, keeps no file, and its model is None.
+    ``forecast(model, config=, series=, test=, days=)`` gives each day's
+    :class:`RateSeries` of ``test``, the test split of ``series``. With
+    ``nets``, the model is one net per ``(label, targets)``, by label: trained
+    in a lane, seeded by its label and kept in a checkpoint; nets of a lower
+    ``train_order`` start first. With a ``fitted`` type, ``classical.fit_<name>``
+    fits it on the train split, and its JSON file must hold that type. With
+    neither, it is fitted per forecast day, keeps no file, and its model is None.
     """
 
     forecast: Callable
@@ -361,8 +350,8 @@ class Forecaster:
 FORECASTERS = {
     "ha": Forecaster(lambda model, days, **_: [model.predict_day(day) for day in days],
                      fitted=classical.SeasonalProfile),
-    "ma": Forecaster(lambda model, config, station, days, **_: [
-        classical.fit_ma(station.series, day, window_days=config.ma_window_days)
+    "ma": Forecaster(lambda model, config, series, days, **_: [
+        classical.fit_ma(series, day, window_days=config.ma_window_days)
         .predict_day(day) for day in days]),
     "lr": Forecaster(lambda model, config, test, days, **_: [
         model.predict_day(test.day(i).covariates, config.interval_minutes)
@@ -480,9 +469,8 @@ def _solve(problems: list[tuple[RateSeries, int, PenaltyConfig]]) -> list[UdfCur
     return [solved[key] for key in keys]
 
 
-def stage_train(config: RunConfig,
-                data: dict[str, StationData] | None = None) -> dict[str, dict]:
-    """Fit every configured model per station and write model artifacts.
+def stage_train(config: RunConfig, data: dict[str, DemandSeries] | None = None) -> None:
+    """Fit every configured model per station and write its files under ``models/``.
 
     One job is one net of one station. The jobs train over the lanes of
     :func:`_in_lanes`, by ``train_order``; each net has its own seed, so its
@@ -495,7 +483,7 @@ def stage_train(config: RunConfig,
         data = load_ingested(config) if data is None else data
         train_cfg = neural.TrainConfig(**{f.name: getattr(config, f.name)
                                           for f in fields(neural.TrainConfig)})
-        parts = {sid: split(data[sid].series) for sid in sorted(data)}
+        parts = {sid: split(data[sid]) for sid in sorted(data)}
         jobs = sorted(((sid, name, label, targets) for sid in parts
                        for name in sorted(config.models)
                        for label, targets in FORECASTERS[name].nets),
@@ -504,9 +492,7 @@ def stage_train(config: RunConfig,
             (name, parts[sid], train_cfg, derive_seed(config.seed, f"train:{sid}:{label}"),
              targets) for sid, name, label, targets in jobs])
         nets = {(sid, label): net for (sid, _, label, _), net in zip(jobs, trained)}
-        fitted: dict[str, dict] = {}
         for sid in parts:
-            fitted[sid] = {}
             for name in sorted(config.models):
                 entry = FORECASTERS[name]
                 if entry.nets:
@@ -516,13 +502,11 @@ def stage_train(config: RunConfig,
                 else:
                     continue
                 entry.save(model, config, sid, name)
-                fitted[sid][name] = model
-        return fitted
 
 
 def load_models(config: RunConfig, stations: list[str]) -> dict[str, dict]:
-    """Read back what stage_train wrote, each model as it returned it; a model
-    fitted per forecast day is None."""
+    """Read back each model as stage_train saved it: a classical model, the
+    nets by label, or None for a model fitted per forecast day."""
     return {sid: {name: FORECASTERS[name].load(config, sid, name)
                   for name in sorted(config.models)} for sid in stations}
 
@@ -542,8 +526,7 @@ def _rate_series_csv(days: list[date], series_list: list[RateSeries]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def stage_forecast(config: RunConfig, data: dict[str, StationData] | None = None
-                   ) -> dict[str, dict[str, list[RateSeries]]]:
+def stage_forecast(config: RunConfig, data: dict[str, DemandSeries] | None = None) -> None:
     """Predict every test day with every model; one CSV per station and model.
 
     ``data`` is what :func:`load_ingested` returns, read here when not given;
@@ -551,20 +534,16 @@ def stage_forecast(config: RunConfig, data: dict[str, StationData] | None = None
     with _stage("forecast"):
         data = load_ingested(config) if data is None else data
         fitted = load_models(config, sorted(data))
-        predictions: dict[str, dict[str, list[RateSeries]]] = {}
         for sid in sorted(data):
-            test, days = _test_days(data[sid].series)
-            predictions[sid] = {}
+            test, days = _test_days(data[sid])
             for name in sorted(config.models):
                 rates = FORECASTERS[name].forecast(fitted[sid][name], config=config,
-                                                   station=data[sid], test=test, days=days)
-                predictions[sid][name] = rates
+                                                   series=data[sid], test=test, days=days)
                 write(config, "forecast", _rate_series_csv(days, rates), sid, name)
-        return predictions
 
 
-def stage_optimize(config: RunConfig) -> dict[str, dict[str, list[int]]]:
-    """Turn every forecast into a starting-inventory decision.
+def stage_optimize(config: RunConfig) -> None:
+    """Decide each forecast day's starting inventory, into ``decisions/<sid>.csv``.
 
     The curves are solved in one batch over the lanes (:func:`_solve`). A
     forecast that repeats another, with the same capacity and penalties,
@@ -573,94 +552,82 @@ def stage_optimize(config: RunConfig) -> dict[str, dict[str, list[int]]]:
     with _stage("optimize"):
         capacities = read(config, "stations", parse_capacities)
         penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
-        forecasts = {(sid, name): load_forecasts(config, sid, name, config.interval_minutes)
+        forecasts = {(sid, name): load_forecasts(config, sid, name)
                      for sid in sorted(capacities) for name in sorted(config.models)}
         curves = iter(_solve([(rates, capacities[sid], penalties)
                               for (sid, _), (_, series_list) in forecasts.items()
                               for rates in series_list]))
-        decisions: dict[str, dict[str, list[int]]] = {}
         for sid in sorted(capacities):
-            decisions[sid] = {}
             lines = ["date,model,s_star,expected_cost"]
             for name in sorted(config.models):
-                days, _ = forecasts[sid, name]
-                picks = []
-                for day in days:
+                for day in forecasts[sid, name][0]:
                     curve = next(curves)
-                    picks.append(curve.s_star)
                     lines.append(f"{day.isoformat()},{name},{curve.s_star},"
                                  f"{curve.values[curve.s_star]:.12g}")
-                decisions[sid][name] = picks
             write(config, "decisions", "\n".join(lines) + "\n", sid)
-        return decisions
 
 
-def stage_evaluate(config: RunConfig, data: dict[str, StationData] | None = None
-                   ) -> tuple[list[DecisionSummary], dict[str, BenchmarkResult], list[dict]]:
-    """Score every model's decisions and forecasts against replayed reality.
+def stage_evaluate(config: RunConfig, data: dict[str, DemandSeries] | None = None) -> None:
+    """Score every model's decisions and forecasts against replayed reality,
+    into ``reports/metrics.csv`` and ``reports/summary.csv``.
 
     The decisions are the s* that stage_optimize wrote per station; they are
-    replayed, not solved again. The perfect-information oracle's s* of every
-    station-day is solved here, in one batch over the lanes of
-    :func:`_in_lanes`, and replayed likewise. The forecasts give CE and the
-    point metrics. The replayed events are the test days' that stage_ingest
-    kept per station; the trip file itself is not read again. ``data`` is
-    what :func:`load_ingested` returns, read here when not given; the stage
-    does not write to it.
+    replayed at the capacities of ``demand/stations_selected.csv``, not
+    solved again. The perfect-information oracle's s* of every station-day is
+    solved here, in one batch over the lanes of :func:`_in_lanes`, and
+    replayed likewise. The forecasts give CE and the point metrics. The
+    replayed events are the test days' that stage_ingest kept per station;
+    the trip file itself is not read again. ``data`` is what
+    :func:`load_ingested` returns, read here when not given; the stage does
+    not write to it.
     """
     with _stage("evaluate"):
         data = load_ingested(config) if data is None else data
+        capacities = read(config, "stations", parse_capacities)
         penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
 
+        rows: list[dict] = []
         inputs, oracle_jobs = {}, []
         for sid in sorted(data):
-            test, days = _test_days(data[sid].series)
+            test, days = _test_days(data[sid])
             predictions = {}
             for name in sorted(config.models):
-                fdays, predictions[name] = load_forecasts(config, sid, name,
-                                                          config.interval_minutes)
+                fdays, predictions[name] = load_forecasts(config, sid, name)
                 if fdays != days:
                     raise DataError(f"forecast days for {sid}/{name} do not match the "
                                     f"test split")
-            decisions = read(config, "decisions", parse_decisions, sorted(predictions), days,
-                             sid=sid)
-            day_counts = [test.day(i) for i in range(test.n_days)]
-            events = read(config, "events", events_from_csv, sid, sid=sid)
-            inputs[sid] = (test, predictions, decisions, day_counts,
-                           [events.slice_day(d) for d in days])
-            oracle_jobs += [(counts, data[sid].capacity, penalties) for counts in day_counts]
-        oracle = iter(_in_lanes(oracle_decision, oracle_jobs))
-
-        metrics_rows: list[dict] = []
-        per_station: dict[str, BenchmarkResult] = {}
-        costs: dict[str, list[float]] = {"oracle": []}
-        ces: dict[str, list[float]] = {}
-        for sid, (test, predictions, decisions, day_counts, day_events) in inputs.items():
-            decisions["oracle"] = [next(oracle).s_star for _ in day_counts]
-            per_station[sid] = benchmark(predictions, decisions, day_events, day_counts,
-                                         data[sid].capacity, penalties)
-            for summary in per_station[sid].summaries:
-                costs.setdefault(summary.model, []).append(summary.mean_cost)
-                ces.setdefault(summary.model, []).append(summary.mean_ce)
-            for name in sorted(config.models):
                 for proc, column in (("pickups", "pickup_rates"), ("returns", "return_rates")):
                     rep = point_metrics(getattr(test, proc), np.concatenate(
                         [getattr(rates, column) for rates in predictions[name]]))
-                    metrics_rows += [{"station": sid, "date": "test", "model": name,
-                                      "metric": f"{metric}_{proc}",
-                                      "value": float(getattr(rep, metric))}
-                                     for metric in ("rmse", "mae", "r_squared")
-                                     if getattr(rep, metric) is not None]
+                    rows += [{"station": sid, "date": "test", "model": name,
+                              "metric": f"{metric}_{proc}", "value": float(getattr(rep, metric))}
+                             for metric in ("rmse", "mae", "r_squared")
+                             if getattr(rep, metric) is not None]
+            decisions = read(config, "decisions", parse_decisions, sorted(predictions), days,
+                             capacities[sid], sid=sid)
+            day_counts = [test.day(i) for i in range(test.n_days)]
+            events = read(config, "events", events_from_csv, sid, sid=sid)
+            inputs[sid] = (predictions, decisions, day_counts,
+                           [events.slice_day(d) for d in days])
+            oracle_jobs += [(counts, capacities[sid], penalties) for counts in day_counts]
+        oracle = iter(_in_lanes(oracle_decision, oracle_jobs))
 
-        overall = summarize(costs, ces)
-        all_rows = [row for result in per_station.values() for row in result.rows]
-        write(config, "report", rows_to_csv(metrics_rows + all_rows), name="metrics.csv")
-        write(config, "report", summaries_to_csv(overall), name="summary.csv")
-        return overall, per_station, metrics_rows
+        costs: dict[str, list[float]] = {"oracle": []}
+        ces: dict[str, list[float]] = {}
+        for sid, (predictions, decisions, day_counts, day_events) in inputs.items():
+            decisions["oracle"] = [next(oracle).s_star for _ in day_counts]
+            result = benchmark(predictions, decisions, day_events, day_counts,
+                               capacities[sid], penalties)
+            rows += result.rows
+            for summary in result.summaries:
+                costs.setdefault(summary.model, []).append(summary.mean_cost)
+                ces.setdefault(summary.model, []).append(summary.mean_ce)
+        write(config, "report", rows_to_csv(rows), name="metrics.csv")
+        write(config, "report", summaries_to_csv(summarize(costs, ces)), name="summary.csv")
 
 
-def stage_bias(config: RunConfig) -> BiasStudyResult:
-    """Bias study on the bundled peaked synthetic day."""
+def stage_bias(config: RunConfig) -> None:
+    """Bias study on the bundled peaked synthetic day, into ``reports/bias_curves.csv``."""
     with _stage("bias"):
         penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
         day_counts, day_events = peaked_day(seed=config.bias_seed,
@@ -669,10 +636,9 @@ def stage_bias(config: RunConfig) -> BiasStudyResult:
                            default_delta_grid(config.bias_delta_max,
                                               config.bias_delta_step))
         write(config, "report", study.to_csv(), name="bias_curves.csv")
-        return study
 
 
-def run_pipeline(config: RunConfig) -> PipelineResult:
+def run_pipeline(config: RunConfig) -> None:
     """Run every stage in order; deterministic given config and seed.
 
     The ``demand/`` files are read once, after stage_ingest writes them, and
@@ -685,10 +651,5 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     stage_train(config, data)
     stage_forecast(config, data)
     stage_optimize(config)
-    overall, per_station, metrics_rows = stage_evaluate(config, data)
-    study = stage_bias(config)
-    artifacts = sorted(os.path.join(root, name)
-                       for root, _dirs, files in os.walk(config.out_dir) for name in files)
-    return PipelineResult(out_dir=config.out_dir, overall=overall,
-                          per_station=per_station, metrics_rows=metrics_rows,
-                          bias=study, artifacts=artifacts)
+    stage_evaluate(config, data)
+    stage_bias(config)

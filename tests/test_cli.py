@@ -251,7 +251,8 @@ def test_demand_rows_out_of_order_exit_data_with_their_line(tmp_path, capsys, co
 
 
 @pytest.mark.parametrize("damage", ["missing", "repeated", "reordered", "short-last-day",
-                                    "read-at-15-minutes", "garbled"])
+                                    "read-at-15-minutes", "garbled", "negative-rate",
+                                    "nan-rate"])
 def test_forecast_slots_out_of_order_exit_data_with_their_line(tmp_path, capsys, corpus,
                                                                 damage):
     out = tmp_path / "out"
@@ -276,6 +277,12 @@ def test_forecast_slots_out_of_order_exit_data_with_their_line(tmp_path, capsys,
         lines[at] = "2018-11-07,5,abc,1"
         line = at + 1
         reason = "expected date,slot,pickup_rate,return_rate, got '2018-11-07,5,abc,1'"
+    elif damage == "negative-rate":
+        lines[at] = "2018-11-07,5,-1,1"
+        line, reason = at + 1, "pickup_rate -1 outside [0, inf)"
+    elif damage == "nan-rate":
+        lines[at] = "2018-11-07,5,1,nan"
+        line, reason = at + 1, "return_rate nan outside [0, inf)"
     elif damage == "short-last-day":
         lines.pop()
         line, reason = len(lines), "2018-12-31 ends at slot 22 of 0 to 23"
@@ -302,7 +309,8 @@ def optimized_run(tmp_path_factory, corpus):
 
 @pytest.mark.parametrize("file, damage", [
     ("decisions", "short-row"), ("decisions", "bad-s-star"), ("decisions", "repeated"),
-    ("stations", "bad-capacity"), ("stations", "repeated"),
+    ("decisions", "s-star-above-capacity"), ("stations", "bad-capacity"),
+    ("stations", "repeated"), ("stations", "zero-capacity"),
 ])
 def test_damaged_decision_and_station_rows_exit_data_with_their_line(
         tmp_path, capsys, optimized_run, file, damage):
@@ -321,6 +329,9 @@ def test_damaged_decision_and_station_rows_exit_data_with_their_line(
         elif damage == "bad-s-star":
             lines[at] = f"2018-11-08,ha,x,{cost}"
             reason = f"expected date,model,s_star,expected_cost, got '2018-11-08,ha,x,{cost}'"
+        elif damage == "s-star-above-capacity":
+            lines[at] = f"2018-11-08,ha,99,{cost}"
+            reason = "s_star 99 outside [0, 20]"
         else:
             lines.insert(at + 1, f"{day},{name},{int(s_star) + 9},{cost}")
             at += 1
@@ -331,6 +342,10 @@ def test_damaged_decision_and_station_rows_exit_data_with_their_line(
             at = lines.index("7,20")
             lines[at] = "7,abc"
             reason = "expected station_id,capacity, got '7,abc'"
+        elif damage == "zero-capacity":
+            at = lines.index("7,20")
+            lines[at] = "7,0"
+            reason = "capacity must be positive, got 0"
         else:
             lines.append("7,20")
             at = len(lines) - 1
@@ -684,6 +699,26 @@ def test_every_bikecast_name_the_bench_reads_exists(tmp_path):
     proc = run_python(probe, sorted(names), cwd=tmp_path, env={"PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a top-level import that the module neither loads nor lists in __all__
+    # is left over from code that moved or went
+    unused = []
+    for path in sorted((REPO_ROOT / "src" / "bikecast").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                unused += [f"{path.name}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,

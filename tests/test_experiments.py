@@ -84,6 +84,14 @@ def test_default_delta_grid_covers_range():
     assert len(grid) == 51
     assert grid[0] == 0.0 and grid[-1] == 25.0
     assert np.allclose(np.diff(grid), 0.5)
+    # a step that does not divide the range stops short of its end, not past it
+    for step, n, last in ((0.6, 42, 24.6), (0.7, 36, 24.5), (0.3, 84, 24.9)):
+        grid = experiments.default_delta_grid(25.0, step)
+        assert len(grid) == n and grid[-1] == pytest.approx(last)
+    # a quotient a rounding error short of a whole number still reaches the end
+    for delta_max, step, n in ((2.5, 0.1, 26), (0.3, 0.1, 4), (25.0, 2.5, 11)):
+        grid = experiments.default_delta_grid(delta_max, step)
+        assert len(grid) == n and grid[-1] == pytest.approx(delta_max)
 
 
 # -- bias study on a small day ---------------------------------------------------
@@ -183,8 +191,14 @@ def pipeline_run(tmp_path_factory):
         stations=["7", "8"], models=["ha", "ma", "lr"],
         bias_delta_max=4.0, bias_delta_step=2.0,
     )
-    result = experiments.run_pipeline(config)
-    return config, result
+    experiments.run_pipeline(config)
+    return config
+
+
+def _kept_rows(path) -> list[list[str]]:
+    """The fields of each row of a kept CSV after its column header."""
+    lines = [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
+    return [ln.split(",") for ln in lines[1:]]
 
 
 def test_the_registry_holds_each_default_model_once():
@@ -192,8 +206,8 @@ def test_the_registry_holds_each_default_model_once():
 
 
 def test_pipeline_writes_expected_artifacts(pipeline_run):
-    config, result = pipeline_run
-    rel = sorted(os.path.relpath(p, config.out_dir) for p in result.artifacts)
+    config = pipeline_run
+    rel = sorted(_run_files(config.out_dir))
     for expected in (
         "decisions/7.csv",
         "decisions/8.csv",
@@ -214,15 +228,14 @@ def test_pipeline_writes_expected_artifacts(pipeline_run):
 
 
 def test_every_artifact_carries_config_hash(pipeline_run):
-    config, result = pipeline_run
-    stamp = config.artifact_header()
-    for path in result.artifacts:
-        with open(path) as fh:
-            assert fh.readline() == stamp, path
+    config = pipeline_run
+    stamp = config.artifact_header().encode()
+    for name, blob in _run_files(config.out_dir).items():
+        assert blob.startswith(stamp), name
 
 
 def test_summary_has_one_row_per_model_plus_oracle(pipeline_run):
-    config, result = pipeline_run
+    config = pipeline_run
     with open(os.path.join(config.out_dir, "reports", "summary.csv")) as fh:
         lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
     assert lines[0] == "model,mean_cost,rpd,mean_ce"
@@ -232,12 +245,11 @@ def test_summary_has_one_row_per_model_plus_oracle(pipeline_run):
     # perfect information loses nothing on this light corpus; rpd is undefined
     assert float(oracle[1]) == 0.0 and float(oracle[3]) == 0.0
     assert oracle[2] == ""
-    assert [s.model for s in result.overall] == models
 
 
 def test_forecasts_cover_the_test_split(pipeline_run):
-    config, _ = pipeline_run
-    days, series_list = experiments.load_forecasts(config, "7", "ha", 60)
+    config = pipeline_run
+    days, series_list = experiments.load_forecasts(config, "7", "ha")
     assert days[0] == date(2018, 11, 1)
     assert days[-1] == date(2018, 12, 31)
     assert len(days) == 61
@@ -246,17 +258,18 @@ def test_forecasts_cover_the_test_split(pipeline_run):
 
 
 def test_stages_rerun_from_artifacts(pipeline_run):
-    config, result = pipeline_run
-    overall, per_station, _ = experiments.stage_evaluate(config)
-    assert [s.model for s in overall] == [s.model for s in result.overall]
-    assert [s.mean_cost for s in overall] == pytest.approx(
-        [s.mean_cost for s in result.overall])
-    assert set(per_station) == {"7", "8"}
+    config = pipeline_run
+    before = _reports(config)
+    experiments.stage_evaluate(config)
+    assert _reports(config) == before
+    assert {"summary.csv", "metrics.csv"} <= set(before)
+    metrics = Path(config.out_dir, "reports", "metrics.csv")
+    assert {row[0] for row in _kept_rows(metrics)} == {"7", "8"}
 
 
 def test_rerun_is_byte_identical(pipeline_run, tmp_path):
     """Same config, rerun in place: every report reproduces byte for byte."""
-    config, _ = pipeline_run
+    config = pipeline_run
     reports = os.path.join(config.out_dir, "reports")
     before = {}
     for name in sorted(os.listdir(reports)):
@@ -328,12 +341,12 @@ def test_neural_models_run_through_pipeline(tmp_path):
         assert os.path.exists(os.path.join(config.out_dir, "models", f"{name}.ckpt")), name
     experiments.stage_forecast(config)
     # each written column is its net's forecast under the seeds of the net's label
-    test = split(experiments.load_ingested(config)["7"].series).test
+    test = split(experiments.load_ingested(config)["7"]).test
     for name, checkpoint, label, columns in (
             ("prnn", "7_prnn_pickups", "prnn:pickups", [0]),
             ("vprnn", "7_vprnn_returns", "vprnn:returns", [1]),
             ("movprnn", "7_movprnn", "movprnn", [0, 1])):
-        days, forecasts = experiments.load_forecasts(config, "7", name, 60)
+        days, forecasts = experiments.load_forecasts(config, "7", name)
         net = neural.load_checkpoint(
             os.path.join(config.out_dir, "models", f"{checkpoint}.ckpt"))
         expected = neural.predict_rates(
@@ -343,11 +356,13 @@ def test_neural_models_run_through_pipeline(tmp_path):
         written = np.array([np.stack([r.pickup_rates, r.return_rates], axis=1)
                             for r in forecasts])
         np.testing.assert_allclose(written[:, :, columns], expected, rtol=1e-9, atol=0.0)
-    decisions = experiments.stage_optimize(config)
-    assert sorted(decisions["7"]) == ["movprnn", "prnn", "vprnn"]
-    overall, _, _ = experiments.stage_evaluate(config)
-    assert [s.model for s in overall] == ["oracle", "movprnn", "prnn", "vprnn"]
-    assert all(np.isfinite(s.mean_cost) for s in overall)
+    experiments.stage_optimize(config)
+    decisions = _kept_rows(Path(config.out_dir, "decisions", "7.csv"))
+    assert sorted({row[1] for row in decisions}) == ["movprnn", "prnn", "vprnn"]
+    experiments.stage_evaluate(config)
+    overall = _kept_rows(Path(config.out_dir, "reports", "summary.csv"))
+    assert [row[0] for row in overall] == ["oracle", "movprnn", "prnn", "vprnn"]
+    assert all(np.isfinite(float(row[1])) for row in overall)
 
 
 def staged_run(tmp_path) -> tuple[RunConfig, dict]:
@@ -391,7 +406,7 @@ def _full_stream_csv(paths) -> str:
 
 def test_ingest_keeps_the_events_of_the_test_days_alone(tmp_path):
     config, paths = staged_run(tmp_path)
-    test = split(experiments.load_ingested(config)["7"].series).test
+    test = split(experiments.load_ingested(config)["7"]).test
     assert (test.start, test.n_days) == (datetime(2018, 11, 1), 61)
     header, *rows = _full_stream_csv(paths).splitlines(keepends=True)
     cut = [row for row in rows if row.startswith(("2018-11-", "2018-12-"))]
@@ -434,14 +449,14 @@ def test_quarter_hour_run_rebuilds_the_covariates_from_the_kept_weather(tmp_path
     with open(os.path.join(config.out_dir, "demand", "station_7.csv")) as fh:
         assert fh.readline() == config.artifact_header()
         assert fh.readline() == "interval_start,pickups,returns\n"
-    series = experiments.load_ingested(config)["7"].series
+    series = experiments.load_ingested(config)["7"]
     expected = build_covariates(parse_weather(paths["weather"]),
                                 (date(2018, 1, 1), date(2018, 12, 31)), 15)
     assert series.covariates.shape == (365 * 96, len(covariate_columns(15))) == (35040, 105)
     np.testing.assert_array_equal(series.covariates, expected)
     forecasts = _train_and_forecast(config)
     assert sorted(forecasts) == ["7_ha.csv", "7_lr.csv"]
-    days, rates = experiments.load_forecasts(config, "7", "lr", 15)
+    days, rates = experiments.load_forecasts(config, "7", "lr")
     assert len(days) == 61 and all(len(r) == 96 for r in rates)
 
 
@@ -550,8 +565,7 @@ def test_evaluate_rejects_decisions_missing_a_test_day(tmp_path):
 def _read_only(data: dict) -> dict:
     """``data``, as :func:`experiments.load_ingested` returns it, with every
     array in it made read-only, so that a stage that writes to one fails."""
-    for station in data.values():
-        series = station.series
+    for series in data.values():
         for array in (series.pickups, series.returns, series.covariates):
             array.flags.writeable = False
     return data
@@ -571,9 +585,10 @@ def test_pipeline_reads_the_demand_files_once_and_writes_nothing_to_them(tmp_pat
     load, calls = experiments.load_ingested, []
     monkeypatch.setattr(experiments, "load_ingested",
                         lambda config: calls.append(config) or _read_only(load(config)))
-    result = experiments.run_pipeline(config)
+    experiments.run_pipeline(config)
     assert calls == [config]
-    assert [s.model for s in result.overall] == ["oracle", "ha", "lr", "ma", "prnn"]
+    summary = _kept_rows(Path(config.out_dir, "reports", "summary.csv"))
+    assert [row[0] for row in summary] == ["oracle", "ha", "lr", "ma", "prnn"]
 
 
 def test_optimize_solves_each_distinct_forecast_once(tmp_path, monkeypatch):
@@ -591,7 +606,7 @@ def test_optimize_solves_each_distinct_forecast_once(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "_cores", lambda: 1)
     experiments.stage_optimize(config)
     assert path.read_bytes() == before
-    _, forecasts = experiments.load_forecasts(config, "7", "ha", 60)
+    _, forecasts = experiments.load_forecasts(config, "7", "ha")
     distinct = {(r.pickup_rates.tobytes(), r.return_rates.tobytes()) for r in forecasts}
     # ha repeats by weekday: 61 test days, 7 forecasts
     assert len(forecasts) == 61 and len(distinct) == 7
