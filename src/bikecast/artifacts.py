@@ -18,7 +18,7 @@ from . import classical, neural
 from .config import RunConfig
 from .errors import DataError, FormatError, RowError
 from .ingest import (DemandSeries, _kept_lines, build_covariates, demand_from_csv,
-                     parse_weather)
+                     parse_stations, parse_weather)
 from .queueing import RateSeries
 
 # each kind of artifact: the stage that writes it, and its path under out_dir
@@ -89,22 +89,20 @@ def _rows(file: str, header: str, *types):
 
 
 def parse_capacities(file: str) -> dict[str, int]:
-    """The selected stations and their capacities; a capacity below 1 or a
-    station listed twice raises :class:`RowError`."""
-    capacities: dict[str, int] = {}
-    for n, (sid, capacity) in _rows(file, "station_id,capacity", str, int):
-        if capacity <= 0:
-            raise RowError(n, f"capacity must be positive, got {capacity}")
-        if sid in capacities:
-            raise RowError(n, f"station {sid} is listed twice")
-        capacities[sid] = capacity
-    return capacities
+    """The selected stations and their capacities, read by the input's
+    :func:`~.ingest.parse_stations` over the uncommented lines."""
+    with open(file, newline="") as fh:
+        return parse_stations(_uncommented(fh))
 
 
 def _weather(file: str):
     with open(file, newline="") as fh:
-        # comment lines made blank, which parse_weather skips: rows keep their numbers
-        return parse_weather("\n" if line.startswith("#") else line for line in fh)
+        return parse_weather(_uncommented(fh))
+
+
+def _uncommented(lines):
+    """Comment lines made blank, which the input parsers skip: rows keep their numbers."""
+    return ("\n" if line.startswith("#") else line for line in lines)
 
 
 def load_ingested(config: RunConfig) -> dict[str, DemandSeries]:

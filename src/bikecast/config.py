@@ -22,7 +22,7 @@ from .ingest import VALID_INTERVALS
 DEFAULT_MODELS = ("ha", "ma", "lr", "prnn", "vprnn", "movprnn")
 # fields that count something, with their least value
 _COUNT_FLOORS = {"hidden_width": 1, "batch_days": 1, "max_epochs": 1, "patience": 0,
-                 "forecast_samples": 1, "top_n": 1, "ma_window_days": 1, "bias_capacity": 1}
+                 "top_n": 1, "ma_window_days": 1, "bias_capacity": 1}
 
 
 @dataclass
@@ -45,7 +45,6 @@ class RunConfig:
     patience: int = 10
     lost_pickup_penalty: float = 1.0
     lost_return_penalty: float = 1.0
-    forecast_samples: int = 100
     ma_window_days: int = 30
     bias_delta_max: float = 25.0
     bias_delta_step: float = 0.5

@@ -295,15 +295,12 @@ def _require_input(path: str) -> str:
 # -- the forecasters ----------------------------------------------------------
 
 
-def _from_nets(model, config, series, test, days) -> list[RateSeries]:
-    """One :func:`neural.predict_rates` call per net over all test days, one
-    seed per day; the nets' process columns side by side give (days, steps, 2)."""
+def _from_nets(model, config, test, days, **_) -> list[RateSeries]:
+    """One :func:`neural.predict_rates` call per net over all test days; the
+    nets' process columns side by side give (days, steps, 2)."""
     covariates = test.covariates.reshape(len(days), test.intervals_per_day, -1)
-    stacked = np.concatenate([
-        neural.predict_rates(net, covariates, n_samples=config.forecast_samples,
-                             seed=[derive_seed(config.seed, f"forecast:{series.station}:"
-                                                            f"{label}:{day}") for day in days])
-        for label, net in model.items()], axis=2)
+    stacked = np.concatenate([neural.predict_rates(net, covariates) for net in model.values()],
+                             axis=2)
     return [RateSeries(interval_minutes=config.interval_minutes,
                        pickup_rates=day_rates[:, 0], return_rates=day_rates[:, 1])
             for day_rates in stacked]
@@ -314,12 +311,13 @@ class Forecaster:
     """What sets one forecaster apart: how it is fitted, kept and forecasts.
 
     ``forecast(model, config=, series=, test=, days=)`` gives each day's
-    :class:`RateSeries` of ``test``, the test split of ``series``. With
-    ``nets``, the model is one net per ``(label, targets)``, by label: trained
-    in a lane, seeded by its label and kept in a checkpoint; nets of a lower
-    ``train_order`` start first. With a ``fitted`` type, ``classical.fit_<name>``
-    fits it on the train split, and its JSON file must hold that type. With
-    neither, it is fitted per forecast day, keeps no file, and its model is None.
+    :class:`RateSeries` of ``test``, the test split of ``series``, unseeded.
+    With ``nets``, the model is one net per ``(label, targets)``, by label:
+    trained in a lane from its label's seed and kept in a checkpoint; nets of
+    a lower ``train_order`` start first. With a ``fitted`` type,
+    ``classical.fit_<name>`` fits it on the train split, and its JSON file must
+    hold that type. With neither, it is fitted per forecast day, keeps no file,
+    and its model is None.
     """
 
     forecast: Callable

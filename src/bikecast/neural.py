@@ -38,12 +38,13 @@ relative and forecasts to a few parts in a million.
 
 Forecasting reads the prior network only, which sees covariates and no
 counts. :func:`predict_rates` therefore steps it once over a stack of days,
-one row per day, and draws the sample fan of the latent-rate models only at
-its output.
+one row per day, and takes a latent-rate model's expected rate under the
+prior by a fixed Gauss–Hermite rule, which needs no seed.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -561,44 +562,46 @@ def train(kind: str, split: DataSplit, hyper: TrainConfig, seed: int,
 # -- prediction ------------------------------------------------------------
 
 
-def predict_rates(model: NeuralModel, covariates: np.ndarray, n_samples: int = 100,
-                  seed: int | list[int] = 0) -> np.ndarray:
-    """Forecast per-interval expected counts from covariates alone.
+# nodes of the Gauss–Hermite rule of the latent-rate forecasts: the bound that
+# predict_rates states holds at 96 (at 64 it is 1.9e-4, at 128 it is 5e-6)
+LATENT_NODES = 96
 
-    ``covariates`` holds one day, ``(steps, width)``, with an integer ``seed``,
-    and the result is ``(steps, processes)``; or a stack of days,
-    ``(days, steps, width)``, with one seed per day, and the result is
-    ``(days, steps, processes)``. The prior recurrent state never sees counts,
-    so day-of forecasts cannot leak the day's observations, and it is the same
-    for every draw: the prior network steps once over all days, one row per
-    day. The deterministic model returns its transformed output directly. For
-    latent-rate models the sample fan is drawn only at the output, day d's
-    noise being ``default_rng(seed_d).standard_normal((steps, n_samples,
-    processes))``, and the forecast is the mean transformed prior draw per step.
+
+@functools.cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``x_i`` and weights ``w_i``, summing to 1, of the probabilists'
+    Gauss–Hermite rule: ``Σ w_i f(x_i) ≈ E[f(Z)]`` for standard normal ``Z``.
+    Built on first use, so that importing the CLI loads no ``numpy.polynomial``."""
+    from numpy.polynomial.hermite_e import hermegauss
+
+    nodes, weights = hermegauss(LATENT_NODES)
+    return nodes, weights / weights.sum()
+
+
+def predict_rates(model: NeuralModel, covariates: np.ndarray) -> np.ndarray:
+    """Forecast per-interval expected counts from ``(days, steps, width)``
+    covariates alone, as ``(days, steps, processes)``.
+
+    The prior recurrent state never sees counts, so day-of forecasts cannot
+    leak the day's observations: the prior network steps once over all days,
+    one row per day. The deterministic model returns its transformed output
+    directly. A latent-rate model returns ``E[softplus(mu0 + sigma0 Z)] +
+    RATE_FLOOR`` per slot by the rule of :func:`_hermite_rule`. Against a fine
+    trapezoid reference, that expectation's relative error is at most 3e-5
+    for mu0 in [-8, 16] and sigma0 in [0, 6.5], and 1.6e-4 for mu0 in
+    [-12, 16] and sigma0 in [0, 8]; trained nets have reached sigma0 = 6.24.
     """
     covariates = np.asarray(covariates, dtype=float)
-    single_day = covariates.ndim == 2
-    if single_day:
-        covariates = covariates[None]
     if covariates.ndim != 3 or covariates.shape[2] != model.input_width:
-        raise DataError(f"covariates must be (steps, {model.input_width}) "
-                        f"or (days, steps, {model.input_width})")
-    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
-    n_days, n_steps, _ = covariates.shape
-    if len(seeds) != n_days:
-        raise DataError(f"need one seed per day: {len(seeds)} seeds for {n_days} days")
+        raise DataError(f"covariates must be (days, steps, {model.input_width})")
     x = _time_major(model.normalize_covariates(covariates))
     out = np.swapaxes(_prior(dict(model.params), [], x), 0, 1)
     if model.kind == "prnn":
-        rates = positive_rate(out)
-    else:
-        mu0 = out[:, :, None, :model.processes]
-        sigma0 = positive_scale(out[:, :, None, model.processes:])
-        eps = np.stack([
-            np.random.default_rng(s).standard_normal((n_steps, n_samples, model.processes))
-            for s in seeds])
-        rates = positive_rate(mu0 + sigma0 * eps).mean(axis=2)
-    return rates[0] if single_day else rates
+        return positive_rate(out)
+    nodes, weights = _hermite_rule()
+    mu0 = out[..., :model.processes, None]
+    sigma0 = positive_scale(out[..., model.processes:, None])
+    return softplus(mu0 + sigma0 * nodes) @ weights + RATE_FLOOR
 
 
 # -- serialization -----------------------------------------------------------

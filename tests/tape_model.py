@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 import tape as ad
+from numpy.polynomial.hermite_e import hermegauss
 from tape import Var
 
 from bikecast.neural import (
     GRU_GATES,
+    LATENT_NODES,
     LSTM_GATES,
     RATE_FLOOR,
     SCALE_FLOOR,
@@ -192,9 +194,12 @@ def validation_loss(kind: str, params: dict, counts, covariates, cond, seed) -> 
     return float(loss.value) / counts.shape[0]
 
 
-def predict_rates(model: NeuralModel, covariates: np.ndarray, n_samples: int,
-                  seeds: list[int]) -> np.ndarray:
-    """Oracle for ``neural.predict_rates`` on a ``(days, steps, width)`` stack."""
+def predict_rates(model: NeuralModel, covariates: np.ndarray) -> np.ndarray:
+    """Oracle for ``neural.predict_rates`` on a ``(days, steps, width)`` stack.
+
+    A latent-rate slot adds up, node by node, each weight of the
+    ``LATENT_NODES``-point probabilists' Gauss–Hermite rule times the rate of
+    the prior drawn at that node."""
     cov_n = model.normalize_covariates(np.asarray(covariates, dtype=float))
     n_days, n_steps, _ = cov_n.shape
     p = as_vars(model.params)
@@ -206,10 +211,11 @@ def predict_rates(model: NeuralModel, covariates: np.ndarray, n_samples: int,
     if model.kind == "prnn":
         return np.stack([positive_rate(out).value for out in outputs], axis=1)
     prior = [_split_head(out, model.processes) for out in outputs]
-    mu0 = np.stack([m.value for m, _ in prior], axis=1)[:, :, None, :]
-    sigma0 = np.stack([s.value for _, s in prior], axis=1)[:, :, None, :]
-    eps = np.stack([
-        np.random.default_rng(s).standard_normal((n_steps, n_samples, model.processes))
-        for s in seeds])
-    draws = positive_rate(ad.gaussian_sample(ad.const(mu0), ad.const(sigma0), eps)).value
-    return draws.mean(axis=2)
+    mu0 = ad.const(np.stack([m.value for m, _ in prior], axis=1))
+    sigma0 = ad.const(np.stack([s.value for _, s in prior], axis=1))
+    nodes, weights = hermegauss(LATENT_NODES)
+    rates = np.zeros(mu0.value.shape)
+    for node, weight in zip(nodes, weights / weights.sum()):
+        eps = np.full(rates.shape, node)
+        rates += weight * positive_rate(ad.gaussian_sample(mu0, sigma0, eps)).value
+    return rates

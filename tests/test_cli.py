@@ -110,7 +110,8 @@ def test_bad_interval_in_config(tmp_path, capsys, corpus):
     assert main(["ingest", "--config", path]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("damage", ["directory", "yaml", "encoding", "date", "type"])
+@pytest.mark.parametrize("damage", ["directory", "yaml", "encoding", "date", "type",
+                                    "removed-key"])
 def test_a_malformed_config_exits_usage_naming_its_path(tmp_path, corpus, damage):
     path = tmp_path / "run.yaml"
     if damage == "directory":
@@ -121,6 +122,9 @@ def test_a_malformed_config_exits_usage_naming_its_path(tmp_path, corpus, damage
         path.write_bytes(b"seed: \xff\xfe\n")
     elif damage == "date":
         write_config(path, corpus, tmp_path / "out", start_date="2018-13-01")
+    elif damage == "removed-key":
+        # a key the config no longer has: the latent-rate forecasts need no sample count
+        write_config(path, corpus, tmp_path / "out", forecast_samples=100)
     else:
         write_config(path, corpus, tmp_path / "out", seed=[1])
     proc = run_console_script(["ingest", "--config", str(path)], cwd=tmp_path)
@@ -136,7 +140,6 @@ OUT_OF_RANGE = [
     ("batch_days", 0, "batch_days must be at least 1, got 0"),
     ("max_epochs", 0, "max_epochs must be at least 1, got 0"),
     ("patience", -1, "patience must be at least 0, got -1"),
-    ("forecast_samples", 0, "forecast_samples must be at least 1, got 0"),
     ("top_n", 0, "top_n must be at least 1, got 0"),
     ("ma_window_days", 0, "ma_window_days must be at least 1, got 0"),
     ("bias_capacity", 0, "bias_capacity must be at least 1, got 0"),
@@ -341,7 +344,7 @@ def test_damaged_decision_and_station_rows_exit_data_with_their_line(
         if damage == "bad-capacity":
             at = lines.index("7,20")
             lines[at] = "7,abc"
-            reason = "expected station_id,capacity, got '7,abc'"
+            reason = "unparseable capacity 'abc'"
         elif damage == "zero-capacity":
             at = lines.index("7,20")
             lines[at] = "7,0"
@@ -359,15 +362,35 @@ def test_damaged_decision_and_station_rows_exit_data_with_their_line(
 
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory, corpus):
-    """The config of a run of station 7 with two classical models and two
+    """The config of a run of station 7 with two classical models and three
     neural ones, taken through train, and its output."""
     root = tmp_path_factory.mktemp("trained")
     path = write_config(root / "run.yaml", corpus, root / "out", stations=["7"],
-                        models=["ha", "lr", "prnn", "movprnn"], hidden_width=4, max_epochs=1,
-                        forecast_samples=2)
+                        models=["ha", "lr", "prnn", "vprnn", "movprnn"], hidden_width=4,
+                        max_epochs=1)
     for command in ("ingest", "train"):
         assert main([command, "--config", path]) == EXIT_OK
     return path, root / "out"
+
+
+def test_a_forecast_rerun_with_another_seed_writes_the_same_latent_forecasts(tmp_path,
+                                                                             trained_run):
+    # the latent-rate forecasts are expectations, not draws, so the run seed
+    # reaches them only through training
+    path, run = trained_run
+    out = tmp_path / "out"
+    shutil.copytree(run, out)
+    written = {}
+    for seed in ("5", "6"):
+        assert main(["forecast", "--config", path, "--out", str(out), "--seed", seed]) == EXIT_OK
+        written[seed] = [(out / "forecasts" / f"7_{name}.csv").read_text().split("\n", 1)
+                         for name in ("vprnn", "movprnn")]
+    for (header_5, body_5), (header_6, body_6) in zip(written["5"], written["6"]):
+        assert header_5.endswith("seed: 5") and header_6.endswith("seed: 6")
+        # the first differing row, not a diff of two long files
+        assert next(((row_5, row_6) for row_5, row_6 in
+                     zip(body_5.splitlines(), body_6.splitlines()) if row_5 != row_6), None) is None
+        assert len(body_5) == len(body_6)
 
 
 def _checkpoint_without_kind(blob: bytes) -> bytes:
@@ -454,7 +477,7 @@ def test_a_model_fitted_at_another_interval_exits_data_naming_the_file(tmp_path,
     out = tmp_path / "out"
     shutil.copytree(run, out)
     path = write_config(tmp_path / "run.yaml", corpus, out, stations=["7"], models=[model],
-                        hidden_width=4, max_epochs=1, forecast_samples=2, interval_minutes=15)
+                        hidden_width=4, max_epochs=1, interval_minutes=15)
     assert main(["ingest", "--config", path]) == EXIT_OK
     capsys.readouterr()
     assert main(["forecast", "--config", path]) == EXIT_DATA
@@ -468,8 +491,7 @@ def test_the_bench_tracer_records_every_model_layer(tmp_path, corpus):
     by replacing module attributes: every fit, net and checkpoint function
     that the stages reach must record a span."""
     path = write_config(tmp_path / "run.yaml", corpus, tmp_path / "out", stations=["7"],
-                        models=["ha", "ma", "lr", "movprnn"], hidden_width=4, max_epochs=1,
-                        forecast_samples=2)
+                        models=["ha", "ma", "lr", "movprnn"], hidden_width=4, max_epochs=1)
     assert main(["ingest", "--config", path]) == EXIT_OK
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
@@ -615,10 +637,12 @@ def test_installed_entry_point_runs(tmp_path, corpus):
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # the runtime needs only numpy and PyYAML; scipy serves the test oracles,
-    # and train imports its process pool only when it has more than one core
+    # train imports its process pool only when it has more than one core, and
+    # forecast builds the latent models' Gauss–Hermite rule on first use
     probe = ("import sys, bikecast.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-             "or m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))")
+             "or m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures') "
+             "or m.startswith('numpy.polynomial')))")
     proc = run_python(probe, [], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -41,8 +41,8 @@ def test_validation_rejects_bad_values():
         make(bias_delta_step=0.0)
     with pytest.raises(ConfigError):
         make(seed=None)
-    for name in ("hidden_width", "batch_days", "max_epochs", "forecast_samples", "top_n",
-                 "ma_window_days", "bias_capacity"):
+    for name in ("hidden_width", "batch_days", "max_epochs", "top_n", "ma_window_days",
+                 "bias_capacity"):
         with pytest.raises(ConfigError, match=f"{name} must be at least 1, got 0"):
             make(**{name: 0})
         make(**{name: 1})
@@ -91,12 +91,14 @@ def test_load_config_roundtrip(tmp_path):
     assert config.seed == 5
 
 
-def test_load_config_rejects_unknown_keys(tmp_path):
+# forecast_samples is no key: the latent-rate forecasts need no sample count
+@pytest.mark.parametrize("key, value", [("hidden_layers", 2), ("forecast_samples", 100)])
+def test_load_config_rejects_unknown_keys(tmp_path, key, value):
     path = tmp_path / "run.yaml"
-    write_yaml(path, {**REQUIRED, "hidden_layers": 2})
+    write_yaml(path, {**REQUIRED, key: value})
     with pytest.raises(ConfigError) as err:
         load_config(str(path))
-    assert str(err.value) == f"config file {path} has unknown config keys: ['hidden_layers']"
+    assert str(err.value) == f"config file {path} has unknown config keys: [{key!r}]"
 
 
 def test_load_config_rejects_missing_keys(tmp_path):

@@ -18,7 +18,7 @@ from test_ingest import quoted_citi_bike_file
 
 from bikecast import experiments, neural, synthetic
 from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, _exit_code_for, main
-from bikecast.config import DEFAULT_MODELS, RunConfig, derive_seed
+from bikecast.config import DEFAULT_MODELS, RunConfig
 from bikecast.errors import DataError, DomainError, RowError, StageError, TrainingError
 from bikecast.evaluate import replay_cost
 from bikecast.inventory import udf_curve
@@ -332,7 +332,6 @@ def test_neural_models_run_through_pipeline(tmp_path):
         stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
         start_date="2018-01-01", end_date="2018-12-31", stations=["7"],
         models=["prnn", "vprnn", "movprnn"], hidden_width=4, max_epochs=1,
-        forecast_samples=4,
     )
     experiments.stage_ingest(config)
     experiments.stage_train(config)
@@ -340,19 +339,16 @@ def test_neural_models_run_through_pipeline(tmp_path):
                  "7_vprnn_returns", "7_movprnn"):
         assert os.path.exists(os.path.join(config.out_dir, "models", f"{name}.ckpt")), name
     experiments.stage_forecast(config)
-    # each written column is its net's forecast under the seeds of the net's label
+    # each written column is its net's forecast
     test = split(experiments.load_ingested(config)["7"]).test
-    for name, checkpoint, label, columns in (
-            ("prnn", "7_prnn_pickups", "prnn:pickups", [0]),
-            ("vprnn", "7_vprnn_returns", "vprnn:returns", [1]),
-            ("movprnn", "7_movprnn", "movprnn", [0, 1])):
+    for name, checkpoint, columns in (("prnn", "7_prnn_pickups", [0]),
+                                      ("vprnn", "7_vprnn_returns", [1]),
+                                      ("movprnn", "7_movprnn", [0, 1])):
         days, forecasts = experiments.load_forecasts(config, "7", name)
         net = neural.load_checkpoint(
             os.path.join(config.out_dir, "models", f"{checkpoint}.ckpt"))
         expected = neural.predict_rates(
-            net, test.covariates.reshape(len(days), test.intervals_per_day, -1),
-            n_samples=config.forecast_samples,
-            seed=[derive_seed(config.seed, f"forecast:7:{label}:{day}") for day in days])
+            net, test.covariates.reshape(len(days), test.intervals_per_day, -1))
         written = np.array([np.stack([r.pickup_rates, r.return_rates], axis=1)
                             for r in forecasts])
         np.testing.assert_allclose(written[:, :, columns], expected, rtol=1e-9, atol=0.0)
@@ -1015,7 +1011,7 @@ def test_a_two_lane_pipeline_warns_of_nothing_in_dev_mode(tmp_path):
     paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
                                    base_rate=2.0)
     config = ingest_config(tmp_path, paths, models=["ha", "prnn"], hidden_width=4,
-                           max_epochs=1, forecast_samples=2, bias_delta_max=4.0,
+                           max_epochs=1, bias_delta_max=4.0,
                            bias_delta_step=2.0)
     code = ("import sys; from bikecast import cli, experiments; "
             "experiments._cores = lambda: 2; experiments._RANGE_BYTES = 1 << 14; "
