@@ -3,7 +3,9 @@ stage writes it, and how it is written and read back.
 
 :func:`write` puts the ``# config:`` header line first in every text
 artifact. :func:`read` reads every artifact back through the parser of its
-kind, and names the file in every error it raises.
+kind, and names the file in every error it raises. Every CSV artifact is read
+by the row reader of :mod:`.ingest`, comment lines blanked so that rows keep
+their line numbers.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 from . import classical, neural
 from .config import RunConfig
 from .errors import DataError, FormatError, RowError
-from .ingest import (DemandSeries, _kept_lines, build_covariates, demand_from_csv,
-                     parse_stations, parse_weather)
+from .ingest import (DemandSeries, _columns, _uncommented, build_covariates,
+                     demand_from_csv, parse_stations, parse_weather)
 from .queueing import RateSeries
 
 # each kind of artifact: the stage that writes it, and its path under out_dir
@@ -35,6 +37,10 @@ KINDS = {
     "decisions": ("optimize", "decisions/{sid}.csv"),
     "report": (None, "reports/{name}"),
 }
+
+# the columns of the forecast and decision files, for their writer and reader
+FORECAST_COLUMNS = ("date", "slot", "pickup_rate", "return_rate")
+DECISION_COLUMNS = ("date", "model", "s_star", "expected_cost")
 
 
 def path(config: RunConfig, kind: str, sid: str = "", name: str = "") -> str:
@@ -75,17 +81,22 @@ def read(config: RunConfig, kind: str, parse, *args, sid: str = "", name: str = 
         raise FormatError(f"{file}: {e}") from None
 
 
-def _rows(file: str, header: str, *types):
-    """``(physical line number, fields)`` of each row after the column header,
-    field i converted by ``types[i]``; a row that does not convert raises
-    :class:`RowError`."""
+def _kept_file(file: str, what: str, names: tuple[str, ...], *types):
+    """The physical line numbers and the columns of a kept CSV with the
+    columns ``names`` (:func:`~.ingest._columns`), column i converted by
+    ``types[i]``. The first row with a field that does not convert raises
+    :class:`RowError` naming the column."""
     with open(file, newline="") as fh:
-        numbers, lines = _kept_lines(fh, header, f"the first row is not {header}")
-    for n, line in zip(numbers, lines):
-        try:
-            yield n, [convert(field) for convert, field in zip(types, line.split(","), strict=True)]
-        except ValueError:
-            raise RowError(n, f"expected {header}, got {line!r}") from None
+        numbers, columns = _columns(fh, what, names, kept=True)
+    try:
+        return numbers, [list(map(convert, column)) for convert, column in zip(types, columns)]
+    except ValueError:
+        for n, *fields in zip(numbers, *columns):
+            for name, convert, field in zip(names, types, fields):
+                try:
+                    convert(field)
+                except ValueError:
+                    raise RowError(n, f"unparseable {name} {field!r}") from None
 
 
 def parse_capacities(file: str) -> dict[str, int]:
@@ -98,11 +109,6 @@ def parse_capacities(file: str) -> dict[str, int]:
 def _weather(file: str):
     with open(file, newline="") as fh:
         return parse_weather(_uncommented(fh))
-
-
-def _uncommented(lines):
-    """Comment lines made blank, which the input parsers skip: rows keep their numbers."""
-    return ("\n" if line.startswith("#") else line for line in lines)
 
 
 def load_ingested(config: RunConfig) -> dict[str, DemandSeries]:
@@ -156,8 +162,9 @@ def _forecasts(file: str, interval_minutes: int) -> tuple[list[date], list[RateS
     slots = 1440 // interval_minutes
     by_day: dict[date, list[tuple[float, float]]] = {}
     last_line: dict[date, int] = {}
-    for n, (day, slot, p, r) in _rows(file, "date,slot,pickup_rate,return_rate",
-                                      date.fromisoformat, int, float, float):
+    numbers, columns = _kept_file(file, "forecast", FORECAST_COLUMNS,
+                                  date.fromisoformat, int, float, float)
+    for n, day, slot, p, r in zip(numbers, *columns):
         day_rows = by_day.setdefault(day, [])
         if slot != len(day_rows) or slot >= slots:
             raise RowError(n, f"slot {slot} of {day} out of order: expected slot "
@@ -198,8 +205,9 @@ def parse_decisions(file: str, names: list[str], days: list[date],
     [0, ``capacity``] or a repeated (date, model) raises :class:`RowError`,
     and a missing one :class:`DataError`."""
     s_star: dict[tuple[date, str], int] = {}
-    for n, (day, name, s, _) in _rows(file, "date,model,s_star,expected_cost",
-                                      date.fromisoformat, str, int, float):
+    numbers, columns = _kept_file(file, "decision", DECISION_COLUMNS,
+                                  date.fromisoformat, str, int, float)
+    for n, day, name, s, _ in zip(numbers, *columns):
         if not 0 <= s <= capacity:
             raise RowError(n, f"s_star {s} outside [0, {capacity}]")
         if (day, name) in s_star:

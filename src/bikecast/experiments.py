@@ -31,6 +31,8 @@ import numpy as np
 
 from . import classical, neural
 from .artifacts import (
+    DECISION_COLUMNS,
+    FORECAST_COLUMNS,
     load_forecasts,
     load_ingested,
     parse_capacities,
@@ -516,7 +518,7 @@ def _test_days(series: DemandSeries) -> tuple[DemandSeries, list[date]]:
 
 
 def _rate_series_csv(days: list[date], series_list: list[RateSeries]) -> str:
-    lines = ["date,slot,pickup_rate,return_rate"]
+    lines = [",".join(FORECAST_COLUMNS)]
     for day, rates in zip(days, series_list):
         for slot in range(len(rates)):
             lines.append(f"{day.isoformat()},{slot},"
@@ -556,7 +558,7 @@ def stage_optimize(config: RunConfig) -> None:
                               for (sid, _), (_, series_list) in forecasts.items()
                               for rates in series_list]))
         for sid in sorted(capacities):
-            lines = ["date,model,s_star,expected_cost"]
+            lines = [",".join(DECISION_COLUMNS)]
             for name in sorted(config.models):
                 for day in forecasts[sid, name][0]:
                     curve = next(curves)

@@ -25,10 +25,11 @@ as one ``datetime`` object per row:
 Under ``demand/`` ingest also writes each station's counts
 (``station_<sid>.csv``) and, once, the weather it parsed (``weather.csv``).
 
-Timestamps are read as :func:`datetime.fromisoformat` reads them, one string
-at a time, with surrounding blanks stripped and UTC offsets refused.
-A bad row anywhere raises :class:`RowError` with its physical line number,
-and with the file's path when the reader was given one.
+Every CSV the package reads, input or kept, goes through one row reader,
+:func:`_column_chunks`. Timestamps are read as :func:`datetime.fromisoformat`
+reads them, with surrounding blanks stripped and UTC offsets refused. A bad
+row anywhere raises :class:`RowError` with its physical line number, and
+with the file's path when the reader was given one.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -41,14 +42,13 @@ Conventions fixed here and relied on elsewhere:
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
-from itertools import compress, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import attrgetter, is_, itemgetter
 
 import numpy as np
@@ -186,6 +186,9 @@ class DataSplit:
 # start time, stop time, start station and end station in the Citi Bike schema
 TRIP_COLUMNS = ("starttime", "stoptime", "start station id", "end station id")
 WEATHER_COLUMNS = ("timestamp", "temperature_c", "rain_probability")
+# the kept demand and event files; their headers must be exactly these
+DEMAND_COLUMNS = ("interval_start", "pickups", "returns")
+EVENT_COLUMNS = ("time", "kind")
 
 # rows turned into columns at a time: the row objects of a chunk this size
 # stay in cache, and 8 times larger chunks parsed a trip file 20-30% slower
@@ -258,10 +261,8 @@ def _open_text(source):
     """A text stream over ``source``, closed on exit only if opened here.
 
     A path is opened and closed, and a :class:`RowError` or
-    :class:`FormatError` raised while reading it names the path. A binary
-    stream that the caller owns is wrapped, and the wrapper is detached on
-    exit, so the caller's stream stays open. Text streams and other
-    iterables of lines pass through untouched.
+    :class:`FormatError` raised while reading it names the path. Text streams
+    and other iterables of lines pass through untouched.
     """
     if isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)
@@ -272,55 +273,79 @@ def _open_text(source):
                 raise RowError(exc.line_number, exc.reason, path) from None
             except FormatError as exc:
                 raise FormatError(f"{path}: {exc}") from None
-    elif isinstance(source, io.IOBase) and not isinstance(source, io.TextIOBase):
-        wrapper = io.TextIOWrapper(source, encoding="utf-8")
-        try:
-            yield wrapper
-        finally:
-            wrapper.detach()
     else:
         yield source
 
 
-def _header_index(reader, what: str, required: tuple[str, ...]) -> tuple[int, ...]:
-    """Column index of each required name; the last column of a repeated name wins.
+def _column_chunks(stream, what: str, names: tuple[str, ...], exact: bool = False):
+    """The named columns of a CSV with a header, a chunk of rows at a time:
+    the one reader of every CSV the package reads.
 
-    Blank lines before the header are skipped, as they are between rows.
+    Yields one list of strings per name and the rows' physical line numbers,
+    :data:`_CHUNK_ROWS` rows of ``csv.reader`` at a time. The header is found
+    by name, the last of a repeated name winning; with ``exact`` it must be
+    ``names`` and nothing else. Blank lines are skipped, short rows padded
+    with empty fields, and fields beyond the named columns are not read.
+
+    A row's number is the line it ends on, counted from ``reader.line_num``
+    at the chunk's two ends. Only a chunk spanning more lines than rows, as
+    when a quoted field holds a line break, counts the LF, CR LF and lone CR
+    line ends (those of ``open(newline="")``) inside each row's fields.
     """
+    reader = csv.reader(stream)
     header = next(filter(None, reader), None)
     if header is None:
         raise FormatError(f"{what} file is empty (no header row)")
-    for col in required:
+    for col in names:
         if col not in header:
             raise FormatError(f"{what} file is missing required column {col!r}")
+    if exact and header != list(names):
+        raise FormatError(f"{what} file has the columns {','.join(header)}, "
+                          f"not {','.join(names)}")
     index = {name: i for i, name in enumerate(header)}
-    return tuple(index[col] for col in required)
-
-
-def _column_chunks(stream, what: str, names: tuple[str, ...]):
-    """The named columns of a CSV with a header, a chunk of rows at a time.
-
-    Yields one list of strings per name and the rows' physical line numbers.
-    ``csv.reader`` splits the rows; blank lines are dropped and short rows
-    padded with empty fields, as a row-by-row reader treats them.
-    """
-    reader = csv.reader(stream)
-    columns = _header_index(reader, what, names)
-    pick, width = itemgetter(*columns), max(columns) + 1
-    rows: list[tuple[str, ...]] = []
-    numbers: list[int] = []
-    for row in reader:
-        if len(row) < width:
-            if not row:
+    columns = [index[col] for col in names]
+    width = max(columns) + 1
+    end = reader.line_num
+    while rows := list(islice(reader, _CHUNK_ROWS)):
+        start, end = end, reader.line_num
+        numbers = range(start + 1, end + 1)
+        if len(numbers) > len(rows):
+            breaks = (sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+                      for row in rows)
+            numbers = list(accumulate(breaks, lambda n, b: n + b + 1, initial=start))[1:]
+        try:
+            picked = [list(map(itemgetter(i), rows)) for i in columns]
+        except IndexError:  # a short row, or a blank line, which reads as an empty row
+            kept = list(map(bool, rows))
+            numbers = compress(numbers, kept)
+            rows = [row + [""] * (width - len(row)) for row in compress(rows, kept)]
+            if not rows:
                 continue
-            row += [""] * (width - len(row))
-        rows.append(pick(row))
-        numbers.append(reader.line_num)
-        if len(rows) == _CHUNK_ROWS:
-            yield list(map(list, zip(*rows))), numbers
-            rows, numbers = [], []
-    if rows:
-        yield list(map(list, zip(*rows))), numbers
+            picked = [list(map(itemgetter(i), rows)) for i in columns]
+        yield picked, list(numbers)
+
+
+def _uncommented(lines) -> list[str]:
+    """The lines, comment lines made blank: rows keep their numbers."""
+    lines = list(lines)
+    for i in compress(count(), map(str.startswith, lines, repeat("#"))):
+        lines[i] = "\n"
+    return lines
+
+
+def _columns(stream, what: str, names: tuple[str, ...],
+             kept: bool = False) -> tuple[list[int], list[list[str]]]:
+    """The line numbers and the named columns of every row of
+    :func:`_column_chunks`. A ``kept`` file, which only this package writes,
+    has its comment lines skipped and exactly ``names`` as its header."""
+    numbers: list[int] = []
+    columns: list[list[str]] = [[] for _ in names]
+    for chunk, chunk_numbers in _column_chunks(_uncommented(stream) if kept else stream,
+                                               what, names, exact=kept):
+        numbers += chunk_numbers
+        for column, part in zip(columns, chunk):
+            column += part
+    return numbers, columns
 
 
 def _string_array(values: list[str]) -> np.ndarray:
@@ -342,14 +367,13 @@ def _check_trip(line: int, start_raw: str, end_raw: str, origin: str, dest: str)
 def parse_trips(source) -> TripTable:
     """Read a trip CSV with the :data:`TRIP_COLUMNS` into a :class:`TripTable`.
 
-    ``source`` may be a path or an open stream. ``csv.reader`` splits the
-    rows, so quoted fields, blank lines and short rows read as a row-by-row
-    reader reads them. Each chunk of rows becomes columns: each time column
-    is parsed in one :func:`_timestamps` call and each station column is
-    stripped into one array. Malformed rows are never skipped silently but
-    raise :class:`RowError` with the offending line number; the first bad row
-    of a chunk is checked again on its own, so the message is the one its
-    first broken rule gives.
+    ``source`` may be a path or an open stream. In each chunk of
+    :func:`_column_chunks`, each time column is parsed in one
+    :func:`_timestamps` call and each station column is stripped into one
+    array. Malformed rows are never skipped silently but raise
+    :class:`RowError` with the offending line number; the first bad row of a
+    chunk is checked again on its own, so the message is the one its first
+    broken rule gives.
     """
     with _open_text(source) as stream:
         parts = []
@@ -402,46 +426,27 @@ def top_stations(trips: TripTable, n: int = 30) -> list[str]:
 
 
 def events_to_csv(stream: EventStream) -> str:
-    """Serialize a stream as ``time,kind`` rows; the times round-trip exactly."""
+    """Serialize a stream as :data:`EVENT_COLUMNS` rows; the times round-trip exactly."""
     names = np.array(KIND_NAMES)[stream.kinds].tolist()
-    return "time,kind\n" + "".join(map("{},{}\n".format, _iso_strings(stream.times), names))
-
-
-def _kept_lines(stream, header: str, message: str) -> tuple[list[int], list[str]]:
-    """Physical line numbers and texts of the rows after a kept CSV's header.
-
-    Lines end in LF or CR LF, and the ends are stripped. Comment lines
-    (starting with #) are skipped. A first line other than ``header`` raises
-    :class:`FormatError` with ``message``.
-    """
-    lines = stream.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the text ends with a line break
-    kept = ~np.fromiter(map(str.startswith, lines, repeat("#")), bool, len(lines))
-    rows = list(map(str.rstrip, compress(lines, kept.tolist()), repeat("\r")))
-    if not rows or rows[0] != header:
-        raise FormatError(message)
-    return (np.flatnonzero(kept)[1:] + 1).tolist(), rows[1:]
+    return ",".join(EVENT_COLUMNS) + "\n" + "".join(map(
+        "{},{}\n".format, _iso_strings(stream.times), names))
 
 
 def events_from_csv(source, station: str) -> EventStream:
-    """Inverse of :func:`events_to_csv`; comment lines starting with # are skipped.
+    """Inverse of :func:`events_to_csv`, read by :func:`_columns` as a kept file.
 
-    An unknown kind raises :class:`FormatError`, and a bad time
-    :class:`RowError` with its line number.
+    The first bad row raises :class:`RowError` with its line number: an
+    unknown kind first, then a bad time.
     """
-    with _open_text(source) as text:
-        numbers, lines = _kept_lines(text, "time,kind",
-                                     "event CSV must start with a time,kind header")
-        fields = list(map(str.partition, lines, repeat(",")))
-        stamps, names = list(map(itemgetter(0), fields)), list(map(itemgetter(2), fields))
+    with _open_text(source) as stream:
+        numbers, (stamps, names) = _columns(stream, "event", EVENT_COLUMNS, kept=True)
         kinds = np.fromiter(map(_KIND_CODES.get, names, repeat(-1)), np.int8, len(names))
         times = _timestamps(stamps)
         bad = (kinds < 0) | np.isnat(times)
         if bad.any():
             i = int(np.argmax(bad))
             if kinds[i] < 0:
-                raise FormatError(f"unknown event kind {names[i]!r} in event CSV")
+                raise RowError(numbers[i], f"unknown event kind {names[i]!r}")
             _parse_timestamp(stamps[i], numbers[i])
     return EventStream(station=station, times=times, kinds=kinds)
 
@@ -530,44 +535,30 @@ class WeatherTable:
         self.rain_probability = rains[order[last]]
 
 
-def _weather_table(numbers: list[int], stamps: list[str], temps: list[str],
-                   rains: list[str]) -> WeatherTable:
-    """The table of parsed weather columns; the first bad row raises :class:`RowError`.
-
-    The bad row is checked again on its own, so the message is the one its
-    first broken rule gives.
-    """
-    hours = _timestamps(stamps)
-    try:
-        values = [np.fromiter(map(float, col), float, len(col)) for col in (temps, rains)]
-    except ValueError:
-        values = None
-    if values is None or np.isnat(hours).any() or _bad_observations(hours, *values).any():
-        for line, stamp, temp, rain in zip(numbers, stamps, temps, rains):
-            ts = _parse_timestamp(stamp, line)
-            try:
-                _check_observation(ts, float(temp), float(rain))
-            except ValueError:
-                raise RowError(line, "unparseable weather values") from None
-            except DataError as exc:
-                raise RowError(line, str(exc)) from None
-    return WeatherTable(hours, *values)
-
-
 def parse_weather(source) -> WeatherTable:
     """Read an hourly weather CSV (timestamp, temperature_c, rain_probability).
 
-    Blank lines are skipped. A bad row raises :class:`RowError` with its
-    line number.
+    The first bad row raises :class:`RowError` with its line number. It is
+    checked again on its own, so the message is the one its first broken rule
+    gives.
     """
     with _open_text(source) as stream:
-        columns: list[list[str]] = [[], [], []]
-        numbers: list[int] = []
-        for chunk, chunk_numbers in _column_chunks(stream, "weather", WEATHER_COLUMNS):
-            for column, part in zip(columns, chunk):
-                column += part
-            numbers += chunk_numbers
-        return _weather_table(numbers, *columns)
+        numbers, (stamps, temps, rains) = _columns(stream, "weather", WEATHER_COLUMNS)
+        hours = _timestamps(stamps)
+        try:
+            values = [np.fromiter(map(float, col), float, len(col)) for col in (temps, rains)]
+        except ValueError:
+            values = None
+        if values is None or np.isnat(hours).any() or _bad_observations(hours, *values).any():
+            for line, stamp, temp, rain in zip(numbers, stamps, temps, rains):
+                ts = _parse_timestamp(stamp, line)
+                try:
+                    _check_observation(ts, float(temp), float(rain))
+                except ValueError:
+                    raise RowError(line, "unparseable weather values") from None
+                except DataError as exc:
+                    raise RowError(line, str(exc)) from None
+    return WeatherTable(hours, *values)
 
 
 def parse_stations(source) -> dict[str, int]:
@@ -575,20 +566,20 @@ def parse_stations(source) -> dict[str, int]:
     and a station listed twice raises :class:`RowError`."""
     capacities = {}
     with _open_text(source) as stream:
-        for (sids, caps), numbers in _column_chunks(stream, "station", ("station_id", "capacity")):
-            for line, raw_sid, raw_cap in zip(numbers, sids, caps):
-                sid = raw_sid.strip()
-                if not sid:
-                    raise RowError(line, "empty station id")
-                try:
-                    cap = int(raw_cap)
-                except ValueError:
-                    raise RowError(line, f"unparseable capacity {raw_cap!r}") from None
-                if cap <= 0:
-                    raise RowError(line, f"capacity must be positive, got {cap}")
-                if sid in capacities:
-                    raise RowError(line, f"station {sid} is listed twice")
-                capacities[sid] = cap
+        numbers, (sids, caps) = _columns(stream, "station", ("station_id", "capacity"))
+        for line, raw_sid, raw_cap in zip(numbers, sids, caps):
+            sid = raw_sid.strip()
+            if not sid:
+                raise RowError(line, "empty station id")
+            try:
+                cap = int(raw_cap)
+            except ValueError:
+                raise RowError(line, f"unparseable capacity {raw_cap!r}") from None
+            if cap <= 0:
+                raise RowError(line, f"capacity must be positive, got {cap}")
+            if sid in capacities:
+                raise RowError(line, f"station {sid} is listed twice")
+            capacities[sid] = cap
     return capacities
 
 
@@ -663,61 +654,52 @@ def split(series: DemandSeries) -> DataSplit:
 
 
 def demand_to_csv(series: DemandSeries) -> str:
-    """Serialize the counts as ``interval_start,pickups,returns`` rows, no covariates."""
+    """Serialize the counts as :data:`DEMAND_COLUMNS` rows, no covariates."""
     starts = (np.datetime64(series.start, "us")
               + np.arange(len(series)) * np.timedelta64(series.interval_minutes, "m"))
-    return "interval_start,pickups,returns\n" + "".join(map(
+    return ",".join(DEMAND_COLUMNS) + "\n" + "".join(map(
         "{},{},{}\n".format, _iso_strings(starts), series.pickups.tolist(),
         series.returns.tolist()))
 
 
-def _check_demand_rows(numbers: list[int], lines: list[str], interval_minutes: int) -> None:
+def _check_demand_rows(numbers: list[int], stamps: list[str], pickups: list[str],
+                       returns: list[str], interval_minutes: int) -> None:
     """The rules of each demand row, row by row; raises :class:`RowError` at the first bad one."""
     step = timedelta(minutes=interval_minutes)
-    start = None
-    for i, (n, line) in enumerate(zip(numbers, lines)):
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise RowError(n, f"expected interval_start,pickups,returns, got {line!r}")
-        stamp = _parse_timestamp(fields[0], n)
-        try:
-            int(fields[1]), int(fields[2])
-        except ValueError:
-            raise RowError(n, f"unparseable counts in {line!r}") from None
-        if start is None:
-            start = stamp
+    start = _parse_timestamp(stamps[0], numbers[0])
+    for i, (n, raw, *counts) in enumerate(zip(numbers, stamps, pickups, returns)):
+        stamp = _parse_timestamp(raw, n)
+        for name, raw_count in zip(DEMAND_COLUMNS[1:], counts):
+            try:
+                int(raw_count)
+            except ValueError:
+                raise RowError(n, f"unparseable {name} {raw_count!r}") from None
         if stamp != start + i * step:
             raise RowError(n, f"interval_start {stamp} out of sequence: expected "
                               f"{start + i * step}, {interval_minutes} minutes per row")
 
 
 def demand_from_csv(source, station: str, interval_minutes: int) -> DemandSeries:
-    """Inverse of :func:`demand_to_csv`; comment lines starting with # are skipped.
+    """Inverse of :func:`demand_to_csv`, read by :func:`_columns` as a kept file.
 
     Row i must start ``i`` intervals after the first row, so a row out of
-    order, repeated or missing is an error. A short, blank, unparseable or
-    out-of-sequence row raises :class:`RowError` with its line number.
+    order, repeated or missing is an error. An unparseable or out-of-sequence
+    row raises :class:`RowError` with its line number; a short row reads
+    empty counts, which do not parse.
     """
-    with _open_text(source) as text:
-        numbers, lines = _kept_lines(
-            text, "interval_start,pickups,returns",
-            "demand CSV must start with an interval_start,pickups,returns header")
-        if not lines:
-            raise FormatError("demand CSV has no data rows")
-        rows = list(map(str.split, lines, repeat(",")))
-        counts = None
-        if all(len(row) == 3 for row in rows):
-            stamps, pickups, returns = (list(map(itemgetter(i), rows)) for i in range(3))
-            starts = _timestamps(stamps)
-            try:
-                counts = [np.fromiter(map(int, col), np.int64, len(col))
-                          for col in (pickups, returns)]
-            except ValueError:
-                pass
+    with _open_text(source) as stream:
+        numbers, (stamps, pickups, returns) = _columns(stream, "demand", DEMAND_COLUMNS, kept=True)
+        if not numbers:
+            raise FormatError("demand file has no data rows")
+        starts = _timestamps(stamps)
+        try:
+            counts = [np.fromiter(map(int, col), np.int64, len(col)) for col in (pickups, returns)]
+        except ValueError:
+            counts = None
         step = np.timedelta64(interval_minutes, "m")
         if counts is None or not np.array_equal(
                 starts, starts[0] + np.arange(len(starts)) * step):
-            _check_demand_rows(numbers, lines, interval_minutes)
+            _check_demand_rows(numbers, stamps, pickups, returns, interval_minutes)
     return DemandSeries(
         station=station,
         interval_minutes=interval_minutes,

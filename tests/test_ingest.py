@@ -10,7 +10,7 @@ from datetime import date, datetime, time, timedelta
 import numpy as np
 import pytest
 
-from bikecast import synthetic
+from bikecast import artifacts, experiments, synthetic
 from bikecast.errors import ConfigError, DataError, FormatError, RowError
 from bikecast import ingest
 from bikecast.ingest import (
@@ -38,6 +38,7 @@ from bikecast.ingest import (
     top_stations,
     weather_to_csv,
 )
+from bikecast.queueing import RateSeries
 
 TRIPS_CSV = """starttime,stoptime,start station id,end station id
 2018-06-01 07:58:30,2018-06-01 08:14:02,A,B
@@ -225,7 +226,7 @@ def test_events_csv_roundtrip_is_exact(microsecond):
 def test_events_csv_rejects_malformed_files():
     with pytest.raises(FormatError):
         events_from_csv(io.StringIO("# config: abc seed: 1\n"), "A")
-    with pytest.raises(FormatError):
+    with pytest.raises(RowError, match="line 2: unknown event kind 'dock'"):
         events_from_csv(io.StringIO("time,kind\n2018-06-01 07:00:00,dock\n"), "A")
 
 
@@ -255,7 +256,7 @@ def test_readers_close_only_the_files_they_open(tmp_path, kind):
         read(str(path))
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-    with open(path, "rb") as owned:
+    with open(path, newline="") as owned:
         read(owned)
         gc.collect()
         assert not owned.closed
@@ -511,10 +512,9 @@ def test_demand_csv_skips_comment_lines():
 
 
 @pytest.mark.parametrize("row, message", [
-    pytest.param("2018-06-01 03:00:00,1", "expected interval_start", id="short-row"),
-    pytest.param("", "expected interval_start", id="blank-line"),
-    pytest.param("2018-06-01 03:00:00,1,x", "unparseable counts", id="non-integer"),
-    pytest.param("2018-06-01 03:00:00,1.5,0", "unparseable counts", id="fractional"),
+    pytest.param("2018-06-01 03:00:00,1", "unparseable returns ''", id="short-row"),
+    pytest.param("2018-06-01 03:00:00,1,x", "unparseable returns 'x'", id="non-integer"),
+    pytest.param("2018-06-01 03:00:00,1.5,0", "unparseable pickups '1.5'", id="fractional"),
     pytest.param("yesterday,1,0", "unparseable timestamp", id="bad-time"),
 ])
 def test_demand_csv_row_errors_carry_their_line(row, message):
@@ -530,10 +530,73 @@ def test_demand_csv_row_errors_carry_their_line(row, message):
     assert err.value.line_number == 6
 
 
-def test_demand_csv_rejects_a_covariate_header():
-    text = "interval_start,pickups,returns,temperature_c\n2018-06-01 00:00:00,1,0,12.0\n"
-    with pytest.raises(FormatError):
-        demand_from_csv(io.StringIO(text), station="A", interval_minutes=60)
+def _kept_events() -> str:
+    return events_to_csv(EventStream("A", [datetime(2018, 6, 1, h, 30) for h in range(6)],
+                                     [PICKUP, RETURN] * 3))
+
+
+def _kept_forecast() -> str:
+    days = [date(2018, 11, 1), date(2018, 11, 2)]
+    rates = [RateSeries(60, np.full(24, 0.5 + d), np.full(24, 1.25)) for d in range(2)]
+    return experiments._rate_series_csv(days, rates)
+
+
+def _kept_decisions() -> str:
+    rows = [f"2018-11-0{d},{name},{d + 2},{d / 4}" for name in ("ha", "lr") for d in (1, 2)]
+    return ",".join(artifacts.DECISION_COLUMNS) + "\n" + "\n".join(rows) + "\n"
+
+
+def _read_demand(file: str):
+    series = demand_from_csv(file, "A", 60)
+    return series.start, series.pickups.tolist(), series.returns.tolist()
+
+
+def _read_forecast(file: str):
+    days, rates = artifacts._forecasts(file, 60)
+    return days, [(r.pickup_rates.tolist(), r.return_rates.tolist()) for r in rates]
+
+
+# each kind of CSV that only the package writes: its text without the config
+# line, and a reader of its file whose values compare with ==
+KEPT = {
+    "demand": (_demand_text, _read_demand),
+    "events": (_kept_events, lambda file: pairs(events_from_csv(file, "A"))),
+    "forecast": (_kept_forecast, _read_forecast),
+    "decisions": (_kept_decisions, lambda file: artifacts.parse_decisions(
+        file, ["ha", "lr"], [date(2018, 11, 1), date(2018, 11, 2)], 20)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KEPT))
+def test_kept_csv_skips_blank_lines_and_names_the_physical_line_of_a_bad_row(tmp_path, kind):
+    text, read = KEPT[kind]
+    lines = ("# config: abc seed: 1\n" + text()).splitlines()
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    expected = read(str(path))
+    lines.insert(3, "")  # between the first and the second row
+    path.write_text("\n".join(lines) + "\n")
+    assert read(str(path)) == expected
+    # comment, header, row, blank line, row: the third row is on line 6
+    lines[5] = ",".join(["garbled", *next(csv.reader([lines[5]]))[1:]])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RowError) as err:
+        read(str(path))
+    assert err.value.line_number == 6
+    assert "'garbled'" in err.value.reason
+
+
+@pytest.mark.parametrize("kind", sorted(KEPT))
+def test_demand_csv_rejects_a_covariate_header(tmp_path, kind):
+    # the header of a kept file must be exactly its columns: an old demand
+    # file with its covariates is refused, not read by name
+    text, read = KEPT[kind]
+    header, rest = text().split("\n", 1)
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{header},temperature_c\n{rest}")
+    with pytest.raises(FormatError, match=f"has the columns {header},temperature_c, "
+                                          f"not {header}$"):
+        read(str(path))
 
 
 @pytest.mark.parametrize("temperature, rain", [
@@ -696,6 +759,26 @@ def test_parse_trips_numbers_lines_across_chunks_and_quoted_line_breaks(monkeypa
     assert trips.start_times.tolist() == [datetime(2018, 6, 1, 7, m) for m in range(10) if m != 7]
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("chunk", [1, 3, 2048])
+def test_column_chunks_number_rows_as_a_row_by_row_reader(tmp_path, monkeypatch, end, chunk):
+    # quoted fields holding each kind of line break, blank lines and short rows
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk)
+    rows = ["a,b,c", "1,2,3", "", '"x\r\ny",5,6', "7,8", "", "", '9,"p\rq\nr",0', "1,2,3",
+            '"s\n\nt",,', "4,5,6"]
+    path = tmp_path / "rows.csv"
+    path.write_bytes(end.join(rows).encode() + end.encode())
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        expected = [(row[:2], reader.line_num) for row in reader if row]
+    with open(path, newline="") as fh:
+        chunks = list(ingest._column_chunks(fh, "test", ("a", "b")))
+    got = [([a, b], n) for (a_col, b_col), numbers in chunks
+           for a, b, n in zip(a_col, b_col, numbers)]
+    assert got == expected
+
+
 # -- the array operations against the per-event and per-interval loops -----------------
 
 
@@ -850,9 +933,10 @@ def test_events_csv_bad_time_names_its_line_and_file(tmp_path):
         events_from_csv(str(path), "A")
     assert err.value.line_number == 4
     assert str(err.value) == f"{path}: line 4: unparseable timestamp '2018-06-31 07:00:00'"
-    with pytest.raises(FormatError, match=f"{path}: unknown event kind 'dock'"):
-        path.write_text(text.replace("return", "dock"))
+    path.write_text(text.replace("return", "dock"))
+    with pytest.raises(RowError) as err:
         events_from_csv(str(path), "A")
+    assert str(err.value) == f"{path}: line 4: unknown event kind 'dock'"
 
 
 def test_weather_without_rows_is_an_empty_table_that_covers_nothing():
