@@ -19,8 +19,8 @@ import numpy as np
 from . import classical, neural
 from .config import RunConfig
 from .errors import DataError, FormatError, RowError
-from .ingest import (DemandSeries, _columns, _uncommented, build_covariates,
-                     demand_from_csv, parse_stations, parse_weather)
+from .ingest import (DemandSeries, _check_rows, _columns, _converted, _uncommented,
+                     build_covariates, demand_from_csv, parse_stations, parse_weather)
 from .queueing import RateSeries
 
 # each kind of artifact: the stage that writes it, and its path under out_dir
@@ -81,22 +81,22 @@ def read(config: RunConfig, kind: str, parse, *args, sid: str = "", name: str = 
         raise FormatError(f"{file}: {e}") from None
 
 
-def _kept_file(file: str, what: str, names: tuple[str, ...], *types):
+def _kept_file(file: str, what: str, names: tuple[str, ...], *kinds):
     """The physical line numbers and the columns of a kept CSV with the
     columns ``names`` (:func:`~.ingest._columns`), column i converted by
-    ``types[i]``. The first row with a field that does not convert raises
+    ``kinds[i]`` (:func:`~.ingest._converted`) or, where that is None, kept
+    as read. The first row with a field that does not convert raises
     :class:`RowError` naming the column."""
     with open(file, newline="") as fh:
         numbers, columns = _columns(fh, what, names, kept=True)
-    try:
-        return numbers, [list(map(convert, column)) for convert, column in zip(types, columns)]
-    except ValueError:
-        for n, *fields in zip(numbers, *columns):
-            for name, convert, field in zip(names, types, fields):
-                try:
-                    convert(field)
-                except ValueError:
-                    raise RowError(n, f"unparseable {name} {field!r}") from None
+    rules = []
+    for i, kind in enumerate(kinds):
+        if kind is not None:
+            values, rule = _converted(names[i], columns[i], kind)
+            columns[i] = values.tolist()
+            rules.append(rule)
+    _check_rows(numbers, rules)
+    return numbers, columns
 
 
 def parse_capacities(file: str) -> dict[str, int]:
@@ -206,7 +206,7 @@ def parse_decisions(file: str, names: list[str], days: list[date],
     and a missing one :class:`DataError`."""
     s_star: dict[tuple[date, str], int] = {}
     numbers, columns = _kept_file(file, "decision", DECISION_COLUMNS,
-                                  date.fromisoformat, str, int, float)
+                                  date.fromisoformat, None, int, float)
     for n, day, name, s, _ in zip(numbers, *columns):
         if not 0 <= s <= capacity:
             raise RowError(n, f"s_star {s} outside [0, {capacity}]")

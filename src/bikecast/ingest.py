@@ -27,9 +27,14 @@ Under ``demand/`` ingest also writes each station's counts
 
 Every CSV the package reads, input or kept, goes through one row reader,
 :func:`_column_chunks`. Timestamps are read as :func:`datetime.fromisoformat`
-reads them, with surrounding blanks stripped and UTC offsets refused. A bad
-row anywhere raises :class:`RowError` with its physical line number, and
-with the file's path when the reader was given one.
+reads them, with surrounding blanks stripped and UTC offsets refused; numbers
+by one converter, :func:`_converted`, which refuses digit-group underscores.
+
+Each row rule is stated once: a reader builds its columns, then hands
+:func:`_check_rows` one mask per rule, with the words of its fault, in the
+order a row is checked. The first bad row raises :class:`RowError`, worded by
+the first rule it breaks, with its physical line number and, when the reader
+was given one, the file's path.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -42,7 +47,6 @@ Conventions fixed here and relied on elsewhere:
 from __future__ import annotations
 
 import csv
-import math
 import os
 from collections.abc import Iterable
 from contextlib import contextmanager
@@ -354,14 +358,55 @@ def _string_array(values: list[str]) -> np.ndarray:
     return np.array(values, dtype=f"<U{width}")
 
 
-def _check_trip(line: int, start_raw: str, end_raw: str, origin: str, dest: str) -> None:
-    """The rules of one trip row, in order; raises :class:`RowError` for a bad row."""
-    if not origin or not dest:
-        raise RowError(line, "empty station id")
-    start_time = _parse_timestamp(start_raw, line)
-    end_time = _parse_timestamp(end_raw, line)
-    if end_time < start_time:
-        raise RowError(line, f"trip ends before it starts: {start_time} -> {end_time}")
+def _check_rows(numbers, rules) -> None:
+    """Raise :class:`RowError` at the first row that any rule flags, worded by
+    the first rule that flags that row.
+
+    ``rules`` are ``(mask, message)`` pairs in the order a row is checked: the
+    mask flags the rows that break the rule, and ``message(i)`` words the
+    fault of row i, or raises the error itself, as :func:`_parse_timestamp`
+    does. Row i is on line ``numbers[i]``; with ``numbers`` None, as for a
+    table built in code, the error is a :class:`DataError` without a line.
+    """
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if bad.any():
+        i = int(np.argmax(bad))
+        reason = next(message(i) for mask, message in rules if mask[i])
+        raise DataError(reason) if numbers is None else RowError(numbers[i], reason)
+
+
+def _time_rule(raws: list[str], times: np.ndarray, numbers: list[int]):
+    """The rule that each field of a time column parsed (:func:`_timestamps`)."""
+    return np.isnat(times), lambda i: _parse_timestamp(raws[i], numbers[i])
+
+
+def _converted(name: str, column: list[str], kind):
+    """``column`` converted by ``kind`` into an array (of objects unless
+    ``kind`` is int or float), and the rule that each field converted, worded
+    ``unparseable <name> '<field>'``.
+
+    A column that converts whole takes one ``np.fromiter`` pass; only one
+    that does not goes field by field, a refused field reading as zero. A
+    field with a digit-group underscore is refused, though ``int("2_0")`` is
+    20, and so is an integer beyond ``int64``.
+    """
+    n = len(column)
+    dtype = kind if kind in (int, float) else object
+    refused = np.zeros(n, bool)
+    rule = refused, lambda i: f"unparseable {name} {column[i]!r}"
+    if "_" not in "".join(column):
+        try:
+            return np.fromiter(map(kind, column), dtype, n), rule
+        except (ValueError, OverflowError):
+            pass
+    values = np.zeros(n, dtype)
+    for i, field in enumerate(column):
+        try:
+            values[i] = kind(field)
+            refused[i] = "_" in field
+        except (ValueError, OverflowError):
+            refused[i] = True
+    return values, rule
 
 
 def parse_trips(source) -> TripTable:
@@ -370,10 +415,10 @@ def parse_trips(source) -> TripTable:
     ``source`` may be a path or an open stream. In each chunk of
     :func:`_column_chunks`, each time column is parsed in one
     :func:`_timestamps` call and each station column is stripped into one
-    array. Malformed rows are never skipped silently but raise
-    :class:`RowError` with the offending line number; the first bad row of a
-    chunk is checked again on its own, so the message is the one its first
-    broken rule gives.
+    array. Malformed rows are never skipped silently: the first bad row
+    raises :class:`RowError` with its line number, worded by the first rule
+    it breaks (:func:`_check_rows`): a station id is empty, the start or the
+    end time does not parse, the trip ends before it starts.
     """
     with _open_text(source) as stream:
         parts = []
@@ -384,11 +429,14 @@ def parse_trips(source) -> TripTable:
             start_times, end_times = times[:n], times[n:]
             ids = _string_array(list(map(str.strip, origins + dests)))
             origin_ids, dest_ids = ids[:n], ids[n:]
-            bad = ((origin_ids == "") | (dest_ids == "") | np.isnat(start_times)
-                   | np.isnat(end_times) | (end_times < start_times))
-            if bad.any():
-                i = int(np.argmax(bad))
-                _check_trip(numbers[i], starts[i], ends[i], origin_ids[i], dest_ids[i])
+            _check_rows(numbers, [
+                ((origin_ids == "") | (dest_ids == ""), lambda i: "empty station id"),
+                _time_rule(starts, start_times, numbers),
+                _time_rule(ends, end_times, numbers),
+                (end_times < start_times,
+                 lambda i: f"trip ends before it starts: {start_times[i].item()} -> "
+                           f"{end_times[i].item()}"),
+            ])
             parts.append((start_times, end_times, origin_ids, dest_ids))
     if not parts:
         no_times, no_ids = np.empty(0, "datetime64[us]"), np.empty(0, str)
@@ -435,19 +483,15 @@ def events_to_csv(stream: EventStream) -> str:
 def events_from_csv(source, station: str) -> EventStream:
     """Inverse of :func:`events_to_csv`, read by :func:`_columns` as a kept file.
 
-    The first bad row raises :class:`RowError` with its line number: an
-    unknown kind first, then a bad time.
+    The first bad row raises :class:`RowError` with its line number, worded by
+    the first rule it breaks: an unknown kind, then a bad time.
     """
     with _open_text(source) as stream:
         numbers, (stamps, names) = _columns(stream, "event", EVENT_COLUMNS, kept=True)
         kinds = np.fromiter(map(_KIND_CODES.get, names, repeat(-1)), np.int8, len(names))
         times = _timestamps(stamps)
-        bad = (kinds < 0) | np.isnat(times)
-        if bad.any():
-            i = int(np.argmax(bad))
-            if kinds[i] < 0:
-                raise RowError(numbers[i], f"unknown event kind {names[i]!r}")
-            _parse_timestamp(stamps[i], numbers[i])
+        _check_rows(numbers, [(kinds < 0, lambda i: f"unknown event kind {names[i]!r}"),
+                              _time_rule(stamps, times, numbers)])
     return EventStream(station=station, times=times, kinds=kinds)
 
 
@@ -484,22 +528,17 @@ def aggregate(
     )
 
 
-def _check_observation(ts: datetime, temperature_c: float, rain_probability: float) -> None:
-    """The rules of one weather observation, in order; raises :class:`DataError`."""
-    if ts.minute or ts.second or ts.microsecond:
-        raise DataError(f"weather timestamps must be on the hour, got {ts}")
-    if not 0.0 <= rain_probability <= 1.0:
-        raise DataError(f"rain_probability {rain_probability} outside [0, 1] at {ts}")
-    if not math.isfinite(temperature_c):
-        raise DataError(f"temperature_c {temperature_c} is not finite at {ts}")
-
-
-def _bad_observations(hours: np.ndarray, temperature_c: np.ndarray,
-                      rain_probability: np.ndarray) -> np.ndarray:
-    """Where :func:`_check_observation` would refuse, as a mask."""
-    return ((hours != hours.astype("datetime64[h]"))
-            | ~((rain_probability >= 0.0) & (rain_probability <= 1.0))
-            | ~np.isfinite(temperature_c))
+def _observation_rules(hours: np.ndarray, temperature_c: np.ndarray,
+                       rain_probability: np.ndarray):
+    """The rules of each weather observation, in order, for :func:`_check_rows`."""
+    return [
+        (hours != hours.astype("datetime64[h]"),
+         lambda i: f"weather timestamps must be on the hour, got {hours[i].item()}"),
+        (~((rain_probability >= 0.0) & (rain_probability <= 1.0)),
+         lambda i: f"rain_probability {rain_probability[i]} outside [0, 1] at {hours[i].item()}"),
+        (~np.isfinite(temperature_c),
+         lambda i: f"temperature_c {temperature_c[i]} is not finite at {hours[i].item()}"),
+    ]
 
 
 @dataclass(eq=False)
@@ -508,9 +547,10 @@ class WeatherTable:
 
     ``hours`` is a ``datetime64[us]`` array of naive local hours;
     ``temperature_c`` and ``rain_probability`` are float arrays. The
-    constructor checks every observation (on the hour, rain in [0, 1], a
-    finite temperature) and sorts by hour; of repeated hours the last given
-    wins.
+    constructor checks every observation by the rules that
+    :func:`parse_weather` checks too (on the hour, rain in [0, 1], a finite
+    temperature), raising :class:`DataError` for the first bad one, and sorts
+    by hour; of repeated hours the last given wins.
     """
 
     hours: np.ndarray
@@ -523,10 +563,7 @@ class WeatherTable:
         rains = np.asarray(self.rain_probability, dtype=float)
         if hours.ndim != 1 or not hours.shape == temps.shape == rains.shape:
             raise DataError("weather hours, temperatures and rain must be 1-D and equal length")
-        bad = _bad_observations(hours, temps, rains)
-        if bad.any():
-            i = int(np.argmax(bad))
-            _check_observation(hours[i].item(), float(temps[i]), float(rains[i]))
+        _check_rows(None, _observation_rules(hours, temps, rains))
         order = np.argsort(hours, kind="stable")
         hours = hours[order]
         last = np.append(hours[1:] != hours[:-1], True)[:len(hours)]
@@ -538,49 +575,39 @@ class WeatherTable:
 def parse_weather(source) -> WeatherTable:
     """Read an hourly weather CSV (timestamp, temperature_c, rain_probability).
 
-    The first bad row raises :class:`RowError` with its line number. It is
-    checked again on its own, so the message is the one its first broken rule
-    gives.
+    The first bad row raises :class:`RowError` with its line number, worded by
+    the first rule it breaks: the timestamp, then each value, does not
+    parse; then the observation rules of :class:`WeatherTable`.
     """
     with _open_text(source) as stream:
         numbers, (stamps, temps, rains) = _columns(stream, "weather", WEATHER_COLUMNS)
         hours = _timestamps(stamps)
-        try:
-            values = [np.fromiter(map(float, col), float, len(col)) for col in (temps, rains)]
-        except ValueError:
-            values = None
-        if values is None or np.isnat(hours).any() or _bad_observations(hours, *values).any():
-            for line, stamp, temp, rain in zip(numbers, stamps, temps, rains):
-                ts = _parse_timestamp(stamp, line)
-                try:
-                    _check_observation(ts, float(temp), float(rain))
-                except ValueError:
-                    raise RowError(line, "unparseable weather values") from None
-                except DataError as exc:
-                    raise RowError(line, str(exc)) from None
-    return WeatherTable(hours, *values)
+        temperature_c, temp_rule = _converted("temperature_c", temps, float)
+        rain_probability, rain_rule = _converted("rain_probability", rains, float)
+        _check_rows(numbers, [_time_rule(stamps, hours, numbers), temp_rule, rain_rule,
+                              *_observation_rules(hours, temperature_c, rain_probability)])
+    return WeatherTable(hours, temperature_c, rain_probability)
 
 
 def parse_stations(source) -> dict[str, int]:
-    """Read station metadata (station_id, capacity); capacities must be positive,
-    and a station listed twice raises :class:`RowError`."""
-    capacities = {}
+    """Read station metadata (station_id, capacity) into ``{id: capacity}``.
+
+    The first bad row raises :class:`RowError` with its line number, worded by
+    the first rule it breaks: the id is empty, the capacity does not parse or
+    is not positive, the station is listed on an earlier row.
+    """
     with _open_text(source) as stream:
         numbers, (sids, caps) = _columns(stream, "station", ("station_id", "capacity"))
-        for line, raw_sid, raw_cap in zip(numbers, sids, caps):
-            sid = raw_sid.strip()
-            if not sid:
-                raise RowError(line, "empty station id")
-            try:
-                cap = int(raw_cap)
-            except ValueError:
-                raise RowError(line, f"unparseable capacity {raw_cap!r}") from None
-            if cap <= 0:
-                raise RowError(line, f"capacity must be positive, got {cap}")
-            if sid in capacities:
-                raise RowError(line, f"station {sid} is listed twice")
-            capacities[sid] = cap
-    return capacities
+        ids = _string_array(list(map(str.strip, sids)))
+        capacities, cap_rule = _converted("capacity", caps, int)
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        _check_rows(numbers, [
+            (ids == "", lambda i: "empty station id"),
+            cap_rule,
+            (capacities <= 0, lambda i: f"capacity must be positive, got {capacities[i]}"),
+            (first[inverse] != np.arange(len(ids)), lambda i: f"station {ids[i]} is listed twice"),
+        ])
+    return dict(zip(ids.tolist(), capacities.tolist()))
 
 
 def covariate_columns(interval_minutes: int) -> list[str]:
@@ -662,50 +689,37 @@ def demand_to_csv(series: DemandSeries) -> str:
         series.returns.tolist()))
 
 
-def _check_demand_rows(numbers: list[int], stamps: list[str], pickups: list[str],
-                       returns: list[str], interval_minutes: int) -> None:
-    """The rules of each demand row, row by row; raises :class:`RowError` at the first bad one."""
-    step = timedelta(minutes=interval_minutes)
-    start = _parse_timestamp(stamps[0], numbers[0])
-    for i, (n, raw, *counts) in enumerate(zip(numbers, stamps, pickups, returns)):
-        stamp = _parse_timestamp(raw, n)
-        for name, raw_count in zip(DEMAND_COLUMNS[1:], counts):
-            try:
-                int(raw_count)
-            except ValueError:
-                raise RowError(n, f"unparseable {name} {raw_count!r}") from None
-        if stamp != start + i * step:
-            raise RowError(n, f"interval_start {stamp} out of sequence: expected "
-                              f"{start + i * step}, {interval_minutes} minutes per row")
-
-
 def demand_from_csv(source, station: str, interval_minutes: int) -> DemandSeries:
     """Inverse of :func:`demand_to_csv`, read by :func:`_columns` as a kept file.
 
-    Row i must start ``i`` intervals after the first row, so a row out of
-    order, repeated or missing is an error. An unparseable or out-of-sequence
-    row raises :class:`RowError` with its line number; a short row reads
-    empty counts, which do not parse.
+    The first bad row raises :class:`RowError` with its line number, worded by
+    the first rule it breaks: its start does not parse, a count does not
+    parse, a count is negative, or row i does not start ``i`` intervals after
+    the first row, as when a row is out of order, repeated or missing. A short
+    row reads empty counts, which do not parse.
     """
     with _open_text(source) as stream:
         numbers, (stamps, pickups, returns) = _columns(stream, "demand", DEMAND_COLUMNS, kept=True)
         if not numbers:
             raise FormatError("demand file has no data rows")
         starts = _timestamps(stamps)
-        try:
-            counts = [np.fromiter(map(int, col), np.int64, len(col)) for col in (pickups, returns)]
-        except ValueError:
-            counts = None
-        step = np.timedelta64(interval_minutes, "m")
-        if counts is None or not np.array_equal(
-                starts, starts[0] + np.arange(len(starts)) * step):
-            _check_demand_rows(numbers, stamps, pickups, returns, interval_minutes)
+        pickups, pickup_rule = _converted("pickups", pickups, int)
+        returns, return_rule = _converted("returns", returns, int)
+        expected = starts[0] + np.arange(len(starts)) * np.timedelta64(interval_minutes, "m")
+        _check_rows(numbers, [
+            _time_rule(stamps, starts, numbers), pickup_rule, return_rule,
+            (pickups < 0, lambda i: f"pickups must be non-negative, got {pickups[i]}"),
+            (returns < 0, lambda i: f"returns must be non-negative, got {returns[i]}"),
+            (starts != expected, lambda i: f"interval_start {starts[i].item()} out of sequence: "
+                                           f"expected {expected[i].item()}, "
+                                           f"{interval_minutes} minutes per row"),
+        ])
     return DemandSeries(
         station=station,
         interval_minutes=interval_minutes,
         start=starts[0].item(),
-        pickups=counts[0],
-        returns=counts[1],
+        pickups=pickups,
+        returns=returns,
     )
 
 

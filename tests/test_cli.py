@@ -198,6 +198,24 @@ def test_offset_aware_trip_timestamp_exits_data(tmp_path, corpus):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("key, field, reason", [
+    ("trips", 0, "unparseable timestamp 'garbled'"),
+    ("weather", 1, "unparseable temperature_c 'garbled'"),
+    ("stations", 1, "unparseable capacity 'garbled'"),
+])
+def test_a_bad_input_row_exits_data_naming_its_file_and_line(tmp_path, capsys, corpus, key,
+                                                             field, reason):
+    lines = Path(corpus[key]).read_text().splitlines()
+    row = lines[2].split(",")
+    row[field] = "garbled"
+    lines[2] = ",".join(row)
+    damaged = tmp_path / f"{key}.csv"
+    damaged.write_text("\n".join(lines) + "\n")
+    path = write_config(tmp_path / "run.yaml", {**corpus, key: str(damaged)}, tmp_path / "out")
+    assert main(["ingest", "--config", path]) == EXIT_DATA
+    assert capsys.readouterr().err == f"bikecast: stage ingest: {damaged}: line 3: {reason}\n"
+
+
 def test_train_before_ingest_names_artifact(tmp_path, capsys, corpus):
     path = write_config(tmp_path / "run.yaml", corpus, tmp_path / "out")
     assert main(["train", "--config", path]) == EXIT_DATA
@@ -214,7 +232,7 @@ def test_evaluate_before_optimize_names_stage(tmp_path, capsys, corpus):
     assert "decisions" in err and "optimize" in err
 
 
-@pytest.mark.parametrize("damage", ["short-row", "garbled-count"])
+@pytest.mark.parametrize("damage", ["short-row", "garbled-count", "negative-count"])
 def test_damaged_demand_file_exits_data_with_its_line(tmp_path, capsys, corpus, damage):
     out = tmp_path / "out"
     path = write_config(tmp_path / "run.yaml", corpus, out, stations=["7"])
@@ -225,8 +243,10 @@ def test_damaged_demand_file_exits_data_with_its_line(tmp_path, capsys, corpus, 
     stamp, pickups, _ = lines[line - 1].split(",")
     if damage == "short-row":
         lines[line - 1], reason = f"{stamp},{pickups}", "unparseable returns ''"
-    else:
+    elif damage == "garbled-count":
         lines[line - 1], reason = f"{stamp},{pickups},x", "unparseable returns 'x'"
+    else:
+        lines[line - 1], reason = f"{stamp},-1,0", "pickups must be non-negative, got -1"
     demand.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["train", "--config", path]) == EXIT_DATA

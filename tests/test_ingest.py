@@ -516,6 +516,8 @@ def test_demand_csv_skips_comment_lines():
     pytest.param("2018-06-01 03:00:00,1,x", "unparseable returns 'x'", id="non-integer"),
     pytest.param("2018-06-01 03:00:00,1.5,0", "unparseable pickups '1.5'", id="fractional"),
     pytest.param("yesterday,1,0", "unparseable timestamp", id="bad-time"),
+    pytest.param("2018-06-01 03:00:00,1,-1", "^line 6: returns must be non-negative, got -1$",
+                 id="negative"),
 ])
 def test_demand_csv_row_errors_carry_their_line(row, message):
     # the comment line counts: line numbers are physical lines
@@ -611,6 +613,103 @@ def test_weather_csv_roundtrip_is_exact(temperature, rain):
     assert observations(back) == observations(table)
     assert list(observations(back)) == sorted(observations(table))
     assert str(observations(back)[datetime(2018, 6, 1, 0)][0]) == str(temperature)
+
+
+@pytest.mark.parametrize("read, text, message", [
+    pytest.param(parse_stations, "station_id,capacity\nA,20\nB,2_0\n",
+                 "line 3: unparseable capacity '2_0'", id="stations"),
+    pytest.param(_read_demand, _demand_text().replace("\n2018-06-01 01:00:00,1,0\n",
+                                                      "\n2018-06-01 01:00:00,1_0,0\n"),
+                 "line 3: unparseable pickups '1_0'", id="demand"),
+    pytest.param(parse_weather, "timestamp,temperature_c,rain_probability\n"
+                                "2018-06-01 00:00:00,15.0,0.2\n2018-06-01 01:00:00,1_5.0,0.2\n",
+                 "line 3: unparseable temperature_c '1_5.0'", id="weather"),
+    pytest.param(KEPT["decisions"][1], _kept_decisions().replace(",ha,4,", ",ha,0_4,"),
+                 "line 3: unparseable s_star '0_4'", id="decisions"),
+    pytest.param(_read_forecast, _kept_forecast().replace("\n2018-11-01,1,0.5,",
+                                                          "\n2018-11-01,1,0_5,"),
+                 "line 3: unparseable pickup_rate '0_5'", id="forecast"),
+])
+def test_digit_group_underscores_are_refused_with_their_line(tmp_path, read, text, message):
+    # int("2_0") is 20 and float("0_5") is 5.0: a hand-damaged file must not load
+    assert message.split("'")[1] in text
+    path = tmp_path / "damaged.csv"
+    path.write_text(text)
+    with pytest.raises(RowError) as err:
+        read(str(path))
+    assert f"line {err.value.line_number}: {err.value.reason}" == message
+
+
+@pytest.mark.parametrize("row, message", [
+    pytest.param("2018-06-01 01:00:00,abc,0.2", "unparseable temperature_c 'abc'",
+                 id="temperature"),
+    pytest.param("2018-06-01 01:00:00,15.0,x", "unparseable rain_probability 'x'", id="rain"),
+    pytest.param("2018-06-01 01:00:00,abc,x", "unparseable temperature_c 'abc'", id="both"),
+])
+def test_an_unparseable_weather_value_names_its_column(row, message):
+    text = f"timestamp,temperature_c,rain_probability\n2018-06-01 00:00:00,15.0,0.2\n{row}\n"
+    with pytest.raises(RowError) as err:
+        parse_weather(io.StringIO(text))
+    assert str(err.value) == f"line 3: {message}"
+
+
+def test_a_count_beyond_int64_is_unparseable():
+    lines = _demand_text().splitlines()
+    lines[2] = "2018-06-01 01:00:00,99999999999999999999,0"
+    with pytest.raises(RowError) as err:
+        demand_from_csv(io.StringIO("\n".join(lines) + "\n"), "A", 60)
+    assert str(err.value) == "line 3: unparseable pickups '99999999999999999999'"
+
+
+def _rows_of(text: str, rows: dict[int, str]) -> str:
+    """``text`` with the rows at the given 0-based line indices replaced."""
+    lines = text.splitlines()
+    for at, row in rows.items():
+        lines[at] = row
+    return "\n".join(lines) + "\n"
+
+
+_WEATHER = ("timestamp,temperature_c,rain_probability\n" + "".join(
+    f"2018-06-01 {h:02d}:00:00,1.0,0.5\n" for h in range(4)))
+
+# per reader: a row that breaks two rules, which reports the earlier rule; and
+# an earlier row that breaks a later rule before a later row that breaks an
+# earlier one, which reports the earlier row. Each message is the one that
+# checking the rows one by one, each rule in turn, gives.
+RULE_ORDER = {
+    "trips": (parse_trips, TRIPS_CSV, [
+        ({2: "yesterday,2018-06-01 08:00:00,,B"}, "line 3: empty station id"),
+        ({2: "2018-06-01 09:00:00,2018-06-01 08:00:00,A,B",
+          3: "yesterday,2018-06-01 08:00:00,A,B"},
+         "line 3: trip ends before it starts: 2018-06-01 09:00:00 -> 2018-06-01 08:00:00"),
+    ]),
+    "events": (lambda src: events_from_csv(src, "A"), _kept_events(), [
+        ({2: "yesterday,dock"}, "line 3: unknown event kind 'dock'"),
+        ({1: "yesterday,pickup", 2: "2018-06-01 07:00:00,dock"},
+         "line 2: unparseable timestamp 'yesterday'"),
+    ]),
+    "weather": (parse_weather, _WEATHER, [
+        ({2: "2018-06-01 01:30:00,nan,1.5"},
+         "line 3: weather timestamps must be on the hour, got 2018-06-01 01:30:00"),
+        ({2: "2018-06-01 01:00:00,nan,0.5", 3: "2018-06-01 02:00:00,1.0,1.5"},
+         "line 3: temperature_c nan is not finite at 2018-06-01 01:00:00"),
+    ]),
+    "demand": (lambda src: demand_from_csv(src, "A", 60), _demand_text(), [
+        ({4: "yesterday,x,0"}, "line 5: unparseable timestamp 'yesterday'"),
+        ({4: "2018-06-01 09:00:00,1,0", 5: "2018-06-01 04:00:00,x,0"},
+         "line 5: interval_start 2018-06-01 09:00:00 out of sequence: expected "
+         "2018-06-01 03:00:00, 60 minutes per row"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RULE_ORDER))
+def test_each_reader_reports_the_first_bad_row_by_its_first_broken_rule(kind):
+    read, text, cases = RULE_ORDER[kind]
+    for rows, message in cases:
+        with pytest.raises(RowError) as err:
+            read(io.StringIO(_rows_of(text, rows)))
+        assert str(err.value) == message
 
 
 # -- the column parsers against the row-by-row rules ----------------------------------
