@@ -1,11 +1,12 @@
 """The files of a run under its output directory: where each kind lives, which
 stage writes it, and how it is written and read back.
 
-:func:`write` puts the ``# config:`` header line first in every text
-artifact. :func:`read` reads every artifact back through the parser of its
-kind, and names the file in every error it raises. Every CSV artifact is read
-by the row reader of :mod:`.ingest`, comment lines blanked so that rows keep
-their line numbers.
+This module alone knows the config line, ``# config: <hash> seed: <n>``.
+:func:`write` puts it first in every text artifact, and :func:`read` takes
+off exactly that line and no other before the parser of the kind sees the
+file's lines: a data row that begins with ``#`` stays a row. Every CSV
+artifact is then read by the row reader of :mod:`.ingest`, its rows at their
+physical line numbers. :func:`read` names the file in every error it raises.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from . import classical, neural
 from .config import RunConfig
 from .errors import DataError, FormatError, RowError
-from .ingest import (DemandSeries, _check_rows, _columns, _converted, _uncommented,
-                     build_covariates, demand_from_csv, parse_stations, parse_weather)
+from .ingest import (DemandSeries, _check_rows, _columns, _converted, build_covariates,
+                     demand_from_csv, parse_stations, parse_weather)
 from .queueing import RateSeries
 
 # each kind of artifact: the stage that writes it, and its path under out_dir
@@ -42,6 +43,9 @@ KINDS = {
 FORECAST_COLUMNS = ("date", "slot", "pickup_rate", "return_rate")
 DECISION_COLUMNS = ("date", "model", "s_star", "expected_cost")
 
+# how the config line, the first line of every text artifact, begins
+_CONFIG_LINE = "# config: "
+
 
 def path(config: RunConfig, kind: str, sid: str = "", name: str = "") -> str:
     """Where the artifact lives; a net label's colon (prnn:pickups) becomes _."""
@@ -49,31 +53,46 @@ def path(config: RunConfig, kind: str, sid: str = "", name: str = "") -> str:
     return os.path.join(config.out_dir, *parts)
 
 
+def artifact_header(config: RunConfig) -> str:
+    """The config line that begins every text artifact of a run of ``config``."""
+    return f"{_CONFIG_LINE}{config.hash()} seed: {config.seed}\n"
+
+
 def write(config: RunConfig, kind: str, text: str, sid: str = "", name: str = "") -> None:
-    """Write ``text`` as the artifact, after the config header line."""
+    """Write ``text`` as the artifact, after the config line."""
     file = path(config, kind, sid, name)
     os.makedirs(os.path.dirname(file), exist_ok=True)
     with open(file, "w", newline="") as fh:
-        fh.write(config.artifact_header())
+        fh.write(artifact_header(config))
         fh.write(text)
 
 
 def read(config: RunConfig, kind: str, parse, *args, sid: str = "", name: str = ""):
-    """``parse(file, *args)`` of the artifact's file.
+    """``parse(lines, *args)`` of the artifact's file; of a checkpoint,
+    ``parse(file, *args)``.
 
-    A missing file raises :class:`DataError` naming the stage to run. What
-    ``parse`` raises names the file: a :class:`RowError` gets it if it has no
-    path, and any other :class:`DataError`, ``ValueError`` or ``KeyError``
-    that does not start with it becomes a :class:`FormatError` that does.
+    A missing file raises :class:`DataError` naming the stage to run. A text
+    artifact is read whole as lines. Its first line must be a config line, or
+    :class:`FormatError` names the file and the stage to run again; that one
+    line is blanked, so that every other line keeps its physical number, and
+    ``parse`` gets the lines. What ``parse`` raises names the file: a
+    :class:`RowError` gets its path, and any other :class:`DataError`,
+    ``ValueError`` or ``KeyError`` that does not start with it becomes a
+    :class:`FormatError` that does.
     """
     file = path(config, kind, sid, name)
     if not os.path.exists(file):
         raise DataError(f"missing artifact {file}; run the {KINDS[kind][0]} stage first")
     try:
-        return parse(file, *args)
+        if kind == "checkpoint":
+            return parse(file, *args)
+        with open(file, newline="") as fh:
+            if not fh.readline().startswith(_CONFIG_LINE):
+                raise FormatError(f"{file} does not begin with a config line; "
+                                  f"run the {KINDS[kind][0]} stage again")
+            lines = ["\n", *fh]
+        return parse(lines, *args)
     except RowError as e:
-        if e.path is not None:
-            raise
         raise RowError(e.line_number, e.reason, file) from None
     except (DataError, ValueError, KeyError) as e:
         if isinstance(e, DataError) and str(e).startswith(file):
@@ -81,14 +100,13 @@ def read(config: RunConfig, kind: str, parse, *args, sid: str = "", name: str = 
         raise FormatError(f"{file}: {e}") from None
 
 
-def _kept_file(file: str, what: str, names: tuple[str, ...], *kinds):
-    """The physical line numbers and the columns of a kept CSV with the
-    columns ``names`` (:func:`~.ingest._columns`), column i converted by
-    ``kinds[i]`` (:func:`~.ingest._converted`) or, where that is None, kept
-    as read. The first row with a field that does not convert raises
-    :class:`RowError` naming the column."""
-    with open(file, newline="") as fh:
-        numbers, columns = _columns(fh, what, names, kept=True)
+def _kept_file(lines: list[str], what: str, names: tuple[str, ...], *kinds):
+    """The physical line numbers and the columns of the ``lines`` of a kept
+    CSV with exactly the columns ``names`` (:func:`~.ingest._columns`), column
+    i converted by ``kinds[i]`` (:func:`~.ingest._converted`) or, where that
+    is None, kept as read. The first row with a field that does not convert
+    raises :class:`RowError` naming the column."""
+    numbers, columns = _columns(lines, what, names, exact=True)
     rules = []
     for i, kind in enumerate(kinds):
         if kind is not None:
@@ -99,39 +117,26 @@ def _kept_file(file: str, what: str, names: tuple[str, ...], *kinds):
     return numbers, columns
 
 
-def parse_capacities(file: str) -> dict[str, int]:
-    """The selected stations and their capacities, read by the input's
-    :func:`~.ingest.parse_stations` over the uncommented lines."""
-    with open(file, newline="") as fh:
-        return parse_stations(_uncommented(fh))
-
-
-def _weather(file: str):
-    with open(file, newline="") as fh:
-        return parse_weather(_uncommented(fh))
-
-
 def load_ingested(config: RunConfig) -> dict[str, DemandSeries]:
     """Each selected station's series, read back from the ``demand/`` files of
     stage_ingest; the covariates are not stored but rebuilt from
     ``demand/weather.csv``, once, into the one array that every series shares."""
-    stations = read(config, "stations", parse_capacities)
-    covariates = build_covariates(read(config, "weather", _weather),
+    stations = read(config, "stations", parse_stations)
+    covariates = build_covariates(read(config, "weather", parse_weather),
                                   (config.start_date, config.end_date), config.interval_minutes)
     return {sid: replace(read(config, "demand", demand_from_csv, sid, config.interval_minutes,
                               sid=sid), covariates=covariates)
             for sid in stations}
 
 
-def parse_model(file: str, model_type: type, interval_minutes: int):
-    """The classical model of a JSON model file, refused unless a ``model_type``
-    fitted at ``interval_minutes``."""
-    with open(file) as fh:
-        model = classical.model_from_json("".join(ln for ln in fh if not ln.startswith("#")))
+def parse_model(lines: list[str], model_type: type, interval_minutes: int):
+    """The classical model of the lines of a JSON model file, refused unless a
+    ``model_type`` fitted at ``interval_minutes``."""
+    model = classical.model_from_json("".join(lines))
     if (type(model), model.interval_minutes) != (model_type, interval_minutes):
-        raise DataError(f"{file} holds a {type(model).__name__} fitted at "
-                        f"{model.interval_minutes} minutes, not a {model_type.__name__} at "
-                        f"{interval_minutes}; run the train stage again")
+        raise DataError(f"a {type(model).__name__} fitted at {model.interval_minutes} minutes, "
+                        f"not a {model_type.__name__} at {interval_minutes}; "
+                        f"run the train stage again")
     return model
 
 
@@ -158,11 +163,11 @@ def parse_checkpoint(file: str, kind: str, targets: tuple[str, ...],
     return model
 
 
-def _forecasts(file: str, interval_minutes: int) -> tuple[list[date], list[RateSeries]]:
+def _forecasts(lines: list[str], interval_minutes: int) -> tuple[list[date], list[RateSeries]]:
     slots = 1440 // interval_minutes
     by_day: dict[date, list[tuple[float, float]]] = {}
     last_line: dict[date, int] = {}
-    numbers, columns = _kept_file(file, "forecast", FORECAST_COLUMNS,
+    numbers, columns = _kept_file(lines, "forecast", FORECAST_COLUMNS,
                                   date.fromisoformat, int, float, float)
     for n, day, slot, p, r in zip(numbers, *columns):
         day_rows = by_day.setdefault(day, [])
@@ -199,13 +204,13 @@ def load_forecasts(config: RunConfig, sid: str, name: str) -> tuple[list[date], 
     return read(config, "forecast", _forecasts, config.interval_minutes, sid=sid, name=name)
 
 
-def parse_decisions(file: str, names: list[str], days: list[date],
+def parse_decisions(lines: list[str], names: list[str], days: list[date],
                     capacity: int) -> dict[str, list[int]]:
-    """Each of the models ``names``' s* per day of ``days``; an s* outside
-    [0, ``capacity``] or a repeated (date, model) raises :class:`RowError`,
-    and a missing one :class:`DataError`."""
+    """Each of the models ``names``' s* per day of ``days``, from the lines of
+    a decision file; an s* outside [0, ``capacity``] or a repeated (date,
+    model) raises :class:`RowError`, and a missing one :class:`DataError`."""
     s_star: dict[tuple[date, str], int] = {}
-    numbers, columns = _kept_file(file, "decision", DECISION_COLUMNS,
+    numbers, columns = _kept_file(lines, "decision", DECISION_COLUMNS,
                                   date.fromisoformat, None, int, float)
     for n, day, name, s, _ in zip(numbers, *columns):
         if not 0 <= s <= capacity:
@@ -216,6 +221,6 @@ def parse_decisions(file: str, names: list[str], days: list[date],
     for name in names:
         missing = [d for d in days if (d, name) not in s_star]
         if missing:
-            raise DataError(f"{file} has no decision for {name} on {missing[0]}; "
+            raise DataError(f"no decision for {name} on {missing[0]}; "
                             f"run the optimize stage again")
     return {name: [s_star[d, name] for d in days] for name in names}

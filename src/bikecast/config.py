@@ -1,9 +1,9 @@
 """Run configuration: one YAML document drives a whole reproducible run.
 
-Every artifact a run writes is stamped with the sha256-based hash of the
-canonicalized config plus the seed, and all stage-level randomness is derived
-from the single seed by hashing a stage label, so nothing depends on call
-order.
+Every artifact a run writes is stamped, by :mod:`.artifacts`, with the
+sha256-based hash of the canonicalized config plus the seed, and all
+stage-level randomness is derived from the single seed by hashing a stage
+label, so nothing depends on call order.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ class RunConfig:
 
     def hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:12]
-
-    def artifact_header(self) -> str:
-        return f"# config: {self.hash()} seed: {self.seed}\n"
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 import sys
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -35,7 +36,6 @@ from .artifacts import (
     FORECAST_COLUMNS,
     load_forecasts,
     load_ingested,
-    parse_capacities,
     parse_checkpoint,
     parse_decisions,
     parse_model,
@@ -191,6 +191,12 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
+# a station id names files under out_dir and leads the rows of CSV artifacts:
+# it may not climb or nest directories, need quoting, or begin with # and so
+# read as a comment line to readers that skip them
+_REFUSED_ID = re.compile(r'[/\\,"\x00-\x1f\x7f-\x9f]|\A#|\A\.\.?\Z')
+
+
 def stage_ingest(config: RunConfig) -> None:
     """Parse the inputs, here and nowhere else, and write the ``demand/`` files.
 
@@ -201,11 +207,16 @@ def stage_ingest(config: RunConfig) -> None:
     ``split(series).test``, the only ones evaluate replays. A day range that
     :func:`split` refuses fails here. The run gets ``weather.csv``.
     Covariates are built only to refuse weather that does not cover the range.
+    A selected station id that cannot name a file or lead a CSV row
+    (:data:`_REFUSED_ID`) fails before anything is written.
     """
     with _stage("ingest"):
         capacities = parse_stations(_require_input(config.stations_path))
         trips = _read_trips(_require_input(config.trips_path))
         selected = list(config.stations) or top_stations(trips, config.top_n)
+        refused = [s for s in selected if _REFUSED_ID.search(s)]
+        if refused:
+            raise DataError(f"station ids that cannot name a file or lead a CSV row: {refused}")
         missing = [s for s in selected if s not in capacities]
         if missing:
             raise DataError(f"stations without metadata: {missing}")
@@ -550,7 +561,7 @@ def stage_optimize(config: RunConfig) -> None:
     shares its curve: HA repeats by weekday.
     """
     with _stage("optimize"):
-        capacities = read(config, "stations", parse_capacities)
+        capacities = read(config, "stations", parse_stations)
         penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
         forecasts = {(sid, name): load_forecasts(config, sid, name)
                      for sid in sorted(capacities) for name in sorted(config.models)}
@@ -583,7 +594,7 @@ def stage_evaluate(config: RunConfig, data: dict[str, DemandSeries] | None = Non
     """
     with _stage("evaluate"):
         data = load_ingested(config) if data is None else data
-        capacities = read(config, "stations", parse_capacities)
+        capacities = read(config, "stations", parse_stations)
         penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
 
         rows: list[dict] = []

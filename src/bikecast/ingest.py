@@ -28,7 +28,8 @@ Under ``demand/`` ingest also writes each station's counts
 Every CSV the package reads, input or kept, goes through one row reader,
 :func:`_column_chunks`. Timestamps are read as :func:`datetime.fromisoformat`
 reads them, with surrounding blanks stripped and UTC offsets refused; numbers
-by one converter, :func:`_converted`, which refuses digit-group underscores.
+by one converter, :func:`_converted`, which refuses digit-group underscores
+and digits beyond ASCII.
 
 Each row rule is stated once: a reader builds its columns, then hands
 :func:`_check_rows` one mask per rule, with the words of its fault, in the
@@ -52,7 +53,7 @@ from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, compress, islice, repeat
 from operator import attrgetter, is_, itemgetter
 
 import numpy as np
@@ -329,23 +330,14 @@ def _column_chunks(stream, what: str, names: tuple[str, ...], exact: bool = Fals
         yield picked, list(numbers)
 
 
-def _uncommented(lines) -> list[str]:
-    """The lines, comment lines made blank: rows keep their numbers."""
-    lines = list(lines)
-    for i in compress(count(), map(str.startswith, lines, repeat("#"))):
-        lines[i] = "\n"
-    return lines
-
-
 def _columns(stream, what: str, names: tuple[str, ...],
-             kept: bool = False) -> tuple[list[int], list[list[str]]]:
+             exact: bool = False) -> tuple[list[int], list[list[str]]]:
     """The line numbers and the named columns of every row of
-    :func:`_column_chunks`. A ``kept`` file, which only this package writes,
-    has its comment lines skipped and exactly ``names`` as its header."""
+    :func:`_column_chunks`, whose header, with ``exact``, must be ``names``.
+    Every line is read as a CSV line: one that begins with ``#`` is a row."""
     numbers: list[int] = []
     columns: list[list[str]] = [[] for _ in names]
-    for chunk, chunk_numbers in _column_chunks(_uncommented(stream) if kept else stream,
-                                               what, names, exact=kept):
+    for chunk, chunk_numbers in _column_chunks(stream, what, names, exact):
         numbers += chunk_numbers
         for column, part in zip(columns, chunk):
             column += part
@@ -387,14 +379,17 @@ def _converted(name: str, column: list[str], kind):
 
     A column that converts whole takes one ``np.fromiter`` pass; only one
     that does not goes field by field, a refused field reading as zero. A
-    field with a digit-group underscore is refused, though ``int("2_0")`` is
-    20, and so is an integer beyond ``int64``.
+    field with a digit-group underscore or a character beyond ASCII is
+    refused, though ``int("2_0")`` and ``int("٢٠")`` are 20, and so is an
+    integer beyond ``int64``. Blanks around a number are accepted, as they
+    are around ids and timestamps, which are stripped.
     """
     n = len(column)
     dtype = kind if kind in (int, float) else object
     refused = np.zeros(n, bool)
     rule = refused, lambda i: f"unparseable {name} {column[i]!r}"
-    if "_" not in "".join(column):
+    joined = "".join(column)
+    if "_" not in joined and joined.isascii():
         try:
             return np.fromiter(map(kind, column), dtype, n), rule
         except (ValueError, OverflowError):
@@ -403,7 +398,7 @@ def _converted(name: str, column: list[str], kind):
     for i, field in enumerate(column):
         try:
             values[i] = kind(field)
-            refused[i] = "_" in field
+            refused[i] = "_" in field or not field.isascii()
         except (ValueError, OverflowError):
             refused[i] = True
     return values, rule
@@ -481,13 +476,15 @@ def events_to_csv(stream: EventStream) -> str:
 
 
 def events_from_csv(source, station: str) -> EventStream:
-    """Inverse of :func:`events_to_csv`, read by :func:`_columns` as a kept file.
+    """Inverse of :func:`events_to_csv`: the rows of ``source`` under exactly
+    the :data:`EVENT_COLUMNS` header. ``source`` is a path, a stream or the
+    lines that :func:`.artifacts.read` hands over, its config line blanked.
 
     The first bad row raises :class:`RowError` with its line number, worded by
     the first rule it breaks: an unknown kind, then a bad time.
     """
     with _open_text(source) as stream:
-        numbers, (stamps, names) = _columns(stream, "event", EVENT_COLUMNS, kept=True)
+        numbers, (stamps, names) = _columns(stream, "event", EVENT_COLUMNS, exact=True)
         kinds = np.fromiter(map(_KIND_CODES.get, names, repeat(-1)), np.int8, len(names))
         times = _timestamps(stamps)
         _check_rows(numbers, [(kinds < 0, lambda i: f"unknown event kind {names[i]!r}"),
@@ -690,7 +687,9 @@ def demand_to_csv(series: DemandSeries) -> str:
 
 
 def demand_from_csv(source, station: str, interval_minutes: int) -> DemandSeries:
-    """Inverse of :func:`demand_to_csv`, read by :func:`_columns` as a kept file.
+    """Inverse of :func:`demand_to_csv`: the rows of ``source`` under exactly
+    the :data:`DEMAND_COLUMNS` header. ``source`` is a path, a stream or the
+    lines that :func:`.artifacts.read` hands over, its config line blanked.
 
     The first bad row raises :class:`RowError` with its line number, worded by
     the first rule it breaks: its start does not parse, a count does not
@@ -699,7 +698,7 @@ def demand_from_csv(source, station: str, interval_minutes: int) -> DemandSeries
     row reads empty counts, which do not parse.
     """
     with _open_text(source) as stream:
-        numbers, (stamps, pickups, returns) = _columns(stream, "demand", DEMAND_COLUMNS, kept=True)
+        numbers, (stamps, pickups, returns) = _columns(stream, "demand", DEMAND_COLUMNS, exact=True)
         if not numbers:
             raise FormatError("demand file has no data rows")
         starts = _timestamps(stamps)

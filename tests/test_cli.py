@@ -216,6 +216,32 @@ def test_a_bad_input_row_exits_data_naming_its_file_and_line(tmp_path, capsys, c
     assert capsys.readouterr().err == f"bikecast: stage ingest: {damaged}: line 3: {reason}\n"
 
 
+@pytest.mark.parametrize("sid", ["1,02", "a/b", "a\\b", 'a"b', "a\tb", "a\x85", ".", "..",
+                                 "../../esc", "#12"])
+def test_ingest_refuses_a_station_id_that_cannot_name_a_file(tmp_path, capsys, corpus, sid):
+    # an id names files under out_dir and leads CSV rows; "#12" is selected
+    # through top_n, as the busiest station of its trip file
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    paths, selection = corpus, {"stations": [sid]}
+    if sid == "#12":
+        paths = {"trips": inputs / "trips.csv", "weather": corpus["weather"],
+                 "stations": inputs / "stations.csv"}
+        paths["trips"].write_text("starttime,stoptime,start station id,end station id\n" + "".join(
+            f"2018-03-01 0{h}:00:00,2018-03-01 0{h}:10:00,{a},9\n"
+            for h, a in enumerate(["#12", "#12", "9"])))
+        paths["stations"].write_text("station_id,capacity\n#12,30\n9,20\n")
+        paths = {key: str(value) for key, value in paths.items()}
+        selection = {"stations": [], "top_n": 2}
+    out = tmp_path / "runs" / "out"
+    path = write_config(inputs / "run.yaml", paths, out, **selection)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["ingest", "--config", path]) == EXIT_DATA
+    assert capsys.readouterr().err == (f"bikecast: stage ingest: station ids that cannot name a "
+                                       f"file or lead a CSV row: {[sid]}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_train_before_ingest_names_artifact(tmp_path, capsys, corpus):
     path = write_config(tmp_path / "run.yaml", corpus, tmp_path / "out")
     assert main(["train", "--config", path]) == EXIT_DATA
@@ -463,9 +489,11 @@ def _per_gate(tensors: dict) -> dict:
     ("7_ha.json", lambda models: models["7_lr.json"]),
     ("7_ha.json", lambda models: b'{"kind": "ha"}\n'),
     ("7_ha.json", lambda models: models["7_ha.json"][:len(models["7_ha.json"]) // 2]),
+    ("7_ha.json", lambda models: models["7_ha.json"].split(b"\n", 1)[1]),
 ], ids=["checkpoint-cut-in-its-length", "checkpoint-without-kind", "checkpoint-of-another-net",
         "checkpoint-without-a-tensor", "checkpoint-with-a-misshaped-tensor",
-        "checkpoint-in-per-gate-layout", "lr-model-as-ha", "unknown-kind", "truncated-json"])
+        "checkpoint-in-per-gate-layout", "lr-model-as-ha", "unknown-kind", "truncated-json",
+        "json-without-its-config-line"])
 def test_damaged_model_files_exit_data_naming_the_file(tmp_path, capsys, trained_run, name,
                                                        damage):
     path, run = trained_run
@@ -482,15 +510,15 @@ def test_damaged_model_files_exit_data_naming_the_file(tmp_path, capsys, trained
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("model, name, holds", [
-    ("ha", "7_ha.json", "a SeasonalProfile fitted at 60 minutes, not a SeasonalProfile at 15"),
-    ("lr", "7_lr.json", "a LinearModel fitted at 60 minutes, not a LinearModel at 15"),
+@pytest.mark.parametrize("model, name, after_path", [
+    ("ha", "7_ha.json", ": a SeasonalProfile fitted at 60 minutes, not a SeasonalProfile at 15"),
+    ("lr", "7_lr.json", ": a LinearModel fitted at 60 minutes, not a LinearModel at 15"),
     ("prnn", "7_prnn_pickups.ckpt",
-     "a prnn net of pickups fitted at 60 minutes, not a prnn net of pickups at 15"),
+     " holds a prnn net of pickups fitted at 60 minutes, not a prnn net of pickups at 15"),
 ])
 def test_a_model_fitted_at_another_interval_exits_data_naming_the_file(tmp_path, capsys, corpus,
                                                                        trained_run, model, name,
-                                                                       holds):
+                                                                       after_path):
     # trained hourly, then ingested and forecast at 15 minutes
     _, run = trained_run
     out = tmp_path / "out"
@@ -500,8 +528,8 @@ def test_a_model_fitted_at_another_interval_exits_data_naming_the_file(tmp_path,
     assert main(["ingest", "--config", path]) == EXIT_OK
     capsys.readouterr()
     assert main(["forecast", "--config", path]) == EXIT_DATA
-    assert capsys.readouterr().err == (f"bikecast: stage forecast: {out / 'models' / name} "
-                                       f"holds {holds}; run the train stage again\n")
+    assert capsys.readouterr().err == (f"bikecast: stage forecast: {out / 'models' / name}"
+                                       f"{after_path}; run the train stage again\n")
     assert not (out / "forecasts").exists()
 
 
@@ -788,6 +816,26 @@ def test_no_module_reads_csv_rows_but_the_one_reader():
                         and any(isinstance(arg, ast.Constant) and arg.value == ","
                                 for arg in node.args)):
                     found.append(f"{path.name}: .{node.func.attr}(',') in {where[1]}")
+    assert found == []
+
+
+def test_no_module_but_artifacts_knows_the_config_line():
+    # artifacts.write puts the config line first and artifacts.read takes
+    # off that line alone; a second stripper of lines that begin with "#"
+    # would drop data rows, as it dropped a station "#12"
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "bikecast").glob("*.py")):
+        if path.name == "artifacts.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and "# config" in str(node.value):
+                found.append(f"{path.name}:{node.lineno}: '# config'")
+            if isinstance(node, ast.Call) and any(
+                    isinstance(part, ast.Attribute) and part.attr == "startswith"
+                    for part in (node.func, *node.args)) and any(
+                    isinstance(part, ast.Constant) and part.value == "#"
+                    for arg in node.args for part in ast.walk(arg)):
+                found.append(f"{path.name}:{node.lineno}: startswith('#')")
     assert found == []
 
 

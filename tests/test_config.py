@@ -6,6 +6,7 @@ from datetime import date
 import pytest
 import yaml
 
+from bikecast import artifacts
 from bikecast.config import RunConfig, derive_seed, load_config
 from bikecast.errors import ConfigError
 
@@ -64,7 +65,7 @@ def test_hash_is_stable_and_sensitive():
 
 def test_artifact_header_format():
     config = make()
-    assert config.artifact_header() == f"# config: {config.hash()} seed: 5\n"
+    assert artifacts.artifact_header(config) == f"# config: {config.hash()} seed: 5\n"
 
 
 def test_canonical_json_is_key_sorted():

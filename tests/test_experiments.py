@@ -16,7 +16,7 @@ import pytest
 import yaml
 from test_ingest import quoted_citi_bike_file
 
-from bikecast import experiments, neural, synthetic
+from bikecast import artifacts, experiments, neural, synthetic
 from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, _exit_code_for, main
 from bikecast.config import DEFAULT_MODELS, RunConfig
 from bikecast.errors import DataError, DomainError, RowError, StageError, TrainingError
@@ -229,7 +229,7 @@ def test_pipeline_writes_expected_artifacts(pipeline_run):
 
 def test_every_artifact_carries_config_hash(pipeline_run):
     config = pipeline_run
-    stamp = config.artifact_header().encode()
+    stamp = artifacts.artifact_header(config).encode()
     for name, blob in _run_files(config.out_dir).items():
         assert blob.startswith(stamp), name
 
@@ -408,7 +408,7 @@ def test_ingest_keeps_the_events_of_the_test_days_alone(tmp_path):
     cut = [row for row in rows if row.startswith(("2018-11-", "2018-12-"))]
     assert 0 < len(cut) < len(rows) // 4
     kept = Path(config.out_dir, "demand", "events_7.csv").read_text()
-    assert kept == config.artifact_header() + header + "".join(cut)
+    assert kept == artifacts.artifact_header(config) + header + "".join(cut)
 
 
 def test_evaluate_scores_the_cut_events_as_the_full_stream(tmp_path):
@@ -416,7 +416,7 @@ def test_evaluate_scores_the_cut_events_as_the_full_stream(tmp_path):
     experiments.stage_evaluate(config)
     kept = _reports(config)
     events = Path(config.out_dir, "demand", "events_7.csv")
-    events.write_text(config.artifact_header() + _full_stream_csv(paths))
+    events.write_text(artifacts.artifact_header(config) + _full_stream_csv(paths))
     experiments.stage_evaluate(config)
     assert _reports(config) == kept
 
@@ -443,7 +443,7 @@ def test_quarter_hour_run_rebuilds_the_covariates_from_the_kept_weather(tmp_path
     )
     experiments.stage_ingest(config)
     with open(os.path.join(config.out_dir, "demand", "station_7.csv")) as fh:
-        assert fh.readline() == config.artifact_header()
+        assert fh.readline() == artifacts.artifact_header(config)
         assert fh.readline() == "interval_start,pickups,returns\n"
     series = experiments.load_ingested(config)["7"]
     expected = build_covariates(parse_weather(paths["weather"]),
@@ -533,7 +533,7 @@ def test_evaluate_replays_the_decisions_that_optimize_wrote(tmp_path):
         rows = [ln.split(",") for ln in fh.read().splitlines() if not ln.startswith("#")]
     reported = {r[3]: r[4] for r in rows if r[1] == day and r[2] == "ha"}
     assert reported["s_star"] == str(edited)
-    events = events_from_csv(os.path.join(config.out_dir, "demand", "events_7.csv"), "7")
+    events = artifacts.read(config, "events", events_from_csv, "7", sid="7")
     cost = replay_cost(events.slice_day(date.fromisoformat(day)), edited, 20).cost
     assert float(reported["cost"]) == cost
 

@@ -6,11 +6,13 @@ import gc
 import io
 import warnings
 from datetime import date, datetime, time, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bikecast import artifacts, experiments, synthetic
+from bikecast.config import RunConfig
 from bikecast.errors import ConfigError, DataError, FormatError, RowError
 from bikecast import ingest
 from bikecast.ingest import (
@@ -218,14 +220,14 @@ def test_events_csv_roundtrip_is_exact(microsecond):
     assert lines[0] == "time,kind"
     assert lines[1] == f"{base.isoformat(sep=' ')},pickup"
     assert lines[1:] == [f"{t.isoformat(sep=' ')},{KIND_NAMES[k]}" for t, k in pairs(stream)]
-    back = events_from_csv(io.StringIO("# config: abc seed: 1\n" + text), "A")
+    back = events_from_csv(io.StringIO(text), "A")
     assert back.station == stream.station
     assert pairs(back) == pairs(stream)
 
 
 def test_events_csv_rejects_malformed_files():
     with pytest.raises(FormatError):
-        events_from_csv(io.StringIO("# config: abc seed: 1\n"), "A")
+        events_from_csv(io.StringIO("\n"), "A")
     with pytest.raises(RowError, match="line 2: unknown event kind 'dock'"):
         events_from_csv(io.StringIO("time,kind\n2018-06-01 07:00:00,dock\n"), "A")
 
@@ -501,13 +503,20 @@ def test_demand_csv_roundtrip_keeps_only_counts():
     assert back.covariates is None
 
 
-def test_demand_csv_skips_comment_lines():
+def kept_config(tmp_path) -> RunConfig:
+    """A run config whose artifacts live under ``tmp_path``."""
+    return RunConfig(trips_path="", weather_path="", stations_path="", out_dir=str(tmp_path),
+                     seed=1, start_date="2018-06-01", end_date="2018-06-01")
+
+
+def test_read_takes_the_config_line_off_a_demand_file(tmp_path):
     series = DemandSeries(
         station="A", interval_minutes=60, start=datetime(2018, 6, 1),
         pickups=np.ones(24, dtype=np.int64), returns=np.zeros(24, dtype=np.int64),
     )
-    text = "# config: abc seed: 1\n" + demand_to_csv(series)
-    back = demand_from_csv(io.StringIO(text), station="A", interval_minutes=60)
+    config = kept_config(tmp_path)
+    artifacts.write(config, "demand", demand_to_csv(series), "A")
+    back = artifacts.read(config, "demand", demand_from_csv, "A", 60, sid="A")
     assert back.pickups.sum() == 24
 
 
@@ -520,12 +529,12 @@ def test_demand_csv_skips_comment_lines():
                  id="negative"),
 ])
 def test_demand_csv_row_errors_carry_their_line(row, message):
-    # the comment line counts: line numbers are physical lines
+    # the config line, blanked by artifacts.read, counts: line numbers are physical lines
     series = DemandSeries(
         station="A", interval_minutes=60, start=datetime(2018, 6, 1),
         pickups=np.ones(24, dtype=np.int64), returns=np.zeros(24, dtype=np.int64),
     )
-    lines = ("# config: abc seed: 1\n" + demand_to_csv(series)).splitlines()
+    lines = ("\n" + demand_to_csv(series)).splitlines()
     lines[5] = row
     with pytest.raises(RowError, match=message) as err:
         demand_from_csv(io.StringIO("\n".join(lines) + "\n"), station="A", interval_minutes=60)
@@ -548,57 +557,69 @@ def _kept_decisions() -> str:
     return ",".join(artifacts.DECISION_COLUMNS) + "\n" + "\n".join(rows) + "\n"
 
 
-def _read_demand(file: str):
-    series = demand_from_csv(file, "A", 60)
+def _read_demand(lines: list[str]):
+    series = demand_from_csv(lines, "A", 60)
     return series.start, series.pickups.tolist(), series.returns.tolist()
 
 
-def _read_forecast(file: str):
-    days, rates = artifacts._forecasts(file, 60)
+def _read_forecast(lines: list[str]):
+    days, rates = artifacts._forecasts(lines, 60)
     return days, [(r.pickup_rates.tolist(), r.return_rates.tolist()) for r in rates]
 
 
+def _read_decisions(lines: list[str]):
+    days = [date(2018, 11, 1), date(2018, 11, 2)]
+    return artifacts.parse_decisions(lines, ["ha", "lr"], days, 20)
+
+
 # each kind of CSV that only the package writes: its text without the config
-# line, and a reader of its file whose values compare with ==
+# line, and a parser of its lines, as artifacts.read hands them over, whose
+# values compare with ==
 KEPT = {
     "demand": (_demand_text, _read_demand),
-    "events": (_kept_events, lambda file: pairs(events_from_csv(file, "A"))),
+    "events": (_kept_events, lambda lines: pairs(events_from_csv(lines, "A"))),
     "forecast": (_kept_forecast, _read_forecast),
-    "decisions": (_kept_decisions, lambda file: artifacts.parse_decisions(
-        file, ["ha", "lr"], [date(2018, 11, 1), date(2018, 11, 2)], 20)),
+    "decisions": (_kept_decisions, _read_decisions),
 }
+
+
+def _lines(text: str) -> list[str]:
+    return text.splitlines(keepends=True)
 
 
 @pytest.mark.parametrize("kind", sorted(KEPT))
 def test_kept_csv_skips_blank_lines_and_names_the_physical_line_of_a_bad_row(tmp_path, kind):
-    text, read = KEPT[kind]
-    lines = ("# config: abc seed: 1\n" + text()).splitlines()
-    path = tmp_path / f"{kind}.csv"
-    path.write_text("\n".join(lines) + "\n")
-    expected = read(str(path))
+    text, parse = KEPT[kind]
+    config = kept_config(tmp_path)
+    artifacts.write(config, kind, text(), "A", "ha")
+    path = Path(artifacts.path(config, kind, "A", "ha"))
+    lines = path.read_text().splitlines()
+
+    def read():
+        return artifacts.read(config, kind, parse, sid="A", name="ha")
+
+    expected = read()
     lines.insert(3, "")  # between the first and the second row
     path.write_text("\n".join(lines) + "\n")
-    assert read(str(path)) == expected
-    # comment, header, row, blank line, row: the third row is on line 6
+    assert read() == expected
+    # config line, header, row, blank line, row: the third row is on line 6
     lines[5] = ",".join(["garbled", *next(csv.reader([lines[5]]))[1:]])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(RowError) as err:
-        read(str(path))
+        read()
     assert err.value.line_number == 6
     assert "'garbled'" in err.value.reason
 
 
 @pytest.mark.parametrize("kind", sorted(KEPT))
-def test_demand_csv_rejects_a_covariate_header(tmp_path, kind):
+def test_demand_csv_rejects_a_covariate_header(kind):
     # the header of a kept file must be exactly its columns: an old demand
     # file with its covariates is refused, not read by name
-    text, read = KEPT[kind]
+    text, parse = KEPT[kind]
     header, rest = text().split("\n", 1)
-    path = tmp_path / f"{kind}.csv"
-    path.write_text(f"{header},temperature_c\n{rest}")
     with pytest.raises(FormatError, match=f"has the columns {header},temperature_c, "
                                           f"not {header}$"):
-        read(str(path))
+        parse(_lines(f"{header},temperature_c\n{rest}"))
 
 
 @pytest.mark.parametrize("temperature, rain", [
@@ -624,19 +645,20 @@ def test_weather_csv_roundtrip_is_exact(temperature, rain):
     pytest.param(parse_weather, "timestamp,temperature_c,rain_probability\n"
                                 "2018-06-01 00:00:00,15.0,0.2\n2018-06-01 01:00:00,1_5.0,0.2\n",
                  "line 3: unparseable temperature_c '1_5.0'", id="weather"),
-    pytest.param(KEPT["decisions"][1], _kept_decisions().replace(",ha,4,", ",ha,0_4,"),
+    pytest.param(_read_decisions, _kept_decisions().replace(",ha,4,", ",ha,0_4,"),
                  "line 3: unparseable s_star '0_4'", id="decisions"),
     pytest.param(_read_forecast, _kept_forecast().replace("\n2018-11-01,1,0.5,",
                                                           "\n2018-11-01,1,0_5,"),
                  "line 3: unparseable pickup_rate '0_5'", id="forecast"),
+    pytest.param(parse_stations, "station_id,capacity\nA,20\nB,\u0662\u0660\n",
+                 "line 3: unparseable capacity '\u0662\u0660'", id="non-ascii"),
 ])
-def test_digit_group_underscores_are_refused_with_their_line(tmp_path, read, text, message):
-    # int("2_0") is 20 and float("0_5") is 5.0: a hand-damaged file must not load
+def test_digit_group_underscores_are_refused_with_their_line(read, text, message):
+    # int("2_0") and int("\u0662\u0660") (Arabic-Indic digits) are 20, and
+    # float("0_5") is 5.0: a hand-damaged file must not load
     assert message.split("'")[1] in text
-    path = tmp_path / "damaged.csv"
-    path.write_text(text)
     with pytest.raises(RowError) as err:
-        read(str(path))
+        read(_lines(text))
     assert f"line {err.value.line_number}: {err.value.reason}" == message
 
 
@@ -710,6 +732,50 @@ def test_each_reader_reports_the_first_bad_row_by_its_first_broken_rule(kind):
         with pytest.raises(RowError) as err:
             read(io.StringIO(_rows_of(text, rows)))
         assert str(err.value) == message
+
+
+def _hashed_first_row(text: str) -> str:
+    header, first, *rest = _lines(text)
+    return "".join([header, "#" + first, *rest])
+
+
+# each kind of text artifact that a stage reads as CSV: its text after the
+# config line, its parser, and what artifacts.read gives once the first row
+# (line 3) begins with "#": the row, read, or refused by the rule it breaks
+TEXT_KINDS = {
+    "stations": ("station_id,capacity\nA,20\nB,7\n", parse_stations, {"#A": 20, "B": 7}),
+    "weather": (_WEATHER, parse_weather, "line 3: unparseable timestamp '#2018-06-01 00:00:00'"),
+    "demand": (_demand_text(), _read_demand,
+               "line 3: unparseable timestamp '#2018-06-01 00:00:00'"),
+    "events": (_kept_events(), KEPT["events"][1],
+               "line 3: unparseable timestamp '#2018-06-01 00:30:00'"),
+    "forecast": (_kept_forecast(), _read_forecast, "line 3: unparseable date '#2018-11-01'"),
+    "decisions": (_kept_decisions(), _read_decisions, "line 3: unparseable date '#2018-11-01'"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TEXT_KINDS))
+def test_read_takes_off_the_config_line_alone(tmp_path, kind):
+    text, parse, kept = TEXT_KINDS[kind]
+    config = kept_config(tmp_path)
+    file = artifacts.path(config, kind, "A", "ha")
+
+    def read():
+        return artifacts.read(config, kind, parse, sid="A", name="ha")
+
+    artifacts.write(config, kind, _hashed_first_row(text), "A", "ha")
+    if isinstance(kept, str):
+        with pytest.raises(RowError) as err:
+            read()
+        assert str(err.value) == f"{file}: {kept}"
+    else:
+        assert read() == kept
+    # a file that does not begin with the config line is refused
+    Path(file).write_text(text)
+    with pytest.raises(FormatError) as err:
+        read()
+    assert str(err.value) == (f"{file} does not begin with a config line; "
+                              f"run the {artifacts.KINDS[kind][0]} stage again")
 
 
 # -- the column parsers against the row-by-row rules ----------------------------------
@@ -984,7 +1050,7 @@ def test_weather_table_keeps_the_last_of_repeated_hours_and_checks_in_order():
 def kept_demand_lines() -> list[str]:
     series = DemandSeries(station="A", interval_minutes=60, start=datetime(2018, 6, 1),
                           pickups=np.arange(24), returns=np.zeros(24, dtype=np.int64))
-    return ("# config: abc seed: 1\n" + demand_to_csv(series)).splitlines()
+    return ("\n" + demand_to_csv(series)).splitlines()
 
 
 @pytest.mark.parametrize("damage, line, message", [
@@ -997,7 +1063,7 @@ def kept_demand_lines() -> list[str]:
 ])
 def test_demand_csv_rejects_rows_out_of_sequence(tmp_path, damage, line, message):
     lines = kept_demand_lines()
-    # after the comment and the header, line 11 holds 08:00 and line 12 09:00
+    # after the blanked config line and the header, line 11 holds 08:00 and line 12 09:00
     assert lines[10].startswith("2018-06-01 08:00:00,")
     if damage == "swap":
         lines[10], lines[11] = lines[11], lines[10]
@@ -1025,7 +1091,7 @@ def test_demand_csv_reads_the_counts_of_its_rows():
 
 
 def test_events_csv_bad_time_names_its_line_and_file(tmp_path):
-    text = "# config: abc seed: 1\ntime,kind\n2018-06-01 07:00:00,pickup\n2018-06-31 07:00:00,return\n"
+    text = "\ntime,kind\n2018-06-01 07:00:00,pickup\n2018-06-31 07:00:00,return\n"
     path = tmp_path / "events_A.csv"
     path.write_text(text)
     with pytest.raises(RowError) as err:
