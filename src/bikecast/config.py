@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 
 import yaml
@@ -52,6 +52,14 @@ class RunConfig:
     bias_seed: int = 3
 
     def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        for f in fields(self):  # the annotations are strings under __future__.annotations
+            value = getattr(self, f.name)
+            if f.type == "int" and isinstance(value, (bool, float)):
+                raise ConfigError(f"{f.name} must be an integer, got {value}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.interval_minutes not in VALID_INTERVALS:
             raise ConfigError(
                 f"interval must be one of {VALID_INTERVALS}, got {self.interval_minutes}")
@@ -78,8 +86,6 @@ class RunConfig:
         for name, floor in _COUNT_FLOORS.items():
             if getattr(self, name) < floor:
                 raise ConfigError(f"{name} must be at least {floor}, got {getattr(self, name)}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
     def canonical_json(self) -> str:
         payload = asdict(self)
@@ -117,7 +123,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config file {path} is missing config keys: {sorted(missing)}")
     try:
         return RunConfig(**raw)
-    except (TypeError, ValueError, ConfigError) as e:
+    except (TypeError, ValueError, OverflowError, ConfigError) as e:  # Overflow: huge int
         raise ConfigError(f"config file {path} holds a bad value: {_one_line(e)}") from None
 
 

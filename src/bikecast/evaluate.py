@@ -8,6 +8,10 @@ realized counts of the day as if they were the true rates (perfect
 information); the evaluate stage solves it, because only evaluation reads the
 realized counts, and this module replays its decision as it replays a
 model's. Nothing here solves a UDF.
+
+Scores travel as report rows, one dict per row: :func:`benchmark` returns
+one per station-day, model and metric, :func:`summarize` reduces those to
+one per model, and :func:`rows_to_csv` writes every report of a run.
 """
 
 from __future__ import annotations
@@ -37,20 +41,6 @@ class LostSalesReport:
     lost_pickups: int
     lost_returns: int
     cost: float
-
-
-@dataclass
-class DecisionSummary:
-    model: str
-    mean_cost: float
-    rpd: float | None
-    mean_ce: float
-
-
-@dataclass
-class BenchmarkResult:
-    summaries: list[DecisionSummary]
-    rows: list[dict]
 
 
 def point_metrics(actual: np.ndarray, predicted: np.ndarray) -> PredictionReport:
@@ -131,16 +121,18 @@ def cumulative_error(pickup_actual, return_actual, pickup_pred, return_pred) -> 
 
 def benchmark(predictions: dict[str, list[RateSeries]], decisions: dict[str, list[int]],
               day_events: list[EventStream], day_counts: list[DemandSeries], capacity: int,
-              penalties: PenaltyConfig = PenaltyConfig()) -> BenchmarkResult:
-    """Score each model's decisions by replayed inventory cost, and its forecasts by CE.
+              penalties: PenaltyConfig = PenaltyConfig()) -> list[dict]:
+    """Report rows that score each model's decisions by replayed inventory
+    cost, and its forecasts by CE.
 
     ``predictions`` maps model name to one RateSeries per test day and
     ``decisions`` maps it to the starting inventory chosen from each of them,
     both aligned with ``day_events`` and ``day_counts`` (realized per-interval
     counts, used for CE). ``decisions["oracle"]`` holds each day's
-    perfect-information s* (:func:`.inventory.oracle_decision`). One loop
-    replays the oracle's and then each model's decisions, in name order, and
-    also scores each model's forecasts by CE. The oracle's summary comes first.
+    perfect-information s* (:func:`.inventory.oracle_decision`). The oracle's
+    rows come first, then each model's in name order: per day, ``s_star`` and
+    ``cost``, and for a model's forecast ``ce``. A row has the keys station,
+    date, model, metric and value.
     """
     n_days = len(day_events)
     for name, series_list in predictions.items():
@@ -153,51 +145,47 @@ def benchmark(predictions: dict[str, list[RateSeries]], decisions: dict[str, lis
     if len(day_counts) != n_days:
         raise DataError("day_counts and day_events must align")
 
-    costs: dict[str, list[float]] = {name: [] for name in ("oracle", *sorted(predictions))}
-    ces: dict[str, list[float]] = {name: [] for name in predictions}
     rows: list[dict] = []
-    for name in costs:
+    for name in ("oracle", *sorted(predictions)):
         for i, (events, counts) in enumerate(zip(day_events, day_counts)):
             s_star = decisions[name][i]
-            costs[name].append(replay_cost(events, s_star, capacity, penalties).cost)
-            metrics = {"s_star": s_star, "cost": costs[name][-1]}
-            if name in ces:
+            metrics = {"s_star": s_star,
+                       "cost": replay_cost(events, s_star, capacity, penalties).cost}
+            if name in predictions:
                 rates = predictions[name][i]
-                ces[name].append(cumulative_error(counts.pickups, counts.returns,
-                                                  rates.pickup_rates, rates.return_rates))
-                metrics["ce"] = ces[name][-1]
+                metrics["ce"] = cumulative_error(counts.pickups, counts.returns,
+                                                 rates.pickup_rates, rates.return_rates)
             rows += [{"station": counts.station, "date": counts.start.date().isoformat(),
                       "model": name, "metric": metric, "value": value}
                      for metric, value in metrics.items()]
-    return BenchmarkResult(summaries=summarize(costs, ces), rows=rows)
+    return rows
 
 
-def summarize(costs: dict[str, list], ces: dict[str, list]) -> list[DecisionSummary]:
-    """One summary per model of ``costs``, in its order: the mean cost, its RPD
-    against the oracle's mean, and the mean CE (0 without any). An empty list
-    has mean 0. The evaluate stage passes each station's means."""
-    mean = {name: float(np.mean(values)) if values else 0.0 for name, values in costs.items()}
-    return [DecisionSummary(model=name, mean_cost=mean[name], rpd=rpd(mean[name], mean["oracle"]),
-                            mean_ce=float(np.mean(ces[name])) if ces.get(name) else 0.0)
-            for name in costs]
+def summarize(rows: list[dict]) -> list[dict]:
+    """One row per model of the ``cost`` rows of ``rows``, in the order of its
+    first one: model, mean_cost, rpd against the oracle's mean cost (None when
+    undefined) and mean_ce (0 without ``ce`` rows). Each mean is the mean over
+    stations of each station's mean over its days."""
+    values: dict[tuple[str, str], dict[str, list]] = {}
+    for row in rows:
+        values.setdefault((row["metric"], row["model"]), {}).setdefault(
+            row["station"], []).append(row["value"])
+
+    def mean(metric: str, model: str) -> float:
+        by_station = values.get((metric, model), {}).values()
+        return float(np.mean([np.mean(days) for days in by_station])) if by_station else 0.0
+
+    costs = {model: mean("cost", model) for metric, model in values if metric == "cost"}
+    return [{"model": model, "mean_cost": cost, "rpd": rpd(cost, costs["oracle"]),
+             "mean_ce": mean("ce", model)} for model, cost in costs.items()]
 
 
-def rows_to_csv(rows: list[dict]) -> str:
-    """Long-format report: station, date, model, metric, value."""
+def rows_to_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
+    """The ``columns`` of ``rows`` as CSV under a header line: a float as
+    ``.10g``, None as an empty field, any other value as ``str`` gives it."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["station", "date", "model", "metric", "value"])
-    for row in rows:
-        value = row["value"]
-        text = f"{value:.10g}" if isinstance(value, float) else str(value)
-        writer.writerow([row["station"], row["date"], row["model"], row["metric"], text])
+    writer.writerow(columns)
+    writer.writerows([f"{row[c]:.10g}" if isinstance(row[c], float) else row[c] for c in columns]
+                     for row in rows)
     return out.getvalue()
-
-
-def summaries_to_csv(summaries: list[DecisionSummary]) -> str:
-    """One row per model: model, mean_cost, rpd, mean_ce; rpd blank when undefined."""
-    lines = ["model,mean_cost,rpd,mean_ce"]
-    for s in summaries:
-        rpd_text = f"{s.rpd:.10g}" if s.rpd is not None else ""
-        lines.append(f"{s.model},{s.mean_cost:.10g},{rpd_text},{s.mean_ce:.10g}")
-    return "\n".join(lines) + "\n"

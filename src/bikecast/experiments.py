@@ -51,7 +51,6 @@ from .evaluate import (
     point_metrics,
     replay_cost,
     rows_to_csv,
-    summaries_to_csv,
     summarize,
 )
 from .ingest import (
@@ -91,30 +90,6 @@ class BiasSpec:
             raise DataError("delta must be non-negative")
 
 
-@dataclass
-class BiasCurve:
-    kind: str
-    deltas: np.ndarray
-    s_star: np.ndarray
-    cost: np.ndarray
-    ce: np.ndarray
-
-
-@dataclass
-class BiasStudyResult:
-    curves: dict[str, BiasCurve]
-    oracle_s: int
-    oracle_cost: float
-
-    def to_csv(self) -> str:
-        lines = ["kind,delta,s_star,cost"]
-        for kind in BIAS_KINDS:
-            curve = self.curves[kind]
-            for d, s, c in zip(curve.deltas, curve.s_star, curve.cost):
-                lines.append(f"{kind},{d:.10g},{int(s)},{c:.10g}")
-        return "\n".join(lines) + "\n"
-
-
 def apply_bias(rates: RateSeries, spec: BiasSpec) -> RateSeries:
     """Shift both rate curves by delta, same side or opposing sides.
 
@@ -132,49 +107,39 @@ def apply_bias(rates: RateSeries, spec: BiasSpec) -> RateSeries:
                       pickup_rates=mu, return_rates=lam)
 
 
-def default_delta_grid(delta_max: float = 25.0, step: float = 0.5) -> np.ndarray:
+def default_delta_grid(delta_max: float, step: float) -> np.ndarray:
     """The multiples of ``step`` from 0 to ``delta_max``, up to rounding error."""
     n = int(np.floor(delta_max / step + 1e-9))
     return np.arange(n + 1) * step
 
 
 def bias_study(day_counts: DemandSeries, events: EventStream, capacity: int,
-               penalties: PenaltyConfig = PenaltyConfig(),
-               delta_grid: np.ndarray | None = None) -> BiasStudyResult:
-    """Decision and replay cost under each bias pattern across the delta grid.
+               delta_grid: np.ndarray, penalties: PenaltyConfig = PenaltyConfig()) -> list[dict]:
+    """Decision, replay cost and CE under each bias pattern across the delta grid.
 
-    The unbiased rates are the day's realized counts-as-rates, so delta=0
-    reproduces the perfect-information oracle decision for every pattern.
-    The grid's curves are solved in one batch over the lanes of
-    :func:`_in_lanes`, each distinct biased series once (:func:`_solve`):
-    delta=0 is the same series for every pattern.
+    One report row per (kind, delta), by kind in :data:`BIAS_KINDS` order and
+    then by delta: kind, delta, s_star, cost and ce. The unbiased rates are
+    the day's realized counts-as-rates, so delta=0 reproduces the
+    perfect-information oracle decision for every pattern. The grid's curves
+    are solved in one batch over the lanes of :func:`_in_lanes`, each distinct
+    biased series once (:func:`_solve`): delta=0 is the same series for every
+    pattern.
     """
     if day_counts.n_days != 1:
         raise DataError("bias study expects exactly one day of counts")
-    if delta_grid is None:
-        delta_grid = default_delta_grid()
     base = RateSeries(
         interval_minutes=day_counts.interval_minutes,
         pickup_rates=day_counts.pickups.astype(float),
         return_rates=day_counts.returns.astype(float),
     )
-    biased = {kind: [apply_bias(base, BiasSpec(kind, float(d))) for d in delta_grid]
-              for kind in BIAS_KINDS}
-    solved = iter(_solve([(rates, capacity, penalties)
-                          for kind in BIAS_KINDS for rates in biased[kind]]))
-    curves = {}
-    for kind in BIAS_KINDS:
-        s_stars = np.array([next(solved).s_star for _ in delta_grid], dtype=int)
-        costs = np.array([replay_cost(events, s, capacity, penalties).cost
-                          for s in s_stars.tolist()], dtype=float)
-        ces = np.array([cumulative_error(day_counts.pickups, day_counts.returns,
-                                         rates.pickup_rates, rates.return_rates)
-                        for rates in biased[kind]], dtype=float)
-        curves[kind] = BiasCurve(kind=kind, deltas=delta_grid.astype(float),
-                                 s_star=s_stars, cost=costs, ce=ces)
-    oracle_s = int(curves["same_side"].s_star[0])
-    oracle_cost = float(curves["same_side"].cost[0])
-    return BiasStudyResult(curves=curves, oracle_s=oracle_s, oracle_cost=oracle_cost)
+    biased = [(kind, d, apply_bias(base, BiasSpec(kind, d)))
+              for kind in BIAS_KINDS for d in map(float, delta_grid)]
+    curves = _solve([(rates, capacity, penalties) for _, _, rates in biased])
+    return [{"kind": kind, "delta": delta, "s_star": curve.s_star,
+             "cost": replay_cost(events, curve.s_star, capacity, penalties).cost,
+             "ce": cumulative_error(day_counts.pickups, day_counts.returns,
+                                    rates.pickup_rates, rates.return_rates)}
+            for (kind, delta, rates), curve in zip(biased, curves)]
 
 
 # -- pipeline stages ----------------------------------------------------------
@@ -591,6 +556,10 @@ def stage_evaluate(config: RunConfig, data: dict[str, DemandSeries] | None = Non
     the trip file itself is not read again. ``data`` is what
     :func:`load_ingested` returns, read here when not given; the stage does
     not write to it.
+
+    One list of report rows holds it all: per station, the point metrics of
+    each model and then the rows :func:`benchmark` returns. ``metrics.csv``
+    is that list, and ``summary.csv`` is :func:`summarize` of it.
     """
     with _stage("evaluate"):
         data = load_ingested(config) if data is None else data
@@ -622,31 +591,29 @@ def stage_evaluate(config: RunConfig, data: dict[str, DemandSeries] | None = Non
                            [events.slice_day(d) for d in days])
             oracle_jobs += [(counts, capacities[sid], penalties) for counts in day_counts]
         oracle = iter(_in_lanes(oracle_decision, oracle_jobs))
-
-        costs: dict[str, list[float]] = {"oracle": []}
-        ces: dict[str, list[float]] = {}
         for sid, (predictions, decisions, day_counts, day_events) in inputs.items():
             decisions["oracle"] = [next(oracle).s_star for _ in day_counts]
-            result = benchmark(predictions, decisions, day_events, day_counts,
-                               capacities[sid], penalties)
-            rows += result.rows
-            for summary in result.summaries:
-                costs.setdefault(summary.model, []).append(summary.mean_cost)
-                ces.setdefault(summary.model, []).append(summary.mean_ce)
-        write(config, "report", rows_to_csv(rows), name="metrics.csv")
-        write(config, "report", summaries_to_csv(summarize(costs, ces)), name="summary.csv")
+            rows += benchmark(predictions, decisions, day_events, day_counts,
+                              capacities[sid], penalties)
+        metrics = rows_to_csv(rows, ("station", "date", "model", "metric", "value"))
+        write(config, "report", metrics, name="metrics.csv")
+        summary = rows_to_csv(summarize(rows), ("model", "mean_cost", "rpd", "mean_ce"))
+        write(config, "report", summary, name="summary.csv")
 
 
 def stage_bias(config: RunConfig) -> None:
-    """Bias study on the bundled peaked synthetic day, into ``reports/bias_curves.csv``."""
+    """Bias study on the bundled peaked synthetic day, into ``reports/bias_curves.csv``:
+    the kind, delta, s_star and cost of each row :func:`bias_study` returns,
+    over the grid of the config's ``bias_delta_max`` and ``bias_delta_step``."""
     with _stage("bias"):
         penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
         day_counts, day_events = peaked_day(seed=config.bias_seed,
                                             interval_minutes=config.interval_minutes)
-        study = bias_study(day_counts, day_events, config.bias_capacity, penalties,
-                           default_delta_grid(config.bias_delta_max,
-                                              config.bias_delta_step))
-        write(config, "report", study.to_csv(), name="bias_curves.csv")
+        rows = bias_study(day_counts, day_events, config.bias_capacity,
+                          default_delta_grid(config.bias_delta_max, config.bias_delta_step),
+                          penalties)
+        write(config, "report", rows_to_csv(rows, ("kind", "delta", "s_star", "cost")),
+              name="bias_curves.csv")
 
 
 def run_pipeline(config: RunConfig) -> None:

@@ -39,8 +39,8 @@ class PenaltyConfig:
     lost_return: float = 1.0
 
     def __post_init__(self):
-        if self.lost_pickup < 0 or self.lost_return < 0:
-            raise DomainError("penalties must be non-negative")
+        if not (0 <= self.lost_pickup < np.inf and 0 <= self.lost_return < np.inf):
+            raise DomainError("penalties must be finite and non-negative")
 
 
 @dataclass

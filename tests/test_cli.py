@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -145,13 +146,21 @@ OUT_OF_RANGE = [
     ("bias_capacity", 0, "bias_capacity must be at least 1, got 0"),
     ("learning_rate", 0.0, "learning_rate must be finite and positive, got 0.0"),
     ("learning_rate", float("nan"), "learning_rate must be finite and positive, got nan"),
+    ("bias_delta_max", float("inf"), "bias_delta_max must be finite, got inf"),
+    ("bias_delta_max", float("nan"), "bias_delta_max must be finite, got nan"),
+    ("bias_delta_step", float("nan"), "bias_delta_step must be finite, got nan"),
+    ("lost_pickup_penalty", float("nan"), "lost_pickup_penalty must be finite, got nan"),
+    ("lost_return_penalty", float("inf"), "lost_return_penalty must be finite, got inf"),
+    ("interval_minutes", 60.0, "interval_minutes must be an integer, got 60.0"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("lost_pickup_penalty", 10 ** 400, "int too large to convert to float"),
     ("end_date", "2017-12-31", "end_date precedes start_date"),
     ("models", ["ha", "lr", "ha"], "models listed more than once: ['ha']"),
 ]
 
 
 @pytest.mark.parametrize("key, value, message", OUT_OF_RANGE,
-                         ids=[f"{key}={value}" for key, value, _ in OUT_OF_RANGE])
+                         ids=[f"{key}={value}"[:40] for key, value, _ in OUT_OF_RANGE])
 def test_a_config_value_out_of_range_exits_usage_naming_its_path(tmp_path, corpus, key, value,
                                                                   message):
     path = write_config(tmp_path / "run.yaml", corpus, tmp_path / "out", **{key: value})
@@ -709,6 +718,36 @@ def test_every_function_the_bench_tracer_wraps_exists(tmp_path):
                       env={"PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_the_bench_tracer_sees_every_span_a_pipeline_workload_expects(tmp_path, corpus,
+                                                                     monkeypatch):
+    # a stage that calls a traced function through a name the tracer does not
+    # replace would drop its span; one core keeps every call in this process,
+    # as a forked lane's spans never reach the tracer's list
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # the bench files are only read
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  REPO_ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS["decide-hourly"]
+    path = write_config(tmp_path / "run.yaml", corpus, tmp_path / "out",
+                        **dict(workload.config, stations=["7"]))
+    probe = ("import importlib.util, sys; "
+             "spec = importlib.util.spec_from_file_location('tracer', sys.argv[1]); "
+             "tracer = importlib.util.module_from_spec(spec); spec.loader.exec_module(tracer); "
+             "sys.exit(tracer.main(sys.argv[2:]))")
+    one_cpu = min(os.sched_getaffinity(0))
+    spans = tmp_path / "spans.json"
+    proc = run_python(probe, [str(REPO_ROOT / "bench" / "tracer.py"), str(spans),
+                              *workload.commands, "--config", path],
+                      cwd=tmp_path, env={"PYTHONDONTWRITEBYTECODE": "1"},
+                      preexec_fn=lambda: os.sched_setaffinity(0, {one_cpu}))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    recorded = {span["name"] for span in json.loads(spans.read_text())}
+    assert sorted(set(workload.expected_spans) - recorded) == []
 
 
 def bench_names() -> set[str]:

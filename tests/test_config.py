@@ -53,6 +53,14 @@ def test_validation_rejects_bad_values():
     for rate in (0.0, -0.01, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="learning_rate must be finite and positive"):
             make(learning_rate=rate)
+    for name, value in (("bias_delta_max", float("inf")), ("bias_delta_max", float("nan")),
+                        ("bias_delta_step", float("nan")), ("lost_pickup_penalty", float("nan")),
+                        ("lost_return_penalty", float("inf"))):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got {value}$"):
+            make(**{name: value})
+    for name, value in (("interval_minutes", 60.0), ("seed", 1.5), ("top_n", True)):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value}$"):
+            make(**{name: value})
 
 
 def test_hash_is_stable_and_sensitive():

@@ -187,29 +187,29 @@ def oracle_s(counts) -> list[int]:
 
 def test_benchmark_includes_oracle_with_zero_rpd():
     counts, events, flat = one_day_fixture()
-    result = evaluate.benchmark({"flat": [flat]}, {"flat": [2], "oracle": oracle_s(counts)},
-                                [events], [counts], capacity=4)
-    by_model = {s.model: s for s in result.summaries}
+    rows = evaluate.benchmark({"flat": [flat]}, {"flat": [2], "oracle": oracle_s(counts)},
+                              [events], [counts], capacity=4)
+    by_model = {s["model"]: s for s in evaluate.summarize(rows)}
     assert set(by_model) == {"oracle", "flat"}
     oracle = by_model["oracle"]
-    assert oracle.rpd == 0.0 or oracle.rpd is None
-    assert oracle.mean_ce == 0.0
+    assert oracle["rpd"] == 0.0 or oracle["rpd"] is None
+    assert oracle["mean_ce"] == 0.0
     flat_summary = by_model["flat"]
-    assert flat_summary.mean_ce == pytest.approx(
+    assert flat_summary["mean_ce"] == pytest.approx(
         evaluate.cumulative_error(counts.pickups, counts.returns,
                                   flat.pickup_rates, flat.return_rates))
 
 
 def test_benchmark_rows_cover_every_day_and_model():
     counts, events, flat = one_day_fixture()
-    result = evaluate.benchmark({"flat": [flat]}, {"flat": [2], "oracle": oracle_s(counts)},
-                                [events], [counts], capacity=4)
-    kinds = {(r["model"], r["metric"]) for r in result.rows}
-    assert ("oracle", "s_star") in kinds and ("oracle", "cost") in kinds
-    assert ("flat", "s_star") in kinds and ("flat", "ce") in kinds
-    assert all(r["date"] == DAY.isoformat() for r in result.rows)
+    rows = evaluate.benchmark({"flat": [flat]}, {"flat": [2], "oracle": oracle_s(counts)},
+                              [events], [counts], capacity=4)
+    assert [(r["model"], r["metric"]) for r in rows] == [
+        ("oracle", "s_star"), ("oracle", "cost"), ("flat", "s_star"), ("flat", "cost"),
+        ("flat", "ce")]
+    assert all(r["station"] == "S" and r["date"] == DAY.isoformat() for r in rows)
     # the decision is replayed as given, not solved again from the forecast
-    flat_rows = {r["metric"]: r["value"] for r in result.rows if r["model"] == "flat"}
+    flat_rows = {r["metric"]: r["value"] for r in rows if r["model"] == "flat"}
     assert flat_rows["s_star"] == 2
     assert flat_rows["cost"] == evaluate.replay_cost(events, 2, 4).cost
 
@@ -217,9 +217,9 @@ def test_benchmark_rows_cover_every_day_and_model():
 def test_benchmark_replays_the_oracle_decision_it_is_given():
     # the oracle's s* is solved by the caller; any s* given is replayed as is
     counts, events, flat = one_day_fixture()
-    result = evaluate.benchmark({"flat": [flat]}, {"flat": [2], "oracle": [0]},
-                                [events], [counts], capacity=4)
-    oracle_rows = {r["metric"]: r["value"] for r in result.rows if r["model"] == "oracle"}
+    rows = evaluate.benchmark({"flat": [flat]}, {"flat": [2], "oracle": [0]},
+                              [events], [counts], capacity=4)
+    oracle_rows = {r["metric"]: r["value"] for r in rows if r["model"] == "oracle"}
     assert oracle_rows["s_star"] == 0
     assert oracle_rows["cost"] == evaluate.replay_cost(events, 0, 4).cost == 2.0
 
@@ -247,10 +247,39 @@ def test_rows_to_csv_layout():
     rows = [{"station": "S", "date": "2018-11-05", "model": "m",
              "metric": "cost", "value": 1.5},
             {"station": "S", "date": "2018-11-05", "model": "m",
-             "metric": "s_star", "value": 3}]
-    text = evaluate.rows_to_csv(rows)
+             "metric": "s_star", "value": 3},
+            {"station": "S", "date": "2018-11-05", "model": "m",
+             "metric": "rpd", "value": None}]
+    text = evaluate.rows_to_csv(rows, ("station", "date", "model", "metric", "value"))
     lines = text.splitlines()
     assert lines[0] == "station,date,model,metric,value"
     assert lines[1] == "S,2018-11-05,m,cost,1.5"
     assert lines[2] == "S,2018-11-05,m,s_star,3"
+    assert lines[3] == "S,2018-11-05,m,rpd,"
+    # only the columns asked for, in their order
+    assert evaluate.rows_to_csv(rows[:1], ("value", "model")) == "value,model\n1.5,m\n"
 
+
+def metric_row(station, model, metric, value) -> dict:
+    return {"station": station, "date": "2018-11-05", "model": model, "metric": metric,
+            "value": value}
+
+
+def test_summarize_means_each_station_then_the_stations():
+    # a pooled mean of the model's costs would give 2.0, not 2.5
+    rows = [metric_row("A", "m", "cost", 0.0), metric_row("A", "m", "cost", 2.0),
+            metric_row("A", "m", "ce", 1.0), metric_row("A", "m", "s_star", 9),
+            metric_row("B", "m", "cost", 4.0), metric_row("B", "m", "ce", 5.0),
+            metric_row("A", "oracle", "cost", 1.0), metric_row("A", "oracle", "cost", 1.0),
+            metric_row("B", "oracle", "cost", 2.0)]
+    # models keep the order of their first cost row
+    assert evaluate.summarize(rows) == [
+        {"model": "m", "mean_cost": 2.5, "rpd": pytest.approx(2 / 3), "mean_ce": 3.0},
+        {"model": "oracle", "mean_cost": 1.5, "rpd": 0.0, "mean_ce": 0.0}]
+
+
+def test_summary_rpd_is_blank_when_the_oracle_is_free():
+    rows = [metric_row("A", "oracle", "cost", 0.0), metric_row("A", "m", "cost", 1.0),
+            metric_row("A", "m", "ce", 0.5)]
+    text = evaluate.rows_to_csv(evaluate.summarize(rows), ("model", "mean_cost", "rpd", "mean_ce"))
+    assert text.splitlines() == ["model,mean_cost,rpd,mean_ce", "oracle,0,,0", "m,1,,0.5"]

@@ -21,7 +21,7 @@ from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, _exit_code_for, main
 from bikecast.config import DEFAULT_MODELS, RunConfig
 from bikecast.errors import DataError, DomainError, RowError, StageError, TrainingError
 from bikecast.evaluate import replay_cost
-from bikecast.inventory import udf_curve
+from bikecast.inventory import oracle_decision, udf_curve
 from bikecast.experiments import BIAS_KINDS, BiasSpec, apply_bias, bias_study
 from bikecast.ingest import (
     PICKUP,
@@ -114,37 +114,42 @@ def small_day() -> tuple[DemandSeries, EventStream]:
     return series, stream
 
 
+def curves(rows: list[dict], column: str) -> dict[str, list]:
+    """The ``column`` of the bias study's rows, by kind, in delta order."""
+    by_kind = {}
+    for row in rows:
+        by_kind.setdefault(row["kind"], []).append(row[column])
+    return by_kind
+
+
 def test_bias_study_zero_delta_is_the_oracle():
     series, stream = small_day()
-    result = bias_study(series, stream, capacity=12,
-                        delta_grid=np.array([0.0, 1.0, 2.0]))
-    assert set(result.curves) == set(BIAS_KINDS)
-    base_s = result.curves["same_side"].s_star[0]
-    base_cost = result.curves["same_side"].cost[0]
-    for kind in BIAS_KINDS:
-        assert result.curves[kind].s_star[0] == base_s
-        assert result.curves[kind].cost[0] == base_cost
-    assert result.oracle_s == base_s
-    assert result.oracle_cost == base_cost
+    rows = bias_study(series, stream, capacity=12, delta_grid=np.array([0.0, 1.0, 2.0]))
+    assert [(r["kind"], r["delta"]) for r in rows] == [
+        (kind, delta) for kind in BIAS_KINDS for delta in (0.0, 1.0, 2.0)]
+    oracle = oracle_decision(series, 12).s_star
+    oracle_cost = replay_cost(stream, oracle, 12).cost
+    for row in rows:
+        if row["delta"] == 0.0:
+            assert (row["s_star"], row["cost"]) == (oracle, oracle_cost)
 
 
 def test_bias_study_ce_tracks_the_pattern():
     series, stream = small_day()
-    result = bias_study(series, stream, capacity=12,
-                        delta_grid=np.array([0.0, 1.0, 2.0]))
+    ce = curves(bias_study(series, stream, capacity=12, delta_grid=np.array([0.0, 1.0, 2.0])),
+                "ce")
     # same-side shifts cancel in the net, so CE stays exactly zero
-    assert np.all(result.curves["same_side"].ce == 0.0)
+    assert ce["same_side"] == [0.0, 0.0, 0.0]
     # opposing shifts move the net by 2*delta per interval (no truncation here)
     for kind in ("opposite_1", "opposite_2"):
-        assert np.allclose(result.curves[kind].ce, 2.0 * np.array([0.0, 1.0, 2.0]) * 24)
+        assert np.allclose(ce[kind], 2.0 * np.array([0.0, 1.0, 2.0]) * 24)
 
 
 def test_bias_study_decisions_move_with_the_bias():
     series, stream = small_day()
-    result = bias_study(series, stream, capacity=12,
-                        delta_grid=np.array([0.0, 2.0, 4.0]))
-    s1 = result.curves["opposite_1"].s_star
-    s2 = result.curves["opposite_2"].s_star
+    s_star = curves(bias_study(series, stream, capacity=12,
+                               delta_grid=np.array([0.0, 2.0, 4.0])), "s_star")
+    s1, s2 = s_star["opposite_1"], s_star["opposite_2"]
     assert np.all(np.diff(s1) >= 0)  # inflated pickups ask for more bikes
     assert np.all(np.diff(s2) <= 0)  # inflated returns ask for more docks
     assert s1[-1] > s2[-1]
@@ -156,18 +161,17 @@ def test_bias_study_rejects_multi_day_series():
                        pickups=np.tile(series.pickups, 2),
                        returns=np.tile(series.returns, 2))
     with pytest.raises(DataError):
-        bias_study(two, stream, capacity=12)
+        bias_study(two, stream, capacity=12, delta_grid=np.array([0.0, 1.0]))
 
 
-def test_bias_result_csv_layout():
-    series, stream = small_day()
-    result = bias_study(series, stream, capacity=12,
-                        delta_grid=np.array([0.0, 1.0]))
-    lines = result.to_csv().splitlines()
-    assert lines[0] == "kind,delta,s_star,cost"
-    assert len(lines) == 1 + 3 * 2
-    assert lines[1].startswith("same_side,0,")
-    assert lines[3].startswith("opposite_1,0,")
+def test_bias_curves_csv_layout(pipeline_run):
+    # the fixture's grid is 0, 2 and 4; the rows go by kind, then by delta
+    lines = Path(pipeline_run.out_dir, "reports", "bias_curves.csv").read_text().splitlines()
+    assert lines[1] == "kind,delta,s_star,cost"
+    assert len(lines) == 2 + 3 * 3
+    assert lines[2].startswith("same_side,0,")
+    assert lines[3].startswith("same_side,2,")
+    assert lines[5].startswith("opposite_1,0,")
 
 
 # -- pipeline stages ------------------------------------------------------------
@@ -620,13 +624,13 @@ def test_bias_study_solves_each_distinct_series_once(monkeypatch):
     monkeypatch.setattr(experiments, "udf_curve", counting_udf_curve)
     # one lane: a worker's calls would append to its own copy of ``solved``
     monkeypatch.setattr(experiments, "_cores", lambda: 1)
-    result = bias_study(series, stream, capacity=12, delta_grid=np.array([0.0, 1.0, 2.0]))
+    rows = bias_study(series, stream, capacity=12, delta_grid=np.array([0.0, 1.0, 2.0]))
     # delta 0 is one series for the three kinds
     assert len(solved) == len(set(solved)) == 1 + 3 * 2
-    for kind in BIAS_KINDS:
-        for delta, s_star in zip((0.0, 1.0, 2.0), result.curves[kind].s_star):
-            rates = apply_bias(flat_rates(3.0, 2.0), BiasSpec(kind, delta))
-            assert s_star == udf_curve(rates, 12).s_star
+    assert len(rows) == 3 * 3
+    for row in rows:
+        rates = apply_bias(flat_rates(3.0, 2.0), BiasSpec(row["kind"], row["delta"]))
+        assert row["s_star"] == udf_curve(rates, 12).s_star
 
 
 # -- training lanes ------------------------------------------------------------

@@ -182,8 +182,9 @@ def test_rejects_invalid_capacity():
 
 
 def test_rejects_negative_penalties():
-    with pytest.raises(DomainError):
-        PenaltyConfig(-1.0, 1.0)
+    for penalties in ((-1.0, 1.0), (float("nan"), 1.0), (1.0, float("inf"))):
+        with pytest.raises(DomainError, match="penalties must be finite and non-negative"):
+            PenaltyConfig(*penalties)
 
 
 @settings(max_examples=20, deadline=None)
