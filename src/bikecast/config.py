@@ -4,14 +4,25 @@ Every artifact a run writes is stamped, by :mod:`.artifacts`, with the
 sha256-based hash of the canonicalized config plus the seed, and all
 stage-level randomness is derived from the single seed by hashing a stage
 label, so nothing depends on call order.
-"""
 
-from __future__ import annotations
+Each :class:`RunConfig` field's rule is declared once, beside the field: its
+annotation is its type, and its :func:`_rule` gives its default and its
+range checks (its least value, its choices, or that no entry repeats). A
+field without a default is a required key. ``__post_init__`` checks every
+field in three passes and refuses the first rule broken, in one line that
+names the field:
+
+1. every field's type. An ISO date string is taken as a date and a station
+   id written as a number as a string; a ``float`` field takes an int and
+   keeps it, so the config line stays as written; no field takes a bool;
+2. every field's range checks, in the order declared;
+3. the one cross-field rule: ``end_date`` is not before ``start_date``.
+"""
 
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import date
 
 import yaml
@@ -20,9 +31,52 @@ from .errors import ConfigError
 from .ingest import VALID_INTERVALS
 
 DEFAULT_MODELS = ("ha", "ma", "lr", "prnn", "vprnn", "movprnn")
-# fields that count something, with their least value
-_COUNT_FLOORS = {"hidden_width": 1, "batch_days": 1, "max_epochs": 1, "patience": 0,
-                 "top_n": 1, "ma_window_days": 1, "bias_capacity": 1}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", date: "a date",
+               list[str]: "a list of strings"}
+
+
+def _rule(default, *checks):
+    """A field's default and its range checks. A check takes a value of the
+    field's type and returns what is wrong with it, or None."""
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata={"checks": checks})
+    return field(default=default, metadata={"checks": checks})
+
+
+def _at_least(floor):
+    return lambda v: None if v >= floor else f"must be at least {floor}, got {v!r}"
+
+
+def _one_of(choices):
+    return lambda v: None if v in choices else f"must be one of {choices}, got {v!r}"
+
+
+def _each(check):
+    return lambda values: next(filter(None, map(check, values)), None)
+
+
+def _finite(v):  # an int too large for a float raises OverflowError
+    return None if math.isfinite(v) else f"must be finite, got {v!r}"
+
+
+def _positive(v):
+    return None if math.isfinite(v) and v > 0 else f"must be finite and positive, got {v!r}"
+
+
+def _distinct(values):
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    return f"listed more than once: {repeated}" if repeated else None
+
+
+def _typed(name, kind, value):
+    """``value`` as a ``kind``; raises :class:`ConfigError` naming field ``name`` if it is none."""
+    if kind is date and type(value) is str:
+        return date.fromisoformat(value)
+    if kind == list[str] and type(value) is list and all(type(v) in (str, int) for v in value):
+        return [str(v) for v in value]
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -34,58 +88,32 @@ class RunConfig:
     seed: int
     start_date: date
     end_date: date
-    interval_minutes: int = 60
-    stations: list[str] = field(default_factory=list)  # empty: use top_n
-    top_n: int = 30
-    models: list[str] = field(default_factory=lambda: list(DEFAULT_MODELS))
-    hidden_width: int = 128
-    learning_rate: float = 0.01
-    batch_days: int = 32
-    max_epochs: int = 200
-    patience: int = 10
-    lost_pickup_penalty: float = 1.0
-    lost_return_penalty: float = 1.0
-    ma_window_days: int = 30
-    bias_delta_max: float = 25.0
-    bias_delta_step: float = 0.5
-    bias_capacity: int = 40
-    bias_seed: int = 3
+    interval_minutes: int = _rule(60, _one_of(VALID_INTERVALS))
+    stations: list[str] = _rule([], _distinct)  # empty: use top_n
+    top_n: int = _rule(30, _at_least(1))
+    models: list[str] = _rule(list(DEFAULT_MODELS), _each(_one_of(DEFAULT_MODELS)), _distinct)
+    hidden_width: int = _rule(128, _at_least(1))
+    learning_rate: float = _rule(0.01, _positive)
+    batch_days: int = _rule(32, _at_least(1))
+    max_epochs: int = _rule(200, _at_least(1))
+    patience: int = _rule(10, _at_least(0))
+    lost_pickup_penalty: float = _rule(1.0, _finite, _at_least(0))
+    lost_return_penalty: float = _rule(1.0, _finite, _at_least(0))
+    ma_window_days: int = _rule(30, _at_least(1))
+    bias_delta_max: float = _rule(25.0, _finite, _at_least(0))
+    bias_delta_step: float = _rule(0.5, _finite, _positive)
+    bias_capacity: int = _rule(40, _at_least(1))
+    bias_seed: int = _rule(3, _at_least(0))
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        for f in fields(self):  # the annotations are strings under __future__.annotations
-            value = getattr(self, f.name)
-            if f.type == "int" and isinstance(value, (bool, float)):
-                raise ConfigError(f"{f.name} must be an integer, got {value}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.interval_minutes not in VALID_INTERVALS:
-            raise ConfigError(
-                f"interval must be one of {VALID_INTERVALS}, got {self.interval_minutes}")
-        if self.seed is None:
-            raise ConfigError("seed is required")
-        self.seed = int(self.seed)
-        if isinstance(self.start_date, str):
-            self.start_date = date.fromisoformat(self.start_date)
-        if isinstance(self.end_date, str):
-            self.end_date = date.fromisoformat(self.end_date)
+        for f in fields(self):
+            setattr(self, f.name, _typed(f.name, f.type, getattr(self, f.name)))
+        for f in fields(self):
+            for check in f.metadata.get("checks", ()):
+                if wrong := check(getattr(self, f.name)):
+                    raise ConfigError(f"{f.name} {wrong}")
         if self.end_date < self.start_date:
             raise ConfigError("end_date precedes start_date")
-        self.stations = [str(s) for s in self.stations]
-        unknown = set(self.models) - set(DEFAULT_MODELS)
-        if unknown:
-            raise ConfigError(f"unknown models: {sorted(unknown)}")
-        repeated = sorted({name for name in self.models if self.models.count(name) > 1})
-        if repeated:
-            raise ConfigError(f"models listed more than once: {repeated}")
-        if self.lost_pickup_penalty < 0 or self.lost_return_penalty < 0:
-            raise ConfigError("penalties must be non-negative")
-        if self.bias_delta_step <= 0 or self.bias_delta_max < 0:
-            raise ConfigError("bias grid must have positive step and non-negative max")
-        for name, floor in _COUNT_FLOORS.items():
-            if getattr(self, name) < floor:
-                raise ConfigError(f"{name} must be at least {floor}, got {getattr(self, name)}")
 
     def canonical_json(self) -> str:
         payload = asdict(self)
@@ -113,17 +141,16 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config file {path} must hold a mapping")
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
-    known = set(RunConfig.__dataclass_fields__)
-    unknown = set(raw) - known
+    unknown = set(raw) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"config file {path} has unknown config keys: {sorted(unknown)}")
-    missing = {"trips_path", "weather_path", "stations_path", "out_dir", "seed",
-               "start_date", "end_date"} - set(raw)
+    missing = {f.name for f in fields(RunConfig)
+               if f.default is MISSING and f.default_factory is MISSING} - set(raw)
     if missing:
         raise ConfigError(f"config file {path} is missing config keys: {sorted(missing)}")
     try:
         return RunConfig(**raw)
-    except (TypeError, ValueError, OverflowError, ConfigError) as e:  # Overflow: huge int
+    except (ValueError, OverflowError, ConfigError) as e:  # Overflow: huge int
         raise ConfigError(f"config file {path} holds a bad value: {_one_line(e)}") from None
 
 

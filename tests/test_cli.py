@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import importlib.util
 import json
 import math
@@ -17,8 +18,9 @@ import numpy as np
 import pytest
 import yaml
 
-from bikecast import synthetic
+from bikecast import neural, synthetic
 from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from bikecast.config import RunConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,12 +37,12 @@ def corpus(tmp_path_factory):
     return paths
 
 
-def write_config(path, paths, out_dir, **extra):
+def write_config(path, paths, out, **extra):
     payload = {
         "trips_path": paths["trips"],
         "weather_path": paths["weather"],
         "stations_path": paths["stations"],
-        "out_dir": str(out_dir),
+        "out_dir": str(out),
         "seed": 5,
         "start_date": "2018-01-01",
         "end_date": "2018-12-31",
@@ -156,6 +158,22 @@ OUT_OF_RANGE = [
     ("lost_pickup_penalty", 10 ** 400, "int too large to convert to float"),
     ("end_date", "2017-12-31", "end_date precedes start_date"),
     ("models", ["ha", "lr", "ha"], "models listed more than once: ['ha']"),
+    ("stations", ["7", "7"], "stations listed more than once: ['7']"),
+    ("bias_seed", -1, "bias_seed must be at least 0, got -1"),
+    # a wrong type is refused by name before any range check runs
+    ("seed", "7", "seed must be an integer, got '7'"),
+    ("bias_seed", "abc", "bias_seed must be an integer, got 'abc'"),
+    ("bias_capacity", "40", "bias_capacity must be an integer, got '40'"),
+    ("max_epochs", "4", "max_epochs must be an integer, got '4'"),
+    ("top_n", [3], "top_n must be an integer, got [3]"),
+    ("learning_rate", "0.01", "learning_rate must be a number, got '0.01'"),
+    ("lost_pickup_penalty", "1", "lost_pickup_penalty must be a number, got '1'"),
+    ("interval_minutes", "60", "interval_minutes must be an integer, got '60'"),
+    ("stations", "102", "stations must be a list of strings, got '102'"),
+    ("stations", 102, "stations must be a list of strings, got 102"),
+    ("models", "ha", "models must be a list of strings, got 'ha'"),
+    ("out_dir", 5, "out_dir must be a string, got 5"),
+    ("start_date", 20180101, "start_date must be a date, got 20180101"),
 ]
 
 
@@ -829,6 +847,19 @@ def test_no_module_imports_a_name_it_never_reads():
                 unused += [f"{path.name}: {alias.name}" for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in used]
     assert unused == []
+
+
+def test_every_config_field_is_read_outside_the_config_module():
+    # no config knob that nothing reads: a field is read where a module names
+    # it as config.<field>, or as a field of neural.TrainConfig, which
+    # stage_train fills by name
+    read = {field.name for field in dataclasses.fields(neural.TrainConfig)}
+    for path in sorted((REPO_ROOT / "src" / "bikecast").glob("*.py")):
+        if path.name != "config.py":
+            read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id == "config"}
+    assert sorted({field.name for field in dataclasses.fields(RunConfig)} - read) == []
 
 
 def test_no_module_reads_csv_rows_but_the_one_reader():

@@ -1,6 +1,7 @@
 """Run configuration: validation, hashing, YAML loading, seed derivation."""
 
 import re
+from dataclasses import fields
 from datetime import date
 
 import pytest
@@ -61,6 +62,14 @@ def test_validation_rejects_bad_values():
     for name, value in (("interval_minutes", 60.0), ("seed", 1.5), ("top_n", True)):
         with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value}$"):
             make(**{name: value})
+    for name, value in (("seed", "7"), ("bias_seed", "abc"), ("bias_capacity", "40")):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got '{value}'$"):
+            make(**{name: value})
+    with pytest.raises(ConfigError, match=r"^stations listed more than once: \['102'\]$"):
+        make(stations=["102", 102])
+    with pytest.raises(ConfigError, match="^bias_seed must be at least 0, got -1$"):
+        make(bias_seed=-1)
+    make(bias_seed=0, seed=-1)
 
 
 def test_hash_is_stable_and_sensitive():
@@ -69,6 +78,51 @@ def test_hash_is_stable_and_sensitive():
     assert re.fullmatch(r"[0-9a-f]{12}", a.hash())
     assert make(seed=6).hash() != a.hash()
     assert make(hidden_width=64).hash() != a.hash()
+
+
+# the config line of every artifact: a change to how a field is checked or
+# coerced must leave both literals as they are
+EVERY_FIELD = dict(
+    trips_path="trips.csv", weather_path="weather.csv", stations_path="stations.csv",
+    out_dir="runs/a", seed=-21, start_date="2018-02-01", end_date="2019-01-31",
+    interval_minutes=15, stations=["102", 7], top_n=5, models=["movprnn", "ha"],
+    hidden_width=16, learning_rate=0.005, batch_days=8, max_epochs=4, patience=0,
+    lost_pickup_penalty=2.5, lost_return_penalty=0, ma_window_days=14,
+    bias_delta_max=10.0, bias_delta_step=2.5, bias_capacity=20, bias_seed=0,
+)
+
+
+@pytest.mark.parametrize("values, payload, digest", [
+    (REQUIRED,
+     '{"batch_days":32,"bias_capacity":40,"bias_delta_max":25.0,"bias_delta_step":0.5,'
+     '"bias_seed":3,"end_date":"2018-12-31","hidden_width":128,"interval_minutes":60,'
+     '"learning_rate":0.01,"lost_pickup_penalty":1.0,"lost_return_penalty":1.0,'
+     '"ma_window_days":30,"max_epochs":200,'
+     '"models":["ha","ma","lr","prnn","vprnn","movprnn"],"out_dir":"out","patience":10,'
+     '"seed":5,"start_date":"2018-01-01","stations":[],"stations_path":"s.csv","top_n":30,'
+     '"trips_path":"t.csv","weather_path":"w.csv"}',
+     "a638b27a6020"),
+    (EVERY_FIELD,
+     '{"batch_days":8,"bias_capacity":20,"bias_delta_max":10.0,"bias_delta_step":2.5,'
+     '"bias_seed":0,"end_date":"2019-01-31","hidden_width":16,"interval_minutes":15,'
+     '"learning_rate":0.005,"lost_pickup_penalty":2.5,"lost_return_penalty":0,'
+     '"ma_window_days":14,"max_epochs":4,"models":["movprnn","ha"],"out_dir":"runs/a",'
+     '"patience":0,"seed":-21,"start_date":"2018-02-01","stations":["102","7"],'
+     '"stations_path":"stations.csv","top_n":5,"trips_path":"trips.csv",'
+     '"weather_path":"weather.csv"}',
+     "1f2fe22d82cb"),
+], ids=["required", "every-field"])
+def test_config_line_is_pinned(values, payload, digest):
+    config = RunConfig(**values)
+    assert config.canonical_json() == payload
+    assert config.hash() == digest
+
+
+def test_every_field_of_the_pinned_config_differs_from_its_default():
+    defaults = RunConfig(**REQUIRED)
+    assert set(EVERY_FIELD) == {f.name for f in fields(RunConfig)}
+    assert all(getattr(RunConfig(**EVERY_FIELD), name) != getattr(defaults, name)
+               for name in EVERY_FIELD)
 
 
 def test_artifact_header_format():
