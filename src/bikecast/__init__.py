@@ -7,6 +7,11 @@ solution prices a day's lost pickups and returns as a function of the
 starting inventory), joined by evaluation tools that measure how forecast
 quality translates into decision quality.
 
+The package holds what the command line runs, and the few names that the
+benchmark harness in ``bench/`` reads besides. Code that only the tests call
+lives in ``tests/``: the Monte Carlo oracle and the sinusoidal fixture are in
+``tests/oracles.py``.
+
 The runtime needs only numpy and PyYAML. scipy, in the ``dev`` extra, serves
 the test oracles, such as :func:`.queueing.matrix_exponential_oracle`.
 
@@ -20,38 +25,3 @@ import os
 
 os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
-
-from .errors import (
-    BikecastError,
-    ConfigError,
-    DataError,
-    DomainError,
-    FormatError,
-    RowError,
-    StageError,
-    TrainingError,
-)
-from .inventory import PenaltyConfig, UdfCurve, oracle_decision, udf, udf_curve
-from .queueing import RateSeries, adjoint_interval, generator_matrix
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BikecastError",
-    "ConfigError",
-    "DataError",
-    "DomainError",
-    "FormatError",
-    "RowError",
-    "StageError",
-    "TrainingError",
-    "PenaltyConfig",
-    "UdfCurve",
-    "oracle_decision",
-    "udf",
-    "udf_curve",
-    "RateSeries",
-    "adjoint_interval",
-    "generator_matrix",
-    "__version__",
-]

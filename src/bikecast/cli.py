@@ -17,6 +17,7 @@ import sys
 from . import experiments
 from .config import load_config
 from .errors import ConfigError, DataError, DomainError, StageError, TrainingError
+from .ingest import VALID_INTERVALS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the run config YAML")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the config seed")
-        cmd.add_argument("--interval", type=int, choices=(15, 30, 60), default=None,
+        cmd.add_argument("--interval", type=int, choices=VALID_INTERVALS, default=None,
                          help="override interval_minutes")
         cmd.add_argument("--out", default=None, help="override the output directory")
     return parser

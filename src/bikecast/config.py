@@ -22,6 +22,7 @@ names the field:
 import hashlib
 import json
 import math
+import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import date
 
@@ -125,16 +126,35 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:12]
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 reads ``010`` as 8, ``0x10`` as 16, ``0b101`` as 5, ``1_0`` as
+    10 and ``1:30`` as 90, so ``stations: [010]`` would select station 8. This
+    loader refuses every integer not written in decimal."""
+
+
+def _decimal_int(loader, node):
+    text = loader.construct_scalar(node)
+    if not re.fullmatch(r"[-+]?(0|[1-9][0-9]*)", text):
+        raise ConfigError(f"integer {text} is not written in decimal; quote it to keep a string")
+    return int(text)
+
+
+_Loader.add_constructor("tag:yaml.org,2002:int", _decimal_int)
+
+
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     """The config of the YAML file ``path``, with the overrides that are not
-    None. A file that cannot be read or parsed, an unknown or missing key, or
-    a value of the wrong type, form or range raises :class:`ConfigError`
-    naming ``path``; a missing file raises :class:`FileNotFoundError`."""
+    None. A file that cannot be read or parsed, an unknown or missing key, an
+    integer not written in decimal, or a value of the wrong type, form or
+    range raises :class:`ConfigError` naming ``path``; a missing file raises
+    :class:`FileNotFoundError`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_Loader)
     except FileNotFoundError:
         raise
+    except ConfigError as e:
+        raise ConfigError(f"config file {path} holds a bad value: {e}") from None
     except (OSError, ValueError, yaml.YAMLError) as e:  # ValueError: bad UTF-8, bad date
         raise ConfigError(f"config file {path} cannot be read: {_one_line(e)}") from None
     if not isinstance(raw, dict):

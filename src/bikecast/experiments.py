@@ -54,6 +54,7 @@ from .evaluate import (
     summarize,
 )
 from .ingest import (
+    STATION_COLUMNS,
     TRIP_COLUMNS,
     DemandSeries,
     EventStream,
@@ -189,7 +190,7 @@ def stage_ingest(config: RunConfig) -> None:
         weather = parse_weather(_require_input(config.weather_path))
         day_range = (config.start_date, config.end_date)
         build_covariates(weather, day_range, config.interval_minutes)
-        lines = ["station_id,capacity"]
+        lines = [",".join(STATION_COLUMNS)]
         for sid in selected:
             if sid not in streams:
                 raise DataError(f"station {sid} has no events in the trip file")

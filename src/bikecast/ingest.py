@@ -191,6 +191,7 @@ class DataSplit:
 # start time, stop time, start station and end station in the Citi Bike schema
 TRIP_COLUMNS = ("starttime", "stoptime", "start station id", "end station id")
 WEATHER_COLUMNS = ("timestamp", "temperature_c", "rain_probability")
+STATION_COLUMNS = ("station_id", "capacity")
 # the kept demand and event files; their headers must be exactly these
 DEMAND_COLUMNS = ("interval_start", "pickups", "returns")
 EVENT_COLUMNS = ("time", "kind")
@@ -587,14 +588,14 @@ def parse_weather(source) -> WeatherTable:
 
 
 def parse_stations(source) -> dict[str, int]:
-    """Read station metadata (station_id, capacity) into ``{id: capacity}``.
+    """Read station metadata with the :data:`STATION_COLUMNS` into ``{id: capacity}``.
 
     The first bad row raises :class:`RowError` with its line number, worded by
     the first rule it breaks: the id is empty, the capacity does not parse or
     is not positive, the station is listed on an earlier row.
     """
     with _open_text(source) as stream:
-        numbers, (sids, caps) = _columns(stream, "station", ("station_id", "capacity"))
+        numbers, (sids, caps) = _columns(stream, "station", STATION_COLUMNS)
         ids = _string_array(list(map(str.strip, sids)))
         capacities, cap_rule = _converted("capacity", caps, int)
         _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
@@ -724,7 +725,7 @@ def demand_from_csv(source, station: str, interval_minutes: int) -> DemandSeries
 
 def weather_to_csv(weather: WeatherTable) -> str:
     """Serialize for :func:`parse_weather`; ``repr`` values parse back to the same floats."""
-    return "timestamp,temperature_c,rain_probability\n" + "".join(map(
+    return ",".join(WEATHER_COLUMNS) + "\n" + "".join(map(
         "{},{!r},{!r}\n".format, _iso_strings(weather.hours), weather.temperature_c.tolist(),
         weather.rain_probability.tolist()))
 

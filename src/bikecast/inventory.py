@@ -55,17 +55,6 @@ class UdfCurve:
     s_star: int
 
 
-def udf(
-    rates: RateSeries,
-    start: int,
-    capacity: int,
-    penalties: PenaltyConfig = PenaltyConfig(),
-) -> float:
-    """Expected dissatisfied users over the horizon for one starting inventory."""
-    queueing._check_start(start, capacity)
-    return float(udf_curve(rates, capacity, penalties).values[start])
-
-
 def udf_curve(
     rates: RateSeries,
     capacity: int,

@@ -24,13 +24,12 @@ is constant, so the exact interval operators follow from uniformization
   is bounded by ``TRUNCATION_TOLERANCE`` before the sum is taken.
   This is the production path behind :mod:`.inventory`.
 
-Two independent routes remain as test oracles:
-
-* :func:`matrix_exponential_oracle` -- per-interval ``expm`` products, exact
-  to machine precision. It imports ``scipy.linalg`` when called, so it needs
-  scipy from the ``dev`` extra; nothing else in the package does;
-* :func:`monte_carlo_oracle` -- path simulation, a statistical cross-check
-  that also yields per-path lost-customer counts.
+:func:`matrix_exponential_oracle` is an independent route kept as an oracle
+for the benchmark harness in ``bench/``, which reads it: per-interval ``expm``
+products, exact to machine precision. It imports ``scipy.linalg`` when
+called, so it needs scipy from the ``dev`` extra; nothing else in the package
+does. Only the tests call the Monte Carlo oracle, a path simulation that
+also yields per-path lost-customer counts, so it lives in ``tests/oracles.py``.
 
 Time is measured in hours internally; per-interval expected counts are
 converted to hourly rates by dividing by the interval length.
@@ -282,91 +281,3 @@ def matrix_exponential_oracle(rates: RateSeries, start: int, capacity: int) -> P
         p = expm(generator_matrix(mu_h[i], lam_h[i], capacity) * dt) @ p
         probs[i + 1] = p
     return ProbabilityTrajectory(capacity=capacity, start=start, grid=grid, probs=probs)
-
-
-@dataclass
-class MonteCarloResult:
-    """Empirical occupancy distribution at interval boundaries.
-
-    ``probs[k, sigma]`` estimates ``p(start, sigma, grid[k])``; ``stderr``
-    holds the matching binomial standard errors. ``lost_pickups`` and
-    ``lost_returns`` carry the per-path censored-event counts over the whole
-    horizon, which is what expected-dissatisfaction checks need.
-    """
-
-    capacity: int
-    start: int
-    n_paths: int
-    grid: np.ndarray
-    probs: np.ndarray
-    stderr: np.ndarray
-    lost_pickups: np.ndarray
-    lost_returns: np.ndarray
-
-
-def monte_carlo_oracle(
-    rates: RateSeries,
-    start: int,
-    capacity: int,
-    n_paths: int,
-    seed: int,
-) -> MonteCarloResult:
-    """Simulate the censored pickup/return process for ``n_paths`` stations.
-
-    Events are generated interval by interval: the event count of each kind
-    is Poisson with the interval's expected count, and because rates are
-    constant within an interval the chronological order of the events is an
-    exchangeable shuffle, drawn here by sequentially picking the next kind
-    with probability proportional to the remaining counts. All paths advance
-    in lockstep through vectorized steps; the RNG is seeded explicitly.
-    """
-    _check_start(start, capacity)
-    if n_paths < 1:
-        raise DomainError("n_paths must be >= 1")
-    rng = np.random.default_rng(seed)
-
-    inv = np.full(n_paths, start, dtype=np.int64)
-    lost_p = np.zeros(n_paths, dtype=np.int64)
-    lost_r = np.zeros(n_paths, dtype=np.int64)
-
-    n_intervals = len(rates)
-    grid = np.arange(n_intervals + 1) * rates.interval_hours
-    probs = np.zeros((n_intervals + 1, capacity + 1))
-    probs[0, start] = 1.0
-
-    for i in range(n_intervals):
-        rem_p = rng.poisson(rates.pickup_rates[i], n_paths)
-        rem_r = rng.poisson(rates.return_rates[i], n_paths)
-        remaining = rem_p + rem_r
-        while True:
-            active = remaining > 0
-            if not np.any(active):
-                break
-            u = rng.random(n_paths)
-            is_pickup = active & (u * remaining < rem_p)
-            is_return = active & ~is_pickup
-
-            blocked_p = is_pickup & (inv == 0)
-            lost_p += blocked_p
-            inv -= is_pickup & ~blocked_p
-
-            blocked_r = is_return & (inv == capacity)
-            lost_r += blocked_r
-            inv += is_return & ~blocked_r
-
-            rem_p -= is_pickup
-            rem_r -= is_return
-            remaining -= active
-        probs[i + 1] = np.bincount(inv, minlength=capacity + 1) / n_paths
-
-    stderr = np.sqrt(probs * (1.0 - probs) / n_paths)
-    return MonteCarloResult(
-        capacity=capacity,
-        start=start,
-        n_paths=n_paths,
-        grid=grid,
-        probs=probs,
-        stderr=stderr,
-        lost_pickups=lost_p,
-        lost_returns=lost_r,
-    )

@@ -1,15 +1,16 @@
 """Synthetic data generators.
 
-Three generators back the test and demo workload:
+Two generators back the demo workload and the benchmark harness:
 
 * a full-year trip/weather/station corpus with commute structure and
   nonlinear weather response, so covariate-aware models have something real
   to learn that calendar averages and a linear fit cannot capture;
-* a sinusoidal Poisson rate benchmark where the true rate is known exactly;
 * a single peaked day (morning pickups, evening returns) for the
   bias-sensitivity study.
 
-Everything is deterministic given its seed.
+Everything is deterministic given its seed. The sinusoidal Poisson rate
+fixture, whose true rate is known exactly, serves only the tests and lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,15 +22,7 @@ from datetime import date, datetime, time, timedelta
 
 import numpy as np
 
-from .ingest import (
-    PICKUP,
-    RETURN,
-    DataSplit,
-    DemandSeries,
-    EventStream,
-    WeatherTable,
-    build_covariates,
-)
+from .ingest import PICKUP, RETURN, DemandSeries, EventStream
 
 
 def _sigmoid(x):
@@ -201,74 +194,6 @@ def write_corpus(out_dir: str, year: int = 2018, seed: int = 7,
         for s in stations:
             writer.writerow([s.station_id, s.capacity, s.profile])
     return paths
-
-
-# -- sinusoidal rate benchmark ---------------------------------------------
-
-
-def sinusoidal_split(
-    n_days: int = 60,
-    interval_minutes: int = 60,
-    seed: int = 0,
-    mean_rate: float = 10.0,
-    amplitude: float = 5.0,
-    period_hours: float = 24.0,
-    train_fraction: float = 0.7,
-    val_fraction: float = 0.15,
-    day_log_noise: float = 0.0,
-    slot_log_noise: float = 0.0,
-) -> tuple[DataSplit, np.ndarray, np.ndarray]:
-    """Counts drawn from known sinusoidal rates, split chronologically.
-
-    Returns (split, pickup_rate_per_slot, return_rate_per_slot); the return
-    process runs a quarter period out of phase. The rates repeat daily, so
-    the per-slot vectors are the ground truth for every day.
-
-    ``day_log_noise`` multiplies each day's rates by a lognormal level,
-    drawn independently for the pickup and return processes;
-    ``slot_log_noise`` multiplies every interval's rate by its own
-    independent lognormal draw. Either makes realized rates carry
-    information beyond the covariates, which is what separates a posterior
-    network from the covariate-only prior.
-    """
-    rng = np.random.default_rng(seed)
-    slots = 1440 // interval_minutes
-    hours = np.arange(slots) * (interval_minutes / 60.0)
-    pickup_rate = mean_rate + amplitude * np.sin(2 * np.pi * hours / period_hours)
-    return_rate = mean_rate + amplitude * np.sin(2 * np.pi * (hours / period_hours - 0.25))
-
-    def level_draw() -> np.ndarray:
-        day_level = np.exp(rng.normal(0.0, day_log_noise, size=n_days)) if day_log_noise else np.ones(n_days)
-        level = np.repeat(day_level, slots)
-        if slot_log_noise:
-            level = level * np.exp(rng.normal(0.0, slot_log_noise, size=n_days * slots))
-        return level
-
-    pickups = rng.poisson(level_draw() * np.tile(pickup_rate, n_days))
-    returns = rng.poisson(level_draw() * np.tile(return_rate, n_days))
-
-    start = datetime(2018, 1, 1)
-    temps = 15.0 + rng.normal(0, 0.5, size=n_days * 24)
-    weather = WeatherTable(hours=np.datetime64(start, "h") + np.arange(n_days * 24),
-                           temperature_c=temps, rain_probability=np.zeros(n_days * 24))
-    series = DemandSeries(
-        station="synthetic",
-        interval_minutes=interval_minutes,
-        start=start,
-        pickups=pickups,
-        returns=returns,
-        covariates=build_covariates(
-            weather, (start.date(), start.date() + timedelta(days=n_days - 1)), interval_minutes),
-    )
-    train_days = int(n_days * train_fraction)
-    val_days = int(n_days * val_fraction)
-    per = series.intervals_per_day
-    split = DataSplit(
-        train=series.rows(0, train_days * per),
-        validation=series.rows(train_days * per, (train_days + val_days) * per),
-        test=series.rows((train_days + val_days) * per, len(series)),
-    )
-    return split, pickup_rate, return_rate
 
 
 # -- peaked reference day ----------------------------------------------------

@@ -37,6 +37,21 @@ def corpus(tmp_path_factory):
     return paths
 
 
+class Spelled(str):
+    """A YAML integer written just as spelled, such as ``010`` or ``0x10``."""
+
+    def __repr__(self):
+        return str(self)
+
+
+class _Dumper(yaml.SafeDumper):
+    pass
+
+
+_Dumper.add_representer(
+    Spelled, lambda dumper, text: dumper.represent_scalar("tag:yaml.org,2002:int", text))
+
+
 def write_config(path, paths, out, **extra):
     payload = {
         "trips_path": paths["trips"],
@@ -53,7 +68,7 @@ def write_config(path, paths, out, **extra):
     }
     payload.update(extra)
     with open(path, "w") as fh:
-        yaml.safe_dump(payload, fh)
+        yaml.dump(payload, fh, Dumper=_Dumper)
     return str(path)
 
 
@@ -174,6 +189,15 @@ OUT_OF_RANGE = [
     ("models", "ha", "models must be a list of strings, got 'ha'"),
     ("out_dir", 5, "out_dir must be a string, got 5"),
     ("start_date", 20180101, "start_date must be a date, got 20180101"),
+    # YAML 1.1 would read these as 8, 16, 102 and 90
+    ("stations", [Spelled("010")],
+     "integer 010 is not written in decimal; quote it to keep a string"),
+    ("stations", [Spelled("0x10")],
+     "integer 0x10 is not written in decimal; quote it to keep a string"),
+    ("stations", [Spelled("1_02")],
+     "integer 1_02 is not written in decimal; quote it to keep a string"),
+    ("max_epochs", Spelled("1:30"),
+     "integer 1:30 is not written in decimal; quote it to keep a string"),
 ]
 
 
@@ -830,23 +854,47 @@ def test_every_bikecast_name_the_bench_reads_exists(tmp_path):
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    # a top-level import that the module neither loads nor lists in __all__
-    # is left over from code that moved or went
+    # a top-level import that the module never loads is left over from code
+    # that moved or went
     unused = []
     for path in sorted((REPO_ROOT / "src" / "bikecast").glob("*.py")):
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         for node in tree.body:
-            if (isinstance(node, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-                used |= set(ast.literal_eval(node.value))
-        for node in tree.body:
             if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
                                                 and node.module != "__future__"):
                 unused += [f"{path.name}: {alias.name}" for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in used]
     assert unused == []
+
+
+def test_every_module_level_name_has_a_reader_in_the_package_or_the_bench():
+    # the package holds what the CLI runs and what bench/ reads; a top-level
+    # def, class or assignment that neither reads is left over from code that
+    # went, or serves only the tests, which keep such code in tests/. A
+    # reader is a loaded name, an attribute, an import alias, or a string in
+    # bench/, such as the names in bench/tracer.py's TRACED
+    package = sorted((REPO_ROOT / "src" / "bikecast").glob("*.py"))
+    read, defined = set(), []
+    for path in package + sorted((REPO_ROOT / "bench").glob("*.py")):
+        tree, in_package = ast.parse(path.read_text()), path in package
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and not in_package:
+                read.add(node.value)
+        for node in tree.body if in_package else ():
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defined += [(path.stem, name.id) for name in ast.walk(node)
+                            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+    assert [f"{module}.{name}" for module, name in defined if name not in read] == []
 
 
 def test_every_config_field_is_read_outside_the_config_module():

@@ -154,6 +154,14 @@ def test_load_config_roundtrip(tmp_path):
     assert config.seed == 5
 
 
+def test_a_quoted_station_id_keeps_its_leading_zero(tmp_path):
+    # unquoted, 010 is refused as an integer not written in decimal
+    path = tmp_path / "run.yaml"
+    write_yaml(path, {**REQUIRED, "stations": ["010"]})
+    assert "- '010'" in path.read_text()
+    assert load_config(str(path)).stations == ["010"]
+
+
 # forecast_samples is no key: the latent-rate forecasts need no sample count
 @pytest.mark.parametrize("key, value", [("hidden_layers", 2), ("forecast_samples", 100)])
 def test_load_config_rejects_unknown_keys(tmp_path, key, value):

@@ -5,16 +5,17 @@ import pytest
 import udf_sweep
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import monte_carlo_oracle
 
 from bikecast.errors import DomainError
-from bikecast.inventory import PenaltyConfig, UdfCurve, oracle_decision, udf, udf_curve
-from bikecast.queueing import RateSeries, generator_matrix, monte_carlo_oracle
+from bikecast.inventory import PenaltyConfig, UdfCurve, oracle_decision, udf_curve
+from bikecast.queueing import RateSeries, generator_matrix
 
 
 def test_empty_station_pure_pickups_loses_everything():
     # start 0, pickups 1/h for 24h, no returns: every arrival is lost
     rates = RateSeries(60, np.ones(24), np.zeros(24))
-    value = udf(rates, start=0, capacity=5)
+    value = udf_curve(rates, capacity=5).values[0]
     np.testing.assert_allclose(value, 24.0, atol=1e-9)
 
 
@@ -28,7 +29,7 @@ def test_no_demand_no_cost():
 def test_full_station_pure_returns():
     # start C, returns 2/h, no pickups: every return is blocked
     rates = RateSeries(60, np.zeros(6), np.full(6, 2.0))
-    value = udf(rates, start=4, capacity=4)
+    value = udf_curve(rates, capacity=4).values[4]
     np.testing.assert_allclose(value, 12.0, atol=1e-8)
 
 
@@ -43,25 +44,18 @@ def test_symmetric_day_symmetric_curve():
 
 def test_penalty_scaling_is_linear():
     rates = RateSeries(60, [3.0, 1.0], [0.5, 2.5])
-    base = udf(rates, 2, 4, PenaltyConfig(1.0, 1.0))
-    scaled = udf(rates, 2, 4, PenaltyConfig(3.0, 3.0))
+    base = udf_curve(rates, 4, PenaltyConfig(1.0, 1.0)).values[2]
+    scaled = udf_curve(rates, 4, PenaltyConfig(3.0, 3.0)).values[2]
     np.testing.assert_allclose(scaled, 3.0 * base, rtol=1e-12)
 
 
 def test_one_sided_penalty_isolates_one_boundary():
     rates = RateSeries(60, [2.0], [2.0])
-    only_pickups = udf(rates, 1, 3, PenaltyConfig(1.0, 0.0))
-    only_returns = udf(rates, 1, 3, PenaltyConfig(0.0, 1.0))
-    both = udf(rates, 1, 3, PenaltyConfig(1.0, 1.0))
+    only_pickups = udf_curve(rates, 3, PenaltyConfig(1.0, 0.0)).values[1]
+    only_returns = udf_curve(rates, 3, PenaltyConfig(0.0, 1.0)).values[1]
+    both = udf_curve(rates, 3, PenaltyConfig(1.0, 1.0)).values[1]
     np.testing.assert_allclose(only_pickups + only_returns, both, rtol=1e-12)
     assert only_pickups > 0 and only_returns > 0
-
-
-def test_curve_matches_pointwise_udf():
-    rates = RateSeries(60, [4.0, 0.5, 2.0], [1.0, 3.0, 0.5])
-    curve = udf_curve(rates, capacity=6)
-    for s in range(7):
-        assert curve.values[s] == udf(rates, s, 6)
 
 
 def van_loan_udf(rates, capacity, penalties=PenaltyConfig()):
@@ -142,7 +136,7 @@ def test_udf_matches_monte_carlo_lost_cost():
     rates = RateSeries(60, [5.0, 2.0, 6.0], [1.0, 4.0, 2.0])
     start, capacity = 3, 6
     pen = PenaltyConfig(1.0, 1.0)
-    value = udf(rates, start, capacity, pen)
+    value = udf_curve(rates, capacity, pen).values[start]
     mc = monte_carlo_oracle(rates, start, capacity, n_paths=60000, seed=23)
     losses = pen.lost_pickup * mc.lost_pickups + pen.lost_return * mc.lost_returns
     se = losses.std() / np.sqrt(mc.n_paths)
@@ -196,7 +190,7 @@ def test_udf_is_nonnegative_and_bounded_by_total_demand(seed):
     pickups = rng.uniform(0, 8, 6)
     returns = rng.uniform(0, 8, 6)
     rates = RateSeries(60, pickups, returns)
-    value = udf(rates, start, capacity)
+    value = udf_curve(rates, capacity).values[start]
     assert value >= -1e-12
     # cannot lose more users than arrive in expectation
     assert value <= pickups.sum() + returns.sum() + 1e-9

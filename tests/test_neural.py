@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import tape
 import tape_model as tm
+from oracles import sinusoidal_split
 
 from bikecast import autodiff, neural
 from bikecast.errors import ConfigError, DataError, FormatError
@@ -26,7 +27,6 @@ from bikecast.neural import (
     poisson_nll,
     trainable_keys,
 )
-from bikecast.synthetic import sinusoidal_split
 
 
 def tiny_model(kind="vprnn", hidden=4, input_width=3, processes=1, seed=0):

@@ -10,17 +10,17 @@ import pytest
 import udf_sweep
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import monte_carlo_oracle
 
 from bikecast import queueing
 from bikecast.errors import DomainError
-from bikecast.inventory import udf, udf_curve
+from bikecast.inventory import udf_curve
 from bikecast.queueing import (
     RateSeries,
     adjoint_interval,
     generator_matrix,
     log_factorial,
     matrix_exponential_oracle,
-    monte_carlo_oracle,
 )
 
 
@@ -232,28 +232,15 @@ def test_monte_carlo_agrees_with_integrator():
     assert np.all(np.abs(mc.probs - exact) <= tol)
 
 
-def test_monte_carlo_lost_counts_have_expected_magnitude():
-    # pickups only, start 1, cap 1: lost pickups = Poisson(4) arrivals minus
-    # the single bike, in expectation 4 - (1 - e^-4) = 3.0183
-    rates = RateSeries(60, [4.0], [0.0])
-    mc = monte_carlo_oracle(rates, 1, 1, n_paths=60000, seed=5)
-    expected = 4.0 - (1.0 - np.exp(-4.0))
-    se = mc.lost_pickups.std() / np.sqrt(mc.n_paths)
-    assert abs(mc.lost_pickups.mean() - expected) < 4 * se
-    assert mc.lost_returns.mean() == 0.0
-
-
 def test_rejects_bad_start_and_substeps():
     rates = RateSeries(60, [1.0], [1.0])
     for start in (-1, 4):
-        with pytest.raises(DomainError):
-            udf(rates, start=start, capacity=3)
         with pytest.raises(DomainError):
             matrix_exponential_oracle(rates, start=start, capacity=3)
     # the solver is exact: there is no step count to choose
     # (test_cli checks that a config setting one is refused)
     with pytest.raises(TypeError):
-        udf(rates, start=0, capacity=3, substeps_per_interval=12)
+        udf_curve(rates, capacity=3, substeps_per_interval=12)
 
 
 def test_rejects_negative_rates():

@@ -1,4 +1,4 @@
-"""Generators: corpus files, sinusoidal benchmark, peaked reference day."""
+"""Generators: corpus files and the peaked reference day."""
 
 from datetime import date, datetime, timedelta
 
@@ -99,51 +99,6 @@ def test_weather_factor_morning_reacts_harder():
     assert pm > 2 * am
     warm_dry = dict(temp_c=np.asarray(24.0), rain=np.asarray(0.0))
     assert float(synthetic._weather_factor(hour=8.5, doy=172, **warm_dry)) > 0.9
-
-
-# -- sinusoidal benchmark ------------------------------------------------------
-
-
-def test_sinusoidal_rates_and_split_sizes():
-    split, pickup_rate, return_rate = synthetic.sinusoidal_split(n_days=20, seed=5)
-    assert split.train.n_days == 14
-    assert split.validation.n_days == 3
-    assert split.test.n_days == 3
-    assert pickup_rate.shape == (24,)
-    assert pickup_rate.min() == pytest.approx(5.0)
-    assert pickup_rate.max() == pytest.approx(15.0)
-    # returns run a quarter period behind pickups
-    assert np.allclose(return_rate, np.roll(pickup_rate, 6))
-
-
-def test_sinusoidal_split_is_deterministic():
-    a, _, _ = synthetic.sinusoidal_split(n_days=12, seed=9, day_log_noise=0.5)
-    b, _, _ = synthetic.sinusoidal_split(n_days=12, seed=9, day_log_noise=0.5)
-    assert np.array_equal(a.train.pickups, b.train.pickups)
-    assert np.array_equal(a.test.returns, b.test.returns)
-
-
-def test_sinusoidal_covariates_follow_calendar():
-    split, _, _ = synthetic.sinusoidal_split(n_days=9, seed=0)
-    cov = split.train.covariates
-    assert cov is not None
-    # 2018-01-01 is a Monday; day 3 rows carry dow_3
-    row = cov[3 * 24 + 5]
-    assert row[2 + 3] == 1.0
-    assert row[9 + 5] == 1.0
-    assert row[1] == 0.0  # dry benchmark
-
-
-def test_day_noise_overdisperses_daily_totals():
-    calm, _, _ = synthetic.sinusoidal_split(n_days=40, seed=4)
-    noisy, _, _ = synthetic.sinusoidal_split(n_days=40, seed=4, day_log_noise=1.0)
-
-    def day_totals(series):
-        return series.pickups.reshape(series.n_days, -1).sum(axis=1)
-
-    var_calm = day_totals(calm.train).var()
-    var_noisy = day_totals(noisy.train).var()
-    assert var_noisy > 10 * var_calm
 
 
 # -- peaked reference day --------------------------------------------------------
