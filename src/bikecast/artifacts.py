@@ -7,22 +7,28 @@ off exactly that line and no other before the parser of the kind sees the
 file's lines: a data row that begins with ``#`` stays a row. Every CSV
 artifact is then read by the row reader of :mod:`.ingest`, its rows at their
 physical line numbers. :func:`read` names the file in every error it raises.
+
+A forecast is one (days, slots, 2) array of expected counts per interval,
+pickups then returns, from the forecaster to the report. Its file holds one
+:data:`FORECAST_COLUMNS` row per day and slot, the days in increasing order:
+:func:`forecast_to_csv` writes it and :func:`load_forecasts` reads back the
+same array. The decision file, each forecast day's s* per model, is written
+by :func:`decisions_to_csv` and read by :func:`parse_decisions`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import replace
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 
 from . import classical, neural
 from .config import RunConfig
-from .errors import DataError, FormatError, RowError
+from .errors import DataError, DomainError, FormatError, RowError
 from .ingest import (DemandSeries, _check_rows, _columns, _converted, build_covariates,
                      demand_from_csv, parse_stations, parse_weather)
-from .queueing import RateSeries
 
 # each kind of artifact: the stage that writes it, and its path under out_dir
 # for station ``sid`` and model, net label or report ``name``; evaluate and
@@ -103,15 +109,15 @@ def read(config: RunConfig, kind: str, parse, *args, sid: str = "", name: str = 
 def _kept_file(lines: list[str], what: str, names: tuple[str, ...], *kinds):
     """The physical line numbers and the columns of the ``lines`` of a kept
     CSV with exactly the columns ``names`` (:func:`~.ingest._columns`), column
-    i converted by ``kinds[i]`` (:func:`~.ingest._converted`) or, where that
-    is None, kept as read. The first row with a field that does not convert
-    raises :class:`RowError` naming the column."""
+    i converted by ``kinds[i]`` into an array (:func:`~.ingest._converted`)
+    or, where that is None, kept as the list of strings read. The first row
+    with a field that does not convert raises :class:`RowError` naming the
+    column."""
     numbers, columns = _columns(lines, what, names, exact=True)
     rules = []
     for i, kind in enumerate(kinds):
         if kind is not None:
-            values, rule = _converted(names[i], columns[i], kind)
-            columns[i] = values.tolist()
+            columns[i], rule = _converted(names[i], columns[i], kind)
             rules.append(rule)
     _check_rows(numbers, rules)
     return numbers, columns
@@ -163,45 +169,70 @@ def parse_checkpoint(file: str, kind: str, targets: tuple[str, ...],
     return model
 
 
-def _forecasts(lines: list[str], interval_minutes: int) -> tuple[list[date], list[RateSeries]]:
+def forecast_to_csv(first_day: date, rates: np.ndarray) -> str:
+    """The forecast file of ``rates``, a (days, slots, 2) array of pickups then
+    returns whose first day is ``first_day``: one :data:`FORECAST_COLUMNS` row
+    per day and slot, rates as ``.10g``. A rate that is not finite and >= 0
+    raises :class:`DomainError`, worded as :func:`load_forecasts` would refuse
+    its row."""
+    days, slots, _ = rates.shape
+    stamps = [(first_day + timedelta(days=d)).isoformat() for d in range(days)]
+    bad = np.argwhere(~(np.isfinite(rates) & (rates >= 0)))
+    if len(bad):
+        day, slot, k = bad[0]
+        raise DomainError(f"{FORECAST_COLUMNS[2 + k]} {rates[day, slot, k]:g} of "
+                          f"{stamps[day]} slot {slot} outside [0, inf)")
+    return ",".join(FORECAST_COLUMNS) + "\n" + "".join(map(
+        "{},{},{:.10g},{:.10g}\n".format, np.repeat(stamps, slots).tolist(),
+        list(range(slots)) * days, *rates.reshape(-1, 2).T.tolist()))
+
+
+def _forecasts(lines: list[str], interval_minutes: int) -> tuple[list[date], np.ndarray]:
     slots = 1440 // interval_minutes
-    by_day: dict[date, list[tuple[float, float]]] = {}
-    last_line: dict[date, int] = {}
-    numbers, columns = _kept_file(lines, "forecast", FORECAST_COLUMNS,
-                                  date.fromisoformat, int, float, float)
-    for n, day, slot, p, r in zip(numbers, *columns):
-        day_rows = by_day.setdefault(day, [])
-        if slot != len(day_rows) or slot >= slots:
-            raise RowError(n, f"slot {slot} of {day} out of order: expected slot "
-                              f"{len(day_rows)} of 0 to {slots - 1} "
-                              f"({interval_minutes} minutes)")
-        for column, rate in (("pickup_rate", p), ("return_rate", r)):
-            if not 0 <= rate < np.inf:
-                raise RowError(n, f"{column} {rate:g} outside [0, inf)")
-        day_rows.append((p, r))
-        last_line[day] = n
-    short = [day for day in by_day if len(by_day[day]) < slots]
-    if short:
-        day = min(short, key=last_line.get)
-        raise RowError(last_line[day], f"{day} ends at slot {len(by_day[day]) - 1} of 0 to "
-                                       f"{slots - 1} ({interval_minutes} minutes)")
-    days = sorted(by_day)
-    return days, [RateSeries(interval_minutes=interval_minutes,
-                             pickup_rates=np.array([p for p, _ in by_day[d]]),
-                             return_rates=np.array([r for _, r in by_day[d]]))
-                  for d in days]
+    numbers, (days, slot, pickups, returns) = _kept_file(
+        lines, "forecast", FORECAST_COLUMNS, date.fromisoformat, int, float, float)
+    rows = np.arange(len(numbers))
+    first = np.ones(len(rows), bool)  # the rows that begin a day
+    first[1:] = days[1:] != days[:-1]
+    back = np.zeros(len(rows), bool)  # the rows whose day comes before the day above
+    back[1:] = days[1:] < days[:-1]
+    expected = rows - np.maximum.accumulate(np.where(first, rows, 0))
+    span = f"0 to {slots - 1} ({interval_minutes} minutes)"
+    _check_rows(numbers, [
+        (back, lambda i: f"{days[i]} comes after {days[i - 1]}: the days of a forecast "
+                         f"must increase, each once"),
+        ((slot != expected) | (slot >= slots),
+         lambda i: f"slot {slot[i]} of {days[i]} out of order: expected slot {expected[i]} "
+                   f"of {span}"),
+        (~(np.isfinite(pickups) & (pickups >= 0)),
+         lambda i: f"pickup_rate {pickups[i]:g} outside [0, inf)"),
+        (~(np.isfinite(returns) & (returns >= 0)),
+         lambda i: f"return_rate {returns[i]:g} outside [0, inf)"),
+    ])
+    last = np.roll(first, -1)  # the rows that end a day
+    _check_rows(numbers, [(last & (slot < slots - 1),
+                           lambda i: f"{days[i]} ends at slot {slot[i]} of {span}")])
+    return days[first].tolist(), np.stack([pickups, returns], axis=1).reshape(-1, slots, 2)
 
 
-def load_forecasts(config: RunConfig, sid: str, name: str) -> tuple[list[date], list[RateSeries]]:
-    """Each day's forecast, as stage_forecast wrote it, in date order.
+def load_forecasts(config: RunConfig, sid: str, name: str) -> tuple[list[date], np.ndarray]:
+    """The days of a forecast, as stage_forecast wrote it, and its
+    (days, slots, 2) array of pickups then returns.
 
-    The rows of each day must number its slots 0 to n - 1 in order, n being
-    the intervals of the config's ``interval_minutes`` in a day, and hold
-    finite rates >= 0. A row that breaks this or does not parse raises
-    :class:`RowError` with the path and its line; a day that ends early, at
-    its last row.
+    The days must increase, each once, and the rows of each day must number
+    its slots 0 to n - 1 in order, n being the intervals of the config's
+    ``interval_minutes`` in a day, and hold finite rates >= 0. A row that
+    breaks this or does not parse raises :class:`RowError` with the path and
+    its line; a day that ends early, at its last row.
     """
     return read(config, "forecast", _forecasts, config.interval_minutes, sid=sid, name=name)
+
+
+def decisions_to_csv(rows: list[tuple[date, str, int, float]]) -> str:
+    """The decision file of ``(day, model, s_star, expected_cost)`` rows: one
+    :data:`DECISION_COLUMNS` row each, the cost as ``.12g``."""
+    return ",".join(DECISION_COLUMNS) + "\n" + "".join(
+        f"{day.isoformat()},{model},{s_star},{cost:.12g}\n" for day, model, s_star, cost in rows)
 
 
 def parse_decisions(lines: list[str], names: list[str], days: list[date],
@@ -210,9 +241,9 @@ def parse_decisions(lines: list[str], names: list[str], days: list[date],
     a decision file; an s* outside [0, ``capacity``] or a repeated (date,
     model) raises :class:`RowError`, and a missing one :class:`DataError`."""
     s_star: dict[tuple[date, str], int] = {}
-    numbers, columns = _kept_file(lines, "decision", DECISION_COLUMNS,
-                                  date.fromisoformat, None, int, float)
-    for n, day, name, s, _ in zip(numbers, *columns):
+    numbers, (dates, models, s_stars, _) = _kept_file(lines, "decision", DECISION_COLUMNS,
+                                                      date.fromisoformat, None, int, float)
+    for n, day, name, s in zip(numbers, dates, models, s_stars.tolist()):
         if not 0 <= s <= capacity:
             raise RowError(n, f"s_star {s} outside [0, {capacity}]")
         if (day, name) in s_star:

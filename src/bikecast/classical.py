@@ -2,7 +2,8 @@
 
 All three predict per-interval expected counts for one day ahead, which makes
 them directly comparable to the recurrent models and usable as inputs to the
-inventory optimizer.
+inventory optimizer. A prediction is one (days, slots, 2) array, pickups then
+returns, as every forecaster gives it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .errors import DataError, FormatError, TrainingError
 from .ingest import DemandSeries, covariate_columns
-from .queueing import RateSeries
 
 
 @dataclass
@@ -36,13 +36,11 @@ class SeasonalProfile:
             if np.any(table < 0):
                 raise DataError("profile means must be non-negative")
 
-    def predict_day(self, day: date) -> RateSeries:
-        dow = day.weekday()
-        return RateSeries(
-            interval_minutes=self.interval_minutes,
-            pickup_rates=self.pickup_table[dow].copy(),
-            return_rates=self.return_table[dow].copy(),
-        )
+    def predict(self, series: DemandSeries) -> np.ndarray:
+        """The (days, slots, 2) forecast of every day of ``series``: each day's
+        weekday row of the pickup table, then of the return table."""
+        weekdays = (series.start.weekday() + np.arange(series.n_days)) % 7
+        return np.stack([self.pickup_table[weekdays], self.return_table[weekdays]], axis=2)
 
 
 @dataclass
@@ -66,16 +64,12 @@ class LinearModel:
         """The fit's interval: a ``tod_*`` column per slot of a day but the first."""
         return 1440 // (1 + sum(name.startswith("tod_") for name in self.columns))
 
-    def predict_day(self, covariates: np.ndarray, interval_minutes: int) -> RateSeries:
-        x = _design(covariates, interval_minutes, self.columns)
-        pickups = x @ self.pickup_coef
-        returns = x @ self.return_coef
+    def predict(self, series: DemandSeries) -> np.ndarray:
+        """The (days, slots, 2) forecast of every day of ``series``, from its covariates."""
+        x = _design(series.covariates, series.interval_minutes, self.columns)
+        rates = np.stack([x @ self.pickup_coef, x @ self.return_coef], axis=1)
         # Negative affine outputs are clamped: rates feed a Poisson model.
-        return RateSeries(
-            interval_minutes=interval_minutes,
-            pickup_rates=np.maximum(pickups, 0.0),
-            return_rates=np.maximum(returns, 0.0),
-        )
+        return np.maximum(rates, 0.0).reshape(series.n_days, -1, 2)
 
 
 def _cell_means(series: DemandSeries, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,18 +77,14 @@ def _cell_means(series: DemandSeries, rows: np.ndarray) -> tuple[np.ndarray, np.
     # The series starts at local midnight, so row i is slot i % slots of day i // slots.
     day, slot = np.divmod(rows, slots)
     cell = ((series.start.weekday() + day) % 7, slot)
-    sums_p = np.zeros((7, slots))
-    sums_r = np.zeros((7, slots))
     counts = np.zeros((7, slots))
-    np.add.at(sums_p, cell, series.pickups[rows])
-    np.add.at(sums_r, cell, series.returns[rows])
     np.add.at(counts, cell, 1.0)
-    seen = counts > 0
-    pickup_table = np.zeros((7, slots))
-    return_table = np.zeros((7, slots))
-    pickup_table[seen] = sums_p[seen] / counts[seen]
-    return_table[seen] = sums_r[seen] / counts[seen]
-    return pickup_table, return_table
+    tables = []
+    for values in (series.pickups, series.returns):
+        sums = np.zeros((7, slots))
+        np.add.at(sums, cell, values[rows])
+        tables.append(np.divide(sums, counts, out=np.zeros((7, slots)), where=counts > 0))
+    return tuple(tables)
 
 
 def fit_ha(train: DemandSeries) -> SeasonalProfile:

@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import experiments
-from .config import load_config
+from .config import decimal, load_config
 from .errors import ConfigError, DataError, DomainError, StageError, TrainingError
 from .ingest import VALID_INTERVALS
 
@@ -48,9 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text, parents=[], add_help=True)
         cmd.add_argument("--config", required=True, help="path to the run config YAML")
-        cmd.add_argument("--seed", type=int, default=None,
+        cmd.add_argument("--seed", type=decimal, default=None,
                          help="override the config seed")
-        cmd.add_argument("--interval", type=int, choices=VALID_INTERVALS, default=None,
+        cmd.add_argument("--interval", type=decimal, choices=VALID_INTERVALS, default=None,
                          help="override interval_minutes")
         cmd.add_argument("--out", default=None, help="override the output directory")
     return parser

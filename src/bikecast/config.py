@@ -126,17 +126,27 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:12]
 
 
+def decimal(text: str) -> int:
+    """The integer ``text`` writes in decimal, ``[-+]?(0|[1-9][0-9]*)``; any
+    other spelling raises ``ValueError``, though ``int`` reads ``1_0``, and
+    digits beyond ASCII, as 10. It reads the config file's integers and the
+    CLI's integer flags."""
+    if not re.fullmatch(r"[-+]?(0|[1-9][0-9]*)", text):
+        raise ValueError(f"integer {text} is not written in decimal")
+    return int(text)
+
+
 class _Loader(yaml.SafeLoader):
     """YAML 1.1 reads ``010`` as 8, ``0x10`` as 16, ``0b101`` as 5, ``1_0`` as
     10 and ``1:30`` as 90, so ``stations: [010]`` would select station 8. This
-    loader refuses every integer not written in decimal."""
+    loader refuses every integer not written in decimal (:func:`decimal`)."""
 
 
 def _decimal_int(loader, node):
-    text = loader.construct_scalar(node)
-    if not re.fullmatch(r"[-+]?(0|[1-9][0-9]*)", text):
-        raise ConfigError(f"integer {text} is not written in decimal; quote it to keep a string")
-    return int(text)
+    try:
+        return decimal(loader.construct_scalar(node))
+    except ValueError as e:
+        raise ConfigError(f"{e}; quote it to keep a string") from None
 
 
 _Loader.add_constructor("tag:yaml.org,2002:int", _decimal_int)
@@ -163,7 +173,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     unknown = set(raw) - set(RunConfig.__dataclass_fields__)
     if unknown:
-        raise ConfigError(f"config file {path} has unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"config file {path} has unknown config keys: "
+                          f"{sorted(unknown, key=str)}")
     missing = {f.name for f in fields(RunConfig)
                if f.default is MISSING and f.default_factory is MISSING} - set(raw)
     if missing:

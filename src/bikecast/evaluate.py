@@ -25,7 +25,6 @@ import numpy as np
 from .errors import DataError
 from .ingest import PICKUP, DemandSeries, EventStream
 from .inventory import PenaltyConfig
-from .queueing import RateSeries
 
 
 @dataclass
@@ -119,14 +118,15 @@ def cumulative_error(pickup_actual, return_actual, pickup_pred, return_pred) -> 
     return float(np.abs(np.sum((mu - lam) - (mu_hat - lam_hat))))
 
 
-def benchmark(predictions: dict[str, list[RateSeries]], decisions: dict[str, list[int]],
+def benchmark(predictions: dict[str, np.ndarray], decisions: dict[str, list[int]],
               day_events: list[EventStream], day_counts: list[DemandSeries], capacity: int,
               penalties: PenaltyConfig = PenaltyConfig()) -> list[dict]:
     """Report rows that score each model's decisions by replayed inventory
     cost, and its forecasts by CE.
 
-    ``predictions`` maps model name to one RateSeries per test day and
-    ``decisions`` maps it to the starting inventory chosen from each of them,
+    ``predictions`` maps model name to its (days, slots, 2) forecast array,
+    pickups then returns, and ``decisions`` maps it to the starting inventory
+    chosen from each day of it,
     both aligned with ``day_events`` and ``day_counts`` (realized per-interval
     counts, used for CE). ``decisions["oracle"]`` holds each day's
     perfect-information s* (:func:`.inventory.oracle_decision`). The oracle's
@@ -135,9 +135,9 @@ def benchmark(predictions: dict[str, list[RateSeries]], decisions: dict[str, lis
     date, model, metric and value.
     """
     n_days = len(day_events)
-    for name, series_list in predictions.items():
-        if len(series_list) != n_days:
-            raise DataError(f"model {name!r} supplied {len(series_list)} forecasts "
+    for name, rates in predictions.items():
+        if len(rates) != n_days:
+            raise DataError(f"model {name!r} supplied {len(rates)} forecasts "
                             f"for {n_days} days")
     for name in ("oracle", *predictions):
         if len(decisions.get(name, ())) != n_days:
@@ -154,7 +154,7 @@ def benchmark(predictions: dict[str, list[RateSeries]], decisions: dict[str, lis
             if name in predictions:
                 rates = predictions[name][i]
                 metrics["ce"] = cumulative_error(counts.pickups, counts.returns,
-                                                 rates.pickup_rates, rates.return_rates)
+                                                 rates[:, 0], rates[:, 1])
             rows += [{"station": counts.station, "date": counts.start.date().isoformat(),
                       "model": name, "metric": metric, "value": value}
                      for metric, value in metrics.items()]

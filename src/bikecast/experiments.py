@@ -25,15 +25,15 @@ import re
 import sys
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
 
 from . import classical, neural
 from .artifacts import (
-    DECISION_COLUMNS,
-    FORECAST_COLUMNS,
+    decisions_to_csv,
+    forecast_to_csv,
     load_forecasts,
     load_ingested,
     parse_checkpoint,
@@ -274,23 +274,23 @@ def _require_input(path: str) -> str:
 # -- the forecasters ----------------------------------------------------------
 
 
-def _from_nets(model, config, test, days, **_) -> list[RateSeries]:
+def _from_nets(model, test, **_) -> np.ndarray:
     """One :func:`neural.predict_rates` call per net over all test days; the
     nets' process columns side by side give (days, steps, 2)."""
-    covariates = test.covariates.reshape(len(days), test.intervals_per_day, -1)
-    stacked = np.concatenate([neural.predict_rates(net, covariates) for net in model.values()],
-                             axis=2)
-    return [RateSeries(interval_minutes=config.interval_minutes,
-                       pickup_rates=day_rates[:, 0], return_rates=day_rates[:, 1])
-            for day_rates in stacked]
+    covariates = test.covariates.reshape(test.n_days, test.intervals_per_day, -1)
+    return np.concatenate([neural.predict_rates(net, covariates) for net in model.values()],
+                          axis=2)
 
 
 @dataclass(frozen=True)
 class Forecaster:
     """What sets one forecaster apart: how it is fitted, kept and forecasts.
 
-    ``forecast(model, config=, series=, test=, days=)`` gives each day's
-    :class:`RateSeries` of ``test``, the test split of ``series``, unseeded.
+    ``forecast(model, config=, series=, test=, days=)`` gives the forecast of
+    ``test``, the test split of ``series``, unseeded: one (days, slots, 2)
+    array of expected counts, pickups then returns, which is what
+    stage_forecast writes, stage_optimize decides from and stage_evaluate
+    scores.
     With ``nets``, the model is one net per ``(label, targets)``, by label:
     trained in a lane from its label's seed and kept in a checkpoint; nets of
     a lower ``train_order`` start first. With a ``fitted`` type,
@@ -325,14 +325,12 @@ class Forecaster:
 # The paper's forecasters by name. The nets start by their time per epoch,
 # longest first: movprnn, vprnn, prnn.
 FORECASTERS = {
-    "ha": Forecaster(lambda model, days, **_: [model.predict_day(day) for day in days],
+    "ha": Forecaster(lambda model, test, **_: model.predict(test),
                      fitted=classical.SeasonalProfile),
-    "ma": Forecaster(lambda model, config, series, days, **_: [
-        classical.fit_ma(series, day, window_days=config.ma_window_days)
-        .predict_day(day) for day in days]),
-    "lr": Forecaster(lambda model, config, test, days, **_: [
-        model.predict_day(test.day(i).covariates, config.interval_minutes)
-        for i in range(len(days))], fitted=classical.LinearModel),
+    "ma": Forecaster(lambda model, config, series, test, days, **_: np.concatenate([
+        classical.fit_ma(series, day, window_days=config.ma_window_days).predict(test.day(i))
+        for i, day in enumerate(days)])),
+    "lr": Forecaster(lambda model, test, **_: model.predict(test), fitted=classical.LinearModel),
     "prnn": Forecaster(_from_nets, nets=(("prnn:pickups", ("pickups",)),
                                          ("prnn:returns", ("returns",))), train_order=2),
     "vprnn": Forecaster(_from_nets, nets=(("vprnn:pickups", ("pickups",)),
@@ -458,15 +456,13 @@ def stage_train(config: RunConfig, data: dict[str, DemandSeries] | None = None) 
     """
     with _stage("train"):
         data = load_ingested(config) if data is None else data
-        train_cfg = neural.TrainConfig(**{f.name: getattr(config, f.name)
-                                          for f in fields(neural.TrainConfig)})
         parts = {sid: split(data[sid]) for sid in sorted(data)}
         jobs = sorted(((sid, name, label, targets) for sid in parts
                        for name in sorted(config.models)
                        for label, targets in FORECASTERS[name].nets),
                       key=lambda job: FORECASTERS[job[1]].train_order)
         trained = _in_lanes(neural.train, [
-            (name, parts[sid], train_cfg, derive_seed(config.seed, f"train:{sid}:{label}"),
+            (name, parts[sid], config, derive_seed(config.seed, f"train:{sid}:{label}"),
              targets) for sid, name, label, targets in jobs])
         nets = {(sid, label): net for (sid, _, label, _), net in zip(jobs, trained)}
         for sid in parts:
@@ -494,15 +490,6 @@ def _test_days(series: DemandSeries) -> tuple[DemandSeries, list[date]]:
     return test, [first + timedelta(days=i) for i in range(test.n_days)]
 
 
-def _rate_series_csv(days: list[date], series_list: list[RateSeries]) -> str:
-    lines = [",".join(FORECAST_COLUMNS)]
-    for day, rates in zip(days, series_list):
-        for slot in range(len(rates)):
-            lines.append(f"{day.isoformat()},{slot},"
-                         f"{rates.pickup_rates[slot]:.10g},{rates.return_rates[slot]:.10g}")
-    return "\n".join(lines) + "\n"
-
-
 def stage_forecast(config: RunConfig, data: dict[str, DemandSeries] | None = None) -> None:
     """Predict every test day with every model; one CSV per station and model.
 
@@ -516,7 +503,7 @@ def stage_forecast(config: RunConfig, data: dict[str, DemandSeries] | None = Non
             for name in sorted(config.models):
                 rates = FORECASTERS[name].forecast(fitted[sid][name], config=config,
                                                    series=data[sid], test=test, days=days)
-                write(config, "forecast", _rate_series_csv(days, rates), sid, name)
+                write(config, "forecast", forecast_to_csv(days[0], rates), sid, name)
 
 
 def stage_optimize(config: RunConfig) -> None:
@@ -531,17 +518,14 @@ def stage_optimize(config: RunConfig) -> None:
         penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
         forecasts = {(sid, name): load_forecasts(config, sid, name)
                      for sid in sorted(capacities) for name in sorted(config.models)}
-        curves = iter(_solve([(rates, capacities[sid], penalties)
-                              for (sid, _), (_, series_list) in forecasts.items()
-                              for rates in series_list]))
+        curves = iter(_solve([
+            (RateSeries(config.interval_minutes, day[:, 0], day[:, 1]), capacities[sid], penalties)
+            for (sid, _), (_, rates) in forecasts.items() for day in rates]))
         for sid in sorted(capacities):
-            lines = [",".join(DECISION_COLUMNS)]
-            for name in sorted(config.models):
-                for day in forecasts[sid, name][0]:
-                    curve = next(curves)
-                    lines.append(f"{day.isoformat()},{name},{curve.s_star},"
-                                 f"{curve.values[curve.s_star]:.12g}")
-            write(config, "decisions", "\n".join(lines) + "\n", sid)
+            write(config, "decisions", decisions_to_csv([
+                (day, name, curve.s_star, curve.values[curve.s_star])
+                for name in sorted(config.models)
+                for day, curve in zip(forecasts[sid, name][0], curves)]), sid)
 
 
 def stage_evaluate(config: RunConfig, data: dict[str, DemandSeries] | None = None) -> None:
@@ -577,9 +561,8 @@ def stage_evaluate(config: RunConfig, data: dict[str, DemandSeries] | None = Non
                 if fdays != days:
                     raise DataError(f"forecast days for {sid}/{name} do not match the "
                                     f"test split")
-                for proc, column in (("pickups", "pickup_rates"), ("returns", "return_rates")):
-                    rep = point_metrics(getattr(test, proc), np.concatenate(
-                        [getattr(rates, column) for rates in predictions[name]]))
+                for k, proc in enumerate(("pickups", "returns")):
+                    rep = point_metrics(getattr(test, proc), predictions[name][..., k].ravel())
                     rows += [{"station": sid, "date": "test", "model": name,
                               "metric": f"{metric}_{proc}", "value": float(getattr(rep, metric))}
                              for metric in ("rmse", "mae", "r_squared")

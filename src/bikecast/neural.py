@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .config import RunConfig
 from .errors import ConfigError, DataError, FormatError, TrainingError
 from .ingest import DataSplit, DemandSeries
 from .queueing import log_factorial
@@ -383,15 +384,6 @@ def _normalize(raw: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray
 
 
 @dataclass
-class TrainConfig:
-    hidden_width: int = 128
-    learning_rate: float = 0.01
-    batch_days: int = 32
-    max_epochs: int = 200
-    patience: int = 10
-
-
-@dataclass
 class NeuralModel:
     kind: str
     hidden_width: int
@@ -460,9 +452,11 @@ def _validation_loss(kind: str, params: dict, counts, covariates, cond, seed) ->
                        np.random.default_rng(seed))[0]["loss"])
 
 
-def train(kind: str, split: DataSplit, hyper: TrainConfig, seed: int,
+def train(kind: str, split: DataSplit, config: RunConfig, seed: int,
           targets: tuple[str, ...] = ("pickups",)) -> NeuralModel:
-    """Fit a model by Adam on day-length sequence chunks with early stopping.
+    """Fit a model by Adam on day-length sequence chunks with early stopping,
+    with the hidden width, learning rate, batch size in days, epoch limit and
+    patience of the run ``config``.
 
     Validation loss (NLL or -ELBO with fixed draws) decides the checkpoint;
     the best one is returned. A non-finite training loss aborts with
@@ -502,7 +496,7 @@ def train(kind: str, split: DataSplit, hyper: TrainConfig, seed: int,
 
     ss = np.random.SeedSequence(seed)
     init_ss, shuffle_ss, elbo_ss, val_ss = ss.spawn(4)
-    params = init_params(kind, cov_tr.shape[-1], hyper.hidden_width, processes,
+    params = init_params(kind, cov_tr.shape[-1], config.hidden_width, processes,
                          int(init_ss.generate_state(1)[0]))
     params["norm/cov_mean"] = cov_mean
     params["norm/cov_std"] = cov_std
@@ -512,15 +506,15 @@ def train(kind: str, split: DataSplit, hyper: TrainConfig, seed: int,
     val_seed = int(val_ss.generate_state(1)[0])
 
     keys = trainable_keys(params)
-    optimizer = _Adam(keys, params, hyper.learning_rate)
+    optimizer = _Adam(keys, params, config.learning_rate)
     n_days = counts_tr.shape[0]
-    batch = min(hyper.batch_days, n_days)
+    batch = min(config.batch_days, n_days)
 
     best_val = np.inf
     best_params = {k: v.copy() for k, v in params.items()}
     stale = 0
     history = []
-    for epoch in range(hyper.max_epochs):
+    for epoch in range(config.max_epochs):
         order = shuffle_rng.permutation(n_days)
         for lo in range(0, n_days, batch):
             rows = order[lo:lo + batch]
@@ -543,12 +537,12 @@ def train(kind: str, split: DataSplit, hyper: TrainConfig, seed: int,
             stale = 0
         else:
             stale += 1
-            if epoch + 1 >= MIN_EPOCHS and stale > hyper.patience:
+            if epoch + 1 >= MIN_EPOCHS and stale > config.patience:
                 break
 
     return NeuralModel(
         kind=kind,
-        hidden_width=hyper.hidden_width,
+        hidden_width=config.hidden_width,
         input_width=cov_tr.shape[-1],
         processes=processes,
         interval_minutes=split.train.interval_minutes,

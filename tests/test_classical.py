@@ -80,10 +80,9 @@ def test_ha_idempotence():
     n = 7 * 24
     series = make_series(date(2018, 1, 1), rng.poisson(4, n), rng.poisson(3, n))
     profile = classical.fit_ha(series)
-    pred_p = np.concatenate(
-        [profile.predict_day(date(2018, 1, 1 + d)).pickup_rates for d in range(7)])
-    pred_r = np.concatenate(
-        [profile.predict_day(date(2018, 1, 1 + d)).return_rates for d in range(7)])
+    rates = profile.predict(series)
+    assert rates.shape == (7, 24, 2)
+    pred_p, pred_r = rates[..., 0].ravel(), rates[..., 1].ravel()
     refit = classical.fit_ha(make_series(date(2018, 1, 1), pred_p, pred_r))
     np.testing.assert_array_equal(refit.pickup_table, profile.pickup_table)
     np.testing.assert_array_equal(refit.return_table, profile.return_table)
@@ -91,9 +90,10 @@ def test_ha_idempotence():
 
 def test_ha_profile_prediction_is_flat():
     profile = classical.SeasonalProfile(60, np.full((7, 24), 5.0), np.full((7, 24), 5.0))
-    rates = profile.predict_day(date(2018, 3, 14))
-    assert np.all(rates.pickup_rates == 5.0)
-    assert np.all(rates.return_rates == 5.0)
+    rates = profile.predict(make_series(date(2018, 3, 14), np.zeros(24), np.zeros(24)))
+    assert rates.shape == (1, 24, 2)
+    assert np.all(rates[..., 0] == 5.0)
+    assert np.all(rates[..., 1] == 5.0)
 
 
 def test_profile_rejects_bad_shape_and_negative_means():
@@ -251,9 +251,10 @@ def test_lr_clamps_negative_predictions():
     coef[0] = -1.2
     model = classical.LinearModel(columns=cols, pickup_coef=coef, return_coef=coef)
     cov = grid_covariates(date(2018, 1, 1), 1, np.full(24, 10.0), np.zeros(24))
-    rates = model.predict_day(cov, 60)
-    assert np.all(rates.pickup_rates == 0.0)
-    assert np.all(rates.return_rates == 0.0)
+    rates = model.predict(make_series(date(2018, 1, 1), np.zeros(24), np.zeros(24), cov))
+    assert rates.shape == (1, 24, 2)
+    assert np.all(rates[..., 0] == 0.0)
+    assert np.all(rates[..., 1] == 0.0)
 
 
 def test_lr_rank_deficient_design_raises():

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bikecast import neural, synthetic
+from bikecast import synthetic
 from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from bikecast.config import RunConfig
 
@@ -87,6 +87,20 @@ def test_bad_interval_flag_rejected_before_work(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "1_0"), ("--seed", "\u0661\u0660"),
+                                         ("--interval", "6_0"), ("--interval", "\u0666\u0660")])
+def test_an_integer_flag_not_written_in_decimal_is_a_usage_error(capsys, flag, value):
+    # int() reads 1_0 and Arabic-Indic digits as 10; a flag reads an integer
+    # as the config file does
+    with pytest.raises(SystemExit) as exc:
+        main(["ingest", "--config", "x.yaml", flag, value])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bikecast ingest ")
+    assert err.endswith(f"bikecast ingest: error: argument {flag}: "
+                        f"invalid decimal value: '{value}'\n")
+
+
 def test_config_file_not_found(capsys):
     code = main(["ingest", "--config", "/nowhere/run.yaml"])
     assert code == EXIT_USAGE
@@ -129,7 +143,7 @@ def test_bad_interval_in_config(tmp_path, capsys, corpus):
 
 
 @pytest.mark.parametrize("damage", ["directory", "yaml", "encoding", "date", "type",
-                                    "removed-key"])
+                                    "removed-key", "unknown-keys-of-two-types"])
 def test_a_malformed_config_exits_usage_naming_its_path(tmp_path, corpus, damage):
     path = tmp_path / "run.yaml"
     if damage == "directory":
@@ -143,6 +157,10 @@ def test_a_malformed_config_exits_usage_naming_its_path(tmp_path, corpus, damage
     elif damage == "removed-key":
         # a key the config no longer has: the latent-rate forecasts need no sample count
         write_config(path, corpus, tmp_path / "out", forecast_samples=100)
+    elif damage == "unknown-keys-of-two-types":
+        write_config(path, corpus, tmp_path / "out", foo="b")
+        with open(path, "a") as fh:
+            fh.write("1: a\n")
     else:
         write_config(path, corpus, tmp_path / "out", seed=[1])
     proc = run_console_script(["ingest", "--config", str(path)], cwd=tmp_path)
@@ -899,9 +917,8 @@ def test_every_module_level_name_has_a_reader_in_the_package_or_the_bench():
 
 def test_every_config_field_is_read_outside_the_config_module():
     # no config knob that nothing reads: a field is read where a module names
-    # it as config.<field>, or as a field of neural.TrainConfig, which
-    # stage_train fills by name
-    read = {field.name for field in dataclasses.fields(neural.TrainConfig)}
+    # it as config.<field>
+    read = set()
     for path in sorted((REPO_ROOT / "src" / "bikecast").glob("*.py")):
         if path.name != "config.py":
             read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
@@ -954,6 +971,20 @@ def test_no_module_but_artifacts_knows_the_config_line():
                     isinstance(part, ast.Constant) and part.value == "#"
                     for arg in node.args for part in ast.walk(arg)):
                 found.append(f"{path.name}:{node.lineno}: startswith('#')")
+    assert found == []
+
+
+def test_no_module_but_artifacts_knows_the_forecast_and_decision_columns():
+    # artifacts writes and reads the forecast and decision files; a second
+    # writer of their rows could drift from the reader
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "bikecast").glob("*.py")):
+        if path.name != "artifacts.py":
+            found += [f"{path.name}:{node.lineno}: {name}"
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      for name in ("FORECAST_COLUMNS", "DECISION_COLUMNS")
+                      if name in (getattr(node, "id", None), getattr(node, "attr", None),
+                                  getattr(node, "name", None))]
     assert found == []
 
 

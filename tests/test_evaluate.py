@@ -11,7 +11,6 @@ from bikecast import evaluate
 from bikecast.errors import DataError
 from bikecast.ingest import PICKUP, RETURN, DemandSeries, EventStream
 from bikecast.inventory import PenaltyConfig, oracle_decision
-from bikecast.queueing import RateSeries
 
 DAY = date(2018, 11, 5)
 
@@ -175,9 +174,8 @@ def one_day_fixture():
     counts = DemandSeries(station="S", interval_minutes=60, start=base,
                           pickups=pickups, returns=returns)
     events = stream((8, 10, PICKUP), (8, 40, PICKUP), (17, 30, RETURN))
-    flat = RateSeries(interval_minutes=60,
-                      pickup_rates=np.full(24, 2 / 24),
-                      return_rates=np.full(24, 1 / 24))
+    # the forecast of one day: (days, slots, 2), pickups then returns
+    flat = np.stack([np.full(24, 2 / 24), np.full(24, 1 / 24)], axis=1)[None]
     return counts, events, flat
 
 
@@ -187,7 +185,7 @@ def oracle_s(counts) -> list[int]:
 
 def test_benchmark_includes_oracle_with_zero_rpd():
     counts, events, flat = one_day_fixture()
-    rows = evaluate.benchmark({"flat": [flat]}, {"flat": [2], "oracle": oracle_s(counts)},
+    rows = evaluate.benchmark({"flat": flat}, {"flat": [2], "oracle": oracle_s(counts)},
                               [events], [counts], capacity=4)
     by_model = {s["model"]: s for s in evaluate.summarize(rows)}
     assert set(by_model) == {"oracle", "flat"}
@@ -197,12 +195,12 @@ def test_benchmark_includes_oracle_with_zero_rpd():
     flat_summary = by_model["flat"]
     assert flat_summary["mean_ce"] == pytest.approx(
         evaluate.cumulative_error(counts.pickups, counts.returns,
-                                  flat.pickup_rates, flat.return_rates))
+                                  flat[0, :, 0], flat[0, :, 1]))
 
 
 def test_benchmark_rows_cover_every_day_and_model():
     counts, events, flat = one_day_fixture()
-    rows = evaluate.benchmark({"flat": [flat]}, {"flat": [2], "oracle": oracle_s(counts)},
+    rows = evaluate.benchmark({"flat": flat}, {"flat": [2], "oracle": oracle_s(counts)},
                               [events], [counts], capacity=4)
     assert [(r["model"], r["metric"]) for r in rows] == [
         ("oracle", "s_star"), ("oracle", "cost"), ("flat", "s_star"), ("flat", "cost"),
@@ -217,7 +215,7 @@ def test_benchmark_rows_cover_every_day_and_model():
 def test_benchmark_replays_the_oracle_decision_it_is_given():
     # the oracle's s* is solved by the caller; any s* given is replayed as is
     counts, events, flat = one_day_fixture()
-    rows = evaluate.benchmark({"flat": [flat]}, {"flat": [2], "oracle": [0]},
+    rows = evaluate.benchmark({"flat": flat}, {"flat": [2], "oracle": [0]},
                               [events], [counts], capacity=4)
     oracle_rows = {r["metric"]: r["value"] for r in rows if r["model"] == "oracle"}
     assert oracle_rows["s_star"] == 0
@@ -228,19 +226,19 @@ def test_benchmark_validates_alignment():
     counts, events, flat = one_day_fixture()
     oracle = oracle_s(counts)
     with pytest.raises(DataError):
-        evaluate.benchmark({"flat": [flat, flat]}, {"flat": [2, 2], "oracle": oracle},
-                           [events], [counts], capacity=4)
+        evaluate.benchmark({"flat": np.concatenate([flat, flat])},
+                           {"flat": [2, 2], "oracle": oracle}, [events], [counts], capacity=4)
     with pytest.raises(DataError):
-        evaluate.benchmark({"flat": [flat]}, {"flat": [2], "oracle": oracle}, [events], [],
+        evaluate.benchmark({"flat": flat}, {"flat": [2], "oracle": oracle}, [events], [],
                            capacity=4)
     with pytest.raises(DataError):
-        evaluate.benchmark({"flat": [flat]}, {"oracle": oracle}, [events], [counts],
+        evaluate.benchmark({"flat": flat}, {"oracle": oracle}, [events], [counts],
                            capacity=4)
     with pytest.raises(DataError):
-        evaluate.benchmark({"flat": [flat]}, {"flat": [2, 2], "oracle": oracle}, [events],
+        evaluate.benchmark({"flat": flat}, {"flat": [2, 2], "oracle": oracle}, [events],
                            [counts], capacity=4)
     with pytest.raises(DataError, match="'oracle'"):
-        evaluate.benchmark({"flat": [flat]}, {"flat": [2]}, [events], [counts], capacity=4)
+        evaluate.benchmark({"flat": flat}, {"flat": [2]}, [events], [counts], capacity=4)
 
 
 def test_rows_to_csv_layout():

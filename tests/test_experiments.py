@@ -253,12 +253,41 @@ def test_summary_has_one_row_per_model_plus_oracle(pipeline_run):
 
 def test_forecasts_cover_the_test_split(pipeline_run):
     config = pipeline_run
-    days, series_list = experiments.load_forecasts(config, "7", "ha")
+    days, rates = experiments.load_forecasts(config, "7", "ha")
     assert days[0] == date(2018, 11, 1)
     assert days[-1] == date(2018, 12, 31)
     assert len(days) == 61
-    assert all(len(r) == 24 for r in series_list)
-    assert all(np.all(r.pickup_rates >= 0) for r in series_list)
+    assert rates.shape == (61, 24, 2)
+    assert np.all(rates >= 0)
+
+
+@pytest.mark.parametrize("interval", [15, 60])
+def test_a_forecast_file_reads_back_as_each_forecasters_array(tmp_path, interval):
+    # the file keeps each rate to 10 significant digits; what load_forecasts
+    # reads is the forecaster's array at that precision, exactly, on its days
+    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
+                                   base_rate=2.0)
+    config = RunConfig(
+        trips_path=paths["trips"], weather_path=paths["weather"],
+        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
+        start_date="2018-01-01", end_date="2018-12-31", stations=["7"],
+        interval_minutes=interval, hidden_width=4, max_epochs=1,
+    )
+    experiments.stage_ingest(config)
+    experiments.stage_train(config)
+    series = artifacts.load_ingested(config)["7"]
+    test, days = experiments._test_days(series)
+    models = experiments.load_models(config, ["7"])["7"]
+    for name, forecaster in experiments.FORECASTERS.items():
+        rates = forecaster.forecast(models[name], config=config, series=series, test=test,
+                                    days=days)
+        assert rates.shape == (61, 1440 // interval, 2)
+        artifacts.write(config, "forecast", artifacts.forecast_to_csv(days[0], rates), "7",
+                        name)
+        kept_days, kept = artifacts.load_forecasts(config, "7", name)
+        assert kept_days == days
+        rounded = np.reshape([float(f"{rate:.10g}") for rate in rates.ravel()], rates.shape)
+        np.testing.assert_array_equal(kept, rounded)
 
 
 def test_stages_rerun_from_artifacts(pipeline_run):
@@ -353,9 +382,7 @@ def test_neural_models_run_through_pipeline(tmp_path):
             os.path.join(config.out_dir, "models", f"{checkpoint}.ckpt"))
         expected = neural.predict_rates(
             net, test.covariates.reshape(len(days), test.intervals_per_day, -1))
-        written = np.array([np.stack([r.pickup_rates, r.return_rates], axis=1)
-                            for r in forecasts])
-        np.testing.assert_allclose(written[:, :, columns], expected, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(forecasts[:, :, columns], expected, rtol=1e-9, atol=0.0)
     experiments.stage_optimize(config)
     decisions = _kept_rows(Path(config.out_dir, "decisions", "7.csv"))
     assert sorted({row[1] for row in decisions}) == ["movprnn", "prnn", "vprnn"]
@@ -457,7 +484,7 @@ def test_quarter_hour_run_rebuilds_the_covariates_from_the_kept_weather(tmp_path
     forecasts = _train_and_forecast(config)
     assert sorted(forecasts) == ["7_ha.csv", "7_lr.csv"]
     days, rates = experiments.load_forecasts(config, "7", "lr")
-    assert len(days) == 61 and all(len(r) == 96 for r in rates)
+    assert len(days) == 61 and rates.shape == (61, 96, 2)
 
 
 def test_train_and_forecast_do_not_read_the_weather_input(tmp_path):
@@ -607,7 +634,7 @@ def test_optimize_solves_each_distinct_forecast_once(tmp_path, monkeypatch):
     experiments.stage_optimize(config)
     assert path.read_bytes() == before
     _, forecasts = experiments.load_forecasts(config, "7", "ha")
-    distinct = {(r.pickup_rates.tobytes(), r.return_rates.tobytes()) for r in forecasts}
+    distinct = {day.tobytes() for day in forecasts}
     # ha repeats by weekday: 61 test days, 7 forecasts
     assert len(forecasts) == 61 and len(distinct) == 7
     assert len(solved) == len(set(solved)) == len(distinct)

@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bikecast import artifacts, experiments, synthetic
+from bikecast import artifacts, synthetic
 from bikecast.config import RunConfig
-from bikecast.errors import ConfigError, DataError, FormatError, RowError
+from bikecast.errors import ConfigError, DataError, DomainError, FormatError, RowError
 from bikecast import ingest
 from bikecast.ingest import (
     KIND_NAMES,
@@ -40,7 +40,6 @@ from bikecast.ingest import (
     top_stations,
     weather_to_csv,
 )
-from bikecast.queueing import RateSeries
 
 TRIPS_CSV = """starttime,stoptime,start station id,end station id
 2018-06-01 07:58:30,2018-06-01 08:14:02,A,B
@@ -547,9 +546,9 @@ def _kept_events() -> str:
 
 
 def _kept_forecast() -> str:
-    days = [date(2018, 11, 1), date(2018, 11, 2)]
-    rates = [RateSeries(60, np.full(24, 0.5 + d), np.full(24, 1.25)) for d in range(2)]
-    return experiments._rate_series_csv(days, rates)
+    rates = np.full((2, 24, 2), 1.25)
+    rates[..., 0] = [[0.5], [1.5]]
+    return artifacts.forecast_to_csv(date(2018, 11, 1), rates)
 
 
 def _kept_decisions() -> str:
@@ -564,7 +563,7 @@ def _read_demand(lines: list[str]):
 
 def _read_forecast(lines: list[str]):
     days, rates = artifacts._forecasts(lines, 60)
-    return days, [(r.pickup_rates.tolist(), r.return_rates.tolist()) for r in rates]
+    return days, rates.tolist()
 
 
 def _read_decisions(lines: list[str]):
@@ -737,6 +736,30 @@ def test_each_reader_reports_the_first_bad_row_by_its_first_broken_rule(kind):
 def _hashed_first_row(text: str) -> str:
     header, first, *rest = _lines(text)
     return "".join([header, "#" + first, *rest])
+
+
+@pytest.mark.parametrize("k, rate, message", [
+    (0, -0.5, "pickup_rate -0.5 of 2018-11-02 slot 5 outside [0, inf)"),
+    (1, np.nan, "return_rate nan of 2018-11-02 slot 5 outside [0, inf)"),
+], ids=["negative-pickup", "nan-return"])
+def test_a_forecast_rate_that_is_not_finite_and_non_negative_is_not_written(k, rate, message):
+    rates = np.ones((2, 24, 2))
+    rates[1, 5, k] = rate
+    with pytest.raises(DomainError) as err:
+        artifacts.forecast_to_csv(date(2018, 11, 1), rates)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("order, line", [("repeated", 50), ("reversed", 26)])
+def test_a_forecast_day_that_repeats_or_goes_back_is_refused_at_its_first_row(order, line):
+    header, *rows = _lines(_kept_forecast())
+    first, second = rows[:24], rows[24:]
+    body = first + second + first if order == "repeated" else second + first
+    with pytest.raises(RowError) as err:
+        _read_forecast([header, *body])
+    assert err.value.line_number == line
+    assert err.value.reason == ("2018-11-01 comes after 2018-11-02: the days of a forecast "
+                                "must increase, each once")
 
 
 # each kind of text artifact that a stage reads as CSV: its text after the

@@ -16,17 +16,25 @@ import tape_model as tm
 from oracles import sinusoidal_split
 
 from bikecast import autodiff, neural
+from bikecast.config import RunConfig
 from bikecast.errors import ConfigError, DataError, FormatError
 from bikecast.neural import (
     MODEL_KINDS,
     NeuralModel,
-    TrainConfig,
     day_arrays,
     gaussian_kl,
     init_params,
     poisson_nll,
     trainable_keys,
 )
+
+
+def training(**fields) -> RunConfig:
+    """A run config with the training ``fields``; its paths, seed and dates are
+    placeholders that training does not read."""
+    return RunConfig(trips_path="t.csv", weather_path="w.csv", stations_path="s.csv",
+                     out_dir="out", seed=5, start_date="2018-01-01", end_date="2018-12-31",
+                     **fields)
 
 
 def tiny_model(kind="vprnn", hidden=4, input_width=3, processes=1, seed=0):
@@ -299,7 +307,7 @@ def test_forward_passes_match_tape(kind, processes):
 def test_training_history_matches_tape(kind, processes, monkeypatch):
     monkeypatch.setattr(neural, "TRAIN_DTYPE", np.float64)
     split, _, _ = sinusoidal_split(n_days=16, seed=8, mean_rate=4.0, amplitude=1.5)
-    hyper = TrainConfig(hidden_width=5, max_epochs=4, patience=10, batch_days=4)
+    hyper = training(hidden_width=5, max_epochs=4, patience=10, batch_days=4)
     targets = ("pickups", "returns")[:processes]
     kernels = neural.train(kind, split, hyper, seed=5, targets=targets)
     monkeypatch.setattr(neural, "_loss_and_grads", tm.loss_and_grads)
@@ -328,7 +336,7 @@ def test_a_float32_training_batch_stays_float32(kind, processes, monkeypatch):
     loss, grad = neural._loss, autodiff.grad
     monkeypatch.setattr(neural, "_loss", lambda *args: batches.append(loss(*args)) or batches[-1])
     monkeypatch.setattr(autodiff, "grad", lambda entries: swept.append(grad(entries)) or swept[-1])
-    neural.train(kind, split, TrainConfig(hidden_width=5, max_epochs=1, batch_days=4), seed=5,
+    neural.train(kind, split, training(hidden_width=5, max_epochs=1, batch_days=4), seed=5,
                  targets=("pickups", "returns")[:processes])
     values, entries = batches[0]
     kernel_values = [values[name] for name, _, _ in entries[:-1]]  # the loss is a Python float
@@ -355,7 +363,7 @@ def test_float32_kernels_match_float64(kind, processes):
 @pytest.mark.parametrize("kind,processes", KERNEL_KINDS)
 def test_float32_training_history_matches_float64(kind, processes, monkeypatch):
     split, _, _ = sinusoidal_split(n_days=30, seed=9, mean_rate=4.0, amplitude=1.5)
-    hyper = TrainConfig(hidden_width=8, max_epochs=6, patience=10, batch_days=8)
+    hyper = training(hidden_width=8, max_epochs=6, patience=10, batch_days=8)
     targets = ("pickups", "returns")[:processes]
     low = neural.train(kind, split, hyper, seed=5, targets=targets)
     monkeypatch.setattr(neural, "TRAIN_DTYPE", np.float64)
@@ -393,7 +401,7 @@ def test_elbo_reduces_to_likelihood_when_posterior_equals_prior():
 
 def test_training_runs_and_is_deterministic():
     split, _, _ = sinusoidal_split(n_days=20, seed=1, mean_rate=4.0, amplitude=2.0)
-    hyper = TrainConfig(hidden_width=6, max_epochs=8, patience=3, batch_days=8)
+    hyper = training(hidden_width=6, max_epochs=8, patience=3, batch_days=8)
     a = neural.train("prnn", split, hyper, seed=13, targets=("pickups",))
     b = neural.train("prnn", split, hyper, seed=13, targets=("pickups",))
     assert a.train_history == b.train_history
@@ -405,14 +413,14 @@ def test_training_runs_and_is_deterministic():
 
 def test_training_improves_on_initial_validation_loss():
     split, _, _ = sinusoidal_split(n_days=30, seed=2, mean_rate=6.0, amplitude=3.0)
-    hyper = TrainConfig(hidden_width=8, max_epochs=25, patience=25, batch_days=8)
+    hyper = training(hidden_width=8, max_epochs=25, patience=25, batch_days=8)
     model = neural.train("prnn", split, hyper, seed=3, targets=("pickups",))
     assert model.train_history[-1] <= model.train_history[0]
 
 
 def test_movprnn_trains_both_processes():
     split, _, _ = sinusoidal_split(n_days=16, seed=3, mean_rate=4.0, amplitude=1.0)
-    hyper = TrainConfig(hidden_width=5, max_epochs=4, patience=2, batch_days=8)
+    hyper = training(hidden_width=5, max_epochs=4, patience=2, batch_days=8)
     model = neural.train("movprnn", split, hyper, seed=1, targets=("pickups", "returns"))
     assert model.processes == 2
     rates = neural.predict_rates(model, first_day_covariates(split))
@@ -421,7 +429,7 @@ def test_movprnn_trains_both_processes():
 
 def test_predictions_are_deterministic():
     split, _, _ = sinusoidal_split(n_days=16, seed=4, mean_rate=4.0, amplitude=1.0)
-    hyper = TrainConfig(hidden_width=5, max_epochs=3, patience=2, batch_days=8)
+    hyper = training(hidden_width=5, max_epochs=3, patience=2, batch_days=8)
     model = neural.train("vprnn", split, hyper, seed=2, targets=("pickups",))
     f1 = neural.predict_rates(model, first_day_covariates(split))
     f2 = neural.predict_rates(model, first_day_covariates(split))
@@ -440,7 +448,7 @@ def test_day_arrays_shapes_and_target_validation():
 
 def test_checkpoint_roundtrip(tmp_path):
     split, _, _ = sinusoidal_split(n_days=12, seed=7, mean_rate=3.0, amplitude=1.0)
-    hyper = TrainConfig(hidden_width=5, max_epochs=2, patience=2, batch_days=8)
+    hyper = training(hidden_width=5, max_epochs=2, patience=2, batch_days=8)
     model = neural.train("vprnn", split, hyper, seed=6, targets=("pickups",))
     path = str(tmp_path / "model.ckpt")
     neural.save_checkpoint(model, path)
@@ -462,7 +470,7 @@ def test_a_checkpoint_with_count_statistics_forecasts_the_same(tmp_path):
     # training keeps only the covariates' statistics; a file written when it
     # kept the counts' too must load and forecast as before
     split, _, _ = sinusoidal_split(n_days=12, seed=7, mean_rate=3.0, amplitude=1.0)
-    hyper = TrainConfig(hidden_width=5, max_epochs=2, patience=2, batch_days=8)
+    hyper = training(hidden_width=5, max_epochs=2, patience=2, batch_days=8)
     model = neural.train("vprnn", split, hyper, seed=6, targets=("pickups",))
     assert [k for k in model.params if k.startswith("norm/")] == ["norm/cov_mean", "norm/cov_std"]
     paths = {name: str(tmp_path / f"{name}.ckpt") for name in ("new", "old")}
