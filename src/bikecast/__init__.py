@@ -12,8 +12,11 @@ benchmark harness in ``bench/`` reads besides. Code that only the tests call
 lives in ``tests/``: the Monte Carlo oracle and the sinusoidal fixture are in
 ``tests/oracles.py``.
 
-The runtime needs only numpy and PyYAML. scipy, in the ``dev`` extra, serves
-the test oracles, such as :func:`.queueing.matrix_exponential_oracle`.
+The runtime needs Python 3.11 or later, numpy and PyYAML. Timestamps are read
+as ``datetime.fromisoformat`` reads them, and before 3.11 it refuses the
+four-digit fractions of the Citi Bike trip files (``13:50:57.4340``). scipy,
+in the ``dev`` extra, serves the test oracles, such as
+:func:`.queueing.matrix_exponential_oracle`.
 
 Importing the package pins BLAS to one thread, whatever the environment asks,
 here and in every worker it forks or spawns; it holds where numpy loads after

@@ -150,7 +150,8 @@ def parse_checkpoint(file: str, kind: str, targets: tuple[str, ...],
                      interval_minutes: int) -> neural.NeuralModel:
     """The net of a checkpoint, refused unless a ``kind`` net of ``targets``
     fitted at ``interval_minutes`` that holds every tensor of its kind and
-    widths in its shape; a tensor it holds beyond those is ignored."""
+    widths in its shape, every entry finite; a tensor it holds beyond those is
+    ignored."""
     model = neural.load_checkpoint(file)
     if (model.kind, model.targets, model.interval_minutes) != (kind, targets, interval_minutes):
         raise DataError(f"{file} holds a {model.kind} net of {'+'.join(model.targets)} fitted "
@@ -166,6 +167,9 @@ def parse_checkpoint(file: str, kind: str, targets: tuple[str, ...],
         if model.params[name].shape != shape:
             raise DataError(f"{file} holds {name} of shape {model.params[name].shape}, not "
                             f"{shape}; run the train stage again")
+        if not np.all(np.isfinite(model.params[name])):
+            raise DataError(f"{file} holds {name} with a non-finite entry; "
+                            f"run the train stage again")
     return model
 
 

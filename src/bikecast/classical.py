@@ -33,8 +33,8 @@ class SeasonalProfile:
         for table in (self.pickup_table, self.return_table):
             if table.shape != (7, slots):
                 raise DataError(f"profile table must be 7 x {slots}, got {table.shape}")
-            if np.any(table < 0):
-                raise DataError("profile means must be non-negative")
+            if not np.all(np.isfinite(table) & (table >= 0)):
+                raise DataError("profile means must be finite and non-negative")
 
     def predict(self, series: DemandSeries) -> np.ndarray:
         """The (days, slots, 2) forecast of every day of ``series``: each day's
@@ -58,6 +58,8 @@ class LinearModel:
         width = len(self.columns) + 1
         if len(self.pickup_coef) != width or len(self.return_coef) != width:
             raise DataError("coefficient length must be covariate width + 1")
+        if not np.all(np.isfinite(self.pickup_coef) & np.isfinite(self.return_coef)):
+            raise DataError("coefficients must be finite")
 
     @property
     def interval_minutes(self) -> int:

@@ -9,6 +9,16 @@ information); the evaluate stage solves it, because only evaluation reads the
 realized counts, and this module replays its decision as it replays a
 model's. Nothing here solves a UDF.
 
+A replay gives the cost of every start at once (:func:`replay_cost`). Each
+event moves the inventory by x -> clip(x +- 1, 0, C), and a composition of
+such moves is again a clip map, x -> clip(x + a, lo, hi): a is the unclipped
+net flow so far, and lo and hi are the trajectories from 0 and from C. So two
+replays, from 0 and from C, tell for every event the starts at which it is
+lost. This is the discrete form of the Skorokhod map on [0, C] (Kruk,
+Lehoczky, Ramanan & Shreve, "An explicit formula for the Skorokhod map on
+[0, a]", Ann. Probab. 2007). Each station-day is replayed once, and every
+decision of that day reads its cost off the one curve.
+
 Scores travel as report rows, one dict per row: :func:`benchmark` returns
 one per station-day, model and metric, :func:`summarize` reduces those to
 one per model, and :func:`rows_to_csv` writes every report of a run.
@@ -18,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,26 +36,12 @@ from .ingest import PICKUP, DemandSeries, EventStream
 from .inventory import PenaltyConfig
 
 
-@dataclass
-class PredictionReport:
-    rmse: float
-    mae: float
-    r_squared: float | None
-
-
-@dataclass
-class LostSalesReport:
-    station: str
-    lost_pickups: int
-    lost_returns: int
-    cost: float
-
-
-def point_metrics(actual: np.ndarray, predicted: np.ndarray) -> PredictionReport:
-    """RMSE, MAE and coefficient of determination of a point forecast.
+def point_metrics(actual: np.ndarray, predicted: np.ndarray) -> dict[str, float]:
+    """RMSE, MAE and coefficient of determination of a point forecast, by
+    name and in that order.
 
     R² uses total variation about the actuals' own mean; a constant actual
-    series has no variation to explain and R² is reported as missing.
+    series has no variation to explain, and ``r_squared`` is left out.
     """
     actual = np.asarray(actual, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
@@ -55,43 +50,49 @@ def point_metrics(actual: np.ndarray, predicted: np.ndarray) -> PredictionReport
     if len(actual) < 2:
         raise DataError("need at least 2 points")
     err = actual - predicted
-    rmse = float(np.sqrt(np.mean(err ** 2)))
-    mae = float(np.mean(np.abs(err)))
+    metrics = {"rmse": float(np.sqrt(np.mean(err ** 2))), "mae": float(np.mean(np.abs(err)))}
     sst = float(np.sum((actual - actual.mean()) ** 2))
-    r2 = None if sst == 0 else 1.0 - float(np.sum(err ** 2)) / sst
-    return PredictionReport(rmse=rmse, mae=mae, r_squared=r2)
+    if sst != 0:
+        metrics["r_squared"] = 1.0 - float(np.sum(err ** 2)) / sst
+    return metrics
 
 
-def replay_cost(events: EventStream, s: int, capacity: int,
-                penalties: PenaltyConfig = PenaltyConfig()) -> LostSalesReport:
-    """Replay one day's events against a starting inventory and count shortages.
+def replay_cost(events: EventStream, capacity: int,
+                penalties: PenaltyConfig = PenaltyConfig()) -> np.ndarray:
+    """The replayed cost of one day's events from every starting inventory:
+    a float array whose entry s is the cost from start s, for s in [0, C].
 
     A pickup at an empty station is lost; a return at a full station is lost;
     either leaves the inventory unchanged. Events are replayed in the order
     the stream keeps them: by time, a pickup before a return at the same
     instant.
+
+    One walk tracks the trajectories from 0 (lo) and from C (hi) and the
+    unclipped net flow a, so the inventory from start s is clip(s + a, lo,
+    hi). A pickup is lost from every s <= -a when lo = 0 < hi, from every s
+    when hi = 0, and from none when lo > 0. A return is lost from every
+    s >= C - a when lo < C = hi, from every s when lo = C, and from none when
+    hi < C. A count of these thresholds, summed cumulatively, gives the lost
+    pickups and returns at every s.
     """
-    if not 0 <= s <= capacity:
-        raise DataError(f"starting inventory {s} outside [0, {capacity}]")
-    inventory = s
-    lost_p = lost_r = 0
+    lo, hi, net = 0, capacity, 0
+    pickups_upto, returns_from = [], []  # a pickup is lost from s <= t, a return from s >= t
     for kind in events.kinds.tolist():
         if kind == PICKUP:
-            if inventory == 0:
-                lost_p += 1
-            else:
-                inventory -= 1
+            if lo == 0:
+                pickups_upto.append(-net if hi > 0 else capacity)
+            lo, hi, net = max(lo - 1, 0), max(hi - 1, 0), net - 1
         else:
-            if inventory == capacity:
-                lost_r += 1
-            else:
-                inventory += 1
-    return LostSalesReport(
-        station=events.station,
-        lost_pickups=lost_p,
-        lost_returns=lost_r,
-        cost=penalties.lost_pickup * lost_p + penalties.lost_return * lost_r,
-    )
+            if hi == capacity:
+                returns_from.append(capacity - net if lo < capacity else 0)
+            lo, hi, net = min(lo + 1, capacity), min(hi + 1, capacity), net + 1
+
+    def counts(thresholds: list[int]) -> np.ndarray:
+        return np.bincount(np.asarray(thresholds, dtype=np.intp), minlength=capacity + 1)
+
+    lost_pickups = np.cumsum(counts(pickups_upto)[::-1], dtype=float)[::-1]
+    lost_returns = np.cumsum(counts(returns_from), dtype=float)
+    return penalties.lost_pickup * lost_pickups + penalties.lost_return * lost_returns
 
 
 def rpd(model_cost: float, oracle_cost: float) -> float | None:
@@ -133,6 +134,10 @@ def benchmark(predictions: dict[str, np.ndarray], decisions: dict[str, list[int]
     rows come first, then each model's in name order: per day, ``s_star`` and
     ``cost``, and for a model's forecast ``ce``. A row has the keys station,
     date, model, metric and value.
+
+    Each day is replayed once (:func:`replay_cost`), and every s* of that day
+    reads its cost off the one curve; an s* outside [0, ``capacity``] is
+    refused.
     """
     n_days = len(day_events)
     for name, rates in predictions.items():
@@ -145,12 +150,14 @@ def benchmark(predictions: dict[str, np.ndarray], decisions: dict[str, list[int]
     if len(day_counts) != n_days:
         raise DataError("day_counts and day_events must align")
 
+    costs = [replay_cost(events, capacity, penalties) for events in day_events]
     rows: list[dict] = []
     for name in ("oracle", *sorted(predictions)):
-        for i, (events, counts) in enumerate(zip(day_events, day_counts)):
+        for i, (cost, counts) in enumerate(zip(costs, day_counts)):
             s_star = decisions[name][i]
-            metrics = {"s_star": s_star,
-                       "cost": replay_cost(events, s_star, capacity, penalties).cost}
+            if not 0 <= s_star <= capacity:
+                raise DataError(f"starting inventory {s_star} outside [0, {capacity}]")
+            metrics = {"s_star": s_star, "cost": float(cost[s_star])}
             if name in predictions:
                 rates = predictions[name][i]
                 metrics["ce"] = cumulative_error(counts.pickups, counts.returns,

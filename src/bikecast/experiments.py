@@ -44,7 +44,7 @@ from .artifacts import (
     write,
 )
 from .config import RunConfig, derive_seed
-from .errors import BikecastError, DataError, StageError, TrainingError
+from .errors import BikecastError, DataError, DomainError, StageError, TrainingError
 from .evaluate import (
     benchmark,
     cumulative_error,
@@ -124,7 +124,8 @@ def bias_study(day_counts: DemandSeries, events: EventStream, capacity: int,
     perfect-information oracle decision for every pattern. The grid's curves
     are solved in one batch over the lanes of :func:`_in_lanes`, each distinct
     biased series once (:func:`_solve`): delta=0 is the same series for every
-    pattern.
+    pattern. The day's events are replayed once, and every row reads its
+    cost off that curve (:func:`replay_cost`).
     """
     if day_counts.n_days != 1:
         raise DataError("bias study expects exactly one day of counts")
@@ -136,8 +137,9 @@ def bias_study(day_counts: DemandSeries, events: EventStream, capacity: int,
     biased = [(kind, d, apply_bias(base, BiasSpec(kind, d)))
               for kind in BIAS_KINDS for d in map(float, delta_grid)]
     curves = _solve([(rates, capacity, penalties) for _, _, rates in biased])
+    cost = replay_cost(events, capacity, penalties)
     return [{"kind": kind, "delta": delta, "s_star": curve.s_star,
-             "cost": replay_cost(events, curve.s_star, capacity, penalties).cost,
+             "cost": float(cost[curve.s_star]),
              "ce": cumulative_error(day_counts.pickups, day_counts.returns,
                                     rates.pickup_rates, rates.return_rates)}
             for (kind, delta, rates), curve in zip(biased, curves)]
@@ -493,8 +495,9 @@ def _test_days(series: DemandSeries) -> tuple[DemandSeries, list[date]]:
 def stage_forecast(config: RunConfig, data: dict[str, DemandSeries] | None = None) -> None:
     """Predict every test day with every model; one CSV per station and model.
 
-    ``data`` is what :func:`load_ingested` returns, read here when not given;
-    the stage does not write to it."""
+    A forecast that :func:`.artifacts.forecast_to_csv` refuses fails with its
+    station and model named. ``data`` is what :func:`load_ingested` returns,
+    read here when not given; the stage does not write to it."""
     with _stage("forecast"):
         data = load_ingested(config) if data is None else data
         fitted = load_models(config, sorted(data))
@@ -503,7 +506,11 @@ def stage_forecast(config: RunConfig, data: dict[str, DemandSeries] | None = Non
             for name in sorted(config.models):
                 rates = FORECASTERS[name].forecast(fitted[sid][name], config=config,
                                                    series=data[sid], test=test, days=days)
-                write(config, "forecast", forecast_to_csv(days[0], rates), sid, name)
+                try:
+                    text = forecast_to_csv(days[0], rates)
+                except DomainError as e:
+                    raise DomainError(f"forecast {sid}/{name}: {e}") from e
+                write(config, "forecast", text, sid, name)
 
 
 def stage_optimize(config: RunConfig) -> None:
@@ -562,11 +569,10 @@ def stage_evaluate(config: RunConfig, data: dict[str, DemandSeries] | None = Non
                     raise DataError(f"forecast days for {sid}/{name} do not match the "
                                     f"test split")
                 for k, proc in enumerate(("pickups", "returns")):
-                    rep = point_metrics(getattr(test, proc), predictions[name][..., k].ravel())
+                    metrics = point_metrics(getattr(test, proc), predictions[name][..., k].ravel())
                     rows += [{"station": sid, "date": "test", "model": name,
-                              "metric": f"{metric}_{proc}", "value": float(getattr(rep, metric))}
-                             for metric in ("rmse", "mae", "r_squared")
-                             if getattr(rep, metric) is not None]
+                              "metric": f"{metric}_{proc}", "value": value}
+                             for metric, value in metrics.items()]
             decisions = read(config, "decisions", parse_decisions, sorted(predictions), days,
                              capacities[sid], sid=sid)
             day_counts = [test.day(i) for i in range(test.n_days)]

@@ -7,8 +7,11 @@
   stays in the package because the benchmark harness reads it.
 * :func:`sinusoidal_split` draws counts from known sinusoidal rates, so a
   forecaster's fit can be judged against the true rate.
+* :func:`replay_one` replays a day's events from one start, event by event:
+  the reference for :func:`bikecast.evaluate.replay_cost`, which gives the
+  cost of every start from one walk.
 
-Both are deterministic given their seed.
+The first two are deterministic given their seed.
 """
 
 from __future__ import annotations
@@ -19,7 +22,15 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from bikecast.errors import DomainError
-from bikecast.ingest import DataSplit, DemandSeries, WeatherTable, build_covariates
+from bikecast.ingest import (
+    PICKUP,
+    DataSplit,
+    DemandSeries,
+    EventStream,
+    WeatherTable,
+    build_covariates,
+)
+from bikecast.inventory import PenaltyConfig
 from bikecast.queueing import RateSeries, _check_start
 
 
@@ -174,3 +185,24 @@ def sinusoidal_split(
         test=series.rows((train_days + val_days) * per, len(series)),
     )
     return split, pickup_rate, return_rate
+
+
+def replay_one(events: EventStream, s: int, capacity: int,
+               penalties: PenaltyConfig = PenaltyConfig()) -> tuple[int, int, float]:
+    """Lost pickups, lost returns and their cost when ``events`` are replayed
+    from start ``s``: a pickup at an empty station is lost, a return at a full
+    one is lost, and either leaves the inventory unchanged."""
+    inventory = s
+    lost_p = lost_r = 0
+    for kind in events.kinds.tolist():
+        if kind == PICKUP:
+            if inventory == 0:
+                lost_p += 1
+            else:
+                inventory -= 1
+        else:
+            if inventory == capacity:
+                lost_r += 1
+            else:
+                inventory += 1
+    return lost_p, lost_r, penalties.lost_pickup * lost_p + penalties.lost_return * lost_r

@@ -531,6 +531,24 @@ def _with_tensors(blob: bytes, edit) -> bytes:
             + b"".join(v.tobytes() for v in tensors.values()))
 
 
+def _first_entry_nan(tensors: dict) -> dict:
+    """The tensors with the first entry of the first one, as the file holds them, NaN."""
+    first = next(iter(tensors))
+    value = tensors[first].copy()
+    value.flat[0] = np.nan
+    return tensors | {first: value}
+
+
+def _json_with_nan(blob: bytes, key: str) -> bytes:
+    """The JSON model ``blob`` with the first number of its ``key`` NaN."""
+    config_line, text = blob.split(b"\n", 1)
+    payload = json.loads(text)
+    value = np.array(payload[key], dtype=float)
+    value.flat[0] = np.nan
+    payload[key] = value.tolist()
+    return config_line + b"\n" + json.dumps(payload, indent=2).encode() + b"\n"
+
+
 def _per_gate(tensors: dict) -> dict:
     """The older layout, one tensor per cell gate: prior_rnn/Wxz, prior_rnn/Wxr, ..."""
     split = {}
@@ -559,10 +577,15 @@ def _per_gate(tensors: dict) -> dict:
     ("7_ha.json", lambda models: b'{"kind": "ha"}\n'),
     ("7_ha.json", lambda models: models["7_ha.json"][:len(models["7_ha.json"]) // 2]),
     ("7_ha.json", lambda models: models["7_ha.json"].split(b"\n", 1)[1]),
+    ("7_ha.json", lambda models: _json_with_nan(models["7_ha.json"], "pickup_table")),
+    ("7_lr.json", lambda models: _json_with_nan(models["7_lr.json"], "pickup_coef")),
+    ("7_prnn_pickups.ckpt", lambda models: _with_tensors(models["7_prnn_pickups.ckpt"],
+                                                         _first_entry_nan)),
 ], ids=["checkpoint-cut-in-its-length", "checkpoint-without-kind", "checkpoint-of-another-net",
         "checkpoint-without-a-tensor", "checkpoint-with-a-misshaped-tensor",
         "checkpoint-in-per-gate-layout", "lr-model-as-ha", "unknown-kind", "truncated-json",
-        "json-without-its-config-line"])
+        "json-without-its-config-line", "nan-in-an-ha-table", "nan-in-an-lr-coefficient",
+        "nan-in-a-checkpoint-tensor"])
 def test_damaged_model_files_exit_data_naming_the_file(tmp_path, capsys, trained_run, name,
                                                        damage):
     path, run = trained_run

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import replay_one
 
 from bikecast import evaluate
 from bikecast.errors import DataError
@@ -29,20 +30,21 @@ def stream(*events) -> EventStream:
 
 def test_point_metrics_hand_example():
     report = evaluate.point_metrics([0.0, 2.0], [1.0, 1.0])
-    assert report.mae == 1.0
-    assert report.rmse == 1.0
-    assert report.r_squared == 0.0
+    assert list(report) == ["rmse", "mae", "r_squared"]
+    assert report["mae"] == 1.0
+    assert report["rmse"] == 1.0
+    assert report["r_squared"] == 0.0
 
 
 def test_point_metrics_perfect_prediction():
     report = evaluate.point_metrics([1.0, 2.0, 5.0], [1.0, 2.0, 5.0])
-    assert report.rmse == 0.0 and report.mae == 0.0
-    assert report.r_squared == 1.0
+    assert report["rmse"] == 0.0 and report["mae"] == 0.0
+    assert report["r_squared"] == 1.0
 
 
 def test_point_metrics_constant_actuals_have_no_r_squared():
     report = evaluate.point_metrics([3.0, 3.0, 3.0], [2.0, 3.0, 4.0])
-    assert report.r_squared is None
+    assert list(report) == ["rmse", "mae"]
 
 
 def test_point_metrics_validates_shapes():
@@ -54,63 +56,112 @@ def test_point_metrics_validates_shapes():
 
 # -- event replay ------------------------------------------------------------
 
+# one-sided penalties: the curve then counts one kind of lost event
+PICKUPS_ONLY = PenaltyConfig(lost_pickup=1.0, lost_return=0.0)
+RETURNS_ONLY = PenaltyConfig(lost_pickup=0.0, lost_return=1.0)
+
+
+def lost(ev: EventStream, s: int, capacity: int) -> tuple[float, float]:
+    """The lost pickups and lost returns from start ``s``, read off the curve."""
+    return (evaluate.replay_cost(ev, capacity, PICKUPS_ONLY)[s],
+            evaluate.replay_cost(ev, capacity, RETURNS_ONLY)[s])
+
 
 def test_replay_hand_example():
     # s=1, C=1: the return finds the station full, the second pickup finds
     # it empty; both are lost.
     ev = stream((8, 0, RETURN), (9, 0, PICKUP), (10, 0, PICKUP))
-    report = evaluate.replay_cost(ev, s=1, capacity=1)
-    assert report.lost_returns == 1
-    assert report.lost_pickups == 1
-    assert report.cost == 2.0
+    assert lost(ev, 1, 1) == (1, 1)
+    assert evaluate.replay_cost(ev, capacity=1)[1] == 2.0
 
 
 def test_replay_empty_station_loses_first_pickup():
     ev = stream((8, 0, PICKUP))
-    report = evaluate.replay_cost(ev, s=0, capacity=5)
-    assert report.lost_pickups == 1 and report.lost_returns == 0
+    assert lost(ev, 0, 5) == (1, 0)
 
 
 def test_replay_pickup_first_tie_break():
     # Simultaneous pickup+return at s=0, listed return first: the pickup is
     # replayed first and lost.
     ev = stream((8, 0, RETURN), (8, 0, PICKUP))
-    lost = evaluate.replay_cost(ev, s=0, capacity=5)
-    assert lost.lost_pickups == 1
+    assert lost(ev, 0, 5)[0] == 1
 
 
 def test_replay_penalty_weights():
     ev = stream((8, 0, RETURN), (9, 0, PICKUP), (10, 0, PICKUP))
-    report = evaluate.replay_cost(ev, s=1, capacity=1,
-                                  penalties=PenaltyConfig(lost_pickup=3.0, lost_return=0.5))
-    assert report.cost == 3.0 + 0.5
+    cost = evaluate.replay_cost(ev, capacity=1,
+                                penalties=PenaltyConfig(lost_pickup=3.0, lost_return=0.5))
+    assert cost[1] == 3.0 + 0.5
 
 
-def test_replay_rejects_bad_inventory():
-    with pytest.raises(DataError):
-        evaluate.replay_cost(stream(), s=6, capacity=5)
-    with pytest.raises(DataError):
-        evaluate.replay_cost(stream(), s=-1, capacity=5)
+EVENTS = st.lists(st.tuples(st.integers(0, 23), st.integers(0, 59),
+                            st.sampled_from([PICKUP, RETURN])), max_size=60)
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(0, 23), st.integers(0, 59),
-                       st.sampled_from([PICKUP, RETURN])), max_size=60),
-    st.integers(0, 8),
-)
+@given(EVENTS, st.integers(0, 8))
 def test_replay_conserves_events(events, s):
     capacity = 8
     ev = stream(*events)
-    report = evaluate.replay_cost(ev, s=s, capacity=capacity)
+    lost_p, lost_r = lost(ev, s, capacity)
     n_pick = sum(1 for e in events if e[2] == PICKUP)
     n_ret = sum(1 for e in events if e[2] == RETURN)
-    served_p = n_pick - report.lost_pickups
-    served_r = n_ret - report.lost_returns
+    served_p = n_pick - lost_p
+    served_r = n_ret - lost_r
     final = s - served_p + served_r
     assert 0 <= final <= capacity
-    assert 0 <= report.lost_pickups <= n_pick
-    assert 0 <= report.lost_returns <= n_ret
+    assert 0 <= lost_p <= n_pick
+    assert 0 <= lost_r <= n_ret
+
+
+def in_order(kinds) -> EventStream:
+    """Events one minute apart, in the order of ``kinds``."""
+    return stream(*((i // 60, i % 60, kind) for i, kind in enumerate(kinds)))
+
+
+REPLAY_DAYS = {
+    # fills, empties, fills and empties again: events lost at both bounds
+    "both-bounds": (3, [RETURN] * 2 + [PICKUP] * 5 + [RETURN] * 7 + [PICKUP] * 2
+                    + [RETURN] * 4 + [PICKUP] * 6),
+    "no-events": (5, []),
+    "capacity-1": (1, [RETURN, PICKUP, PICKUP, RETURN, RETURN, PICKUP, RETURN, RETURN]),
+    "drifting-day": (20, np.random.default_rng(29).choice(
+        [PICKUP, RETURN], 400, p=[0.55, 0.45]).tolist()),
+}
+PENALTIES = {"equal": PenaltyConfig(), "unequal": PenaltyConfig(3.0, 0.5),
+             "pickups-only": PICKUPS_ONLY, "returns-only": PenaltyConfig(0.0, 2.5)}
+
+
+def per_start(ev: EventStream, capacity: int, penalties: PenaltyConfig) -> list[float]:
+    return [replay_one(ev, s, capacity, penalties)[2] for s in range(capacity + 1)]
+
+
+@pytest.mark.parametrize("penalties", PENALTIES.values(), ids=PENALTIES)
+@pytest.mark.parametrize("capacity, kinds", REPLAY_DAYS.values(), ids=REPLAY_DAYS)
+def test_replay_cost_is_the_per_start_replay_at_every_start(capacity, kinds, penalties):
+    ev = in_order(kinds)
+    curve = evaluate.replay_cost(ev, capacity, penalties)
+    assert curve.dtype == float
+    assert curve.tolist() == per_start(ev, capacity, penalties)
+
+
+def test_both_bounds_day_loses_events_at_both_bounds():
+    capacity, kinds = REPLAY_DAYS["both-bounds"]
+    ev = in_order(kinds)
+    pickups = evaluate.replay_cost(ev, capacity, PICKUPS_ONLY)
+    returns = evaluate.replay_cost(ev, capacity, RETURNS_ONLY)
+    # every start is empty after the five pickups; from then on each loses
+    # 3 pickups and 6 returns
+    assert pickups.tolist() == [3 + 3, 2 + 3, 2 + 3, 2 + 3]
+    assert returns.tolist() == [0 + 6, 0 + 6, 1 + 6, 2 + 6]
+
+
+@settings(max_examples=60, deadline=None)
+@given(EVENTS, st.integers(1, 8), st.sampled_from(list(PENALTIES.values())))
+def test_replay_cost_is_the_per_start_replay_on_random_days(events, capacity, penalties):
+    ev = stream(*events)
+    assert evaluate.replay_cost(ev, capacity, penalties).tolist() == per_start(
+        ev, capacity, penalties)
 
 
 # -- relative percentage difference ------------------------------------------
@@ -209,7 +260,7 @@ def test_benchmark_rows_cover_every_day_and_model():
     # the decision is replayed as given, not solved again from the forecast
     flat_rows = {r["metric"]: r["value"] for r in rows if r["model"] == "flat"}
     assert flat_rows["s_star"] == 2
-    assert flat_rows["cost"] == evaluate.replay_cost(events, 2, 4).cost
+    assert flat_rows["cost"] == evaluate.replay_cost(events, 4)[2]
 
 
 def test_benchmark_replays_the_oracle_decision_it_is_given():
@@ -219,7 +270,7 @@ def test_benchmark_replays_the_oracle_decision_it_is_given():
                               [events], [counts], capacity=4)
     oracle_rows = {r["metric"]: r["value"] for r in rows if r["model"] == "oracle"}
     assert oracle_rows["s_star"] == 0
-    assert oracle_rows["cost"] == evaluate.replay_cost(events, 0, 4).cost == 2.0
+    assert oracle_rows["cost"] == evaluate.replay_cost(events, 4)[0] == 2.0
 
 
 def test_benchmark_validates_alignment():
@@ -239,6 +290,14 @@ def test_benchmark_validates_alignment():
                            [counts], capacity=4)
     with pytest.raises(DataError, match="'oracle'"):
         evaluate.benchmark({"flat": flat}, {"flat": [2]}, [events], [counts], capacity=4)
+
+
+def test_benchmark_rejects_a_decision_outside_the_station():
+    counts, events, flat = one_day_fixture()
+    for s_star in (5, -1):
+        with pytest.raises(DataError, match=rf"^starting inventory {s_star} outside \[0, 4\]$"):
+            evaluate.benchmark({"flat": flat}, {"flat": [s_star], "oracle": oracle_s(counts)},
+                               [events], [counts], capacity=4)
 
 
 def test_rows_to_csv_layout():

@@ -1,5 +1,6 @@
 """Bias-sensitivity machinery and the staged file pipeline."""
 
+import dataclasses
 import functools
 import os
 import pickle
@@ -16,7 +17,7 @@ import pytest
 import yaml
 from test_ingest import quoted_citi_bike_file
 
-from bikecast import artifacts, experiments, neural, synthetic
+from bikecast import artifacts, evaluate, experiments, neural, synthetic
 from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, _exit_code_for, main
 from bikecast.config import DEFAULT_MODELS, RunConfig
 from bikecast.errors import DataError, DomainError, RowError, StageError, TrainingError
@@ -128,7 +129,7 @@ def test_bias_study_zero_delta_is_the_oracle():
     assert [(r["kind"], r["delta"]) for r in rows] == [
         (kind, delta) for kind in BIAS_KINDS for delta in (0.0, 1.0, 2.0)]
     oracle = oracle_decision(series, 12).s_star
-    oracle_cost = replay_cost(stream, oracle, 12).cost
+    oracle_cost = replay_cost(stream, 12)[oracle]
     for row in rows:
         if row["delta"] == 0.0:
             assert (row["s_star"], row["cost"]) == (oracle, oracle_cost)
@@ -565,7 +566,7 @@ def test_evaluate_replays_the_decisions_that_optimize_wrote(tmp_path):
     reported = {r[3]: r[4] for r in rows if r[1] == day and r[2] == "ha"}
     assert reported["s_star"] == str(edited)
     events = artifacts.read(config, "events", events_from_csv, "7", sid="7")
-    cost = replay_cost(events.slice_day(date.fromisoformat(day)), edited, 20).cost
+    cost = replay_cost(events.slice_day(date.fromisoformat(day)), 20)[edited]
     assert float(reported["cost"]) == cost
 
 
@@ -616,6 +617,63 @@ def test_pipeline_reads_the_demand_files_once_and_writes_nothing_to_them(tmp_pat
     assert calls == [config]
     summary = _kept_rows(Path(config.out_dir, "reports", "summary.csv"))
     assert [row[0] for row in summary] == ["oracle", "ha", "lr", "ma", "prnn"]
+
+
+def test_a_pipeline_replays_each_scored_station_day_and_the_bias_day_once(tmp_path,
+                                                                          monkeypatch):
+    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
+                                   base_rate=2.0)
+    config = RunConfig(
+        trips_path=paths["trips"], weather_path=paths["weather"],
+        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
+        start_date="2018-01-01", end_date="2018-12-31", stations=["7", "8"],
+        models=["ha", "lr"], bias_delta_max=4.0, bias_delta_step=2.0,
+    )
+    replayed = []
+
+    def counting_replay_cost(events, capacity, penalties):
+        replayed.append(events.station)
+        return replay_cost(events, capacity, penalties)
+
+    # benchmark replays through its own module, bias_study through experiments
+    monkeypatch.setattr(evaluate, "replay_cost", counting_replay_cost)
+    monkeypatch.setattr(experiments, "replay_cost", counting_replay_cost)
+    experiments.run_pipeline(config)
+    metrics = _kept_rows(Path(config.out_dir, "reports", "metrics.csv"))
+    station_days = [(row[0], row[1]) for row in metrics if row[2:4] == ["oracle", "cost"]]
+    assert len(station_days) == len(set(station_days)) == 2 * 61
+    assert len(replayed) == len(station_days) + 1
+    # the scored days come first, station by station, then the bias day
+    assert replayed == [sid for sid, _ in station_days] + ["peaked"]
+
+
+def test_a_refused_forecast_names_its_station_and_model(tmp_path, monkeypatch):
+    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
+                                   base_rate=2.0)
+    config = RunConfig(
+        trips_path=paths["trips"], weather_path=paths["weather"],
+        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
+        start_date="2018-01-01", end_date="2018-12-31", stations=["7", "8"],
+        models=["ha", "lr"],
+    )
+    experiments.stage_ingest(config)
+    experiments.stage_train(config)
+    lr = experiments.FORECASTERS["lr"]
+
+    def damaged(model, test, **kwargs):
+        rates = lr.forecast(model, test=test, **kwargs)
+        if test.station == "8":
+            rates[3, 5, 1] = np.nan
+        return rates
+
+    monkeypatch.setitem(experiments.FORECASTERS, "lr", dataclasses.replace(lr, forecast=damaged))
+    with pytest.raises(StageError) as err:
+        experiments.stage_forecast(config)
+    _, days = experiments._test_days(experiments.load_ingested(config)["8"])
+    assert str(err.value) == (f"stage forecast: forecast 8/lr: return_rate nan of {days[3]} "
+                              f"slot 5 outside [0, inf)")
+    assert isinstance(err.value.__cause__, DomainError)
+    assert _exit_code_for(err.value) == EXIT_NUMERIC
 
 
 def test_optimize_solves_each_distinct_forecast_once(tmp_path, monkeypatch):

@@ -91,6 +91,14 @@ def test_parse_trips_bad_timestamp_reports_line():
     assert err.value.line_number == 6
 
 
+def test_parse_trips_reads_a_four_digit_fraction_of_a_second():
+    # the 2018 Citi Bike files stamp trips to a ten-thousandth of a second
+    trips = parse_trips(io.StringIO(trip_file(("2018-01-01 13:50:57.4340",
+                                               "2018-01-01 14:02:03.0010"))))
+    assert trips.start_times.tolist() == [datetime(2018, 1, 1, 13, 50, 57, 434000)]
+    assert trips.end_times.tolist() == [datetime(2018, 1, 1, 14, 2, 3, 1000)]
+
+
 def test_parse_trips_rejects_offset_aware_timestamps():
     aware = TRIPS_CSV + "2018-06-03 10:00:00+00:00,2018-06-03 10:20:00+00:00,A,B\n"
     with pytest.raises(RowError, match="UTC offset") as err:
