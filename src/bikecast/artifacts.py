@@ -5,7 +5,7 @@ This module alone knows the config line, ``# config: <hash> seed: <n>``.
 :func:`write` puts it first in every text artifact, and :func:`read` takes
 off exactly that line and no other before the parser of the kind sees the
 file's lines: a data row that begins with ``#`` stays a row. Every CSV
-artifact is then read by the row reader of :mod:`.ingest`, its rows at their
+artifact is then read by the table reader of :mod:`.ingest`, its rows at their
 physical line numbers. :func:`read` names the file in every error it raises.
 
 A forecast is one (days, slots, 2) array of expected counts per interval,
@@ -27,8 +27,8 @@ import numpy as np
 from . import classical, neural
 from .config import RunConfig
 from .errors import DataError, DomainError, FormatError, RowError
-from .ingest import (DemandSeries, _check_rows, _columns, _converted, build_covariates,
-                     demand_from_csv, parse_stations, parse_weather)
+from .ingest import (DemandSeries, _check_rows, _table, build_covariates, demand_from_csv,
+                     parse_stations, parse_weather)
 
 # each kind of artifact: the stage that writes it, and its path under out_dir
 # for station ``sid`` and model, net label or report ``name``; evaluate and
@@ -106,23 +106,6 @@ def read(config: RunConfig, kind: str, parse, *args, sid: str = "", name: str = 
         raise FormatError(f"{file}: {e}") from None
 
 
-def _kept_file(lines: list[str], what: str, names: tuple[str, ...], *kinds):
-    """The physical line numbers and the columns of the ``lines`` of a kept
-    CSV with exactly the columns ``names`` (:func:`~.ingest._columns`), column
-    i converted by ``kinds[i]`` into an array (:func:`~.ingest._converted`)
-    or, where that is None, kept as the list of strings read. The first row
-    with a field that does not convert raises :class:`RowError` naming the
-    column."""
-    numbers, columns = _columns(lines, what, names, exact=True)
-    rules = []
-    for i, kind in enumerate(kinds):
-        if kind is not None:
-            columns[i], rule = _converted(names[i], columns[i], kind)
-            rules.append(rule)
-    _check_rows(numbers, rules)
-    return numbers, columns
-
-
 def load_ingested(config: RunConfig) -> dict[str, DemandSeries]:
     """Each selected station's series, read back from the ``demand/`` files of
     stage_ingest; the covariates are not stored but rebuilt from
@@ -193,8 +176,9 @@ def forecast_to_csv(first_day: date, rates: np.ndarray) -> str:
 
 def _forecasts(lines: list[str], interval_minutes: int) -> tuple[list[date], np.ndarray]:
     slots = 1440 // interval_minutes
-    numbers, (days, slot, pickups, returns) = _kept_file(
-        lines, "forecast", FORECAST_COLUMNS, date.fromisoformat, int, float, float)
+    numbers, (days, slot, pickups, returns), rules = _table(
+        lines, "forecast", FORECAST_COLUMNS, (date.fromisoformat, int, float, float), exact=True)
+    _check_rows(numbers, rules)
     rows = np.arange(len(numbers))
     first = np.ones(len(rows), bool)  # the rows that begin a day
     first[1:] = days[1:] != days[:-1]
@@ -245,8 +229,9 @@ def parse_decisions(lines: list[str], names: list[str], days: list[date],
     a decision file; an s* outside [0, ``capacity``] or a repeated (date,
     model) raises :class:`RowError`, and a missing one :class:`DataError`."""
     s_star: dict[tuple[date, str], int] = {}
-    numbers, (dates, models, s_stars, _) = _kept_file(lines, "decision", DECISION_COLUMNS,
-                                                      date.fromisoformat, None, int, float)
+    numbers, (dates, models, s_stars, _), rules = _table(
+        lines, "decision", DECISION_COLUMNS, (date.fromisoformat, str, int, float), exact=True)
+    _check_rows(numbers, rules)
     for n, day, name, s in zip(numbers, dates, models, s_stars.tolist()):
         if not 0 <= s <= capacity:
             raise RowError(n, f"s_star {s} outside [0, {capacity}]")

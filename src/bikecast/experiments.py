@@ -60,13 +60,14 @@ from .ingest import (
     EventStream,
     TripTable,
     aggregate,
-    build_covariates,
+    check_weather_covers,
     demand_to_csv,
     events_from_csv,
     events_to_csv,
     parse_stations,
     parse_trips,
     parse_weather,
+    read_input,
     split,
     to_event_streams,
     top_stations,
@@ -168,19 +169,20 @@ _REFUSED_ID = re.compile(r'[/\\,"\x00-\x1f\x7f-\x9f]|\A#|\A\.\.?\Z')
 def stage_ingest(config: RunConfig) -> None:
     """Parse the inputs, here and nowhere else, and write the ``demand/`` files.
 
-    The trip file is parsed in byte ranges over the lanes of :func:`_in_lanes`
-    (:func:`_read_trips`), into the table one :func:`parse_trips` call reads.
-    Each selected station gets ``station_<sid>.csv`` (interval counts of the
-    whole range) and ``events_<sid>.csv``: the events of the days of
-    ``split(series).test``, the only ones evaluate replays. A day range that
-    :func:`split` refuses fails here. The run gets ``weather.csv``.
-    Covariates are built only to refuse weather that does not cover the range.
+    Each input is opened by :func:`read_input`. The trip file is parsed in
+    byte ranges over the lanes of :func:`_in_lanes` (:func:`_read_trips`),
+    into the table one :func:`parse_trips` call reads. Each selected station
+    gets ``station_<sid>.csv`` (interval counts of the whole range) and
+    ``events_<sid>.csv``: the events of the days of ``split(series).test``,
+    the only ones evaluate replays. A day range that :func:`split` refuses
+    fails here. The run gets ``weather.csv``. Weather without an observation
+    at the first hour of the range is refused (:func:`check_weather_covers`).
     A selected station id that cannot name a file or lead a CSV row
     (:data:`_REFUSED_ID`) fails before anything is written.
     """
     with _stage("ingest"):
-        capacities = parse_stations(_require_input(config.stations_path))
-        trips = _read_trips(_require_input(config.trips_path))
+        capacities = read_input(config.stations_path, parse_stations)
+        trips = read_input(config.trips_path, _read_trips)
         selected = list(config.stations) or top_stations(trips, config.top_n)
         refused = [s for s in selected if _REFUSED_ID.search(s)]
         if refused:
@@ -189,9 +191,9 @@ def stage_ingest(config: RunConfig) -> None:
         if missing:
             raise DataError(f"stations without metadata: {missing}")
         streams = to_event_streams(trips, selected)
-        weather = parse_weather(_require_input(config.weather_path))
+        weather = read_input(config.weather_path, parse_weather)
         day_range = (config.start_date, config.end_date)
-        build_covariates(weather, day_range, config.interval_minutes)
+        check_weather_covers(weather, day_range)
         lines = [",".join(STATION_COLUMNS)]
         for sid in selected:
             if sid not in streams:
@@ -229,18 +231,20 @@ def _parse_trip_range(path: str, head: bytes, sentinel: bytes, start: int,
     return TripTable(*(column[:-1] for column in columns))
 
 
-def _read_trips(path: str) -> TripTable:
-    """:func:`parse_trips` of ``path``, over the lanes of :func:`_in_lanes` in
-    byte ranges cut at line breaks about every :data:`_RANGE_BYTES`, each one
-    after a copy of the header line and before a sentinel row.
+def _read_trips(stream) -> TripTable:
+    """:func:`parse_trips` of the trip file open as ``stream``, over the lanes
+    of :func:`_in_lanes` in byte ranges of the file ``stream.name`` cut at line
+    breaks about every :data:`_RANGE_BYTES`, each one after a copy of the
+    header line and before a sentinel row.
 
     The file is parsed whole when it has one range or the host one core, when
     its header line, split by ``csv.reader`` as :func:`parse_trips` splits it,
     ends inside a quoted field, holds a CR or lacks a trip column, or when a
     range fails or its worker dies: a cut inside a quoted field can break
-    the rows on both sides of it, and the serial parse reads them right or
-    raises the serial error.
+    the rows on both sides of it, and the serial parse, :func:`parse_trips`
+    of ``stream``, reads them right or raises the serial error.
     """
+    path = stream.name
     with open(path, "rb") as fh:
         head = fh.readline()
         size = os.fstat(fh.fileno()).st_size
@@ -253,7 +257,7 @@ def _read_trips(path: str) -> TripTable:
     # split as parse_trips splits it: a quote left open keeps the line feed
     names = [] if b"\r" in line else next(csv.reader([line.decode("latin-1") + "\n"]), [])
     if len(cuts) < 2 or "\n" in "".join(names) or not set(names) >= set(TRIP_COLUMNS):
-        return parse_trips(path)
+        return parse_trips(stream)
     index = {name: i for i, name in enumerate(names)}
     row = [""] * len(names)
     for name, value in zip(TRIP_COLUMNS, _SENTINEL):
@@ -263,14 +267,8 @@ def _read_trips(path: str) -> TripTable:
         tables = _in_lanes(_parse_trip_range, [(path, head, sentinel, start, stop)
                                                for start, stop in zip(cuts, cuts[1:] + [size])])
     except (BikecastError, ValueError):
-        return parse_trips(path)
+        return parse_trips(stream)
     return TripTable(*map(np.concatenate, zip(*(vars(table).values() for table in tables))))
-
-
-def _require_input(path: str) -> str:
-    if not os.path.exists(path):
-        raise DataError(f"input file not found: {path}")
-    return path
 
 
 # -- the forecasters ----------------------------------------------------------

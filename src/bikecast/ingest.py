@@ -25,17 +25,22 @@ as one ``datetime`` object per row:
 Under ``demand/`` ingest also writes each station's counts
 (``station_<sid>.csv``) and, once, the weather it parsed (``weather.csv``).
 
+A parser reads lines or a stream, never a path. :func:`read_input` opens the
+three input files (trips, weather, stations), and :func:`.artifacts.read` the
+kept ones; each names its file in the errors the parser raises.
+
 Every CSV the package reads, input or kept, goes through one row reader,
-:func:`_column_chunks`. Timestamps are read as :func:`datetime.fromisoformat`
-reads them, with surrounding blanks stripped and UTC offsets refused; numbers
-by one converter, :func:`_converted`, which refuses digit-group underscores
-and digits beyond ASCII.
+:func:`_column_chunks`, and each of its columns through one converter,
+:func:`_converted`, by the kind its parser names: :func:`_table` reads a whole
+file so. Timestamps are read as :func:`datetime.fromisoformat` reads them,
+with surrounding blanks stripped and UTC offsets refused; numbers refuse
+digit-group underscores and digits beyond ASCII.
 
 Each row rule is stated once: a reader builds its columns, then hands
 :func:`_check_rows` one mask per rule, with the words of its fault, in the
 order a row is checked. The first bad row raises :class:`RowError`, worded by
-the first rule it breaks, with its physical line number and, when the reader
-was given one, the file's path.
+the first rule it breaks, with its physical line number and, once its opener
+adds it, the file's path.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -50,7 +55,6 @@ from __future__ import annotations
 import csv
 import os
 from collections.abc import Iterable
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from itertools import accumulate, compress, islice, repeat
@@ -262,25 +266,21 @@ def _iso_strings(times: np.ndarray) -> list[str]:
     return text.tolist()
 
 
-@contextmanager
-def _open_text(source):
-    """A text stream over ``source``, closed on exit only if opened here.
+def read_input(path: str, parse):
+    """``parse(stream)`` of the input file at ``path``, opened as text.
 
-    A path is opened and closed, and a :class:`RowError` or
-    :class:`FormatError` raised while reading it names the path. Text streams
-    and other iterables of lines pass through untouched.
+    A missing file raises :class:`DataError`. A :class:`RowError` or
+    :class:`FormatError` that ``parse`` raises names the file.
     """
-    if isinstance(source, (str, os.PathLike)):
-        path = os.fspath(source)
-        with open(path, "r", newline="") as fh:
-            try:
-                yield fh
-            except RowError as exc:
-                raise RowError(exc.line_number, exc.reason, path) from None
-            except FormatError as exc:
-                raise FormatError(f"{path}: {exc}") from None
-    else:
-        yield source
+    if not os.path.exists(path):
+        raise DataError(f"input file not found: {path}")
+    with open(path, newline="") as stream:
+        try:
+            return parse(stream)
+        except RowError as exc:
+            raise RowError(exc.line_number, exc.reason, path) from None
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def _column_chunks(stream, what: str, names: tuple[str, ...], exact: bool = False):
@@ -331,18 +331,19 @@ def _column_chunks(stream, what: str, names: tuple[str, ...], exact: bool = Fals
         yield picked, list(numbers)
 
 
-def _columns(stream, what: str, names: tuple[str, ...],
-             exact: bool = False) -> tuple[list[int], list[list[str]]]:
-    """The line numbers and the named columns of every row of
-    :func:`_column_chunks`, whose header, with ``exact``, must be ``names``.
+def _table(lines, what: str, names: tuple[str, ...], kinds: tuple, exact: bool = False):
+    """The line numbers of every row of :func:`_column_chunks` (whose header,
+    with ``exact``, must be ``names``), the named columns, column i converted by
+    ``kinds[i]`` (:func:`_converted`), and the rule of each column, in order.
     Every line is read as a CSV line: one that begins with ``#`` is a row."""
     numbers: list[int] = []
     columns: list[list[str]] = [[] for _ in names]
-    for chunk, chunk_numbers in _column_chunks(stream, what, names, exact):
+    for chunk, chunk_numbers in _column_chunks(lines, what, names, exact):
         numbers += chunk_numbers
         for column, part in zip(columns, chunk):
             column += part
-    return numbers, columns
+    values, rules = zip(*map(_converted, names, columns, kinds, repeat(numbers)))
+    return numbers, values, rules
 
 
 def _string_array(values: list[str]) -> np.ndarray:
@@ -368,14 +369,14 @@ def _check_rows(numbers, rules) -> None:
         raise DataError(reason) if numbers is None else RowError(numbers[i], reason)
 
 
-def _time_rule(raws: list[str], times: np.ndarray, numbers: list[int]):
-    """The rule that each field of a time column parsed (:func:`_timestamps`)."""
-    return np.isnat(times), lambda i: _parse_timestamp(raws[i], numbers[i])
+def _converted(name: str, column: list[str], kind, numbers: list[int]):
+    """``column``, whose rows are on the lines ``numbers``, converted by
+    ``kind``, and the rule that each field converted.
 
-
-def _converted(name: str, column: list[str], kind):
-    """``column`` converted by ``kind`` into an array (of objects unless
-    ``kind`` is int or float), and the rule that each field converted, worded
+    A ``str`` column is kept as the list read, and its rule flags no field. A
+    ``datetime`` column is read by :func:`_timestamps`, its rule worded by
+    :func:`_parse_timestamp`. Any other ``kind`` converts field by field into
+    an array (of objects unless ``kind`` is int or float), its rule worded
     ``unparseable <name> '<field>'``.
 
     A column that converts whole takes one ``np.fromiter`` pass; only one
@@ -386,6 +387,11 @@ def _converted(name: str, column: list[str], kind):
     are around ids and timestamps, which are stripped.
     """
     n = len(column)
+    if kind is str:
+        return column, (np.zeros(n, bool), None)
+    if kind is datetime:
+        times = _timestamps(column)
+        return times, (np.isnat(times), lambda i: _parse_timestamp(column[i], numbers[i]))
     dtype = kind if kind in (int, float) else object
     refused = np.zeros(n, bool)
     rule = refused, lambda i: f"unparseable {name} {column[i]!r}"
@@ -405,35 +411,33 @@ def _converted(name: str, column: list[str], kind):
     return values, rule
 
 
-def parse_trips(source) -> TripTable:
-    """Read a trip CSV with the :data:`TRIP_COLUMNS` into a :class:`TripTable`.
+def parse_trips(stream) -> TripTable:
+    """Read the lines of a trip CSV with the :data:`TRIP_COLUMNS` into a
+    :class:`TripTable`.
 
-    ``source`` may be a path or an open stream. In each chunk of
-    :func:`_column_chunks`, each time column is parsed in one
-    :func:`_timestamps` call and each station column is stripped into one
+    In each chunk of :func:`_column_chunks`, each time column is converted in
+    one :func:`_converted` call and the station columns are stripped into one
     array. Malformed rows are never skipped silently: the first bad row
     raises :class:`RowError` with its line number, worded by the first rule
     it breaks (:func:`_check_rows`): a station id is empty, the start or the
     end time does not parse, the trip ends before it starts.
     """
-    with _open_text(source) as stream:
-        parts = []
-        for (starts, ends, origins, dests), numbers in _column_chunks(
-                stream, "trip", TRIP_COLUMNS):
-            n = len(starts)
-            times = _timestamps(starts + ends)
-            start_times, end_times = times[:n], times[n:]
-            ids = _string_array(list(map(str.strip, origins + dests)))
-            origin_ids, dest_ids = ids[:n], ids[n:]
-            _check_rows(numbers, [
-                ((origin_ids == "") | (dest_ids == ""), lambda i: "empty station id"),
-                _time_rule(starts, start_times, numbers),
-                _time_rule(ends, end_times, numbers),
-                (end_times < start_times,
-                 lambda i: f"trip ends before it starts: {start_times[i].item()} -> "
-                           f"{end_times[i].item()}"),
-            ])
-            parts.append((start_times, end_times, origin_ids, dest_ids))
+    parts = []
+    for (starts, ends, origins, dests), numbers in _column_chunks(stream, "trip", TRIP_COLUMNS):
+        start_times, start_rule = _converted(TRIP_COLUMNS[0], starts, datetime, numbers)
+        end_times, end_rule = _converted(TRIP_COLUMNS[1], ends, datetime, numbers)
+        n = len(starts)
+        ids = _string_array(list(map(str.strip, origins + dests)))
+        origin_ids, dest_ids = ids[:n], ids[n:]
+        _check_rows(numbers, [
+            ((origin_ids == "") | (dest_ids == ""), lambda i: "empty station id"),
+            start_rule,
+            end_rule,
+            (end_times < start_times,
+             lambda i: f"trip ends before it starts: {start_times[i].item()} -> "
+                       f"{end_times[i].item()}"),
+        ])
+        parts.append((start_times, end_times, origin_ids, dest_ids))
     if not parts:
         no_times, no_ids = np.empty(0, "datetime64[us]"), np.empty(0, str)
         return TripTable(no_times, no_times, no_ids, no_ids)
@@ -476,20 +480,18 @@ def events_to_csv(stream: EventStream) -> str:
         "{},{}\n".format, _iso_strings(stream.times), names))
 
 
-def events_from_csv(source, station: str) -> EventStream:
-    """Inverse of :func:`events_to_csv`: the rows of ``source`` under exactly
-    the :data:`EVENT_COLUMNS` header. ``source`` is a path, a stream or the
-    lines that :func:`.artifacts.read` hands over, its config line blanked.
+def events_from_csv(lines, station: str) -> EventStream:
+    """Inverse of :func:`events_to_csv`: the rows of ``lines`` (a stream, or
+    the lines that :func:`.artifacts.read` hands over, its config line
+    blanked) under exactly the :data:`EVENT_COLUMNS` header.
 
     The first bad row raises :class:`RowError` with its line number, worded by
     the first rule it breaks: an unknown kind, then a bad time.
     """
-    with _open_text(source) as stream:
-        numbers, (stamps, names) = _columns(stream, "event", EVENT_COLUMNS, exact=True)
-        kinds = np.fromiter(map(_KIND_CODES.get, names, repeat(-1)), np.int8, len(names))
-        times = _timestamps(stamps)
-        _check_rows(numbers, [(kinds < 0, lambda i: f"unknown event kind {names[i]!r}"),
-                              _time_rule(stamps, times, numbers)])
+    numbers, (times, names), (time_rule, _) = _table(lines, "event", EVENT_COLUMNS,
+                                                     (datetime, str), exact=True)
+    kinds = np.fromiter(map(_KIND_CODES.get, names, repeat(-1)), np.int8, len(names))
+    _check_rows(numbers, [(kinds < 0, lambda i: f"unknown event kind {names[i]!r}"), time_rule])
     return EventStream(station=station, times=times, kinds=kinds)
 
 
@@ -570,41 +572,37 @@ class WeatherTable:
         self.rain_probability = rains[order[last]]
 
 
-def parse_weather(source) -> WeatherTable:
-    """Read an hourly weather CSV (timestamp, temperature_c, rain_probability).
+def parse_weather(lines) -> WeatherTable:
+    """Read the lines of an hourly weather CSV with the :data:`WEATHER_COLUMNS`.
 
     The first bad row raises :class:`RowError` with its line number, worded by
     the first rule it breaks: the timestamp, then each value, does not
     parse; then the observation rules of :class:`WeatherTable`.
     """
-    with _open_text(source) as stream:
-        numbers, (stamps, temps, rains) = _columns(stream, "weather", WEATHER_COLUMNS)
-        hours = _timestamps(stamps)
-        temperature_c, temp_rule = _converted("temperature_c", temps, float)
-        rain_probability, rain_rule = _converted("rain_probability", rains, float)
-        _check_rows(numbers, [_time_rule(stamps, hours, numbers), temp_rule, rain_rule,
-                              *_observation_rules(hours, temperature_c, rain_probability)])
+    numbers, (hours, temperature_c, rain_probability), rules = _table(
+        lines, "weather", WEATHER_COLUMNS, (datetime, float, float))
+    _check_rows(numbers, [*rules, *_observation_rules(hours, temperature_c, rain_probability)])
     return WeatherTable(hours, temperature_c, rain_probability)
 
 
-def parse_stations(source) -> dict[str, int]:
-    """Read station metadata with the :data:`STATION_COLUMNS` into ``{id: capacity}``.
+def parse_stations(lines) -> dict[str, int]:
+    """Read the lines of a station CSV with the :data:`STATION_COLUMNS` into
+    ``{id: capacity}``.
 
     The first bad row raises :class:`RowError` with its line number, worded by
     the first rule it breaks: the id is empty, the capacity does not parse or
     is not positive, the station is listed on an earlier row.
     """
-    with _open_text(source) as stream:
-        numbers, (sids, caps) = _columns(stream, "station", STATION_COLUMNS)
-        ids = _string_array(list(map(str.strip, sids)))
-        capacities, cap_rule = _converted("capacity", caps, int)
-        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-        _check_rows(numbers, [
-            (ids == "", lambda i: "empty station id"),
-            cap_rule,
-            (capacities <= 0, lambda i: f"capacity must be positive, got {capacities[i]}"),
-            (first[inverse] != np.arange(len(ids)), lambda i: f"station {ids[i]} is listed twice"),
-        ])
+    numbers, (sids, capacities), (_, capacity_rule) = _table(lines, "station", STATION_COLUMNS,
+                                                             (str, int))
+    ids = _string_array(list(map(str.strip, sids)))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    _check_rows(numbers, [
+        (ids == "", lambda i: "empty station id"),
+        capacity_rule,
+        (capacities <= 0, lambda i: f"capacity must be positive, got {capacities[i]}"),
+        (first[inverse] != np.arange(len(ids)), lambda i: f"station {ids[i]} is listed twice"),
+    ])
     return dict(zip(ids.tolist(), capacities.tolist()))
 
 
@@ -617,6 +615,16 @@ def covariate_columns(interval_minutes: int) -> list[str]:
     )
 
 
+def check_weather_covers(weather: WeatherTable, day_range: tuple[date, date]) -> None:
+    """Raise :class:`DataError` unless ``weather`` holds an observation at the
+    first hour of ``day_range``, or the range is empty: forward filling has
+    nothing to fill that hour from."""
+    first, last = day_range
+    hour = np.datetime64(first, "us")
+    if first <= last and hour not in weather.hours:
+        raise DataError(f"no weather observation at or before {hour.item()}")
+
+
 def build_covariates(
     weather: WeatherTable,
     day_range: tuple[date, date],
@@ -627,10 +635,11 @@ def build_covariates(
 
     Sub-hourly intervals replicate their hour's measurement. Missing hours are
     forward-filled from the most recent observation; a gap at the very start
-    of the range has nothing to fill from and raises :class:`DataError`.
+    of the range has nothing to fill from (:func:`check_weather_covers`).
     """
     if interval_minutes not in VALID_INTERVALS:
         raise ConfigError(f"interval must be one of {VALID_INTERVALS}, got {interval_minutes}")
+    check_weather_covers(weather, day_range)
     first, last = day_range
     n_days = (last - first).days + 1
     n_slots = 1440 // interval_minutes
@@ -638,8 +647,6 @@ def build_covariates(
     hours = (np.datetime64(first, "h") + rows * interval_minutes // 60).astype("datetime64[us]")
     # the latest observation at or before each interval's hour
     observed = np.searchsorted(weather.hours, hours, side="right") - 1
-    if len(rows) and (observed[0] < 0 or weather.hours[observed[0]] != hours[0]):
-        raise DataError(f"no weather observation at or before {hours[0].item()}")
 
     values = np.zeros((len(rows), 9 + n_slots))
     values[:, 0] = weather.temperature_c[observed]
@@ -687,10 +694,10 @@ def demand_to_csv(series: DemandSeries) -> str:
         series.returns.tolist()))
 
 
-def demand_from_csv(source, station: str, interval_minutes: int) -> DemandSeries:
-    """Inverse of :func:`demand_to_csv`: the rows of ``source`` under exactly
-    the :data:`DEMAND_COLUMNS` header. ``source`` is a path, a stream or the
-    lines that :func:`.artifacts.read` hands over, its config line blanked.
+def demand_from_csv(lines, station: str, interval_minutes: int) -> DemandSeries:
+    """Inverse of :func:`demand_to_csv`: the rows of ``lines`` (a stream, or
+    the lines that :func:`.artifacts.read` hands over, its config line
+    blanked) under exactly the :data:`DEMAND_COLUMNS` header.
 
     The first bad row raises :class:`RowError` with its line number, worded by
     the first rule it breaks: its start does not parse, a count does not
@@ -698,22 +705,19 @@ def demand_from_csv(source, station: str, interval_minutes: int) -> DemandSeries
     the first row, as when a row is out of order, repeated or missing. A short
     row reads empty counts, which do not parse.
     """
-    with _open_text(source) as stream:
-        numbers, (stamps, pickups, returns) = _columns(stream, "demand", DEMAND_COLUMNS, exact=True)
-        if not numbers:
-            raise FormatError("demand file has no data rows")
-        starts = _timestamps(stamps)
-        pickups, pickup_rule = _converted("pickups", pickups, int)
-        returns, return_rule = _converted("returns", returns, int)
-        expected = starts[0] + np.arange(len(starts)) * np.timedelta64(interval_minutes, "m")
-        _check_rows(numbers, [
-            _time_rule(stamps, starts, numbers), pickup_rule, return_rule,
-            (pickups < 0, lambda i: f"pickups must be non-negative, got {pickups[i]}"),
-            (returns < 0, lambda i: f"returns must be non-negative, got {returns[i]}"),
-            (starts != expected, lambda i: f"interval_start {starts[i].item()} out of sequence: "
-                                           f"expected {expected[i].item()}, "
-                                           f"{interval_minutes} minutes per row"),
-        ])
+    numbers, (starts, pickups, returns), rules = _table(lines, "demand", DEMAND_COLUMNS,
+                                                        (datetime, int, int), exact=True)
+    if not numbers:
+        raise FormatError("demand file has no data rows")
+    expected = starts[0] + np.arange(len(starts)) * np.timedelta64(interval_minutes, "m")
+    _check_rows(numbers, [
+        *rules,
+        (pickups < 0, lambda i: f"pickups must be non-negative, got {pickups[i]}"),
+        (returns < 0, lambda i: f"returns must be non-negative, got {returns[i]}"),
+        (starts != expected, lambda i: f"interval_start {starts[i].item()} out of sequence: "
+                                       f"expected {expected[i].item()}, "
+                                       f"{interval_minutes} minutes per row"),
+    ])
     return DemandSeries(
         station=station,
         interval_minutes=interval_minutes,

@@ -367,6 +367,46 @@ def test_demand_rows_out_of_order_exit_data_with_their_line(tmp_path, capsys, co
     assert "Traceback" not in err
 
 
+def test_a_demand_file_without_rows_exits_data_naming_the_file(tmp_path, capsys, corpus):
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "run.yaml", corpus, out, stations=["7"])
+    assert main(["ingest", "--config", path]) == EXIT_OK
+    demand = out / "demand" / "station_7.csv"
+    config_line, header = demand.read_text().splitlines()[:2]
+    demand.write_text(f"{config_line}\n{header}\n")
+    capsys.readouterr()
+    assert main(["train", "--config", path]) == EXIT_DATA
+    assert capsys.readouterr().err == (f"bikecast: stage train: {demand}: "
+                                       f"demand file has no data rows\n")
+
+
+def test_ingest_refuses_a_selected_station_without_trips(tmp_path, capsys, corpus):
+    # station 9 has metadata, so only the trip file can refuse it
+    stations = tmp_path / "stations.csv"
+    stations.write_text(Path(corpus["stations"]).read_text() + "9,10,residential\n")
+    path = write_config(tmp_path / "run.yaml", {**corpus, "stations": str(stations)},
+                        tmp_path / "out", stations=["7", "9"])
+    assert main(["ingest", "--config", path]) == EXIT_DATA
+    assert capsys.readouterr().err == ("bikecast: stage ingest: station 9 has no events in "
+                                       "the trip file\n")
+
+
+def test_a_forecast_of_other_days_exits_data_at_evaluate(tmp_path, capsys, corpus):
+    # the file reads cleanly, but its days begin a day after the test split's
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "run.yaml", corpus, out, stations=["7"])
+    for command in ("ingest", "train", "forecast"):
+        assert main([command, "--config", path]) == EXIT_OK
+    forecast = out / "forecasts" / "7_ha.csv"
+    lines = forecast.read_text().splitlines(keepends=True)
+    assert lines[2].startswith("2018-11-01,0,") and lines[26].startswith("2018-11-02,0,")
+    forecast.write_text("".join(lines[:2] + lines[26:]))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", path]) == EXIT_DATA
+    assert capsys.readouterr().err == ("bikecast: stage evaluate: forecast days for 7/ha do "
+                                       "not match the test split\n")
+
+
 @pytest.mark.parametrize("damage", ["missing", "repeated", "reordered", "short-last-day",
                                     "read-at-15-minutes", "garbled", "negative-rate",
                                     "nan-rate"])

@@ -17,7 +17,7 @@ import pytest
 import yaml
 from test_ingest import quoted_citi_bike_file
 
-from bikecast import artifacts, evaluate, experiments, neural, synthetic
+from bikecast import artifacts, evaluate, experiments, ingest, neural, synthetic
 from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, _exit_code_for, main
 from bikecast.config import DEFAULT_MODELS, RunConfig
 from bikecast.errors import DataError, DomainError, RowError, StageError, TrainingError
@@ -35,6 +35,7 @@ from bikecast.ingest import (
     events_to_csv,
     parse_trips,
     parse_weather,
+    read_input,
     split,
     to_event_streams,
 )
@@ -429,7 +430,7 @@ def test_evaluate_does_not_read_the_trip_file(tmp_path):
 
 def _full_stream_csv(paths) -> str:
     """``events_to_csv`` of station 7's whole event stream in the trip file."""
-    return events_to_csv(to_event_streams(parse_trips(paths["trips"]), ["7"])["7"])
+    return events_to_csv(to_event_streams(read_input(paths["trips"], parse_trips), ["7"])["7"])
 
 
 def test_ingest_keeps_the_events_of_the_test_days_alone(tmp_path):
@@ -478,7 +479,7 @@ def test_quarter_hour_run_rebuilds_the_covariates_from_the_kept_weather(tmp_path
         assert fh.readline() == artifacts.artifact_header(config)
         assert fh.readline() == "interval_start,pickups,returns\n"
     series = experiments.load_ingested(config)["7"]
-    expected = build_covariates(parse_weather(paths["weather"]),
+    expected = build_covariates(read_input(paths["weather"], parse_weather),
                                 (date(2018, 1, 1), date(2018, 12, 31)), 15)
     assert series.covariates.shape == (365 * 96, len(covariate_columns(15))) == (35040, 105)
     np.testing.assert_array_equal(series.covariates, expected)
@@ -950,13 +951,13 @@ def test_errors_survive_pickling(error):
 @pytest.fixture
 def small_ranges(monkeypatch):
     """Two lanes and ranges of 64 bytes. Lists, for each parse_trips call in
-    this process, whether it read a path: the whole file at once."""
+    this process, whether it read a named file: the whole file at once."""
     monkeypatch.setattr(experiments, "_cores", lambda: 2)
     monkeypatch.setattr(experiments, "_RANGE_BYTES", 64)
     whole = []
     parse = experiments.parse_trips
     monkeypatch.setattr(experiments, "parse_trips",
-                        lambda source: whole.append(isinstance(source, str)) or parse(source))
+                        lambda source: whole.append(hasattr(source, "name")) or parse(source))
     return whole
 
 
@@ -1026,8 +1027,8 @@ def assert_same_table(got, want):
 def test_trip_ranges_read_as_the_serial_parse(small_ranges, tmp_path, name):
     path = tmp_path / "trips.csv"
     path.write_bytes(RANGE_FILES[name].encode())
-    got = experiments._read_trips(str(path))
-    assert_same_table(got, parse_trips(str(path)))
+    got = read_input(str(path), experiments._read_trips)
+    assert_same_table(got, read_input(str(path), parse_trips))
     # a file without a line feed after its header has one range, and a cut
     # inside the quoted field sends the file to one serial parse
     assert (True in small_ranges) == (name in ("bare-cr", "header-only",
@@ -1041,9 +1042,9 @@ def test_trip_ranges_keep_the_quoted_line_breaks_they_do_not_cut(small_ranges, t
     text = RANGE_FILES["straddling-quoted-field"] + "\n".join(trip_lines(400)[1:]) + "\n"
     path = tmp_path / "trips.csv"
     path.write_text(text)
-    got = experiments._read_trips(str(path))
+    got = read_input(str(path), experiments._read_trips)
     assert True not in small_ranges
-    assert_same_table(got, parse_trips(str(path)))
+    assert_same_table(got, read_input(str(path), parse_trips))
     assert got.start_stations[20] == _LONG_FIELD[1:-1].replace('""', '"')
 
 
@@ -1056,6 +1057,32 @@ def ingest_config(tmp_path, paths, **extra) -> str:
         "stations_path": paths["stations"], "out_dir": str(tmp_path / "out"), "seed": 5,
         "start_date": "2018-01-01", "end_date": "2018-12-31", "stations": ["7"], **extra}))
     return str(config)
+
+
+def test_a_quarter_hour_ingest_builds_no_covariates(tmp_path, capsys, monkeypatch):
+    # ingest only refuses weather that misses the first hour of the range
+    # (check_weather_covers); the covariates, 35 040 x 105 floats at 15
+    # minutes, are built by the stages that read them
+    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
+                                   base_rate=2.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ingest built the covariates")
+
+    for module in (ingest, artifacts, experiments):
+        monkeypatch.setattr(module, "build_covariates", refuse, raising=False)
+    config = ingest_config(tmp_path, paths, interval_minutes=15)
+    assert main(["ingest", "--config", config]) == 0
+    assert os.path.exists(tmp_path / "out" / "demand" / "weather.csv")
+    with open(paths["weather"]) as fh:
+        header, first, *rest = fh.readlines()
+    assert first.startswith("2018-01-01 00:00:00,")
+    with open(paths["weather"], "w") as fh:
+        fh.writelines([header, *rest])
+    capsys.readouterr()
+    assert main(["ingest", "--config", config]) == EXIT_DATA
+    assert capsys.readouterr().err == ("bikecast: stage ingest: no weather observation at or "
+                                       "before 2018-01-01 00:00:00\n")
 
 
 @pytest.fixture
@@ -1080,9 +1107,9 @@ def test_a_bad_row_in_a_range_raises_the_serial_error(small_ranges, corpus_with_
     experiments._RANGE_BYTES = 4096
     trips, config = corpus_with_two_bad_rows
     with pytest.raises(RowError) as serial:
-        parse_trips(trips)
+        read_input(trips, parse_trips)
     with pytest.raises(RowError) as ranged:
-        experiments._read_trips(trips)
+        read_input(trips, experiments._read_trips)
     assert serial.value.line_number == 101 and "empty station id" in str(serial.value)
     assert str(ranged.value) == str(serial.value)
     assert vars(ranged.value) == vars(serial.value)
@@ -1120,9 +1147,9 @@ def test_a_trip_file_of_one_range_or_one_core_starts_no_pool(tmp_path, cores, ra
                                                               pool):
     path = tmp_path / "trips.csv"
     path.write_text(RANGE_FILES["crlf"])
-    code = ("import sys; from bikecast import experiments; "
+    code = ("import sys; from bikecast import experiments, ingest; "
             f"experiments._cores = lambda: {cores}; experiments._RANGE_BYTES = {range_bytes}; "
-            "print(len(experiments._read_trips(sys.argv[1])), "
+            "print(len(ingest.read_input(sys.argv[1], experiments._read_trips)), "
             "any(m.startswith(('multiprocessing', 'concurrent')) for m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code, str(path)], env=_env(), cwd=tmp_path,
                           capture_output=True, text=True)
@@ -1146,9 +1173,9 @@ def test_a_cut_that_opens_a_field_past_the_csv_limit_falls_back(small_ranges, tm
     lines[first] = f'{start},{stop},{origin},"{dest}' + "\n" * 4000 + '"'
     path = tmp_path / "trips.csv"
     path.write_text("\n".join(lines) + "\n")
-    got = experiments._read_trips(str(path))
+    got = read_input(str(path), experiments._read_trips)
     assert True in small_ranges
-    assert_same_table(got, parse_trips(str(path)))
+    assert_same_table(got, read_input(str(path), parse_trips))
     assert len(got) == 12000 and got.end_stations[first - 1] == dest  # ids are stripped
 
 
@@ -1160,7 +1187,7 @@ def test_a_bad_byte_in_a_range_raises_the_serial_decode_error(small_ranges, tmp_
     path = tmp_path / "trips.csv"
     path.write_bytes("\n".join(lines).encode("latin-1"))
     with pytest.raises(UnicodeDecodeError) as serial:
-        parse_trips(str(path))
+        read_input(str(path), parse_trips)
     with pytest.raises(UnicodeDecodeError) as ranged:
-        experiments._read_trips(str(path))
+        read_input(str(path), experiments._read_trips)
     assert str(ranged.value) == str(serial.value)

@@ -35,6 +35,7 @@ from bikecast.ingest import (
     parse_stations,
     parse_trips,
     parse_weather,
+    read_input,
     split,
     to_event_streams,
     top_stations,
@@ -174,7 +175,7 @@ def test_event_streams_match_the_per_trip_reference_on_a_corpus(tmp_path):
     stations = (synthetic.StationSpec("7", 20, "residential"),
                 synthetic.StationSpec("8", 24, "business"))
     paths = synthetic.write_corpus(str(tmp_path), seed=11, stations=stations, base_rate=2.0)
-    trips = parse_trips(paths["trips"])
+    trips = read_input(paths["trips"], parse_trips)
     streams = to_event_streams(trips, every_station(trips))
     reference = reference_event_streams(trips)
     assert list(streams) == list(reference)
@@ -262,7 +263,7 @@ def test_readers_close_only_the_files_they_open(tmp_path, kind):
     path.write_text(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        read(str(path))
+        read_input(str(path), read)
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     with open(path, newline="") as owned:
@@ -323,6 +324,13 @@ def test_aggregate_rejects_bad_interval():
     streams = to_event_streams(trips, ["A"])
     with pytest.raises(ConfigError):
         aggregate(streams["A"], 45, (date(2018, 6, 1), date(2018, 6, 1)))
+
+
+def test_aggregate_rejects_an_empty_day_range():
+    stream = to_event_streams(parse_trips(io.StringIO(TRIPS_CSV)), ["A"])["A"]
+    with pytest.raises(ConfigError) as err:
+        aggregate(stream, 60, (date(2018, 6, 2), date(2018, 6, 1)))
+    assert str(err.value) == "day range is empty: 2018-06-02 to 2018-06-01"
 
 
 def test_parse_stations_and_errors():
@@ -1110,7 +1118,8 @@ def test_demand_csv_rejects_rows_out_of_sequence(tmp_path, damage, line, message
     path = tmp_path / "station_A.csv"
     path.write_text(text)
     with pytest.raises(RowError) as err:
-        demand_from_csv(str(path), station="A", interval_minutes=60)
+        read_input(str(path), lambda lines: demand_from_csv(lines, station="A",
+                                                            interval_minutes=60))
     assert err.value.path == str(path)
     assert str(err.value).startswith(f"{path}: line {line}: {message}")
 
@@ -1126,12 +1135,12 @@ def test_events_csv_bad_time_names_its_line_and_file(tmp_path):
     path = tmp_path / "events_A.csv"
     path.write_text(text)
     with pytest.raises(RowError) as err:
-        events_from_csv(str(path), "A")
+        read_input(str(path), lambda lines: events_from_csv(lines, "A"))
     assert err.value.line_number == 4
     assert str(err.value) == f"{path}: line 4: unparseable timestamp '2018-06-31 07:00:00'"
     path.write_text(text.replace("return", "dock"))
     with pytest.raises(RowError) as err:
-        events_from_csv(str(path), "A")
+        read_input(str(path), lambda lines: events_from_csv(lines, "A"))
     assert str(err.value) == f"{path}: line 4: unknown event kind 'dock'"
 
 

@@ -169,6 +169,18 @@ def test_oracle_decision_uses_counts_as_rates():
     assert curve.s_star == direct.s_star
 
 
+def test_oracle_decision_refuses_counts_that_are_not_one_day():
+    from bikecast.ingest import DemandSeries
+    from datetime import datetime
+
+    two_days = DemandSeries(station="s", interval_minutes=60, start=datetime(2018, 6, 1),
+                            pickups=np.ones(48, np.int64), returns=np.ones(48, np.int64))
+    with pytest.raises(DomainError) as err:
+        oracle_decision(two_days, capacity=40)
+    assert str(err.value) == ("oracle_decision expects exactly one day of counts, "
+                              "got 48 intervals at 60 min")
+
+
 def test_rejects_invalid_capacity():
     rates = RateSeries(60, [1.0], [1.0])
     with pytest.raises(DomainError):

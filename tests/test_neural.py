@@ -17,7 +17,7 @@ from oracles import sinusoidal_split
 
 from bikecast import autodiff, neural
 from bikecast.config import RunConfig
-from bikecast.errors import ConfigError, DataError, FormatError
+from bikecast.errors import ConfigError, DataError, FormatError, TrainingError
 from bikecast.neural import (
     MODEL_KINDS,
     NeuralModel,
@@ -409,6 +409,46 @@ def test_training_runs_and_is_deterministic():
         np.testing.assert_array_equal(a.params[key], b.params[key])
     assert len(a.train_history) >= 1
     assert "norm/cov_mean" in a.params
+
+
+def scripted_validation(monkeypatch, losses):
+    """Make ``neural._validation_loss`` return ``losses`` in turn. Returns the
+    list of the parameters each call was given, copied."""
+    seen = []
+
+    def validation_loss(kind, params, *args):
+        seen.append({key: value.copy() for key, value in params.items()})
+        return losses[len(seen) - 1]
+
+    monkeypatch.setattr(neural, "_validation_loss", validation_loss)
+    return seen
+
+
+def test_early_stopping_ends_at_the_first_long_plateau_past_min_epochs(monkeypatch):
+    # patience 2: epochs 1-3 are 3 stale epochs, but epoch 3 comes before
+    # MIN_EPOCHS; epoch 4 is the best, and epochs 5-7 are the plateau that stops
+    assert neural.MIN_EPOCHS == 5
+    losses = [3.0, 3.5, 3.6, 3.7, 2.0, 2.5, 2.6, 2.7, 1.0, 0.5]
+    monkeypatch.setattr(neural, "TRAIN_DTYPE", np.float64)  # params reach the loss as kept
+    seen = scripted_validation(monkeypatch, losses)
+    split, _, _ = sinusoidal_split(n_days=16, seed=8, mean_rate=4.0, amplitude=1.5)
+    model = neural.train("prnn", split, training(hidden_width=3, max_epochs=len(losses),
+                                                 patience=2, batch_days=8), seed=5)
+    assert model.train_history == losses[:8]
+    assert len(seen) == 8
+    trainable = trainable_keys(model.params)
+    for key in trainable:
+        np.testing.assert_array_equal(model.params[key], seen[4][key])
+    assert any(not np.array_equal(model.params[key], seen[7][key]) for key in trainable)
+
+
+def test_a_non_finite_validation_loss_aborts_training(monkeypatch):
+    scripted_validation(monkeypatch, [3.0, 2.0, np.nan])
+    split, _, _ = sinusoidal_split(n_days=16, seed=8, mean_rate=4.0, amplitude=1.5)
+    with pytest.raises(TrainingError) as err:
+        neural.train("prnn", split, training(hidden_width=3, max_epochs=10, batch_days=8),
+                     seed=5)
+    assert str(err.value) == "prnn validation loss became nan at epoch 2"
 
 
 def test_training_improves_on_initial_validation_loss():

@@ -248,6 +248,18 @@ def test_rejects_negative_rates():
         RateSeries(60, [-0.5], [1.0])
 
 
+@pytest.mark.parametrize("interval, pickups, returns, message", [
+    (0, [1.0], [1.0], "interval_minutes must be positive, got 0"),
+    (60, [[1.0]], [[1.0]], "rate series must be one-dimensional"),
+    (60, [1.0, 2.0], [1.0], "pickup and return series differ in length: 2 vs 1"),
+    (60, [1.0], [np.nan], "return rates contain non-finite values"),
+], ids=["interval-not-positive", "not-1-d", "unequal-lengths", "non-finite"])
+def test_rate_series_refusals(interval, pickups, returns, message):
+    with pytest.raises(DomainError) as err:
+        RateSeries(interval, pickups, returns)
+    assert str(err.value) == message
+
+
 def test_log_factorial_is_within_4_ulp_of_gammaln():
     from scipy.special import gammaln
 

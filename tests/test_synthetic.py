@@ -13,6 +13,7 @@ from bikecast.ingest import (
     parse_stations,
     parse_trips,
     parse_weather,
+    read_input,
     to_event_streams,
 )
 
@@ -43,10 +44,10 @@ def test_corpus_seed_changes_trips(tmp_path):
 def test_corpus_roundtrips_through_parsers(tmp_path):
     paths = synthetic.write_corpus(str(tmp_path), seed=11, stations=SMALL, base_rate=2.0)
 
-    capacities = parse_stations(paths["stations"])
+    capacities = read_input(paths["stations"], parse_stations)
     assert capacities == {"7": 20, "8": 24}
 
-    trips = parse_trips(paths["trips"])
+    trips = read_input(paths["trips"], parse_trips)
     starts, ends = trips.start_times.tolist(), trips.end_times.tolist()
     assert all(t1 >= t0 for t0, t1 in zip(starts, ends))
     assert all(t0.year == 2018 for t0 in starts)
@@ -57,7 +58,7 @@ def test_corpus_roundtrips_through_parsers(tmp_path):
     assert series.n_days == 365
     assert series.pickups.sum() == trips.start_stations.tolist().count("7")
 
-    weather = parse_weather(paths["weather"])
+    weather = read_input(paths["weather"], parse_weather)
     assert len(weather.hours) == 365 * 24
     temps, rains = weather.temperature_c, weather.rain_probability
     assert rains.min() >= 0.0 and rains.max() <= 1.0
