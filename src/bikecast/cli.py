@@ -1,6 +1,8 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages; ``pipeline`` chains them all. Every
+Subcommands mirror the pipeline stages, one per entry of
+:data:`.experiments.STAGES`, which declares each stage's command and help
+text; ``pipeline`` runs ``run_pipeline``, which loops over them all. Every
 command takes one config file plus a few overrides and talks to the rest of
 the package only through that config, so a run is reproducible from the
 config alone.
@@ -37,15 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bikecast",
                      description="Forecast station demand and optimize starting inventory.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("ingest", "parse trips and weather into per-station demand files"),
-        ("train", "fit all configured models"),
-        ("forecast", "predict every test day with every model"),
-        ("optimize", "turn forecasts into starting-inventory decisions"),
-        ("evaluate", "score decisions by replayed cost, RPD and CE"),
-        ("bias-study", "decision sensitivity to forecast bias on a synthetic day"),
-        ("pipeline", "run every stage in order"),
-    ):
+    stages = [(stage.command, stage.help) for stage in experiments.STAGES.values()]
+    for name, help_text in stages + [("pipeline", "run every stage in order")]:
         cmd = sub.add_parser(name, help=help_text, parents=[], add_help=True)
         cmd.add_argument("--config", required=True, help="path to the run config YAML")
         cmd.add_argument("--seed", type=decimal, default=None,
@@ -56,15 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "ingest": experiments.stage_ingest,
-    "train": experiments.stage_train,
-    "forecast": experiments.stage_forecast,
-    "optimize": experiments.stage_optimize,
-    "evaluate": experiments.stage_evaluate,
-    "bias-study": experiments.stage_bias,
-    "pipeline": experiments.run_pipeline,
-}
+_COMMANDS = {stage.command: getattr(experiments, f"stage_{name}")
+             for name, stage in experiments.STAGES.items()}
+_COMMANDS["pipeline"] = experiments.run_pipeline
 
 
 def _exit_code_for(error: Exception) -> int:

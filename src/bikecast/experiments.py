@@ -8,17 +8,20 @@ and tracks how the inventory decision and its replayed cost move.
 fitted, kept and read back, and how it forecasts. The stages loop over it.
 
 The pipeline is a chain of stages (ingest, train, forecast, optimize,
-evaluate, bias) that return nothing: their files under the run's output
-directory, written and read through :mod:`.artifacts`, are their only output.
-Each stage can run on its own provided its upstream artifacts exist, and then
-reads them itself. ``run_pipeline`` runs them all in order and reads the
-``demand/`` files once, after ingest writes them, for the three stages that
-need them.
+evaluate, bias): their files under the run's output directory, written and
+read through :mod:`.artifacts`, are their only output. :data:`STAGES`
+declares them in run order, each with its CLI command and help text and
+whether it reads the ``demand/`` files; the CLI builds its subcommands from
+it. Each stage can run on its own provided its upstream artifacts exist, and
+then reads them itself. ``run_pipeline`` loops over :data:`STAGES` and reads
+the ``demand/`` files once, after ingest writes them, for the three stages
+that need them.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 import re
@@ -160,12 +163,51 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One stage as :data:`STAGES` declares it: its CLI command and help text,
+    and whether it reads the ``demand/`` files.
+
+    Used as a decorator on ``stage_<name>``, it enters itself in
+    :data:`STAGES` as ``name`` and runs the function under ``_stage(name)``.
+    The wrapped stage takes ``data``, what :func:`load_ingested` returns, and
+    returns it for the next stage: as given, or, for a stage that reads
+    demand and got none, as read here. The function itself returns nothing,
+    and gets ``data`` only if it reads demand.
+    """
+
+    command: str
+    help: str
+    reads_demand: bool = False
+
+    def __call__(self, fn):
+        name = fn.__name__.removeprefix("stage_")
+        STAGES[name] = self
+
+        @functools.wraps(fn)
+        def run(config: RunConfig, data: dict[str, DemandSeries] | None = None):
+            with _stage(name):
+                if self.reads_demand:
+                    data = load_ingested(config) if data is None else data
+                    fn(config, data)
+                else:
+                    fn(config)
+            return data
+        return run
+
+
+# the stages by the name their errors carry, in run order: the order in which
+# they are declared below
+STAGES: dict[str, Stage] = {}
+
+
 # a station id names files under out_dir and leads the rows of CSV artifacts:
 # it may not climb or nest directories, need quoting, or begin with # and so
 # read as a comment line to readers that skip them
 _REFUSED_ID = re.compile(r'[/\\,"\x00-\x1f\x7f-\x9f]|\A#|\A\.\.?\Z')
 
 
+@Stage("ingest", "parse trips and weather into per-station demand files")
 def stage_ingest(config: RunConfig) -> None:
     """Parse the inputs, here and nowhere else, and write the ``demand/`` files.
 
@@ -178,34 +220,34 @@ def stage_ingest(config: RunConfig) -> None:
     fails here. The run gets ``weather.csv``. Weather without an observation
     at the first hour of the range is refused (:func:`check_weather_covers`).
     A selected station id that cannot name a file or lead a CSV row
-    (:data:`_REFUSED_ID`) fails before anything is written.
+    (:data:`_REFUSED_ID`), or that has no trips, fails before anything is
+    written.
     """
-    with _stage("ingest"):
-        capacities = read_input(config.stations_path, parse_stations)
-        trips = read_input(config.trips_path, _read_trips)
-        selected = list(config.stations) or top_stations(trips, config.top_n)
-        refused = [s for s in selected if _REFUSED_ID.search(s)]
-        if refused:
-            raise DataError(f"station ids that cannot name a file or lead a CSV row: {refused}")
-        missing = [s for s in selected if s not in capacities]
-        if missing:
-            raise DataError(f"stations without metadata: {missing}")
-        streams = to_event_streams(trips, selected)
-        weather = read_input(config.weather_path, parse_weather)
-        day_range = (config.start_date, config.end_date)
-        check_weather_covers(weather, day_range)
-        lines = [",".join(STATION_COLUMNS)]
-        for sid in selected:
-            if sid not in streams:
-                raise DataError(f"station {sid} has no events in the trip file")
-            series = aggregate(streams[sid], config.interval_minutes, day_range)
-            test = split(series).test
-            write(config, "demand", demand_to_csv(series), sid)
-            write(config, "events", events_to_csv(
-                streams[sid].slice_day(test.start.date(), test.n_days)), sid)
-            lines.append(f"{sid},{capacities[sid]}")
-        write(config, "weather", weather_to_csv(weather))
-        write(config, "stations", "\n".join(lines) + "\n")
+    capacities = read_input(config.stations_path, parse_stations)
+    trips = read_input(config.trips_path, _read_trips)
+    selected = list(config.stations) or top_stations(trips, config.top_n)
+    refused = [s for s in selected if _REFUSED_ID.search(s)]
+    if refused:
+        raise DataError(f"station ids that cannot name a file or lead a CSV row: {refused}")
+    missing = [s for s in selected if s not in capacities]
+    if missing:
+        raise DataError(f"stations without metadata: {missing}")
+    streams = to_event_streams(trips, selected)
+    weather = read_input(config.weather_path, parse_weather)
+    day_range = (config.start_date, config.end_date)
+    check_weather_covers(weather, day_range)
+    if idle := [s for s in selected if s not in streams]:
+        raise DataError(f"station {idle[0]} has no events in the trip file")
+    lines = [",".join(STATION_COLUMNS)]
+    for sid in selected:
+        series = aggregate(streams[sid], config.interval_minutes, day_range)
+        test = split(series).test
+        write(config, "demand", demand_to_csv(series), sid)
+        write(config, "events", events_to_csv(
+            streams[sid].slice_day(test.start.date(), test.n_days)), sid)
+        lines.append(f"{sid},{capacities[sid]}")
+    write(config, "weather", weather_to_csv(weather))
+    write(config, "stations", "\n".join(lines) + "\n")
 
 
 # bytes of the trip file per lane job
@@ -444,37 +486,35 @@ def _solve(problems: list[tuple[RateSeries, int, PenaltyConfig]]) -> list[UdfCur
     return [solved[key] for key in keys]
 
 
-def stage_train(config: RunConfig, data: dict[str, DemandSeries] | None = None) -> None:
+@Stage("train", "fit all configured models", reads_demand=True)
+def stage_train(config: RunConfig, data: dict[str, DemandSeries]) -> None:
     """Fit every configured model per station and write its files under ``models/``.
 
     One job is one net of one station. The jobs train over the lanes of
     :func:`_in_lanes`, by ``train_order``; each net has its own seed, so its
     bits do not depend on its lane. This process then fits the classical
-    models and writes every model's files. ``data`` is what
-    :func:`load_ingested` returns, read here when not given; the stage does
-    not write to it.
+    models and writes every model's files. The stage does not write to
+    ``data``.
     """
-    with _stage("train"):
-        data = load_ingested(config) if data is None else data
-        parts = {sid: split(data[sid]) for sid in sorted(data)}
-        jobs = sorted(((sid, name, label, targets) for sid in parts
-                       for name in sorted(config.models)
-                       for label, targets in FORECASTERS[name].nets),
-                      key=lambda job: FORECASTERS[job[1]].train_order)
-        trained = _in_lanes(neural.train, [
-            (name, parts[sid], config, derive_seed(config.seed, f"train:{sid}:{label}"),
-             targets) for sid, name, label, targets in jobs])
-        nets = {(sid, label): net for (sid, _, label, _), net in zip(jobs, trained)}
-        for sid in parts:
-            for name in sorted(config.models):
-                entry = FORECASTERS[name]
-                if entry.nets:
-                    model = {label: nets[sid, label] for label, _ in entry.nets}
-                elif entry.fitted:
-                    model = getattr(classical, f"fit_{name}")(parts[sid].train)
-                else:
-                    continue
-                entry.save(model, config, sid, name)
+    parts = {sid: split(data[sid]) for sid in sorted(data)}
+    jobs = sorted(((sid, name, label, targets) for sid in parts
+                   for name in sorted(config.models)
+                   for label, targets in FORECASTERS[name].nets),
+                  key=lambda job: FORECASTERS[job[1]].train_order)
+    trained = _in_lanes(neural.train, [
+        (name, parts[sid], config, derive_seed(config.seed, f"train:{sid}:{label}"),
+         targets) for sid, name, label, targets in jobs])
+    nets = {(sid, label): net for (sid, _, label, _), net in zip(jobs, trained)}
+    for sid in parts:
+        for name in sorted(config.models):
+            entry = FORECASTERS[name]
+            if entry.nets:
+                model = {label: nets[sid, label] for label, _ in entry.nets}
+            elif entry.fitted:
+                model = getattr(classical, f"fit_{name}")(parts[sid].train)
+            else:
+                continue
+            entry.save(model, config, sid, name)
 
 
 def load_models(config: RunConfig, stations: list[str]) -> dict[str, dict]:
@@ -490,27 +530,26 @@ def _test_days(series: DemandSeries) -> tuple[DemandSeries, list[date]]:
     return test, [first + timedelta(days=i) for i in range(test.n_days)]
 
 
-def stage_forecast(config: RunConfig, data: dict[str, DemandSeries] | None = None) -> None:
+@Stage("forecast", "predict every test day with every model", reads_demand=True)
+def stage_forecast(config: RunConfig, data: dict[str, DemandSeries]) -> None:
     """Predict every test day with every model; one CSV per station and model.
 
     A forecast that :func:`.artifacts.forecast_to_csv` refuses fails with its
-    station and model named. ``data`` is what :func:`load_ingested` returns,
-    read here when not given; the stage does not write to it."""
-    with _stage("forecast"):
-        data = load_ingested(config) if data is None else data
-        fitted = load_models(config, sorted(data))
-        for sid in sorted(data):
-            test, days = _test_days(data[sid])
-            for name in sorted(config.models):
-                rates = FORECASTERS[name].forecast(fitted[sid][name], config=config,
-                                                   series=data[sid], test=test, days=days)
-                try:
-                    text = forecast_to_csv(days[0], rates)
-                except DomainError as e:
-                    raise DomainError(f"forecast {sid}/{name}: {e}") from e
-                write(config, "forecast", text, sid, name)
+    station and model named. The stage does not write to ``data``."""
+    fitted = load_models(config, sorted(data))
+    for sid in sorted(data):
+        test, days = _test_days(data[sid])
+        for name in sorted(config.models):
+            rates = FORECASTERS[name].forecast(fitted[sid][name], config=config,
+                                               series=data[sid], test=test, days=days)
+            try:
+                text = forecast_to_csv(days[0], rates)
+            except DomainError as e:
+                raise DomainError(f"forecast {sid}/{name}: {e}") from e
+            write(config, "forecast", text, sid, name)
 
 
+@Stage("optimize", "turn forecasts into starting-inventory decisions")
 def stage_optimize(config: RunConfig) -> None:
     """Decide each forecast day's starting inventory, into ``decisions/<sid>.csv``.
 
@@ -518,22 +557,22 @@ def stage_optimize(config: RunConfig) -> None:
     forecast that repeats another, with the same capacity and penalties,
     shares its curve: HA repeats by weekday.
     """
-    with _stage("optimize"):
-        capacities = read(config, "stations", parse_stations)
-        penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
-        forecasts = {(sid, name): load_forecasts(config, sid, name)
-                     for sid in sorted(capacities) for name in sorted(config.models)}
-        curves = iter(_solve([
-            (RateSeries(config.interval_minutes, day[:, 0], day[:, 1]), capacities[sid], penalties)
-            for (sid, _), (_, rates) in forecasts.items() for day in rates]))
-        for sid in sorted(capacities):
-            write(config, "decisions", decisions_to_csv([
-                (day, name, curve.s_star, curve.values[curve.s_star])
-                for name in sorted(config.models)
-                for day, curve in zip(forecasts[sid, name][0], curves)]), sid)
+    capacities = read(config, "stations", parse_stations)
+    penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
+    forecasts = {(sid, name): load_forecasts(config, sid, name)
+                 for sid in sorted(capacities) for name in sorted(config.models)}
+    curves = iter(_solve([
+        (RateSeries(config.interval_minutes, day[:, 0], day[:, 1]), capacities[sid], penalties)
+        for (sid, _), (_, rates) in forecasts.items() for day in rates]))
+    for sid in sorted(capacities):
+        write(config, "decisions", decisions_to_csv([
+            (day, name, curve.s_star, curve.values[curve.s_star])
+            for name in sorted(config.models)
+            for day, curve in zip(forecasts[sid, name][0], curves)]), sid)
 
 
-def stage_evaluate(config: RunConfig, data: dict[str, DemandSeries] | None = None) -> None:
+@Stage("evaluate", "score decisions by replayed cost, RPD and CE", reads_demand=True)
+def stage_evaluate(config: RunConfig, data: dict[str, DemandSeries]) -> None:
     """Score every model's decisions and forecasts against replayed reality,
     into ``reports/metrics.csv`` and ``reports/summary.csv``.
 
@@ -543,79 +582,75 @@ def stage_evaluate(config: RunConfig, data: dict[str, DemandSeries] | None = Non
     solved here, in one batch over the lanes of :func:`_in_lanes`, and
     replayed likewise. The forecasts give CE and the point metrics. The
     replayed events are the test days' that stage_ingest kept per station;
-    the trip file itself is not read again. ``data`` is what
-    :func:`load_ingested` returns, read here when not given; the stage does
-    not write to it.
+    the trip file itself is not read again. The stage does not write to
+    ``data``.
 
     One list of report rows holds it all: per station, the point metrics of
     each model and then the rows :func:`benchmark` returns. ``metrics.csv``
     is that list, and ``summary.csv`` is :func:`summarize` of it.
     """
-    with _stage("evaluate"):
-        data = load_ingested(config) if data is None else data
-        capacities = read(config, "stations", parse_stations)
-        penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
+    capacities = read(config, "stations", parse_stations)
+    penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
 
-        rows: list[dict] = []
-        inputs, oracle_jobs = {}, []
-        for sid in sorted(data):
-            test, days = _test_days(data[sid])
-            predictions = {}
-            for name in sorted(config.models):
-                fdays, predictions[name] = load_forecasts(config, sid, name)
-                if fdays != days:
-                    raise DataError(f"forecast days for {sid}/{name} do not match the "
-                                    f"test split")
-                for k, proc in enumerate(("pickups", "returns")):
-                    metrics = point_metrics(getattr(test, proc), predictions[name][..., k].ravel())
-                    rows += [{"station": sid, "date": "test", "model": name,
-                              "metric": f"{metric}_{proc}", "value": value}
-                             for metric, value in metrics.items()]
-            decisions = read(config, "decisions", parse_decisions, sorted(predictions), days,
-                             capacities[sid], sid=sid)
-            day_counts = [test.day(i) for i in range(test.n_days)]
-            events = read(config, "events", events_from_csv, sid, sid=sid)
-            inputs[sid] = (predictions, decisions, day_counts,
-                           [events.slice_day(d) for d in days])
-            oracle_jobs += [(counts, capacities[sid], penalties) for counts in day_counts]
-        oracle = iter(_in_lanes(oracle_decision, oracle_jobs))
-        for sid, (predictions, decisions, day_counts, day_events) in inputs.items():
-            decisions["oracle"] = [next(oracle).s_star for _ in day_counts]
-            rows += benchmark(predictions, decisions, day_events, day_counts,
-                              capacities[sid], penalties)
-        metrics = rows_to_csv(rows, ("station", "date", "model", "metric", "value"))
-        write(config, "report", metrics, name="metrics.csv")
-        summary = rows_to_csv(summarize(rows), ("model", "mean_cost", "rpd", "mean_ce"))
-        write(config, "report", summary, name="summary.csv")
+    rows: list[dict] = []
+    inputs, oracle_jobs = {}, []
+    for sid in sorted(data):
+        test, days = _test_days(data[sid])
+        predictions = {}
+        for name in sorted(config.models):
+            fdays, predictions[name] = load_forecasts(config, sid, name)
+            if fdays != days:
+                raise DataError(f"forecast days for {sid}/{name} do not match the "
+                                f"test split")
+            for k, proc in enumerate(("pickups", "returns")):
+                metrics = point_metrics(getattr(test, proc), predictions[name][..., k].ravel())
+                rows += [{"station": sid, "date": "test", "model": name,
+                          "metric": f"{metric}_{proc}", "value": value}
+                         for metric, value in metrics.items()]
+        decisions = read(config, "decisions", parse_decisions, sorted(predictions), days,
+                         capacities[sid], sid=sid)
+        day_counts = [test.day(i) for i in range(test.n_days)]
+        events = read(config, "events", events_from_csv, sid, sid=sid)
+        inputs[sid] = (predictions, decisions, day_counts,
+                       [events.slice_day(d) for d in days])
+        oracle_jobs += [(counts, capacities[sid], penalties) for counts in day_counts]
+    oracle = iter(_in_lanes(oracle_decision, oracle_jobs))
+    for sid, (predictions, decisions, day_counts, day_events) in inputs.items():
+        decisions["oracle"] = [next(oracle).s_star for _ in day_counts]
+        rows += benchmark(predictions, decisions, day_events, day_counts,
+                          capacities[sid], penalties)
+    metrics = rows_to_csv(rows, ("station", "date", "model", "metric", "value"))
+    write(config, "report", metrics, name="metrics.csv")
+    summary = rows_to_csv(summarize(rows), ("model", "mean_cost", "rpd", "mean_ce"))
+    write(config, "report", summary, name="summary.csv")
 
 
+@Stage("bias-study", "decision sensitivity to forecast bias on a synthetic day")
 def stage_bias(config: RunConfig) -> None:
     """Bias study on the bundled peaked synthetic day, into ``reports/bias_curves.csv``:
     the kind, delta, s_star and cost of each row :func:`bias_study` returns,
     over the grid of the config's ``bias_delta_max`` and ``bias_delta_step``."""
-    with _stage("bias"):
-        penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
-        day_counts, day_events = peaked_day(seed=config.bias_seed,
-                                            interval_minutes=config.interval_minutes)
-        rows = bias_study(day_counts, day_events, config.bias_capacity,
-                          default_delta_grid(config.bias_delta_max, config.bias_delta_step),
-                          penalties)
-        write(config, "report", rows_to_csv(rows, ("kind", "delta", "s_star", "cost")),
-              name="bias_curves.csv")
+    penalties = PenaltyConfig(config.lost_pickup_penalty, config.lost_return_penalty)
+    day_counts, day_events = peaked_day(seed=config.bias_seed,
+                                        interval_minutes=config.interval_minutes)
+    rows = bias_study(day_counts, day_events, config.bias_capacity,
+                      default_delta_grid(config.bias_delta_max, config.bias_delta_step),
+                      penalties)
+    write(config, "report", rows_to_csv(rows, ("kind", "delta", "s_star", "cost")),
+          name="bias_curves.csv")
 
 
 def run_pipeline(config: RunConfig) -> None:
-    """Run every stage in order; deterministic given config and seed.
+    """Run every stage of :data:`STAGES` in order; deterministic given config
+    and seed.
 
-    The ``demand/`` files are read once, after stage_ingest writes them, and
-    the result goes to train, forecast and evaluate. It is what each of them
-    reads when run alone, so the run scores what the files hold.
+    The ``demand/`` files are read once, by the first stage that reads them
+    after stage_ingest writes them, and each stage passes the result on to the
+    next (:class:`Stage`). It is what each of them reads when run alone, so
+    the run scores what the files hold. Each stage
+    is called by its module-level name, so that a wrapper put in its place
+    is the one called.
     """
-    stage_ingest(config)
-    with _stage("train"):  # a failed read fails as train, its first reader, would
-        data = load_ingested(config)
-    stage_train(config, data)
-    stage_forecast(config, data)
-    stage_optimize(config)
-    stage_evaluate(config, data)
-    stage_bias(config)
+    data = None
+    for name in STAGES:
+        data = globals()[f"stage_{name}"](config, data)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, overrides, stage smoke runs."""
 
+import argparse
 import ast
 import csv
 import dataclasses
@@ -18,9 +19,10 @@ import numpy as np
 import pytest
 import yaml
 
-from bikecast import synthetic
-from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from bikecast import artifacts, experiments, synthetic
+from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from bikecast.config import RunConfig
+from bikecast.errors import DataError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -386,9 +388,30 @@ def test_ingest_refuses_a_selected_station_without_trips(tmp_path, capsys, corpu
     stations.write_text(Path(corpus["stations"]).read_text() + "9,10,residential\n")
     path = write_config(tmp_path / "run.yaml", {**corpus, "stations": str(stations)},
                         tmp_path / "out", stations=["7", "9"])
+    before = sorted(tmp_path.rglob("*"))
     assert main(["ingest", "--config", path]) == EXIT_DATA
     assert capsys.readouterr().err == ("bikecast: stage ingest: station 9 has no events in "
                                        "the trip file\n")
+    # station 7, selected first, gets no demand file either
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_failed_demand_read_inside_pipeline_names_stage_train(tmp_path, capsys, corpus,
+                                                                monkeypatch):
+    # the pipeline reads demand/ once, for train, forecast and evaluate; a
+    # failed read names train, the first of them, as a train run alone does
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "run.yaml", corpus, out, stations=["7"])
+
+    def refuse(config):
+        raise DataError("demand/ unreadable")
+
+    monkeypatch.setattr(experiments, "load_ingested", refuse)
+    for command in ("pipeline", "train"):
+        assert main([command, "--config", path]) == EXIT_DATA
+        assert capsys.readouterr().err == "bikecast: stage train: demand/ unreadable\n"
+    assert (out / "demand" / "station_7.csv").exists()
+    assert not (out / "models").exists()
 
 
 def test_a_forecast_of_other_days_exits_data_at_evaluate(tmp_path, capsys, corpus):
@@ -1035,6 +1058,35 @@ def test_no_module_but_artifacts_knows_the_config_line():
                     for arg in node.args for part in ast.walk(arg)):
                 found.append(f"{path.name}:{node.lineno}: startswith('#')")
     assert found == []
+
+
+def test_the_parser_offers_each_stage_command_in_run_order_then_pipeline():
+    # the words, not argparse's layout, which differs between Python versions
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert [(choice.dest, choice.help) for choice in sub._choices_actions] == [
+        ("ingest", "parse trips and weather into per-station demand files"),
+        ("train", "fit all configured models"),
+        ("forecast", "predict every test day with every model"),
+        ("optimize", "turn forecasts into starting-inventory decisions"),
+        ("evaluate", "score decisions by replayed cost, RPD and CE"),
+        ("bias-study", "decision sensitivity to forecast bias on a synthetic day"),
+        ("pipeline", "run every stage in order"),
+    ]
+    # the stage that artifacts.read names for a missing file is one the
+    # errors of a stage carry
+    writers = {writer for writer, _ in artifacts.KINDS.values()} - {None}
+    assert writers <= set(experiments.STAGES)
+
+
+def test_no_stage_command_or_help_text_is_spelled_in_the_cli():
+    # experiments.STAGES states each stage's command and help text; a second
+    # spelling in cli.py could drift from it
+    spelled = {text for stage in experiments.STAGES.values()
+               for text in (stage.command, stage.help)}
+    tree = ast.parse((REPO_ROOT / "src" / "bikecast" / "cli.py").read_text())
+    assert [f"cli.py:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in spelled] == []
 
 
 def test_no_module_but_artifacts_knows_the_forecast_and_decision_columns():
