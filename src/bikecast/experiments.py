@@ -220,12 +220,15 @@ def stage_ingest(config: RunConfig) -> None:
     fails here. The run gets ``weather.csv``. Weather without an observation
     at the first hour of the range is refused (:func:`check_weather_covers`).
     A selected station id that cannot name a file or lead a CSV row
-    (:data:`_REFUSED_ID`), or that has no trips, fails before anything is
-    written.
+    (:data:`_REFUSED_ID`), or that has no trips or no events in the day
+    range, fails before anything is written, as does a trip file with no
+    trips to select stations from.
     """
     capacities = read_input(config.stations_path, parse_stations)
     trips = read_input(config.trips_path, _read_trips)
     selected = list(config.stations) or top_stations(trips, config.top_n)
+    if not selected:
+        raise DataError("no station to select: the trip file holds no trips")
     refused = [s for s in selected if _REFUSED_ID.search(s)]
     if refused:
         raise DataError(f"station ids that cannot name a file or lead a CSV row: {refused}")
@@ -238,11 +241,16 @@ def stage_ingest(config: RunConfig) -> None:
     check_weather_covers(weather, day_range)
     if idle := [s for s in selected if s not in streams]:
         raise DataError(f"station {idle[0]} has no events in the trip file")
+    series = {sid: aggregate(streams[sid], config.interval_minutes, day_range)
+              for sid in selected}
+    test = split(series[selected[0]]).test  # every series spans day_range
+    if empty := [sid for sid in selected if not (series[sid].pickups.any()
+                                                 or series[sid].returns.any())]:
+        raise DataError(f"station {empty[0]} has no events from {config.start_date} "
+                        f"to {config.end_date}")
     lines = [",".join(STATION_COLUMNS)]
     for sid in selected:
-        series = aggregate(streams[sid], config.interval_minutes, day_range)
-        test = split(series).test
-        write(config, "demand", demand_to_csv(series), sid)
+        write(config, "demand", demand_to_csv(series[sid]), sid)
         write(config, "events", events_to_csv(
             streams[sid].slice_day(test.start.date(), test.n_days)), sid)
         lines.append(f"{sid},{capacities[sid]}")

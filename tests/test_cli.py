@@ -17,61 +17,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
+from conftest import Spelled, tree, write_config
 
-from bikecast import artifacts, experiments, synthetic
+from bikecast import artifacts, experiments
 from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from bikecast.config import RunConfig
 from bikecast.errors import DataError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-STATIONS = (
-    synthetic.StationSpec("7", 20, "residential"),
-    synthetic.StationSpec("8", 24, "business"),
-)
-
-
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cli_data")
-    paths = synthetic.write_corpus(str(root), seed=11, stations=STATIONS, base_rate=2.0)
-    return paths
-
-
-class Spelled(str):
-    """A YAML integer written just as spelled, such as ``010`` or ``0x10``."""
-
-    def __repr__(self):
-        return str(self)
-
-
-class _Dumper(yaml.SafeDumper):
-    pass
-
-
-_Dumper.add_representer(
-    Spelled, lambda dumper, text: dumper.represent_scalar("tag:yaml.org,2002:int", text))
-
-
-def write_config(path, paths, out, **extra):
-    payload = {
-        "trips_path": paths["trips"],
-        "weather_path": paths["weather"],
-        "stations_path": paths["stations"],
-        "out_dir": str(out),
-        "seed": 5,
-        "start_date": "2018-01-01",
-        "end_date": "2018-12-31",
-        "stations": ["7", "8"],
-        "models": ["ha"],
-        "bias_delta_max": 4.0,
-        "bias_delta_step": 2.0,
-    }
-    payload.update(extra)
-    with open(path, "w") as fh:
-        yaml.dump(payload, fh, Dumper=_Dumper)
-    return str(path)
 
 
 # -- usage and configuration problems ---------------------------------------------
@@ -396,6 +349,31 @@ def test_ingest_refuses_a_selected_station_without_trips(tmp_path, capsys, corpu
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_a_trip_file_without_trips_selects_no_station(tmp_path, capsys, corpus_copy):
+    # top_n selects from the trips; a run with no station to score refuses
+    trips = Path(corpus_copy["trips"])
+    trips.write_text(trips.read_text().split("\n", 1)[0] + "\n")
+    path = write_config(tmp_path / "run.yaml", corpus_copy, tmp_path / "out", stations=[])
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["pipeline", "--config", path]) == EXIT_DATA
+    assert capsys.readouterr().err == ("bikecast: stage ingest: no station to select: the "
+                                       "trip file holds no trips\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_ingest_refuses_a_station_without_events_in_the_day_range(tmp_path, capsys,
+                                                                   corpus_copy):
+    # every trip a year before the range: the stations have events, none to score
+    trips = Path(corpus_copy["trips"])
+    trips.write_text(trips.read_text().replace("2018-", "2017-"))
+    path = write_config(tmp_path / "run.yaml", corpus_copy, tmp_path / "out")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["pipeline", "--config", path]) == EXIT_DATA
+    assert capsys.readouterr().err == ("bikecast: stage ingest: station 7 has no events from "
+                                       "2018-01-01 to 2018-12-31\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_a_failed_demand_read_inside_pipeline_names_stage_train(tmp_path, capsys, corpus,
                                                                 monkeypatch):
     # the pipeline reads demand/ once, for train, forecast and evaluate; a
@@ -710,22 +688,17 @@ def test_the_bench_tracer_records_every_model_layer(tmp_path, corpus):
                      "neural.load_checkpoint", "neural.predict_rates", "autodiff.grad"}
 
 
-def _tree(root) -> dict[str, bytes]:
-    return {str(p.relative_to(root)): p.read_bytes()
-            for p in sorted(Path(root).rglob("*")) if p.is_file()}
-
-
 def test_pipeline_writes_what_the_six_commands_write(tmp_path, corpus):
     out = tmp_path / "out"
     path = write_config(tmp_path / "run.yaml", corpus, out, models=["ha", "ma", "lr"])
     for command in ("ingest", "train", "forecast", "optimize", "evaluate", "bias-study"):
         proc = run_console_script([command, "--config", path], cwd=tmp_path)
         assert proc.returncode == EXIT_OK, proc.stderr
-    separate = _tree(out)
+    separate = tree(out)
     assert "reports/summary.csv" in separate and "reports/bias_curves.csv" in separate
     shutil.rmtree(out)
     assert main(["pipeline", "--config", path]) == EXIT_OK
-    assert _tree(out) == separate
+    assert tree(out) == separate
 
 
 @pytest.mark.parametrize("body", ["", "\n\n"])
@@ -1037,6 +1010,24 @@ def test_no_module_reads_csv_rows_but_the_one_reader():
                         and any(isinstance(arg, ast.Constant) and arg.value == ","
                                 for arg in node.args)):
                     found.append(f"{path.name}: .{node.func.attr}(',') in {where[1]}")
+    assert found == []
+
+
+def test_no_test_module_writes_a_corpus_of_its_own():
+    # conftest.py writes the shared corpus once a session, and a test that
+    # changes an input changes its copy (corpus_copy); test_synthetic.py
+    # tests the generator itself
+    found = []
+    for path in sorted((REPO_ROOT / "tests").glob("*.py")):
+        if path.name in ("conftest.py", "test_synthetic.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and any(
+                    alias.name == "write_corpus" for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}: import")
+            if isinstance(node, ast.Call) and "write_corpus" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                found.append(f"{path.name}:{node.lineno}: call")
     assert found == []
 
 

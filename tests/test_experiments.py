@@ -1,5 +1,6 @@
 """Bias-sensitivity machinery and the staged file pipeline."""
 
+import ast
 import dataclasses
 import functools
 import os
@@ -14,10 +15,10 @@ from pathlib import Path
 import lane_jobs
 import numpy as np
 import pytest
-import yaml
+from conftest import run_config, tree, write_config
 from test_ingest import quoted_citi_bike_file
 
-from bikecast import artifacts, evaluate, experiments, ingest, neural, synthetic
+from bikecast import artifacts, evaluate, experiments, ingest, neural
 from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, _exit_code_for, main
 from bikecast.config import DEFAULT_MODELS, RunConfig
 from bikecast.errors import DataError, DomainError, RowError, StageError, TrainingError
@@ -178,25 +179,12 @@ def test_bias_curves_csv_layout(pipeline_run):
 
 # -- pipeline stages ------------------------------------------------------------
 
-STATIONS = (
-    synthetic.StationSpec("7", 20, "residential"),
-    synthetic.StationSpec("8", 24, "business"),
-)
-
 
 @pytest.fixture(scope="module")
-def pipeline_run(tmp_path_factory):
+def pipeline_run(tmp_path_factory, corpus):
     """Classical-models-only pipeline on a small two-station corpus."""
-    root = tmp_path_factory.mktemp("pipe")
-    paths = synthetic.write_corpus(str(root / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = RunConfig(
-        trips_path=paths["trips"], weather_path=paths["weather"],
-        stations_path=paths["stations"], out_dir=str(root / "out"), seed=5,
-        start_date="2018-01-01", end_date="2018-12-31",
-        stations=["7", "8"], models=["ha", "ma", "lr"],
-        bias_delta_max=4.0, bias_delta_step=2.0,
-    )
+    config = run_config(corpus, tmp_path_factory.mktemp("pipe") / "out",
+                        models=["ha", "ma", "lr"])
     experiments.run_pipeline(config)
     return config
 
@@ -213,7 +201,7 @@ def test_the_registry_holds_each_default_model_once():
 
 def test_pipeline_writes_expected_artifacts(pipeline_run):
     config = pipeline_run
-    rel = sorted(_run_files(config.out_dir))
+    rel = sorted(tree(config.out_dir))
     for expected in (
         "decisions/7.csv",
         "decisions/8.csv",
@@ -236,7 +224,7 @@ def test_pipeline_writes_expected_artifacts(pipeline_run):
 def test_every_artifact_carries_config_hash(pipeline_run):
     config = pipeline_run
     stamp = artifacts.artifact_header(config).encode()
-    for name, blob in _run_files(config.out_dir).items():
+    for name, blob in tree(config.out_dir).items():
         assert blob.startswith(stamp), name
 
 
@@ -264,17 +252,11 @@ def test_forecasts_cover_the_test_split(pipeline_run):
 
 
 @pytest.mark.parametrize("interval", [15, 60])
-def test_a_forecast_file_reads_back_as_each_forecasters_array(tmp_path, interval):
+def test_a_forecast_file_reads_back_as_each_forecasters_array(tmp_path, corpus, interval):
     # the file keeps each rate to 10 significant digits; what load_forecasts
     # reads is the forecaster's array at that precision, exactly, on its days
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = RunConfig(
-        trips_path=paths["trips"], weather_path=paths["weather"],
-        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
-        start_date="2018-01-01", end_date="2018-12-31", stations=["7"],
-        interval_minutes=interval, hidden_width=4, max_epochs=1,
-    )
+    config = run_config(corpus, tmp_path / "out", stations=["7"], models=list(DEFAULT_MODELS),
+                        interval_minutes=interval, hidden_width=4, max_epochs=1)
     experiments.stage_ingest(config)
     experiments.stage_train(config)
     series = artifacts.load_ingested(config)["7"]
@@ -294,9 +276,10 @@ def test_a_forecast_file_reads_back_as_each_forecasters_array(tmp_path, interval
 
 def test_stages_rerun_from_artifacts(pipeline_run):
     config = pipeline_run
-    before = _reports(config)
+    reports = Path(config.out_dir, "reports")
+    before = tree(reports)
     experiments.stage_evaluate(config)
-    assert _reports(config) == before
+    assert tree(reports) == before
     assert {"summary.csv", "metrics.csv"} <= set(before)
     metrics = Path(config.out_dir, "reports", "metrics.csv")
     assert {row[0] for row in _kept_rows(metrics)} == {"7", "8"}
@@ -316,58 +299,34 @@ def test_rerun_is_byte_identical(pipeline_run, tmp_path):
             assert fh.read() == blob, name
 
 
-def test_stage_requires_upstream_artifacts(tmp_path):
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = RunConfig(
-        trips_path=paths["trips"], weather_path=paths["weather"],
-        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
-        start_date="2018-01-01", end_date="2018-12-31",
-        stations=["7"], models=["ha"],
-    )
+def test_stage_requires_upstream_artifacts(tmp_path, corpus):
+    config = run_config(corpus, tmp_path / "out", stations=["7"])
     with pytest.raises(StageError) as err:
         experiments.stage_train(config)
     assert "ingest" in str(err.value)
     assert "stations_selected" in str(err.value)
 
 
-def test_stage_ingest_names_missing_input(tmp_path):
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = RunConfig(
-        trips_path=str(tmp_path / "nope.csv"), weather_path=paths["weather"],
-        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
-        start_date="2018-01-01", end_date="2018-12-31", stations=["7"],
-    )
+def test_stage_ingest_names_missing_input(tmp_path, corpus):
+    config = run_config({**corpus, "trips": str(tmp_path / "nope.csv")}, tmp_path / "out",
+                        stations=["7"])
     with pytest.raises(StageError) as err:
         experiments.stage_ingest(config)
     assert "nope.csv" in str(err.value)
 
 
-def test_stage_ingest_rejects_unknown_station(tmp_path):
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = RunConfig(
-        trips_path=paths["trips"], weather_path=paths["weather"],
-        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
-        start_date="2018-01-01", end_date="2018-12-31", stations=["99"],
-    )
+def test_stage_ingest_rejects_unknown_station(tmp_path, corpus):
+    config = run_config(corpus, tmp_path / "out", stations=["99"])
     with pytest.raises(StageError) as err:
         experiments.stage_ingest(config)
     assert "99" in str(err.value)
 
 
-def test_neural_models_run_through_pipeline(tmp_path):
+def test_neural_models_run_through_pipeline(tmp_path, corpus):
     """Ingest to evaluate with only the recurrent models, whose checkpoints
     are the first files written under ``models/``."""
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = RunConfig(
-        trips_path=paths["trips"], weather_path=paths["weather"],
-        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
-        start_date="2018-01-01", end_date="2018-12-31", stations=["7"],
-        models=["prnn", "vprnn", "movprnn"], hidden_width=4, max_epochs=1,
-    )
+    config = run_config(corpus, tmp_path / "out", stations=["7"],
+                        models=["prnn", "vprnn", "movprnn"], hidden_width=4, max_epochs=1)
     experiments.stage_ingest(config)
     experiments.stage_train(config)
     for name in ("7_prnn_pickups", "7_prnn_returns", "7_vprnn_pickups",
@@ -394,38 +353,25 @@ def test_neural_models_run_through_pipeline(tmp_path):
     assert all(np.isfinite(float(row[1])) for row in overall)
 
 
-def staged_run(tmp_path) -> tuple[RunConfig, dict]:
-    """A one-station, ha-only run taken through ingest, train, forecast, optimize."""
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = RunConfig(
-        trips_path=paths["trips"], weather_path=paths["weather"],
-        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
-        start_date="2018-01-01", end_date="2018-12-31", stations=["7"], models=["ha"],
-    )
+def staged_run(tmp_path, paths) -> RunConfig:
+    """A one-station, ha-only run over the corpus at ``paths``, taken through
+    ingest, train, forecast, optimize."""
+    config = run_config(paths, tmp_path / "out", stations=["7"])
     for stage in (experiments.stage_ingest, experiments.stage_train,
                   experiments.stage_forecast, experiments.stage_optimize):
         stage(config)
-    return config, paths
+    return config
 
 
-def _reports(config: RunConfig) -> dict[str, bytes]:
-    reports = os.path.join(config.out_dir, "reports")
-    blobs = {}
-    for name in sorted(os.listdir(reports)):
-        with open(os.path.join(reports, name), "rb") as fh:
-            blobs[name] = fh.read()
-    return blobs
-
-
-def test_evaluate_does_not_read_the_trip_file(tmp_path):
-    config, paths = staged_run(tmp_path)
+def test_evaluate_does_not_read_the_trip_file(tmp_path, corpus_copy):
+    config = staged_run(tmp_path, corpus_copy)
+    reports = Path(config.out_dir, "reports")
     experiments.stage_evaluate(config)
-    kept = _reports(config)
+    kept = tree(reports)
     assert sorted(kept) == ["metrics.csv", "summary.csv"]
-    os.remove(paths["trips"])
+    os.remove(corpus_copy["trips"])
     experiments.stage_evaluate(config)
-    assert _reports(config) == kept
+    assert tree(reports) == kept
 
 
 def _full_stream_csv(paths) -> str:
@@ -433,53 +379,43 @@ def _full_stream_csv(paths) -> str:
     return events_to_csv(to_event_streams(read_input(paths["trips"], parse_trips), ["7"])["7"])
 
 
-def test_ingest_keeps_the_events_of_the_test_days_alone(tmp_path):
-    config, paths = staged_run(tmp_path)
+def test_ingest_keeps_the_events_of_the_test_days_alone(tmp_path, corpus):
+    config = staged_run(tmp_path, corpus)
     test = split(experiments.load_ingested(config)["7"]).test
     assert (test.start, test.n_days) == (datetime(2018, 11, 1), 61)
-    header, *rows = _full_stream_csv(paths).splitlines(keepends=True)
+    header, *rows = _full_stream_csv(corpus).splitlines(keepends=True)
     cut = [row for row in rows if row.startswith(("2018-11-", "2018-12-"))]
     assert 0 < len(cut) < len(rows) // 4
     kept = Path(config.out_dir, "demand", "events_7.csv").read_text()
     assert kept == artifacts.artifact_header(config) + header + "".join(cut)
 
 
-def test_evaluate_scores_the_cut_events_as_the_full_stream(tmp_path):
-    config, paths = staged_run(tmp_path)
+def test_evaluate_scores_the_cut_events_as_the_full_stream(tmp_path, corpus):
+    config = staged_run(tmp_path, corpus)
+    reports = Path(config.out_dir, "reports")
     experiments.stage_evaluate(config)
-    kept = _reports(config)
+    kept = tree(reports)
     events = Path(config.out_dir, "demand", "events_7.csv")
-    events.write_text(artifacts.artifact_header(config) + _full_stream_csv(paths))
+    events.write_text(artifacts.artifact_header(config) + _full_stream_csv(corpus))
     experiments.stage_evaluate(config)
-    assert _reports(config) == kept
+    assert tree(reports) == kept
 
 
 def _train_and_forecast(config: RunConfig) -> dict[str, bytes]:
     experiments.stage_train(config)
     experiments.stage_forecast(config)
-    forecasts = os.path.join(config.out_dir, "forecasts")
-    blobs = {}
-    for name in sorted(os.listdir(forecasts)):
-        with open(os.path.join(forecasts, name), "rb") as fh:
-            blobs[name] = fh.read()
-    return blobs
+    return tree(Path(config.out_dir, "forecasts"))
 
 
-def test_quarter_hour_run_rebuilds_the_covariates_from_the_kept_weather(tmp_path):
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = RunConfig(
-        trips_path=paths["trips"], weather_path=paths["weather"],
-        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
-        start_date="2018-01-01", end_date="2018-12-31", stations=["7"],
-        models=["ha", "lr"], interval_minutes=15,
-    )
+def test_quarter_hour_run_rebuilds_the_covariates_from_the_kept_weather(tmp_path, corpus):
+    config = run_config(corpus, tmp_path / "out", stations=["7"], models=["ha", "lr"],
+                        interval_minutes=15)
     experiments.stage_ingest(config)
     with open(os.path.join(config.out_dir, "demand", "station_7.csv")) as fh:
         assert fh.readline() == artifacts.artifact_header(config)
         assert fh.readline() == "interval_start,pickups,returns\n"
     series = experiments.load_ingested(config)["7"]
-    expected = build_covariates(read_input(paths["weather"], parse_weather),
+    expected = build_covariates(read_input(corpus["weather"], parse_weather),
                                 (date(2018, 1, 1), date(2018, 12, 31)), 15)
     assert series.covariates.shape == (365 * 96, len(covariate_columns(15))) == (35040, 105)
     np.testing.assert_array_equal(series.covariates, expected)
@@ -489,29 +425,16 @@ def test_quarter_hour_run_rebuilds_the_covariates_from_the_kept_weather(tmp_path
     assert len(days) == 61 and rates.shape == (61, 96, 2)
 
 
-def test_train_and_forecast_do_not_read_the_weather_input(tmp_path):
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = RunConfig(
-        trips_path=paths["trips"], weather_path=paths["weather"],
-        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
-        start_date="2018-01-01", end_date="2018-12-31", stations=["7"],
-        models=["ha", "lr"],
-    )
+def test_train_and_forecast_do_not_read_the_weather_input(tmp_path, corpus_copy):
+    config = run_config(corpus_copy, tmp_path / "out", stations=["7"], models=["ha", "lr"])
     experiments.stage_ingest(config)
     kept = _train_and_forecast(config)
-    os.remove(paths["weather"])
+    os.remove(corpus_copy["weather"])
     assert _train_and_forecast(config) == kept
 
 
-def test_train_without_kept_weather_names_ingest(tmp_path):
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = RunConfig(
-        trips_path=paths["trips"], weather_path=paths["weather"],
-        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
-        start_date="2018-01-01", end_date="2018-12-31", stations=["7"], models=["lr"],
-    )
+def test_train_without_kept_weather_names_ingest(tmp_path, corpus):
+    config = run_config(corpus, tmp_path / "out", stations=["7"], models=["lr"])
     experiments.stage_ingest(config)
     os.remove(os.path.join(config.out_dir, "demand", "weather.csv"))
     with pytest.raises(StageError) as err:
@@ -521,14 +444,8 @@ def test_train_without_kept_weather_names_ingest(tmp_path):
     assert "run the ingest stage first" in str(err.value)
 
 
-def test_load_ingested_names_the_line_and_path_of_a_bad_kept_weather_row(tmp_path):
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = RunConfig(
-        trips_path=paths["trips"], weather_path=paths["weather"],
-        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
-        start_date="2018-01-01", end_date="2018-12-31", stations=["7"], models=["lr"],
-    )
+def test_load_ingested_names_the_line_and_path_of_a_bad_kept_weather_row(tmp_path, corpus):
+    config = run_config(corpus, tmp_path / "out", stations=["7"], models=["lr"])
     experiments.stage_ingest(config)
     weather = Path(config.out_dir) / "demand" / "weather.csv"
     lines = weather.read_text().splitlines()
@@ -541,8 +458,8 @@ def test_load_ingested_names_the_line_and_path_of_a_bad_kept_weather_row(tmp_pat
     assert str(err.value).startswith(f"{weather}: line 7: rain_probability 1.5 outside [0, 1]")
 
 
-def test_evaluate_without_kept_events_names_ingest(tmp_path):
-    config, _ = staged_run(tmp_path)
+def test_evaluate_without_kept_events_names_ingest(tmp_path, corpus):
+    config = staged_run(tmp_path, corpus)
     os.remove(os.path.join(config.out_dir, "demand", "events_7.csv"))
     with pytest.raises(StageError) as err:
         experiments.stage_evaluate(config)
@@ -551,8 +468,8 @@ def test_evaluate_without_kept_events_names_ingest(tmp_path):
     assert "run the ingest stage first" in str(err.value)
 
 
-def test_evaluate_replays_the_decisions_that_optimize_wrote(tmp_path):
-    config, _ = staged_run(tmp_path)
+def test_evaluate_replays_the_decisions_that_optimize_wrote(tmp_path, corpus):
+    config = staged_run(tmp_path, corpus)
     day = "2018-11-07"
     path = Path(config.out_dir, "decisions", "7.csv")
     lines = path.read_text().splitlines()
@@ -571,8 +488,8 @@ def test_evaluate_replays_the_decisions_that_optimize_wrote(tmp_path):
     assert float(reported["cost"]) == cost
 
 
-def test_evaluate_without_decisions_names_optimize(tmp_path):
-    config, _ = staged_run(tmp_path)
+def test_evaluate_without_decisions_names_optimize(tmp_path, corpus):
+    config = staged_run(tmp_path, corpus)
     os.remove(os.path.join(config.out_dir, "decisions", "7.csv"))
     with pytest.raises(StageError) as err:
         experiments.stage_evaluate(config)
@@ -580,8 +497,8 @@ def test_evaluate_without_decisions_names_optimize(tmp_path):
     assert "run the optimize stage first" in str(err.value)
 
 
-def test_evaluate_rejects_decisions_missing_a_test_day(tmp_path):
-    config, _ = staged_run(tmp_path)
+def test_evaluate_rejects_decisions_missing_a_test_day(tmp_path, corpus):
+    config = staged_run(tmp_path, corpus)
     path = Path(config.out_dir, "decisions", "7.csv")
     kept = [ln for ln in path.read_text().splitlines() if not ln.startswith("2018-12-31,")]
     path.write_text("\n".join(kept) + "\n")
@@ -600,17 +517,10 @@ def _read_only(data: dict) -> dict:
     return data
 
 
-def test_pipeline_reads_the_demand_files_once_and_writes_nothing_to_them(tmp_path,
+def test_pipeline_reads_the_demand_files_once_and_writes_nothing_to_them(tmp_path, corpus,
                                                                          monkeypatch):
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = RunConfig(
-        trips_path=paths["trips"], weather_path=paths["weather"],
-        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
-        start_date="2018-01-01", end_date="2018-12-31", stations=["7", "8"],
-        models=["ha", "ma", "lr", "prnn"], hidden_width=4, max_epochs=1, patience=1,
-        bias_delta_max=4.0, bias_delta_step=2.0,
-    )
+    config = run_config(corpus, tmp_path / "out", models=["ha", "ma", "lr", "prnn"],
+                        hidden_width=4, max_epochs=1, patience=1)
     load, calls = experiments.load_ingested, []
     monkeypatch.setattr(experiments, "load_ingested",
                         lambda config: calls.append(config) or _read_only(load(config)))
@@ -620,16 +530,9 @@ def test_pipeline_reads_the_demand_files_once_and_writes_nothing_to_them(tmp_pat
     assert [row[0] for row in summary] == ["oracle", "ha", "lr", "ma", "prnn"]
 
 
-def test_a_pipeline_replays_each_scored_station_day_and_the_bias_day_once(tmp_path,
+def test_a_pipeline_replays_each_scored_station_day_and_the_bias_day_once(tmp_path, corpus,
                                                                           monkeypatch):
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = RunConfig(
-        trips_path=paths["trips"], weather_path=paths["weather"],
-        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
-        start_date="2018-01-01", end_date="2018-12-31", stations=["7", "8"],
-        models=["ha", "lr"], bias_delta_max=4.0, bias_delta_step=2.0,
-    )
+    config = run_config(corpus, tmp_path / "out", models=["ha", "lr"])
     replayed = []
 
     def counting_replay_cost(events, capacity, penalties):
@@ -648,15 +551,8 @@ def test_a_pipeline_replays_each_scored_station_day_and_the_bias_day_once(tmp_pa
     assert replayed == [sid for sid, _ in station_days] + ["peaked"]
 
 
-def test_a_refused_forecast_names_its_station_and_model(tmp_path, monkeypatch):
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = RunConfig(
-        trips_path=paths["trips"], weather_path=paths["weather"],
-        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
-        start_date="2018-01-01", end_date="2018-12-31", stations=["7", "8"],
-        models=["ha", "lr"],
-    )
+def test_a_refused_forecast_names_its_station_and_model(tmp_path, corpus, monkeypatch):
+    config = run_config(corpus, tmp_path / "out", models=["ha", "lr"])
     experiments.stage_ingest(config)
     experiments.stage_train(config)
     lr = experiments.FORECASTERS["lr"]
@@ -677,8 +573,8 @@ def test_a_refused_forecast_names_its_station_and_model(tmp_path, monkeypatch):
     assert _exit_code_for(err.value) == EXIT_NUMERIC
 
 
-def test_optimize_solves_each_distinct_forecast_once(tmp_path, monkeypatch):
-    config, _ = staged_run(tmp_path)
+def test_optimize_solves_each_distinct_forecast_once(tmp_path, corpus, monkeypatch):
+    config = staged_run(tmp_path, corpus)
     path = Path(config.out_dir, "decisions", "7.csv")
     before = path.read_bytes()
     solved = []
@@ -815,25 +711,13 @@ def test_more_lanes_than_cores_run_every_job_once(monkeypatch, tmp_path):
 # -- decision curves over the lanes ------------------------------------------------
 
 
-def _run_files(out_dir) -> dict[str, bytes]:
-    return {str(p.relative_to(out_dir)): p.read_bytes()
-            for p in sorted(Path(out_dir).rglob("*")) if p.is_file()}
-
-
-def test_pipeline_artifacts_do_not_depend_on_the_lane_count(tmp_path, monkeypatch):
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = RunConfig(
-        trips_path=paths["trips"], weather_path=paths["weather"],
-        stations_path=paths["stations"], out_dir=str(tmp_path / "out"), seed=5,
-        start_date="2018-01-01", end_date="2018-12-31", stations=["7", "8"],
-        models=["ha", "lr"], bias_delta_max=4.0, bias_delta_step=1.0,
-    )
+def test_pipeline_artifacts_do_not_depend_on_the_lane_count(tmp_path, corpus, monkeypatch):
+    config = run_config(corpus, tmp_path / "out", models=["ha", "lr"], bias_delta_step=1.0)
     runs = {}
     for cores in (1, 2):
         monkeypatch.setattr(experiments, "_cores", lambda: cores)
         experiments.run_pipeline(config)
-        runs[cores] = _run_files(config.out_dir)
+        runs[cores] = tree(config.out_dir)
         os.rename(config.out_dir, tmp_path / f"out{cores}")
     for name in ("decisions/7.csv", "decisions/8.csv", "reports/metrics.csv",
                  "reports/summary.csv", "reports/bias_curves.csv"):
@@ -860,8 +744,9 @@ def test_a_solve_error_in_a_worker_reads_as_in_process(two_lanes):
 
 def test_a_bias_grid_beyond_the_solver_exits_numeric_on_any_lane_count(tmp_path, monkeypatch,
                                                                        capsys):
-    config = ingest_config(tmp_path, {"trips": "t", "weather": "w", "stations": "s"},
-                           bias_delta_max=2e6, bias_delta_step=1e6)
+    inputs = {"trips": "t", "weather": "w", "stations": "s"}
+    config = write_config(tmp_path / "run.yaml", inputs, tmp_path / "out", bias_delta_max=2e6,
+                          bias_delta_step=1e6)
     errors = []
     for cores in (1, 2):
         monkeypatch.setattr(experiments, "_cores", lambda: cores)
@@ -934,6 +819,38 @@ def test_one_lane_spawns_nothing_and_loads_no_multiprocessing(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[1, 2] []"
+
+
+def test_spawned_lanes_return_results_in_job_order_and_a_workers_error(tmp_path):
+    # off Linux the workers are spawned and import each job by its name in
+    # lane_jobs. This process claims the first job of each batch, and the
+    # worker, ready well within that job's second, claims the next ones
+    paths = [tmp_path / "0", tmp_path / "1"]
+    code = "\n".join([
+        "import os, sys, lane_jobs",
+        "from bikecast import experiments",
+        "from bikecast.errors import TrainingError",
+        "experiments._cores = lambda: 2",
+        "sys.platform = 'spawning'",
+        "results = experiments._in_lanes(",
+        "    lane_jobs.tagged, [('a', 1.0), ('b', 0.0), ('c', 0.0), ('d', 0.0)])",
+        "error = None",
+        "try:",
+        "    experiments._in_lanes(lane_jobs.fail, [(sys.argv[1], 1.0, False), (sys.argv[2],)])",
+        "except TrainingError as e:",
+        "    error = str(e)",
+        "print((os.getpid(), results, error))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=_env(),
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    parent, results, error = ast.literal_eval(proc.stdout)
+    assert [tag for tag, _ in results] == ["a", "b", "c", "d"]
+    pids = {pid for _, pid in results}
+    assert parent in pids and len(pids) == 2
+    # the second batch's worker, a new one, failed and sent its error back
+    assert error == "net 1: prnn diverged at epoch 3: loss nan"
+    assert _pid(paths[1]) not in pids | {parent}
 
 
 @pytest.mark.parametrize("error", [RowError(3, "bad", "p.csv"), RowError(4, "bad"),
@@ -1048,36 +965,23 @@ def test_trip_ranges_keep_the_quoted_line_breaks_they_do_not_cut(small_ranges, t
     assert got.start_stations[20] == _LONG_FIELD[1:-1].replace('""', '"')
 
 
-def ingest_config(tmp_path, paths, **extra) -> str:
-    """A config file for an ingest of station 7 from the corpus at ``paths``,
-    with the fields of ``extra`` added."""
-    config = tmp_path / "run.yaml"
-    config.write_text(yaml.safe_dump({
-        "trips_path": paths["trips"], "weather_path": paths["weather"],
-        "stations_path": paths["stations"], "out_dir": str(tmp_path / "out"), "seed": 5,
-        "start_date": "2018-01-01", "end_date": "2018-12-31", "stations": ["7"], **extra}))
-    return str(config)
-
-
-def test_a_quarter_hour_ingest_builds_no_covariates(tmp_path, capsys, monkeypatch):
+def test_a_quarter_hour_ingest_builds_no_covariates(tmp_path, corpus_copy, capsys, monkeypatch):
     # ingest only refuses weather that misses the first hour of the range
     # (check_weather_covers); the covariates, 35 040 x 105 floats at 15
     # minutes, are built by the stages that read them
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-
     def refuse(*args, **kwargs):
         raise AssertionError("ingest built the covariates")
 
     for module in (ingest, artifacts, experiments):
         monkeypatch.setattr(module, "build_covariates", refuse, raising=False)
-    config = ingest_config(tmp_path, paths, interval_minutes=15)
+    config = write_config(tmp_path / "run.yaml", corpus_copy, tmp_path / "out", stations=["7"],
+                          interval_minutes=15)
     assert main(["ingest", "--config", config]) == 0
     assert os.path.exists(tmp_path / "out" / "demand" / "weather.csv")
-    with open(paths["weather"]) as fh:
+    with open(corpus_copy["weather"]) as fh:
         header, first, *rest = fh.readlines()
     assert first.startswith("2018-01-01 00:00:00,")
-    with open(paths["weather"], "w") as fh:
+    with open(corpus_copy["weather"], "w") as fh:
         fh.writelines([header, *rest])
     capsys.readouterr()
     assert main(["ingest", "--config", config]) == EXIT_DATA
@@ -1086,20 +990,20 @@ def test_a_quarter_hour_ingest_builds_no_covariates(tmp_path, capsys, monkeypatc
 
 
 @pytest.fixture
-def corpus_with_two_bad_rows(tmp_path):
+def corpus_with_two_bad_rows(tmp_path, corpus_copy):
     """A small corpus whose trip file breaks a row early and a row late, and
     the config of an ingest over it."""
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    with open(paths["trips"]) as fh:
+    trips = corpus_copy["trips"]
+    with open(trips) as fh:
         lines = fh.read().split("\n")
     start, stop, origin, _dest = lines[100].split(",")
     lines[100] = f"{start},{stop},{origin}"  # short: the end station pads as empty
     start, stop, origin, dest = lines[-400].split(",")
     lines[-400] = f"{stop},{start},{origin},{dest}"
-    with open(paths["trips"], "w") as fh:
+    with open(trips, "w") as fh:
         fh.write("\n".join(lines))
-    return paths["trips"], ingest_config(tmp_path, paths)
+    return trips, write_config(tmp_path / "run.yaml", corpus_copy, tmp_path / "out",
+                               stations=["7"])
 
 
 def test_a_bad_row_in_a_range_raises_the_serial_error(small_ranges, corpus_with_two_bad_rows,
@@ -1119,20 +1023,17 @@ def test_a_bad_row_in_a_range_raises_the_serial_error(small_ranges, corpus_with_
     assert capsys.readouterr().err == f"bikecast: stage ingest: {serial.value}\n"
 
 
-def test_a_two_lane_pipeline_warns_of_nothing_in_dev_mode(tmp_path):
+def test_a_two_lane_pipeline_warns_of_nothing_in_dev_mode(tmp_path, corpus):
     # -X dev shows a file left open (ResourceWarning) and, from Python 3.12, a
     # fork while a thread runs (DeprecationWarning); -W error fails on them.
     # The pipeline runs every lane call: the trip file in ranges, the nets,
     # and the curves of optimize, evaluate and bias
-    paths = synthetic.write_corpus(str(tmp_path / "data"), seed=11, stations=STATIONS,
-                                   base_rate=2.0)
-    config = ingest_config(tmp_path, paths, models=["ha", "prnn"], hidden_width=4,
-                           max_epochs=1, bias_delta_max=4.0,
-                           bias_delta_step=2.0)
+    config = write_config(tmp_path / "run.yaml", corpus, tmp_path / "out", stations=["7"],
+                          models=["ha", "prnn"], hidden_width=4, max_epochs=1)
     code = ("import sys; from bikecast import cli, experiments; "
             "experiments._cores = lambda: 2; experiments._RANGE_BYTES = 1 << 14; "
             "sys.exit(cli.main(sys.argv[1:]))")
-    assert os.path.getsize(paths["trips"]) > 8 << 14
+    assert os.path.getsize(corpus["trips"]) > 8 << 14
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code,
                            "pipeline", "--config", config],
                           env=_env(), cwd=tmp_path, capture_output=True, text=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bikecast import artifacts, synthetic
+from bikecast import artifacts
 from bikecast.config import RunConfig
 from bikecast.errors import ConfigError, DataError, DomainError, FormatError, RowError
 from bikecast import ingest
@@ -171,11 +171,8 @@ def every_station(trips) -> set[str]:
     return set(trips.start_stations.tolist()) | set(trips.end_stations.tolist())
 
 
-def test_event_streams_match_the_per_trip_reference_on_a_corpus(tmp_path):
-    stations = (synthetic.StationSpec("7", 20, "residential"),
-                synthetic.StationSpec("8", 24, "business"))
-    paths = synthetic.write_corpus(str(tmp_path), seed=11, stations=stations, base_rate=2.0)
-    trips = read_input(paths["trips"], parse_trips)
+def test_event_streams_match_the_per_trip_reference_on_a_corpus(corpus):
+    trips = read_input(corpus["trips"], parse_trips)
     streams = to_event_streams(trips, every_station(trips))
     reference = reference_event_streams(trips)
     assert list(streams) == list(reference)

@@ -4,6 +4,7 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
+from conftest import STATIONS
 
 from bikecast import synthetic
 from bikecast.ingest import (
@@ -17,32 +18,27 @@ from bikecast.ingest import (
     to_event_streams,
 )
 
-SMALL = (
-    synthetic.StationSpec("7", 20, "residential"),
-    synthetic.StationSpec("8", 24, "business"),
-)
-
 
 # -- full-year corpus ----------------------------------------------------------
 
 
 def test_corpus_files_are_deterministic(tmp_path):
-    a = synthetic.write_corpus(str(tmp_path / "a"), seed=11, stations=SMALL, base_rate=2.0)
-    b = synthetic.write_corpus(str(tmp_path / "b"), seed=11, stations=SMALL, base_rate=2.0)
+    a = synthetic.write_corpus(str(tmp_path / "a"), seed=11, stations=STATIONS, base_rate=2.0)
+    b = synthetic.write_corpus(str(tmp_path / "b"), seed=11, stations=STATIONS, base_rate=2.0)
     for key in ("trips", "weather", "stations"):
         with open(a[key], "rb") as fa, open(b[key], "rb") as fb:
             assert fa.read() == fb.read()
 
 
 def test_corpus_seed_changes_trips(tmp_path):
-    a = synthetic.write_corpus(str(tmp_path / "a"), seed=11, stations=SMALL, base_rate=2.0)
-    b = synthetic.write_corpus(str(tmp_path / "b"), seed=12, stations=SMALL, base_rate=2.0)
+    a = synthetic.write_corpus(str(tmp_path / "a"), seed=11, stations=STATIONS, base_rate=2.0)
+    b = synthetic.write_corpus(str(tmp_path / "b"), seed=12, stations=STATIONS, base_rate=2.0)
     with open(a["trips"], "rb") as fa, open(b["trips"], "rb") as fb:
         assert fa.read() != fb.read()
 
 
 def test_corpus_roundtrips_through_parsers(tmp_path):
-    paths = synthetic.write_corpus(str(tmp_path), seed=11, stations=SMALL, base_rate=2.0)
+    paths = synthetic.write_corpus(str(tmp_path), seed=11, stations=STATIONS, base_rate=2.0)
 
     capacities = read_input(paths["stations"], parse_stations)
     assert capacities == {"7": 20, "8": 24}
