@@ -9,7 +9,9 @@ artifact is then read by the table reader of :mod:`.ingest`, its rows at their
 physical line numbers. :func:`read` names the file in every error it raises.
 
 A forecast is one (days, slots, 2) array of expected counts per interval,
-pickups then returns, from the forecaster to the report. Its file holds one
+pickups then returns, from the forecaster to the report: the shape of a
+station's realized counts in the :class:`.ingest.DemandSeries` that
+:func:`load_ingested` reads back. A forecast file holds one
 :data:`FORECAST_COLUMNS` row per day and slot, the days in increasing order:
 :func:`forecast_to_csv` writes it and :func:`load_forecasts` reads back the
 same array. The decision file, each forecast day's s* per model, is written
@@ -109,13 +111,23 @@ def read(config: RunConfig, kind: str, parse, *args, sid: str = "", name: str = 
 def load_ingested(config: RunConfig) -> dict[str, DemandSeries]:
     """Each selected station's series, read back from the ``demand/`` files of
     stage_ingest; the covariates are not stored but rebuilt from
-    ``demand/weather.csv``, once, into the one array that every series shares."""
+    ``demand/weather.csv``, once, into the one array that every series shares.
+
+    A demand file whose days are not those from the config's ``start_date``
+    to its ``end_date`` raises :class:`DataError` naming the file."""
     stations = read(config, "stations", parse_stations)
-    covariates = build_covariates(read(config, "weather", parse_weather),
-                                  (config.start_date, config.end_date), config.interval_minutes)
-    return {sid: replace(read(config, "demand", demand_from_csv, sid, config.interval_minutes,
-                              sid=sid), covariates=covariates)
-            for sid in stations}
+    first, last = config.start_date, config.end_date
+    covariates = build_covariates(read(config, "weather", parse_weather), (first, last),
+                                  config.interval_minutes)
+    data = {}
+    for sid in stations:
+        series = read(config, "demand", demand_from_csv, sid, config.interval_minutes, sid=sid)
+        if (series.first_day, series.n_days) != (first, len(covariates)):
+            raise DataError(f"{path(config, 'demand', sid)} holds {series.n_days} days from "
+                            f"{series.first_day}, not {first} to {last}; "
+                            f"run the ingest stage again")
+        data[sid] = replace(series, covariates=covariates)
+    return data
 
 
 def parse_model(lines: list[str], model_type: type, interval_minutes: int):

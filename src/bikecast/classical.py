@@ -2,8 +2,9 @@
 
 All three predict per-interval expected counts for one day ahead, which makes
 them directly comparable to the recurrent models and usable as inputs to the
-inventory optimizer. A prediction is one (days, slots, 2) array, pickups then
-returns, as every forecaster gives it.
+inventory optimizer. They fit on a :class:`.ingest.DemandSeries`, whose counts
+are one (days, slots, 2) array, pickups then returns; a prediction has that
+shape too, as every forecaster gives it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from datetime import date, datetime, time, timedelta
 import numpy as np
 
 from .errors import DataError, FormatError, TrainingError
-from .ingest import DemandSeries, covariate_columns
+from .ingest import PICKUP, RETURN, DemandSeries, covariate_columns
 
 
 @dataclass
@@ -39,7 +40,7 @@ class SeasonalProfile:
     def predict(self, series: DemandSeries) -> np.ndarray:
         """The (days, slots, 2) forecast of every day of ``series``: each day's
         weekday row of the pickup table, then of the return table."""
-        weekdays = (series.start.weekday() + np.arange(series.n_days)) % 7
+        weekdays = (series.first_day.weekday() + np.arange(series.n_days)) % 7
         return np.stack([self.pickup_table[weekdays], self.return_table[weekdays]], axis=2)
 
 
@@ -71,46 +72,36 @@ class LinearModel:
         x = _design(series.covariates, series.interval_minutes, self.columns)
         rates = np.stack([x @ self.pickup_coef, x @ self.return_coef], axis=1)
         # Negative affine outputs are clamped: rates feed a Poisson model.
-        return np.maximum(rates, 0.0).reshape(series.n_days, -1, 2)
+        return np.maximum(rates, 0.0).reshape(series.counts.shape)
 
 
-def _cell_means(series: DemandSeries, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    slots = series.intervals_per_day
-    # The series starts at local midnight, so row i is slot i % slots of day i // slots.
-    day, slot = np.divmod(rows, slots)
-    cell = ((series.start.weekday() + day) % 7, slot)
-    counts = np.zeros((7, slots))
-    np.add.at(counts, cell, 1.0)
-    tables = []
-    for values in (series.pickups, series.returns):
-        sums = np.zeros((7, slots))
-        np.add.at(sums, cell, values[rows])
-        tables.append(np.divide(sums, counts, out=np.zeros((7, slots)), where=counts > 0))
-    return tuple(tables)
+def _weekday_means(series: DemandSeries, lo: int, hi: int) -> SeasonalProfile:
+    """The mean count per (weekday, slot) cell over days ``lo`` to ``hi - 1``;
+    a cell's days are summed in day order."""
+    weekdays = (series.first_day.weekday() + np.arange(lo, hi)) % 7
+    sums = np.zeros((7, series.intervals_per_day, 2))
+    np.add.at(sums, weekdays, series.counts[lo:hi])
+    days = np.bincount(weekdays, minlength=7)[:, None, None]
+    means = np.divide(sums, days, out=np.zeros_like(sums), where=days > 0)
+    return SeasonalProfile(series.interval_minutes, means[..., PICKUP], means[..., RETURN])
 
 
 def fit_ha(train: DemandSeries) -> SeasonalProfile:
     """Historical average: mean count for every (day-of-week, slot) combination."""
-    if len(train) == 0:
+    if train.n_days == 0:
         raise DataError("cannot fit on an empty series")
-    pickup_table, return_table = _cell_means(train, np.arange(len(train)))
-    return SeasonalProfile(train.interval_minutes, pickup_table, return_table)
+    return _weekday_means(train, 0, train.n_days)
 
 
 def fit_ma(history: DemandSeries, as_of: date, window_days: int = 30) -> SeasonalProfile:
     """Same cell means as :func:`fit_ha` over the trailing window before as_of."""
-    hi = datetime.combine(as_of, time.min)
-    lo = hi - timedelta(days=window_days)
-    # Whole days from the series' midnight start to as_of, so the window's rows
-    # follow by index arithmetic.
-    slots = history.intervals_per_day
-    end_day = (hi - history.start).days
-    rows = np.arange(max(0, (end_day - window_days) * slots),
-                     min(len(history), max(0, end_day * slots)))
-    if len(rows) == 0:
-        raise DataError(f"no history in [{lo}, {hi}) to average")
-    pickup_table, return_table = _cell_means(history, rows)
-    return SeasonalProfile(history.interval_minutes, pickup_table, return_table)
+    end = (as_of - history.first_day).days
+    lo, hi = max(0, end - window_days), min(history.n_days, max(0, end))
+    if hi <= lo:
+        hi_time = datetime.combine(as_of, time.min)
+        raise DataError(f"no history in [{hi_time - timedelta(days=window_days)}, {hi_time}) "
+                        f"to average")
+    return _weekday_means(history, lo, hi)
 
 
 def _kept_columns(columns: list[str]) -> list[str]:
@@ -125,10 +116,11 @@ def _kept_columns(columns: list[str]) -> list[str]:
 
 
 def _design(covariates: np.ndarray, interval_minutes: int, kept: list[str]) -> np.ndarray:
-    # views of single columns, stacked once: no copy of the kept block first
+    # one row per interval, from views of single columns stacked once: no
+    # copy of the kept block first
+    rows = covariates.reshape(-1, covariates.shape[-1])
     column = covariate_columns(interval_minutes).index
-    return np.column_stack([np.ones(len(covariates)),
-                            *(covariates[:, column(name)] for name in kept)])
+    return np.column_stack([np.ones(len(rows)), *(rows[:, column(name)] for name in kept)])
 
 
 def fit_lr(train: DemandSeries) -> LinearModel:

@@ -7,7 +7,10 @@ decisions; it does not make them again. The oracle benchmark uses the
 realized counts of the day as if they were the true rates (perfect
 information); the evaluate stage solves it, because only evaluation reads the
 realized counts, and this module replays its decision as it replays a
-model's. Nothing here solves a UDF.
+model's. Nothing here solves a UDF. The realized counts of the test split
+(:class:`.ingest.DemandSeries`) and each forecast are both (days, slots, 2)
+arrays, pickups then returns, so day i of one is scored against day i of the
+other.
 
 A replay gives the cost of every start at once (:func:`replay_cost`). Each
 event moves the inventory by x -> clip(x +- 1, 0, C), and a composition of
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import io
+from datetime import timedelta
 
 import numpy as np
 
@@ -120,16 +124,16 @@ def cumulative_error(pickup_actual, return_actual, pickup_pred, return_pred) -> 
 
 
 def benchmark(predictions: dict[str, np.ndarray], decisions: dict[str, list[int]],
-              day_events: list[EventStream], day_counts: list[DemandSeries], capacity: int,
+              day_events: list[EventStream], test: DemandSeries, capacity: int,
               penalties: PenaltyConfig = PenaltyConfig()) -> list[dict]:
     """Report rows that score each model's decisions by replayed inventory
     cost, and its forecasts by CE.
 
     ``predictions`` maps model name to its (days, slots, 2) forecast array,
     pickups then returns, and ``decisions`` maps it to the starting inventory
-    chosen from each day of it,
-    both aligned with ``day_events`` and ``day_counts`` (realized per-interval
-    counts, used for CE). ``decisions["oracle"]`` holds each day's
+    chosen from each day of it, both aligned with ``day_events``, one stream
+    per day, and with the days of ``test``, whose (days, slots, 2) realized
+    counts give CE. ``decisions["oracle"]`` holds each day's
     perfect-information s* (:func:`.inventory.oracle_decision`). The oracle's
     rows come first, then each model's in name order: per day, ``s_star`` and
     ``cost``, and for a model's forecast ``ce``. A row has the keys station,
@@ -139,7 +143,7 @@ def benchmark(predictions: dict[str, np.ndarray], decisions: dict[str, list[int]
     reads its cost off the one curve; an s* outside [0, ``capacity``] is
     refused.
     """
-    n_days = len(day_events)
+    n_days = test.n_days
     for name, rates in predictions.items():
         if len(rates) != n_days:
             raise DataError(f"model {name!r} supplied {len(rates)} forecasts "
@@ -147,24 +151,22 @@ def benchmark(predictions: dict[str, np.ndarray], decisions: dict[str, list[int]
     for name in ("oracle", *predictions):
         if len(decisions.get(name, ())) != n_days:
             raise DataError(f"model {name!r} needs one decision for each of {n_days} days")
-    if len(day_counts) != n_days:
-        raise DataError("day_counts and day_events must align")
+    if len(day_events) != n_days:
+        raise DataError("test days and day_events must align")
 
     costs = [replay_cost(events, capacity, penalties) for events in day_events]
     rows: list[dict] = []
     for name in ("oracle", *sorted(predictions)):
-        for i, (cost, counts) in enumerate(zip(costs, day_counts)):
+        for i, cost in enumerate(costs):
             s_star = decisions[name][i]
             if not 0 <= s_star <= capacity:
                 raise DataError(f"starting inventory {s_star} outside [0, {capacity}]")
             metrics = {"s_star": s_star, "cost": float(cost[s_star])}
             if name in predictions:
-                rates = predictions[name][i]
-                metrics["ce"] = cumulative_error(counts.pickups, counts.returns,
-                                                 rates[:, 0], rates[:, 1])
-            rows += [{"station": counts.station, "date": counts.start.date().isoformat(),
-                      "model": name, "metric": metric, "value": value}
-                     for metric, value in metrics.items()]
+                metrics["ce"] = cumulative_error(*test.counts[i].T, *predictions[name][i].T)
+            day = (test.first_day + timedelta(days=i)).isoformat()
+            rows += [{"station": test.station, "date": day, "model": name, "metric": metric,
+                      "value": value} for metric, value in metrics.items()]
     return rows
 
 

@@ -133,19 +133,15 @@ def bias_study(day_counts: DemandSeries, events: EventStream, capacity: int,
     """
     if day_counts.n_days != 1:
         raise DataError("bias study expects exactly one day of counts")
-    base = RateSeries(
-        interval_minutes=day_counts.interval_minutes,
-        pickup_rates=day_counts.pickups.astype(float),
-        return_rates=day_counts.returns.astype(float),
-    )
+    counts = day_counts.counts[0]
+    base = RateSeries(day_counts.interval_minutes, *counts.T.astype(float))
     biased = [(kind, d, apply_bias(base, BiasSpec(kind, d)))
               for kind in BIAS_KINDS for d in map(float, delta_grid)]
     curves = _solve([(rates, capacity, penalties) for _, _, rates in biased])
     cost = replay_cost(events, capacity, penalties)
     return [{"kind": kind, "delta": delta, "s_star": curve.s_star,
              "cost": float(cost[curve.s_star]),
-             "ce": cumulative_error(day_counts.pickups, day_counts.returns,
-                                    rates.pickup_rates, rates.return_rates)}
+             "ce": cumulative_error(*counts.T, rates.pickup_rates, rates.return_rates)}
             for (kind, delta, rates), curve in zip(biased, curves)]
 
 
@@ -244,15 +240,14 @@ def stage_ingest(config: RunConfig) -> None:
     series = {sid: aggregate(streams[sid], config.interval_minutes, day_range)
               for sid in selected}
     test = split(series[selected[0]]).test  # every series spans day_range
-    if empty := [sid for sid in selected if not (series[sid].pickups.any()
-                                                 or series[sid].returns.any())]:
+    if empty := [sid for sid in selected if not series[sid].counts.any()]:
         raise DataError(f"station {empty[0]} has no events from {config.start_date} "
                         f"to {config.end_date}")
     lines = [",".join(STATION_COLUMNS)]
     for sid in selected:
         write(config, "demand", demand_to_csv(series[sid]), sid)
         write(config, "events", events_to_csv(
-            streams[sid].slice_day(test.start.date(), test.n_days)), sid)
+            streams[sid].slice_day(test.first_day, test.n_days)), sid)
         lines.append(f"{sid},{capacities[sid]}")
     write(config, "weather", weather_to_csv(weather))
     write(config, "stations", "\n".join(lines) + "\n")
@@ -273,7 +268,8 @@ def _parse_trip_range(path: str, head: bytes, sentinel: bytes, start: int,
     with open(path, "rb") as fh:
         fh.seek(start)
         body = fh.read(stop - start)
-    with io.TextIOWrapper(io.BytesIO(head + body + sentinel), newline="") as stream:
+    with io.TextIOWrapper(io.BytesIO(head + body + sentinel), encoding="utf-8",
+                          newline="") as stream:
         columns = list(vars(parse_trips(stream)).values())
     if not all(np.array_equal(column[-1:], np.array([value], column.dtype))
                for column, value in zip(columns, _SENTINEL)):
@@ -327,9 +323,8 @@ def _read_trips(stream) -> TripTable:
 def _from_nets(model, test, **_) -> np.ndarray:
     """One :func:`neural.predict_rates` call per net over all test days; the
     nets' process columns side by side give (days, steps, 2)."""
-    covariates = test.covariates.reshape(test.n_days, test.intervals_per_day, -1)
-    return np.concatenate([neural.predict_rates(net, covariates) for net in model.values()],
-                          axis=2)
+    return np.concatenate([neural.predict_rates(net, test.covariates)
+                           for net in model.values()], axis=2)
 
 
 @dataclass(frozen=True)
@@ -378,8 +373,8 @@ FORECASTERS = {
     "ha": Forecaster(lambda model, test, **_: model.predict(test),
                      fitted=classical.SeasonalProfile),
     "ma": Forecaster(lambda model, config, series, test, days, **_: np.concatenate([
-        classical.fit_ma(series, day, window_days=config.ma_window_days).predict(test.day(i))
-        for i, day in enumerate(days)])),
+        classical.fit_ma(series, day, window_days=config.ma_window_days)
+        .predict(test.days(i, i + 1)) for i, day in enumerate(days)])),
     "lr": Forecaster(lambda model, test, **_: model.predict(test), fitted=classical.LinearModel),
     "prnn": Forecaster(_from_nets, nets=(("prnn:pickups", ("pickups",)),
                                          ("prnn:returns", ("returns",))), train_order=2),
@@ -534,8 +529,7 @@ def load_models(config: RunConfig, stations: list[str]) -> dict[str, dict]:
 
 def _test_days(series: DemandSeries) -> tuple[DemandSeries, list[date]]:
     test = split(series).test
-    first = test.start.date()
-    return test, [first + timedelta(days=i) for i in range(test.n_days)]
+    return test, [test.first_day + timedelta(days=i) for i in range(test.n_days)]
 
 
 @Stage("forecast", "predict every test day with every model", reads_demand=True)
@@ -611,22 +605,21 @@ def stage_evaluate(config: RunConfig, data: dict[str, DemandSeries]) -> None:
                 raise DataError(f"forecast days for {sid}/{name} do not match the "
                                 f"test split")
             for k, proc in enumerate(("pickups", "returns")):
-                metrics = point_metrics(getattr(test, proc), predictions[name][..., k].ravel())
+                metrics = point_metrics(test.counts[..., k].ravel(),
+                                        predictions[name][..., k].ravel())
                 rows += [{"station": sid, "date": "test", "model": name,
                           "metric": f"{metric}_{proc}", "value": value}
                          for metric, value in metrics.items()]
         decisions = read(config, "decisions", parse_decisions, sorted(predictions), days,
                          capacities[sid], sid=sid)
-        day_counts = [test.day(i) for i in range(test.n_days)]
         events = read(config, "events", events_from_csv, sid, sid=sid)
-        inputs[sid] = (predictions, decisions, day_counts,
-                       [events.slice_day(d) for d in days])
-        oracle_jobs += [(counts, capacities[sid], penalties) for counts in day_counts]
+        inputs[sid] = (predictions, decisions, test, [events.slice_day(d) for d in days])
+        oracle_jobs += [(day, config.interval_minutes, capacities[sid], penalties)
+                        for day in test.counts]
     oracle = iter(_in_lanes(oracle_decision, oracle_jobs))
-    for sid, (predictions, decisions, day_counts, day_events) in inputs.items():
-        decisions["oracle"] = [next(oracle).s_star for _ in day_counts]
-        rows += benchmark(predictions, decisions, day_events, day_counts,
-                          capacities[sid], penalties)
+    for sid, (predictions, decisions, test, day_events) in inputs.items():
+        decisions["oracle"] = [next(oracle).s_star for _ in day_events]
+        rows += benchmark(predictions, decisions, day_events, test, capacities[sid], penalties)
     metrics = rows_to_csv(rows, ("station", "date", "model", "metric", "value"))
     write(config, "report", metrics, name="metrics.csv")
     summary = rows_to_csv(summarize(rows), ("model", "mean_cost", "rpd", "mean_ce"))

@@ -1,8 +1,10 @@
 """Trip ingestion: parsing, event streams, interval counts, covariates, splits.
 
-Everything downstream consumes per-interval pickup/return counts aligned with
-an exogenous covariate array (weather + calendar encodings). This module
-turns raw trip and weather files into that shape.
+Everything downstream consumes a station's :class:`DemandSeries`: its
+pickup and return counts as one (days, slots, 2) array, the shape of a
+forecast, aligned with a (days, slots, width) covariate array (weather +
+calendar encodings). This class alone knows that layout. This module turns
+raw trip and weather files into that shape.
 
 Times travel as numpy ``datetime64[us]`` columns from parse to replay, never
 as one ``datetime`` object per row:
@@ -13,10 +15,10 @@ as one ``datetime`` object per row:
   over the lanes of its worker processes, and concatenates the tables;
 * each selected station's trips become one :class:`EventStream`, a sorted
   time column beside a pickup/return kind column, which feeds the interval
-  counts (:func:`aggregate`). Cut to the days of the test split and written
-  with :func:`events_to_csv` as ``demand/events_<sid>.csv``, it is the replay
-  that scores each test day's decision, so the trip file is never parsed
-  again after ingest;
+  counts (:func:`aggregate`, one ``bincount`` of ``2 * slot + kind``). Cut
+  to the days of the test split and written with :func:`events_to_csv` as
+  ``demand/events_<sid>.csv``, it is the replay that scores each test day's
+  decision, so the trip file is never parsed again after ingest;
 * the hourly weather is a :class:`WeatherTable` of three columns, from which
   :func:`build_covariates`, the one place that knows their encoding, builds
   the covariates: one array per run, shared by every station's series and
@@ -26,8 +28,9 @@ Under ``demand/`` ingest also writes each station's counts
 (``station_<sid>.csv``) and, once, the weather it parsed (``weather.csv``).
 
 A parser reads lines or a stream, never a path. :func:`read_input` opens the
-three input files (trips, weather, stations), and :func:`.artifacts.read` the
-kept ones; each names its file in the errors the parser raises.
+three input files (trips, weather, stations) as UTF-8, and
+:func:`.artifacts.read` the kept ones; each names its file in the errors the
+parser raises.
 
 Every CSV the package reads, input or kept, goes through one row reader,
 :func:`_column_chunks`, and each of its columns through one converter,
@@ -56,7 +59,7 @@ import csv
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta
+from datetime import date, datetime, timedelta
 from itertools import accumulate, compress, islice, repeat
 from operator import attrgetter, is_, itemgetter
 
@@ -127,38 +130,34 @@ class EventStream:
 
 @dataclass
 class DemandSeries:
-    """Aligned per-interval pickup counts, return counts and covariates.
+    """A station's counts per day, interval and event kind, with covariates.
 
-    ``covariates`` is the array of :func:`build_covariates`, which every
-    station of a run shares. :meth:`rows`, :meth:`day` and :func:`split`
-    return views of the counts and the covariates; they copy no array.
+    ``counts`` is one ``(days, slots, 2)`` int64 array, the shape of a
+    forecast: its last axis holds pickups then returns, indexed by the kind
+    codes :data:`PICKUP` and :data:`RETURN`. Day 0 is ``first_day`` and slot 0
+    starts at its local midnight. ``covariates`` is the ``(days, slots,
+    width)`` array of :func:`build_covariates`, which every station of a run
+    shares. :meth:`days` and :func:`split` return views of both; they copy no
+    array.
     """
 
     station: str
     interval_minutes: int
-    start: datetime
-    pickups: np.ndarray
-    returns: np.ndarray
+    first_day: date
+    counts: np.ndarray
     covariates: np.ndarray | None = None
 
     def __post_init__(self):
-        self.pickups = np.asarray(self.pickups, dtype=np.int64)
-        self.returns = np.asarray(self.returns, dtype=np.int64)
         if self.interval_minutes not in VALID_INTERVALS:
             raise ConfigError(f"interval must be one of {VALID_INTERVALS}, got {self.interval_minutes}")
-        if np.any(self.pickups < 0) or np.any(self.returns < 0):
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        if self.counts.shape[1:] != (self.intervals_per_day, 2):
+            raise DataError(f"counts must be (days, {self.intervals_per_day}, 2), "
+                            f"got {self.counts.shape}")
+        if np.any(self.counts < 0):
             raise DataError("counts must be non-negative")
-        if len(self.pickups) != len(self.returns):
-            raise DataError("pickup and return series differ in length")
-        if (len(self.pickups) * self.interval_minutes) % 1440 != 0:
-            raise DataError("series must tile whole days")
-        if self.start.time() != time.min:
-            raise DataError("series must start at local midnight")
-        if self.covariates is not None and len(self.covariates) != len(self.pickups):
+        if self.covariates is not None and self.covariates.shape[:2] != self.counts.shape[:2]:
             raise DataError("covariate rows do not match the number of intervals")
-
-    def __len__(self) -> int:
-        return len(self.pickups)
 
     @property
     def intervals_per_day(self) -> int:
@@ -166,23 +165,27 @@ class DemandSeries:
 
     @property
     def n_days(self) -> int:
-        return len(self) // self.intervals_per_day
+        return len(self.counts)
 
-    def rows(self, lo: int, hi: int) -> "DemandSeries":
+    @property
+    def pickups(self) -> np.ndarray:
+        """The pickup count of every interval, in time order, as a new flat array."""
+        return self.counts[..., PICKUP].ravel()
+
+    @property
+    def returns(self) -> np.ndarray:
+        """The return count of every interval, in time order, as a new flat array."""
+        return self.counts[..., RETURN].ravel()
+
+    def days(self, lo: int, hi: int) -> "DemandSeries":
+        """Days ``lo`` to ``hi - 1`` of the series."""
         return DemandSeries(
             station=self.station,
             interval_minutes=self.interval_minutes,
-            start=self.start + timedelta(minutes=lo * self.interval_minutes),
-            pickups=self.pickups[lo:hi],
-            returns=self.returns[lo:hi],
+            first_day=self.first_day + timedelta(days=lo),
+            counts=self.counts[lo:hi],
             covariates=None if self.covariates is None else self.covariates[lo:hi],
         )
-
-    def day(self, day_index: int) -> "DemandSeries":
-        n = self.intervals_per_day
-        if not 0 <= day_index < self.n_days:
-            raise DataError(f"day index {day_index} outside [0, {self.n_days})")
-        return self.rows(day_index * n, (day_index + 1) * n)
 
 
 @dataclass
@@ -267,20 +270,31 @@ def _iso_strings(times: np.ndarray) -> list[str]:
 
 
 def read_input(path: str, parse):
-    """``parse(stream)`` of the input file at ``path``, opened as text.
+    """``parse(stream)`` of the input file at ``path``, opened as UTF-8 text.
 
     A missing file raises :class:`DataError`. A :class:`RowError` or
-    :class:`FormatError` that ``parse`` raises names the file.
+    :class:`FormatError` that ``parse`` raises names the file, and so does the
+    :class:`RowError` of a byte that is not UTF-8, at the line of the first
+    such byte, counting LF, CR LF and lone CR line ends as the parsers do.
     """
     if not os.path.exists(path):
         raise DataError(f"input file not found: {path}")
-    with open(path, newline="") as stream:
+    with open(path, newline="", encoding="utf-8") as stream:
         try:
             return parse(stream)
         except RowError as exc:
             raise RowError(exc.line_number, exc.reason, path) from None
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from None
+        except UnicodeDecodeError:
+            with open(path, "rb") as fh:
+                head = fh.read()
+            try:
+                head.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                head = head[:exc.start]
+            line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise RowError(line, "not UTF-8 text", path) from None
 
 
 def _column_chunks(stream, what: str, names: tuple[str, ...], exact: bool = False):
@@ -510,22 +524,12 @@ def aggregate(
     first, last = day_range
     if last < first:
         raise ConfigError(f"day range is empty: {first} to {last}")
-    start = datetime.combine(first, time.min)
-    n_days = (last - first).days + 1
-    n = n_days * (1440 // interval_minutes)
-
-    slot = ((events.times - np.datetime64(start, "us"))
-            // np.timedelta64(interval_minutes, "m"))
+    shape = ((last - first).days + 1, 1440 // interval_minutes, 2)
+    n = shape[0] * shape[1]
+    slot = (events.times - np.datetime64(first, "us")) // np.timedelta64(interval_minutes, "m")
     inside = (slot >= 0) & (slot < n)
-    pickups, returns = (np.bincount(slot[inside & (events.kinds == kind)], minlength=n)
-                        for kind in (PICKUP, RETURN))
-    return DemandSeries(
-        station=events.station,
-        interval_minutes=interval_minutes,
-        start=start,
-        pickups=pickups,
-        returns=returns,
-    )
+    counts = np.bincount(2 * slot[inside] + events.kinds[inside], minlength=2 * n)
+    return DemandSeries(events.station, interval_minutes, first, counts.reshape(shape))
 
 
 def _observation_rules(hours: np.ndarray, temperature_c: np.ndarray,
@@ -630,8 +634,9 @@ def build_covariates(
     day_range: tuple[date, date],
     interval_minutes: int,
 ) -> np.ndarray:
-    """Expand hourly weather plus calendar one-hots to the interval grid: one
-    float row per interval, in the column order of :func:`covariate_columns`.
+    """Expand hourly weather plus calendar one-hots to the interval grid: a
+    (days, slots, width) float array, each interval's row in the column order
+    of :func:`covariate_columns`.
 
     Sub-hourly intervals replicate their hour's measurement. Missing hours are
     forward-filled from the most recent observation; a gap at the very start
@@ -653,7 +658,7 @@ def build_covariates(
     values[:, 1] = weather.rain_probability[observed]
     values[rows, 2 + (first.weekday() + rows // n_slots) % 7] = 1.0
     values[rows, 9 + rows % n_slots] = 1.0
-    return values
+    return values.reshape(-1, n_slots, values.shape[1])
 
 
 def _add_months(d: date, months: int) -> date:
@@ -664,10 +669,9 @@ def _add_months(d: date, months: int) -> date:
 
 def split(series: DemandSeries) -> DataSplit:
     """Chronological 9/1/2-month split of a series spanning 12 whole months."""
-    start = series.start
-    if start.day != 1:
+    first = series.first_day
+    if first.day != 1:
         raise ConfigError("split requires the series to start on the first of a month")
-    first = start.date()
     end_date = _add_months(first, 12)
     expected_days = (end_date - first).days
     if series.n_days != expected_days:
@@ -675,23 +679,22 @@ def split(series: DemandSeries) -> DataSplit:
             f"split requires exactly 12 calendar months ({expected_days} days), "
             f"got {series.n_days} days"
         )
-    per_day = series.intervals_per_day
-    train_end = (_add_months(first, 9) - first).days * per_day
-    val_end = (_add_months(first, 10) - first).days * per_day
+    train_end = (_add_months(first, 9) - first).days
+    val_end = (_add_months(first, 10) - first).days
     return DataSplit(
-        train=series.rows(0, train_end),
-        validation=series.rows(train_end, val_end),
-        test=series.rows(val_end, len(series)),
+        train=series.days(0, train_end),
+        validation=series.days(train_end, val_end),
+        test=series.days(val_end, series.n_days),
     )
 
 
 def demand_to_csv(series: DemandSeries) -> str:
     """Serialize the counts as :data:`DEMAND_COLUMNS` rows, no covariates."""
-    starts = (np.datetime64(series.start, "us")
-              + np.arange(len(series)) * np.timedelta64(series.interval_minutes, "m"))
+    counts = series.counts.reshape(-1, 2)
+    starts = (np.datetime64(series.first_day, "us")
+              + np.arange(len(counts)) * np.timedelta64(series.interval_minutes, "m"))
     return ",".join(DEMAND_COLUMNS) + "\n" + "".join(map(
-        "{},{},{}\n".format, _iso_strings(starts), series.pickups.tolist(),
-        series.returns.tolist()))
+        "{},{},{}\n".format, _iso_strings(starts), *counts.T.tolist()))
 
 
 def demand_from_csv(lines, station: str, interval_minutes: int) -> DemandSeries:
@@ -703,7 +706,8 @@ def demand_from_csv(lines, station: str, interval_minutes: int) -> DemandSeries:
     the first rule it breaks: its start does not parse, a count does not
     parse, a count is negative, or row i does not start ``i`` intervals after
     the first row, as when a row is out of order, repeated or missing. A short
-    row reads empty counts, which do not parse.
+    row reads empty counts, which do not parse. Rows that do not tile whole
+    days, or do not start at local midnight, raise :class:`DataError`.
     """
     numbers, (starts, pickups, returns), rules = _table(lines, "demand", DEMAND_COLUMNS,
                                                         (datetime, int, int), exact=True)
@@ -718,13 +722,12 @@ def demand_from_csv(lines, station: str, interval_minutes: int) -> DemandSeries:
                                        f"expected {expected[i].item()}, "
                                        f"{interval_minutes} minutes per row"),
     ])
-    return DemandSeries(
-        station=station,
-        interval_minutes=interval_minutes,
-        start=starts[0].item(),
-        pickups=pickups,
-        returns=returns,
-    )
+    if (len(numbers) * interval_minutes) % 1440:
+        raise DataError("series must tile whole days")
+    if starts[0] != starts[0].astype("datetime64[D]"):
+        raise DataError("series must start at local midnight")
+    counts = np.stack([pickups, returns], axis=1).reshape(-1, 1440 // interval_minutes, 2)
+    return DemandSeries(station, interval_minutes, starts[0].item().date(), counts)
 
 
 def weather_to_csv(weather: WeatherTable) -> str:

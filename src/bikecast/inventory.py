@@ -83,24 +83,20 @@ def udf_curve(
 
 
 def oracle_decision(
-    day_counts,
+    day_counts: np.ndarray,
+    interval_minutes: int,
     capacity: int,
     penalties: PenaltyConfig = PenaltyConfig(),
 ) -> UdfCurve:
     """Decision curve under perfect information about one day's demand.
 
-    ``day_counts`` is a single-day demand series; its realized interval counts
-    are used directly as the rates (counts-as-rates).
+    ``day_counts`` is one day of a demand series' counts, a (slots, 2) array
+    of pickups then returns; its realized interval counts are used directly
+    as the rates (counts-as-rates).
     """
-    n_per_day = 1440 // day_counts.interval_minutes
-    if len(day_counts.pickups) != n_per_day:
-        raise DomainError(
-            f"oracle_decision expects exactly one day of counts, got "
-            f"{len(day_counts.pickups)} intervals at {day_counts.interval_minutes} min"
-        )
-    rates = RateSeries(
-        interval_minutes=day_counts.interval_minutes,
-        pickup_rates=np.asarray(day_counts.pickups, dtype=float),
-        return_rates=np.asarray(day_counts.returns, dtype=float),
-    )
-    return udf_curve(rates, capacity, penalties)
+    rates = np.asarray(day_counts, dtype=float)
+    shape = (1440 // interval_minutes, 2)
+    if rates.shape != shape:
+        raise DomainError(f"oracle_decision expects exactly one day of counts, {shape} at "
+                          f"{interval_minutes} min, got {rates.shape}")
+    return udf_curve(RateSeries(interval_minutes, rates[:, 0], rates[:, 1]), capacity, penalties)

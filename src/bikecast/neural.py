@@ -55,7 +55,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import RunConfig
 from .errors import ConfigError, DataError, FormatError, TrainingError
-from .ingest import DataSplit, DemandSeries
+from .ingest import PICKUP, RETURN, DataSplit, DemandSeries
 from .queueing import log_factorial
 
 RATE_FLOOR = 1e-6
@@ -399,16 +399,20 @@ class NeuralModel:
         return _normalize(raw, self.params["norm/cov_mean"], self.params["norm/cov_std"])
 
 
+# each target's index on the process axis of a series' counts
+_TARGETS = {"pickups": PICKUP, "returns": RETURN}
+
+
 def day_arrays(series: DemandSeries, targets: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Reshape a series into (days, steps, processes) counts and (days, steps, width) covariates."""
+    """A series' (days, steps, processes) counts of ``targets``, in that
+    order, and its (days, steps, width) covariates."""
     if series.covariates is None:
         raise DataError("series has no covariates attached")
-    unknown = [name for name in targets if name not in ("pickups", "returns")]
+    unknown = [name for name in targets if name not in _TARGETS]
     if unknown:
         raise ConfigError(f"unknown target {unknown[0]!r}")
-    shape = (series.n_days, series.intervals_per_day)
-    counts = np.stack([getattr(series, name) for name in targets], axis=1)
-    return counts.reshape(*shape, len(targets)), series.covariates.reshape(*shape, -1)
+    counts = np.stack([series.counts[..., _TARGETS[name]] for name in targets], axis=2)
+    return counts, series.covariates
 
 
 # -- optimization ----------------------------------------------------------

@@ -229,24 +229,17 @@ def peaked_day(seed: int = 3, interval_minutes: int = 60,
     rng = np.random.default_rng(seed)
     pickup_rate, return_rate = peaked_day_rates(interval_minutes)
     hours_per = interval_minutes / 60.0
-    pickups = rng.poisson(pickup_rate * hours_per)
-    returns = rng.poisson(return_rate * hours_per)
+    counts = np.stack([rng.poisson(pickup_rate * hours_per),
+                       rng.poisson(return_rate * hours_per)], axis=1)
+    series = DemandSeries("peaked", interval_minutes, day, counts[None])
 
     start = datetime.combine(day, time.min)
     times: list[datetime] = []
     kinds: list[int] = []
-    for i in range(len(pickups)):
+    for i, row in enumerate(series.counts[0]):
         base = start + timedelta(minutes=i * interval_minutes)
-        for kind, n in ((PICKUP, pickups[i]), (RETURN, returns[i])):
-            for off in sorted(rng.uniform(0, interval_minutes, size=n)):
+        for kind in (PICKUP, RETURN):
+            for off in sorted(rng.uniform(0, interval_minutes, size=row[kind])):
                 times.append(base + timedelta(minutes=float(off)))
                 kinds.append(kind)
-    stream = EventStream(station="peaked", times=times, kinds=kinds)
-    series = DemandSeries(
-        station="peaked",
-        interval_minutes=interval_minutes,
-        start=start,
-        pickups=pickups,
-        returns=returns,
-    )
-    return series, stream
+    return series, EventStream(station="peaked", times=times, kinds=kinds)

@@ -1,16 +1,20 @@
 """The inputs of a test run: one synthetic year written once a session, a
 copy of it for a test that removes or rewrites an input, and the config of a
-run over it, as a :class:`RunConfig` or as a config file."""
+run over it, as a :class:`RunConfig` or as a config file; and a demand series
+of flat per-interval counts."""
 
 import hashlib
 import shutil
+from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from bikecast import synthetic
 from bikecast.config import RunConfig
+from bikecast.ingest import DemandSeries
 
 STATIONS = (
     synthetic.StationSpec("7", 20, "residential"),
@@ -85,3 +89,12 @@ def write_config(path, paths, out, **extra) -> str:
     with open(path, "w") as fh:
         yaml.dump(_fields(paths, out, extra), fh, Dumper=_Dumper)
     return str(path)
+
+
+def demand_series(pickups, returns, interval_minutes: int = 60,
+                  first_day: date = date(2018, 6, 1), station: str = "A",
+                  covariates=None) -> DemandSeries:
+    """The series of ``station`` from ``first_day`` whose per-interval counts,
+    in time order and tiling whole days, are ``pickups`` and ``returns``."""
+    counts = np.stack([pickups, returns], axis=-1).reshape(-1, 1440 // interval_minutes, 2)
+    return DemandSeries(station, interval_minutes, first_day, counts, covariates)

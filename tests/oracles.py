@@ -170,19 +170,17 @@ def sinusoidal_split(
     series = DemandSeries(
         station="synthetic",
         interval_minutes=interval_minutes,
-        start=start,
-        pickups=pickups,
-        returns=returns,
+        first_day=start.date(),
+        counts=np.stack([pickups, returns], axis=1).reshape(n_days, slots, 2),
         covariates=build_covariates(
             weather, (start.date(), start.date() + timedelta(days=n_days - 1)), interval_minutes),
     )
     train_days = int(n_days * train_fraction)
     val_days = int(n_days * val_fraction)
-    per = series.intervals_per_day
     split = DataSplit(
-        train=series.rows(0, train_days * per),
-        validation=series.rows(train_days * per, (train_days + val_days) * per),
-        test=series.rows((train_days + val_days) * per, len(series)),
+        train=series.days(0, train_days),
+        validation=series.days(train_days, train_days + val_days),
+        test=series.days(train_days + val_days, n_days),
     )
     return split, pickup_rate, return_rate
 

@@ -4,6 +4,7 @@ from datetime import date, datetime, time, timedelta
 
 import numpy as np
 import pytest
+from conftest import demand_series
 
 from bikecast import classical
 from bikecast.errors import DataError, FormatError, TrainingError
@@ -12,7 +13,7 @@ from bikecast.ingest import DemandSeries, covariate_columns
 
 def grid_covariates(start: date, n_days: int, temps, rains) -> np.ndarray:
     """Hourly covariate rows with correct calendar one-hots, in the column
-    order of ``covariate_columns(60)``."""
+    order of ``covariate_columns(60)``, as (days, slots, width)."""
     cols = covariate_columns(60)
     n = n_days * 24
     values = np.zeros((n, len(cols)))
@@ -23,17 +24,12 @@ def grid_covariates(start: date, n_days: int, temps, rains) -> np.ndarray:
         t = base + np.timedelta64(i, "h").astype("timedelta64[s]").item()
         values[i, 2 + t.weekday()] = 1.0
         values[i, 9 + t.hour] = 1.0
-    return values
+    return values.reshape(n_days, 24, -1)
 
 
 def make_series(start: date, pickups, returns, covariates=None) -> DemandSeries:
-    return DemandSeries(
-        station="S", interval_minutes=60,
-        start=datetime.combine(start, datetime.min.time()),
-        pickups=np.asarray(pickups, dtype=np.int64),
-        returns=np.asarray(returns, dtype=np.int64),
-        covariates=covariates,
-    )
+    return demand_series(np.asarray(pickups, dtype=np.int64), np.asarray(returns, dtype=np.int64),
+                         first_day=start, station="S", covariates=covariates)
 
 
 # -- historical average ------------------------------------------------------
@@ -154,8 +150,8 @@ def brute_force_ma(series: DemandSeries, as_of: date, window_days: int):
     shape = (7, series.intervals_per_day)
     sums_p, sums_r, counts = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     step = timedelta(minutes=series.interval_minutes)
-    for i in range(len(series)):
-        t = series.start + i * step
+    for i in range(len(series.pickups)):
+        t = datetime.combine(series.first_day, time.min) + i * step
         if lo <= t < hi:
             cell = (t.weekday(), (t.hour * 60 + t.minute) // series.interval_minutes)
             sums_p[cell] += series.pickups[i]
@@ -180,9 +176,8 @@ def test_ma_matches_timestamp_walk(interval, as_of_day, window_days):
     rng = np.random.default_rng(as_of_day * interval + window_days)
     n = 40 * 1440 // interval
     start = date(2018, 1, 3)  # a Wednesday
-    series = DemandSeries(
-        station="S", interval_minutes=interval, start=datetime.combine(start, time.min),
-        pickups=rng.poisson(5, n), returns=rng.poisson(3, n))
+    series = demand_series(rng.poisson(5, n), rng.poisson(3, n), interval_minutes=interval,
+                           first_day=start, station="S")
     as_of = start + timedelta(days=as_of_day)
     profile = classical.fit_ma(series, as_of, window_days=window_days)
     pickup_table, return_table = brute_force_ma(series, as_of, window_days)
@@ -224,12 +219,10 @@ def test_lr_permutation_invariance():
     rng = np.random.default_rng(3)
     series = lr_fixture(lambda t, r: rng.poisson(4 + t / 10.0), seed=3)
     model = classical.fit_lr(series)
-    perm = rng.permutation(len(series))
-    shuffled = DemandSeries(
-        station="S", interval_minutes=60, start=series.start,
-        pickups=series.pickups[perm], returns=series.returns[perm],
-        covariates=series.covariates[perm],
-    )
+    perm = rng.permutation(len(series.pickups))
+    covariates = series.covariates.reshape(len(perm), -1)[perm].reshape(series.covariates.shape)
+    shuffled = make_series(date(2018, 1, 1), series.pickups[perm], series.returns[perm],
+                           covariates=covariates)
     again = classical.fit_lr(shuffled)
     np.testing.assert_allclose(again.pickup_coef, model.pickup_coef, atol=1e-10)
     np.testing.assert_allclose(again.return_coef, model.return_coef, atol=1e-10)

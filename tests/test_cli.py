@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import Spelled, tree, write_config
+from conftest import Spelled, run_config, tree, write_config
 
 from bikecast import artifacts, experiments
 from bikecast.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
@@ -240,6 +240,23 @@ def test_a_bad_input_row_exits_data_naming_its_file_and_line(tmp_path, capsys, c
     assert capsys.readouterr().err == f"bikecast: stage ingest: {damaged}: line 3: {reason}\n"
 
 
+@pytest.mark.parametrize("key, line", [("trips", 4001), ("weather", 7)])
+def test_an_input_that_is_not_utf8_exits_data_naming_its_file_and_line(tmp_path, capsys, corpus,
+                                                                       key, line):
+    # the line of the first bad byte in the file, not its offset in the block
+    # that the decoder happened to hold
+    lines = Path(corpus[key]).read_bytes().split(b"\n")
+    lines[line - 1] += b"\xe9"
+    damaged = tmp_path / f"{key}.csv"
+    damaged.write_bytes(b"\n".join(lines))
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "run.yaml", {**corpus, key: str(damaged)}, out)
+    assert main(["ingest", "--config", path]) == EXIT_DATA
+    assert capsys.readouterr().err == (f"bikecast: stage ingest: {damaged}: line {line}: "
+                                       f"not UTF-8 text\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sid", ["1,02", "a/b", "a\\b", 'a"b', "a\tb", "a\x85", ".", "..",
                                  "../../esc", "#12"])
 def test_ingest_refuses_a_station_id_that_cannot_name_a_file(tmp_path, capsys, corpus, sid):
@@ -264,6 +281,21 @@ def test_ingest_refuses_a_station_id_that_cannot_name_a_file(tmp_path, capsys, c
     assert capsys.readouterr().err == (f"bikecast: stage ingest: station ids that cannot name a "
                                        f"file or lead a CSV row: {[sid]}\n")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_train_refuses_demand_files_of_another_date_range(tmp_path, capsys, corpus):
+    # the covariates of the config's range would be attached to the wrong days
+    out = tmp_path / "out"
+    shifted = write_config(tmp_path / "shifted.yaml", corpus, out, stations=["7"],
+                           start_date="2018-02-01", end_date="2019-01-31")
+    assert main(["ingest", "--config", shifted]) == EXIT_OK
+    capsys.readouterr()
+    path = write_config(tmp_path / "run.yaml", corpus, out, stations=["7"], models=["ha", "lr"])
+    assert main(["train", "--config", path]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"bikecast: stage train: {out / 'demand' / 'station_7.csv'} holds 365 days from "
+        f"2018-02-01, not 2018-01-01 to 2018-12-31; run the ingest stage again\n")
+    assert not (out / "models").exists()
 
 
 def test_train_before_ingest_names_artifact(tmp_path, capsys, corpus):
@@ -839,19 +871,25 @@ def test_every_function_the_bench_tracer_wraps_exists(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def bench_module(name: str, monkeypatch):
+    """The module of ``bench/<name>.py``, read without writing bytecode and
+    entered in ``sys.modules`` under ``name``, where its dataclasses look
+    themselves up and the bench files import each other."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # the bench files are only read
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_the_bench_tracer_sees_every_span_a_pipeline_workload_expects(tmp_path, corpus,
                                                                      monkeypatch):
     # a stage that calls a traced function through a name the tracer does not
     # replace would drop its span; one core keeps every call in this process,
     # as a forked lane's spans never reach the tracer's list
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # the bench files are only read
-    spec = importlib.util.spec_from_file_location("workloads",
-                                                  REPO_ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
-    spec.loader.exec_module(workloads)
-    workload = workloads.WORKLOADS["decide-hourly"]
+    workload = bench_module("workloads", monkeypatch).WORKLOADS["decide-hourly"]
     path = write_config(tmp_path / "run.yaml", corpus, tmp_path / "out",
                         **dict(workload.config, stations=["7"]))
     probe = ("import importlib.util, sys; "
@@ -867,6 +905,24 @@ def test_the_bench_tracer_sees_every_span_a_pipeline_workload_expects(tmp_path, 
     assert proc.returncode == EXIT_OK, proc.stderr
     recorded = {span["name"] for span in json.loads(spans.read_text())}
     assert sorted(set(workload.expected_spans) - recorded) == []
+
+
+def test_the_bench_scorer_passes_a_decide_hourly_run(tmp_path, corpus, monkeypatch):
+    # a refactor that drops what bench/score.py reads of a run or of the
+    # package, such as peaked_day(...)[0].pickups, would otherwise fail only
+    # in a bench run
+    workload = bench_module("workloads", monkeypatch).WORKLOADS["decide-hourly"]
+    bench_module("reference", monkeypatch)
+    score = bench_module("score", monkeypatch)
+    config = run_config(corpus, tmp_path / "out", **dict(workload.config, stations=["7"]))
+    experiments.run_pipeline(config)
+    checks = score.check_outputs(workload, config, config.out_dir)
+    assert len(checks) > 1 and [name for name, ok in checks.items() if not ok] == []
+    rmse = score.rmse_by_model(workload, config.out_dir)
+    assert list(rmse) == ["ha"] and np.isfinite(rmse["ha"])
+    accuracy = score.udf_accuracy(workload, config, config.out_dir)
+    assert accuracy["abs_err_max"] <= score.UDF_ABS_ERR_TOL
+    assert accuracy["optimal_share"] == 1.0
 
 
 def bench_names() -> set[str]:

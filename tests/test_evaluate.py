@@ -5,12 +5,13 @@ from datetime import date, datetime
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import demand_series
 from hypothesis import strategies as st
 from oracles import replay_one
 
 from bikecast import evaluate
 from bikecast.errors import DataError
-from bikecast.ingest import PICKUP, RETURN, DemandSeries, EventStream
+from bikecast.ingest import PICKUP, RETURN, EventStream
 from bikecast.inventory import PenaltyConfig, oracle_decision
 
 DAY = date(2018, 11, 5)
@@ -217,13 +218,11 @@ def test_cumulative_error_validates_shapes():
 
 
 def one_day_fixture():
-    base = datetime.combine(DAY, datetime.min.time())
     pickups = np.zeros(24, dtype=np.int64)
     returns = np.zeros(24, dtype=np.int64)
     pickups[8] = 2
     returns[17] = 1
-    counts = DemandSeries(station="S", interval_minutes=60, start=base,
-                          pickups=pickups, returns=returns)
+    counts = demand_series(pickups, returns, first_day=DAY, station="S")
     events = stream((8, 10, PICKUP), (8, 40, PICKUP), (17, 30, RETURN))
     # the forecast of one day: (days, slots, 2), pickups then returns
     flat = np.stack([np.full(24, 2 / 24), np.full(24, 1 / 24)], axis=1)[None]
@@ -231,13 +230,13 @@ def one_day_fixture():
 
 
 def oracle_s(counts) -> list[int]:
-    return [oracle_decision(counts, 4).s_star]
+    return [oracle_decision(counts.counts[0], 60, 4).s_star]
 
 
 def test_benchmark_includes_oracle_with_zero_rpd():
     counts, events, flat = one_day_fixture()
     rows = evaluate.benchmark({"flat": flat}, {"flat": [2], "oracle": oracle_s(counts)},
-                              [events], [counts], capacity=4)
+                              [events], counts, capacity=4)
     by_model = {s["model"]: s for s in evaluate.summarize(rows)}
     assert set(by_model) == {"oracle", "flat"}
     oracle = by_model["oracle"]
@@ -252,7 +251,7 @@ def test_benchmark_includes_oracle_with_zero_rpd():
 def test_benchmark_rows_cover_every_day_and_model():
     counts, events, flat = one_day_fixture()
     rows = evaluate.benchmark({"flat": flat}, {"flat": [2], "oracle": oracle_s(counts)},
-                              [events], [counts], capacity=4)
+                              [events], counts, capacity=4)
     assert [(r["model"], r["metric"]) for r in rows] == [
         ("oracle", "s_star"), ("oracle", "cost"), ("flat", "s_star"), ("flat", "cost"),
         ("flat", "ce")]
@@ -267,7 +266,7 @@ def test_benchmark_replays_the_oracle_decision_it_is_given():
     # the oracle's s* is solved by the caller; any s* given is replayed as is
     counts, events, flat = one_day_fixture()
     rows = evaluate.benchmark({"flat": flat}, {"flat": [2], "oracle": [0]},
-                              [events], [counts], capacity=4)
+                              [events], counts, capacity=4)
     oracle_rows = {r["metric"]: r["value"] for r in rows if r["model"] == "oracle"}
     assert oracle_rows["s_star"] == 0
     assert oracle_rows["cost"] == evaluate.replay_cost(events, 4)[0] == 2.0
@@ -278,18 +277,18 @@ def test_benchmark_validates_alignment():
     oracle = oracle_s(counts)
     with pytest.raises(DataError):
         evaluate.benchmark({"flat": np.concatenate([flat, flat])},
-                           {"flat": [2, 2], "oracle": oracle}, [events], [counts], capacity=4)
+                           {"flat": [2, 2], "oracle": oracle}, [events], counts, capacity=4)
+    with pytest.raises(DataError, match="^test days and day_events must align$"):
+        evaluate.benchmark({"flat": flat}, {"flat": [2], "oracle": oracle}, [events, events],
+                           counts, capacity=4)
     with pytest.raises(DataError):
-        evaluate.benchmark({"flat": flat}, {"flat": [2], "oracle": oracle}, [events], [],
-                           capacity=4)
-    with pytest.raises(DataError):
-        evaluate.benchmark({"flat": flat}, {"oracle": oracle}, [events], [counts],
+        evaluate.benchmark({"flat": flat}, {"oracle": oracle}, [events], counts,
                            capacity=4)
     with pytest.raises(DataError):
         evaluate.benchmark({"flat": flat}, {"flat": [2, 2], "oracle": oracle}, [events],
-                           [counts], capacity=4)
+                           counts, capacity=4)
     with pytest.raises(DataError, match="'oracle'"):
-        evaluate.benchmark({"flat": flat}, {"flat": [2]}, [events], [counts], capacity=4)
+        evaluate.benchmark({"flat": flat}, {"flat": [2]}, [events], counts, capacity=4)
 
 
 def test_benchmark_rejects_a_decision_outside_the_station():
@@ -297,7 +296,7 @@ def test_benchmark_rejects_a_decision_outside_the_station():
     for s_star in (5, -1):
         with pytest.raises(DataError, match=rf"^starting inventory {s_star} outside \[0, 4\]$"):
             evaluate.benchmark({"flat": flat}, {"flat": [s_star], "oracle": oracle_s(counts)},
-                               [events], [counts], capacity=4)
+                               [events], counts, capacity=4)
 
 
 def test_rows_to_csv_layout():

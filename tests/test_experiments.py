@@ -15,7 +15,7 @@ from pathlib import Path
 import lane_jobs
 import numpy as np
 import pytest
-from conftest import run_config, tree, write_config
+from conftest import demand_series, run_config, tree, write_config
 from test_ingest import quoted_citi_bike_file
 
 from bikecast import artifacts, evaluate, experiments, ingest, neural
@@ -112,8 +112,7 @@ def small_day() -> tuple[DemandSeries, EventStream]:
         times += [base + timedelta(minutes=15 * (j + 1) + 1) for j in range(2)]
         kinds += [PICKUP] * 3 + [RETURN] * 2
     stream = EventStream(station="S", times=times, kinds=kinds)
-    series = DemandSeries(station="S", interval_minutes=60, start=start,
-                          pickups=pickups, returns=returns)
+    series = demand_series(pickups, returns, first_day=start.date(), station="S")
     return series, stream
 
 
@@ -130,7 +129,7 @@ def test_bias_study_zero_delta_is_the_oracle():
     rows = bias_study(series, stream, capacity=12, delta_grid=np.array([0.0, 1.0, 2.0]))
     assert [(r["kind"], r["delta"]) for r in rows] == [
         (kind, delta) for kind in BIAS_KINDS for delta in (0.0, 1.0, 2.0)]
-    oracle = oracle_decision(series, 12).s_star
+    oracle = oracle_decision(series.counts[0], 60, 12).s_star
     oracle_cost = replay_cost(stream, 12)[oracle]
     for row in rows:
         if row["delta"] == 0.0:
@@ -160,10 +159,8 @@ def test_bias_study_decisions_move_with_the_bias():
 
 def test_bias_study_rejects_multi_day_series():
     series, stream = small_day()
-    two = DemandSeries(station="S", interval_minutes=60, start=series.start,
-                       pickups=np.tile(series.pickups, 2),
-                       returns=np.tile(series.returns, 2))
-    with pytest.raises(DataError):
+    two = DemandSeries("S", 60, series.first_day, np.tile(series.counts, (2, 1, 1)))
+    with pytest.raises(DataError, match="^bias study expects exactly one day of counts$"):
         bias_study(two, stream, capacity=12, delta_grid=np.array([0.0, 1.0]))
 
 
@@ -341,8 +338,7 @@ def test_neural_models_run_through_pipeline(tmp_path, corpus):
         days, forecasts = experiments.load_forecasts(config, "7", name)
         net = neural.load_checkpoint(
             os.path.join(config.out_dir, "models", f"{checkpoint}.ckpt"))
-        expected = neural.predict_rates(
-            net, test.covariates.reshape(len(days), test.intervals_per_day, -1))
+        expected = neural.predict_rates(net, test.covariates)
         np.testing.assert_allclose(forecasts[:, :, columns], expected, rtol=1e-9, atol=0.0)
     experiments.stage_optimize(config)
     decisions = _kept_rows(Path(config.out_dir, "decisions", "7.csv"))
@@ -382,7 +378,7 @@ def _full_stream_csv(paths) -> str:
 def test_ingest_keeps_the_events_of_the_test_days_alone(tmp_path, corpus):
     config = staged_run(tmp_path, corpus)
     test = split(experiments.load_ingested(config)["7"]).test
-    assert (test.start, test.n_days) == (datetime(2018, 11, 1), 61)
+    assert (test.first_day, test.n_days) == (date(2018, 11, 1), 61)
     header, *rows = _full_stream_csv(corpus).splitlines(keepends=True)
     cut = [row for row in rows if row.startswith(("2018-11-", "2018-12-"))]
     assert 0 < len(cut) < len(rows) // 4
@@ -417,7 +413,7 @@ def test_quarter_hour_run_rebuilds_the_covariates_from_the_kept_weather(tmp_path
     series = experiments.load_ingested(config)["7"]
     expected = build_covariates(read_input(corpus["weather"], parse_weather),
                                 (date(2018, 1, 1), date(2018, 12, 31)), 15)
-    assert series.covariates.shape == (365 * 96, len(covariate_columns(15))) == (35040, 105)
+    assert series.covariates.shape == (365, 96, len(covariate_columns(15))) == (365, 96, 105)
     np.testing.assert_array_equal(series.covariates, expected)
     forecasts = _train_and_forecast(config)
     assert sorted(forecasts) == ["7_ha.csv", "7_lr.csv"]
@@ -512,7 +508,7 @@ def _read_only(data: dict) -> dict:
     """``data``, as :func:`experiments.load_ingested` returns it, with every
     array in it made read-only, so that a stage that writes to one fails."""
     for series in data.values():
-        for array in (series.pickups, series.returns, series.covariates):
+        for array in (series.counts, series.covariates):
             array.flags.writeable = False
     return data
 
@@ -1082,13 +1078,14 @@ def test_a_cut_that_opens_a_field_past_the_csv_limit_falls_back(small_ranges, tm
 
 def test_a_bad_byte_in_a_range_raises_the_serial_decode_error(small_ranges, tmp_path):
     # a range decodes alone, so its error would give the byte's position in
-    # the range; the serial parse gives it in the file
+    # the range; the serial parse gives the line in the file
     lines = trip_lines(40)
     lines[30] = lines[30].replace("10", "1\xff", 1)
     path = tmp_path / "trips.csv"
     path.write_bytes("\n".join(lines).encode("latin-1"))
-    with pytest.raises(UnicodeDecodeError) as serial:
+    with pytest.raises(RowError) as serial:
         read_input(str(path), parse_trips)
-    with pytest.raises(UnicodeDecodeError) as ranged:
+    with pytest.raises(RowError) as ranged:
         read_input(str(path), experiments._read_trips)
-    assert str(ranged.value) == str(serial.value)
+    assert str(ranged.value) == str(serial.value) == f"{path}: line 31: not UTF-8 text"
+    assert small_ranges[-1]  # the ranges failed, and the whole file was parsed

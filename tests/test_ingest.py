@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import demand_series
 
 from bikecast import artifacts
 from bikecast.config import RunConfig
@@ -238,10 +239,8 @@ def test_events_csv_rejects_malformed_files():
 
 
 def _demand_text() -> str:
-    series = DemandSeries(station="A", interval_minutes=60, start=datetime(2018, 6, 1),
-                          pickups=np.ones(24, dtype=np.int64),
-                          returns=np.zeros(24, dtype=np.int64))
-    return demand_to_csv(series)
+    return demand_to_csv(demand_series(np.ones(24, dtype=np.int64),
+                                       np.zeros(24, dtype=np.int64)))
 
 
 READERS = {
@@ -299,11 +298,11 @@ def test_aggregate_boundaries_left_closed():
     trips = parse_trips(io.StringIO(TRIPS_CSV))
     streams = to_event_streams(trips, ["A"])
     series = aggregate(streams["A"], 60, (date(2018, 6, 1), date(2018, 6, 2)))
-    assert series.n_days == 2
-    by_hour = series.pickups.reshape(2, 24)
+    assert series.counts.shape == (2, 24, 2)
+    by_hour = series.counts[..., PICKUP]
     assert by_hour[0, 7] == 1  # 07:58 pickup
     assert by_hour[0, 8] == 1  # 08:59:59 stays in hour 8
-    ret = series.returns.reshape(2, 24)
+    ret = series.counts[..., RETURN]
     assert ret[0, 9] == 1  # B->A return lands at 09:20
     assert ret[1, 10] == 1  # C->A return next day
 
@@ -397,18 +396,19 @@ def test_covariate_columns_layout():
 def test_build_covariates_one_hots_sum_to_one():
     table = weather_for_days(date(2018, 6, 1), 2)
     values = build_covariates(table, (date(2018, 6, 1), date(2018, 6, 2)), 30)
-    assert values.shape == (2 * 48, 2 + 7 + 48)
-    np.testing.assert_allclose(values[:, 2:9].sum(axis=1), 1.0)
-    np.testing.assert_allclose(values[:, 9:].sum(axis=1), 1.0)
-    # 2018-06-01 is a Friday
-    assert values[0, 2 + 4] == 1.0
+    assert values.shape == (2, 48, 2 + 7 + 48)
+    np.testing.assert_allclose(values[..., 2:9].sum(axis=-1), 1.0)
+    np.testing.assert_allclose(values[..., 9:].sum(axis=-1), 1.0)
+    # 2018-06-01 is a Friday, and each slot's one-hot is its own
+    assert values[0, 0, 2 + 4] == values[1, 0, 2 + 5] == 1.0
+    np.testing.assert_array_equal(values[1, :, 9:], np.eye(48))
 
 
 def test_build_covariates_forward_fills_gaps():
     obs = hourly_observations(date(2018, 6, 1), 1, temp=20.0)
     del obs[datetime(2018, 6, 1, 5)]
     cov = build_covariates(weather_table(obs), (date(2018, 6, 1), date(2018, 6, 1)), 60)
-    assert cov[5, 0] == 20.0  # filled from hour 4
+    assert cov[0, 5, 0] == 20.0  # filled from hour 4
 
 
 def test_build_covariates_leading_gap_is_an_error():
@@ -421,14 +421,11 @@ def test_build_covariates_leading_gap_is_an_error():
 def test_sub_hourly_intervals_replicate_hourly_weather():
     table = weather_for_days(date(2018, 6, 1), 1, temp=17.5)
     cov = build_covariates(table, (date(2018, 6, 1), date(2018, 6, 1)), 15)
-    assert np.all(cov[0:4, 0] == 17.5)
+    assert np.all(cov[0, 0:4, 0] == 17.5)
 
 
 def test_attach_covariates_validates_length():
-    series = DemandSeries(
-        station="A", interval_minutes=60, start=datetime(2018, 6, 1),
-        pickups=np.zeros(24, dtype=np.int64), returns=np.zeros(24, dtype=np.int64),
-    )
+    series = demand_series(np.zeros(24, dtype=np.int64), np.zeros(24, dtype=np.int64))
     table = weather_for_days(date(2018, 6, 1), 2)
     cov = build_covariates(table, (date(2018, 6, 1), date(2018, 6, 2)), 60)
     with pytest.raises(DataError):
@@ -436,24 +433,16 @@ def test_attach_covariates_validates_length():
 
 
 def test_split_needs_month_aligned_year():
-    series = DemandSeries(
-        station="A", interval_minutes=60, start=datetime(2018, 1, 1),
-        pickups=np.zeros(365 * 24, dtype=np.int64),
-        returns=np.zeros(365 * 24, dtype=np.int64),
-    )
+    series = DemandSeries("A", 60, date(2018, 1, 1), np.zeros((365, 24, 2), dtype=np.int64))
     parts = split(series)
     # 9 months train (Jan..Sep), 1 month validation (Oct), 2 test (Nov, Dec)
     assert parts.train.n_days == 273
     assert parts.validation.n_days == 31
     assert parts.test.n_days == 61
-    assert parts.validation.start == datetime(2018, 10, 1)
-    assert parts.test.start == datetime(2018, 11, 1)
+    assert parts.validation.first_day == date(2018, 10, 1)
+    assert parts.test.first_day == date(2018, 11, 1)
 
-    short = DemandSeries(
-        station="A", interval_minutes=60, start=datetime(2018, 1, 1),
-        pickups=np.zeros(100 * 24, dtype=np.int64),
-        returns=np.zeros(100 * 24, dtype=np.int64),
-    )
+    short = DemandSeries("A", 60, date(2018, 1, 1), np.zeros((100, 24, 2), dtype=np.int64))
     with pytest.raises(ConfigError):
         split(short)
 
@@ -462,48 +451,42 @@ def test_split_and_day_slice_the_series_without_copying():
     # every station of a run shares one covariate array, so a slice that
     # copied it would cost a matrix per station and split
     first = date(2018, 1, 1)
-    series = DemandSeries(
-        station="A", interval_minutes=60, start=datetime(2018, 1, 1),
-        pickups=np.arange(365 * 24, dtype=np.int64), returns=np.ones(365 * 24, dtype=np.int64),
+    series = demand_series(
+        np.arange(365 * 24, dtype=np.int64), np.ones(365 * 24, dtype=np.int64), first_day=first,
         covariates=build_covariates(weather_for_days(first, 365), (first, date(2018, 12, 31)), 60),
     )
     parts = split(series)
-    for part in (parts.train, parts.validation, parts.test, series.day(0), series.day(364),
-                 parts.test.day(3)):
-        for name in ("pickups", "returns", "covariates"):
+    for part in (parts.train, parts.validation, parts.test, series.days(0, 1),
+                 series.days(364, 365), parts.test.days(3, 4)):
+        for name in ("counts", "covariates"):
             assert np.shares_memory(getattr(part, name), getattr(series, name)), name
-    np.testing.assert_array_equal(series.day(31).covariates, series.covariates[31 * 24:32 * 24])
-    np.testing.assert_array_equal(parts.test.day(3).pickups, series.pickups[(304 + 3) * 24:][:24])
+    day = series.days(31, 32)
+    assert day.first_day == date(2018, 2, 1)
+    np.testing.assert_array_equal(day.covariates, series.covariates[31:32])
+    np.testing.assert_array_equal(parts.test.days(3, 4).pickups,
+                                  series.pickups[(304 + 3) * 24:][:24])
 
 
 def test_split_rejects_mid_month_start():
-    series = DemandSeries(
-        station="A", interval_minutes=60, start=datetime(2018, 1, 15),
-        pickups=np.zeros(365 * 24, dtype=np.int64),
-        returns=np.zeros(365 * 24, dtype=np.int64),
-    )
+    series = DemandSeries("A", 60, date(2018, 1, 15), np.zeros((365, 24, 2), dtype=np.int64))
     with pytest.raises(ConfigError):
         split(series)
 
 
 def test_demand_series_validates_whole_days():
-    with pytest.raises(DataError):
-        DemandSeries(
-            station="A", interval_minutes=60, start=datetime(2018, 6, 1),
-            pickups=np.zeros(25, dtype=np.int64), returns=np.zeros(25, dtype=np.int64),
-        )
+    # counts are (days, slots, 2): a day cut short, or three processes, is refused
+    for shape in ((1, 25, 2), (24, 2), (1, 24, 3)):
+        with pytest.raises(DataError) as err:
+            DemandSeries("A", 60, date(2018, 6, 1), np.zeros(shape, dtype=np.int64))
+        assert str(err.value) == f"counts must be (days, 24, 2), got {shape}"
 
 
 def test_demand_csv_roundtrip_keeps_only_counts():
     table = weather_for_days(date(2018, 6, 1), 1, temp=21.0, rain=0.3)
     cov = build_covariates(table, (date(2018, 6, 1), date(2018, 6, 1)), 60)
     rng = np.random.default_rng(0)
-    series = DemandSeries(
-        station="A", interval_minutes=60, start=datetime(2018, 6, 1),
-        pickups=rng.poisson(3, 24).astype(np.int64),
-        returns=rng.poisson(2, 24).astype(np.int64),
-        covariates=cov,
-    )
+    series = demand_series(rng.poisson(3, 24).astype(np.int64),
+                           rng.poisson(2, 24).astype(np.int64), covariates=cov)
     text = demand_to_csv(series)
     lines = text.splitlines()
     assert lines[0] == "interval_start,pickups,returns"
@@ -511,7 +494,7 @@ def test_demand_csv_roundtrip_keeps_only_counts():
     back = demand_from_csv(io.StringIO(text), station="A", interval_minutes=60)
     np.testing.assert_array_equal(back.pickups, series.pickups)
     np.testing.assert_array_equal(back.returns, series.returns)
-    assert back.start == series.start
+    assert back.first_day == series.first_day
     assert back.covariates is None
 
 
@@ -522,14 +505,26 @@ def kept_config(tmp_path) -> RunConfig:
 
 
 def test_read_takes_the_config_line_off_a_demand_file(tmp_path):
-    series = DemandSeries(
-        station="A", interval_minutes=60, start=datetime(2018, 6, 1),
-        pickups=np.ones(24, dtype=np.int64), returns=np.zeros(24, dtype=np.int64),
-    )
+    series = demand_series(np.ones(24, dtype=np.int64), np.zeros(24, dtype=np.int64))
     config = kept_config(tmp_path)
     artifacts.write(config, "demand", demand_to_csv(series), "A")
     back = artifacts.read(config, "demand", demand_from_csv, "A", 60, sid="A")
     assert back.pickups.sum() == 24
+
+
+@pytest.mark.parametrize("first, last, message", [
+    pytest.param(0, 23, "series must tile whole days", id="cut-mid-day"),
+    pytest.param(1, 25, "series must start at local midnight", id="starts-at-one"),
+])
+def test_read_refuses_a_demand_file_that_does_not_tile_days_from_midnight(tmp_path, first, last,
+                                                                          message):
+    rows = [f"{datetime(2018, 6, 1) + timedelta(hours=h)},{h % 5},0\n" for h in range(48)]
+    config = kept_config(tmp_path)
+    artifacts.write(config, "demand", "interval_start,pickups,returns\n"
+                    + "".join(rows[first:last]), "A")
+    with pytest.raises(DataError) as err:
+        artifacts.read(config, "demand", demand_from_csv, "A", 60, sid="A")
+    assert str(err.value) == f"{artifacts.path(config, 'demand', 'A')}: {message}"
 
 
 @pytest.mark.parametrize("row, message", [
@@ -542,10 +537,7 @@ def test_read_takes_the_config_line_off_a_demand_file(tmp_path):
 ])
 def test_demand_csv_row_errors_carry_their_line(row, message):
     # the config line, blanked by artifacts.read, counts: line numbers are physical lines
-    series = DemandSeries(
-        station="A", interval_minutes=60, start=datetime(2018, 6, 1),
-        pickups=np.ones(24, dtype=np.int64), returns=np.zeros(24, dtype=np.int64),
-    )
+    series = demand_series(np.ones(24, dtype=np.int64), np.zeros(24, dtype=np.int64))
     lines = ("\n" + demand_to_csv(series)).splitlines()
     lines[5] = row
     with pytest.raises(RowError, match=message) as err:
@@ -571,7 +563,7 @@ def _kept_decisions() -> str:
 
 def _read_demand(lines: list[str]):
     series = demand_from_csv(lines, "A", 60)
-    return series.start, series.pickups.tolist(), series.returns.tolist()
+    return series.first_day, series.counts.tolist()
 
 
 def _read_forecast(lines: list[str]):
@@ -1056,8 +1048,10 @@ def test_build_covariates_matches_the_per_interval_loop(interval):
         del obs[datetime(2018, 3, 10) + timedelta(hours=hour)]
     day_range = (date(2018, 3, 10), date(2018, 3, 13))
     cov = build_covariates(weather_table(obs), day_range, interval)
-    assert isinstance(cov, np.ndarray) and cov.shape[1] == len(covariate_columns(interval))
-    np.testing.assert_array_equal(cov, reference_covariates(obs, day_range, interval))
+    assert isinstance(cov, np.ndarray)
+    assert cov.shape == (4, 1440 // interval, len(covariate_columns(interval)))
+    np.testing.assert_array_equal(cov.reshape(-1, cov.shape[2]),
+                                  reference_covariates(obs, day_range, interval))
 
     del obs[datetime(2018, 3, 10)]
     with pytest.raises(DataError, match="2018-03-10 00:00:00") as err:
@@ -1084,8 +1078,7 @@ def test_weather_table_keeps_the_last_of_repeated_hours_and_checks_in_order():
 
 
 def kept_demand_lines() -> list[str]:
-    series = DemandSeries(station="A", interval_minutes=60, start=datetime(2018, 6, 1),
-                          pickups=np.arange(24), returns=np.zeros(24, dtype=np.int64))
+    series = demand_series(np.arange(24), np.zeros(24, dtype=np.int64))
     return ("\n" + demand_to_csv(series)).splitlines()
 
 
@@ -1121,10 +1114,25 @@ def test_demand_csv_rejects_rows_out_of_sequence(tmp_path, damage, line, message
     assert str(err.value).startswith(f"{path}: line {line}: {message}")
 
 
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_a_byte_that_is_not_utf8_is_refused_at_the_line_a_parser_counts(tmp_path, ending):
+    # line ends as the parsers count them: LF, CR LF and a lone CR each end a line
+    path = tmp_path / "weather.csv"
+    for bad, reason in ((b"1.5", "rain_probability 1.5 outside [0, 1]"),
+                        (b"0.2\xe9", "not UTF-8 text")):
+        rows = [b"timestamp,temperature_c,rain_probability"] + [
+            f"2018-06-01 0{h}:00:00,15.0,0.2".encode() for h in range(6)]
+        rows[4] = rows[4].replace(b"0.2", bad)
+        path.write_bytes(ending.encode().join(rows))
+        with pytest.raises(RowError) as err:
+            read_input(str(path), parse_weather)
+        assert str(err.value).startswith(f"{path}: line 5: {reason}")
+
+
 def test_demand_csv_reads_the_counts_of_its_rows():
     back = demand_from_csv(io.StringIO("\n".join(kept_demand_lines()) + "\n"), "A", 60)
     np.testing.assert_array_equal(back.pickups, np.arange(24))
-    assert back.start == datetime(2018, 6, 1)
+    assert back.first_day == date(2018, 6, 1)
 
 
 def test_events_csv_bad_time_names_its_line_and_file(tmp_path):

@@ -150,35 +150,20 @@ def test_tie_break_takes_smallest_start():
 
 
 def test_oracle_decision_uses_counts_as_rates():
-    from bikecast.ingest import DemandSeries
-    from datetime import datetime
-
-    series = DemandSeries(
-        station="s",
-        interval_minutes=60,
-        start=datetime(2018, 6, 1),
-        pickups=np.concatenate([np.full(12, 3), np.zeros(12)]).astype(np.int64),
-        returns=np.concatenate([np.zeros(12), np.full(12, 3)]).astype(np.int64),
-    )
-    curve = oracle_decision(series, capacity=40)
-    direct = udf_curve(
-        RateSeries(60, series.pickups.astype(float), series.returns.astype(float)),
-        capacity=40,
-    )
+    pickups = np.concatenate([np.full(12, 3), np.zeros(12)]).astype(np.int64)
+    returns = np.concatenate([np.zeros(12), np.full(12, 3)]).astype(np.int64)
+    curve = oracle_decision(np.stack([pickups, returns], axis=1), 60, capacity=40)
+    direct = udf_curve(RateSeries(60, pickups.astype(float), returns.astype(float)), capacity=40)
     np.testing.assert_allclose(curve.values, direct.values, atol=1e-12)
     assert curve.s_star == direct.s_star
 
 
 def test_oracle_decision_refuses_counts_that_are_not_one_day():
-    from bikecast.ingest import DemandSeries
-    from datetime import datetime
-
-    two_days = DemandSeries(station="s", interval_minutes=60, start=datetime(2018, 6, 1),
-                            pickups=np.ones(48, np.int64), returns=np.ones(48, np.int64))
+    two_days = np.ones((48, 2), np.int64)
     with pytest.raises(DomainError) as err:
-        oracle_decision(two_days, capacity=40)
+        oracle_decision(two_days, 60, capacity=40)
     assert str(err.value) == ("oracle_decision expects exactly one day of counts, "
-                              "got 48 intervals at 60 min")
+                              "(24, 2) at 60 min, got (48, 2)")
 
 
 def test_rejects_invalid_capacity():

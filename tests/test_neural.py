@@ -55,7 +55,7 @@ def tiny_model(kind="vprnn", hidden=4, input_width=3, processes=1, seed=0):
 
 def first_day_covariates(split):
     """The test split's first day as a one-day stack, ``(1, steps, width)``."""
-    return split.test.day(0).covariates[None]
+    return split.test.covariates[:1]
 
 
 def test_init_params_layout():

@@ -47,7 +47,7 @@ def test_sinusoidal_covariates_follow_calendar():
     cov = split.train.covariates
     assert cov is not None
     # 2018-01-01 is a Monday; day 3 rows carry dow_3
-    row = cov[3 * 24 + 5]
+    row = cov[3, 5]
     assert row[2 + 3] == 1.0
     assert row[9 + 5] == 1.0
     assert row[1] == 0.0  # dry benchmark
@@ -58,7 +58,7 @@ def test_day_noise_overdisperses_daily_totals():
     noisy, _, _ = sinusoidal_split(n_days=40, seed=4, day_log_noise=1.0)
 
     def day_totals(series):
-        return series.pickups.reshape(series.n_days, -1).sum(axis=1)
+        return series.counts[..., 0].sum(axis=1)
 
     var_calm = day_totals(calm.train).var()
     var_noisy = day_totals(noisy.train).var()

@@ -124,7 +124,7 @@ def test_peaked_day_counts_match_stream():
     assert all(day_start <= ts < day_start + timedelta(days=1) for ts in times)
 
     # interval-by-interval agreement between counts and events
-    for i in range(len(series)):
+    for i in range(series.intervals_per_day):
         lo = day_start + timedelta(hours=i)
         hi = lo + timedelta(hours=1)
         inside = [k for ts, k in zip(times, kinds) if lo <= ts < hi]
