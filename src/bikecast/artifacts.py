@@ -2,11 +2,14 @@
 stage writes it, and how it is written and read back.
 
 This module alone knows the config line, ``# config: <hash> seed: <n>``.
-:func:`write` puts it first in every text artifact, and :func:`read` takes
-off exactly that line and no other before the parser of the kind sees the
-file's lines: a data row that begins with ``#`` stays a row. Every CSV
-artifact is then read by the table reader of :mod:`.ingest`, its rows at their
-physical line numbers. :func:`read` names the file in every error it raises.
+:func:`write` writes every text artifact in UTF-8, that line first. :func:`read`
+opens a text artifact through :func:`.ingest.read_input`, the opener of the
+inputs, and takes off exactly that line and no other before the parser of the
+kind sees the file's lines: a data row that begins with ``#`` stays a row.
+Every CSV artifact is then read by the table reader of :mod:`.ingest`, its
+rows at their physical line numbers. A checkpoint is binary: :mod:`.neural`
+writes and reads it, and :func:`read` hands its parser the path. Every error
+that :func:`read` raises names the file.
 
 A forecast is one (days, slots, 2) array of expected counts per interval,
 pickups then returns, from the forecaster to the report: the shape of a
@@ -30,7 +33,7 @@ from . import classical, neural
 from .config import RunConfig
 from .errors import DataError, DomainError, FormatError, RowError
 from .ingest import (DemandSeries, _check_rows, _table, build_covariates, demand_from_csv,
-                     parse_stations, parse_weather)
+                     parse_stations, parse_weather, read_input)
 
 # each kind of artifact: the stage that writes it, and its path under out_dir
 # for station ``sid`` and model, net label or report ``name``; evaluate and
@@ -67,10 +70,10 @@ def artifact_header(config: RunConfig) -> str:
 
 
 def write(config: RunConfig, kind: str, text: str, sid: str = "", name: str = "") -> None:
-    """Write ``text`` as the artifact, after the config line."""
+    """Write ``text`` as the artifact, in UTF-8, after the config line."""
     file = path(config, kind, sid, name)
     os.makedirs(os.path.dirname(file), exist_ok=True)
-    with open(file, "w", newline="") as fh:
+    with open(file, "w", newline="", encoding="utf-8") as fh:
         fh.write(artifact_header(config))
         fh.write(text)
 
@@ -79,33 +82,26 @@ def read(config: RunConfig, kind: str, parse, *args, sid: str = "", name: str = 
     """``parse(lines, *args)`` of the artifact's file; of a checkpoint,
     ``parse(file, *args)``.
 
-    A missing file raises :class:`DataError` naming the stage to run. A text
-    artifact is read whole as lines. Its first line must be a config line, or
-    :class:`FormatError` names the file and the stage to run again; that one
-    line is blanked, so that every other line keeps its physical number, and
-    ``parse`` gets the lines. What ``parse`` raises names the file: a
-    :class:`RowError` gets its path, and any other :class:`DataError`,
-    ``ValueError`` or ``KeyError`` that does not start with it becomes a
-    :class:`FormatError` that does.
+    A missing file raises :class:`DataError` naming the stage to run. A
+    checkpoint is parsed from its path, and its parser names the file in
+    every error. A text artifact is opened by :func:`.ingest.read_input`,
+    which names the file in what ``parse`` raises, and read whole as lines.
+    Its first line must be a config line, or :class:`FormatError` names the
+    file and the stage to run again; that one line is blanked, so that every
+    other line keeps its physical number, and ``parse`` gets the lines.
     """
     file = path(config, kind, sid, name)
     if not os.path.exists(file):
         raise DataError(f"missing artifact {file}; run the {KINDS[kind][0]} stage first")
-    try:
-        if kind == "checkpoint":
-            return parse(file, *args)
-        with open(file, newline="") as fh:
-            if not fh.readline().startswith(_CONFIG_LINE):
-                raise FormatError(f"{file} does not begin with a config line; "
-                                  f"run the {KINDS[kind][0]} stage again")
-            lines = ["\n", *fh]
-        return parse(lines, *args)
-    except RowError as e:
-        raise RowError(e.line_number, e.reason, file) from None
-    except (DataError, ValueError, KeyError) as e:
-        if isinstance(e, DataError) and str(e).startswith(file):
-            raise
-        raise FormatError(f"{file}: {e}") from None
+    if kind == "checkpoint":
+        return parse(file, *args)
+
+    def unheaded(stream):
+        if not stream.readline().startswith(_CONFIG_LINE):
+            raise FormatError(f"{file} does not begin with a config line; "
+                              f"run the {KINDS[kind][0]} stage again")
+        return parse(["\n", *stream], *args)
+    return read_input(file, unheaded)
 
 
 def load_ingested(config: RunConfig) -> dict[str, DemandSeries]:
@@ -149,8 +145,8 @@ def parse_checkpoint(file: str, kind: str, targets: tuple[str, ...],
     ignored."""
     model = neural.load_checkpoint(file)
     if (model.kind, model.targets, model.interval_minutes) != (kind, targets, interval_minutes):
-        raise DataError(f"{file} holds a {model.kind} net of {'+'.join(model.targets)} fitted "
-                        f"at {model.interval_minutes} minutes, not a {kind} net of "
+        raise DataError(f"{file} holds a {model.kind} net of {'+'.join(map(str, model.targets))} "
+                        f"fitted at {model.interval_minutes} minutes, not a {kind} net of "
                         f"{'+'.join(targets)} at {interval_minutes}; run the train stage again")
     width = model.input_width
     expected = {"norm/cov_mean": (width,), "norm/cov_std": (width,)} | {

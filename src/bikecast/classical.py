@@ -54,6 +54,8 @@ class LinearModel:
     return_coef: np.ndarray
 
     def __post_init__(self):
+        if not (isinstance(self.columns, list) and all(isinstance(c, str) for c in self.columns)):
+            raise DataError("columns must be a list of covariate names")
         self.pickup_coef, self.return_coef = (
             np.asarray(coef, dtype=float) for coef in (self.pickup_coef, self.return_coef))
         width = len(self.columns) + 1
@@ -150,8 +152,14 @@ def model_to_json(model) -> str:
 
 
 def model_from_json(text: str):
+    """The model of :func:`model_to_json`'s text. An unknown kind, or a value
+    that its model cannot take, as a string where a number belongs, raises
+    :class:`FormatError`."""
     payload = json.loads(text)
     kind = payload.get("kind") if isinstance(payload, dict) else None
-    if kind not in _JSON_KINDS:
+    if not isinstance(kind, str) or kind not in _JSON_KINDS:
         raise FormatError(f"unknown model kind {kind!r}")
-    return _JSON_KINDS[kind](**{f.name: payload[f.name] for f in fields(_JSON_KINDS[kind])})
+    try:
+        return _JSON_KINDS[kind](**{f.name: payload[f.name] for f in fields(_JSON_KINDS[kind])})
+    except (TypeError, ZeroDivisionError) as e:  # as 1440 // "60", or 1440 // 0
+        raise FormatError(f"a damaged {kind} model: {e}") from None

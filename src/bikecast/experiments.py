@@ -285,10 +285,11 @@ def _read_trips(stream) -> TripTable:
 
     The file is parsed whole when it has one range or the host one core, when
     its header line, split by ``csv.reader`` as :func:`parse_trips` splits it,
-    ends inside a quoted field, holds a CR or lacks a trip column, or when a
-    range fails or its worker dies: a cut inside a quoted field can break
-    the rows on both sides of it, and the serial parse, :func:`parse_trips`
-    of ``stream``, reads them right or raises the serial error.
+    ends inside a quoted field, holds a CR, lacks a trip column or is longer
+    than ``csv.field_size_limit()``, or when a range fails or its worker dies:
+    a cut inside a quoted field can break the rows on both sides of it, and
+    the serial parse, :func:`parse_trips` of ``stream``, reads them right or
+    raises the serial error.
     """
     path = stream.name
     with open(path, "rb") as fh:
@@ -300,8 +301,10 @@ def _read_trips(stream) -> TripTable:
             fh.readline()
             cuts.append(fh.tell())
     line = head.removesuffix(b"\n").removesuffix(b"\r")
-    # split as parse_trips splits it: a quote left open keeps the line feed
-    names = [] if b"\r" in line else next(csv.reader([line.decode("latin-1") + "\n"]), [])
+    # split as parse_trips splits it: a quote left open keeps the line feed, and
+    # a line beyond csv's field limit, which may hold a field beyond it, is not split
+    names = [] if b"\r" in line or len(line) > csv.field_size_limit() else next(
+        csv.reader([line.decode("latin-1") + "\n"]), [])
     if len(cuts) < 2 or "\n" in "".join(names) or not set(names) >= set(TRIP_COLUMNS):
         return parse_trips(stream)
     index = {name: i for i, name in enumerate(names)}
@@ -337,34 +340,18 @@ class Forecaster:
     stage_forecast writes, stage_optimize decides from and stage_evaluate
     scores.
     With ``nets``, the model is one net per ``(label, targets)``, by label:
-    trained in a lane from its label's seed and kept in a checkpoint; nets of
-    a lower ``train_order`` start first. With a ``fitted`` type,
-    ``classical.fit_<name>`` fits it on the train split, and its JSON file must
-    hold that type. With neither, it is fitted per forecast day, keeps no file,
-    and its model is None.
+    trained in a lane from its label's seed and kept in its label's
+    checkpoint; nets of a lower ``train_order`` start first. With a ``fitted``
+    type, ``classical.fit_<name>`` fits it on the train split, and its JSON
+    model file must hold that type. With neither, it is fitted per forecast
+    day, keeps no file, and its model is empty. :func:`stage_train` writes
+    these files and :func:`load_models` reads them back.
     """
 
     forecast: Callable
     fitted: type | None = None
     nets: tuple[tuple[str, tuple[str, ...]], ...] = ()
     train_order: int = 0
-
-    def save(self, model, config: RunConfig, sid: str, name: str) -> None:
-        if self.nets:
-            for label, net in model.items():
-                neural.save_checkpoint(net, path(config, "checkpoint", sid, label))
-        elif self.fitted:
-            write(config, "model", classical.model_to_json(model) + "\n", sid, name)
-
-    def load(self, config: RunConfig, sid: str, name: str):
-        if self.nets:
-            return {label: read(config, "checkpoint", parse_checkpoint, name, targets,
-                                config.interval_minutes, sid=sid, name=label)
-                    for label, targets in self.nets}
-        if self.fitted:
-            return read(config, "model", parse_model, self.fitted, config.interval_minutes,
-                        sid=sid, name=name)
-        return None
 
 
 # The paper's forecasters by name. The nets start by their time per epoch,
@@ -495,9 +482,9 @@ def stage_train(config: RunConfig, data: dict[str, DemandSeries]) -> None:
 
     One job is one net of one station. The jobs train over the lanes of
     :func:`_in_lanes`, by ``train_order``; each net has its own seed, so its
-    bits do not depend on its lane. This process then fits the classical
-    models and writes every model's files. The stage does not write to
-    ``data``.
+    bits do not depend on its lane. This process saves each net's checkpoint
+    as the lanes return it, then fits and writes each classical model. The
+    stage does not write to ``data``.
     """
     parts = {sid: split(data[sid]) for sid in sorted(data)}
     jobs = sorted(((sid, name, label, targets) for sid in parts
@@ -507,24 +494,27 @@ def stage_train(config: RunConfig, data: dict[str, DemandSeries]) -> None:
     trained = _in_lanes(neural.train, [
         (name, parts[sid], config, derive_seed(config.seed, f"train:{sid}:{label}"),
          targets) for sid, name, label, targets in jobs])
-    nets = {(sid, label): net for (sid, _, label, _), net in zip(jobs, trained)}
+    for (sid, _, label, _), net in zip(jobs, trained):
+        neural.save_checkpoint(net, path(config, "checkpoint", sid, label))
     for sid in parts:
         for name in sorted(config.models):
-            entry = FORECASTERS[name]
-            if entry.nets:
-                model = {label: nets[sid, label] for label, _ in entry.nets}
-            elif entry.fitted:
+            if FORECASTERS[name].fitted:
                 model = getattr(classical, f"fit_{name}")(parts[sid].train)
-            else:
-                continue
-            entry.save(model, config, sid, name)
+                write(config, "model", classical.model_to_json(model) + "\n", sid, name)
 
 
 def load_models(config: RunConfig, stations: list[str]) -> dict[str, dict]:
-    """Read back each model as stage_train saved it: a classical model, the
-    nets by label, or None for a model fitted per forecast day."""
-    return {sid: {name: FORECASTERS[name].load(config, sid, name)
-                  for name in sorted(config.models)} for sid in stations}
+    """Read back each model as stage_train saved it: a classical model, or
+    its nets by label, of which a model fitted per forecast day has none."""
+    def load(sid: str, name: str):
+        entry = FORECASTERS[name]
+        if entry.fitted:
+            return read(config, "model", parse_model, entry.fitted, config.interval_minutes,
+                        sid=sid, name=name)
+        return {label: read(config, "checkpoint", parse_checkpoint, name, targets,
+                            config.interval_minutes, sid=sid, name=label)
+                for label, targets in entry.nets}
+    return {sid: {name: load(sid, name) for name in sorted(config.models)} for sid in stations}
 
 
 def _test_days(series: DemandSeries) -> tuple[DemandSeries, list[date]]:

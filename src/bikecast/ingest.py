@@ -27,10 +27,11 @@ as one ``datetime`` object per row:
 Under ``demand/`` ingest also writes each station's counts
 (``station_<sid>.csv``) and, once, the weather it parsed (``weather.csv``).
 
-A parser reads lines or a stream, never a path. :func:`read_input` opens the
-three input files (trips, weather, stations) as UTF-8, and
-:func:`.artifacts.read` the kept ones; each names its file in the errors the
-parser raises.
+A parser reads lines or a stream, never a path. :func:`read_input` opens
+every data file the package reads as text, as UTF-8: the three input files
+(trips, weather, stations) and, for :func:`.artifacts.read`, the kept ones. It names
+the file in the errors the parser raises, and the line of a byte that is not
+UTF-8.
 
 Every CSV the package reads, input or kept, goes through one row reader,
 :func:`_column_chunks`, and each of its columns through one converter,
@@ -270,12 +271,15 @@ def _iso_strings(times: np.ndarray) -> list[str]:
 
 
 def read_input(path: str, parse):
-    """``parse(stream)`` of the input file at ``path``, opened as UTF-8 text.
+    """``parse(stream)`` of the file at ``path``, opened as UTF-8 text: the
+    opener of every input and of every kept text file.
 
-    A missing file raises :class:`DataError`. A :class:`RowError` or
-    :class:`FormatError` that ``parse`` raises names the file, and so does the
-    :class:`RowError` of a byte that is not UTF-8, at the line of the first
-    such byte, counting LF, CR LF and lone CR line ends as the parsers do.
+    A missing file raises :class:`DataError`. What ``parse`` raises names the
+    file: a :class:`RowError` gets its path, and any other
+    :class:`DataError`, ``ValueError`` or ``KeyError`` that does not start
+    with it becomes a :class:`FormatError` that does. A byte that is not UTF-8
+    raises :class:`RowError` at the line of the first such byte, counting LF,
+    CR LF and lone CR line ends as the parsers do.
     """
     if not os.path.exists(path):
         raise DataError(f"input file not found: {path}")
@@ -284,8 +288,6 @@ def read_input(path: str, parse):
             return parse(stream)
         except RowError as exc:
             raise RowError(exc.line_number, exc.reason, path) from None
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
         except UnicodeDecodeError:
             with open(path, "rb") as fh:
                 head = fh.read()
@@ -295,6 +297,10 @@ def read_input(path: str, parse):
                 head = head[:exc.start]
             line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
             raise RowError(line, "not UTF-8 text", path) from None
+        except (DataError, ValueError, KeyError) as exc:
+            if isinstance(exc, DataError) and str(exc).startswith(path):
+                raise
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def _column_chunks(stream, what: str, names: tuple[str, ...], exact: bool = False):
@@ -310,39 +316,45 @@ def _column_chunks(stream, what: str, names: tuple[str, ...], exact: bool = Fals
     A row's number is the line it ends on, counted from ``reader.line_num``
     at the chunk's two ends. Only a chunk spanning more lines than rows, as
     when a quoted field holds a line break, counts the LF, CR LF and lone CR
-    line ends (those of ``open(newline="")``) inside each row's fields.
+    line ends (those of ``open(newline="")``) inside each row's fields. A
+    line that ``csv.reader`` refuses, as for a field beyond
+    ``csv.field_size_limit()``, raises :class:`RowError` with its words, at
+    the line the reader stopped on.
     """
     reader = csv.reader(stream)
-    header = next(filter(None, reader), None)
-    if header is None:
-        raise FormatError(f"{what} file is empty (no header row)")
-    for col in names:
-        if col not in header:
-            raise FormatError(f"{what} file is missing required column {col!r}")
-    if exact and header != list(names):
-        raise FormatError(f"{what} file has the columns {','.join(header)}, "
-                          f"not {','.join(names)}")
-    index = {name: i for i, name in enumerate(header)}
-    columns = [index[col] for col in names]
-    width = max(columns) + 1
-    end = reader.line_num
-    while rows := list(islice(reader, _CHUNK_ROWS)):
-        start, end = end, reader.line_num
-        numbers = range(start + 1, end + 1)
-        if len(numbers) > len(rows):
-            breaks = (sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
-                      for row in rows)
-            numbers = list(accumulate(breaks, lambda n, b: n + b + 1, initial=start))[1:]
-        try:
-            picked = [list(map(itemgetter(i), rows)) for i in columns]
-        except IndexError:  # a short row, or a blank line, which reads as an empty row
-            kept = list(map(bool, rows))
-            numbers = compress(numbers, kept)
-            rows = [row + [""] * (width - len(row)) for row in compress(rows, kept)]
-            if not rows:
-                continue
-            picked = [list(map(itemgetter(i), rows)) for i in columns]
-        yield picked, list(numbers)
+    try:
+        header = next(filter(None, reader), None)
+        if header is None:
+            raise FormatError(f"{what} file is empty (no header row)")
+        for col in names:
+            if col not in header:
+                raise FormatError(f"{what} file is missing required column {col!r}")
+        if exact and header != list(names):
+            raise FormatError(f"{what} file has the columns {','.join(header)}, "
+                              f"not {','.join(names)}")
+        index = {name: i for i, name in enumerate(header)}
+        columns = [index[col] for col in names]
+        width = max(columns) + 1
+        end = reader.line_num
+        while rows := list(islice(reader, _CHUNK_ROWS)):
+            start, end = end, reader.line_num
+            numbers = range(start + 1, end + 1)
+            if len(numbers) > len(rows):
+                breaks = (sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+                          for row in rows)
+                numbers = list(accumulate(breaks, lambda n, b: n + b + 1, initial=start))[1:]
+            try:
+                picked = [list(map(itemgetter(i), rows)) for i in columns]
+            except IndexError:  # a short row, or a blank line, which reads as an empty row
+                kept = list(map(bool, rows))
+                numbers = compress(numbers, kept)
+                rows = [row + [""] * (width - len(row)) for row in compress(rows, kept)]
+                if not rows:
+                    continue
+                picked = [list(map(itemgetter(i), rows)) for i in columns]
+            yield picked, list(numbers)
+    except csv.Error as exc:
+        raise RowError(reader.line_num, str(exc)) from None
 
 
 def _table(lines, what: str, names: tuple[str, ...], kinds: tuple, exact: bool = False):

@@ -632,8 +632,9 @@ def save_checkpoint(model: NeuralModel, path: str) -> None:
 
 def load_checkpoint(path: str) -> NeuralModel:
     """The model :func:`save_checkpoint` wrote. A file that is not a whole
-    checkpoint, its header's ``train_history`` included, raises
-    :class:`FormatError` naming ``path``."""
+    checkpoint, its header's ``train_history`` included, or whose header
+    holds a width, process count or interval that is not a positive integer,
+    raises :class:`FormatError` naming ``path``."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_CHECKPOINT_MAGIC))
         if magic != _CHECKPOINT_MAGIC:
@@ -641,6 +642,10 @@ def load_checkpoint(path: str) -> NeuralModel:
         try:
             (length,) = struct.unpack("<Q", fh.read(8))
             header = json.loads(fh.read(length).decode("utf-8"))
+            sizes = ("hidden_width", "input_width", "processes", "interval_minutes")
+            if wrong := [key for key in sizes if type(header[key]) is not int or header[key] < 1]:
+                raise FormatError(f"{path}: the checkpoint header's {wrong[0]} is not a "
+                                  f"positive integer")
             params = {}
             for entry in header["params"]:
                 shape = tuple(entry["shape"])
@@ -649,11 +654,9 @@ def load_checkpoint(path: str) -> NeuralModel:
                 if len(raw) != n * 8:
                     raise FormatError(f"{path}: checkpoint truncated")
                 params[entry["name"]] = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
-            return NeuralModel(
-                **{key: header[key] for key in ("kind", "hidden_width", "input_width",
-                                                "processes", "interval_minutes", "seed")},
-                targets=tuple(header["targets"]), params=params,
-                train_history=header["train_history"])
+            return NeuralModel(kind=header["kind"], **{key: header[key] for key in sizes},
+                               targets=tuple(header["targets"]), seed=header["seed"],
+                               params=params, train_history=header["train_history"])
         except KeyError as e:
             raise FormatError(f"{path}: the checkpoint header lacks {e}") from None
         except (struct.error, ValueError, TypeError) as e:

@@ -257,6 +257,21 @@ def test_an_input_that_is_not_utf8_exits_data_naming_its_file_and_line(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, line, field", [("trips", 11, 2), ("stations", 2, 0)])
+def test_a_field_past_the_csv_limit_exits_data_naming_its_file_and_line(tmp_path, capsys, corpus,
+                                                                       key, line, field):
+    lines = Path(corpus[key]).read_text().splitlines()
+    row = lines[line - 1].split(",")
+    row[field] = '"' + "7" * 200_000 + '"'
+    lines[line - 1] = ",".join(row)
+    damaged = tmp_path / f"{key}.csv"
+    damaged.write_text("\n".join(lines) + "\n")
+    path = write_config(tmp_path / "run.yaml", {**corpus, key: str(damaged)}, tmp_path / "out")
+    assert main(["ingest", "--config", path]) == EXIT_DATA
+    assert capsys.readouterr().err == (f"bikecast: stage ingest: {damaged}: line {line}: "
+                                       f"field larger than field limit (131072)\n")
+
+
 @pytest.mark.parametrize("sid", ["1,02", "a/b", "a\\b", 'a"b', "a\tb", "a\x85", ".", "..",
                                  "../../esc", "#12"])
 def test_ingest_refuses_a_station_id_that_cannot_name_a_file(tmp_path, capsys, corpus, sid):
@@ -296,6 +311,25 @@ def test_train_refuses_demand_files_of_another_date_range(tmp_path, capsys, corp
         f"bikecast: stage train: {out / 'demand' / 'station_7.csv'} holds 365 days from "
         f"2018-02-01, not 2018-01-01 to 2018-12-31; run the ingest stage again\n")
     assert not (out / "models").exists()
+
+
+@pytest.mark.parametrize("command, file, line", [
+    ("train", "demand/station_7.csv", 5001), ("optimize", "forecasts/7_ha.csv", 700)])
+def test_a_kept_file_that_is_not_utf8_exits_data_naming_its_file_and_line(
+        tmp_path, capsys, optimized_run, command, file, line):
+    # kept files are read through the opener of the inputs, so a bad byte
+    # reads as it does in an input
+    path, run = optimized_run
+    out = tmp_path / "out"
+    shutil.copytree(run, out)
+    target = out / file
+    lines = target.read_bytes().split(b"\n")
+    lines[line - 1] += b"\xe9"
+    target.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main([command, "--config", path, "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == (f"bikecast: stage {command}: {target}: line {line}: "
+                                       f"not UTF-8 text\n")
 
 
 def test_train_before_ingest_names_artifact(tmp_path, capsys, corpus):
@@ -580,11 +614,10 @@ def test_a_forecast_rerun_with_another_seed_writes_the_same_latent_forecasts(tmp
         assert len(body_5) == len(body_6)
 
 
-def _checkpoint_without_kind(blob: bytes) -> bytes:
+def _with_header(blob: bytes, edit) -> bytes:
+    """The checkpoint ``blob`` with its JSON header passed through ``edit``."""
     (length,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16:16 + length])
-    del header["kind"]
-    text = json.dumps(header).encode()
+    text = json.dumps(edit(json.loads(blob[16:16 + length]))).encode()
     return blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + length:]
 
 
@@ -612,14 +645,19 @@ def _first_entry_nan(tensors: dict) -> dict:
     return tensors | {first: value}
 
 
-def _json_with_nan(blob: bytes, key: str) -> bytes:
-    """The JSON model ``blob`` with the first number of its ``key`` NaN."""
+def _json_with(blob: bytes, key: str, edit) -> bytes:
+    """The JSON model ``blob`` with the value of its ``key`` passed through ``edit``."""
     config_line, text = blob.split(b"\n", 1)
     payload = json.loads(text)
-    value = np.array(payload[key], dtype=float)
-    value.flat[0] = np.nan
-    payload[key] = value.tolist()
+    payload[key] = edit(payload[key])
     return config_line + b"\n" + json.dumps(payload, indent=2).encode() + b"\n"
+
+
+def _first_nan(value: list) -> list:
+    """The nested list ``value`` with its first number NaN."""
+    value = np.array(value, dtype=float)
+    value.flat[0] = np.nan
+    return value.tolist()
 
 
 def _per_gate(tensors: dict) -> dict:
@@ -637,8 +675,8 @@ def _per_gate(tensors: dict) -> dict:
 
 @pytest.mark.parametrize("name, damage", [
     ("7_prnn_pickups.ckpt", lambda models: models["7_prnn_pickups.ckpt"][:12]),
-    ("7_prnn_pickups.ckpt", lambda models: _checkpoint_without_kind(
-        models["7_prnn_pickups.ckpt"])),
+    ("7_prnn_pickups.ckpt", lambda models: _with_header(
+        models["7_prnn_pickups.ckpt"], lambda h: {k: v for k, v in h.items() if k != "kind"})),
     ("7_prnn_pickups.ckpt", lambda models: models["7_movprnn.ckpt"]),
     ("7_prnn_pickups.ckpt", lambda models: _with_tensors(
         models["7_prnn_pickups.ckpt"],
@@ -650,15 +688,28 @@ def _per_gate(tensors: dict) -> dict:
     ("7_ha.json", lambda models: b'{"kind": "ha"}\n'),
     ("7_ha.json", lambda models: models["7_ha.json"][:len(models["7_ha.json"]) // 2]),
     ("7_ha.json", lambda models: models["7_ha.json"].split(b"\n", 1)[1]),
-    ("7_ha.json", lambda models: _json_with_nan(models["7_ha.json"], "pickup_table")),
-    ("7_lr.json", lambda models: _json_with_nan(models["7_lr.json"], "pickup_coef")),
+    ("7_ha.json", lambda models: _json_with(models["7_ha.json"], "pickup_table", _first_nan)),
+    ("7_lr.json", lambda models: _json_with(models["7_lr.json"], "pickup_coef", _first_nan)),
     ("7_prnn_pickups.ckpt", lambda models: _with_tensors(models["7_prnn_pickups.ckpt"],
                                                          _first_entry_nan)),
+    ("7_ha.json", lambda models: _json_with(models["7_ha.json"], "kind", lambda _: [])),
+    ("7_ha.json", lambda models: _json_with(models["7_ha.json"], "interval_minutes", str)),
+    ("7_lr.json", lambda models: _json_with(models["7_lr.json"], "columns",
+                                            lambda columns: [5, *columns[1:]])),
+    ("7_movprnn.ckpt", lambda models: _with_header(
+        models["7_movprnn.ckpt"], lambda h: h | {"hidden_width": str(h["hidden_width"])})),
+    ("7_ha.json", lambda models: _json_with(models["7_ha.json"], "interval_minutes",
+                                            lambda _: 0)),
+    ("7_lr.json", lambda models: _json_with(models["7_lr.json"], "pickup_coef", lambda _: None)),
+    ("7_movprnn.ckpt", lambda models: _with_header(models["7_movprnn.ckpt"],
+                                                   lambda h: h | {"targets": [5]})),
 ], ids=["checkpoint-cut-in-its-length", "checkpoint-without-kind", "checkpoint-of-another-net",
         "checkpoint-without-a-tensor", "checkpoint-with-a-misshaped-tensor",
         "checkpoint-in-per-gate-layout", "lr-model-as-ha", "unknown-kind", "truncated-json",
         "json-without-its-config-line", "nan-in-an-ha-table", "nan-in-an-lr-coefficient",
-        "nan-in-a-checkpoint-tensor"])
+        "nan-in-a-checkpoint-tensor", "kind-of-a-list", "interval-of-a-string",
+        "lr-column-of-a-number", "checkpoint-width-of-a-string", "interval-of-zero",
+        "lr-coefficients-of-null", "checkpoint-target-of-a-number"])
 def test_damaged_model_files_exit_data_naming_the_file(tmp_path, capsys, trained_run, name,
                                                        damage):
     path, run = trained_run
@@ -1066,6 +1117,36 @@ def test_no_module_reads_csv_rows_but_the_one_reader():
                         and any(isinstance(arg, ast.Constant) and arg.value == ","
                                 for arg in node.args)):
                     found.append(f"{path.name}: .{node.func.attr}(',') in {where[1]}")
+    assert found == []
+
+
+def test_every_text_file_is_opened_as_utf8_and_read_by_one_opener():
+    # ingest.read_input reads every text file the package reads, input or
+    # kept, and names the file and line of a bad byte; config.load_config
+    # reads the YAML config. Every other open is of bytes or writes UTF-8.
+    # synthetic.py writes only ASCII, and the bench names its corpus
+    # directory after that file's bytes
+    readers = {"ingest.read_input", "config.load_config"}
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "bikecast").glob("*.py")):
+        if path.name == "synthetic.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', None)}"
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+                    continue
+                keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+                mode = (node.args[1:2] or [keywords.get("mode", ast.Constant("r"))])[0]
+                if not isinstance(mode, ast.Constant):
+                    found.append(f"{where}:{node.lineno}: a mode that is not a literal")
+                    continue
+                if "b" in mode.value:
+                    continue
+                if getattr(keywords.get("encoding"), "value", None) != "utf-8":
+                    found.append(f"{where}:{node.lineno}: text without encoding='utf-8'")
+                if ("r" in mode.value or "+" in mode.value) and where not in readers:
+                    found.append(f"{where}:{node.lineno}: reads a text file")
     assert found == []
 
 

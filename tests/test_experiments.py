@@ -1089,3 +1089,21 @@ def test_a_bad_byte_in_a_range_raises_the_serial_decode_error(small_ranges, tmp_
         read_input(str(path), experiments._read_trips)
     assert str(ranged.value) == str(serial.value) == f"{path}: line 31: not UTF-8 text"
     assert small_ranges[-1]  # the ranges failed, and the whole file was parsed
+
+
+def test_a_field_past_the_csv_limit_is_refused_at_its_line_on_both_paths(small_ranges, tmp_path):
+    # csv.reader raises csv.Error for a field longer than csv.field_size_limit();
+    # the row reader words it as a bad row, so the range that holds it fails
+    # and the serial parse gives the same words
+    lines = trip_lines(40)
+    start, stop, _, dest = lines[10].split(",")
+    lines[10] = f'{start},{stop},"{"7" * 200_000}",{dest}'
+    path = tmp_path / "trips.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RowError) as serial:
+        read_input(str(path), parse_trips)
+    with pytest.raises(RowError) as ranged:
+        read_input(str(path), experiments._read_trips)
+    assert str(ranged.value) == str(serial.value) == (
+        f"{path}: line 11: field larger than field limit (131072)")
+    assert small_ranges[-1]  # the range failed, and the whole file was parsed

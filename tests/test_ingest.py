@@ -616,6 +616,20 @@ def test_kept_csv_skips_blank_lines_and_names_the_physical_line_of_a_bad_row(tmp
 
 
 @pytest.mark.parametrize("kind", sorted(KEPT))
+def test_a_kept_field_past_the_csv_limit_is_refused_at_its_line(tmp_path, kind):
+    text, parse = KEPT[kind]
+    config = kept_config(tmp_path)
+    artifacts.write(config, kind, text(), "A", "ha")
+    path = Path(artifacts.path(config, kind, "A", "ha"))
+    lines = path.read_text().splitlines()
+    lines[3] = '"' + "7" * 200_000 + '"' + lines[3][lines[3].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RowError) as err:
+        artifacts.read(config, kind, parse, sid="A", name="ha")
+    assert str(err.value) == f"{path}: line 4: field larger than field limit (131072)"
+
+
+@pytest.mark.parametrize("kind", sorted(KEPT))
 def test_demand_csv_rejects_a_covariate_header(kind):
     # the header of a kept file must be exactly its columns: an old demand
     # file with its covariates is refused, not read by name
