@@ -63,6 +63,11 @@ class LinearModel:
             raise DataError("coefficient length must be covariate width + 1")
         if not np.all(np.isfinite(self.pickup_coef) & np.isfinite(self.return_coef)):
             raise DataError("coefficients must be finite")
+        # 1440 tod_ columns or more read as interval 0, which parse_model refuses
+        known = set(covariate_columns(max(self.interval_minutes, 1)))
+        unknown = next((name for name in self.columns if name not in known), None)
+        if unknown is not None:
+            raise DataError(f"{unknown!r} is not a covariate column")
 
     @property
     def interval_minutes(self) -> int:

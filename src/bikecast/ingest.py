@@ -36,9 +36,12 @@ UTF-8.
 Every CSV the package reads, input or kept, goes through one row reader,
 :func:`_column_chunks`, and each of its columns through one converter,
 :func:`_converted`, by the kind its parser names: :func:`_table` reads a whole
-file so. Timestamps are read as :func:`datetime.fromisoformat` reads them,
-with surrounding blanks stripped and UTC offsets refused; numbers refuse
-digit-group underscores and digits beyond ASCII.
+file so. A timestamp reads as :func:`_parse_timestamp` reads it: as
+:func:`datetime.fromisoformat` does, with surrounding blanks stripped and UTC
+offsets refused. A column's canonical spellings (``YYYY-MM-DD HH:MM:SS``, a
+``T`` or a blank between, an optional fraction of 1-6 digits) are decoded
+together as bytes; only other spellings go through :func:`_parse_timestamp`
+one at a time. Numbers refuse digit-group underscores and digits beyond ASCII.
 
 Each row rule is stated once: a reader builds its columns, then hands
 :func:`_check_rows` one mask per rule, with the words of its fault, in the
@@ -62,7 +65,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from itertools import accumulate, compress, islice, repeat
-from operator import attrgetter, is_, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -222,9 +225,6 @@ def _parse_timestamp(raw: str, line_number: int) -> datetime:
     return stamp
 
 
-_EPOCH_DAY = date(1970, 1, 1).toordinal()
-
-
 def _timestamp_or_none(raw: str) -> datetime | None:
     try:
         return _parse_timestamp(raw, 0)
@@ -232,30 +232,66 @@ def _timestamp_or_none(raw: str) -> datetime | None:
         return None
 
 
+# The canonical spelling, YYYY-MM-DD HH:MM:SS (or a T between) with an optional
+# fraction of 1-6 digits, and its widths. A "0" marks a digit: a byte minus this
+# template is at most 9 where it holds a "0", and 0 where it holds a separator.
+_CANONICAL = np.frombuffer(b"0000-00-00 00:00:00.000000", np.uint8)
+_CANONICAL_WIDTHS = (19, 21, 22, 23, 24, 25, 26)
+_LIMITS = np.where(_CANONICAL == ord("0"), 9, 0).astype(np.uint8)
+# the start and size of the digits of year, month, day, hour, minute, second
+# and microsecond, and the place value of each byte's digit in them
+_FIELDS = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2), (20, 6))
+_PLACES = np.array([[10.0 ** (start + size - 1 - i) if start <= i < start + size else 0.0
+                     for start, size in _FIELDS] for i in range(len(_CANONICAL))])
+# days in and days before each month; months 0 and 13 stand for any out of range
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
+_DAYS_BEFORE = np.concatenate(([0], np.cumsum(_MONTH_DAYS[:-1])))
+_EPOCH_DAY = date(1970, 1, 1).toordinal()
+
+
+def _decoded(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows of ``block``, a ``uint8`` array of strings of one canonical
+    width, one row each, spell a canonical timestamp of a real date and time,
+    and each row's microseconds since the epoch (of no meaning where not)."""
+    width = block.shape[1]
+    digits = block - _CANONICAL[:width]
+    digits[:, 10] *= block[:, 10] != ord("T")  # a T separates date and time as a blank does
+    ok = np.ones(len(block), bool)
+    # the rows of the few bad bytes: three times faster than any(axis=1)
+    ok[np.flatnonzero(digits > _LIMITS[:width]) // width] = False
+    year, month, day, hour, minute, second, micro = (digits @ _PLACES[:width]).astype(np.int64).T
+    month = np.minimum(month, 13)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    ok &= ((year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
+           & (hour < 24) & (minute < 60) & (second < 60))
+    past = year - 1  # date.toordinal, counted in whole years, months and days
+    ordinal = (365 * past + past // 4 - past // 100 + past // 400
+               + _DAYS_BEFORE[month] + (leap & (month > 2)) + day)
+    seconds = ((ordinal - _EPOCH_DAY) * 24 + hour) * 3600 + minute * 60 + second
+    return ok, seconds * 1_000_000 + micro
+
+
 def _timestamps(strings) -> np.ndarray:
     """Each string as :func:`_parse_timestamp` reads it, as ``datetime64[us]``; NaT where it refuses.
 
-    The strings go through :func:`datetime.fromisoformat` one at a time; a
-    column with a string it refuses, or with a UTC offset, goes through
-    :func:`_parse_timestamp` instead. The datetimes become microseconds since
-    the epoch from their fields, several times faster than numpy converts
-    ``datetime`` objects.
+    The strings of each canonical width are joined and decoded as one block of
+    bytes (:func:`_decoded`), which checks every byte and the range of every
+    field. Every other string, and every one the block check refuses, goes
+    through :func:`_parse_timestamp` on its own.
     """
-    try:
-        stamps = list(map(datetime.fromisoformat, map(str.strip, strings)))
-    except ValueError:
-        stamps = None
-    if stamps is None or any(map(attrgetter("tzinfo"), stamps)):
-        stamps = list(map(_timestamp_or_none, strings))
-    n = len(stamps)
-    refused = np.fromiter(map(is_, stamps, repeat(None)), bool, n)
-    if refused.any():
-        stamps = [datetime.min if stamp is None else stamp for stamp in stamps]
-    micros = np.fromiter(map(datetime.toordinal, stamps), np.int64, n) - _EPOCH_DAY
-    for field, scale in (("hour", 24), ("minute", 60), ("second", 60), ("microsecond", 1_000_000)):
-        micros = micros * scale + np.fromiter(map(attrgetter(field), stamps), np.int64, n)
+    n = len(strings)
+    widths = np.fromiter(map(len, strings), np.intp, n)
+    micros = np.zeros(n, np.int64)
+    decoded = np.zeros(n, bool)
+    for width in set(widths.tolist()).intersection(_CANONICAL_WIDTHS):
+        rows = widths == width
+        # a character beyond ASCII becomes one "?", which no canonical spelling holds
+        text = "".join(compress(strings, rows)).encode("ascii", "replace")
+        decoded[rows], micros[rows] = _decoded(np.frombuffer(text, np.uint8).reshape(-1, width))
     times = micros.view("datetime64[us]")
-    times[refused] = _NAT
+    for i in np.flatnonzero(~decoded).tolist():
+        stamp = _timestamp_or_none(strings[i])
+        times[i] = _NAT if stamp is None else stamp
     return times
 
 

@@ -250,6 +250,21 @@ def test_lr_clamps_negative_predictions():
     assert np.all(rates[..., 1] == 0.0)
 
 
+def test_lr_refuses_a_column_that_is_no_covariate():
+    cols = classical._kept_columns(covariate_columns(60))
+    coef = np.zeros(len(cols) + 1)
+    with pytest.raises(DataError, match="^'bogus' is not a covariate column$"):
+        classical.LinearModel(columns=["bogus", *cols[1:]], pickup_coef=coef, return_coef=coef)
+
+
+def test_lr_with_a_tod_column_per_minute_reads_interval_zero():
+    # parse_model refuses it by that interval, naming the file
+    coef = np.zeros(1441)
+    model = classical.LinearModel(columns=[f"tod_{slot}" for slot in range(1440)],
+                                  pickup_coef=coef, return_coef=coef)
+    assert model.interval_minutes == 0
+
+
 def test_lr_rank_deficient_design_raises():
     # Constant temperature duplicates the intercept column.
     rng = np.random.default_rng(1)

@@ -703,13 +703,15 @@ def _per_gate(tensors: dict) -> dict:
     ("7_lr.json", lambda models: _json_with(models["7_lr.json"], "pickup_coef", lambda _: None)),
     ("7_movprnn.ckpt", lambda models: _with_header(models["7_movprnn.ckpt"],
                                                    lambda h: h | {"targets": [5]})),
+    ("7_lr.json", lambda models: _json_with(models["7_lr.json"], "columns",
+                                            lambda columns: ["bogus", *columns[1:]])),
 ], ids=["checkpoint-cut-in-its-length", "checkpoint-without-kind", "checkpoint-of-another-net",
         "checkpoint-without-a-tensor", "checkpoint-with-a-misshaped-tensor",
         "checkpoint-in-per-gate-layout", "lr-model-as-ha", "unknown-kind", "truncated-json",
         "json-without-its-config-line", "nan-in-an-ha-table", "nan-in-an-lr-coefficient",
         "nan-in-a-checkpoint-tensor", "kind-of-a-list", "interval-of-a-string",
         "lr-column-of-a-number", "checkpoint-width-of-a-string", "interval-of-zero",
-        "lr-coefficients-of-null", "checkpoint-target-of-a-number"])
+        "lr-coefficients-of-null", "checkpoint-target-of-a-number", "lr-column-of-an-unknown-name"])
 def test_damaged_model_files_exit_data_naming_the_file(tmp_path, capsys, trained_run, name,
                                                        damage):
     path, run = trained_run

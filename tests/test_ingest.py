@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import demand_series
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bikecast import artifacts
 from bikecast.config import RunConfig
@@ -932,6 +934,81 @@ def test_timestamp_column_matches_parse_timestamp_on_random_spellings():
         spelled.append(text)
     got = _timestamps(spelled)
     assert got.tolist() == [_parse_timestamp(s, 0) for s in spelled]
+
+
+def assert_column_reads_row_by_row(column: list[str]) -> None:
+    """Each row of the time column ``column``, on lines 2 on, reads as
+    _parse_timestamp reads it: its time, or NaT and the rule's words for a
+    refusal."""
+    numbers = list(range(2, len(column) + 2))
+    times, (refused, words) = ingest._converted("time", column, datetime, numbers)
+    for i, raw in enumerate(column):
+        kind, expected = row_by_row(raw, numbers[i])
+        if kind == "ok":
+            assert (refused[i], times[i].item()) == (False, expected), raw
+        else:
+            assert refused[i] and np.isnat(times[i]), raw
+            with pytest.raises(RowError) as err:
+                words(i)
+            assert str(err.value) == expected
+
+
+# any datetime, spelled at a canonical width: 19, or 21-26 with a fraction
+CANONICAL_SPELLINGS = st.builds(
+    lambda stamp, width, sep: stamp.isoformat(sep=sep, timespec="microseconds")[:width],
+    st.datetimes(), st.sampled_from([19, 21, 22, 23, 24, 25, 26]), st.sampled_from(" T"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(CANONICAL_SPELLINGS, min_size=1, max_size=8))
+def test_canonical_spellings_read_as_parse_timestamp(column):
+    assert_column_reads_row_by_row(column)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(CANONICAL_SPELLINGS, min_size=1, max_size=8), st.data())
+def test_a_spelling_edited_by_one_character_reads_as_parse_timestamp(column, data):
+    row = data.draw(st.integers(0, len(column) - 1))
+    text = column[row]
+    at = data.draw(st.integers(0, len(text) - 1))
+    char = data.draw(st.sampled_from("0123456789-:. T,+Zé\x00") | st.characters())
+    column[row] = data.draw(st.sampled_from([
+        text[:at] + char + text[at + 1:], text[:at] + char + text[at:], text[:at] + text[at + 1:]]))
+    assert_column_reads_row_by_row(column)
+
+
+def count_fallbacks(monkeypatch) -> list[str]:
+    """The strings that reach ingest._timestamp_or_none from here on, as a list
+    that grows."""
+    calls, fallback = [], ingest._timestamp_or_none
+    monkeypatch.setattr(ingest, "_timestamp_or_none",
+                        lambda raw: calls.append(raw) or fallback(raw))
+    return calls
+
+
+@pytest.mark.parametrize("odd", [None, "2018-06-01 07:58:30,123", "2018-06-01 07:58"],
+                         ids=["canonical", "comma-fraction", "no-seconds"])
+def test_a_column_of_mixed_widths_reads_row_by_row_and_only_an_odd_row_falls_back(monkeypatch,
+                                                                                 odd):
+    # an event file spells a whole second in 19 characters and any other in 26
+    column = ["2018-06-01 07:58:30", "2018-06-01T07:58:31.143447", "2018-06-01 07:59:00.5"] * 3
+    if odd is not None:
+        column[4] = odd
+    calls = count_fallbacks(monkeypatch)
+    assert_column_reads_row_by_row(column)
+    assert calls == ([] if odd is None else [odd])
+
+
+def test_the_corpus_and_every_kept_time_column_decode_without_a_fallback_row(monkeypatch, corpus):
+    calls = count_fallbacks(monkeypatch)
+    trips = read_input(corpus["trips"], parse_trips)
+    weather = read_input(corpus["weather"], parse_weather)
+    stream = to_event_streams(trips, ["7"])["7"]
+    demand = aggregate(stream, 15, (date(2018, 1, 1), date(2018, 12, 31)))
+    demand_from_csv(io.StringIO(demand_to_csv(demand)), "7", 15)
+    events_from_csv(io.StringIO(events_to_csv(stream)), "7")
+    parse_weather(io.StringIO(weather_to_csv(weather)))
+    assert len(trips) > 1000 and calls == []
 
 
 def test_trip_row_errors_keep_the_order_of_the_row_rules():
