@@ -36,12 +36,22 @@ UTF-8.
 Every CSV the package reads, input or kept, goes through one row reader,
 :func:`_column_chunks`, and each of its columns through one converter,
 :func:`_converted`, by the kind its parser names: :func:`_table` reads a whole
-file so. A timestamp reads as :func:`_parse_timestamp` reads it: as
-:func:`datetime.fromisoformat` does, with surrounding blanks stripped and UTC
-offsets refused. A column's canonical spellings (``YYYY-MM-DD HH:MM:SS``, a
-``T`` or a blank between, an optional fraction of 1-6 digits) are decoded
-together as bytes; only other spellings go through :func:`_parse_timestamp`
-one at a time. Numbers refuse digit-group underscores and digits beyond ASCII.
+file so. The reader splits each block of lines in one numpy pass over its
+bytes (:func:`_split_lines`), and a column leaves it as those bytes and the
+places of its fields in them (:class:`_Fields`). ``csv.reader`` reads the
+header, and reads rows only from the first block that pass does not take, as
+one with a line break inside quotes, to the end of the file.
+
+A timestamp reads as :func:`_parse_timestamp` reads it: as
+:func:`datetime.fromisoformat` does, with surrounding blanks stripped, UTC
+offsets refused and only a blank or ``T`` after a ``YYYY-MM-DD`` date. A
+column's canonical spellings (``YYYY-MM-DD HH:MM:SS``, a ``T`` or a blank
+between, an optional fraction of 1-6 digits) are decoded together from its
+bytes; only other spellings go through :func:`_parse_timestamp` one at a
+time, as strings. Station ids are gathered from the bytes, and only those
+with a blank at an end or a byte beyond ASCII go through ``str.strip``
+(:func:`_stripped`). Numbers refuse digit-group underscores and digits beyond
+ASCII.
 
 Each row rule is stated once: a reader builds its columns, then hands
 :func:`_check_rows` one mask per rule, with the words of its fault, in the
@@ -64,8 +74,7 @@ import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from itertools import accumulate, compress, islice, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, compress, islice, repeat
 
 import numpy as np
 
@@ -207,16 +216,21 @@ STATION_COLUMNS = ("station_id", "capacity")
 DEMAND_COLUMNS = ("interval_start", "pickups", "returns")
 EVENT_COLUMNS = ("time", "kind")
 
-# rows turned into columns at a time: the row objects of a chunk this size
-# stay in cache, and 8 times larger chunks parsed a trip file 20-30% slower
+# lines split at a time, about 130 KB of a trip file: blocks of 512 lines
+# parsed one half again slower, and blocks of 8192 no faster
 _CHUNK_ROWS = 2048
 
 _KIND_CODES = {name: kind for kind, name in enumerate(KIND_NAMES)}
 
 
 def _parse_timestamp(raw: str, line_number: int) -> datetime:
+    text = raw.strip()
     try:
-        stamp = datetime.fromisoformat(raw.strip())
+        stamp = datetime.fromisoformat(text)
+        # fromisoformat takes any one character after a YYYY-MM-DD date as
+        # the separator, so 2018-06-01507:00:00 would read as 07:00:00
+        if text[4:5] == "-" and text[5:6] != "W" and text[10:11] not in ("", " ", "T"):
+            raise ValueError
     except ValueError:
         raise RowError(line_number, f"unparseable timestamp {raw!r}") from None
     if stamp.tzinfo is not None:
@@ -271,26 +285,28 @@ def _decoded(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ok, seconds * 1_000_000 + micro
 
 
-def _timestamps(strings) -> np.ndarray:
-    """Each string as :func:`_parse_timestamp` reads it, as ``datetime64[us]``; NaT where it refuses.
+def _timestamps(column: _Fields) -> np.ndarray:
+    """Each field of ``column`` as :func:`_parse_timestamp` reads it, as
+    ``datetime64[us]``; NaT where it refuses.
 
-    The strings of each canonical width are joined and decoded as one block of
-    bytes (:func:`_decoded`), which checks every byte and the range of every
-    field. Every other string, and every one the block check refuses, goes
-    through :func:`_parse_timestamp` on its own.
+    The fields of each canonical width in bytes are gathered from the
+    column's bytes and decoded as one block (:func:`_decoded`), which checks
+    every byte and the range of every field; a byte beyond ASCII is in no
+    canonical spelling. Every other field, and every one the block check
+    refuses, goes through :func:`_parse_timestamp` on its own, as a string.
     """
-    n = len(strings)
-    widths = np.fromiter(map(len, strings), np.intp, n)
+    n = len(column)
+    widths = column.ends - column.starts
     micros = np.zeros(n, np.int64)
     decoded = np.zeros(n, bool)
     for width in set(widths.tolist()).intersection(_CANONICAL_WIDTHS):
-        rows = widths == width
-        # a character beyond ASCII becomes one "?", which no canonical spelling holds
-        text = "".join(compress(strings, rows)).encode("ascii", "replace")
-        decoded[rows], micros[rows] = _decoded(np.frombuffer(text, np.uint8).reshape(-1, width))
+        rows = np.flatnonzero(widths == width)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.frombuffer(column.raw, np.uint8), width)
+        decoded[rows], micros[rows] = _decoded(windows[column.starts[rows]])
     times = micros.view("datetime64[us]")
     for i in np.flatnonzero(~decoded).tolist():
-        stamp = _timestamp_or_none(strings[i])
+        stamp = _timestamp_or_none(column[i])
         times[i] = _NAT if stamp is None else stamp
     return times
 
@@ -339,25 +355,127 @@ def read_input(path: str, parse):
             raise FormatError(f"{path}: {exc}") from None
 
 
+@dataclass(eq=False)
+class _Fields:
+    """The fields of one column of CSV rows: field i is bytes
+    ``starts[i]:ends[i]`` of ``raw``, UTF-8 text. Indexed or iterated, it
+    gives its fields as strings."""
+
+    raw: bytes
+    starts: np.ndarray
+    ends: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i: int) -> str:
+        return self.raw[self.starts[i]:self.ends[i]].decode()
+
+    def __iter__(self):
+        raw, bounds = self.raw, zip(self.starts.tolist(), self.ends.tolist())
+        if raw.isascii():  # a byte is a character: slice the text, decoded once
+            text = raw.decode()
+            return iter([text[s:e] for s, e in bounds])
+        return iter([raw[s:e].decode() for s, e in bounds])
+
+
+def _fields_of(strings: Iterable[str]) -> _Fields:
+    """``strings`` as :class:`_Fields`."""
+    encoded = [s.encode() for s in strings]
+    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    ends = np.cumsum(lengths)
+    return _Fields(b"".join(encoded), ends - lengths, ends)
+
+
+def _joined(parts: list[_Fields]) -> _Fields:
+    """The fields of ``parts``, one after another, as one :class:`_Fields`."""
+    offsets = np.cumsum([0] + [len(part.raw) for part in parts])
+    starts = [np.empty(0, np.intp)] + [part.starts + o for part, o in zip(parts, offsets)]
+    ends = [np.empty(0, np.intp)] + [part.ends + o for part, o in zip(parts, offsets)]
+    return _Fields(b"".join(part.raw for part in parts), np.concatenate(starts),
+                   np.concatenate(ends))
+
+
+_LF, _CR, _COMMA, _QUOTE = b"\n\r,\""
+# the bytes that may stand beside a quote that wraps a field
+_SEPARATOR = np.isin(np.arange(256), (_LF, _CR, _COMMA))
+
+
+def _split_lines(raw: bytes, columns: list[int], start: int):
+    """The fields ``columns`` of each non-blank line of ``raw``, UTF-8 text of
+    whole lines of which the first is line ``start + 1``, and those lines'
+    numbers; None where ``csv.reader`` might read a row otherwise.
+
+    Lines end in LF or CR LF, and fields at the commas outside quotes. A field
+    wrapped whole in one pair of quotes, on one line and with no quote
+    inside, is the bytes between them, as ``csv.reader`` reads it. None
+    stands for a lone CR, any other quote, a row with too few fields, or a
+    line longer than ``csv.field_size_limit()``, which may hold a field that
+    ``csv.reader`` refuses. A NUL is a byte like any other, as it is to
+    ``csv.reader`` since Python 3.11.
+    """
+    if b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"):
+        return None
+    raw += b"" if raw.endswith(b"\n") else b"\n"
+    data = np.frombuffer(raw, np.uint8)
+    breaks = np.flatnonzero(data == _LF)
+    starts = np.concatenate(([0], breaks[:-1] + 1))
+    ends = breaks - (data[breaks - 1] == _CR)  # at a LF in place 0, data[-1] is the last LF
+    if (ends - starts).max() > csv.field_size_limit():
+        return None
+    commas = np.flatnonzero(data == _COMMA)
+    if b'"' in raw:
+        quotes = np.flatnonzero(data == _QUOTE)
+        opens, closes = quotes[::2], quotes[1::2]
+        if (len(quotes) % 2
+                or not _SEPARATOR[data[opens - 1]].all()
+                or not _SEPARATOR[data[closes + 1]].all()
+                or np.any(np.searchsorted(breaks, opens) != np.searchsorted(breaks, closes))):
+            return None
+        pair = np.searchsorted(opens, commas) - 1  # the last quote opened before each comma
+        commas = commas[(pair < 0) | (commas > closes[pair])]
+    kept = np.flatnonzero(ends > starts)  # blank lines are skipped but keep their numbers
+    starts, ends = starts[kept], ends[kept]
+    first = np.searchsorted(commas, starts)
+    count = np.searchsorted(commas, ends) - first
+    if len(kept) and count.min() < max(columns):
+        return None
+    fields = []
+    for j in columns:
+        field_starts = starts if j == 0 else commas[first + j - 1] + 1
+        field_ends = ends.copy()
+        inner = count > j
+        field_ends[inner] = commas[first[inner] + j]
+        quoted = data[field_starts] == _QUOTE
+        fields.append(_Fields(raw, field_starts + quoted, field_ends - quoted))
+    return fields, (start + 1 + kept).tolist()
+
+
 def _column_chunks(stream, what: str, names: tuple[str, ...], exact: bool = False):
     """The named columns of a CSV with a header, a chunk of rows at a time:
     the one reader of every CSV the package reads.
 
-    Yields one list of strings per name and the rows' physical line numbers,
-    :data:`_CHUNK_ROWS` rows of ``csv.reader`` at a time. The header is found
-    by name, the last of a repeated name winning; with ``exact`` it must be
-    ``names`` and nothing else. Blank lines are skipped, short rows padded
-    with empty fields, and fields beyond the named columns are not read.
+    Yields, per chunk, one :class:`_Fields` per name and the rows' physical
+    line numbers. The header is found by name, the last of a repeated name
+    winning; with ``exact`` it must be ``names`` and nothing else. Blank lines
+    are skipped, short rows padded with empty fields, and fields beyond the
+    named columns are not read.
 
-    A row's number is the line it ends on, counted from ``reader.line_num``
-    at the chunk's two ends. Only a chunk spanning more lines than rows, as
-    when a quoted field holds a line break, counts the LF, CR LF and lone CR
-    line ends (those of ``open(newline="")``) inside each row's fields. A
-    line that ``csv.reader`` refuses, as for a field beyond
-    ``csv.field_size_limit()``, raises :class:`RowError` with its words, at
-    the line the reader stopped on.
+    ``csv.reader`` reads the header. The body is read in blocks of
+    :data:`_CHUNK_ROWS` lines, each encoded once and split in one pass over
+    its bytes (:func:`_split_lines`), a chunk per block. From the first block
+    that pass does not take to the end of the file, where a quoted field may
+    hold line breaks, ``csv.reader`` reads the rows, :data:`_CHUNK_ROWS` a
+    chunk. There a row's number is the line it ends on, counted from
+    ``reader.line_num`` at the chunk's two ends; only a chunk spanning more
+    lines than rows counts the LF, CR LF and lone CR line ends (those of
+    ``open(newline="")``) inside each row's fields. A line that
+    ``csv.reader`` refuses, as for a field beyond ``csv.field_size_limit()``,
+    raises :class:`RowError` with its words, at the line the reader stopped on.
     """
-    reader = csv.reader(stream)
+    lines = iter(stream)
+    reader = csv.reader(lines)
+    start = 0  # the lines before those of reader
     try:
         header = next(filter(None, reader), None)
         if header is None:
@@ -372,25 +490,31 @@ def _column_chunks(stream, what: str, names: tuple[str, ...], exact: bool = Fals
         columns = [index[col] for col in names]
         width = max(columns) + 1
         end = reader.line_num
+        while block := list(islice(lines, _CHUNK_ROWS)):
+            chunk = _split_lines("".join(block).encode(), columns, end)
+            if chunk is None:
+                start, reader = end, csv.reader(chain(block, lines))
+                break
+            if chunk[1]:
+                yield chunk
+            end += len(block)
         while rows := list(islice(reader, _CHUNK_ROWS)):
-            start, end = end, reader.line_num
-            numbers = range(start + 1, end + 1)
+            first, end = end, start + reader.line_num
+            numbers = range(first + 1, end + 1)
             if len(numbers) > len(rows):
                 breaks = (sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
                           for row in rows)
-                numbers = list(accumulate(breaks, lambda n, b: n + b + 1, initial=start))[1:]
-            try:
-                picked = [list(map(itemgetter(i), rows)) for i in columns]
-            except IndexError:  # a short row, or a blank line, which reads as an empty row
-                kept = list(map(bool, rows))
-                numbers = compress(numbers, kept)
-                rows = [row + [""] * (width - len(row)) for row in compress(rows, kept)]
-                if not rows:
-                    continue
-                picked = [list(map(itemgetter(i), rows)) for i in columns]
-            yield picked, list(numbers)
+                numbers = list(accumulate(breaks, lambda n, b: n + b + 1, initial=first))[1:]
+                # the last row ends where the reader stopped, even if a quote
+                # left open to the end of the file holds that line's end
+                numbers[-1] = end
+            kept = list(map(bool, rows))  # a blank line reads as an empty row
+            rows = [row + [""] * (width - len(row)) for row in compress(rows, kept)]
+            if rows:
+                yield ([_fields_of(row[i] for row in rows) for i in columns],
+                       list(compress(numbers, kept)))
     except csv.Error as exc:
-        raise RowError(reader.line_num, str(exc)) from None
+        raise RowError(start + reader.line_num, str(exc)) from None
 
 
 def _table(lines, what: str, names: tuple[str, ...], kinds: tuple, exact: bool = False):
@@ -399,11 +523,12 @@ def _table(lines, what: str, names: tuple[str, ...], kinds: tuple, exact: bool =
     ``kinds[i]`` (:func:`_converted`), and the rule of each column, in order.
     Every line is read as a CSV line: one that begins with ``#`` is a row."""
     numbers: list[int] = []
-    columns: list[list[str]] = [[] for _ in names]
+    parts: list[list[_Fields]] = [[] for _ in names]
     for chunk, chunk_numbers in _column_chunks(lines, what, names, exact):
         numbers += chunk_numbers
-        for column, part in zip(columns, chunk):
-            column += part
+        for column, part in zip(parts, chunk):
+            column.append(part)
+    columns = map(_joined, parts)
     values, rules = zip(*map(_converted, names, columns, kinds, repeat(numbers)))
     return numbers, values, rules
 
@@ -412,6 +537,30 @@ def _string_array(values: list[str]) -> np.ndarray:
     """``values`` as a string array; given the width, numpy skips a slow search for it."""
     width = np.fromiter(map(len, values), np.intp, len(values)).max(initial=1)
     return np.array(values, dtype=f"<U{width}")
+
+
+# the ASCII bytes that str.strip strips
+_BLANK = np.isin(np.arange(256), tuple(b" \t\n\v\f\r\x1c\x1d\x1e\x1f"))
+
+
+def _stripped(fields: _Fields) -> np.ndarray:
+    """Each field stripped as ``str.strip`` strips it, as a string array.
+
+    The fields are gathered from the bytes into one zero-padded array. Where
+    they are ASCII with no blank at either end, stripping leaves them as they
+    are; otherwise they are decoded and stripped one by one.
+    """
+    widths = fields.ends - fields.starts
+    width = max(int(widths.max(initial=0)), 1)
+    inside = np.arange(width) < widths[:, None]
+    text = np.zeros((len(widths), width), np.uint8)
+    text[inside] = np.frombuffer(fields.raw, np.uint8)[
+        (fields.starts[:, None] + np.arange(width))[inside]]
+    last = text[np.arange(len(text)), np.maximum(widths - 1, 0)]
+    if text.max(initial=0) >= 0x80 or _BLANK[text[:, 0]].any() or _BLANK[last].any():
+        return _string_array([field.strip() for field in fields])
+    # an ASCII byte is its code point, and U pads with zeros as text does
+    return text.astype(np.uint32).view(f"U{width}").ravel()
 
 
 def _check_rows(numbers, rules) -> None:
@@ -431,15 +580,16 @@ def _check_rows(numbers, rules) -> None:
         raise DataError(reason) if numbers is None else RowError(numbers[i], reason)
 
 
-def _converted(name: str, column: list[str], kind, numbers: list[int]):
-    """``column``, whose rows are on the lines ``numbers``, converted by
+def _converted(name: str, fields: _Fields, kind, numbers: list[int]):
+    """``fields``, whose rows are on the lines ``numbers``, converted by
     ``kind``, and the rule that each field converted.
 
-    A ``str`` column is kept as the list read, and its rule flags no field. A
-    ``datetime`` column is read by :func:`_timestamps`, its rule worded by
-    :func:`_parse_timestamp`. Any other ``kind`` converts field by field into
-    an array (of objects unless ``kind`` is int or float), its rule worded
-    ``unparseable <name> '<field>'``.
+    A ``str`` column is a list of the strings read, and its rule flags no
+    field. A ``datetime`` column is read from its bytes by
+    :func:`_timestamps`, its rule worded by :func:`_parse_timestamp`. Any
+    other ``kind`` converts string by string into an array (of objects unless
+    ``kind`` is int or float), its rule worded ``unparseable <name>
+    '<field>'``.
 
     A column that converts whole takes one ``np.fromiter`` pass; only one
     that does not goes field by field, a refused field reading as zero. A
@@ -448,12 +598,13 @@ def _converted(name: str, column: list[str], kind, numbers: list[int]):
     integer beyond ``int64``. Blanks around a number are accepted, as they
     are around ids and timestamps, which are stripped.
     """
-    n = len(column)
+    n = len(fields)
+    if kind is datetime:
+        times = _timestamps(fields)
+        return times, (np.isnat(times), lambda i: _parse_timestamp(fields[i], numbers[i]))
+    column = list(fields)
     if kind is str:
         return column, (np.zeros(n, bool), None)
-    if kind is datetime:
-        times = _timestamps(column)
-        return times, (np.isnat(times), lambda i: _parse_timestamp(column[i], numbers[i]))
     dtype = kind if kind in (int, float) else object
     refused = np.zeros(n, bool)
     rule = refused, lambda i: f"unparseable {name} {column[i]!r}"
@@ -489,7 +640,7 @@ def parse_trips(stream) -> TripTable:
         start_times, start_rule = _converted(TRIP_COLUMNS[0], starts, datetime, numbers)
         end_times, end_rule = _converted(TRIP_COLUMNS[1], ends, datetime, numbers)
         n = len(starts)
-        ids = _string_array(list(map(str.strip, origins + dests)))
+        ids = _stripped(_joined([origins, dests]))
         origin_ids, dest_ids = ids[:n], ids[n:]
         _check_rows(numbers, [
             ((origin_ids == "") | (dest_ids == ""), lambda i: "empty station id"),

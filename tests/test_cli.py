@@ -1097,8 +1097,10 @@ def test_every_config_field_is_read_outside_the_config_module():
 
 def test_no_module_reads_csv_rows_but_the_one_reader():
     # every CSV row goes through ingest._column_chunks, so one rule set holds
-    # for blank lines, short rows and headers; the only other csv.reader
-    # splits the trip header in experiments._read_trips as that reader would
+    # for blank lines, short rows and headers: it splits lines in numpy and
+    # leaves csv.reader the header and any rows its byte pass does not take.
+    # The only other csv.reader splits the trip header in
+    # experiments._read_trips as that reader would
     allowed = {("ingest.py", "_column_chunks"), ("experiments.py", "_read_trips")}
     splitters = {"split", "rsplit", "partition", "rpartition"}
     found = []

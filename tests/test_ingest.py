@@ -932,7 +932,7 @@ def test_timestamp_column_matches_parse_timestamp_on_random_spellings():
         if "." in text:
             text = text[:20 + digits] if digits else text[:19]
         spelled.append(text)
-    got = _timestamps(spelled)
+    got = _timestamps(ingest._fields_of(spelled))
     assert got.tolist() == [_parse_timestamp(s, 0) for s in spelled]
 
 
@@ -941,7 +941,8 @@ def assert_column_reads_row_by_row(column: list[str]) -> None:
     _parse_timestamp reads it: its time, or NaT and the rule's words for a
     refusal."""
     numbers = list(range(2, len(column) + 2))
-    times, (refused, words) = ingest._converted("time", column, datetime, numbers)
+    times, (refused, words) = ingest._converted("time", ingest._fields_of(column), datetime,
+                                                numbers)
     for i, raw in enumerate(column):
         kind, expected = row_by_row(raw, numbers[i])
         if kind == "ok":
@@ -1011,6 +1012,63 @@ def test_the_corpus_and_every_kept_time_column_decode_without_a_fallback_row(mon
     assert len(trips) > 1000 and calls == []
 
 
+def count_csv_blocks(monkeypatch) -> list[int]:
+    """The first line of each block that ingest._split_lines leaves to
+    csv.reader from here on, as a list that grows."""
+    blocks, split = [], ingest._split_lines
+
+    def counted(raw, columns, start):
+        chunk = split(raw, columns, start)
+        if chunk is None:
+            blocks.append(start + 1)
+        return chunk
+    monkeypatch.setattr(ingest, "_split_lines", counted)
+    return blocks
+
+
+def test_inputs_and_kept_files_are_split_without_csv_reader(monkeypatch, tmp_path, corpus):
+    # the byte pass takes every block of the inputs, of the kept files (read
+    # as artifacts.read hands them over) and of a quoted Citi Bike layout
+    blocks = count_csv_blocks(monkeypatch)
+    trips = read_input(corpus["trips"], parse_trips)
+    read_input(corpus["weather"], parse_weather)
+    stream = to_event_streams(trips, ["7"])["7"]
+    config = kept_config(tmp_path)
+    artifacts.write(config, "demand", demand_to_csv(
+        aggregate(stream, 15, (date(2018, 1, 1), date(2018, 12, 31)))), "7")
+    artifacts.write(config, "events", events_to_csv(stream), "7")
+    artifacts.read(config, "demand", demand_from_csv, "7", 15, sid="7")
+    artifacts.read(config, "events", events_from_csv, "7", sid="7")
+    quoted = quoted_citi_bike_file(Path(corpus["trips"]).read_text())
+    for text in (quoted, quoted.replace("\n", "\r\n")):
+        assert columns(parse_trips(io.StringIO(text, newline=""))) == columns(trips)
+    assert len(trips) > 1000 and blocks == []
+
+
+@pytest.mark.parametrize("separator", ["5", "x", "_"])
+def test_a_date_and_time_joined_by_another_character_are_refused_at_their_line(separator):
+    # fromisoformat takes any one character there: 2018-06-01507:00:00 read as 07:00:00
+    stamp = f"2018-06-01{separator}07:00:00"
+    trips = trip_file(("2018-06-01 06:00:00", "2018-06-01 06:30:00"), (stamp, "2018-06-01 08:00:00"))
+    weather = csv_text(list(ingest.WEATHER_COLUMNS),
+                       [["2018-06-01 06:00:00", "20.5", "0.1"], [stamp, "21.0", "0.1"]])
+    for text, parse in ((trips, parse_trips), (weather, parse_weather)):
+        with pytest.raises(RowError) as err:
+            parse(io.StringIO(text))
+        assert str(err.value) == f"line 3: unparseable timestamp {stamp!r}"
+    assert _parse_timestamp("2018-06-01 07", 1) == datetime(2018, 6, 1, 7)
+    assert _parse_timestamp("0001-01-01", 1) == datetime(1, 1, 1)
+
+
+def test_a_row_whose_quote_stays_open_to_the_end_is_numbered_by_its_last_line():
+    # the open quote takes the last line's end into the field; the file has 4 lines
+    text = trip_file(("2018-06-01 06:00:00", "2018-06-01 06:30:00")) \
+        + '2018-06-01 07:00:00,x,A,"B\nC\r\n'
+    with pytest.raises(RowError) as err:
+        parse_trips(io.StringIO(text, newline=""))
+    assert str(err.value) == "line 4: unparseable timestamp 'x'"
+
+
 def test_trip_row_errors_keep_the_order_of_the_row_rules():
     # the first bad row wins, and within it the first broken rule
     late = trip_file(("2018-06-01 07:00:00", "2018-06-01 08:00:00")) + "2018-06-01 09:00:00,x,A,\n"
@@ -1061,6 +1119,66 @@ def test_column_chunks_number_rows_as_a_row_by_row_reader(tmp_path, monkeypatch,
     got = [([a, b], n) for (a_col, b_col), numbers in chunks
            for a, b, n in zip(a_col, b_col, numbers)]
     assert got == expected
+
+
+# field text: CSV's own bytes, a NUL, text beyond ASCII, and blanks that
+# str.strip removes but bytes.strip does not
+FIELD_TEXT = st.text(st.sampled_from(['a', '7', ' ', ',', '"', '\r', '\n', '\x00', 'é', '€',
+                                      '\t', '\x1c', '\x1f', '\xa0']), max_size=5)
+CSV_FIELD = st.builds(lambda text, quoted: '"' + text.replace('"', '""') + '"' if quoted else text,
+                      FIELD_TEXT, st.booleans())
+CSV_ROW = st.builds(lambda fields, end: ",".join(fields) + end,
+                    st.lists(CSV_FIELD, max_size=5), st.sampled_from(["\n", "\r\n", "\r"]))
+
+
+def reference_rows(text: str, names: tuple[str, ...]):
+    """The named fields and line of each row of ``text`` as one ``csv.reader``
+    reads them, or the RowError it stops with."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(filter(None, reader))
+        columns = [header.index(name) for name in names]
+        return [([(row + [""] * 5)[i] for i in columns], reader.line_num)
+                for row in reader if row]
+    except csv.Error as exc:
+        return RowError(reader.line_num, str(exc))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 2048])
+@settings(max_examples=250, deadline=None)
+@given(rows=st.lists(CSV_ROW, max_size=12), plain=st.lists(st.sampled_from(
+    ["1,2,3\n", '"1","2,x","3"\r\n', '1"2,3",4,5\n', '"1"2,3,4\n', '1,2,"3\n4",5,6\n', "\n",
+     " a\x1c,b,\xa0c \n"]), max_size=6),
+       last=st.sampled_from(["", "x,y,z"]), limit=st.sampled_from([8, 131072]))
+def test_column_chunks_read_as_csv_reader(chunk, rows, plain, last, limit):
+    # rows the byte pass takes or must leave to csv.reader (a quote inside a
+    # field, text after a closing quote, a quoted line break), then any rows;
+    # a small field limit refuses some fields
+    text = "a,b,c\n" + "".join(plain + rows) + last
+    names = ("c", "a")
+    old_limit = csv.field_size_limit(limit)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_CHUNK_ROWS", chunk)
+            expected = reference_rows(text, names)
+            try:
+                chunks = list(ingest._column_chunks(io.StringIO(text, newline=""), "test", names))
+            except RowError as exc:
+                chunks, got = [], exc
+            else:
+                got = [(list(fields), n) for named, numbers in chunks
+                       for *fields, n in zip(*named, numbers)]
+    finally:
+        csv.field_size_limit(old_limit)
+    for named, _ in chunks:  # ids are stripped as str.strip strips them
+        for column in named:
+            stripped = ingest._stripped(column)
+            reference = ingest._string_array([s.strip() for s in column])
+            assert (stripped.dtype, stripped.tolist()) == (reference.dtype, reference.tolist())
+    if isinstance(expected, RowError):
+        assert isinstance(got, RowError) and str(got) == str(expected)
+    else:
+        assert got == expected
 
 
 # -- the array operations against the per-event and per-interval loops -----------------
